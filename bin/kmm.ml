@@ -976,7 +976,7 @@ let bwt_cmd =
     `Ok ()
   in
   let text = Arg.(required & pos 0 (some string) None & info [] ~docv:"TEXT" ~doc:"Text.") in
-  Cmd.v (Cmd.info "bwt" ~doc:"Print BWT(text$)") Term.(ret (const run $ text))
+  Cmd.v (Cmd.info "bwt" ~doc:"Print BWT(text\\$)") Term.(ret (const run $ text))
 
 let () =
   let doc = "string matching with k mismatches over BWT arrays (ICDE'17 reproduction)" in

@@ -28,7 +28,9 @@ type index = {
          payload — n/4 bytes, never the unpacked string. *)
   bidir : Fmindex.Bidir.t Fmindex.Storage.Memo.t;
       (* forward rank side paired with [fm_rev]; only the Bidir engine
-         forces it (one suffix-array build of the forward text). *)
+         forces it.  Rebuilt per process (one SA-IS pass over [pforward],
+         never the unpacked text) rather than persisted, which would add
+         ~0.5 B/base to the index file. *)
 }
 
 let make_index ~text_memo fm_rev =
@@ -42,9 +44,7 @@ let make_index ~text_memo fm_rev =
   in
   let bidir =
     Fmindex.Storage.Memo.make (fun () ->
-        Fmindex.Bidir.make
-          ~text:(Fmindex.Storage.Memo.force text_memo)
-          ~fm_rev)
+        Fmindex.Bidir.make ~ptext:(Fmindex.Storage.Memo.force pforward) ~fm_rev)
   in
   { text = text_memo; fm_rev; tree; pforward; bidir }
 

@@ -178,11 +178,8 @@ let bidir_find_all =
           String.init (String.length c.text) (fun i ->
               c.text.[String.length c.text - 1 - i])
         in
-        let bd =
-          Fmindex.Bidir.make ~text:c.text
-            ~fm_rev:(Fmindex.Fm_index.build rev)
-        in
         let ptext = Fmindex.Packed_text.of_string c.text in
+        let bd = Fmindex.Bidir.make ~ptext ~fm_rev:(Fmindex.Fm_index.build rev) in
         Some (Oss.search ~ptext bd ~pattern:c.pattern ~k:c.k));
   }
 

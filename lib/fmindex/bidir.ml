@@ -21,17 +21,11 @@ let c_array_of_counts counts =
   done;
   c
 
-let make ~text ~fm_rev =
-  String.iter
-    (fun ch ->
-      if not (Dna.Alphabet.is_base ch) || ch <> Dna.Alphabet.normalize ch then
-        invalid_arg "Bidir.make: text must be lowercase acgt")
-    text;
-  let n = String.length text in
+let make ~ptext ~fm_rev =
+  let n = Packed_text.length ptext in
   if n <> Fm_index.length fm_rev then
     invalid_arg "Bidir.make: text and reverse-index lengths differ";
-  let sa = Suffix.Suffix_array.build text in
-  let packed, sentinel_row = Bwt.packed_of_suffix_array text sa in
+  let packed, sentinel_row, _ = Bwt.of_packed_text ptext in
   let occ_f = Occ.of_packed ~sentinels:[| sentinel_row |] packed in
   { n; occ_f; c_f = c_array_of_counts (Occ.counts occ_f); fm_rev }
 

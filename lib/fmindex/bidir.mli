@@ -35,13 +35,14 @@
 
 type t
 
-val make : text:string -> fm_rev:Fm_index.t -> t
-(** [make ~text ~fm_rev] builds the forward rank side over [text]
-    (lowercase [acgt]) and pairs it with [fm_rev], the existing index of
-    the {e reversed} text.  Raises [Invalid_argument] if [text] is not
-    lowercase ACGT or the lengths disagree.  Cost: one suffix-array
-    construction of [text] plus the interleaved rank blocks (~0.6
-    bytes/base); the reverse side is shared, not copied. *)
+val make : ptext:Packed_text.t -> fm_rev:Fm_index.t -> t
+(** [make ~ptext ~fm_rev] builds the forward rank side over the 2-bit
+    packed text [ptext] and pairs it with [fm_rev], the existing index
+    of the {e reversed} text.  Raises [Invalid_argument] if the lengths
+    disagree.  Cost: one SA-IS pass straight from the packed lanes
+    ({!Bwt.of_packed_text}; ~10 bytes/base of transient working
+    memory) plus the interleaved rank blocks (~0.5 bytes/base); the
+    reverse side is shared, not copied. *)
 
 val length : t -> int
 (** Length of the indexed text. *)

@@ -13,30 +13,32 @@ let of_suffix_array s sa =
 let of_text s = of_suffix_array s (Suffix.Suffix_array.build s)
 
 (* The packed BWT skips the sentinel row entirely: lane j holds the
-   (j < sentinel_row ? j : j+1)-th BWT character.  Row 0 of the matrix of
-   s^"$" starts with the sentinel suffix, so its L-character is s[n-1];
-   the sentinel itself appears in L at the row of the suffix starting at
-   position 0, i.e. row 1 + (index of 0 in sa). *)
-let packed_of_suffix_array s sa =
-  let n = String.length s in
-  if n = 0 then (Packed_text.empty, 0)
-  else begin
-    let sentinel_row = ref 0 in
-    Array.iteri (fun i h -> if h = 0 then sentinel_row := i + 1) sa;
-    let sentinel_row = !sentinel_row in
-    let lane_of_char c =
-      match Packed_text.code_of_base c with
-      | Some d -> d
-      | None -> invalid_arg "Bwt.packed_of_suffix_array: text must be acgt"
-    in
-    let pt =
-      Packed_text.init n (fun j ->
-          let row = if j < sentinel_row then j else j + 1 in
-          if row = 0 then lane_of_char s.[n - 1]
-          else lane_of_char s.[sa.(row - 1) - 1])
-    in
-    (pt, sentinel_row)
-  end
+   (j < sentinel_row ? j : j+1)-th BWT character.  Row r's suffix starts
+   at sa.(r) (row 0 is the sentinel suffix, sa.(0) = n), so its
+   L-character is the code before it, and the row of position 0 is where
+   the sentinel sits in L. *)
+let of_packed_text ptext =
+  let n = Packed_text.length ptext in
+  let codes = Bytes.create (n + 1) in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set codes i (Char.unsafe_chr (Packed_text.unsafe_get ptext i + 1))
+  done;
+  Bytes.unsafe_set codes n '\000';
+  let sa = Suffix.Suffix_array.sais_codes codes ~sigma:Dna.Alphabet.sigma in
+  let data = Storage.create ((n + 3) / 4) in
+  let sentinel_row = ref 0 and lane = ref 0 in
+  for row = 0 to n do
+    let p = Array.unsafe_get sa row in
+    if p = 0 then sentinel_row := row
+    else begin
+      let d = Char.code (Bytes.unsafe_get codes (p - 1)) - 1 and j = !lane in
+      let b = j lsr 2 in
+      Bigarray.Array1.unsafe_set data b
+        (Bigarray.Array1.unsafe_get data b lor (d lsl ((j land 3) * 2)));
+      lane := j + 1
+    end
+  done;
+  (Packed_text.of_storage data ~len:n, !sentinel_row, sa)
 
 let inverse l =
   let n = String.length l in

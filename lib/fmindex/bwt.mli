@@ -10,11 +10,14 @@ val of_text : string -> string
 val of_suffix_array : string -> int array -> string
 (** Same, given a precomputed suffix array of [s] (without sentinel). *)
 
-val packed_of_suffix_array : string -> int array -> Packed_text.t * int
-(** [packed_of_suffix_array s sa] is the 2-bit packed BWT with its
-    sentinel removed, paired with the sentinel's row index — the form the
-    packed FM-index core consumes, built without materializing the
-    byte-per-character BWT string. *)
+val of_packed_text : Packed_text.t -> Packed_text.t * int * int array
+(** [of_packed_text ptext] builds BWT(s ^ "$") of the 2-bit text [s]
+    straight from its lanes, through one SA-IS pass over the codes
+    (sentinel 0, bases 1..4), without an unpacked string.  It returns
+    the packed BWT with its sentinel removed, the sentinel's row index
+    (the form the packed FM-index core consumes), and the row-indexed
+    suffix array: [sa.(r)] is the text position of row [r]'s suffix,
+    [sa.(0) = n]. *)
 
 val inverse : string -> string
 (** [inverse l] recovers [s] from [l = BWT(s ^ "$")] by iterated

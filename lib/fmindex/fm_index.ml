@@ -145,29 +145,28 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) text =
         invalid_arg "Fm_index.build: text must be lowercase acgt")
     text;
   let n = String.length text in
-  let sa = Suffix.Suffix_array.build text in
-  let packed, sentinel_row = Bwt.packed_of_suffix_array text sa in
+  let ptext = Packed_text.of_string text in
+  let packed, sentinel_row, sa = Bwt.of_packed_text ptext in
   let occ = Occ.of_packed ~rate:occ_rate ~sentinels:[| sentinel_row |] packed in
   let c_array = c_array_of_counts (Occ.counts occ) in
-  (* Row i of the matrix of text^"$" corresponds to suffix position:
-     row 0 -> n (the sentinel suffix), row i+1 -> sa.(i).  Sample rows
-     whose position is a multiple of sa_rate so any locate walk ends
-     within sa_rate LF steps. *)
+  (* Row 0 is the sentinel suffix (position n), always sampled; other
+     rows are sampled when their position is a multiple of sa_rate, so
+     any locate walk ends within sa_rate LF steps. *)
   let marks = Storage.create ((n + 8) / 8) in
   mark_set marks 0;
   let nsamples = ref 1 in
-  for i = 0 to n - 1 do
-    if sa.(i) mod sa_rate = 0 then begin
-      mark_set marks (i + 1);
+  for row = 1 to n do
+    if sa.(row) mod sa_rate = 0 then begin
+      mark_set marks row;
       incr nsamples
     end
   done;
   let samples = Storage.create_words !nsamples in
   Storage.set_word samples 0 n;
   let j = ref 1 in
-  for i = 0 to n - 1 do
-    if sa.(i) mod sa_rate = 0 then begin
-      Storage.set_word samples !j sa.(i);
+  for row = 1 to n do
+    if sa.(row) mod sa_rate = 0 then begin
+      Storage.set_word samples !j sa.(row);
       incr j
     end
   done;
@@ -175,7 +174,7 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) text =
   assert (total = !nsamples);
   {
     n;
-    ptext = Packed_text.of_string text;
+    ptext;
     text = Storage.Memo.make (fun () -> text);
     occ;
     c_array;

@@ -165,6 +165,10 @@ let default_config ~socket_path =
     log = ignore;
   }
 
+(* The [SO_RCVTIMEO]/[SO_SNDTIMEO] of every accepted connection: how
+   often an idle connection thread polls the stop flag. *)
+let read_tick = 0.25
+
 type job = {
   pattern : string;
   k : int;
@@ -401,9 +405,20 @@ let handle_conn t fd =
         | Query { pattern; k; engine; deadline } ->
             handle_query t ~respond ~id ~pattern ~k ~engine ~deadline)
   in
-  let rec loop () =
+  (* On stop, a connection stays open for one more [read_tick] from the
+     moment its thread first sees the stop, then hangs up at the next
+     frame boundary.  Frames the client already pipelined, or sends
+     within that tick, each get a typed [Overloaded] refusal from
+     [submit] instead of a silent close — even when the stop lands
+     between a reply and the next read — and a client that keeps
+     sending cannot hold the drain open past the tick. *)
+  let rec loop hangup =
+    let hangup =
+      if Deadline.is_none hangup && stopping t then Deadline.after read_tick else hangup
+    in
+    let drained () = Deadline.expired hangup && not (Line_reader.buffered reader) in
     match Line_reader.next ~max_line reader with
-    | Timeout -> if stopping t then () else loop ()
+    | Timeout -> if drained () then () else loop hangup
     | Eof -> ()
     | Truncated ->
         (* The peer shut its write side mid-frame; it may still read. *)
@@ -413,17 +428,13 @@ let handle_conn t fd =
         reject ~id:Json.Null
           (Kmm_error.Bad_input
              (Printf.sprintf "frame exceeds max_frame (%d bytes)" max_line));
-        loop ()
-    | Line "" -> loop ()
+        loop hangup
+    | Line "" -> loop hangup
     | Line line ->
         handle_frame line;
-        (* On stop, keep consuming frames the client already pipelined
-           into our buffer — each gets a typed [Overloaded] refusal from
-           [submit] — and only then hang up.  A late arrival is told why
-           it was refused instead of seeing a silent close. *)
-        if stopping t && not (Line_reader.buffered reader) then () else loop ()
+        if drained () then () else loop hangup
   in
-  (try loop () with
+  (try loop Deadline.none with
   | Conn_lost -> bump t "serve.conns_dropped"
   | Conn_stalled -> bump t "serve.conns_stalled"
   | e ->
@@ -446,8 +457,8 @@ let acceptor_loop t =
                  The send timeout makes a blocked [Unix.write] wake just
                  as often, so [write_all] can enforce its whole-response
                  budget against a stalled reader. *)
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25;
-              Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.25;
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_tick;
+              Unix.setsockopt_float fd Unix.SO_SNDTIMEO read_tick;
               bump t "serve.connections";
               let th = Thread.create (fun () -> handle_conn t fd) () in
               Mutex.lock t.cm;

@@ -39,9 +39,10 @@
     - [SIGINT]/[SIGTERM] (installed by {!serve}) request a clean drain:
       the listener stops accepting, queued queries are still answered,
       frames a client already pipelined are answered with typed
-      [Overloaded] refusals ("shutting down"), every connection thread
-      then exits at its frame boundary, worker domains are joined, and
-      the socket file is unlinked.
+      [Overloaded] refusals ("shutting down"), as are frames that
+      arrive within one read tick (250 ms) of the stop, every connection
+      thread then exits at its next frame boundary, worker domains are
+      joined, and the socket file is unlinked.
     - A connection that ends mid-frame (truncated frame) is answered
       with a typed rejection if the peer can still read, then closed.
 

@@ -82,7 +82,9 @@ let prop_bidir_matches_unidirectional =
       let st = Random.State.make [| seed |] in
       let fm_fwd = Fmindex.Fm_index.build text in
       let fm_rev = Fmindex.Fm_index.build (rev_string text) in
-      let bd = Fmindex.Bidir.make ~text ~fm_rev in
+      let bd =
+        Fmindex.Bidir.make ~ptext:(Fmindex.Packed_text.of_string text) ~fm_rev
+      in
       (* Grow pattern.[split-1 .. 0] leftward and pattern.[split .. m-1]
          rightward, interleaved at random. *)
       let l = ref split and r = ref split in
@@ -147,15 +149,12 @@ let prop_oss_matches_naive =
     (fun (text, pattern, k) ->
       if text = "" then true
       else
+        let ptext = Fmindex.Packed_text.of_string text in
         let bd =
-          Fmindex.Bidir.make ~text
+          Fmindex.Bidir.make ~ptext
             ~fm_rev:(Fmindex.Fm_index.build (rev_string text))
         in
-        let got =
-          Oss.search
-            ~ptext:(Fmindex.Packed_text.of_string text)
-            bd ~pattern ~k
-        in
+        let got = Oss.search ~ptext bd ~pattern ~k in
         got = naive_hits text pattern k)
 
 let test_bidir_engine_agrees () =

@@ -38,6 +38,114 @@ let test_bwt_is_permutation () =
   check bool "permutation of s$" true (sorted l = sorted (s ^ "$"))
 
 (* ------------------------------------------------------------------ *)
+(* Packed BWT builder (the DNA SA-IS entry point)                      *)
+
+(* [Bwt.of_packed_text] against an independent oracle: BWT(s$) through
+   prefix doubling, the sentinel cut out of the lanes, and the
+   row-indexed SA as the sentinel row followed by SA(s). *)
+let packed_bwt_agrees s =
+  let packed, row, sa = Bwt.of_packed_text (Packed_text.of_string s) in
+  let sa_ref = Suffix.Suffix_array.build_doubling s in
+  let l = Bwt.of_suffix_array s sa_ref in
+  let srow = String.index l '$' in
+  Packed_text.to_string packed
+  = String.sub l 0 srow ^ String.sub l (srow + 1) (String.length s - srow)
+  && row = srow
+  && sa = Array.append [| String.length s |] sa_ref
+
+let prop_packed_bwt =
+  Test_util.qtest ~count:300 "packed BWT = doubling oracle"
+    (Test_util.dna_gen ~hi:300 ()) packed_bwt_agrees
+
+let test_packed_bwt_small_lengths () =
+  (* Every n mod 4 (partial last byte), including n = 0 and n = 1. *)
+  let st = Random.State.make [| 41 |] in
+  for n = 0 to 17 do
+    for _ = 1 to 8 do
+      let s = Test_util.random_dna st n in
+      if not (packed_bwt_agrees s) then Alcotest.failf "packed BWT wrong for %S" s
+    done
+  done
+
+let reps p k = String.concat "" (List.init k (fun _ -> p))
+
+let rec fibonacci_word a b n = if n = 0 then a else fibonacci_word b (b ^ a) (n - 1)
+
+let test_packed_bwt_recursion () =
+  (* Homopolymers have no LMS suffix but the sentinel; tandem repeats
+     recurse once; nested repeats and the Fibonacci word recurse two to
+     five levels deep. *)
+  List.iter
+    (fun s ->
+      if not (packed_bwt_agrees s) then
+        Alcotest.failf "packed BWT wrong for %S" (String.sub s 0 (min 24 (String.length s))))
+    [
+      String.make 1000 'a';
+      String.make 999 't';
+      String.make 500 'c' ^ "a";
+      reps "ac" 500;
+      reps "acg" 333 ^ "a";
+      reps "ttga" 250;
+      reps (reps "acg" 5 ^ "t") 40;
+      reps (reps (reps "ac" 3 ^ "g") 3 ^ "t") 30;
+      fibonacci_word "a" "ac" 15;
+    ]
+
+(* O(n) check that [sa] is the row-indexed suffix array of [s ^ "$"]: a
+   permutation of 0..n with the sentinel first, and every adjacent pair
+   ordered by its first character, then by the rank of the suffixes one
+   position on. *)
+let is_row_sa s sa =
+  let n = String.length s in
+  Array.length sa = n + 1
+  && sa.(0) = n
+  &&
+  let rank = Array.make (n + 1) (-1) in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun r p ->
+         p >= 0 && p <= n && rank.(p) < 0
+         &&
+         (rank.(p) <- r;
+          true))
+       sa)
+  &&
+  let ok = ref true in
+  for r = 1 to n - 1 do
+    let p = sa.(r) and q = sa.(r + 1) in
+    if not (s.[p] < s.[q] || (s.[p] = s.[q] && rank.(p + 1) < rank.(q + 1))) then
+      ok := false
+  done;
+  !ok
+
+let genome ~size ~seed =
+  Dna.Sequence.to_string
+    (Dna.Genome_gen.generate { Dna.Genome_gen.default with size; seed })
+
+let bwt_string packed row =
+  let l = Packed_text.to_string packed in
+  String.sub l 0 row ^ "$" ^ String.sub l row (String.length l - row)
+
+let test_packed_bwt_genome () =
+  (* 200 kbp with 30% diverged repeats: at least two recursion levels. *)
+  let s = genome ~size:200_000 ~seed:5 in
+  let packed, row, sa = Bwt.of_packed_text (Packed_text.of_string s) in
+  check bool "row-indexed SA" true (is_row_sa s sa);
+  check bool "sentinel row" true (sa.(row) = 0);
+  check string "BWT inverts to the text" s (Bwt.inverse (bwt_string packed row))
+
+(* Digests captured from the previous SA-IS implementation: the index
+   file bytes, and the forward BWT the bidirectional index ranks over,
+   must not change with the builder. *)
+let test_golden_index_bytes () =
+  let s = genome ~size:300_000 ~seed:2017 in
+  check string "serialized index digest" "d9005b7a4a6e0057c9d6de3dbe446cb7"
+    (Digest.to_hex (Digest.string (Fm_index.serialize (Fm_index.build s))));
+  let packed, row, _ = Bwt.of_packed_text (Packed_text.of_string s) in
+  check string "forward BWT digest" "3b7f6d592dce4f17bb36f8e119b64013"
+    (Digest.to_hex (Digest.string (bwt_string packed row)))
+
+(* ------------------------------------------------------------------ *)
 (* Occ / rankall                                                       *)
 
 let naive_rank l c i =
@@ -287,6 +395,14 @@ let () =
           Alcotest.test_case "inverse rejects" `Quick test_bwt_inverse_rejects;
           Alcotest.test_case "is permutation" `Quick test_bwt_is_permutation;
           prop_bwt_roundtrip;
+        ] );
+      ( "bwt_pack",
+        [
+          prop_packed_bwt;
+          Alcotest.test_case "every length mod 4" `Quick test_packed_bwt_small_lengths;
+          Alcotest.test_case "recursion-forcing inputs" `Quick test_packed_bwt_recursion;
+          Alcotest.test_case "200 kbp genome" `Quick test_packed_bwt_genome;
+          Alcotest.test_case "golden index bytes" `Quick test_golden_index_bytes;
         ] );
       ( "occ",
         [

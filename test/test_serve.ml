@@ -395,9 +395,9 @@ let server_drain_answers_then_refuses () =
       let c = S.Client.connect path in
       Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
       let pattern, k = List.nth queries 2 in
-      (* Admitted before the stop: answered with real hits.  The
-         round-trip also leaves the handler freshly blocked in read, so
-         the refusal frame below cannot race a drain-side close. *)
+      (* Admitted before the stop: answered with real hits.  The frame
+         sent right after the stop lands within the read tick the
+         handler keeps open after it, so it is refused, not dropped. *)
       (match S.Client.query c ~pattern ~k () with
       | Ok (P.Hits _) -> ()
       | _ -> Alcotest.fail "pre-drain query must be answered");

@@ -61,6 +61,47 @@ let test_sa_periodic () =
         (Suffix_array.build_doubling s) (Suffix_array.build s))
     [ reps "acg" 50; reps "at" 100; reps "aacg" 33; reps "a" 64; reps "gacgt" 20 ]
 
+let byte_gen = QCheck2.Gen.(string_size ~gen:char (int_range 0 600))
+
+let prop_sais_bytes_equals_doubling =
+  Test_util.qtest ~count:300 "SA-IS = doubling (all bytes)" byte_gen (fun s ->
+      Suffix_array.build s = Suffix_array.build_doubling s)
+
+let test_sa_all_byte_values () =
+  (* Every byte value, '\000' and '\255' included, in ascending,
+     descending and repeated runs: the byte-alphabet entry needs 257
+     symbols with the sentinel. *)
+  let asc = String.init 256 Char.chr in
+  let desc = String.init 256 (fun i -> Char.chr (255 - i)) in
+  let st = Random.State.make [| 256 |] in
+  let rnd = String.init 2000 (fun _ -> Char.chr (Random.State.int st 256)) in
+  List.iter
+    (fun s ->
+      check int_array "all byte values" (Suffix_array.build_doubling s)
+        (Suffix_array.build s))
+    [ asc; desc; asc ^ asc ^ desc; String.make 300 '\255'; String.make 300 '\000';
+      rnd; rnd ^ rnd ]
+
+let test_sais_codes () =
+  (* The code-string entry: sentinel first, then SA(s) over codes 1..4. *)
+  let s = "acagaca" in
+  let codes = Bytes.of_string "\001\002\001\003\001\002\001\000" in
+  check int_array "paper example" (Array.append [| 7 |] (Suffix_array.build_naive s))
+    (Suffix_array.sais_codes codes ~sigma:5);
+  check int_array "sentinel only" [| 0 |] (Suffix_array.sais_codes (Bytes.make 1 '\000') ~sigma:5);
+  List.iter
+    (fun (what, codes, sigma) ->
+      match Suffix_array.sais_codes (Bytes.of_string codes) ~sigma with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("empty", "", 5);
+      ("no sentinel", "\001\002", 5);
+      ("second sentinel", "\001\000\002\000", 5);
+      ("symbol >= sigma", "\001\005\000", 5);
+      ("sigma > 256", "\001\000", 257);
+    ]
+
 let test_rank_of () =
   let sa = Suffix_array.build "acagaca" in
   let rank = Suffix_array.rank_of sa in
@@ -273,6 +314,9 @@ let () =
           Alcotest.test_case "rank_of inverse" `Quick test_rank_of;
           prop_sais_equals_doubling;
           prop_sais_valid;
+          prop_sais_bytes_equals_doubling;
+          Alcotest.test_case "all byte values" `Quick test_sa_all_byte_values;
+          Alcotest.test_case "code-string entry" `Quick test_sais_codes;
         ] );
       ( "lcp",
         [
