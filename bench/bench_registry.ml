@@ -59,8 +59,8 @@ let all =
     {
       name = "load-modes";
       doc =
-        "index cold start: v3 copy reconstruction vs v4 copy vs v4 mmap \
-         adoption at 1/32/128 Mbp (probe answers cross-checked; appends to \
+        "index cold start: copy load (full verification) vs mmap adoption \
+         at 1/32/128 Mbp (probe answers cross-checked; appends to \
          BENCH_fmindex.json; --size narrows to one size)";
       run =
         (fun c -> Load_modes.run ~obs:c.obs ?out:c.out ?size:c.size ~seed:c.seed ());

@@ -1,7 +1,7 @@
-(* Cold-start benchmark for the index load paths: format-v3 copy load
-   (parse + O(n) reconstruction), format-v4 copy load (parse + CRC sweep
-   + buffer adoption) and format-v4 mmap adoption (header validation
-   only; the kernel pages the sections in on first touch).
+(* Cold-start benchmark for the two index load modes: copy load (parse +
+   CRC sweep + structural recount + buffer adoption) and mmap adoption
+   (header validation only; the kernel pages the sections in on first
+   touch).
 
    The metric that matters is daemon cold start: how long between
    [kmm serve -i ref.fmi] and the first answered query.  So besides the
@@ -20,11 +20,10 @@ type row = {
   size : int;
   build_s : float;
   file_bytes : int;
-  v3_copy_s : float;
-  v4_copy_s : float;
-  v4_mmap_s : float;
-  v4_mmap_probe_s : float;
-  speedup : float;  (* v3 copy / v4 mmap, the PR acceptance number *)
+  copy_s : float;
+  mmap_s : float;
+  mmap_probe_s : float;
+  speedup : float;  (* copy / mmap *)
 }
 
 let probe_patterns ~st text =
@@ -58,42 +57,25 @@ let bench_one ~st ~reps size =
     (Bench_util.fmt_time build_s);
   let probes = probe_patterns ~st text in
   let expected = List.map (fun p -> Fmindex.Fm_index.find_all fm p) probes in
-  let tmp suffix =
-    Filename.temp_file "kmm-load-bench" suffix
-  in
-  let v3_path = tmp ".v3.fmi" and v4_path = tmp ".v4.fmi" in
+  let path = Filename.temp_file "kmm-load-bench" ".fmi" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ v3_path; v4_path ])
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Fmindex.Fm_index.save_v3 fm v3_path;
-      Fmindex.Fm_index.save fm v4_path;
-      let file_bytes = (Unix.stat v4_path).Unix.st_size in
-      let v3_copy_s, _ =
-        time_load ~reps ~probes ~expected (fun () -> Fmindex.Fm_index.load v3_path)
-      in
-      let v4_copy_s, _ =
+      Fmindex.Fm_index.save fm path;
+      let file_bytes = (Unix.stat path).Unix.st_size in
+      let copy_s, _ =
         time_load ~reps ~probes ~expected (fun () ->
-            Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy v4_path)
+            Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy path)
       in
-      let v4_mmap_s, v4_mmap_probe_s =
+      let mmap_s, mmap_probe_s =
         time_load ~reps ~probes ~expected (fun () ->
-            Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Mmap v4_path)
+            Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Mmap path)
       in
-      {
-        size;
-        build_s;
-        file_bytes;
-        v3_copy_s;
-        v4_copy_s;
-        v4_mmap_s;
-        v4_mmap_probe_s;
-        speedup = v3_copy_s /. v4_mmap_s;
-      })
+      { size; build_s; file_bytes; copy_s; mmap_s; mmap_probe_s; speedup = copy_s /. mmap_s })
 
 let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
   let sizes = match size with Some s -> [ s ] | None -> default_sizes in
-  Bench_util.section "load-modes: v3 copy vs v4 copy vs v4 mmap cold start";
+  Bench_util.section "load-modes: copy vs mmap cold start";
   Bench_util.note
     "per mode: best of 3 bare loads, plus a 16-query probe batch (mmap pays \
      its page faults there); every probe cross-checked against the built index";
@@ -104,16 +86,15 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
   in
   Bench_util.table
     ~header:
-      [ "size"; "file"; "v3 copy"; "v4 copy"; "v4 mmap"; "mmap probe"; "v3/mmap" ]
+      [ "size"; "file"; "copy"; "mmap"; "mmap probe"; "copy/mmap" ]
     (List.map
        (fun r ->
          [
            Bench_util.fmt_count r.size;
            Bench_util.fmt_count r.file_bytes;
-           Bench_util.fmt_time r.v3_copy_s;
-           Bench_util.fmt_time r.v4_copy_s;
-           Bench_util.fmt_time r.v4_mmap_s;
-           Bench_util.fmt_time r.v4_mmap_probe_s;
+           Bench_util.fmt_time r.copy_s;
+           Bench_util.fmt_time r.mmap_s;
+           Bench_util.fmt_time r.mmap_probe_s;
            Printf.sprintf "%.0fx" r.speedup;
          ])
        rows);
@@ -121,7 +102,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
     (fun r ->
       Obs.record obs
         (Printf.sprintf "bench.load.%d.v4_mmap_us" r.size)
-        (int_of_float (r.v4_mmap_s *. 1e6)))
+        (int_of_float (r.mmap_s *. 1e6)))
     rows;
   let json =
     Printf.sprintf "{\"bench\":\"load_modes\",\"meta\":%s,\"seed\":%d,\"results\":[%s]}"
@@ -130,11 +111,9 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
          (List.map
             (fun r ->
               Printf.sprintf
-                "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\"v3_copy_s\":%.4f,\
-                 \"v4_copy_s\":%.4f,\"v4_mmap_s\":%.6f,\"v4_mmap_probe_s\":%.6f,\
-                 \"speedup_v3_over_mmap\":%.1f}"
-                r.size r.file_bytes r.build_s r.v3_copy_s r.v4_copy_s r.v4_mmap_s
-                r.v4_mmap_probe_s r.speedup)
+                "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\"copy_s\":%.4f,\
+                 \"mmap_s\":%.6f,\"mmap_probe_s\":%.6f,\"speedup_copy_over_mmap\":%.1f}"
+                r.size r.file_bytes r.build_s r.copy_s r.mmap_s r.mmap_probe_s r.speedup)
             rows))
   in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 out in

@@ -327,7 +327,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?(size = 1_000_000)
     packed_occ_bytes bits_per_base seed_rank_bytes
     (float_of_int seed_rank_bytes /. float_of_int packed_occ_bytes);
   let tmp = Filename.temp_file "kmm-bench" ".fmi" in
-  let v2_load_dt =
+  let load_dt =
     Fun.protect
       ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
       (fun () ->
@@ -336,8 +336,8 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?(size = 1_000_000)
         assert (Fm.length fm' = n);
         dt)
   in
-  note "format-v2 load: %.3fs vs %.2fs rebuild (%.0fx; adopting buffers, no reconstruction)"
-    v2_load_dt build_dt (build_dt /. v2_load_dt);
+  note "index load: %.3fs vs %.2fs rebuild (%.0fx; adopting buffers, no reconstruction)"
+    load_dt build_dt (build_dt /. load_dt);
 
   (* --- JSON record --------------------------------------------------- *)
   let json =
@@ -346,7 +346,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?(size = 1_000_000)
        \"occ_rate_packed\":32,\
        \"occ_rate_seed\":16,\"results\":[%s],\"space\":{\"packed_rank_bytes\":%d,\
        \"packed_bits_per_base\":%.3f,\"seed_rank_bytes\":%d},\"persistence\":\
-       {\"build_s\":%.4f,\"v2_load_s\":%.4f}}"
+       {\"build_s\":%.4f,\"load_s\":%.4f}}"
       (Bench_meta.to_json ()) size seed
       (String.concat ","
          (List.map
@@ -357,7 +357,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?(size = 1_000_000)
                 m.label m.ops (ns_per_op m.packed_s m.ops) (ns_per_op m.seed_s m.ops)
                 (speedup m) m.agree)
             measurements))
-      packed_occ_bytes bits_per_base seed_rank_bytes build_dt v2_load_dt
+      packed_occ_bytes bits_per_base seed_rank_bytes build_dt load_dt
   in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 out in
   output_string oc (json ^ "\n");

@@ -114,8 +114,7 @@ let mmap_arg =
           "Memory-map a prebuilt --index instead of copying it to the heap: \
            cold start skips the O(n) payload verification and the OS shares \
            the pages across processes.  Run kmm verify when integrity must \
-           be proven.  Ignored without --index (and for v1-v3 files, which \
-           load by copy).")
+           be proven.  Ignored without --index.")
 
 (* --- generate ------------------------------------------------------- *)
 
@@ -483,8 +482,9 @@ let verify_cmd =
            `P
              "Loads the index by copy, checking magic, version, header sanity, \
               per-section CRC-32 checksums, the whole-file trailer and the \
-              structural recount (format v4; v1-v3 files are validated by their \
-              own formats' checks) — everything an mmap load deliberately skips. \
+              structural recount — everything an mmap load deliberately skips.  \
+              Index files of the retired formats v1-v3 fail with exit code 4; \
+              rebuild them with kmm index. \
               Given a shard manifest, validates the manifest (header CRC, shard \
               geometry) and then every shard file against both the manifest's \
               recorded CRC-32 and the shard's own internal checks.  Prints a \

@@ -71,7 +71,7 @@ let fm_packed_find_all =
           Some (List.map (fun p -> (p, 0)) (Fmindex.Fm_index.find_all fm c.pattern)));
   }
 
-(* Persistence under fuzz: the index is saved (current format, v3),
+(* Persistence under fuzz: the index is saved (format v4),
    reloaded and queried through the fastest engine; any disagreement
    between the adopted buffers and a freshly built index shows up as a
    divergence. *)
@@ -90,7 +90,7 @@ let fm_save_roundtrip =
               (Kmismatch.search idx' ~engine:Kmismatch.M_tree ~pattern:c.pattern ~k:c.k)));
   }
 
-(* Format-v3 self-verification under fuzz: serialize a forward index of
+(* Format-v4 self-verification under fuzz: serialize a forward index of
    the case's text, then hit the image with a pseudo-random battery of
    fault plans (bit flips, truncations, ENOSPC-style prefixes).  Every
    corrupted image must either be rejected by [try_of_string] with a

@@ -10,8 +10,8 @@ module A1 = Bigarray.Array1
    bitvector with a rank directory plus a flat word array —
    [position_of_row] allocates nothing.  Every bulk buffer is a
    [Storage.t]/[Storage.words], so a loaded index is either heap-owned
-   (Copy mode, any format) or a set of views over an mmap'd format-v4
-   file (Mmap mode) — the query paths cannot tell the difference. *)
+   (Copy mode) or a set of views over an mmap'd index file (Mmap mode)
+   — the query paths cannot tell the difference. *)
 type t = {
   n : int;  (* text length *)
   ptext : Packed_text.t;  (* forward text, 2-bit packed *)
@@ -370,14 +370,14 @@ let extend_all t (lo, hi) ~los ~his =
 
 (* --- persistence ----------------------------------------------------- *)
 
-(* Format v4 (current): three ASCII header lines
+(* Format v4, the only format: three ASCII header lines
 
        "kmm-fm-index 4 <n> <occ_rate> <sa_rate> <sentinel_row> <nsamples>
         <blocks_bytes> <super_len> <a_total> <c_total> <g_total> <t_total>\n"
        "sections" + 5x " %012d %012d %08x" (offset, length, CRC-32) + "\n"
        "hcrc %08x\n"   (CRC-32 of the two preceding lines)
 
-   followed by the same five binary little-endian sections as v2/v3 —
+   followed by five binary little-endian sections —
      1. packed text          ceil(n/4) bytes (2-bit codes, 4 bases/byte)
      2. occ blocks           <blocks_bytes> bytes (interleaved counts+payload)
      3. occ superblocks      <super_len> * 8 bytes (int64)
@@ -402,14 +402,11 @@ let extend_all t (lo, hi) ~los ~his =
    cold-start win ([kmm verify] runs the full Copy validation).
 
    Loading adopts the buffers directly; no BWT inversion, no LF walk.
-   The v3 format (one header line + sections + CRCs, unaligned), the v2
-   format (same, no checksums) and the v1 format (packed BWT only,
-   reconstructing reader) are still read, guarded by committed
-   fixtures. *)
+   Files of the retired formats v1–v3 are rejected with
+   [Unsupported_version]; such an index is rebuilt with [kmm index]. *)
 
 let magic = "kmm-fm-index"
-let trailer_magic_v3 = "kmm3"
-let trailer_magic_v4 = "kmm4"
+let trailer_magic = "kmm4"
 
 let bytes_of_ints a =
   let b = Bytes.create (8 * Array.length a) in
@@ -429,13 +426,6 @@ let int_of_le32 s pos =
   lor (Char.code s.[pos + 3] lsl 24)
 
 (* --- serialization ---------------------------------------------------- *)
-
-let header_line ~version t =
-  Printf.sprintf "%s %d %d %d %d %d %d %d %d\n" magic version t.n (Occ.rate t.occ)
-    t.sa_rate t.sentinel_row
-    (Storage.length_words t.samples)
-    (Storage.length (Occ.raw_blocks t.occ))
-    (Array.length (Occ.raw_super t.occ))
 
 let sections t =
   [
@@ -505,31 +495,8 @@ let serialize t =
       if off > cur then add (String.make (off - cur) '\000');
       add s)
     offs secs;
-  add trailer_magic_v4;
+  add trailer_magic;
   Buffer.add_string buf (le32_of_int !crc);
-  Buffer.contents buf
-
-let serialize_v3 t =
-  let buf = Buffer.create (4096 + (2 * t.n)) in
-  let crc = ref 0 in
-  let add s =
-    Buffer.add_string buf s;
-    crc := Crc32.string ~init:!crc s
-  in
-  add (header_line ~version:3 t);
-  List.iter
-    (fun payload ->
-      add payload;
-      add (le32_of_int (Crc32.string payload)))
-    (sections t);
-  add trailer_magic_v3;
-  Buffer.add_string buf (le32_of_int !crc);
-  Buffer.contents buf
-
-let serialize_v2 t =
-  let buf = Buffer.create (4096 + (2 * t.n)) in
-  Buffer.add_string buf (header_line ~version:2 t);
-  List.iter (Buffer.add_string buf) (sections t);
   Buffer.contents buf
 
 (* --- atomic, crash-safe file writing ---------------------------------- *)
@@ -599,15 +566,13 @@ let write_atomic ?(fsync = true) ?(wrap = fun (s : sink) -> s) image path =
     with Unix.Unix_error _ | Sys_error _ -> ()
 
 let save ?fsync ?wrap t path = write_atomic ?fsync ?wrap (serialize t) path
-let save_v3 ?fsync ?wrap t path = write_atomic ?fsync ?wrap (serialize_v3 t) path
-let save_v2 ?fsync ?wrap t path = write_atomic ?fsync ?wrap (serialize_v2 t) path
 
 (* --- parsing ----------------------------------------------------------- *)
 
-(* All readers parse an in-memory image through a cursor; every length is
-   validated against the remaining bytes {e before} any slice or
-   allocation, so a forged header can produce [Truncated]/[Corrupt] but
-   never [Out_of_memory] or [End_of_file]. *)
+(* Both readers parse the header lines through a cursor and validate the
+   geometry they describe against the file size {e before} any slice,
+   mapping or allocation, so a forged header can produce
+   [Truncated]/[Corrupt] but never [Out_of_memory] or [End_of_file]. *)
 
 exception Fail of Kmm_error.t
 
@@ -616,29 +581,16 @@ let corrupt section detail = fail (Kmm_error.Corrupt (section, detail))
 
 type reader = { image : string; mutable pos : int }
 
-let remaining r = String.length r.image - r.pos
-
-let take r ~what n =
-  if n < 0 || n > remaining r then fail (Kmm_error.Truncated what);
-  let s = String.sub r.image r.pos n in
-  r.pos <- r.pos + n;
-  s
-
 (* Like [input_line]: up to ['\n'] (consumed) or end of image. *)
 let take_line r =
-  match String.index_from_opt r.image r.pos '\n' with
-  | Some i ->
-      let s = String.sub r.image r.pos (i - r.pos) in
-      r.pos <- i + 1;
-      s
-  | None ->
-      let s = String.sub r.image r.pos (remaining r) in
-      r.pos <- String.length r.image;
-      s
-
-let take_crc r ~what = int_of_le32 (take r ~what:(what ^ " checksum") 4) 0
-
-let at_end r = remaining r = 0
+  let stop =
+    match String.index_from_opt r.image r.pos '\n' with
+    | Some i -> i
+    | None -> String.length r.image
+  in
+  let s = String.sub r.image r.pos (stop - r.pos) in
+  r.pos <- min (stop + 1) (String.length r.image);
+  s
 
 let int_field what s =
   match int_of_string_opt s with
@@ -653,80 +605,19 @@ let hex_field what s =
     | Some v -> v
     | None -> corrupt Kmm_error.Header (Printf.sprintf "unparsable %s field" what)
 
-(* Shared header sanity: a forged or bit-flipped header must fail with
-   the same friendly error as an unparsable one, and must never be
-   allowed to drive a huge allocation (every derived length is bounded by
-   the image size through [take], and for v4 by the exact-file-size
-   equation). *)
-let check_header_ranges ~n ~occ_rate ~sa_rate ~sentinel_row =
-  if n < 0 || occ_rate <= 0 || sa_rate <= 0 || sentinel_row < 0 || sentinel_row > n
-  then corrupt Kmm_error.Header "field out of range"
+(* Line 1's magic and version token: version 4 yields the remaining
+   header fields; any other integer is a retired (v1–v3) or unknown
+   format. *)
+let version_fields line =
+  match String.split_on_char ' ' line with
+  | m :: "4" :: fields when m = magic -> fields
+  | m :: v :: _ when m = magic -> (
+      match int_of_string_opt v with
+      | Some nv -> fail (Kmm_error.Unsupported_version nv)
+      | None -> fail Kmm_error.Bad_magic)
+  | _ -> fail Kmm_error.Bad_magic
 
-(* --- v1 reader (reconstructing) -------------------------------------- *)
-
-let load_v1 r fields =
-  let n, occ_rate, sa_rate, sentinel_row =
-    match fields with
-    | [ n; occ_rate; sa_rate; sentinel_row ] ->
-        ( int_field "n" n, int_field "occ_rate" occ_rate, int_field "sa_rate" sa_rate,
-          int_field "sentinel_row" sentinel_row )
-    | _ -> corrupt Kmm_error.Header "wrong field count"
-  in
-  check_header_ranges ~n ~occ_rate ~sa_rate ~sentinel_row;
-  let payload = take r ~what:"payload" ((n + 3) / 4) in
-  if not (at_end r) then
-    corrupt Kmm_error.Trailer "trailing garbage after index payload";
-  let packed = Packed_text.of_bytes payload ~len:n in
-  let occ = Occ.of_packed ~rate:occ_rate ~sentinels:[| sentinel_row |] packed in
-  let c_array = c_array_of_counts (Occ.counts occ) in
-  (* Rebuild text and SA samples with one LF walk: starting from row 0
-     (the row whose suffix is the bare sentinel, position n) and
-     following LF visits positions n, n-1, ..., 0 in order. *)
-  let text_buf = Bytes.create n in
-  let pairs = ref [] in
-  let npairs = ref 0 in
-  let row = ref 0 in
-  for pos = n downto 0 do
-    if pos mod sa_rate = 0 || pos = n then begin
-      pairs := (!row, pos) :: !pairs;
-      incr npairs
-    end;
-    if pos > 0 then begin
-      let c, rk = Occ.char_rank occ !row in
-      if c = 0 then
-        (* The sentinel can only ever be read at position 0. *)
-        corrupt Kmm_error.Text_section "broken LF cycle in payload";
-      Bytes.set text_buf (pos - 1) (Dna.Alphabet.of_code c);
-      row := c_array.(c) + rk
-    end
-  done;
-  let sorted = List.sort (fun (r1, _) (r2, _) -> Int.compare r1 r2) !pairs in
-  let marks = Storage.create ((n + 8) / 8) in
-  let samples = Storage.create_words !npairs in
-  List.iteri
-    (fun i (rw, p) ->
-      mark_set marks rw;
-      Storage.set_word samples i p)
-    sorted;
-  let mark_cum, total = build_mark_cum marks (n + 1) in
-  if total <> !npairs then corrupt Kmm_error.Sa_marks "sample count mismatch";
-  let text = Bytes.unsafe_to_string text_buf in
-  {
-    n;
-    ptext = Packed_text.of_string text;
-    text = Storage.Memo.make (fun () -> text);
-    occ;
-    c_array;
-    sa_rate;
-    sentinel_row;
-    marks;
-    mark_cum;
-    samples;
-  }
-
-(* --- v2 / v3 / v4 readers (adopting) ----------------------------------- *)
-
-type v2_header = {
+type header = {
   h_n : int;
   h_occ_rate : int;
   h_sa_rate : int;
@@ -734,96 +625,76 @@ type v2_header = {
   h_nsamples : int;
   h_blocks_bytes : int;
   h_super_len : int;
+  h_totals : int array;  (* BWT character counts by code, sentinel included *)
 }
 
-let make_header n occ_rate sa_rate sentinel_row nsamples blocks_bytes super_len =
-  let h =
-    {
-      h_n = int_field "n" n;
-      h_occ_rate = int_field "occ_rate" occ_rate;
-      h_sa_rate = int_field "sa_rate" sa_rate;
-      h_sentinel_row = int_field "sentinel_row" sentinel_row;
-      h_nsamples = int_field "nsamples" nsamples;
-      h_blocks_bytes = int_field "blocks_bytes" blocks_bytes;
-      h_super_len = int_field "super_len" super_len;
-    }
-  in
-  check_header_ranges ~n:h.h_n ~occ_rate:h.h_occ_rate ~sa_rate:h.h_sa_rate
-    ~sentinel_row:h.h_sentinel_row;
-  if
-    h.h_nsamples < 1 || h.h_nsamples > h.h_n + 1 || h.h_blocks_bytes < 0
-    || h.h_super_len < 0
-  then corrupt Kmm_error.Header "field out of range";
-  h
-
-let parse_v2_header fields =
-  match fields with
-  | [ n; occ_rate; sa_rate; sentinel_row; nsamples; blocks_bytes; super_len ] ->
-      make_header n occ_rate sa_rate sentinel_row nsamples blocks_bytes super_len
-  | _ -> corrupt Kmm_error.Header "wrong field count"
-
-(* v4 header: the v2/v3 fields plus the four character totals, which let
-   the mmap reader skip the O(n) payload recount. *)
-let parse_v4_header fields =
+(* The header fields after the version token.  A forged or bit-flipped
+   header must fail with the same friendly error as an unparsable one,
+   and must never be allowed to drive a huge allocation (every derived
+   length is bounded by the exact-file-size check of [read_prologue]).
+   The character totals let the mmap reader skip the O(n) payload
+   recount; the Copy reader cross-checks them against it. *)
+let parse_header fields =
   match fields with
   | [ n; occ_rate; sa_rate; sentinel_row; nsamples; blocks_bytes; super_len;
       ca; cc; cg; ct ] ->
       let h =
-        make_header n occ_rate sa_rate sentinel_row nsamples blocks_bytes super_len
+        {
+          h_n = int_field "n" n;
+          h_occ_rate = int_field "occ_rate" occ_rate;
+          h_sa_rate = int_field "sa_rate" sa_rate;
+          h_sentinel_row = int_field "sentinel_row" sentinel_row;
+          h_nsamples = int_field "nsamples" nsamples;
+          h_blocks_bytes = int_field "blocks_bytes" blocks_bytes;
+          h_super_len = int_field "super_len" super_len;
+          h_totals =
+            [| 1; int_field "a_total" ca; int_field "c_total" cc;
+               int_field "g_total" cg; int_field "t_total" ct |];
+        }
       in
-      let tot what s =
-        let v = int_field what s in
-        if v < 0 then corrupt Kmm_error.Header "field out of range";
-        v
-      in
-      let totals =
-        [| 1; tot "a_total" ca; tot "c_total" cc; tot "g_total" cg; tot "t_total" ct |]
-      in
-      if totals.(1) + totals.(2) + totals.(3) + totals.(4) <> h.h_n then
+      if
+        h.h_n < 0 || h.h_occ_rate <= 0 || h.h_sa_rate <= 0 || h.h_sentinel_row < 0
+        || h.h_sentinel_row > h.h_n || h.h_nsamples < 1 || h.h_nsamples > h.h_n + 1
+        || h.h_blocks_bytes < 0 || h.h_super_len < 0
+        || Array.exists (fun v -> v < 0) h.h_totals
+      then corrupt Kmm_error.Header "field out of range";
+      if Array.fold_left ( + ) 0 h.h_totals <> h.h_n + 1 then
         corrupt Kmm_error.Header "character totals do not sum to length";
-      (h, totals)
+      h
   | _ -> corrupt Kmm_error.Header "wrong field count"
 
-(* Expected byte length of each v4 section, in file order, from a
-   validated header. *)
-let v4_section_lens h =
-  [
-    (h.h_n + 3) / 4;
-    h.h_blocks_bytes;
-    8 * h.h_super_len;
-    (h.h_n + 8) / 8;
-    8 * h.h_nsamples;
-  ]
+(* Where one section lies in the file, and its stored CRC-32. *)
+type extent = { off : int; len : int; crc : int }
 
-(* Parse and validate the v4 section-table line (newline stripped)
-   against the header geometry: every offset must be the 8-aligned
-   successor of the previous section and every length must match the
-   header.  Returns offsets and stored CRCs, in section order. *)
-let parse_v4_sections h ~hdr_len line =
+(* Parse and validate the section-table line (newline stripped) against
+   the header geometry: every offset must be the 8-aligned successor of
+   the previous section and every length must match the header. *)
+let parse_sections h ~hdr_len line =
   if String.length line <> section_table_len - 1 then
     corrupt Kmm_error.Header "bad section table";
   match String.split_on_char ' ' line with
   | "sections" :: rest when List.length rest = 15 ->
-      let rec triples = function
-        | [] -> []
-        | off :: len :: crc :: rest ->
-            ( int_field "section offset" off,
-              int_field "section length" len,
-              hex_field "section checksum" crc )
-            :: triples rest
-        | _ -> corrupt Kmm_error.Header "bad section table"
+      let f = Array.of_list rest in
+      let ext =
+        Array.init 5 (fun i ->
+            {
+              off = int_field "section offset" f.(3 * i);
+              len = int_field "section length" f.((3 * i) + 1);
+              crc = hex_field "section checksum" f.((3 * i) + 2);
+            })
       in
-      let entries = triples rest in
-      let expected = v4_section_lens h in
+      let expected_lens =
+        [| (h.h_n + 3) / 4; h.h_blocks_bytes; 8 * h.h_super_len; (h.h_n + 8) / 8;
+           8 * h.h_nsamples |]
+      in
       let cur = ref hdr_len in
-      List.iter2
-        (fun (off, len, _) exp_len ->
-          if off <> align8 !cur then corrupt Kmm_error.Header "section offset mismatch";
-          if len <> exp_len then corrupt Kmm_error.Header "section length mismatch";
-          cur := off + len)
-        entries expected;
-      (List.map (fun (off, _, _) -> off) entries,
-       List.map (fun (_, _, crc) -> crc) entries)
+      Array.iter2
+        (fun e len ->
+          if e.off <> align8 !cur then corrupt Kmm_error.Header "section offset mismatch";
+          if e.len <> len then corrupt Kmm_error.Header "section length mismatch";
+          cur := e.off + e.len)
+        ext expected_lens;
+      ext
   | _ -> corrupt Kmm_error.Header "bad section table"
 
 let parse_hcrc_line line =
@@ -833,26 +704,91 @@ let parse_hcrc_line line =
   then hex_field "header checksum" (String.sub line 5 8)
   else corrupt Kmm_error.Header "bad header checksum line"
 
-(* Adopt the five sections of a v2/v3/v4 file into an index, running the
-   structural validation (Occ checkpoint recount, text/BWT totals
-   cross-check, SA shape checks).  [expect_totals], when given (v4),
-   must agree with the recount — the header fields the mmap reader
-   trusts are thereby cross-checked on every Copy load. *)
-let adopt ?expect_totals h ~text_payload ~blocks ~super ~marks ~samples =
+(* The prologue both readers run: version and header (line 1), section
+   table (line 2) and header CRC (line 3), then the file size the
+   geometry implies, to the byte.  [r] covers at least the header lines
+   of a file of [size] bytes.  Returns the header and the section
+   extents in file order. *)
+let read_prologue r ~size =
+  let h = parse_header (version_fields (take_line r)) in
+  let l2 = take_line r in
+  let l2_end = r.pos in
+  let stored_hcrc = parse_hcrc_line (take_line r) in
+  if Crc32.sub r.image ~pos:0 ~len:l2_end <> stored_hcrc then
+    corrupt Kmm_error.Header "header checksum mismatch";
+  let ext = parse_sections h ~hdr_len:r.pos l2 in
+  let expected_size = ext.(4).off + ext.(4).len + 8 in
+  if size < expected_size then fail (Kmm_error.Truncated "index payload");
+  if size > expected_size then
+    corrupt Kmm_error.Trailer "trailing garbage after index payload";
+  (h, ext)
+
+let adopt_text h data =
+  try Packed_text.of_storage data ~len:h.h_n
+  with Invalid_argument _ -> corrupt Kmm_error.Text_section "bad packed payload"
+
+(* The tail both readers run once the bulk buffers are adopted: clear
+   the mark padding bits beyond row n, build the mark rank directory,
+   check the sampling shape, and assemble the index. *)
+let finish h ~ptext ~occ ~marks ~samples =
   let n = h.h_n in
-  let ptext =
-    try Packed_text.of_bytes text_payload ~len:n
-    with Invalid_argument _ -> corrupt Kmm_error.Text_section "bad packed payload"
+  (let rows = n + 1 in
+   if rows land 7 <> 0 then begin
+     let last = Storage.length marks - 1 in
+     A1.set marks last (A1.get marks last land ((1 lsl (rows land 7)) - 1))
+   end);
+  let mark_cum, total = build_mark_cum marks (n + 1) in
+  if total <> h.h_nsamples then corrupt Kmm_error.Sa_marks "sample count mismatch";
+  if not (mark_test marks 0) then corrupt Kmm_error.Sa_marks "row 0 unmarked";
+  if Storage.word samples 0 <> n then
+    corrupt Kmm_error.Sa_samples "row 0 sample wrong";
+  {
+    n;
+    ptext;
+    text = text_memo_of_packed ptext;
+    occ;
+    c_array = c_array_of_counts h.h_totals;
+    sa_rate = h.h_sa_rate;
+    sentinel_row = h.h_sentinel_row;
+    marks;
+    mark_cum;
+    samples;
+  }
+
+(* Copy-mode reader: full verification — header CRC, exact file size,
+   whole-file trailer CRC (which covers the alignment padding),
+   per-section CRCs, then the structural recount: Occ checkpoints, the
+   text/BWT character totals (an O(n) lane scan, no reconstruction)
+   against each other and against the header, and the sample range. *)
+let read_copy image =
+  let r = { image; pos = 0 } in
+  let size = String.length image in
+  let h, ext = read_prologue r ~size in
+  (* Trailer before sections: it is the cheap whole-file check, and it
+     also covers the padding bytes no section CRC sees. *)
+  if String.sub image (size - 8) 4 <> trailer_magic then
+    corrupt Kmm_error.Trailer "bad trailer magic";
+  if Crc32.sub image ~pos:0 ~len:(size - 4) <> int_of_le32 image (size - 4) then
+    corrupt Kmm_error.Trailer "whole-file checksum mismatch";
+  let section i sec =
+    let payload = String.sub image ext.(i).off ext.(i).len in
+    if Crc32.string payload <> ext.(i).crc then corrupt sec "checksum mismatch";
+    payload
   in
+  let text_s = section 0 Kmm_error.Text_section in
+  let blocks_s = section 1 Kmm_error.Rank_blocks in
+  let super_s = section 2 Kmm_error.Superblocks in
+  let marks_s = section 3 Kmm_error.Sa_marks in
+  let samples_s = section 4 Kmm_error.Sa_samples in
+  let n = h.h_n in
+  let ptext = adopt_text h (Storage.of_string text_s) in
   let occ =
     try
-      Occ.of_raw ~rate:h.h_occ_rate ~len:(n + 1)
-        ~sentinels:[| h.h_sentinel_row |] ~blocks ~super
+      Occ.of_raw ~rate:h.h_occ_rate ~len:(n + 1) ~sentinels:[| h.h_sentinel_row |]
+        ~blocks:(Storage.of_string blocks_s) ~super:(ints_of_string super_s)
     with Invalid_argument msg -> corrupt Kmm_error.Rank_blocks msg
   in
-  (* The text section and the rank structure must agree on per-character
-     totals (an O(n) lane scan, no reconstruction).  Lane code d of the
-     packed text is alphabet code d+1. *)
+  (* Lane code d of the packed text is alphabet code d+1. *)
   let counts = Occ.counts occ in
   let text_counts = Array.make sigma 0 in
   for i = 0 to n - 1 do
@@ -863,164 +799,77 @@ let adopt ?expect_totals h ~text_payload ~blocks ~super ~marks ~samples =
     if text_counts.(c) <> counts.(c) then
       corrupt Kmm_error.Text_section "text and BWT sections disagree"
   done;
-  (match expect_totals with
-  | None -> ()
-  | Some totals ->
-      for c = 0 to sigma - 1 do
-        if totals.(c) <> counts.(c) then
-          corrupt Kmm_error.Header "character totals disagree with payload"
-      done);
-  (* Clear mark padding bits beyond row n, then check sampling shape. *)
-  (let rows = n + 1 in
-   if rows land 7 <> 0 then begin
-     let last = Storage.length marks - 1 in
-     A1.set marks last (A1.get marks last land ((1 lsl (rows land 7)) - 1))
-   end);
-  let mark_cum, total = build_mark_cum marks (n + 1) in
-  if total <> h.h_nsamples then
-    corrupt Kmm_error.Sa_marks "sample count mismatch";
-  if not (mark_test marks 0) then corrupt Kmm_error.Sa_marks "row 0 unmarked";
-  if Storage.word samples 0 <> n then
-    corrupt Kmm_error.Sa_samples "row 0 sample wrong";
-  for i = 0 to Storage.length_words samples - 1 do
-    let p = Storage.word samples i in
+  for c = 0 to sigma - 1 do
+    if h.h_totals.(c) <> counts.(c) then
+      corrupt Kmm_error.Header "character totals disagree with payload"
+  done;
+  let t =
+    finish h ~ptext ~occ ~marks:(Storage.of_string marks_s)
+      ~samples:(Storage.words_of_string samples_s)
+  in
+  for i = 0 to Storage.length_words t.samples - 1 do
+    let p = Storage.word t.samples i in
     if p < 0 || p > n then corrupt Kmm_error.Sa_samples "sample out of range"
   done;
-  {
-    n;
-    ptext;
-    text = text_memo_of_packed ptext;
-    occ;
-    c_array = c_array_of_counts counts;
-    sa_rate = h.h_sa_rate;
-    sentinel_row = h.h_sentinel_row;
-    marks;
-    mark_cum;
-    samples;
-  }
+  t
 
-let load_v2 r fields =
-  let h = parse_v2_header fields in
-  let n = h.h_n in
-  let text_payload = take r ~what:"text section" ((n + 3) / 4) in
-  let blocks = Storage.of_string (take r ~what:"rank blocks" h.h_blocks_bytes) in
-  let super = ints_of_string (take r ~what:"superblocks" (8 * h.h_super_len)) in
-  let marks = Storage.of_string (take r ~what:"sa marks" ((n + 8) / 8)) in
-  let samples =
-    Storage.words_of_string (take r ~what:"sa samples" (8 * h.h_nsamples))
-  in
-  if not (at_end r) then
-    corrupt Kmm_error.Trailer "trailing garbage after index payload";
-  adopt h ~text_payload ~blocks ~super ~marks ~samples
+let read_exact fd ~pos ~len ~what =
+  let b = Bytes.create len in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  let got = ref 0 in
+  while !got < len do
+    let k = Unix.read fd b !got (len - !got) in
+    if k = 0 then fail (Kmm_error.Truncated what);
+    got := !got + k
+  done;
+  Bytes.unsafe_to_string b
 
-let load_v3 r fields =
-  let h = parse_v2_header fields in
-  let n = h.h_n in
-  (* 8 * h_super_len below cannot overflow: the field is bounded by the
-     image size through the checks in [take] (a too-large claim fails as
-     [Truncated] before any arithmetic on derived offsets matters). *)
-  if h.h_super_len > String.length r.image || h.h_nsamples > String.length r.image
-  then fail (Kmm_error.Truncated "superblocks");
-  let section sec len =
-    let what = Kmm_error.section_name sec in
-    let payload = take r ~what len in
-    let stored = take_crc r ~what in
-    if Crc32.string payload <> stored then corrupt sec "checksum mismatch";
-    payload
-  in
-  let text_payload = section Kmm_error.Text_section ((n + 3) / 4) in
-  let blocks_s = section Kmm_error.Rank_blocks h.h_blocks_bytes in
-  let super_s = section Kmm_error.Superblocks (8 * h.h_super_len) in
-  let marks_s = section Kmm_error.Sa_marks ((n + 8) / 8) in
-  let samples_s = section Kmm_error.Sa_samples (8 * h.h_nsamples) in
-  (* Trailer: magic + CRC-32 of every byte before the trailer CRC field.
-     This covers the header and the per-section checksum fields, so a
-     flip anywhere in the file fails one of these deterministic checks. *)
-  let body_end = r.pos in
-  let tmagic = take r ~what:"trailer" 4 in
-  if tmagic <> trailer_magic_v3 then corrupt Kmm_error.Trailer "bad trailer magic";
-  let stored = take_crc r ~what:"trailer" in
-  if not (at_end r) then
-    corrupt Kmm_error.Trailer "trailing garbage after index payload";
-  let whole = Crc32.sub r.image ~pos:0 ~len:(body_end + 4) in
-  if whole <> stored then corrupt Kmm_error.Trailer "whole-file checksum mismatch";
-  adopt h ~text_payload
-    ~blocks:(Storage.of_string blocks_s)
-    ~super:(ints_of_string super_s)
-    ~marks:(Storage.of_string marks_s)
-    ~samples:(Storage.words_of_string samples_s)
-
-(* Copy-mode v4 reader: full verification — header CRC, per-section
-   CRCs, exact file size, whole-file trailer CRC (which covers the
-   alignment padding), then the same structural adoption as v2/v3 plus
-   the header-totals cross-check. *)
-let load_v4 r fields =
-  let h, totals = parse_v4_header fields in
-  let l2 = take_line r in
-  let l2_end = r.pos in
-  let l3 = take_line r in
-  let stored_hcrc = parse_hcrc_line l3 in
-  if Crc32.sub r.image ~pos:0 ~len:l2_end <> stored_hcrc then
-    corrupt Kmm_error.Header "header checksum mismatch";
-  let hdr_len = r.pos in
-  let offs, crcs = parse_v4_sections h ~hdr_len l2 in
-  let lens = v4_section_lens h in
-  let last_off = List.nth offs 4 and last_len = List.nth lens 4 in
-  let expected_size = last_off + last_len + 8 in
-  let size = String.length r.image in
-  if size < expected_size then fail (Kmm_error.Truncated "index payload");
-  if size > expected_size then
-    corrupt Kmm_error.Trailer "trailing garbage after index payload";
-  (* Trailer before sections: it is the cheap whole-file check, and it
-     also covers the padding bytes no section CRC sees. *)
-  if String.sub r.image (size - 8) 4 <> trailer_magic_v4 then
+(* Mmap-mode reader.  Validation model: the header lines go through the
+   same prologue as the Copy reader (CRC, ranges, geometry, exact file
+   size) and the trailer magic must be present — so truncation and any
+   header-byte corruption are still detected.  The bulk payload CRCs
+   and the O(n) structural recount are deliberately skipped (that is
+   the entire cold-start win); geometry validation keeps every derived
+   offset in bounds and the LF walk in [position_of_row] is capped at
+   [sa_rate] steps, so a corrupted payload yields wrong answers or a
+   clean exception — never memory-unsafety, never a hang.  [kmm verify]
+   re-reads the file in Copy mode for the full check. *)
+let read_mmap fd =
+  let size = (Unix.fstat fd).Unix.st_size in
+  let prefix = read_exact fd ~pos:0 ~len:(min size 1024) ~what:"index header" in
+  let h, ext = read_prologue { image = prefix; pos = 0 } ~size in
+  let trailer = read_exact fd ~pos:(size - 8) ~len:8 ~what:"trailer" in
+  if String.sub trailer 0 4 <> trailer_magic then
     corrupt Kmm_error.Trailer "bad trailer magic";
-  if Crc32.sub r.image ~pos:0 ~len:(size - 4) <> int_of_le32 r.image (size - 4)
-  then corrupt Kmm_error.Trailer "whole-file checksum mismatch";
-  let section_names =
-    [ Kmm_error.Text_section; Kmm_error.Rank_blocks; Kmm_error.Superblocks;
-      Kmm_error.Sa_marks; Kmm_error.Sa_samples ]
+  let map i = Storage.map_bytes fd ~pos:ext.(i).off ~len:ext.(i).len in
+  let ptext = adopt_text h (map 0) in
+  let blocks = map 1 in
+  (* Superblocks are tiny (4 ints per 64 Ki bases): read them into the
+     int array the rank kernel wants rather than keeping a mapping. *)
+  let super =
+    ints_of_string (read_exact fd ~pos:ext.(2).off ~len:ext.(2).len ~what:"superblocks")
   in
-  let payloads =
-    List.map
-      (fun ((off, len), (crc, sec)) ->
-        let payload = String.sub r.image off len in
-        if Crc32.string payload <> crc then corrupt sec "checksum mismatch";
-        payload)
-      (List.combine (List.combine offs lens) (List.combine crcs section_names))
+  let marks = map 3 in
+  let samples = Storage.map_words fd ~pos:ext.(4).off ~len:h.h_nsamples in
+  let occ =
+    try
+      Occ.of_raw_trusted ~rate:h.h_occ_rate ~len:(h.h_n + 1)
+        ~sentinels:[| h.h_sentinel_row |] ~blocks ~super ~totals:h.h_totals
+    with Invalid_argument msg -> corrupt Kmm_error.Rank_blocks msg
   in
-  match payloads with
-  | [ text_payload; blocks_s; super_s; marks_s; samples_s ] ->
-      adopt ~expect_totals:totals h ~text_payload
-        ~blocks:(Storage.of_string blocks_s)
-        ~super:(ints_of_string super_s)
-        ~marks:(Storage.of_string marks_s)
-        ~samples:(Storage.words_of_string samples_s)
-  | _ -> assert false
+  finish h ~ptext ~occ ~marks ~samples
 
-let try_of_string image =
-  let r = { image; pos = 0 } in
-  match
-    let header = take_line r in
-    match String.split_on_char ' ' header with
-    | m :: version :: fields when m = magic -> (
-        match version with
-        | "1" -> load_v1 r fields
-        | "2" -> load_v2 r fields
-        | "3" -> load_v3 r fields
-        | "4" -> load_v4 r fields
-        | v -> (
-            match int_of_string_opt v with
-            | Some nv -> fail (Kmm_error.Unsupported_version nv)
-            | None -> fail Kmm_error.Bad_magic))
-    | _ -> fail Kmm_error.Bad_magic
-  with
+(* Failures that are properties of the file come back typed; anything
+   else is a reader bug and is surfaced as such rather than masked as
+   corruption. *)
+let guard f =
+  match f () with
   | t -> Ok t
   | exception Fail e -> Error e
-  | exception e ->
-      (* A reader bug, not a property of the file: surface it as such
-         rather than masking it as corruption. *)
-      Error (Kmm_error.Internal (Printexc.to_string e))
+  | exception ((Unix.Unix_error _ | Sys_error _) as e) -> Error (Kmm_error.Io e)
+  | exception e -> Error (Kmm_error.Internal (Printexc.to_string e))
+
+let try_of_string image = guard (fun () -> read_copy image)
 
 (* Chunked read-to-EOF: never trusts [in_channel_length], so a file that
    shrinks mid-read or a size probe confused by a proc-style file cannot
@@ -1051,124 +900,12 @@ let try_load_copy path =
   | exception End_of_file -> Error (Kmm_error.Truncated "index file")
   | exception Failure msg -> Error (Kmm_error.Io (Failure msg))
 
-(* --- mmap loader ------------------------------------------------------- *)
-
-let read_exact fd ~pos ~len ~what =
-  let b = Bytes.create len in
-  ignore (Unix.lseek fd pos Unix.SEEK_SET);
-  let got = ref 0 in
-  while !got < len do
-    let k = Unix.read fd b !got (len - !got) in
-    if k = 0 then fail (Kmm_error.Truncated what);
-    got := !got + k
-  done;
-  Bytes.unsafe_to_string b
-
-(* Mmap-mode v4 reader.  Validation model: the header lines are read,
-   CRC-checked and range-checked exactly like the Copy reader, the file
-   size must match the geometry to the byte, and the trailer magic must
-   be present — so truncation and any header-byte corruption are still
-   detected.  The bulk payload CRCs and the O(n) structural recount are
-   deliberately skipped (that is the entire cold-start win); geometry
-   validation keeps every derived offset in bounds and the LF walk in
-   [position_of_row] is capped at [sa_rate] steps, so a corrupted
-   payload yields wrong answers or a clean exception — never
-   memory-unsafety, never a hang.  [kmm verify] re-reads the file in
-   Copy mode for the full check. *)
-let load_v4_mmap fd ~size r fields =
-  let h, totals = parse_v4_header fields in
-  let l2 = take_line r in
-  let l2_end = r.pos in
-  let l3 = take_line r in
-  let stored_hcrc = parse_hcrc_line l3 in
-  if Crc32.sub r.image ~pos:0 ~len:l2_end <> stored_hcrc then
-    corrupt Kmm_error.Header "header checksum mismatch";
-  let hdr_len = r.pos in
-  let offs, _crcs = parse_v4_sections h ~hdr_len l2 in
-  let lens = v4_section_lens h in
-  let last_off = List.nth offs 4 and last_len = List.nth lens 4 in
-  let expected_size = last_off + last_len + 8 in
-  if size < expected_size then fail (Kmm_error.Truncated "index payload");
-  if size > expected_size then
-    corrupt Kmm_error.Trailer "trailing garbage after index payload";
-  let trailer = read_exact fd ~pos:(size - 8) ~len:8 ~what:"trailer" in
-  if String.sub trailer 0 4 <> trailer_magic_v4 then
-    corrupt Kmm_error.Trailer "bad trailer magic";
-  let off i = List.nth offs i and len i = List.nth lens i in
-  let n = h.h_n in
-  let ptext =
-    try
-      Packed_text.of_storage (Storage.map_bytes fd ~pos:(off 0) ~len:(len 0)) ~len:n
-    with Invalid_argument _ -> corrupt Kmm_error.Text_section "bad packed payload"
-  in
-  let blocks = Storage.map_bytes fd ~pos:(off 1) ~len:(len 1) in
-  (* Superblocks are tiny (4 ints per 64 Ki bases): read them into the
-     int array the rank kernel wants rather than keeping a mapping. *)
-  let super = ints_of_string (read_exact fd ~pos:(off 2) ~len:(len 2) ~what:"superblocks") in
-  let marks = Storage.map_bytes fd ~pos:(off 3) ~len:(len 3) in
-  let samples = Storage.map_words fd ~pos:(off 4) ~len:h.h_nsamples in
-  let occ =
-    try
-      Occ.of_raw_trusted ~rate:h.h_occ_rate ~len:(n + 1)
-        ~sentinels:[| h.h_sentinel_row |] ~blocks ~super ~totals
-    with Invalid_argument msg -> corrupt Kmm_error.Rank_blocks msg
-  in
-  (let rows = n + 1 in
-   if rows land 7 <> 0 then begin
-     let last = Storage.length marks - 1 in
-     A1.set marks last (A1.get marks last land ((1 lsl (rows land 7)) - 1))
-   end);
-  let mark_cum, total = build_mark_cum marks (n + 1) in
-  if total <> h.h_nsamples then corrupt Kmm_error.Sa_marks "sample count mismatch";
-  if not (mark_test marks 0) then corrupt Kmm_error.Sa_marks "row 0 unmarked";
-  if Storage.word samples 0 <> n then
-    corrupt Kmm_error.Sa_samples "row 0 sample wrong";
-  {
-    n;
-    ptext;
-    text = text_memo_of_packed ptext;
-    occ;
-    c_array = c_array_of_counts totals;
-    sa_rate = h.h_sa_rate;
-    sentinel_row = h.h_sentinel_row;
-    marks;
-    mark_cum;
-    samples;
-  }
-
 let try_load_mmap path =
-  let outcome =
-    match
+  guard (fun () ->
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let size = (Unix.fstat fd).Unix.st_size in
-          let prefix = read_exact fd ~pos:0 ~len:(min size 1024) ~what:"index header" in
-          let r = { image = prefix; pos = 0 } in
-          let header = take_line r in
-          match String.split_on_char ' ' header with
-          | m :: version :: fields when m = magic -> (
-              match version with
-              | "4" -> `Loaded (load_v4_mmap fd ~size r fields)
-              | "1" | "2" | "3" ->
-                  (* Pre-v4 layouts are unaligned; adopt them by copy. *)
-                  `Fallback
-              | v -> (
-                  match int_of_string_opt v with
-                  | Some nv -> fail (Kmm_error.Unsupported_version nv)
-                  | None -> fail Kmm_error.Bad_magic))
-          | _ -> fail Kmm_error.Bad_magic)
-    with
-    | outcome -> outcome
-    | exception Fail e -> `Error e
-    | exception ((Unix.Unix_error _ | Sys_error _) as e) -> `Error (Kmm_error.Io e)
-    | exception e -> `Error (Kmm_error.Internal (Printexc.to_string e))
-  in
-  match outcome with
-  | `Loaded t -> Ok t
-  | `Fallback -> try_load_copy path
-  | `Error e -> Error e
+        (fun () -> read_mmap fd))
 
 type mode = Copy | Mmap
 

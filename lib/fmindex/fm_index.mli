@@ -130,8 +130,9 @@ val extend_all : t -> interval -> los:int array -> his:int array -> unit
     sections can be adopted {e in place} from [Unix.map_file]: see
     {!mode}.  Any single-byte corruption or truncation of a v4 file is
     detected by the Copy-mode reader with a typed {!Kmm_error.t}.
-    v1–v3 files from earlier releases are still read (guarded by
-    committed fixtures). *)
+    v4 is the only format read or written: a file of the retired
+    formats v1–v3 fails in both modes with
+    [Unsupported_version], and the index is rebuilt with [kmm index]. *)
 
 type sink = {
   sink_write : string -> unit;  (** append a chunk; may raise *)
@@ -146,11 +147,6 @@ val serialize : t -> string
     {!try_of_string} parses.  Separated from file I/O so corruption
     sweeps and fuzzers can work on images directly. *)
 
-val serialize_v3 : t -> string
-(** The legacy v3 image (one header line, unaligned sections, same
-    CRC-32s and trailer), kept so compatibility tests and benchmarks can
-    produce fresh v3 files. *)
-
 val save : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
 (** Persist the index to [path] in format v4, {b atomically}: the image
     is streamed to a fresh temp file in the same directory, flushed and
@@ -163,13 +159,6 @@ val save : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
     is widened to 0o644 masked by the process umask before the data is
     written. *)
 
-val save_v3 : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
-(** Atomic writer for {!serialize_v3}. *)
-
-val save_v2 : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
-(** The legacy v2 writer (no checksums), kept so compatibility tests can
-    produce fresh v2 files.  Same atomic protocol as {!save}. *)
-
 val write_atomic : ?fsync:bool -> ?wrap:(sink -> sink) -> string -> string -> unit
 (** [write_atomic image path]: the atomic temp-file + fsync + rename
     protocol of {!save}, for any byte image.  The corpus manifest writer
@@ -177,18 +166,17 @@ val write_atomic : ?fsync:bool -> ?wrap:(sink -> sink) -> string -> string -> un
     permission guarantees as index files. *)
 
 val try_of_string : string -> (t, Kmm_error.t) result
-(** Parse an index image of any supported version.  A v2/v3/v4 file is
-    adopted directly (structural validation, no reconstruction); v1 goes
-    through the original rebuild path.  Never raises on bad input: a
-    forged header, flipped byte, truncation or trailing garbage comes
-    back as [Error] with the failing section attributed — and never as
-    [Out_of_memory], [End_of_file] or a silently wrong index. *)
+(** Parse a v4 index image with the full Copy-mode verification and
+    adopt its buffers directly (structural validation, no
+    reconstruction).  Never raises on bad input: a forged header,
+    flipped byte, truncation or trailing garbage comes back as [Error]
+    with the failing section attributed — and never as [Out_of_memory],
+    [End_of_file] or a silently wrong index.  Any version other than 4
+    is [Error (Unsupported_version v)]. *)
 
 type mode =
-  | Copy  (** read the whole file and adopt heap copies (any version) *)
-  | Mmap
-      (** map the file and adopt the bulk sections in place (v4; earlier
-          versions silently fall back to [Copy]) *)
+  | Copy  (** read the whole file and adopt heap copies *)
+  | Mmap  (** map the file and adopt the bulk sections in place *)
 
 val try_load : ?mode:mode -> string -> (t, Kmm_error.t) result
 (** Read and parse a file: {!try_of_string} plus an [Error (Io _)] for
@@ -203,8 +191,9 @@ val try_load : ?mode:mode -> string -> (t, Kmm_error.t) result
     trusts the bulk payloads, skipping everything O(n): cold-start
     becomes O(header + superblocks + marks) and the OS shares the
     mapped pages across processes.  Run [kmm verify] (or a [Copy] load)
-    when payload integrity must be proven.  A v1–v3 file requested as
-    [Mmap] is loaded by copy. *)
+    when payload integrity must be proven.  Both modes run the same
+    header checks, so a v1–v3 file fails either way with
+    [Unsupported_version]. *)
 
 val load : ?mode:mode -> string -> t
 (** Raising wrapper over {!try_load}, kept for callers that prefer

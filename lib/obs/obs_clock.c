@@ -15,7 +15,7 @@ CAMLprim value kmm_obs_now_ns(value unit)
 #if defined(CLOCK_MONOTONIC)
   clock_gettime(CLOCK_MONOTONIC, &ts);
 #else
-  /* Fallback for platforms without a monotonic clock: realtime is still
+  /* Platforms without a monotonic clock use realtime: it is still
    * nanosecond-resolution, merely steppable. */
   clock_gettime(CLOCK_REALTIME, &ts);
 #endif

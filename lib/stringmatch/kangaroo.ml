@@ -27,7 +27,7 @@ let distance_at t ~pos ~k =
   if d <= k then Some d else None
 
 (* ------------------------------------------------------------------ *)
-(* Fallback verification: when the LCE structure cannot pay for itself,
+(* Direct verification: when the LCE structure cannot pay for itself,
    scan every window directly with an early-exit budget instead.  Both
    fallbacks return exactly the (position, distance) pairs the LCE path
    would — the choice is purely a cost model. *)

@@ -58,8 +58,8 @@ let test_fm_roundtrip_rates_exceed_text () =
       check bool "find_all agrees" true
         (Fmindex.Fm_index.find_all fm' "acgt" = Fmindex.Fm_index.find_all fm "acgt"))
 
-let expect_load_failure ~containing path =
-  match Fmindex.Fm_index.load path with
+let expect_load_failure ?mode ~containing path =
+  match Fmindex.Fm_index.load ?mode path with
   | exception Failure msg ->
       check bool
         (Printf.sprintf "message %S mentions %S" msg containing)
@@ -70,21 +70,44 @@ let expect_load_failure ~containing path =
          scan 0)
   | _ -> Alcotest.fail "corrupt file accepted"
 
+(* Each v4 header line must be rejected by the header field checks
+   themselves (not by a later line), under both load modes, with the
+   friendly header error. *)
+let expect_header_rejected ?(detail = "field out of range") lines =
+  List.iter
+    (fun line ->
+      with_temp (fun path ->
+          let oc = open_out_bin path in
+          output_string oc line;
+          close_out oc;
+          List.iter
+            (fun mode ->
+              expect_load_failure ~mode
+                ~containing:("corrupt index header (" ^ detail ^ ")") path)
+            [ Fmindex.Fm_index.Copy; Fmindex.Fm_index.Mmap ]))
+    lines
+
 let test_fm_load_negative_n () =
   (* a negative length in the header must be the friendly header error,
-     not a raw Invalid_argument from Bytes.create *)
-  with_temp (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "kmm-fm-index 1 -5 16 16 0\n";
-      close_out oc;
-      expect_load_failure ~containing:"corrupt index header" path)
+     not a raw Invalid_argument from an allocation *)
+  expect_header_rejected [ "kmm-fm-index 4 -5 16 16 0 1 0 0 0 0 0 0\n" ]
 
 let test_fm_load_bad_rates () =
-  with_temp (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "kmm-fm-index 1 8 0 16 0\nxx";
-      close_out oc;
-      expect_load_failure ~containing:"corrupt index header" path)
+  (* Fields: n occ_rate sa_rate sentinel_row nsamples blocks_bytes
+     super_len a_total c_total g_total t_total; one bad field per line. *)
+  expect_header_rejected
+    [
+      "kmm-fm-index 4 8 0 16 0 1 0 0 2 2 2 2\nxx";
+      "kmm-fm-index 4 8 32 0 0 1 0 0 2 2 2 2\nxx";
+      "kmm-fm-index 4 8 32 16 9 1 0 0 2 2 2 2\nxx";
+      "kmm-fm-index 4 8 32 16 0 0 0 0 2 2 2 2\nxx";
+      "kmm-fm-index 4 8 32 16 0 10 0 0 2 2 2 2\nxx";
+      "kmm-fm-index 4 8 32 16 0 1 -1 0 2 2 2 2\nxx";
+      "kmm-fm-index 4 8 32 16 0 1 0 -1 2 2 2 2\nxx";
+      "kmm-fm-index 4 8 32 16 0 1 0 0 -2 2 4 4\nxx";
+    ];
+  expect_header_rejected ~detail:"character totals do not sum to length"
+    [ "kmm-fm-index 4 8 32 16 0 1 0 0 2 2 2 3\nxx" ]
 
 let test_fm_load_trailing_garbage () =
   with_temp (fun path ->
@@ -244,15 +267,6 @@ let prop_mmap_equals_copy =
           && Fmindex.Fm_index.find_all mm pattern = Fmindex.Fm_index.find_all heap pattern
           && Fmindex.Fm_index.count mm pattern = Fmindex.Fm_index.count heap pattern))
 
-let test_mmap_falls_back_on_pre_v4 () =
-  (* Pre-v4 layouts are unaligned, so Mmap mode adopts them by copy:
-     the file still loads and answers exactly like the Copy path. *)
-  let heap = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy "fixtures/v1-random211.fmi" in
-  let mm = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Mmap "fixtures/v1-random211.fmi" in
-  check string "text" (Fmindex.Fm_index.text heap) (Fmindex.Fm_index.text mm);
-  check Alcotest.(list int) "find_all" (Fmindex.Fm_index.find_all heap "acg")
-    (Fmindex.Fm_index.find_all mm "acg")
-
 let test_mmap_detects_truncation_and_header_damage () =
   (* The mmap loader skips payload CRCs by design, but size/geometry and
      header-CRC checks must still catch truncation and header bytes. *)
@@ -277,85 +291,74 @@ let test_mmap_detects_truncation_and_header_damage () =
       | Ok _ -> Alcotest.fail "header damage accepted by the mmap loader")
 
 (* ------------------------------------------------------------------ *)
-(* Committed v1 fixtures: files written by the previous release must
-   keep loading byte-for-byte. *)
+(* Retired formats: v1–v3 files (the committed fixtures were written by
+   old releases) fail with the typed [Unsupported_version] in both load
+   modes; the index is rebuilt from its text instead. *)
 
-let test_v1_fixture_paper () =
-  let fm = Fmindex.Fm_index.load "fixtures/v1-paper.fmi" in
-  check string "paper text" "acagaca" (Fmindex.Fm_index.text fm);
-  check Alcotest.(list int) "paper search" [ 0; 4 ] (Fmindex.Fm_index.find_all fm "aca")
+let error_t = Alcotest.testable Kmm_error.pp Kmm_error.equal
 
-let test_v1_fixture_random () =
-  let expected =
-    In_channel.with_open_bin "fixtures/v1-random211.txt" In_channel.input_all
-  in
-  let fm = Fmindex.Fm_index.load "fixtures/v1-random211.fmi" in
-  check string "fixture text" expected (Fmindex.Fm_index.text fm);
-  (* The v1 file was written with occ_rate 7 / sa_rate 5; answers must
-     match a freshly built index. *)
-  let fresh = Fmindex.Fm_index.build expected in
+let expect_unsupported ~version path =
   List.iter
-    (fun pat ->
-      check Alcotest.(list int) ("fixture find_all " ^ pat)
-        (Fmindex.Fm_index.find_all fresh pat) (Fmindex.Fm_index.find_all fm pat))
-    [ "a"; "tt"; "acg"; "gatc"; String.sub expected 100 7 ]
+    (fun (label, mode) ->
+      match Fmindex.Fm_index.try_load ~mode path with
+      | Error e ->
+          check error_t (Printf.sprintf "%s: %s" label path)
+            (Kmm_error.Unsupported_version version) e
+      | Ok _ -> Alcotest.failf "%s: %s accepted" label path
+      | exception e -> Alcotest.failf "%s: %s raised %s" label path (Printexc.to_string e))
+    [ ("copy", Fmindex.Fm_index.Copy); ("mmap", Fmindex.Fm_index.Mmap) ]
+
+(* A v3 header line (the v2 fields, no totals) over an unaligned body
+   and the "kmm3" trailer. *)
+let v3_image =
+  "kmm-fm-index 3 7 32 16 3 2 16 4\n" ^ String.make 64 '\000' ^ "kmm3\000\000\000\000"
+
+let test_mmap_rejects_pre_v4 () =
+  (* Mmap mode runs the same version dispatch as Copy: no pre-v4 file
+     is adopted by either. *)
+  expect_unsupported ~version:1 "fixtures/v1-random211.fmi";
+  expect_unsupported ~version:2 "fixtures/v2-random317.fmi";
+  (match Fmindex.Fm_index.try_of_string v3_image with
+  | Error e -> check error_t "v3 image" (Kmm_error.Unsupported_version 3) e
+  | Ok _ -> Alcotest.fail "v3 image accepted");
+  with_temp (fun path ->
+      let oc = open_out_bin path in
+      output_string oc v3_image;
+      close_out oc;
+      expect_unsupported ~version:3 path)
+
+let test_v1_fixture_paper () = expect_unsupported ~version:1 "fixtures/v1-paper.fmi"
+
+let test_v1_fixture_random () = expect_unsupported ~version:1 "fixtures/v1-random211.fmi"
 
 let test_v1_fixture_resave_is_v4 () =
-  (* Loading a v1 file and saving it again migrates to the current
-     format (v4). *)
+  (* The migration path for an old file: it no longer loads, so the
+     index is rebuilt from its text (at the v1 file's occ_rate 7 /
+     sa_rate 5) and saved, which writes v4.  The rebuilt file answers
+     like a fresh default build in both load modes. *)
+  expect_unsupported ~version:1 "fixtures/v1-random211.fmi";
+  let text = In_channel.with_open_bin "fixtures/v1-random211.txt" In_channel.input_all in
   with_temp (fun path ->
-      let fm = Fmindex.Fm_index.load "fixtures/v1-random211.fmi" in
-      Fmindex.Fm_index.save fm path;
+      Fmindex.Fm_index.save (Fmindex.Fm_index.build ~occ_rate:7 ~sa_rate:5 text) path;
       let line = In_channel.with_open_bin path In_channel.input_line in
       (match line with
       | Some l -> check bool "resave v4" true (String.sub l 0 14 = "kmm-fm-index 4")
       | None -> Alcotest.fail "empty resave");
-      let fm' = Fmindex.Fm_index.load path in
-      check string "text survives migration" (Fmindex.Fm_index.text fm)
-        (Fmindex.Fm_index.text fm');
-      check bool "search survives migration" true
-        (Fmindex.Fm_index.find_all fm' "acg" = Fmindex.Fm_index.find_all fm "acg"))
+      let fresh = Fmindex.Fm_index.build text in
+      List.iter
+        (fun mode ->
+          let fm = Fmindex.Fm_index.load ~mode path in
+          check string "text survives migration" text (Fmindex.Fm_index.text fm);
+          List.iter
+            (fun pat ->
+              check Alcotest.(list int) ("migrated find_all " ^ pat)
+                (Fmindex.Fm_index.find_all fresh pat) (Fmindex.Fm_index.find_all fm pat))
+            [ "a"; "tt"; "acg"; "gatc"; String.sub text 100 7 ])
+        [ Fmindex.Fm_index.Copy; Fmindex.Fm_index.Mmap ])
 
-(* ------------------------------------------------------------------ *)
-(* Committed v2 fixtures: files written by the previous release (before
-   checksums) must keep loading byte-for-byte. *)
+let test_v2_fixture_paper () = expect_unsupported ~version:2 "fixtures/v2-paper.fmi"
 
-let test_v2_fixture_paper () =
-  let fm = Fmindex.Fm_index.load "fixtures/v2-paper.fmi" in
-  check string "paper text" "acagaca" (Fmindex.Fm_index.text fm);
-  check Alcotest.(list int) "paper search" [ 0; 4 ] (Fmindex.Fm_index.find_all fm "aca")
-
-let test_v2_fixture_random () =
-  let expected =
-    In_channel.with_open_bin "fixtures/v2-random317.txt" In_channel.input_all
-  in
-  let fm = Fmindex.Fm_index.load "fixtures/v2-random317.fmi" in
-  check string "fixture text" expected (Fmindex.Fm_index.text fm);
-  (* The v2 file was written with occ_rate 7 / sa_rate 5; answers must
-     match a freshly built index. *)
-  let fresh = Fmindex.Fm_index.build expected in
-  List.iter
-    (fun pat ->
-      check Alcotest.(list int) ("fixture find_all " ^ pat)
-        (Fmindex.Fm_index.find_all fresh pat) (Fmindex.Fm_index.find_all fm pat))
-    [ "a"; "tt"; "acg"; "gatc"; String.sub expected 150 7 ]
-
-let test_save_v2_loads () =
-  (* The v2 writer is kept for fixture (re)generation and downgrade
-     paths; its output must stay loadable. *)
-  with_temp (fun path ->
-      let text = Test_util.random_dna (Random.State.make [| 23 |]) 500 in
-      let fm = Fmindex.Fm_index.build text in
-      Fmindex.Fm_index.save_v2 fm path;
-      let line = In_channel.with_open_bin path In_channel.input_line in
-      (match line with
-      | Some l -> check bool "v2 magic" true (String.sub l 0 14 = "kmm-fm-index 2")
-      | None -> Alcotest.fail "empty v2 file");
-      let fm' = Fmindex.Fm_index.load path in
-      check string "text" text (Fmindex.Fm_index.text fm');
-      check bool "find_all agrees" true
-        (Fmindex.Fm_index.find_all fm' (String.sub text 17 5)
-        = Fmindex.Fm_index.find_all fm (String.sub text 17 5)))
+let test_v2_fixture_random () = expect_unsupported ~version:2 "fixtures/v2-random317.fmi"
 
 let prop_kmismatch_index_roundtrip =
   Test_util.qtest ~count:50 "kmismatch index roundtrip"
@@ -474,7 +477,7 @@ let () =
           Alcotest.test_case "proc-style file read to EOF" `Quick test_load_proc_style_file;
           Alcotest.test_case "directory gives typed Io" `Quick test_load_directory_is_typed_io;
           Alcotest.test_case "missing file gives typed Io" `Quick test_load_missing_is_typed_io;
-          Alcotest.test_case "mmap adopts pre-v4 by copy" `Quick test_mmap_falls_back_on_pre_v4;
+          Alcotest.test_case "mmap adopts pre-v4 by copy" `Quick test_mmap_rejects_pre_v4;
           Alcotest.test_case "mmap catches truncation/header damage" `Quick
             test_mmap_detects_truncation_and_header_damage;
           prop_mmap_equals_copy;
@@ -483,7 +486,6 @@ let () =
           Alcotest.test_case "v1 fixture: resave migrates to v4" `Quick test_v1_fixture_resave_is_v4;
           Alcotest.test_case "v2 fixture: paper text" `Quick test_v2_fixture_paper;
           Alcotest.test_case "v2 fixture: random317" `Quick test_v2_fixture_random;
-          Alcotest.test_case "save_v2 output loads" `Quick test_save_v2_loads;
           prop_fm_roundtrip;
           prop_fm_roundtrip_rates;
           prop_kmismatch_index_roundtrip;

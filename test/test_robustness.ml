@@ -1,16 +1,17 @@
 (* Robustness suite: the crash-safety and self-verification guarantees
-   of the v3 on-disk format, the fault-injection harness behind them,
+   of the v4 on-disk format, the fault-injection harness behind them,
    and the fail-soft behavior of the batch layers.
 
    The contracts under test:
 
    - {e detection}: every single-byte corruption (and every single-bit
-     flip) of a saved v3 index is rejected by [try_of_string] with a
+     flip) of a saved index is rejected by [try_of_string] with a
      typed error — never accepted with wrong contents, never an untyped
      exception;
-   - {e truncation}: every strict prefix of a saved index (v2 and v3)
-     is rejected with [Truncated], [Corrupt] or [Bad_magic] — never
-     [Out_of_memory], [End_of_file] or a quiet wrong answer;
+   - {e truncation}: every strict prefix of a saved index (at two
+     occ_rate/sa_rate settings) is rejected with [Truncated], [Corrupt]
+     or [Bad_magic] — never [Out_of_memory], [End_of_file] or a quiet
+     wrong answer;
    - {e atomicity}: a save that fails partway (ENOSPC, crash, short
      write) leaves the target either absent or byte-identical to its
      previous contents, and leaves no temp file behind; a save whose
@@ -47,7 +48,7 @@ let error_tag = function
 (* ------------------------------------------------------------------ *)
 (* Detection: exhaustive single-byte and single-bit corruption          *)
 
-let test_v3_byte_sweep () =
+let test_byte_sweep () =
   let fm = fm_of_seed ~len:151 5 in
   let image = Fmindex.Fm_index.serialize fm in
   let n = String.length image in
@@ -70,7 +71,7 @@ let test_v3_byte_sweep () =
   done;
   check int (Printf.sprintf "all %d byte corruptions rejected" n) 0 !bad
 
-let test_v3_bit_sweep () =
+let test_bit_sweep () =
   (* Every single-bit flip on a smaller image: the finest-grained
      corruption a disk or wire can inflict. *)
   let fm = fm_of_seed ~occ_rate:7 ~sa_rate:5 ~len:67 6 in
@@ -117,7 +118,7 @@ let test_error_messages_typed () =
   | Ok _ -> Alcotest.fail "mid flip accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Truncation: every strict prefix of v2 and v3 images is rejected      *)
+(* Truncation: every strict prefix of an index image is rejected       *)
 
 let acceptable_truncation = function
   | Kmm_error.Truncated _ | Kmm_error.Corrupt _ | Kmm_error.Bad_magic -> true
@@ -131,42 +132,29 @@ let truncation_rejected image keep =
   | Ok _ -> false
 
 let test_every_truncation_rejected () =
-  (* Exhaustive over both formats on small indexes. *)
-  let fm = fm_of_seed ~occ_rate:7 ~sa_rate:5 ~len:83 8 in
+  (* Exhaustive on small indexes, at fine and at default sampling. *)
   List.iter
-    (fun image ->
+    (fun (occ_rate, sa_rate) ->
+      let image =
+        Fmindex.Fm_index.serialize (fm_of_seed ~occ_rate ~sa_rate ~len:83 8)
+      in
       for keep = 0 to String.length image - 1 do
         if not (truncation_rejected image keep) then
-          Alcotest.failf "truncation to %d of %d bytes accepted" keep
-            (String.length image)
+          Alcotest.failf "truncation to %d of %d bytes accepted (rates %d/%d)" keep
+            (String.length image) occ_rate sa_rate
       done)
-    [
-      Fmindex.Fm_index.serialize fm;
-      (let path = Filename.temp_file "kmmrob" ".fmi" in
-       Fun.protect
-         ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-         (fun () ->
-           Fmindex.Fm_index.save_v2 fm path;
-           In_channel.with_open_bin path In_channel.input_all));
-    ]
+    [ (7, 5); (32, 16) ]
 
 let prop_truncation_rejected =
   Test_util.qtest ~count:60 "random prefix of random index rejected (v2+v3)"
     QCheck2.Gen.(
       tup3 (Test_util.dna_gen ~lo:1 ~hi:260 ()) (int_range 0 1_000_000) bool)
-    (fun (text, cut, use_v2) ->
-      let fm = Fmindex.Fm_index.build text in
-      let image =
-        if use_v2 then begin
-          let path = Filename.temp_file "kmmrob" ".fmi" in
-          Fun.protect
-            ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-            (fun () ->
-              Fmindex.Fm_index.save_v2 fm path;
-              In_channel.with_open_bin path In_channel.input_all)
-        end
-        else Fmindex.Fm_index.serialize fm
+    (fun (text, cut, fine) ->
+      let fm =
+        if fine then Fmindex.Fm_index.build ~occ_rate:7 ~sa_rate:5 text
+        else Fmindex.Fm_index.build text
       in
+      let image = Fmindex.Fm_index.serialize fm in
       let keep = cut mod String.length image in
       truncation_rejected image keep)
 
@@ -530,8 +518,8 @@ let () =
     [
       ( "detection",
         [
-          Alcotest.test_case "v3 exhaustive byte sweep" `Quick test_v3_byte_sweep;
-          Alcotest.test_case "v3 exhaustive bit sweep" `Quick test_v3_bit_sweep;
+          Alcotest.test_case "v3 exhaustive byte sweep" `Quick test_byte_sweep;
+          Alcotest.test_case "v3 exhaustive bit sweep" `Quick test_bit_sweep;
           Alcotest.test_case "typed constructors" `Quick test_error_messages_typed;
         ] );
       ( "truncation",
