@@ -11,7 +11,7 @@
              the timing tier the paper-style comparison reads.
 
    The roster, the names and the scales gating all come from
-   [Kmismatch.Engine_registry]: registering a tenth engine puts it in
+   [Kmismatch.Engine_registry]: registering a new engine puts it in
    this campaign with no change here.
 
    Every (engine, k, length) cell's hit list is compared against the

@@ -257,7 +257,6 @@ let ablation () =
   in
   let s_plain = avg_search_time idx Core.Kmismatch.S_tree_no_delta ~reads:rs ~k in
   let s_delta = avg_search_time idx Core.Kmismatch.S_tree ~reads:rs ~k in
-  let hybrid = avg_search_time idx Core.Kmismatch.Hybrid ~reads:rs ~k in
   table
     ~header:[ "variant"; "avg time/read" ]
     [
@@ -265,7 +264,6 @@ let ablation () =
       [ "A() node-by-node derivation"; fmt_time m_noskip ];
       [ "S-tree + delta heuristic"; fmt_time s_delta ];
       [ "S-tree plain (no reuse at all)"; fmt_time s_plain ];
-      [ "Hybrid FM+verify (extension)"; fmt_time hybrid ];
     ];
 
   (* 2. rankall compression rate: space/time trade-off of SS:III.A.
@@ -347,8 +345,6 @@ let deriv_stress () =
                 ~config:{ Core.M_tree.default_config with store_width = 1 }
                 fm ~pattern ~k);
           run "A() default" (fun stats -> Core.M_tree.search ~stats fm ~pattern ~k);
-          run "Hybrid (extension)" (fun stats ->
-              Core.Hybrid.search ~stats fm ~text:genome ~pattern ~k);
         ])
       [ 2; 4; 6 ]
   in

@@ -4,9 +4,9 @@
    path used before this kernel existed.
 
    A verification call is "distance of pattern vs the window at [pos],
-   capped at [k]" — what Hybrid runs per surviving candidate, Kangaroo
-   per window on its packed fallback, Amir per filtered position and the
-   mapper per reported hit.  Its cost splits into two regimes with very
+   capped at [k]" — what Bidir runs per candidate of a narrowed interval,
+   Kangaroo per window on its packed fallback, Amir per filtered position
+   and the mapper per reported hit.  Its cost splits into two regimes with very
    different profiles, so they are planted and timed separately instead
    of being averaged into one flattering number:
 

@@ -13,18 +13,15 @@ let () =
   let text = Dna.Sequence.to_string genome in
   let index = Core.Kmismatch.build_index text in
 
-  (* 1. Exact queries, three index families side by side (the paper's
-     SS:II inventory): FM-index backward search, suffix-array binary
-     search, suffix-tree walk. *)
+  (* 1. Exact queries, two index families side by side: FM-index
+     backward search and suffix-tree walk. *)
   let fm = Fmindex.Fm_index.build text in
-  let sa = Suffix.Sa_search.build text in
   let tree = Core.Kmismatch.suffix_tree index in
   let probes = [ String.sub text 1000 12; String.sub text 30_000 15; "acgtacgtacgtacg" ] in
-  print_endline "exact (FM-index / suffix array / suffix tree):";
+  print_endline "exact (FM-index / suffix tree):";
   List.iter
     (fun p ->
-      Printf.printf "  %-16s fm=%d sa=%d tree=%b\n" p (Fmindex.Fm_index.count fm p)
-        (Suffix.Sa_search.count sa p)
+      Printf.printf "  %-16s fm=%d tree=%b\n" p (Fmindex.Fm_index.count fm p)
         (Suffix.Suffix_tree.contains tree p))
     probes;
 
@@ -32,8 +29,9 @@ let () =
   print_endline "\nk-mismatch (Algorithm A):";
   List.iter
     (fun (p, k) ->
-      let hits = Core.Kmismatch.search index ~engine:Core.Kmismatch.M_tree ~pattern:p ~k in
-      Printf.printf "  %-20s k=%d  %d occurrence(s)\n" p k (List.length hits))
+      let q = Core.Kmismatch.Query.make ~engine:Core.Kmismatch.M_tree ~pattern:p ~k () in
+      let r = Core.Kmismatch.run index q in
+      Printf.printf "  %-20s k=%d  %d occurrence(s)\n" p k (List.length r.hits))
     [
       (String.sub text 1000 20, 2);
       (String.sub text 25_000 30, 3);

@@ -19,12 +19,15 @@ let () =
   Printf.printf "BWT(rev target$) = %s\n\n"
     (Fmindex.Fm_index.bwt (Core.Kmismatch.fm_rev index));
 
+  let search engine =
+    (Core.Kmismatch.run index (Core.Kmismatch.Query.make ~engine ~pattern ~k ())).hits
+  in
   List.iter
     (fun engine ->
-      let stats = Core.Stats.create () in
-      let hits = Core.Kmismatch.search ~stats index ~engine ~pattern ~k in
       Printf.printf "%-16s" (Core.Kmismatch.engine_name engine);
-      List.iter (fun (pos, d) -> Printf.printf " (pos=%d, mismatches=%d)" pos d) hits;
+      List.iter
+        (fun (pos, d) -> Printf.printf " (pos=%d, mismatches=%d)" pos d)
+        (search engine);
       print_newline ())
     (Core.Kmismatch.all_engines ());
 
@@ -36,7 +39,7 @@ let () =
       Printf.printf "window at %d: %s vs %s (%d mismatches)\n" pos
         (String.sub target pos (String.length pattern))
         pattern d)
-    (Core.Kmismatch.search index ~engine:Core.Kmismatch.M_tree ~pattern ~k)
+    (search Core.Kmismatch.M_tree)
 
 (* The literal mismatching tree of the paper's Fig. 7: collapsed <-, 0>
    match runs with <char, position> mismatch nodes, and the per-path

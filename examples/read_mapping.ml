@@ -39,7 +39,7 @@ let () =
     List.map (fun r -> (r.Dna.Read_sim.id, Dna.Sequence.to_string r.Dna.Read_sim.seq)) reads
   in
   let t0 = Unix.gettimeofday () in
-  let hits, summary = Core.Mapper.map_reads index ~reads:inputs ~k in
+  let hits, summary = Core.Mapper.run Core.Mapper.default index ~reads:inputs ~k in
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf "mapped %d/%d reads (%d unique, %d ambiguous) in %.2fs (k=%d)\n"
     summary.Core.Mapper.mapped summary.Core.Mapper.total summary.Core.Mapper.unique

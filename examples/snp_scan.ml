@@ -28,7 +28,11 @@ let () =
     (String.length probe) k;
 
   let index = Core.Kmismatch.build_index reference in
-  let sites = Core.Kmismatch.search index ~engine:Core.Kmismatch.M_tree ~pattern:probe ~k in
+  let sites =
+    (Core.Kmismatch.run index
+       (Core.Kmismatch.Query.make ~engine:Core.Kmismatch.M_tree ~pattern:probe ~k ()))
+      .hits
+  in
 
   let lce = Stringmatch.Kangaroo.make ~pattern:probe ~text:reference in
   List.iter

@@ -4,7 +4,6 @@ type engine +=
   | M_tree
   | S_tree
   | S_tree_no_delta
-  | Hybrid
   | Cole
   | Amir
   | Kangaroo
@@ -155,9 +154,8 @@ let engine_of_string_err s =
            (Printf.sprintf "unknown engine %S (valid: %s)" s
               (String.concat ", " (engine_names ()))))
 
-(* The built-in engines, registered in the order the closed variant
-   used to declare them (plus Bidir).  This is the single site a new
-   built-in engine touches. *)
+(* The built-in engines, in presentation order.  This is the single site
+   a new built-in engine touches. *)
 let () =
   let open Engine_registry in
   let caps ?(online = false) ?(needs_tree = false) ?(scales = true) () =
@@ -203,18 +201,6 @@ let () =
         (fun t a ->
           S_tree.search ~use_delta:false ~stats:a.stats ~obs:a.obs t.fm_rev
             ~pattern:a.pattern ~k:a.k);
-    };
-  register
-    {
-      engine = Hybrid;
-      name = "hybrid";
-      doc = "FM search to a unique row, then word-parallel verification";
-      caps = caps ~online:true ();
-      prepare = force_text;
-      run =
-        (fun t a ->
-          Hybrid.search ~stats:a.stats ~ptext:(packed_text t) t.fm_rev
-            ~text:(text t) ~pattern:a.pattern ~k:a.k);
     };
   register
     {
@@ -305,11 +291,6 @@ module Response = struct
   let positions r = List.map fst r.hits
 end
 
-(* Flush per-query engine work into the sink's counters (counters v2:
-   the [Stats] fields become [engine.*] counters, and — when the
-   FM-index telemetry hook is armed — rank-layer effort becomes [fm.*]
-   counters).  All of these are per-record sums, so per-domain sinks
-   merge to exactly the sequential totals. *)
 (* Word-parallel verification effort as [verify.*] counters — shared
    with the mapper, whose hit re-checking runs the kernel outside any
    query span. *)
@@ -318,6 +299,11 @@ let flush_verify obs (v : Fmindex.Packed_text.Telemetry.counters) =
   Obs.add obs "verify.words" v.words;
   Obs.add obs "verify.early_exits" v.early_exits
 
+(* Flush per-query engine work into the sink's counters (counters v2:
+   the [Stats] fields become [engine.*] counters, and — when the
+   FM-index telemetry hook is armed — rank-layer effort becomes [fm.*]
+   counters).  All of these are per-record sums, so per-domain sinks
+   merge to exactly the sequential totals. *)
 let flush_counters obs (s : Stats.t) fm_delta verify_delta =
   Obs.add obs "engine.nodes" s.nodes;
   Obs.add obs "engine.leaves" s.leaves;
@@ -335,9 +321,8 @@ let flush_counters obs (s : Stats.t) fm_delta verify_delta =
       Obs.add obs "fm.locate_steps" d.locate_steps
 
 (* Validation is the typed half of the entry point: every reason a query
-   cannot run maps to [Kmm_error.Bad_input] carrying the same message the
-   raising path has always used, so [run] can rebuild the historical
-   [Invalid_argument]s verbatim and long-running callers (the server, the
+   cannot run maps to [Kmm_error.Bad_input] carrying the message [run]
+   raises as [Invalid_argument], so long-running callers (the server, the
    mapper) get a [result] they can answer with instead of a crash. *)
 let validate (q : Query.t) =
   match
@@ -345,16 +330,16 @@ let validate (q : Query.t) =
     with Invalid_argument msg -> Error msg
   with
   | Error msg -> Error (Kmm_error.Bad_input msg)
-  | Ok "" -> Error (Kmm_error.Bad_input "Kmismatch.search: empty pattern")
+  | Ok "" -> Error (Kmm_error.Bad_input "Kmismatch.run: empty pattern")
   | Ok _ when q.k < 0 ->
-      Error (Kmm_error.Bad_input "Kmismatch.search: negative k")
+      Error (Kmm_error.Bad_input "Kmismatch.run: negative k")
   | Ok pattern -> (
       match Engine_registry.find q.engine with
       | Some entry -> Ok (pattern, entry)
       | None ->
           Error
             (Kmm_error.Bad_input
-               "Kmismatch.search: engine is not registered"))
+               "Kmismatch.run: engine is not registered"))
 
 let run_validated t (q : Query.t) ~obs ~t0 ~pattern
     ~(entry : Engine_registry.entry) =
@@ -453,18 +438,8 @@ let run t q =
   match try_run t q with
   | Ok r -> r
   | Error (Kmm_error.Bad_input msg) ->
-      (* The historical raising contract, message included: direct
-         callers and tests pattern-match on these strings. *)
       invalid_arg msg
   | Error e -> Kmm_error.raise_error e
-
-let search ?stats ?config t ~engine ~pattern ~k =
-  let r = run t (Query.make ?config ~engine ~pattern ~k ()) in
-  (match stats with Some into -> Stats.merge ~into r.Response.stats | None -> ());
-  r.Response.hits
-
-let positions ?stats t ~engine ~pattern ~k =
-  List.map fst (search ?stats t ~engine ~pattern ~k)
 
 let save_index t path = Fmindex.Fm_index.save t.fm_rev path
 

@@ -9,8 +9,6 @@
     - [S_tree]: the BWT baseline of ref. [34] with the delta heuristic;
     - [Cole]: suffix-tree brute force (ref. [14]);
     - [Amir]: online mark-and-verify (ref. [2]);
-    - [Hybrid]: FM search to a unique row, then direct verification (an
-      extension beyond the paper, in the style of practical aligners);
     - [Kangaroo]: online O(kn) Landau-Vishkin;
     - [Naive]: online O(mn) scanning;
     - [Bidir]: bidirectional FM-index executing optimum search schemes
@@ -31,16 +29,12 @@ type engine +=
   | M_tree
   | S_tree
   | S_tree_no_delta
-  | Hybrid
   | Cole
   | Amir
   | Kangaroo
   | Naive
   | Bidir
-      (** The built-in engines, pre-registered in declaration order.
-          (Formerly the closed [type engine] variant; kept as ordinary
-          constructors so existing matches and expressions compile
-          unchanged.) *)
+      (** The built-in engines, pre-registered in declaration order. *)
 
 type index
 
@@ -174,8 +168,7 @@ val flush_verify : Obs.t -> Fmindex.Packed_text.Telemetry.counters -> unit
     The primary entry point is {!run}: a {!Query.t} names the engine,
     pattern, budget and (optionally) an observability sink; the
     {!Response.t} carries the hits together with the engine counters and
-    per-phase wall-clock timings of exactly that query.  {!search} and
-    {!positions} are thin compatibility wrappers over {!run}. *)
+    per-phase wall-clock timings of exactly that query. *)
 
 module Query : sig
   type t = {
@@ -259,22 +252,6 @@ val run : index -> Query.t -> Response.t
     rank-layer effort of the query lands in [fm.*] counters.  All of
     these are per-record sums, so per-domain sinks {!Obs.merge} to the
     sequential totals. *)
-
-val search :
-  ?stats:Stats.t ->
-  ?config:M_tree.config ->
-  index ->
-  engine:engine ->
-  pattern:string ->
-  k:int ->
-  (int * int) list
-(** Compatibility wrapper: [run] with a throwaway query, returning the
-    hits and (when [stats] is given) merging the query's counters into
-    it.  Same validation and clamping as {!run}. *)
-
-val positions :
-  ?stats:Stats.t -> index -> engine:engine -> pattern:string -> k:int -> int list
-(** Positions only (wrapper over {!search}). *)
 
 val save_index : index -> string -> unit
 (** Persist the index (its FM component; ~n/4 bytes).  The suffix tree is

@@ -328,19 +328,6 @@ let run_target opts target ~reads ~k =
 
 let run opts index ~reads ~k = run_target opts (target_of_index index) ~reads ~k
 
-let map_reads ?(engine = Kmismatch.M_tree) ?(both_strands = true) ?(domains = 1)
-    ?(chunk_size = default_chunk_size) ?stats index ~reads ~k =
-  if domains < 1 then invalid_arg "Mapper.map_reads: domains must be >= 1";
-  if chunk_size < 1 then invalid_arg "Mapper.map_reads: chunk_size must be >= 1";
-  let hits, summary =
-    run { default with engine; both_strands; domains; chunk_size } index ~reads
-      ~k
-  in
-  (match stats with
-  | Some into -> Stats.merge ~into summary.stats
-  | None -> ());
-  (hits, summary)
-
 let best_hits hits =
   let best = Hashtbl.create 64 in
   List.iter

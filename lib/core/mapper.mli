@@ -149,22 +149,6 @@ val run :
     combination.
     @raise Invalid_argument if [domains < 1] or [chunk_size < 1]. *)
 
-val map_reads :
-  ?engine:Kmismatch.engine ->
-  ?both_strands:bool ->
-  ?domains:int ->
-  ?chunk_size:int ->
-  ?stats:Stats.t ->
-  Kmismatch.index ->
-  reads:(int * string) list ->
-  k:int ->
-  hit list * summary
-(** Compatibility wrapper over {!run} with the pre-{!options} optional
-    arguments ([domains] defaults to 1, [engine] to [M_tree]); [stats]
-    (when given) receives the batch's merged counters in addition to
-    [summary.stats].  Semantics otherwise identical to {!run} with no
-    sink. *)
-
 val best_hits : hit list -> hit list
 (** Keep only minimal-distance hits per read (ties all kept). *)
 

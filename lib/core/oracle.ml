@@ -36,7 +36,10 @@ type subject = {
 let engine_subject e =
   {
     sub_name = Kmismatch.engine_name e;
-    run = (fun idx c -> Some (Kmismatch.search idx ~engine:e ~pattern:c.pattern ~k:c.k));
+    run =
+      (fun idx c ->
+        let q = Kmismatch.Query.make ~engine:e ~pattern:c.pattern ~k:c.k () in
+        Some (Kmismatch.run idx q).hits);
   }
 
 let kangaroo_direct =
@@ -86,8 +89,11 @@ let fm_save_roundtrip =
           (fun () ->
             Kmismatch.save_index idx path;
             let idx' = Kmismatch.load_index path in
-            Some
-              (Kmismatch.search idx' ~engine:Kmismatch.M_tree ~pattern:c.pattern ~k:c.k)));
+            let q =
+              Kmismatch.Query.make ~engine:Kmismatch.M_tree ~pattern:c.pattern
+                ~k:c.k ()
+            in
+            Some (Kmismatch.run idx' q).hits));
   }
 
 (* Format-v4 self-verification under fuzz: serialize a forward index of

@@ -190,7 +190,7 @@ end
    Hamming kernel over the whole window beats continued 4-way
    branching — two SA walks plus ceil(m/28) word ops versus up to
    4 * (remaining characters) rank passes (the Giaquinta et al. packed
-   cost model; same regime Hybrid switches in). *)
+   cost model). *)
 let verify_cutoff = 2
 
 let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =

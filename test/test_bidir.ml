@@ -163,8 +163,8 @@ let test_bidir_engine_agrees () =
     (fun (pattern, k) ->
       check hits_t
         (Printf.sprintf "bidir %s k=%d" pattern k)
-        (Kmismatch.search idx ~engine:Kmismatch.Naive ~pattern ~k)
-        (Kmismatch.search idx ~engine:Kmismatch.Bidir ~pattern ~k))
+        (Test_util.run_hits idx ~engine:Kmismatch.Naive ~pattern ~k)
+        (Test_util.run_hits idx ~engine:Kmismatch.Bidir ~pattern ~k))
     [
       ("acaga", 0);
       ("acaga", 1);
@@ -278,8 +278,8 @@ let test_stub_engine_registration () =
   (* Runnable through the standard dispatch, answers like any engine. *)
   let idx = Kmismatch.build_index "acagacagactt" in
   check hits_t "dispatches"
-    (Kmismatch.search idx ~engine:Kmismatch.Naive ~pattern:"acaga" ~k:2)
-    (Kmismatch.search idx ~engine:Stub ~pattern:"acaga" ~k:2);
+    (Test_util.run_hits idx ~engine:Kmismatch.Naive ~pattern:"acaga" ~k:2)
+    (Test_util.run_hits idx ~engine:Stub ~pattern:"acaga" ~k:2);
   (* Duplicate registrations are rejected, by name and by engine. *)
   (match
      Kmismatch.Engine_registry.register

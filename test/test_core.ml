@@ -115,7 +115,7 @@ let test_paper_running_example () =
   let idx = Lazy.force paper_index in
   List.iter
     (fun engine ->
-      let got = Kmismatch.search idx ~engine ~pattern:"tcaca" ~k:2 in
+      let got = Test_util.run_hits idx ~engine ~pattern:"tcaca" ~k:2 in
       check hits
         ("paper example via " ^ Kmismatch.engine_name engine)
         [ (0, 2); (2, 2) ] got)
@@ -127,7 +127,7 @@ let test_intro_example () =
   let idx = Kmismatch.build_index "ccacacagaagcc" in
   List.iter
     (fun engine ->
-      let got = Kmismatch.search idx ~engine ~pattern:"aaaaacaaac" ~k:4 in
+      let got = Test_util.run_hits idx ~engine ~pattern:"aaaaacaaac" ~k:4 in
       check bool
         ("intro example via " ^ Kmismatch.engine_name engine)
         true
@@ -151,7 +151,7 @@ let agreement_case ~count ~tlo ~thi ~plo ~phi ~kmax name =
         gen
         (fun (text, pattern, k) ->
           let idx = Kmismatch.build_index text in
-          Kmismatch.search idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
+          Test_util.run_hits idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
     engines_under_test
 
 (* Planted occurrences: mutate a window of the text into the pattern with
@@ -181,7 +181,7 @@ let planted_agreement =
         gen_planted
         (fun (text, pattern, k) ->
           let idx = Kmismatch.build_index text in
-          Kmismatch.search idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
+          Test_util.run_hits idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
     engines_under_test
 
 (* Repetitive texts are where derivations actually fire; build them from a
@@ -203,7 +203,7 @@ let repetitive_agreement =
         gen_repetitive
         (fun (text, pattern, k) ->
           let idx = Kmismatch.build_index text in
-          Kmismatch.search idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
+          Test_util.run_hits idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
     engines_under_test
 
 let test_edge_cases () =
@@ -213,29 +213,29 @@ let test_edge_cases () =
       let name = Kmismatch.engine_name engine in
       (* pattern longer than text *)
       check hits (name ^ ": long pattern") []
-        (Kmismatch.search idx ~engine ~pattern:"acgtacgtacgt" ~k:3);
+        (Test_util.run_hits idx ~engine ~pattern:"acgtacgtacgt" ~k:3);
       (* k = 0 equals exact matching *)
       check hits (name ^ ": k=0") [ (0, 0); (4, 0) ]
-        (Kmismatch.search idx ~engine ~pattern:"acgt" ~k:0);
+        (Test_util.run_hits idx ~engine ~pattern:"acgt" ~k:0);
       (* k >= m: every window matches *)
       check int (name ^ ": k>=m") 6
-        (List.length (Kmismatch.search idx ~engine ~pattern:"ttt" ~k:3));
+        (List.length (Test_util.run_hits idx ~engine ~pattern:"ttt" ~k:3));
       (* whole text as pattern *)
       check hits (name ^ ": whole text") [ (0, 0) ]
-        (Kmismatch.search idx ~engine ~pattern:"acgtacgt" ~k:1))
+        (Test_util.run_hits idx ~engine ~pattern:"acgtacgt" ~k:1))
     (Kmismatch.all_engines ())
 
 let test_validation () =
   let idx = Kmismatch.build_index "acgt" in
   List.iter
     (fun engine ->
-      (match Kmismatch.search idx ~engine ~pattern:"" ~k:1 with
+      (match Test_util.run_hits idx ~engine ~pattern:"" ~k:1 with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "empty pattern accepted");
-      (match Kmismatch.search idx ~engine ~pattern:"ac" ~k:(-1) with
+      (match Test_util.run_hits idx ~engine ~pattern:"ac" ~k:(-1) with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "negative k accepted");
-      match Kmismatch.search idx ~engine ~pattern:"anc" ~k:1 with
+      match Test_util.run_hits idx ~engine ~pattern:"anc" ~k:1 with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "bad character accepted")
     (Kmismatch.all_engines ())
@@ -243,7 +243,7 @@ let test_validation () =
 let test_pattern_case_normalized () =
   let idx = Kmismatch.build_index "ACGTacgt" in
   check hits "uppercase pattern" [ (0, 0); (4, 0) ]
-    (Kmismatch.search idx ~engine:Kmismatch.M_tree ~pattern:"ACGT" ~k:0)
+    (Test_util.run_hits idx ~engine:Kmismatch.M_tree ~pattern:"ACGT" ~k:0)
 
 (* ------------------------------------------------------------------ *)
 (* M-tree specifics                                                    *)
@@ -253,11 +253,11 @@ let test_m_tree_chain_skip_equivalence =
     (fun (text, pattern, k) ->
       let idx = Kmismatch.build_index text in
       let with_skip =
-        Kmismatch.search ~config:{ M_tree.default_config with M_tree.chain_skip = true } idx
+        Test_util.run_hits ~config:{ M_tree.default_config with M_tree.chain_skip = true } idx
           ~engine:Kmismatch.M_tree ~pattern ~k
       in
       let without =
-        Kmismatch.search ~config:{ M_tree.default_config with M_tree.chain_skip = false } idx
+        Test_util.run_hits ~config:{ M_tree.default_config with M_tree.chain_skip = false } idx
           ~engine:Kmismatch.M_tree ~pattern ~k
       in
       with_skip = without)
@@ -266,9 +266,11 @@ let test_m_tree_derivations_fire () =
   (* On a repetitive genome the hash table must hit: derivations > 0. *)
   let text = String.concat "" (List.init 60 (fun _ -> "acgtagct")) in
   let idx = Kmismatch.build_index text in
-  let stats = Stats.create () in
-  ignore (Kmismatch.search ~stats idx ~engine:Kmismatch.M_tree ~pattern:"acgtagctacgt" ~k:2);
-  check bool "derivations fired" true (stats.Stats.derivations > 0)
+  let r =
+    Kmismatch.run idx
+      (Kmismatch.Query.make ~engine:Kmismatch.M_tree ~pattern:"acgtagctacgt" ~k:2 ())
+  in
+  check bool "derivations fired" true (r.stats.Stats.derivations > 0)
 
 let test_m_tree_cheaper_than_s_tree () =
   (* The headline claim: Algorithm A spends fewer rank operations than the
@@ -278,23 +280,21 @@ let test_m_tree_cheaper_than_s_tree () =
   in
   let idx = Kmismatch.build_index text in
   let pattern = "acgtagctacgtagct" in
-  let s_stats = Stats.create () and m_stats = Stats.create () in
-  let s_res = Kmismatch.search ~stats:s_stats idx ~engine:Kmismatch.S_tree_no_delta ~pattern ~k:3 in
-  let m_res = Kmismatch.search ~stats:m_stats idx ~engine:Kmismatch.M_tree ~pattern ~k:3 in
-  check hits "same results" s_res m_res;
+  let query engine = Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern ~k:3 ()) in
+  let s = query Kmismatch.S_tree_no_delta and m = query Kmismatch.M_tree in
+  check hits "same results" s.hits m.hits;
+  let s_ranks = s.stats.Stats.rank_calls and m_ranks = m.stats.Stats.rank_calls in
   check bool
-    (Printf.sprintf "fewer rank calls (m=%d s=%d)" m_stats.Stats.rank_calls
-       s_stats.Stats.rank_calls)
-    true
-    (m_stats.Stats.rank_calls < s_stats.Stats.rank_calls)
+    (Printf.sprintf "fewer rank calls (m=%d s=%d)" m_ranks s_ranks)
+    true (m_ranks < s_ranks)
 
 let test_s_tree_delta_soundness =
   (* The delta heuristic must never prune a real occurrence. *)
   Test_util.qtest ~count:200 "delta pruning sound" gen_planted
     (fun (text, pattern, k) ->
       let idx = Kmismatch.build_index text in
-      Kmismatch.search idx ~engine:Kmismatch.S_tree ~pattern ~k
-      = Kmismatch.search idx ~engine:Kmismatch.S_tree_no_delta ~pattern ~k)
+      Test_util.run_hits idx ~engine:Kmismatch.S_tree ~pattern ~k
+      = Test_util.run_hits idx ~engine:Kmismatch.S_tree_no_delta ~pattern ~k)
 
 let test_delta_heuristic_paper_example () =
   (* §IV.A: r = tcaca over s = acagaca: delta(1) = 2 (t absent; cac
@@ -337,7 +337,7 @@ let test_read_mapping_end_to_end () =
         let pattern = Dna.Sequence.to_string (Dna.Read_sim.forward_pattern r) in
         List.iter
           (fun engine ->
-            let found = Kmismatch.search idx ~engine ~pattern ~k in
+            let found = Test_util.run_hits idx ~engine ~pattern ~k in
             check bool
               (Printf.sprintf "read %d found by %s" r.Dna.Read_sim.id
                  (Kmismatch.engine_name engine))

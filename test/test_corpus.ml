@@ -103,7 +103,7 @@ let test_build_shape () =
 
 let test_sharded_equals_mono () =
   assert_corpus_equals_mono (Lazy.force sharded) "sharded"
-    ~engines:[ Kmismatch.M_tree; Kmismatch.Hybrid; Kmismatch.Kangaroo ]
+    ~engines:[ Kmismatch.M_tree; Kmismatch.Kangaroo ]
 
 let test_domain_count_deterministic () =
   (* The same text built at 1 and 3 domains must answer identically —

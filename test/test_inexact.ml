@@ -1,11 +1,9 @@
-(* Tests for the remaining SS:II matcher families: bit-parallel Shift-Or /
-   Shift-Add, Rabin-Karp, k-errors (Levenshtein) search, and don't-care
-   matching. *)
+(* Tests for the bit-parallel Shift-Or / Shift-Add matchers, the online
+   Shift-Add subject of the fuzz oracle. *)
 
 open Stringmatch
 
 let check = Alcotest.check
-let int = Alcotest.int
 let bool = Alcotest.bool
 let int_list = Alcotest.(list int)
 let hits = Alcotest.(list (pair int int))
@@ -96,148 +94,6 @@ let test_shift_add_saturation () =
   let pattern = "tttttt" in
   check hits "no wraparound" [] (Shift_or.search ~pattern ~text ~k:2)
 
-(* ------------------------------------------------------------------ *)
-(* Rabin-Karp                                                          *)
-
-let prop_rabin_karp =
-  Test_util.qtest ~count:300 "rabin-karp = naive" gen_text_pattern
-    (fun (text, pattern) ->
-      Rabin_karp.find_all ~pattern ~text = Naive.find_all ~pattern ~text)
-
-let test_rabin_karp_empty () =
-  check int_list "empty pattern" [ 0; 1; 2 ] (Rabin_karp.find_all ~pattern:"" ~text:"ac")
-
-let prop_rabin_karp_multi =
-  Test_util.qtest ~count:200 "multi = per-pattern naive"
-    QCheck2.Gen.(
-      pair (Test_util.dna_gen ~hi:200 ())
-        (array_size (int_range 1 5) (Test_util.dna_gen ~lo:4 ~hi:4 ())))
-    (fun (text, patterns) ->
-      let got = Rabin_karp.find_all_multi ~patterns ~text in
-      let expect =
-        List.sort compare
-          (List.concat
-             (List.mapi
-                (fun idx pattern ->
-                  List.map (fun p -> (idx, p)) (Naive.find_all ~pattern ~text))
-                (Array.to_list patterns)))
-      in
-      got = expect)
-
-let test_rabin_karp_multi_validation () =
-  match Rabin_karp.find_all_multi ~patterns:[| "ac"; "acg" |] ~text:"acgt" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mixed lengths accepted"
-
-(* ------------------------------------------------------------------ *)
-(* Levenshtein                                                         *)
-
-let test_distance_known () =
-  check int "kitten-ish" 3 (Levenshtein.distance "acgtacg" "actaagg");
-  check int "equal" 0 (Levenshtein.distance "acgt" "acgt");
-  check int "to empty" 4 (Levenshtein.distance "acgt" "");
-  check int "insert" 1 (Levenshtein.distance "acgt" "acggt")
-
-let prop_distance_symmetric =
-  Test_util.qtest ~count:200 "distance symmetric"
-    QCheck2.Gen.(pair (Test_util.dna_gen ~hi:30 ()) (Test_util.dna_gen ~hi:30 ()))
-    (fun (a, b) -> Levenshtein.distance a b = Levenshtein.distance b a)
-
-let prop_distance_triangle =
-  Test_util.qtest ~count:200 "triangle inequality"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~hi:20 ()) (Test_util.dna_gen ~hi:20 ())
-        (Test_util.dna_gen ~hi:20 ()))
-    (fun (a, b, c) ->
-      Levenshtein.distance a c <= Levenshtein.distance a b + Levenshtein.distance b c)
-
-let naive_best_end pattern text e k =
-  (* minimal distance of pattern to any substring ending at e *)
-  let best = ref max_int in
-  for s = 0 to e do
-    best := min !best (Levenshtein.distance pattern (String.sub text s (e - s)))
-  done;
-  if !best <= k then Some !best else None
-
-let prop_search_ends =
-  Test_util.qtest ~count:150 "search_ends = naive DP"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~hi:40 ()) (Test_util.dna_gen ~lo:1 ~hi:8 ()) (int_range 0 3))
-    (fun (text, pattern, k) ->
-      let got = Levenshtein.search_ends ~pattern ~text ~k in
-      let expect =
-        List.filter_map
-          (fun e ->
-            match naive_best_end pattern text e k with
-            | Some d -> Some (e, d)
-            | None -> None)
-          (List.init (String.length text + 1) (fun i -> i))
-      in
-      got = expect)
-
-let prop_hamming_implies_k_errors =
-  Test_util.qtest ~count:200 "k mismatches implies k errors"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:5 ~hi:100 ()) (Test_util.dna_gen ~lo:1 ~hi:10 ())
-        (int_range 0 3))
-    (fun (text, pattern, k) ->
-      let m = String.length pattern in
-      List.for_all
-        (fun (pos, _) ->
-          List.exists (fun (e, _) -> e = pos + m)
-            (Levenshtein.search_ends ~pattern ~text ~k))
-        (Hamming.search ~pattern ~text ~k))
-
-let test_indel_found () =
-  (* An occurrence with one deletion: pattern acgta, text has acga. *)
-  let text = "ttttacgatttt" in
-  let got = Levenshtein.search_ends ~pattern:"acgta" ~text ~k:1 in
-  check bool "deletion occurrence found" true (List.mem_assoc 8 got)
-
-(* ------------------------------------------------------------------ *)
-(* Wildcards                                                           *)
-
-let test_wildcard_basic () =
-  check int_list "pattern wildcard" [ 0; 4 ]
-    (Wildcard.find_all ~pattern:"acn" ~text:"acgtact" ());
-  check int_list "text wildcard" [ 0; 4 ]
-    (Wildcard.find_all ~pattern:"acg" ~text:"acntacg" ());
-  check int_list "wildcard matches wildcard" [ 0 ]
-    (Wildcard.find_all ~pattern:"n" ~text:"n" ())
-
-let test_wildcard_not_transitive () =
-  (* The paper's point: a matches n and n matches c, but a does not match
-     c — so matching with wildcards is not transitive. *)
-  let matches p t = Wildcard.find_all ~pattern:p ~text:t () <> [] in
-  check bool "a ~ n" true (matches "a" "n");
-  check bool "n ~ c" true (matches "n" "c");
-  check bool "a !~ c" false (matches "a" "c")
-
-let prop_wildcard_exact_when_clean =
-  Test_util.qtest ~count:200 "no wildcards = exact matching" gen_text_pattern
-    (fun (text, pattern) ->
-      Wildcard.find_all ~pattern ~text () = Naive.find_all ~pattern ~text)
-
-let prop_single_gap =
-  (* Build patterns of the form left ^ n..n ^ right and compare the linear
-     algorithm with the quadratic one. *)
-  Test_util.qtest ~count:200 "single-gap = quadratic"
-    QCheck2.Gen.(
-      tup4 (Test_util.dna_gen ~lo:20 ~hi:200 ()) (Test_util.dna_gen ~hi:4 ())
-        (int_range 1 4) (Test_util.dna_gen ~hi:4 ()))
-    (fun (text, left, gap, right) ->
-      let pattern = left ^ String.make gap 'n' ^ right in
-      Wildcard.find_all_single_gap ~pattern ~text ()
-      = Wildcard.find_all ~pattern ~text ())
-
-let test_single_gap_validation () =
-  (match Wildcard.find_all_single_gap ~pattern:"anca" ~text:"nn" () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "wildcard text accepted");
-  match Wildcard.find_all_single_gap ~pattern:"anang" ~text:"acgt" () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "scattered wildcards accepted"
-
 let () =
   Alcotest.run "inexact"
     [
@@ -251,29 +107,5 @@ let () =
           Alcotest.test_case "saturation" `Quick test_shift_add_saturation;
           prop_shift_or_exact;
           prop_shift_add_kmismatch;
-        ] );
-      ( "rabin_karp",
-        [
-          Alcotest.test_case "empty pattern" `Quick test_rabin_karp_empty;
-          Alcotest.test_case "multi validation" `Quick test_rabin_karp_multi_validation;
-          prop_rabin_karp;
-          prop_rabin_karp_multi;
-        ] );
-      ( "levenshtein",
-        [
-          Alcotest.test_case "known distances" `Quick test_distance_known;
-          Alcotest.test_case "indel found" `Quick test_indel_found;
-          prop_distance_symmetric;
-          prop_distance_triangle;
-          prop_search_ends;
-          prop_hamming_implies_k_errors;
-        ] );
-      ( "wildcard",
-        [
-          Alcotest.test_case "basic" `Quick test_wildcard_basic;
-          Alcotest.test_case "not transitive" `Quick test_wildcard_not_transitive;
-          Alcotest.test_case "single gap validation" `Quick test_single_gap_validation;
-          prop_wildcard_exact_when_clean;
-          prop_single_gap;
         ] );
     ]

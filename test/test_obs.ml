@@ -350,49 +350,6 @@ let test_query_response () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative k accepted"
 
-let test_search_wrapper_compat () =
-  (* The legacy wrapper must agree with the primary path on every
-     engine, and still feed the caller-supplied stats accumulator. *)
-  let idx = Lazy.force index in
-  let text = Lazy.force genome in
-  let pattern = String.sub text 777 20 in
-  List.iter
-    (fun engine ->
-      let stats = Stats.create () in
-      let hits = Kmismatch.search ~stats idx ~engine ~pattern ~k:2 in
-      let r =
-        Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern ~k:2 ())
-      in
-      check bool
-        (Kmismatch.engine_name engine ^ " wrapper = run")
-        true
-        (hits = r.Kmismatch.Response.hits);
-      check bool
-        (Kmismatch.engine_name engine ^ " wrapper stats = run stats")
-        true
-        (stats = r.Kmismatch.Response.stats);
-      check bool
-        (Kmismatch.engine_name engine ^ " positions wrapper")
-        true
-        (Kmismatch.positions idx ~engine ~pattern ~k:2 = List.map fst hits))
-    (Kmismatch.all_engines ())
-
-let test_mapper_options_compat () =
-  let idx = Lazy.force index in
-  let text = Lazy.force genome in
-  let reads = List.init 12 (fun i -> (i, String.sub text (i * 300) 30)) in
-  let new_hits, new_summary = Mapper.run Mapper.default idx ~reads ~k:1 in
-  let stats = Stats.create () in
-  let old_hits, old_summary = Mapper.map_reads ~stats idx ~reads ~k:1 in
-  check bool "map_reads wrapper hits = run hits" true (new_hits = old_hits);
-  check bool "map_reads wrapper summary = run summary" true
-    (Mapper.deterministic_summary new_summary
-    = Mapper.deterministic_summary old_summary);
-  check bool "wrapper stats = summary stats" true
-    (stats = old_summary.Mapper.stats);
-  check bool "phase timings present" true
-    (List.map fst new_summary.Mapper.timings = [ "prepare"; "search"; "merge" ])
-
 let test_mapper_metrics_deterministic () =
   (* The acceptance contract: merged per-domain deterministic metrics
      (counters and the map.read_hits histogram) are identical across
@@ -406,10 +363,12 @@ let test_mapper_metrics_deterministic () =
       let reads = List.init 30 (fun i -> (i, String.sub text (i * 100) 25)) in
       let observe domains =
         let obs = Obs.create () in
-        let _, _ =
+        let _, summary =
           Mapper.run { Mapper.default with domains; chunk_size = 3; obs } idx
             ~reads ~k:1
         in
+        check bool "phase timings present" true
+          (List.map fst summary.Mapper.timings = [ "prepare"; "search"; "merge" ]);
         let deterministic_counters =
           (* pool.tasks counts per-domain pulls and is scheduling-
              independent too, but keep the check focused on the
@@ -510,10 +469,6 @@ let () =
       ( "api",
         [
           Alcotest.test_case "query/response" `Quick test_query_response;
-          Alcotest.test_case "search wrapper compat" `Quick
-            test_search_wrapper_compat;
-          Alcotest.test_case "mapper options compat" `Quick
-            test_mapper_options_compat;
           Alcotest.test_case "metrics deterministic across domains" `Quick
             test_mapper_metrics_deterministic;
           Alcotest.test_case "work_pool obs" `Quick test_work_pool_obs;

@@ -117,7 +117,7 @@ let test_k_ge_m_uniform () =
           check hits
             (Printf.sprintf "%s m=%d k=%d" (Kmismatch.engine_name engine) m k)
             expected
-            (Kmismatch.search idx ~engine ~pattern ~k))
+            (Test_util.run_hits idx ~engine ~pattern ~k))
         (Kmismatch.all_engines ()))
     [ ("acg", 3); ("acg", 7); ("tttt", 4); ("tttt", max_int); ("acgtacgtgg", 10) ]
 
@@ -180,7 +180,7 @@ let test_save_load_then_replay () =
       check hits
         ("loaded index: " ^ Kmismatch.engine_name engine)
         expected
-        (Kmismatch.search idx' ~engine ~pattern:case.Oracle.pattern ~k:case.Oracle.k))
+        (Test_util.run_hits idx' ~engine ~pattern:case.Oracle.pattern ~k:case.Oracle.k))
     (Kmismatch.all_engines ())
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (* Tests for the domain work pool and the parallel batch mapper.
 
-   The contract under test: [Mapper.map_reads ~domains:n] returns hits
+   The contract under test: [Mapper.run] with [domains = n] returns hits
    and summary byte-identical to the sequential path ([domains = 1]) for
    every n and chunking, and merged per-domain stats equal sequential
    stats. *)
@@ -96,22 +96,24 @@ let mk_reads genome ~count ~len ~seed =
 let genome = lazy (mk_genome ~size:10_000 ~seed:33)
 let index = lazy (Kmismatch.of_sequence (Lazy.force genome))
 
-let run_map ?stats ~domains ?chunk_size reads k =
-  Mapper.map_reads ?stats ~domains ?chunk_size (Lazy.force index) ~reads ~k
+let map ?(engine = Kmismatch.M_tree) ?(chunk_size = Mapper.default_chunk_size)
+    ~domains idx ~reads ~k =
+  Mapper.run { Mapper.default with engine; domains; chunk_size } idx ~reads ~k
+
+let run_map ~domains ?chunk_size reads k =
+  map ~domains ?chunk_size (Lazy.force index) ~reads ~k
 
 let assert_equivalent ?chunk_size ~domains reads k =
-  let seq_stats = Stats.create () and par_stats = Stats.create () in
-  let seq_hits, seq_summary = run_map ~stats:seq_stats ~domains:1 reads k in
-  let par_hits, par_summary =
-    run_map ~stats:par_stats ~domains ?chunk_size reads k
-  in
+  let seq_hits, seq_summary = run_map ~domains:1 reads k in
+  let par_hits, par_summary = run_map ~domains ?chunk_size reads k in
   check bool "hits identical" true (seq_hits = par_hits);
   (* wall-clock timings naturally differ between runs; everything else
      in the summary must be byte-identical *)
   check bool "summary identical" true
     (Mapper.deterministic_summary seq_summary
     = Mapper.deterministic_summary par_summary);
-  check bool "merged stats identical" true (seq_stats = par_stats)
+  check bool "merged stats identical" true
+    (seq_summary.Mapper.stats = par_summary.Mapper.stats)
 
 let test_equivalence_planted () =
   let reads = mk_reads (Lazy.force genome) ~count:40 ~len:60 ~seed:3 in
@@ -137,14 +139,14 @@ let test_equivalence_other_engines () =
   let reads = mk_reads (Lazy.force genome) ~count:8 ~len:40 ~seed:5 in
   List.iter
     (fun engine ->
-      let sh, ss = Mapper.map_reads ~engine ~domains:1 (Lazy.force index) ~reads ~k:1 in
-      let ph, ps = Mapper.map_reads ~engine ~domains:4 (Lazy.force index) ~reads ~k:1 in
+      let sh, ss = map ~engine ~domains:1 (Lazy.force index) ~reads ~k:1 in
+      let ph, ps = map ~engine ~domains:4 (Lazy.force index) ~reads ~k:1 in
       check bool
         (Kmismatch.engine_name engine ^ " par = seq")
         true
         ((sh, Mapper.deterministic_summary ss)
         = (ph, Mapper.deterministic_summary ps)))
-    [ Kmismatch.S_tree; Kmismatch.Hybrid; Kmismatch.Kangaroo; Kmismatch.Cole ]
+    [ Kmismatch.S_tree; Kmismatch.Kangaroo; Kmismatch.Cole ]
 
 let test_invalid_args () =
   (match run_map ~domains:0 [] 1 with
@@ -163,11 +165,9 @@ let test_pattern_longer_than_text () =
       check int
         (Kmismatch.engine_name engine ^ " long pattern -> no hits")
         0
-        (List.length (Kmismatch.search idx ~engine ~pattern:"acgtacgtacgt" ~k:2)))
+        (List.length (Test_util.run_hits idx ~engine ~pattern:"acgtacgtacgt" ~k:2)))
     (Kmismatch.all_engines ());
-  let hits, summary =
-    Mapper.map_reads ~domains:2 idx ~reads:[ (0, "acgtacgtacgt") ] ~k:2
-  in
+  let hits, summary = map ~domains:2 idx ~reads:[ (0, "acgtacgtacgt") ] ~k:2 in
   check int "mapper long read no hits" 0 (List.length hits);
   check int "unmapped" 0 summary.Mapper.mapped
 
@@ -192,8 +192,8 @@ let prop_seq_equals_par =
             String.sub text pos len)
       in
       let reads = List.mapi (fun i s -> (i, s)) (planted @ read_seqs) in
-      let sh, ss = Mapper.map_reads ~domains:1 idx ~reads ~k in
-      let ph, ps = Mapper.map_reads ~domains:4 ~chunk_size idx ~reads ~k in
+      let sh, ss = map ~domains:1 idx ~reads ~k in
+      let ph, ps = map ~domains:4 ~chunk_size idx ~reads ~k in
       (sh, Mapper.deterministic_summary ss)
       = (ph, Mapper.deterministic_summary ps))
 

@@ -371,14 +371,16 @@ let prop_kmismatch_index_roundtrip =
           Kmismatch.save_index idx path;
           let idx' = Kmismatch.load_index path in
           Kmismatch.text idx' = text
-          && Kmismatch.search idx' ~engine:Kmismatch.M_tree ~pattern ~k
-             = Kmismatch.search idx ~engine:Kmismatch.M_tree ~pattern ~k))
+          && Test_util.run_hits idx' ~engine:Kmismatch.M_tree ~pattern ~k
+             = Test_util.run_hits idx ~engine:Kmismatch.M_tree ~pattern ~k))
 
 (* ------------------------------------------------------------------ *)
 (* Mapper                                                               *)
 
 let genome =
   lazy (Dna.Genome_gen.generate { Dna.Genome_gen.default with size = 8_000; seed = 21 })
+
+let fwd_only = Mapper.run { Mapper.default with both_strands = false }
 
 let test_mapper_finds_planted_reads () =
   let g = Lazy.force genome in
@@ -393,7 +395,7 @@ let test_mapper_finds_planted_reads () =
   let inputs =
     List.map (fun r -> (r.Dna.Read_sim.id, Dna.Sequence.to_string r.Dna.Read_sim.seq)) reads
   in
-  let hits, summary = Mapper.map_reads idx ~reads:inputs ~k in
+  let hits, summary = Mapper.run Mapper.default idx ~reads:inputs ~k in
   check int "total" 30 summary.Mapper.total;
   List.iter
     (fun r ->
@@ -417,9 +419,9 @@ let test_mapper_single_strand () =
   let idx = Kmismatch.of_sequence g in
   let seq = Dna.Sequence.to_string (Dna.Sequence.sub g ~pos:100 ~len:40) in
   let rc = Dna.Sequence.to_string (Dna.Sequence.revcomp (Dna.Sequence.of_string seq)) in
-  let hits_fwd, _ = Mapper.map_reads ~both_strands:false idx ~reads:[ (0, rc) ] ~k:0 in
+  let hits_fwd, _ = fwd_only idx ~reads:[ (0, rc) ] ~k:0 in
   check int "revcomp invisible on one strand" 0 (List.length hits_fwd);
-  let hits_both, _ = Mapper.map_reads ~both_strands:true idx ~reads:[ (0, rc) ] ~k:0 in
+  let hits_both, _ = Mapper.run Mapper.default idx ~reads:[ (0, rc) ] ~k:0 in
   check bool "found via reverse strand" true
     (List.exists (fun h -> h.Mapper.pos = 100 && h.Mapper.strand = `Reverse) hits_both)
 
@@ -429,7 +431,7 @@ let test_mapper_summary_consistency () =
   let reads =
     [ (0, "acgtacgtacgtacgtacgtacgtacgtacgtacgtacgt"); (1, Dna.Sequence.to_string (Dna.Sequence.sub g ~pos:0 ~len:40)) ]
   in
-  let _, summary = Mapper.map_reads idx ~reads ~k:1 in
+  let _, summary = Mapper.run Mapper.default idx ~reads ~k:1 in
   check int "total" 2 summary.Mapper.total;
   check int "mapped = unique + ambiguous" summary.Mapper.mapped
     (summary.Mapper.unique + summary.Mapper.ambiguous)
@@ -453,9 +455,9 @@ let prop_mapper_matches_engine =
         (int_range 0 3))
     (fun (text, pattern, k) ->
       let idx = Kmismatch.build_index text in
-      let hits, _ = Mapper.map_reads ~both_strands:false idx ~reads:[ (7, pattern) ] ~k in
+      let hits, _ = fwd_only idx ~reads:[ (7, pattern) ] ~k in
       List.map (fun h -> (h.Mapper.pos, h.Mapper.distance)) hits
-      = Kmismatch.search idx ~engine:Kmismatch.M_tree ~pattern ~k)
+      = Test_util.run_hits idx ~engine:Kmismatch.M_tree ~pattern ~k)
 
 let () =
   Alcotest.run "persist"

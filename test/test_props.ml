@@ -174,29 +174,6 @@ let prop_shift_table_periodic =
         (List.init (m - 1) (fun i -> i + 1)))
 
 (* ------------------------------------------------------------------ *)
-(* Hybrid engine specifics                                              *)
-
-let test_hybrid_rejects_mismatched_text () =
-  let idx = Kmismatch.build_index "acgtacgt" in
-  match
-    Hybrid.search (Kmismatch.fm_rev idx) ~text:"acgt" ~pattern:"acg" ~k:1
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-let prop_hybrid_unique_path =
-  (* Texts with no repeats at all force the hybrid engine onto its direct
-     verification path almost immediately. *)
-  Test_util.qtest ~count:200 "hybrid on random text = oracle"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:50 ~hi:400 ()) (Test_util.dna_gen ~lo:5 ~hi:30 ())
-        (int_range 0 4))
-    (fun (text, pattern, k) ->
-      let idx = Kmismatch.build_index text in
-      Kmismatch.search idx ~engine:Kmismatch.Hybrid ~pattern ~k
-      = Stringmatch.Hamming.search ~pattern ~text ~k)
-
-(* ------------------------------------------------------------------ *)
 (* Stats accounting                                                     *)
 
 let test_stats_reset () =
@@ -213,14 +190,15 @@ let test_stats_populated_by_engines () =
   let idx = Kmismatch.build_index "acgtacgtacgtacgtacgtgggg" in
   List.iter
     (fun engine ->
-      let stats = Stats.create () in
-      ignore (Kmismatch.search ~stats idx ~engine ~pattern:"acgta" ~k:1);
+      let { Kmismatch.Response.stats; _ } =
+        Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern:"acgta" ~k:1 ())
+      in
       check bool
         (Kmismatch.engine_name engine ^ " counts work")
         true
         (stats.Stats.rank_calls > 0 || stats.Stats.nodes > 0
         || stats.Stats.leaves > 0))
-    [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Hybrid; Kmismatch.Cole ]
+    [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Cole ]
 
 (* ------------------------------------------------------------------ *)
 (* M-tree configuration space                                           *)
@@ -239,7 +217,7 @@ let prop_m_tree_all_configs =
         (int_range 0 4) config_gen)
     (fun (text, pattern, k, config) ->
       let idx = Kmismatch.build_index text in
-      Kmismatch.search ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      Test_util.run_hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 let prop_m_tree_repetitive_configs =
@@ -252,7 +230,7 @@ let prop_m_tree_repetitive_configs =
     (fun (unit_str, (reps, pattern), k, config) ->
       let text = String.concat "" (List.init reps (fun _ -> unit_str)) in
       let idx = Kmismatch.build_index text in
-      Kmismatch.search ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      Test_util.run_hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 (* ------------------------------------------------------------------ *)
@@ -358,11 +336,6 @@ let () =
       ("bwt_invariants", [ prop_rank_correspondence; prop_locate_whole ]);
       ("delta", [ prop_delta ]);
       ("mismatch_array", [ prop_shift_table_naive; prop_shift_table_periodic ]);
-      ( "hybrid",
-        [
-          Alcotest.test_case "text length check" `Quick test_hybrid_rejects_mismatched_text;
-          prop_hybrid_unique_path;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "reset" `Quick test_stats_reset;

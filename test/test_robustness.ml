@@ -399,7 +399,7 @@ let test_mapper_fail_soft () =
       (4, good4);
     ]
   in
-  let hits, summary = Mapper.map_reads idx ~reads ~k:1 in
+  let hits, summary = Mapper.run Mapper.default idx ~reads ~k:1 in
   check int "total" 5 summary.Mapper.total;
   check int "three reads skipped" 3 (List.length summary.Mapper.skipped);
   List.iter
@@ -413,7 +413,7 @@ let test_mapper_fail_soft () =
     (List.map fst summary.Mapper.skipped = [ 1; 2; 3 ]);
   (* surviving reads are exactly as if the bad reads never existed *)
   let clean_hits, clean_summary =
-    Mapper.map_reads idx ~reads:[ (0, good0); (4, good4) ] ~k:1
+    Mapper.run Mapper.default idx ~reads:[ (0, good0); (4, good4) ] ~k:1
   in
   check bool "surviving hits identical" true (hits = clean_hits);
   check int "mapped matches clean batch" clean_summary.Mapper.mapped
@@ -435,10 +435,12 @@ let test_mapper_fail_soft_deterministic () =
         else (i, planted ((i * 131) mod 2_000) 30))
   in
   let det (hits, summary) = (hits, Mapper.deterministic_summary summary) in
-  let base = Mapper.map_reads ~domains:1 idx ~reads ~k:1 in
+  let base = Mapper.run Mapper.default idx ~reads ~k:1 in
   List.iter
     (fun (domains, chunk_size) ->
-      let got = Mapper.map_reads ~domains ~chunk_size idx ~reads ~k:1 in
+      let got =
+        Mapper.run { Mapper.default with domains; chunk_size } idx ~reads ~k:1
+      in
       check bool
         (Printf.sprintf "domains=%d chunk=%d identical" domains chunk_size)
         true
@@ -449,7 +451,7 @@ let test_mapper_fail_soft_deterministic () =
 
 let test_mapper_all_reads_bad () =
   let idx = Lazy.force mapper_index in
-  let hits, summary = Mapper.map_reads idx ~reads:[ (7, ""); (8, "xyz") ] ~k:0 in
+  let hits, summary = Mapper.run Mapper.default idx ~reads:[ (7, ""); (8, "xyz") ] ~k:0 in
   check int "no hits" 0 (List.length hits);
   check int "all skipped" 2 (List.length summary.Mapper.skipped);
   check int "none mapped" 0 summary.Mapper.mapped

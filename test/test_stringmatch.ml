@@ -48,14 +48,6 @@ let test_period () =
   check int "acgt" 4 (Kmp.period "acgt");
   check int "empty" 0 (Kmp.period "")
 
-let test_bm_basics () =
-  check int_list "single" [ 3 ] (Boyer_moore.find_all ~pattern:"gatt" ~text:"acggattaca");
-  check int_list "repeat" [ 0; 1; 2; 3 ] (Boyer_moore.find_all ~pattern:"aaa" ~text:"aaaaaa")
-
-let test_z_array () =
-  check (Alcotest.array int) "z of aaaa" [| 4; 3; 2; 1 |] (Zalgo.z_array "aaaa");
-  check (Alcotest.array int) "z of acgt" [| 4; 0; 0; 0 |] (Zalgo.z_array "acgt")
-
 (* ------------------------------------------------------------------ *)
 (* Aho-Corasick                                                        *)
 
@@ -161,12 +153,6 @@ let () =
            Alcotest.test_case "period" `Quick test_period;
          ]
          @ agree_with_naive "kmp" Kmp.find_all );
-       ( "boyer_moore",
-         Alcotest.test_case "basics" `Quick test_bm_basics
-         :: agree_with_naive "boyer-moore" Boyer_moore.find_all );
-       ( "zalgo",
-         Alcotest.test_case "z array" `Quick test_z_array
-         :: agree_with_naive "zalgo" Zalgo.find_all );
        ( "aho_corasick",
          [
            Alcotest.test_case "multi pattern" `Quick test_ac_multi;

@@ -191,29 +191,6 @@ let test_lce_self () =
   check int "no common" 0 (Lce.lce t 0 1)
 
 (* ------------------------------------------------------------------ *)
-(* Suffix-array search (Manber-Myers)                                  *)
-
-let prop_sa_search =
-  Test_util.qtest ~count:300 "sa search = naive"
-    QCheck2.Gen.(pair (Test_util.dna_gen ~hi:250 ()) (Test_util.dna_gen ~lo:1 ~hi:8 ()))
-    (fun (text, pattern) ->
-      let t = Sa_search.build text in
-      Sa_search.find_all t pattern = Stringmatch.Naive.find_all ~pattern ~text)
-
-let test_sa_search_basics () =
-  let t = Sa_search.build "acagaca" in
-  check int "count aca" 2 (Sa_search.count t "aca");
-  check (Alcotest.list int) "positions" [ 0; 4 ] (Sa_search.find_all t "aca");
-  check int "absent" 0 (Sa_search.count t "tt");
-  check int "empty pattern" 7 (Sa_search.count t "");
-  check bool "range none" true (Sa_search.range t "gg" = None)
-
-let test_sa_search_wrap_validation () =
-  match Sa_search.of_suffix_array "acgt" [| 0; 1 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mismatched array accepted"
-
-(* ------------------------------------------------------------------ *)
 (* Suffix tree                                                         *)
 
 let test_st_contains_all_substrings () =
@@ -333,12 +310,6 @@ let () =
           Alcotest.test_case "self" `Quick test_lce_self;
           prop_lce;
           prop_lce_pair;
-        ] );
-      ( "sa_search",
-        [
-          Alcotest.test_case "basics" `Quick test_sa_search_basics;
-          Alcotest.test_case "wrap validation" `Quick test_sa_search_wrap_validation;
-          prop_sa_search;
         ] );
       ( "suffix_tree",
         [

@@ -12,3 +12,7 @@ let qtest ?(count = 200) name gen prop =
 
 let random_dna st n =
   String.init n (fun _ -> [| 'a'; 'c'; 'g'; 't' |].(Random.State.int st 4))
+
+(* The hits of one query through [Kmismatch.run]. *)
+let run_hits ?config idx ~engine ~pattern ~k =
+  (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ?config ~engine ~pattern ~k ())).hits
