@@ -3,11 +3,11 @@
    that offers roughly twice the daemon's capacity against a small
    admission queue and records the shed rate.
 
-   The server runs in-process on its own threads and Work_pool domains;
+   The server runs in-process on its own threads and worker domains;
    client threads connect through the real Unix socket and speak the
    real newline-JSON protocol, so every layer a production client would
-   cross (framing, admission, batching, pool fan-out, response
-   encoding) is on the measured path.  Per-request latencies land in
+   cross (framing, admission, the worker hand-off, response encoding)
+   is on the measured path.  Per-request latencies land in
    per-client [Obs.Histogram]s merged exactly (the PR 5 mergeable
    histograms), so p50/p99 come from the same machinery the daemon's
    own [serve.request_ns] metric uses — and they cover {e accepted}
@@ -135,7 +135,7 @@ let drive ~path ~k ~queries ~c =
     rendered,
     got )
 
-let run_campaign ~idx ~queries ~k ~connections ~jobs ~batch_max ?max_queue () =
+let run_campaign ~idx ~queries ~k ~connections ~jobs ?max_queue () =
   (* Sequential ground truth for the byte-identity column. *)
   let reference =
     Array.map
@@ -152,7 +152,6 @@ let run_campaign ~idx ~queries ~k ~connections ~jobs ~batch_max ?max_queue () =
     {
       base with
       domains = jobs;
-      batch_max;
       max_queue = (match max_queue with Some q -> q | None -> base.max_queue);
     }
   in
@@ -202,11 +201,11 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_serve.json") ?(size = 200_000)
   let qs = make_queries ~st ~text ~count:queries in
   note "%d bp index, %d queries (24-56 bp, <=2 planted substitutions), k=%d" size
     queries k;
-  note "server: %d pool domain%s, newline-JSON over a Unix socket" jobs
+  note "server: %d worker domain%s, newline-JSON over a Unix socket" jobs
     (if jobs = 1 then "" else "s");
   let rows =
     Obs.span obs "bench.serve" (fun () ->
-        run_campaign ~idx ~queries:qs ~k ~connections ~jobs ~batch_max:64 ())
+        run_campaign ~idx ~queries:qs ~k ~connections ~jobs ())
   in
   print_rows rows;
   List.iter
@@ -227,7 +226,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_serve.json") ?(size = 200_000)
              r.connections))
     rows;
   (* Overload round: a deliberately small daemon (capacity = max_queue
-     slots + the pool's in-flight batch, ~8 concurrent) is offered ~2x
+     slots + one in-flight query per worker domain, ~8 concurrent) is offered ~2x
      that many closed-loop connections.  The point of the row is that
      the shed rate absorbs the excess while p99 over the *accepted*
      queries stays bounded — the queue can never grow past max_queue, so
@@ -238,7 +237,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_serve.json") ?(size = 200_000)
   let over_rows =
     Obs.span obs "bench.serve.overload" (fun () ->
         run_campaign ~idx ~queries:qs ~k ~connections:[ over_conns ]
-          ~jobs:over_jobs ~batch_max:2 ~max_queue:over_queue ())
+          ~jobs:over_jobs ~max_queue:over_queue ())
   in
   print_rows over_rows;
   let over = List.hd over_rows in
@@ -266,7 +265,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_serve.json") ?(size = 200_000)
 
 (* Headless smoke for [dune runtest]: tiny index, 2 connections, a few
    dozen queries, no timing output, no JSON — just the full daemon path
-   (socket, framing, admission, batching, pool, response decode) plus
+   (socket, framing, admission, worker domains, response decode) plus
    the byte-identity cross-check.  Raises on any divergence. *)
 let smoke ?(size = 20_000) ?(seed = 11) ?(queries = 80) () =
   let st = Random.State.make [| seed |] in
@@ -274,7 +273,7 @@ let smoke ?(size = 20_000) ?(seed = 11) ?(queries = 80) () =
   let idx = Core.Kmismatch.build_index text in
   let qs = make_queries ~st ~text ~count:queries in
   let rows =
-    run_campaign ~idx ~queries:qs ~k:2 ~connections:[ 2 ] ~jobs:2 ~batch_max:8 ()
+    run_campaign ~idx ~queries:qs ~k:2 ~connections:[ 2 ] ~jobs:2 ()
   in
   List.iter
     (fun r ->

@@ -701,7 +701,7 @@ let bench_cmd =
 (* --- serve ----------------------------------------------------------- *)
 
 let serve_cmd =
-  let run genome index_file mmap socket jobs batch_max max_queue send_timeout
+  let run genome index_file mmap socket jobs max_queue send_timeout
       max_pattern max_k max_hits max_frame quiet trace metrics_out =
     if jobs < 1 then failwith "--jobs must be >= 1";
     let corpus = obtain_corpus ~mmap ~genome ~index_file in
@@ -712,7 +712,6 @@ let serve_cmd =
       {
         (Kmm_server.Server.default_config ~socket_path:socket) with
         domains = jobs;
-        batch_max;
         max_queue;
         send_timeout;
         limits;
@@ -738,13 +737,9 @@ let serve_cmd =
       value
       & opt int (Core.Work_pool.default_domains ())
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains answering queries (default: the number of cores).")
-  in
-  let batch_max =
-    Arg.(
-      value & opt int 64
-      & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Most queued queries dispatched onto the pool as one batch.")
+          ~doc:
+            "Query domains, started beside the domain that runs the socket \
+             I/O (default: the number of cores).")
   in
   let max_queue =
     Arg.(
@@ -798,15 +793,16 @@ let serve_cmd =
               \"Serving\" section for the wire protocol.  Every request is \
               admitted against --max-pattern/--max-k/--max-hits/--max-frame and \
               rejected with a typed error frame instead of a crash; a client \
-              disconnecting mid-response costs only that connection.  Queued \
-              queries are batched across --jobs worker domains.  The \"metrics\" \
+              disconnecting mid-response costs only that connection.  --jobs N \
+              starts N query domains beside the domain that runs the socket \
+              I/O; each pulls one queued query at a time.  The \"metrics\" \
               command exposes live Prometheus metrics; --trace/--metrics-out \
               also write them on exit.";
          ])
     Term.(
       ret
         (const run $ genome_arg $ index_arg $ mmap_arg $ socket $ jobs
-       $ batch_max $ max_queue $ send_timeout $ max_pattern $ max_k $ max_hits
+       $ max_queue $ send_timeout $ max_pattern $ max_k $ max_hits
        $ max_frame $ quiet $ trace_arg $ metrics_arg))
 
 (* --- client ----------------------------------------------------------- *)

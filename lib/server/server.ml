@@ -1,17 +1,18 @@
 (* The kmm query daemon.  Threading model:
 
      acceptor thread   -- select/accept loop on the listening socket
-     1 thread per conn -- frame loop: read, admit, submit, reply
-     dispatcher thread -- drains the query queue in batches and runs
-                          each batch across the Work_pool domains
+     1 thread per conn -- frame loop: read, admit, enqueue, wait, reply
+     [domains] workers -- one OCaml domain each: pull one admitted query
+                          off the queue, run it, publish the answer
      caller            -- start/stop (or the [serve] signal loop)
 
-   Connection threads are cheap OS threads blocked on I/O; the CPU work
-   all happens on the pool's domains, so [domains] — not the number of
-   clients — bounds parallel search work.  All shared state is guarded
-   by three mutexes with a strict no-nesting discipline: [qm] (query
-   queue), [cm] (connection registry), [mm] (metrics sink); per-job
-   mutexes are leaves. *)
+   Connection threads are cheap OS threads blocked on I/O, all on the
+   caller's domain; the search work all happens on the worker domains,
+   so [domains] — not the number of clients — bounds parallel search
+   work, and a running search never holds up a read or a reply.  Shared
+   state is guarded by mutexes with a strict no-nesting discipline:
+   [qm] (query queue), [cm] (connection registry), [mm] (the server
+   sink), one [wm] per worker (its sink); per-job mutexes are leaves. *)
 
 module Kmismatch = Core.Kmismatch
 module Corpus = Core.Corpus
@@ -143,7 +144,6 @@ end
 type config = {
   socket_path : string;
   domains : int;
-  batch_max : int;
   max_queue : int;
   backlog : int;
   limits : Protocol.limits;
@@ -155,8 +155,7 @@ type config = {
 let default_config ~socket_path =
   {
     socket_path;
-    domains = Core.Work_pool.default_domains ();
-    batch_max = 64;
+    domains = max 1 (Domain.recommended_domain_count ());
     max_queue = 1024;
     backlog = 64;
     limits = Protocol.default_limits;
@@ -175,16 +174,24 @@ type job = {
   engine : Kmismatch.engine;
   deadline : Deadline.t;
       (* anchored at admission: the budget covers queue wait too *)
+  admitted_ns : int;  (* monotonic admission instant, for queue-wait *)
   jm : Mutex.t;
   jcv : Condition.t;
   mutable answer : (Kmismatch.Response.t, Kmm_error.t) result option;
 }
 
+(* A worker domain's own sink, recorded into by that domain alone, one
+   query at a time under [wm].  It lives as long as the server: readers
+   merge it into a fresh snapshot under the same mutex, so the hot path
+   never allocates or merges a sink. *)
+type worker = { wm : Mutex.t; wsink : Obs.t }
+
 type t = {
   cfg : config;
   corpus : Corpus.t;
   listen_fd : Unix.file_descr;
-  pool : Core.Work_pool.t;
+  workers : worker array;
+  mutable worker_domains : unit Domain.t array;
   (* query queue *)
   qm : Mutex.t;
   qcv : Condition.t;
@@ -198,7 +205,6 @@ type t = {
   stop_requested : bool Atomic.t;
   stopped : bool Atomic.t;
   mutable acceptor : Thread.t option;
-  mutable dispatcher : Thread.t option;
 }
 
 let stopping t = Atomic.get t.stop_requested
@@ -211,80 +217,72 @@ let with_metrics t f =
 
 let bump t name = with_metrics t (fun s -> Obs.incr s name)
 
-let metrics_text t = with_metrics t Obs.to_prometheus
+(* Everything recorded so far, merged into a fresh sink: the server
+   sink, then each worker's, each under its own mutex and never two at
+   once.  Trace events are copied only when [trace] asks for them. *)
+let snapshot ?(trace = false) t =
+  let snap = Obs.create ~trace () in
+  with_metrics t (fun s -> Obs.merge ~into:snap s);
+  Array.iter
+    (fun w -> Mutex.protect w.wm (fun () -> Obs.merge ~into:snap w.wsink))
+    t.workers;
+  snap
 
-(* --- dispatcher ----------------------------------------------------- *)
+let metrics_text t = Obs.to_prometheus (snapshot t)
 
-(* Run one batch across the pool.  Each task answers exactly one job via
-   [Kmismatch.try_run] — validation failures and even engine exceptions
-   become values here, so a task can never raise into the pool.  Results
-   land in a slot array indexed by task (the pool's deterministic-merge
-   idiom) and are published to the waiting connection threads under each
-   job's own mutex after the join. *)
-let process_batch t (batch : job array) =
-  let n = Array.length batch in
-  let forks = Array.init (Core.Work_pool.domains t.pool) (fun _ -> Obs.fork t.sink) in
-  let answers =
-    Array.make n (Error (Kmm_error.Internal "batch task never ran"))
+(* --- worker domains -------------------------------------------------- *)
+
+(* Answer one job on worker [w].  Total: a budget that expired in the
+   queue, a validation failure and an engine exception all become this
+   job's answer, so the connection thread waiting on it always wakes and
+   the worker domain never dies. *)
+let run_job t w j =
+  let answer =
+    match
+      Mutex.protect w.wm (fun () ->
+          let o = w.wsink in
+          Obs.record o "pool.queue_wait_ns" (Obs.Clock.now_ns () - j.admitted_ns);
+          Obs.incr o "pool.tasks";
+          Obs.incr o "serve.queries";
+          Obs.record o "serve.batch_size" 1;
+          Obs.time o "pool.task" (fun () ->
+              (* A job that expires mid-search is cut by the engine
+                 polls inside [try_run]; either way the reply is a
+                 typed [Timeout] and partial work is discarded. *)
+              if Deadline.expired j.deadline then
+                Error (Kmm_error.Timeout "deadline expired while queued")
+              else
+                Corpus.try_run t.corpus
+                  (Kmismatch.Query.make ~obs:o ~deadline:j.deadline
+                     ~engine:j.engine ~pattern:j.pattern ~k:j.k ())))
+    with
+    | r -> r
+    | exception e -> Error (Kmm_error.Internal (Printexc.to_string e))
   in
-  (try
-     Core.Work_pool.run ~obs:forks t.pool ~tasks:n (fun ~worker ~task ->
-         let j = batch.(task) in
-         (* A job whose budget already expired in the queue is answered
-            without touching the corpus; one that expires mid-search is
-            cut by the engine polls inside [try_run].  Either way the
-            reply is a typed [Timeout] and partial work is discarded. *)
-         if Deadline.expired j.deadline then
-           answers.(task) <-
-             Error (Kmm_error.Timeout "deadline expired while queued")
-         else
-           let query =
-             Kmismatch.Query.make ~obs:forks.(worker) ~deadline:j.deadline
-               ~engine:j.engine ~pattern:j.pattern ~k:j.k ()
-           in
-           answers.(task) <-
-             (match Corpus.try_run t.corpus query with
-             | r -> r
-             | exception e -> Error (Kmm_error.Internal (Printexc.to_string e))))
-   with e ->
-     (* [try_run] never raises, so this is a pool-level fault; answer
-        every job rather than leaving a connection thread waiting. *)
-     let reason = Kmm_error.Internal (Printexc.to_string e) in
-     Array.iteri (fun i _ -> answers.(i) <- Error reason) batch);
-  with_metrics t (fun s ->
-      Array.iter (fun o -> Obs.merge ~into:s o) forks;
-      Obs.record s "serve.batch_size" n;
-      Obs.incr ~by:n s "serve.queries");
-  Array.iteri
-    (fun i j ->
-      Mutex.lock j.jm;
-      j.answer <- Some answers.(i);
-      Condition.signal j.jcv;
-      Mutex.unlock j.jm)
-    batch
+  Mutex.lock j.jm;
+  j.answer <- Some answer;
+  Condition.signal j.jcv;
+  Mutex.unlock j.jm
 
-let dispatcher_loop t =
+(* Pull admitted jobs one at a time until a stop was requested and the
+   queue is empty: everything admitted is answered before the exit. *)
+let worker_loop t w =
   let rec loop () =
     Mutex.lock t.qm;
     while Queue.is_empty t.queue && not (stopping t) do
       Condition.wait t.qcv t.qm
     done;
-    if Queue.is_empty t.queue then Mutex.unlock t.qm (* stopping and drained *)
-    else begin
-      let batch = ref [] in
-      let count = ref 0 in
-      while !count < t.cfg.batch_max && not (Queue.is_empty t.queue) do
-        batch := Queue.pop t.queue :: !batch;
-        incr count
-      done;
-      Mutex.unlock t.qm;
-      process_batch t (Array.of_list (List.rev !batch));
-      loop ()
-    end
+    let next = Queue.take_opt t.queue in
+    Mutex.unlock t.qm;
+    match next with
+    | None -> ()
+    | Some j ->
+        run_job t w j;
+        loop ()
   in
   loop ()
 
-(* Submit a query and block until the dispatcher answers it.  Admission
+(* Submit a query and block until a worker answers it.  Admission
    can refuse — typed, before any work — for two reasons: a stop was
    requested (the queue is guaranteed to drain, so anything admitted is
    guaranteed an answer), or the queue is at [max_queue] (shed, so a
@@ -292,7 +290,7 @@ let dispatcher_loop t =
    [Overloaded] reply instead of unbounded memory and queue latency).
    Both are [Overloaded]: transient by contract, safe to retry with
    backoff. *)
-let submit t ~pattern ~k ~engine ~deadline =
+let submit t ~pattern ~k ~engine ~deadline ~admitted_ns =
   Mutex.lock t.qm;
   if stopping t then begin
     Mutex.unlock t.qm;
@@ -307,7 +305,7 @@ let submit t ~pattern ~k ~engine ~deadline =
   end
   else begin
     let job =
-      { pattern; k; engine; deadline; jm = Mutex.create ();
+      { pattern; k; engine; deadline; admitted_ns; jm = Mutex.create ();
         jcv = Condition.create (); answer = None }
     in
     Queue.add job t.queue;
@@ -338,7 +336,7 @@ let info_fields t =
     ("length", Json.Int (Corpus.length t.corpus));
     ("shards", Json.Int (Corpus.nshards t.corpus));
     ("max_query", Json.Int (Corpus.max_query t.corpus));
-    ("domains", Json.Int (Core.Work_pool.domains t.pool));
+    ("domains", Json.Int t.cfg.domains);
     ( "engines",
       Json.List
         (List.map
@@ -355,7 +353,7 @@ let handle_query t ~respond ~id ~pattern ~k ~engine ~deadline =
   let deadline =
     match deadline with None -> Deadline.none | Some s -> Deadline.after s
   in
-  match submit t ~pattern ~k ~engine ~deadline with
+  match submit t ~pattern ~k ~engine ~deadline ~admitted_ns:t0 with
   | Error e ->
       with_metrics t (fun s ->
           match e with
@@ -510,7 +508,6 @@ let max_socket_path = 107
 
 let start cfg corpus =
   if cfg.domains < 1 then invalid_arg "Server.start: domains must be >= 1";
-  if cfg.batch_max < 1 then invalid_arg "Server.start: batch_max must be >= 1";
   if cfg.max_queue < 1 then invalid_arg "Server.start: max_queue must be >= 1";
   if not (cfg.send_timeout > 0.) then
     invalid_arg "Server.start: send_timeout must be > 0";
@@ -542,7 +539,10 @@ let start cfg corpus =
       cfg;
       corpus;
       listen_fd;
-      pool = Core.Work_pool.create ~domains:cfg.domains ();
+      workers =
+        Array.init cfg.domains (fun _ ->
+            { wm = Mutex.create (); wsink = Obs.create ~trace:cfg.trace () });
+      worker_domains = [||];
       qm = Mutex.create ();
       qcv = Condition.create ();
       queue = Queue.create ();
@@ -553,32 +553,29 @@ let start cfg corpus =
       stop_requested = Atomic.make false;
       stopped = Atomic.make false;
       acceptor = None;
-      dispatcher = None;
     }
   in
   Fmindex.Fm_index.Telemetry.set_enabled true;
-  t.dispatcher <- Some (Thread.create dispatcher_loop t);
+  t.worker_domains <- Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers;
   t.acceptor <- Some (Thread.create acceptor_loop t);
   cfg.log
-    (Printf.sprintf "listening on %s (%d bp corpus, %d shard%s, %d domain%s, batch <= %d)"
+    (Printf.sprintf "listening on %s (%d bp corpus, %d shard%s, %d domain%s)"
        cfg.socket_path (Corpus.length corpus)
        (Corpus.nshards corpus)
        (if Corpus.nshards corpus = 1 then "" else "s")
        cfg.domains
-       (if cfg.domains = 1 then "" else "s")
-       cfg.batch_max);
+       (if cfg.domains = 1 then "" else "s"));
   t
 
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
     request_stop t;
-    (* Wake the dispatcher so it can observe the flag and drain. *)
+    (* Wake idle workers so they can observe the flag and drain. *)
     Mutex.lock t.qm;
     Condition.broadcast t.qcv;
     Mutex.unlock t.qm;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     Option.iter Thread.join t.acceptor;
-    Option.iter Thread.join t.dispatcher;
     let conns =
       Mutex.lock t.cm;
       let l = t.conns in
@@ -587,7 +584,7 @@ let stop t =
       l
     in
     List.iter Thread.join conns;
-    Core.Work_pool.shutdown t.pool;
+    Array.iter Domain.join t.worker_domains;
     Fmindex.Fm_index.Telemetry.set_enabled false;
     (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
     t.cfg.log "stopped (drained)"
@@ -602,12 +599,9 @@ let serve ?trace_out ?metrics_out cfg corpus =
     stop t;
     Sys.set_signal Sys.sigint old_int;
     Sys.set_signal Sys.sigterm old_term;
-    Mutex.lock t.mm;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mm)
-      (fun () ->
-        Option.iter (Obs.write_chrome_trace ~process_name:"kmm-serve" t.sink) trace_out;
-        Option.iter (Obs.write_prometheus t.sink) metrics_out)
+    let snap = snapshot ~trace:cfg.trace t in
+    Option.iter (Obs.write_chrome_trace ~process_name:"kmm-serve" snap) trace_out;
+    Option.iter (Obs.write_prometheus snap) metrics_out
   in
   Fun.protect ~finally:finish (fun () ->
       while not (stopping t) do

@@ -3,12 +3,15 @@
 
     The daemon loads one immutable {!Core.Corpus.t} at startup — a
     monolithic index or a sharded manifest, optionally mmap'd — and
-    answers {!Protocol} frames from any number of concurrent clients.  Each connection is served by a lightweight thread that
-    reads frames, admits them against the configured {!Protocol.limits}
-    and enqueues admitted queries on a shared batcher; a dispatcher
-    thread drains the queue in batches of at most [batch_max] and fans
-    each batch out across a {!Core.Work_pool} of [domains] OCaml
-    domains.  Results come back {!Core.Kmismatch.Response}-shaped;
+    answers {!Protocol} frames from any number of concurrent clients.
+    Each connection is served by a lightweight thread that reads frames,
+    admits them against the configured {!Protocol.limits}, enqueues
+    admitted queries on one shared admission queue and waits for the
+    answer.  [domains] worker domains run beside the domain that does
+    all the socket I/O; each pulls one admitted query at a time straight
+    off the queue, runs it and hands the answer back to the waiting
+    connection thread, so a running search never holds up a read or a
+    reply.  Results come back {!Core.Kmismatch.Response}-shaped;
     every failure — malformed frame, limit violation, invalid pattern,
     even an engine bug — is answered as a typed {!Kmm_error} frame on
     that one connection.  The daemon itself never crashes on input.
@@ -42,28 +45,35 @@
       [Overloaded] refusals ("shutting down"), as are frames that
       arrive within one read tick (250 ms) of the stop, every connection
       thread then exits at its next frame boundary, worker domains are
-      joined, and the socket file is unlinked.
+      joined once the queue is empty, and the socket file is unlinked.
+    - An engine exception answers its own query with a typed [Internal]
+      frame; the worker domain that ran it keeps serving.
     - A connection that ends mid-frame (truncated frame) is answered
       with a typed rejection if the peer can still read, then closed.
 
     {2 Observability}
 
-    The server owns an always-active {!Obs} sink (mutex-guarded; worker
-    domains record into per-batch forks merged back in worker order).
+    The server owns always-active {!Obs} sinks: one for the connection
+    threads and one per worker domain, each behind its own mutex and
+    alive as long as the server.  A worker records each query into its
+    own sink; nothing is merged on the query path.  Readers — the
+    [metrics] command and the {!serve} exit taps — merge them all into
+    a fresh snapshot.
     Counters: [serve.connections], [serve.disconnects],
     [serve.conns_dropped], [serve.conns_stalled], [serve.requests],
     [serve.queries], [serve.rejected], [serve.shed], [serve.timeouts],
     [serve.errors], [serve.truncated], [serve.hits].  Histograms:
     [serve.request_ns] (admission to response write),
-    [serve.batch_size], plus the {!Core.Work_pool} [pool.*] metrics and
-    per-query [engine.*]/[fm.*] counters.  The whole sink is exported
+    [serve.batch_size] (queries per worker pull: always 1), the worker
+    loop's [pool.tasks] counter, [pool.queue_wait_ns] (admission to the
+    pull) and [pool.task_ns] histograms, plus per-query
+    [query_ns]/[engine.*]/[fm.*] metrics.  The whole sink is exported
     live over the wire by the [metrics] command in Prometheus text
     format. *)
 
 type config = {
   socket_path : string;  (** where to bind ([AF_UNIX]) *)
-  domains : int;  (** {!Core.Work_pool} size for query execution *)
-  batch_max : int;  (** most queries drained into one pool batch *)
+  domains : int;  (** worker domains running queries *)
   max_queue : int;
       (** bound on the admission queue; beyond it queries shed with a
           typed [Overloaded] reply *)
@@ -77,7 +87,7 @@ type config = {
 }
 
 val default_config : socket_path:string -> config
-(** [domains = Work_pool.default_domains ()], [batch_max = 64],
+(** [domains = Domain.recommended_domain_count ()],
     [max_queue = 1024], [backlog = 64],
     [limits = Protocol.default_limits], [send_timeout = 10.0],
     [trace = false], [log = ignore]. *)
@@ -91,7 +101,7 @@ val max_socket_path : int
     surfacing as a raw [Unix_error] from [bind]. *)
 
 val start : config -> Core.Corpus.t -> t
-(** Bind the socket and spawn the acceptor and dispatcher; returns once
+(** Bind the socket and spawn the acceptor and the worker domains; returns once
     the daemon is accepting.  If the socket path is already bound by a
     live daemon, raises [Kmm_error.Error (Io _)]; a stale socket file
     left by a crashed process is replaced; a path longer than
@@ -112,15 +122,15 @@ val stop : t -> unit
     Idempotent; safe after {!request_stop}. *)
 
 val metrics_text : t -> string
-(** A live Prometheus exposition of the server sink (what the [metrics]
-    wire command returns). *)
+(** A live Prometheus exposition of every server sink, merged into a
+    fresh snapshot (what the [metrics] wire command returns). *)
 
 val serve :
   ?trace_out:string -> ?metrics_out:string -> config -> Core.Corpus.t -> unit
 (** The blocking CLI entry point: {!start}, install [SIGINT]/[SIGTERM]
     handlers that {!request_stop}, wait, then {!stop} — and on the way
-    out write the sink as a Chrome trace and/or Prometheus file when
-    the paths are given.  Signal dispositions are restored on exit. *)
+    out write a snapshot of every sink as a Chrome trace and/or
+    Prometheus file when the paths are given.  Signal dispositions are restored on exit. *)
 
 (** Client-side helpers over the same wire protocol — used by
     [kmm client], the serve bench and the tests.  Blocking; one

@@ -56,7 +56,7 @@ let slow_k = 16
 let wide_pattern = "acgt"
 let wide_k = 3
 
-let with_server ?(domains = 2) ?(batch_max = 8) ?max_queue ?send_timeout f =
+let with_server ?(domains = 2) ?max_queue ?send_timeout f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kmm-chaos-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
@@ -66,7 +66,6 @@ let with_server ?(domains = 2) ?(batch_max = 8) ?max_queue ?send_timeout f =
     {
       base with
       domains;
-      batch_max;
       max_queue = Option.value max_queue ~default:base.max_queue;
       send_timeout = Option.value send_timeout ~default:base.send_timeout;
     }
@@ -299,12 +298,12 @@ let query_deadline_direct () =
 (* --- live daemon: typed overload and timeout frames ------------------- *)
 
 let server_sheds_when_full () =
-  (* Capacity one-at-a-time (1 domain, batch of 1) with a single queue
+  (* Capacity one-at-a-time (1 worker domain) with a single queue
      slot, offered 8 concurrent ~130 ms queries: the excess must come
      back as immediate code-10 sheds, the rest as real hits, and the
      daemon must serve normally afterwards. *)
   retry_once "overload shed" (fun () ->
-      with_server ~domains:1 ~batch_max:1 ~max_queue:1 (fun _t path ->
+      with_server ~domains:1 ~max_queue:1 (fun _t path ->
           let hits = Atomic.make 0 and shed = Atomic.make 0 in
           let failure = Atomic.make None in
           let clients = 8 in
@@ -355,7 +354,7 @@ let server_deadline_expires_in_queue () =
      must come back code 9 without ever running — and the occupier's own
      answer must be unaffected. *)
   retry_once "queued expiry" (fun () ->
-      with_server ~domains:1 ~batch_max:1 (fun _t path ->
+      with_server ~domains:1 (fun _t path ->
           let occupier = S.Client.connect path in
           Fun.protect
             ~finally:(fun () -> S.Client.close occupier)

@@ -55,7 +55,7 @@ let with_server ?(limits = P.default_limits) ?(domains = 2) f =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kmm-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
   in
-  let cfg = { (S.default_config ~socket_path:path) with domains; batch_max = 8; limits } in
+  let cfg = { (S.default_config ~socket_path:path) with domains; limits } in
   let t = S.start cfg (Core.Corpus.mono (Lazy.force index)) in
   Fun.protect ~finally:(fun () -> S.stop t) (fun () -> f t path)
 
@@ -425,6 +425,151 @@ let server_drain_answers_then_refuses () =
       S.stop t;
       Alcotest.(check bool) "socket file unlinked" false (Sys.file_exists path))
 
+(* --- worker domains ---------------------------------------------------- *)
+
+(* The value of one sample line [kmm_<name> <v>] of a Prometheus
+   exposition; [None] when absent. *)
+let prom_value text name =
+  let prefix = "kmm_" ^ name ^ " " in
+  List.find_map
+    (fun l ->
+      if String.starts_with ~prefix l then
+        int_of_string_opt
+          (String.sub l (String.length prefix) (String.length l - String.length prefix))
+      else None)
+    (String.split_on_char '\n' text)
+
+let live_metrics c =
+  match S.Client.command c "metrics" with
+  | Ok (P.Ok_obj { fields; _ }) -> (
+      match List.assoc_opt "metrics" fields with
+      | Some (J.String text) -> text
+      | _ -> Alcotest.fail "metrics reply without a metrics field")
+  | _ -> Alcotest.fail "metrics command failed"
+
+(* Run [clients] connections at once; client [ci] sends [send ci c].
+   The first exception any of them raises fails the test. *)
+let run_clients ~clients path send =
+  let failure = Atomic.make None in
+  let threads =
+    List.init clients (fun ci ->
+        Thread.create
+          (fun () ->
+            try
+              let c = S.Client.connect ~timeout:30. path in
+              Fun.protect ~finally:(fun () -> S.Client.close c) (fun () -> send ci c)
+            with e -> ignore (Atomic.compare_and_set failure None (Some e)))
+          ())
+  in
+  List.iter Thread.join threads;
+  Option.iter (fun e -> Alcotest.fail ("client failed: " ^ Printexc.to_string e)) (Atomic.get failure)
+
+let server_metrics_add_up () =
+  (* Every worker domain records into its own sink; the live [metrics]
+     command and the --metrics-out tap written at drain must both count
+     every query exactly once. *)
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kmm-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
+  in
+  let metrics_out = Filename.temp_file "kmm-serve" ".prom" in
+  let cfg = { (S.default_config ~socket_path:path) with domains = 2 } in
+  let server =
+    Thread.create
+      (fun () -> S.serve ~metrics_out cfg (Core.Corpus.mono (Lazy.force index)))
+      ()
+  in
+  let rec connect tries =
+    match S.Client.connect ~timeout:30. path with
+    | c -> c
+    | exception Unix.Unix_error _ when tries > 0 ->
+        Thread.delay 0.01;
+        connect (tries - 1)
+  in
+  let admin = connect 500 in
+  let n = List.length queries and clients = 4 in
+  let qarr = Array.of_list queries in
+  run_clients ~clients path (fun ci c ->
+      let i = ref ci in
+      while !i < n do
+        let pattern, k = qarr.(!i) in
+        (match S.Client.query c ~pattern ~k () with
+        | Ok (P.Hits _) -> ()
+        | _ -> failwith "bad reply");
+        i := !i + clients
+      done);
+  let expect where text =
+    List.iter
+      (fun name ->
+        Alcotest.(check (option int)) (Printf.sprintf "%s %s" where name) (Some n)
+          (prom_value text name))
+      [ "serve_queries"; "pool_tasks"; "query_ns_count" ]
+  in
+  expect "live" (live_metrics admin);
+  (match S.Client.command admin "shutdown" with
+  | Ok (P.Ok_obj _) -> ()
+  | _ -> Alcotest.fail "shutdown ack");
+  S.Client.close admin;
+  Thread.join server;
+  let text = In_channel.with_open_bin metrics_out In_channel.input_all in
+  Sys.remove metrics_out;
+  expect "--metrics-out" text
+
+(* An engine that raises on every query, registered in this test
+   process only. *)
+type K.engine += Raises
+
+let () =
+  K.Engine_registry.register
+    {
+      K.Engine_registry.engine = Raises;
+      name = "raises-test";
+      doc = "test double: raises on every query";
+      caps = { online = false; needs_tree = false; scales = false };
+      prepare = ignore;
+      run = (fun _ _ -> failwith "engine bug");
+    }
+
+let server_engine_exception_isolated () =
+  (* Raising queries interleaved with good ones on two worker domains:
+     each raising query costs exactly its own answer (a typed Internal
+     frame), every good one is answered as in-process, and the daemon
+     still drains and stops. *)
+  let corpus = Core.Corpus.mono (Lazy.force index) in
+  let qarr = Array.of_list queries in
+  let expected =
+    Array.map
+      (fun (pattern, k) ->
+        match Core.Corpus.try_run corpus (K.Query.make ~engine:K.M_tree ~pattern ~k ()) with
+        | Ok r -> P.render_hits r.K.Response.hits
+        | Error e -> Alcotest.fail (Kmm_error.to_string e))
+      qarr
+  in
+  let internal = Kmm_error.exit_code (Kmm_error.Internal "") in
+  with_server (fun t path ->
+      let n = Array.length qarr and clients = 3 in
+      run_clients ~clients path (fun ci c ->
+          let i = ref ci in
+          while !i < n do
+            let pattern, k = qarr.(!i) in
+            (match S.Client.query c ~engine:Raises ~pattern ~k () with
+            | Ok (P.Error_reply { code; _ }) when code = internal -> ()
+            | _ -> failwith (Printf.sprintf "raising query %d: expected an Internal frame" !i));
+            (match S.Client.query c ~pattern ~k () with
+            | Ok (P.Hits { hits; _ }) when P.render_hits hits = expected.(!i) -> ()
+            | _ -> failwith (Printf.sprintf "good query %d: hits differ from in-process" !i));
+            i := !i + clients
+          done);
+      (* [stop] is idempotent, so [with_server]'s own stop is a no-op. *)
+      let stopped = Atomic.make false in
+      let stopper = Thread.create (fun () -> S.stop t; Atomic.set stopped true) () in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check bool) "drained and stopped" true (Atomic.get stopped);
+      Thread.join stopper)
+
 (* The CI serve-bench smoke: a headless end-to-end load run on a tiny
    index with 2 connections, raising on any divergence from sequential. *)
 let bench_smoke () = Serve_bench.smoke ()
@@ -452,6 +597,10 @@ let () =
           Alcotest.test_case "drain answers then refuses" `Quick
             server_drain_answers_then_refuses;
           Alcotest.test_case "socket path over sun_path" `Quick server_socket_path_too_long;
+          Alcotest.test_case "metrics add up across worker domains" `Quick
+            server_metrics_add_up;
+          Alcotest.test_case "engine exception costs one answer" `Quick
+            server_engine_exception_isolated;
         ] );
       ("bench", [ Alcotest.test_case "serve bench smoke" `Quick bench_smoke ]);
     ]

@@ -39,3 +39,6 @@ done
 case ", $valid," in
   *", hybrid,"*) echo "usage_errors: hybrid still listed: $valid" >&2; exit 1 ;;
 esac
+
+# The serve daemon batches nothing, so it has no --batch-max knob.
+expect_usage_error serve --batch-max 8 --index nonexistent.idx
