@@ -20,6 +20,7 @@ let experiments =
     ("fig13", Experiments.fig13);
     ("ablation", Experiments.ablation);
     ("deriv-stress", Experiments.deriv_stress);
+    ("mtree-alloc", Mtree_alloc.run);
     ("micro", Micro.run);
   ]
   @ List.map

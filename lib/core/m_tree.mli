@@ -17,7 +17,20 @@
       "D[u] needs to be extended");
     - [R_ij] is computed with [2k+3] entries so that no surviving derived
       path can outrun the reliable horizon of the table ([k+2] entries as
-      in the paper can be outrun when stored mismatches absorb entries). *)
+      in the paper can be outrun when stored mismatches absorb entries).
+
+    {b Storage.}  The stored tree is a flat arena of int arrays (one per
+    node field, plus pools for skipped branches and memoised match runs)
+    and an int-to-int {!Int_table}, so a stored node holds no pointer and
+    costs the GC nothing.  Each domain keeps one arena and reuses it:
+    a search resets it at its start, so a search cut short by its
+    deadline leaves nothing behind, and an arena grown past a fixed
+    bound by one outlier search is dropped for a fresh one.  A search is
+    not meant to re-enter {!search} on the same domain, and nothing in
+    this library does; if one does (a nested call, or two systhreads of
+    one domain searching at once), the inner search runs in a private
+    arena that is not kept.  The pattern's LCE structure for [R_ij] is
+    built by the first derivation only. *)
 
 type config = {
   chain_skip : bool;
@@ -36,7 +49,7 @@ type config = {
       (** minimum BWT-interval width for a node to be materialized in the
           M-tree and hash table (default 2).  Subtrees below narrower
           intervals are near-chains whose derivation could never repay the
-          cost of storing them; they are explored with an allocation-free
+          cost of storing them; they are explored with a storage-free
           S-tree recursion and recorded like budget-skipped branches, so
           derivations through them stay exact.  Set 1 to materialize
           everything (the paper's literal structure). *)

@@ -190,8 +190,9 @@ let run_target opts target ~reads ~k =
   (* Never keep more domains than there are chunks of work. *)
   let domains = max 1 (min domains (Array.length bounds)) in
   (* Force shared derived state (suffix tree, unpacked text) before the
-     fan-out so workers don't serialize on its first use. *)
-  if domains > 1 then target.tgt_prepare engine;
+     fan-out so workers don't serialize on its first use — on one domain
+     too, so that the "prepare" phase, not "search", carries its cost. *)
+  target.tgt_prepare engine;
   (* Per-domain counters and sinks, merged in worker-index order at the
      end, so the reported totals match a sequential run exactly.
      ([Obs.fork] of the noop sink is noop: observability off costs one

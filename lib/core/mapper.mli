@@ -88,9 +88,11 @@ type target = {
       (** [tgt_limit_msg m] is the skip reason for an [m] bp oversize
           read *)
   tgt_prepare : Kmismatch.engine -> unit;
-      (** called once before fan-out (when [domains > 1]) to force
-          derived state — suffix tree, unpacked text — the given engine
-          will need, so workers don't serialize on its first use *)
+      (** called once per run, before the search phase and whatever the
+          domain count, to force derived state — suffix tree, unpacked
+          text — the given engine will need, so workers don't serialize
+          on its first use and the [prepare] timing carries its cost.
+          Must be memoised: every run calls it. *)
   tgt_run : Kmismatch.Query.t -> (Kmismatch.Response.t, Kmm_error.t) result;
       (** answer one query with hits in global coordinates; must be safe
           to call from any domain.  An [Error] skips the read (typed),

@@ -1,7 +1,9 @@
 type t = {
   r : string;
   k : int;
-  tables : int array array;
+  tables : int array array Lazy.t;
+      (* R_1 .. R_{m-1}, built on first use: only [shift_table] and
+         [derive] read them, while the M-tree engine needs the LCE alone *)
   lce : Suffix.Lce.t;
 }
 
@@ -28,18 +30,19 @@ let build r ~k =
   let k = min k m in
   let lce = Suffix.Lce.make r in
   let tables =
-    Array.init m (fun i ->
-        if i = 0 then [||]
-        else
-          Array.of_list
-            (kangaroo_from lce ~i:0 ~j:i ~ov:(m - i) ~from:1 ~limit:(k + 2)))
+    lazy
+      (Array.init m (fun i ->
+           if i = 0 then [||]
+           else
+             Array.of_list
+               (kangaroo_from lce ~i:0 ~j:i ~ov:(m - i) ~from:1 ~limit:(k + 2))))
   in
   { r; k; tables; lce }
 
 let shift_table t i =
-  if i < 0 || i >= Array.length t.tables then
+  if i < 0 || i >= String.length t.r then
     invalid_arg "Mismatch_array.shift_table: shift out of range";
-  t.tables.(i)
+  (Lazy.force t.tables).(i)
 
 let naive_pairwise a b ~limit =
   if String.length a <> String.length b then
@@ -96,7 +99,8 @@ let derive t ~i ~j =
     invalid_arg "Mismatch_array.derive: need 0 <= i < j <= m-1";
   let limit = t.k + 2 in
   let ov = m - j in
-  let a1 = t.tables.(i) and a2 = t.tables.(j) in
+  let tables = Lazy.force t.tables in
+  let a1 = tables.(i) and a2 = tables.(j) in
   (* A truncated table is only complete up to its last entry; cap the merge
      at the smaller reliable horizon and finish with direct LCE jumps. *)
   let horizon a len_a =

@@ -10,19 +10,16 @@
     are exactly as long as the number of mismatches found (no 0-padding —
     absence is conveyed by the array ending). *)
 
-type t = {
-  r : string;  (** the pattern *)
-  k : int;
-  tables : int array array;
-      (** [tables.(i)] is [R_i] for [1 <= i <= m-1]; [tables.(0)] is the
-          empty [R_0]. *)
-  lce : Suffix.Lce.t;  (** self-LCE over [r], reused for direct queries *)
-}
+type t
+(** A pattern's self-LCE structure plus its shift tables [R_1 .. R_{m-1}];
+    the tables are computed on first use by {!shift_table} or {!derive},
+    so that first use must not race between domains. *)
 
 val build : string -> k:int -> t
-(** Precompute [R_1 .. R_{m-1}] for pattern [r], each holding at most
-    [k+2] entries.  O(km) total via kangaroo jumps (the paper quotes
-    O(m log m) for its construction; ours is not worse for k = O(log m)).
+(** Prepare pattern [r]'s self-LCE structure; [R_1 .. R_{m-1}], each
+    holding at most [k+2] entries, follow on first use in O(km) total via
+    kangaroo jumps (the paper quotes O(m log m) for its construction; ours
+    is not worse for k = O(log m)).
     Raises [Invalid_argument] if [r] is empty or [k < 0]. *)
 
 val shift_table : t -> int -> int array

@@ -7,19 +7,14 @@ module Fm = Fmindex.Fm_index
 
 let delta_heuristic fm ~pattern =
   let m = String.length pattern in
+  let codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
   let delta = Array.make (m + 2) 0 in
-  (* absent_end.(i) = smallest 1-based j >= i such that r[i..j] does not
-     occur in s, or 0 when r[i..m] occurs entirely. *)
+  (* r[i .. i+l-1] occurs in s and, unless it runs to the end of the
+     pattern, r[i .. i+l] does not: the next disjoint window starts at
+     i+l+1. *)
   for i = m downto 1 do
-    let rec extend j iv =
-      if j > m then 0
-      else
-        match Fm.extend fm (Dna.Alphabet.code pattern.[j - 1]) iv with
-        | None -> j
-        | Some iv' -> extend (j + 1) iv'
-    in
-    let j = extend i (Fm.whole fm) in
-    delta.(i) <- (if j = 0 then 0 else 1 + delta.(j + 1))
+    let l = Fm.longest_extension fm codes ~pos:(i - 1) in
+    delta.(i) <- (if i + l > m then 0 else 1 + delta.(i + l + 1))
   done;
   delta
 

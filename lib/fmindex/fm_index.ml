@@ -275,6 +275,41 @@ let count t pat =
         if !hi > !lo then !hi - !lo else 0
       end
 
+(* [longest_extension] is [extend] run along [codes] from [pos] until the
+   interval empties, unrolled like [count]: no options or tuples per
+   step, and the same per-step telemetry as the [extend] calls it
+   replaces (the step that empties the interval counts, a code outside
+   1..sigma-1 stops the run uncounted). *)
+let longest_extension t codes ~pos =
+  let m = Array.length codes in
+  if pos < 0 || pos > m then invalid_arg "Fm_index.longest_extension: pos out of range";
+  let measured = Telemetry.is_enabled () in
+  let ops = ref 0 and decodes = ref 0 in
+  let lo = ref 0 and hi = ref (Occ.length t.occ) in
+  let pr = Array.make 2 0 in
+  let j = ref pos and live = ref true in
+  while !live && !j < m do
+    let c = Array.unsafe_get codes !j in
+    if c <= 0 || c >= sigma then live := false
+    else begin
+      if measured then begin
+        Stdlib.incr ops;
+        decodes := !decodes + (if !hi = !lo + 1 then 1 else 2)
+      end;
+      Occ.rank_pair_into_unsafe t.occ c !lo !hi pr;
+      let cc = Array.unsafe_get t.c_array c in
+      lo := cc + Array.unsafe_get pr 0;
+      hi := cc + Array.unsafe_get pr 1;
+      if !lo < !hi then Stdlib.incr j else live := false
+    end
+  done;
+  if measured then begin
+    let tc = Telemetry.cell () in
+    tc.Telemetry.rank_ops <- tc.Telemetry.rank_ops + !ops;
+    tc.Telemetry.block_decodes <- tc.Telemetry.block_decodes + !decodes
+  end;
+  !j - pos
+
 let lf t row =
   let c, r = Occ.char_rank t.occ row in
   t.c_array.(c) + r

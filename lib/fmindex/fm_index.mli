@@ -52,6 +52,16 @@ val count : t -> string -> int
 (** Number of occurrences of a pattern in the text.  Same pattern
     normalization as {!search}: invalid patterns count 0. *)
 
+val longest_extension : t -> int array -> pos:int -> int
+(** [longest_extension t codes ~pos] is the largest [l] such that
+    extending {!whole} by [codes.(pos)], [codes.(pos + 1)], ...,
+    [codes.(pos + l - 1)] in turn (each {!extend} prepends its code)
+    keeps the interval nonempty; a code outside [1 .. 4] ends the run.
+    On the index of a reversed text this is the length of the longest
+    prefix of [codes.(pos ..)] occurring in the forward text.  Allocation
+    free per step, with the {!extend} calls' telemetry.  Raises
+    [Invalid_argument] unless [0 <= pos <= Array.length codes]. *)
+
 val locate : t -> interval -> int list
 (** Sorted 0-based starting positions of the suffixes in the interval.
     Rows are resolved through the sampled suffix array by LF-walking. *)

@@ -206,6 +206,25 @@ let prop_pool_map_order =
           Work_pool.map_array pool ~f:(fun x -> x * 2 + 1) arr
           = Array.map (fun x -> (x * 2) + 1) arr))
 
+(* The memoised prepare runs once per batch on every domain count, so a
+   one-domain run times its derived-state build as "prepare", not as
+   "search". *)
+let test_prepare_always_runs () =
+  let idx = Kmismatch.build_index "acgtacgtaaccggttacgt" in
+  let calls = ref 0 in
+  let target =
+    { (Mapper.target_of_index idx) with Mapper.tgt_prepare = (fun _ -> incr calls) }
+  in
+  List.iter
+    (fun domains ->
+      calls := 0;
+      ignore
+        (Mapper.run_target
+           { Mapper.default with domains; chunk_size = 1 }
+           target ~reads:[ (0, "acgt"); (1, "ggtt") ] ~k:1);
+      check int (Printf.sprintf "prepare calls, domains=%d" domains) 1 !calls)
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -227,6 +246,7 @@ let () =
           Alcotest.test_case "other engines" `Quick test_equivalence_other_engines;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
           Alcotest.test_case "pattern > text" `Quick test_pattern_longer_than_text;
+          Alcotest.test_case "prepare runs on one domain" `Quick test_prepare_always_runs;
           prop_seq_equals_par;
         ] );
     ]

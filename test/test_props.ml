@@ -16,37 +16,44 @@ let prop_int_table =
   Test_util.qtest ~count:300 "int_table = hashtbl"
     QCheck2.Gen.(list (pair (int_range 0 500) small_nat))
     (fun ops ->
-      let t = Int_table.create ~dummy:(-1) 8 in
+      let t = Int_table.create 8 in
       let h = Hashtbl.create 8 in
       List.iter
         (fun (key, v) ->
           Int_table.replace t key v;
           Hashtbl.replace h key v)
         ops;
-      Hashtbl.fold (fun key v ok -> ok && Int_table.find t key = Some v) h true
+      Hashtbl.fold (fun key v ok -> ok && Int_table.find t key = v) h true
       && Int_table.length t = Hashtbl.length h
-      && Int_table.find t 99_999 = None)
+      && Int_table.find t 99_999 = -1
+      &&
+      (* A cleared table is empty, and refills like a fresh one. *)
+      (Int_table.clear t;
+       Hashtbl.fold (fun key _ ok -> ok && Int_table.find t key = -1) h true
+       && Int_table.length t = 0
+       && (List.iter (fun (key, v) -> Int_table.replace t key (v + 1)) ops;
+           Hashtbl.fold (fun key v ok -> ok && Int_table.find t key = v + 1) h true
+           && Int_table.length t = Hashtbl.length h)))
 
 let test_int_table_growth () =
-  let t = Int_table.create ~dummy:"" 8 in
+  let t = Int_table.create 8 in
   for i = 0 to 10_000 do
-    Int_table.replace t i (string_of_int i)
+    Int_table.replace t i (3 * i)
   done;
   check int "length" 10_001 (Int_table.length t);
   for i = 0 to 10_000 do
-    check (Alcotest.option Alcotest.string) "value" (Some (string_of_int i))
-      (Int_table.find t i)
+    check int "value" (3 * i) (Int_table.find t i)
   done
 
 let test_int_table_overwrite () =
-  let t = Int_table.create ~dummy:0 8 in
+  let t = Int_table.create 8 in
   Int_table.replace t 7 1;
   Int_table.replace t 7 2;
-  check (Alcotest.option int) "overwritten" (Some 2) (Int_table.find t 7);
+  check int "overwritten" 2 (Int_table.find t 7);
   check int "size stays 1" 1 (Int_table.length t)
 
 let test_int_table_negative () =
-  let t = Int_table.create ~dummy:0 8 in
+  let t = Int_table.create 8 in
   (match Int_table.find t (-1) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative find accepted");
