@@ -90,23 +90,29 @@ module Engine_registry = struct
   }
 
   (* Registration order is presentation order everywhere (CLI help,
-     oracle subjects, benches), so the table is an append-only list. *)
-  let table : entry list ref = ref []
+     oracle subjects, benches), so the table is an append-only list.
+     Each entry is stored with its name's lookup key, computed once. *)
+  let table : (string * entry) list ref = ref []
 
   (* Names are compared with separators stripped and case folded, so
-     "s-tree-nodelta", "s_tree_no_delta" and "STreeNoDelta" coincide. *)
+     "s-tree-nodelta", "s_tree_no_delta" and "STreeNoDelta" coincide.
+     The daemon normalizes every query frame's engine name, hence the
+     plain loop. *)
   let normalize name =
-    String.to_seq (String.lowercase_ascii name)
-    |> Seq.filter (fun c -> c <> '-' && c <> '_')
-    |> String.of_seq
+    let b = Buffer.create (String.length name) in
+    String.iter
+      (fun c -> if c <> '-' && c <> '_' then Buffer.add_char b (Char.lowercase_ascii c))
+      name;
+    Buffer.contents b
 
   (* Nullary extension constructors are singletons, so engine values
      compare by physical equality. *)
-  let find eng = List.find_opt (fun e -> e.engine == eng) !table
+  let find eng =
+    List.find_map (fun (_, e) -> if e.engine == eng then Some e else None) !table
 
   let find_name name =
     let key = normalize name in
-    List.find_opt (fun e -> normalize e.name = key) !table
+    List.find_map (fun (k, e) -> if String.equal k key then Some e else None) !table
 
   let register e =
     if e.name = "" then invalid_arg "Engine_registry.register: empty name";
@@ -124,10 +130,10 @@ module Engine_registry = struct
              "Engine_registry.register: engine already registered as %S"
              clash.name)
     | None -> ());
-    table := !table @ [ e ]
+    table := !table @ [ (normalize e.name, e) ]
 
-  let all () = !table
-  let names () = List.map (fun e -> e.name) !table
+  let all () = List.map snd !table
+  let names () = List.map (fun (_, e) -> e.name) !table
 end
 
 let all_engines () =

@@ -40,7 +40,14 @@ module Json = struct
       | Int n -> Buffer.add_string buf (string_of_int n)
       | Float f ->
           (* JSON has no NaN/Inf; clamp to null like most encoders. *)
-          if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
+          if Float.is_finite f then begin
+            let s = Printf.sprintf "%.17g" f in
+            Buffer.add_string buf s;
+            (* Keep an integral float a float: "3" would parse back as
+               [Int 3]. *)
+            if not (String.exists (fun c -> c = '.' || c = 'e') s) then
+              Buffer.add_string buf ".0"
+          end
           else Buffer.add_string buf "null"
       | String s -> escape_into buf s
       | List l ->

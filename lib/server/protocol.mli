@@ -65,7 +65,9 @@ module Json : sig
   val to_string : t -> string
   (** Compact rendering; strings are escaped so the output never
       contains a control character (in particular, never a raw
-      newline). *)
+      newline).  A finite [Float] always prints with a fraction or an
+      exponent, so [of_string (to_string v) = Ok v] for every value
+      within the depth bound that holds no NaN or infinity. *)
 
   val of_string : ?max_depth:int -> string -> (t, string) result
   (** Parse one JSON value spanning the whole input (leading/trailing

@@ -4,17 +4,22 @@
     The daemon loads one immutable {!Core.Corpus.t} at startup — a
     monolithic index or a sharded manifest, optionally mmap'd — and
     answers {!Protocol} frames from any number of concurrent clients.
-    Each connection is served by a lightweight thread that reads frames,
-    admits them against the configured {!Protocol.limits}, enqueues
-    admitted queries on one shared admission queue and waits for the
-    answer.  [domains] worker domains run beside the domain that does
-    all the socket I/O; each pulls one admitted query at a time straight
-    off the queue, runs it and hands the answer back to the waiting
-    connection thread, so a running search never holds up a read or a
-    reply.  Results come back {!Core.Kmismatch.Response}-shaped;
-    every failure — malformed frame, limit violation, invalid pattern,
-    even an engine bug — is answered as a typed {!Kmm_error} frame on
-    that one connection.  The daemon itself never crashes on input.
+    All socket I/O runs in one event loop, a single [select] over the
+    listener, every connection and a self-pipe, on the domain that
+    called {!start}.  The loop reads whatever bytes a connection has,
+    splits them into frames and admits every complete frame at once
+    against the configured {!Protocol.limits}, so one connection may
+    have many queries in flight.  Admitted queries go onto one shared
+    admission queue.  [domains] worker domains each pull one query at a
+    time straight off the queue, run it, encode its reply and hand the
+    reply back to the loop, which writes each connection's replies in
+    frame order, several at once in one write.  A running search never
+    holds up a read or a reply, and a worker never touches a socket.
+    Results come back {!Core.Kmismatch.Response}-shaped; every failure —
+    malformed frame, limit violation, invalid pattern, even an engine
+    bug — is answered as a typed {!Kmm_error} frame in that frame's
+    place on that one connection.  The daemon itself never crashes on
+    input.
 
     {2 Failure and signal model}
 
@@ -22,11 +27,16 @@
       mid-response surfaces as [EPIPE]/[ECONNRESET] on the write, which
       is accounted as a per-connection drop ([serve.conns_dropped]) and
       closes only that connection.
-    - A client that stops {e reading} cannot wedge its connection
-      thread: every response send carries a whole-response budget
-      ([send_timeout]), enforced with [SO_SNDTIMEO]-paced partial
-      writes; on expiry the connection is dropped and counted as
-      [serve.conns_stalled].
+    - A client that stops {e reading} costs only its own connection.
+      Connections are non-blocking; while a socket refuses writes the
+      loop reads no further frames from it (backpressure), and output
+      that has not fully drained within [send_timeout] of the first
+      refused write drops the connection ([serve.conns_stalled]).  The
+      workers never wait on a socket.
+    - One connection may have at most 64 frames in flight (read but not
+      yet answered on the wire); past that the loop leaves its input
+      unread until replies drain.  No polite client notices; it bounds
+      the reply memory one pipelining client can pin.
     - The admission queue is bounded at [max_queue]: a query arriving
       with the queue full is answered immediately with a typed
       [Overloaded] frame (exit code 10 — retryable with backoff, and
@@ -39,13 +49,24 @@
       checkpoints; expiry answers a typed [Timeout] frame (exit code 9)
       with all partial work discarded.  Queries that expire while still
       queued are answered without running at all.
-    - [SIGINT]/[SIGTERM] (installed by {!serve}) request a clean drain:
-      the listener stops accepting, queued queries are still answered,
-      frames a client already pipelined are answered with typed
-      [Overloaded] refusals ("shutting down"), as are frames that
-      arrive within one read tick (250 ms) of the stop, every connection
-      thread then exits at its next frame boundary, worker domains are
-      joined once the queue is empty, and the socket file is unlinked.
+    - [accept] failing for want of descriptors or kernel memory
+      ([EMFILE], [ENFILE], ...) is counted as [serve.accept_errors]; the
+      loop leaves the listener alone until a connection closes or a
+      50 ms back-off passes, and keeps serving.  The pending client is
+      accepted later.
+    - [select] cannot watch a descriptor at or above [FD_SETSIZE]
+      (1024), so the daemon serves at most about 1020 connections at
+      once, however high [ulimit -n] is.  A connection accepted on such
+      a descriptor gets one typed [Overloaded] frame and is closed
+      ([serve.conns_refused]).
+    - [SIGINT]/[SIGTERM] (installed by {!serve}) request a clean drain.
+      It is one window of 250 ms, anchored at the stop instant: the
+      listener closes, admitted queries are still answered, frames parsed
+      after the stop and within the window (pipelined behind it or late)
+      are answered with typed [Overloaded] refusals ("shutting down"), and once the window has
+      passed each connection closes at a frame boundary as soon as the
+      replies it is owed are written.  Worker domains are joined once
+      the queue is empty, and the socket file is unlinked.
     - An engine exception answers its own query with a typed [Internal]
       frame; the worker domain that ran it keeps serving.
     - A connection that ends mid-frame (truncated frame) is answered
@@ -53,20 +74,26 @@
 
     {2 Observability}
 
-    The server owns always-active {!Obs} sinks: one for the connection
-    threads and one per worker domain, each behind its own mutex and
-    alive as long as the server.  A worker records each query into its
-    own sink; nothing is merged on the query path.  Readers — the
-    [metrics] command and the {!serve} exit taps — merge them all into
-    a fresh snapshot.
+    The server owns always-active {!Obs} sinks: the event loop's own and
+    one per worker domain behind its own mutex, all alive as long as the
+    server.  A worker records each query into its own sink; nothing is
+    merged on the query path.  Readers — the [metrics] command and the
+    {!serve} exit taps — merge them all into a fresh snapshot.  A
+    worker's sink can be read only between its queries, so the
+    [metrics] command copies the loop's sink and leaves the workers'
+    to a short-lived thread; its reply waits for the running queries,
+    but the loop, and every other connection, do not.
     Counters: [serve.connections], [serve.disconnects],
-    [serve.conns_dropped], [serve.conns_stalled], [serve.requests],
+    [serve.conns_dropped], [serve.conns_stalled], [serve.conns_failed],
+    [serve.conns_refused], [serve.accept_errors], [serve.requests],
     [serve.queries], [serve.rejected], [serve.shed], [serve.timeouts],
-    [serve.errors], [serve.truncated], [serve.hits].  Histograms:
-    [serve.request_ns] (admission to response write),
-    [serve.batch_size] (queries per worker pull: always 1), the worker
-    loop's [pool.tasks] counter, [pool.queue_wait_ns] (admission to the
-    pull) and [pool.task_ns] histograms, plus per-query
+    [serve.errors], [serve.truncated], [serve.hits], and the loop's
+    [serve.io_wakeups] (returns from [select]) and [serve.io_busy_ns]
+    (time spent outside [select]).  Histograms: [serve.request_ns]
+    (admission to the reply handed to the write), [serve.batch_size]
+    (queries per worker pull: always 1), the worker loop's
+    [pool.tasks] counter, [pool.queue_wait_ns] (admission to the pull)
+    and [pool.task_ns] histograms, plus per-query
     [query_ns]/[engine.*]/[fm.*] metrics.  The whole sink is exported
     live over the wire by the [metrics] command in Prometheus text
     format. *)
@@ -101,7 +128,7 @@ val max_socket_path : int
     surfacing as a raw [Unix_error] from [bind]. *)
 
 val start : config -> Core.Corpus.t -> t
-(** Bind the socket and spawn the acceptor and the worker domains; returns once
+(** Bind the socket and spawn the event loop and the worker domains; returns once
     the daemon is accepting.  If the socket path is already bound by a
     live daemon, raises [Kmm_error.Error (Io _)]; a stale socket file
     left by a crashed process is replaced; a path longer than
@@ -109,8 +136,10 @@ val start : config -> Core.Corpus.t -> t
     @raise Kmm_error.Error on socket setup failure. *)
 
 val request_stop : t -> unit
-(** Ask the daemon to drain and stop.  Async-signal-safe (sets a flag);
-    actual teardown happens in {!stop} (or the {!serve} loop).  *)
+(** Ask the daemon to drain and stop.  Async-signal-safe (one atomic
+    store, which also records the stop instant the drain window is
+    anchored at); the event loop notices within 100 ms, and actual
+    teardown happens in {!stop} (or the {!serve} loop).  *)
 
 val stopping : t -> bool
 (** Whether a stop has been requested (by {!request_stop}, a signal, or
@@ -118,12 +147,8 @@ val stopping : t -> bool
 
 val stop : t -> unit
 (** Drain and stop: stop accepting, answer everything already queued,
-    join every thread and worker domain, close and unlink the socket.
-    Idempotent; safe after {!request_stop}. *)
-
-val metrics_text : t -> string
-(** A live Prometheus exposition of every server sink, merged into a
-    fresh snapshot (what the [metrics] wire command returns). *)
+    join the event loop and every worker domain, close and unlink the
+    socket.  Idempotent; safe after {!request_stop}. *)
 
 val serve :
   ?trace_out:string -> ?metrics_out:string -> config -> Core.Corpus.t -> unit
@@ -132,82 +157,5 @@ val serve :
     out write a snapshot of every sink as a Chrome trace and/or
     Prometheus file when the paths are given.  Signal dispositions are restored on exit. *)
 
-(** Client-side helpers over the same wire protocol — used by
-    [kmm client], the serve bench and the tests.  Blocking; one
-    request/response at a time per connection (the protocol itself
-    allows pipelining via [id]). *)
-module Client : sig
-  type c
-
-  val connect : ?timeout:float -> string -> c
-  (** Connect to a daemon's socket path.  Raises [Unix.Unix_error] if
-      nothing is listening.  [timeout] (seconds) bounds the connect
-      itself (surfacing as [Unix_error (ETIMEDOUT, "connect", _)]) and
-      becomes the per-reply read budget and per-send budget of the
-      connection; without it every operation blocks indefinitely, as
-      before. *)
-
-  val try_connect : ?timeout:float -> string -> (c, Kmm_error.t) result
-  (** {!connect} with the failure as a value: a refused, missing or
-      timed-out socket comes back as [Error (Io _)] whose message names
-      the path, the OS error and the "is kmm serve running?" hint. *)
-
-  val close : c -> unit
-
-  val send_line : c -> string -> unit
-  (** Send one raw frame (the newline is appended here). *)
-
-  val recv_line : c -> string option
-  (** Next response frame, [None] on EOF.  With a connect [timeout] set,
-      raises {!Read_timed_out} once a reply has taken longer than that
-      budget. *)
-
-  exception Read_timed_out
-
-  val rpc : c -> string -> (Protocol.reply, Kmm_error.t) result
-  (** [send_line] then [recv_line] then {!Protocol.parse_reply}.  Every
-      failure is typed: EOF and lost connections are [Io], an exceeded
-      read budget is [Timeout], a malformed reply is [Internal].  (A
-      server-reported error still parses as [Ok (Error_reply _)] — it
-      is a successful RPC.) *)
-
-  val query :
-    c ->
-    ?id:Protocol.Json.t ->
-    ?engine:Core.Kmismatch.engine ->
-    ?deadline:float ->
-    pattern:string ->
-    k:int ->
-    unit ->
-    (Protocol.reply, Kmm_error.t) result
-  (** [deadline] is the server-side compute budget in relative seconds
-      (the wire [deadline] field) — independent of the client-side read
-      [timeout], though a sensible caller sets the read timeout a bit
-      above the deadline. *)
-
-  val command : c -> string -> (Protocol.reply, Kmm_error.t) result
-  (** [command c "ping"], [command c "metrics"], ... *)
-
-  (** {2 Retry policy} *)
-
-  val retryable : Kmm_error.t -> bool
-  (** What a client may transparently retry: [Overloaded] (the server
-      asked for exactly that) and connection-level [Io] (refused,
-      reset, closed — no request outcome was lost that a retry would
-      double-apply).  Never [Bad_input] (deterministic), never
-      [Timeout] (the budget was the caller's own). *)
-
-  val with_retry :
-    ?attempts:int ->
-    ?base:float ->
-    ?cap:float ->
-    ?seed:int ->
-    (unit -> ('a, Kmm_error.t) result) ->
-    ('a, Kmm_error.t) result
-  (** Run [f] up to [attempts] times (default 3), sleeping a capped
-      jittered exponential backoff between attempts — attempt [i]
-      sleeps [min cap (base * 2^i)] scaled by a uniform factor in
-      [[0.5, 1.0]] — and retrying only {!retryable} errors.  [base]
-      defaults to 0.05 s, [cap] to 2 s.  [seed] pins the jitter for
-      deterministic tests; without it the jitter is self-seeded. *)
-end
+module Client = Client
+(** The blocking client library ({!Client}), under its historical path. *)

@@ -502,6 +502,103 @@ let never_reading_client_dropped () =
                 (expect_hits "served after the stall was dropped"
                    (S.Client.query c ~pattern:"acgtacgt" ~k:1 ())))))
 
+(* --- descriptor exhaustion ----------------------------------------------- *)
+
+(* Duplicate /dev/null until the process runs out of descriptors or
+   [limit] duplicates are open.  Returns the duplicates, newest (highest)
+   first, and whether the process ran out. *)
+let hog_fds ~limit =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let rec go acc n =
+    if n >= limit then (acc, false)
+    else
+      match Unix.dup ~cloexec:true null with
+      | fd -> go (fd :: acc) (n + 1)
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> (acc, true)
+  in
+  let dups, exhausted = go [] 0 in
+  (null :: dups, exhausted)
+
+let close_all = List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+
+let accept_survives_emfile () =
+  (* With every descriptor taken but one, a client connects on that
+     one, so the daemon's accept fails with EMFILE.  The daemon must
+     count it, keep serving, and accept and answer the pending client
+     once descriptors are free again. *)
+  with_server (fun t path ->
+      let fds, exhausted = hog_fds ~limit:200_000 in
+      let held = ref fds in
+      Fun.protect ~finally:(fun () -> close_all !held) @@ fun () ->
+      if not exhausted then begin
+        prerr_endline "chaos: descriptor limit above 200000; skipping the EMFILE case";
+        Alcotest.skip ()
+      end;
+      (* Free the lowest duplicate: the client's socket takes it, and a
+         low descriptor keeps the client's own select usable. *)
+      (match List.rev !held with
+      | _null :: lowest :: _ ->
+          Unix.close lowest;
+          held := List.filter (fun fd -> fd <> lowest) !held
+      | _ -> Alcotest.fail "no duplicate to free");
+      let client = F.Socket.connect path in
+      Fun.protect ~finally:(fun () -> F.Socket.close client) @@ fun () ->
+      Thread.delay 0.2 (* the daemon's accept fails meanwhile *);
+      Alcotest.(check bool) "daemon not stopping" false (S.stopping t);
+      close_all !held;
+      held := [];
+      F.Socket.send_line client (P.query_request ~pattern:"acgtacgt" ~k:1 ());
+      (match Option.map P.parse_reply (F.Socket.recv_line client) with
+      | Some (Ok (P.Hits _)) -> ()
+      | Some _ -> Alcotest.fail "pending client: expected hits"
+      | None -> Alcotest.fail "pending client never answered");
+      let c = S.Client.connect ~timeout:10. path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      Alcotest.(check bool) "accept failure counted" true (server_metric c "serve_accept_errors" >= 1))
+
+let conn_beyond_fd_setsize_refused () =
+  (* Every descriptor below ~1100 is taken, so the daemon accepts the
+     next client above select's FD_SETSIZE (1024).  That is past the
+     event loop's connection cap: the client must get one typed
+     Overloaded frame and a close, never silence, and the daemon keeps
+     serving. *)
+  with_server (fun _t path ->
+      let fds, exhausted = hog_fds ~limit:1100 in
+      let held = ref fds in
+      Fun.protect ~finally:(fun () -> close_all !held) @@ fun () ->
+      if exhausted then begin
+        prerr_endline "chaos: soft descriptor limit below 1100; skipping the FD_SETSIZE case";
+        Alcotest.skip ()
+      end;
+      (* Raw blocking socket: select cannot take this descriptor either. *)
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      let got = Buffer.create 256 and b = Bytes.create 4096 in
+      let rec slurp () =
+        match Unix.read fd b 0 (Bytes.length b) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes got b 0 n;
+            slurp ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "no refusal and close within 10 s"
+      in
+      slurp ();
+      (match String.split_on_char '\n' (Buffer.contents got) with
+      | [ line; "" ] -> (
+          match P.parse_reply line with
+          | Ok (P.Error_reply { code = 10; _ }) -> ()
+          | _ -> Alcotest.fail ("expected one code-10 frame, got " ^ line))
+      | _ -> Alcotest.fail "expected exactly one frame before the close");
+      close_all !held;
+      held := [];
+      let c = S.Client.connect ~timeout:10. path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      ignore (expect_hits "served after the refusal" (S.Client.query c ~pattern:"acgtacgt" ~k:1 ()));
+      Alcotest.(check bool) "refusal counted" true (server_metric c "serve_conns_refused" >= 1))
+
 (* --- client-side resilience ------------------------------------------ *)
 
 let client_connect_refused_typed () =
@@ -645,6 +742,12 @@ let () =
             midframe_disconnect_harmless;
           Alcotest.test_case "never-reading client dropped" `Quick
             never_reading_client_dropped;
+        ] );
+      ( "descriptors",
+        [
+          Alcotest.test_case "accept survives EMFILE" `Quick accept_survives_emfile;
+          Alcotest.test_case "connection past FD_SETSIZE refused" `Quick
+            conn_beyond_fd_setsize_refused;
         ] );
       ( "client resilience",
         [

@@ -50,12 +50,14 @@ let sequential_answers () =
     queries
 
 (* Each daemon test gets its own socket under a temp dir. *)
-let with_server ?(limits = P.default_limits) ?(domains = 2) f =
+let with_server ?(limits = P.default_limits) ?(domains = 2) ?send_timeout f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kmm-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
   in
-  let cfg = { (S.default_config ~socket_path:path) with domains; limits } in
+  let base = S.default_config ~socket_path:path in
+  let send_timeout = Option.value send_timeout ~default:base.send_timeout in
+  let cfg = { base with domains; limits; send_timeout } in
   let t = S.start cfg (Core.Corpus.mono (Lazy.force index)) in
   Fun.protect ~finally:(fun () -> S.stop t) (fun () -> f t path)
 
@@ -194,6 +196,100 @@ let reply_roundtrip () =
   match P.parse_reply "<html>" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage reply must not parse"
+
+(* --- wire codec properties ------------------------------------------- *)
+
+let scalar_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      pure J.Null;
+      map (fun b -> J.Bool b) bool;
+      map (fun i -> J.Int i) int;
+      map (fun f -> J.Float (if Float.is_finite f then f else 0.5)) float;
+      map (fun i -> J.Float (float_of_int i)) small_signed_int;
+      map (fun s -> J.String s) (string_size ~gen:char (int_bound 12));
+    ]
+
+(* Values up to 5 levels of lists and objects, plus single chains that
+   reach [max_depth] (64) exactly. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let key = string_size ~gen:char (int_bound 6) in
+  let rec value depth =
+    if depth = 0 then scalar_gen
+    else
+      frequency
+        [
+          (3, scalar_gen);
+          (1, map (fun l -> J.List l) (list_size (int_bound 4) (value (depth - 1))));
+          (1, map (fun l -> J.Obj l) (list_size (int_bound 4) (pair key (value (depth - 1)))));
+        ]
+  in
+  let rec chain d v = if d = 0 then v else chain (d - 1) (J.List [ v ]) in
+  frequency [ (4, value 5); (1, map2 chain (int_range 0 64) scalar_gen) ]
+
+let prop_json_roundtrip =
+  Test_util.qtest ~count:500 "json: of_string (to_string v) = Ok v" json_gen (fun v ->
+      J.of_string (J.to_string v) = Ok v)
+
+(* Every frame shape the daemon parses, with random fields. *)
+let frame_gen =
+  let open QCheck2.Gen in
+  let* pattern = Test_util.dna_gen ~hi:30 () in
+  let* k = int_range (-1) 5 in
+  let* engine = oneofl (K.all_engines ()) in
+  let* deadline = opt (float_range 0.001 5.) in
+  let* id = scalar_gen in
+  oneofl
+    [
+      P.query_request ~id ~engine ?deadline ~pattern ~k ();
+      P.query_request ~pattern ~k ();
+      P.command_request ~id "ping";
+      P.command_request "metrics";
+      P.command_request ~id "shutdown";
+    ]
+
+(* Overwrite, insert or delete bytes at random positions. *)
+let mutate_frame frame edits =
+  List.fold_left
+    (fun s (op, pos, c) ->
+      let n = String.length s in
+      let i = pos mod (n + 1) in
+      match op with
+      | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | _ when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | _ -> s)
+    frame edits
+
+let tight = { P.max_pattern = 20; max_k = 2; max_hits = 3; max_frame = 96 }
+
+let parses_without_raising frame =
+  List.for_all
+    (fun limits -> match P.parse_request ~limits frame with Ok _ | Error _ -> true)
+    [ P.default_limits; tight ]
+
+let prop_parse_request_bytes =
+  Test_util.qtest ~count:1000 "parse_request never raises on arbitrary bytes"
+    QCheck2.Gen.(string_size ~gen:char (int_bound 200))
+    parses_without_raising
+
+let prop_parse_request_mutated =
+  Test_util.qtest ~count:1000 "parse_request never raises on mutated frames"
+    QCheck2.Gen.(
+      pair frame_gen
+        (list_size (int_range 1 6) (triple (int_bound 2) (int_bound 200) char)))
+    (fun (frame, edits) -> parses_without_raising (mutate_frame frame edits))
+
+let prop_hits_reply_roundtrip =
+  Test_util.qtest ~count:300 "parse_reply (ok_hits_response ~id hits) = id, hits"
+    QCheck2.Gen.(triple scalar_gen bool (list_size (int_bound 40) (pair nat small_nat)))
+    (fun (id, truncated, hits) ->
+      match P.parse_reply (P.ok_hits_response ~id ~truncated hits) with
+      | Ok (P.Hits { id = id'; hits = hits'; truncated = t' }) ->
+          id' = id && hits' = hits && t' = truncated
+      | _ -> false)
 
 (* --- live daemon ---------------------------------------------------- *)
 
@@ -570,6 +666,201 @@ let server_engine_exception_isolated () =
       Alcotest.(check bool) "drained and stopped" true (Atomic.get stopped);
       Thread.join stopper)
 
+(* --- pipelining ----------------------------------------------------------- *)
+
+let sequential_hits ~pattern ~k =
+  P.render_hits (K.run (Lazy.force index) (K.Query.make ~engine:K.M_tree ~pattern ~k ())).K.Response.hits
+
+(* ~35 ms of m-tree work on the fixture: long enough that a 5 ms budget
+   queued behind it on one worker domain expires before it runs. *)
+let slow_pattern = String.concat "" (List.init 10 (fun _ -> "acgt"))
+let slow_k = 16
+
+type expect = Hits_of of string * int | Pong | Code of int
+
+let server_pipelined_frames () =
+  (* One write carries every kind of frame.  The replies must come back
+     in frame order, each with its own id and code, and every hit list
+     must equal a sequential run. *)
+  let limits = { P.default_limits with max_frame = 512 } in
+  with_server ~limits ~domains:1 (fun _t path ->
+      let q = Array.of_list queries in
+      let query id (pattern, k) =
+        (P.query_request ~id:(J.Int id) ~pattern ~k (), Some (J.Int id, Hits_of (pattern, k)))
+      in
+      let ping id = (P.command_request ~id:(J.Int id) "ping", Some (J.Int id, Pong)) in
+      let error line id code = (line, Some (id, Code code)) in
+      let frames =
+        [
+          query 0 q.(0);
+          query 1 q.(1);
+          ("", None) (* an empty line gets no reply *);
+          ping 2;
+          error "][ nope" J.Null 2;
+          error {|{"cmd":"evict","id":4}|} (J.Int 4) 2;
+          query 5 q.(2);
+          error (P.query_request ~id:(J.Int 6) ~pattern:(String.make 600 'a') ~k:0 ()) J.Null 2;
+          query 7 q.(3);
+          query 8 (slow_pattern, slow_k);
+          error (P.query_request ~id:(J.Int 9) ~deadline:0.005 ~pattern:"acgtacgt" ~k:1 ()) (J.Int 9) 9;
+          ping 10;
+        ]
+        @ List.init 9 (fun j -> query (11 + j) q.(4 + j))
+      in
+      let wire = List.map fst frames and expected = List.filter_map snd frames in
+      let c = S.Client.connect ~timeout:30. path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      S.Client.send_line c (String.concat "\n" wire);
+      List.iteri
+        (fun n (id, e) ->
+          let line =
+            match S.Client.recv_line c with
+            | Some l -> l
+            | None -> Alcotest.failf "reply %d missing" n
+          in
+          let where = Printf.sprintf "reply %d (id %s)" n (J.to_string id) in
+          match (P.parse_reply line, e) with
+          | Ok (P.Hits { id = id'; hits; truncated = false }), Hits_of (pattern, k) ->
+              Alcotest.(check string) (where ^ " id") (J.to_string id) (J.to_string id');
+              Alcotest.(check string) (where ^ " hits = sequential") (sequential_hits ~pattern ~k)
+                (P.render_hits hits)
+          | Ok (P.Ok_obj { id = id'; fields }), Pong ->
+              Alcotest.(check string) (where ^ " id") (J.to_string id) (J.to_string id');
+              Alcotest.(check bool) (where ^ " pong") true (List.mem_assoc "pong" fields)
+          | Ok (P.Error_reply { id = id'; code; _ }), Code want ->
+              Alcotest.(check string) (where ^ " id") (J.to_string id) (J.to_string id');
+              Alcotest.(check int) (where ^ " code") want code
+          | _ -> Alcotest.failf "%s: unexpected reply %s" where line)
+        expected)
+
+let server_pipelined_stall_dropped () =
+  (* A connection pipelines wide queries (every position matches, ~120
+     KB per reply) and never reads.  Its output cannot drain, so it is
+     dropped as stalled within the send budget, while a second client
+     is served throughout. *)
+  with_server ~send_timeout:0.5 (fun t path ->
+      let stalled = Core.Fault.Socket.connect path in
+      Fun.protect ~finally:(fun () -> Core.Fault.Socket.close stalled) @@ fun () ->
+      Core.Fault.Socket.send stalled
+        (String.concat ""
+           (List.init 16 (fun i -> P.query_request ~id:(J.Int i) ~pattern:"acgt" ~k:3 () ^ "\n")));
+      let c = S.Client.connect ~timeout:30. path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      let pattern, k = List.nth queries 5 in
+      let expected = sequential_hits ~pattern ~k in
+      let serve_one () =
+        match S.Client.query c ~pattern ~k () with
+        | Ok (P.Hits { hits; _ }) ->
+            Alcotest.(check string) "served while another connection stalls" expected
+              (P.render_hits hits)
+        | _ -> Alcotest.fail "polite client not served"
+      in
+      let t0 = Unix.gettimeofday () in
+      let stalled_count () = Option.value ~default:0 (prom_value (live_metrics c) "serve_conns_stalled") in
+      while stalled_count () = 0 && Unix.gettimeofday () -. t0 < 5. do
+        serve_one ();
+        Thread.delay 0.02
+      done;
+      Alcotest.(check int) "stalled connection dropped" 1 (stalled_count ());
+      Alcotest.(check bool) "daemon not stopping" false (S.stopping t);
+      serve_one ())
+
+let server_query_then_shutdown () =
+  (* A query pipelined before [shutdown] in one write was sent before the
+     stop, so it is answered; only frames after the stop are refused. *)
+  with_server (fun t path ->
+      let pattern, k = List.nth queries 7 in
+      let c = S.Client.connect ~timeout:30. path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      S.Client.send_line c
+        (String.concat "\n"
+           [
+             P.query_request ~id:(J.Int 1) ~pattern ~k ();
+             P.command_request ~id:(J.Int 2) "shutdown";
+             P.query_request ~id:(J.Int 3) ~pattern ~k ();
+           ]);
+      let next () = Option.map P.parse_reply (S.Client.recv_line c) in
+      (match next () with
+      | Some (Ok (P.Hits { id = J.Int 1; hits; _ })) ->
+          Alcotest.(check string) "query before the stop answered" (sequential_hits ~pattern ~k)
+            (P.render_hits hits)
+      | _ -> Alcotest.fail "query before shutdown not answered with hits");
+      (match next () with
+      | Some (Ok (P.Ok_obj { id = J.Int 2; fields })) ->
+          Alcotest.(check bool) "stopping" true (List.assoc_opt "stopping" fields = Some (J.Bool true))
+      | _ -> Alcotest.fail "shutdown not acknowledged");
+      (match next () with
+      | Some (Ok (P.Error_reply { id = J.Int 3; code; _ })) ->
+          Alcotest.(check int) "query after the stop refused" 10 code
+      | _ -> Alcotest.fail "query after shutdown not refused");
+      Alcotest.(check bool) "daemon stopping" true (S.stopping t))
+
+(* An engine that blocks until the test opens its gate (or 10 s pass),
+   registered in this test process only. *)
+type K.engine += Gated
+
+let gate_entered = Atomic.make false
+let gate_open = Atomic.make false
+
+let () =
+  K.Engine_registry.register
+    {
+      K.Engine_registry.engine = Gated;
+      name = "gated-test";
+      doc = "test double: blocks until the test opens its gate";
+      caps = { online = false; needs_tree = false; scales = false };
+      prepare = ignore;
+      run =
+        (fun _ _ ->
+          Atomic.set gate_entered true;
+          let t0 = Unix.gettimeofday () in
+          while (not (Atomic.get gate_open)) && Unix.gettimeofday () -. t0 < 10. do
+            Thread.delay 0.002
+          done;
+          []);
+    }
+
+let server_metrics_beside_busy_worker () =
+  (* With the only worker domain inside a query, a [metrics] request on
+     one connection must not hold up a [ping] on another: the ping is
+     answered while the query is still running, and the metrics reply
+     follows once it finishes. *)
+  Atomic.set gate_entered false;
+  Atomic.set gate_open false;
+  with_server ~domains:1 (fun _t path ->
+      let busy = S.Client.connect ~timeout:30. path in
+      let scraper = S.Client.connect ~timeout:30. path in
+      let pinger = S.Client.connect ~timeout:5. path in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set gate_open true;
+          List.iter S.Client.close [ busy; scraper; pinger ])
+      @@ fun () ->
+      S.Client.send_line busy (P.query_request ~id:(J.Int 1) ~engine:Gated ~pattern:"acgt" ~k:0 ());
+      let t0 = Unix.gettimeofday () in
+      while (not (Atomic.get gate_entered)) && Unix.gettimeofday () -. t0 < 5. do
+        Thread.delay 0.002
+      done;
+      Alcotest.(check bool) "gated query running" true (Atomic.get gate_entered);
+      S.Client.send_line scraper (P.command_request ~id:(J.Int 2) "metrics");
+      Thread.delay 0.05;
+      (match S.Client.command pinger "ping" with
+      | Ok (P.Ok_obj { fields; _ }) when List.mem_assoc "pong" fields -> ()
+      | _ -> Alcotest.fail "ping not answered");
+      Alcotest.(check bool) "ping answered while the query runs" false (Atomic.get gate_open);
+      Atomic.set gate_open true;
+      (match Option.map P.parse_reply (S.Client.recv_line busy) with
+      | Some (Ok (P.Hits { id = J.Int 1; hits = []; _ })) -> ()
+      | _ -> Alcotest.fail "gated query not answered");
+      match Option.map P.parse_reply (S.Client.recv_line scraper) with
+      | Some (Ok (P.Ok_obj { id = J.Int 2; fields })) -> (
+          match List.assoc_opt "metrics" fields with
+          | Some (J.String text) ->
+              Alcotest.(check bool) "metrics count the running query" true
+                (prom_value text "serve_queries" = Some 1)
+          | _ -> Alcotest.fail "metrics reply has no text")
+      | _ -> Alcotest.fail "metrics not answered")
+
 (* The CI serve-bench smoke: a headless end-to-end load run on a tiny
    index with 2 connections, raising on any divergence from sequential. *)
 let bench_smoke () = Serve_bench.smoke ()
@@ -583,6 +874,10 @@ let () =
           Alcotest.test_case "json rejects" `Quick json_rejects;
           Alcotest.test_case "request frames" `Quick parse_request_frames;
           Alcotest.test_case "reply roundtrip" `Quick reply_roundtrip;
+          prop_json_roundtrip;
+          prop_parse_request_bytes;
+          prop_parse_request_mutated;
+          prop_hits_reply_roundtrip;
         ] );
       ( "daemon",
         [
@@ -601,6 +896,15 @@ let () =
             server_metrics_add_up;
           Alcotest.test_case "engine exception costs one answer" `Quick
             server_engine_exception_isolated;
+        ] );
+      ( "pipelining",
+        [
+          Alcotest.test_case "frames answered in order" `Quick server_pipelined_frames;
+          Alcotest.test_case "never-reading pipeliner dropped" `Quick
+            server_pipelined_stall_dropped;
+          Alcotest.test_case "query before shutdown answered" `Quick server_query_then_shutdown;
+          Alcotest.test_case "metrics beside a busy worker" `Quick
+            server_metrics_beside_busy_worker;
         ] );
       ("bench", [ Alcotest.test_case "serve bench smoke" `Quick bench_smoke ]);
     ]
