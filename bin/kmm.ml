@@ -40,18 +40,19 @@ let read_genome_all path =
       String.concat ""
         (List.map (fun r -> Dna.Sequence.to_string r.Dna.Fasta.seq) records)
 
-(* Either a FASTA genome (indexed on the fly) or a prebuilt .fmi index /
-   .fmi manifest; [--mmap] adopts prebuilt index files in place. *)
-let obtain_corpus ~mmap ~genome ~index_file =
+(* Run [f] on either a FASTA genome (indexed on the fly) or a prebuilt
+   .fmi index / .fmi manifest; [--mmap] adopts prebuilt index files in
+   place.  Naming neither is a usage error. *)
+let with_corpus ~mmap ~genome ~index_file f =
   let mode = if mmap then Some Fmindex.Fm_index.Mmap else None in
   match (genome, index_file) with
   | _, Some path -> (
       match Core.Corpus.try_load ?mode path with
-      | Ok c -> c
+      | Ok c -> f c
       | Error e -> fail_typed ~path e)
   | Some path, None ->
-      Core.Corpus.mono (Core.Kmismatch.of_sequence (read_genome path))
-  | None, None -> failwith "one of --genome or --index is required"
+      f (Core.Corpus.mono (Core.Kmismatch.of_sequence (read_genome path)))
+  | None, None -> `Error (true, "one of --genome or --index is required")
 
 (* --- observability plumbing ----------------------------------------- *)
 
@@ -94,6 +95,20 @@ let with_obs ~trace ~metrics_out f =
 
 let pp_timings ppf timings =
   List.iter (fun (name, s) -> Format.fprintf ppf " %s=%.4fs" name s) timings
+
+(* An integer option confined to [lo .. hi]: anything else is a usage
+   error (exit 124) that names the range. *)
+let int_in ?(hi = max_int) lo =
+  let range =
+    if hi = max_int then Printf.sprintf ">= %d" lo
+    else Printf.sprintf "in %d..%d" lo hi
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when lo <= n && n <= hi -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer %s" s range))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
 let genome_arg =
   Cmdliner.Arg.(
@@ -221,7 +236,7 @@ let engine_arg =
 
 let search_cmd =
   let run genome index_file mmap pattern k engine verbose trace metrics_out =
-    let corpus = obtain_corpus ~mmap ~genome ~index_file in
+    with_corpus ~mmap ~genome ~index_file @@ fun corpus ->
     with_obs ~trace ~metrics_out (fun obs ->
         let r =
           (* The typed channel: an empty/non-ACGT pattern, k < 0, or a
@@ -262,8 +277,7 @@ let search_cmd =
 let map_cmd =
   let run genome index_file mmap reads k engine both_strands best jobs trace
       metrics_out =
-    if jobs < 1 then failwith "--jobs must be >= 1";
-    let corpus = obtain_corpus ~mmap ~genome ~index_file in
+    with_corpus ~mmap ~genome ~index_file @@ fun corpus ->
     let records =
       match Dna.Fasta.try_read_file reads with
       | Ok rs -> rs
@@ -310,7 +324,8 @@ let map_cmd =
   let jobs =
     Arg.(
       value
-      & opt int (Core.Work_pool.default_domains ())
+      & opt (int_in ~hi:Core.Work_pool.max_domains 1)
+          (Core.Work_pool.default_domains ())
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains to map with (default: the number of cores). Output \
@@ -327,11 +342,6 @@ let map_cmd =
 
 let index_cmd =
   let run genome out shard_size overlap jobs =
-    if jobs < 1 then failwith "--jobs must be >= 1";
-    (match shard_size with
-    | Some s when s < 1 -> failwith "--shard-size must be >= 1"
-    | _ -> ());
-    if overlap < 0 then failwith "--shard-overlap must be >= 0";
     let corpus =
       match shard_size with
       | None ->
@@ -367,7 +377,7 @@ let index_cmd =
   let shard_size =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_in 1)) None
       & info [ "shard-size" ] ~docv:"N"
           ~doc:
             "Split the corpus into shards of $(docv) bp, indexed in parallel \
@@ -378,7 +388,7 @@ let index_cmd =
   let overlap =
     Arg.(
       value
-      & opt int Core.Corpus.default_overlap
+      & opt (int_in 0) Core.Corpus.default_overlap
       & info [ "shard-overlap" ] ~docv:"N"
           ~doc:
             "Bases each shard stores beyond its own range so boundary-straddling \
@@ -387,7 +397,8 @@ let index_cmd =
   let jobs =
     Arg.(
       value
-      & opt int (Core.Work_pool.default_domains ())
+      & opt (int_in ~hi:Core.Work_pool.max_domains 1)
+          (Core.Work_pool.default_domains ())
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker domains building shards (default: the number of cores).")
   in
@@ -603,27 +614,29 @@ let fuzz_cmd =
    bench/main.exe harness, and the "available:" text is derived from it,
    so the two entry points cannot drift apart again. *)
 let bench_cmd =
-  let run which out size seed connections queries jobs smoke trace metrics_out =
+  let run which out size seed smoke trace metrics_out =
     match Bench_registry.find which with
     | None ->
         `Error
           ( false,
             Printf.sprintf "unknown benchmark %S (available: %s)" which
               (Bench_registry.available ()) )
-    | Some entry ->
-        with_obs ~trace ~metrics_out (fun obs ->
-            entry.Bench_registry.run
-              {
-                Bench_registry.obs;
-                out;
-                size;
-                seed;
-                connections;
-                queries;
-                jobs;
-                smoke;
-              });
-        `Ok ()
+    | Some entry -> (
+        let f =
+          if smoke then entry.Bench_registry.smoke
+          else Some entry.Bench_registry.run
+        in
+        match f with
+        | None ->
+            `Error
+              ( false,
+                Printf.sprintf "%s has no --smoke mode (available for: %s)"
+                  which
+                  (String.concat ", " (Bench_registry.smoke_names ())) )
+        | Some f ->
+            with_obs ~trace ~metrics_out (fun obs ->
+                f { Bench_registry.obs; out; size; seed });
+            `Ok ())
   in
   let which =
     Arg.(
@@ -650,33 +663,15 @@ let bench_cmd =
           ~doc:"Text length in bp (default: the benchmark's own).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
-  let connections =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "connections" ] ~docv:"N,N,..."
-          ~doc:"serve: concurrent connection counts to sweep.")
-  in
-  let queries =
-    Arg.(
-      value
-      & opt int 2_000
-      & info [ "queries" ] ~docv:"N" ~doc:"serve: queries per sweep point.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"serve: worker domains of the daemon (0 = all cores).")
-  in
   let smoke =
     Arg.(
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "Headless parity mode: replay the benchmark's cross-checks only, \
-             with no timing and no JSON record (honored by verify; other \
-             benchmarks ignore it).")
+            (Printf.sprintf
+               "Headless parity mode: replay the benchmark's cross-checks \
+                only, with no timing and no JSON record (available for: %s)."
+               (String.concat ", " (Bench_registry.smoke_names ()))))
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Micro-benchmarks with machine-readable logs"
@@ -695,16 +690,15 @@ let bench_cmd =
              Bench_registry.all))
     Term.(
       ret
-        (const run $ which $ out $ size $ seed $ connections $ queries $ jobs
-       $ smoke $ trace_arg $ metrics_arg))
+        (const run $ which $ out $ size $ seed $ smoke $ trace_arg
+       $ metrics_arg))
 
 (* --- serve ----------------------------------------------------------- *)
 
 let serve_cmd =
   let run genome index_file mmap socket jobs max_queue send_timeout
       max_pattern max_k max_hits max_frame quiet trace metrics_out =
-    if jobs < 1 then failwith "--jobs must be >= 1";
-    let corpus = obtain_corpus ~mmap ~genome ~index_file in
+    with_corpus ~mmap ~genome ~index_file @@ fun corpus ->
     let limits =
       { Kmm_server.Protocol.max_pattern; max_k; max_hits; max_frame }
     in
@@ -733,9 +727,11 @@ let serve_cmd =
       & info [ "s"; "socket" ] ~docv:"PATH" ~doc:"Unix socket path to listen on.")
   in
   let jobs =
+    (* The event loop's domain counts against the runtime's limit. *)
+    let hi = Core.Work_pool.max_domains - 1 in
     Arg.(
       value
-      & opt int (Core.Work_pool.default_domains ())
+      & opt (int_in ~hi 1) (min hi (Core.Work_pool.default_domains ()))
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Query domains, started beside the domain that runs the socket \

@@ -56,9 +56,9 @@ let try_run t (q : Kmismatch.Query.t) =
       if Array.length shards > 1 && m <= total && m > limit then
         Error (Kmm_error.Bad_input (limit_msg ~limit m))
       else begin
-        (* Sequential fan-out: per-query shard work must never re-enter a
-           Work_pool (the mapper already fans reads out across domains,
-           and pool tasks may not submit jobs).  Shard order = ascending
+        (* Sequential fan-out: the mapper already fans reads out across
+           domains, and a per-query fan-out would spawn domains for
+           every query of every read.  Shard order = ascending
            global offset, and each shard reports ascending local
            positions over a disjoint owned range, so plain concatenation
            is globally sorted. *)

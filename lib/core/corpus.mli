@@ -2,9 +2,9 @@
     a set of overlapping per-shard indexes tied together by a manifest.
 
     {b Why shards.}  A monolithic FM-index must be built (and rebuilt) in
-    one piece; shards of a bounded size are built {e in parallel} on a
-    {!Work_pool}, saved as independent files, and loaded — by copy or by
-    mmap — one by one.  Queries fan out across the shards and merge into
+    one piece; shards of a bounded size are built {e in parallel} by one
+    {!Work_pool.run}, saved as independent files, and loaded — by copy
+    or by mmap — one by one.  Queries fan out across the shards and merge into
     the same global coordinates a monolithic index would report.
 
     {b Coverage.}  Shard [i] {e owns} the global range
@@ -74,8 +74,8 @@ val max_query : t -> int
 val try_run : t -> Kmismatch.Query.t -> (Kmismatch.Response.t, Kmm_error.t) result
 (** Answer one query.  Monolithic corpora delegate to
     {!Kmismatch.try_run} unchanged.  Sharded corpora fan the query out
-    over the shards {e sequentially} (a per-query fan-out must never
-    re-enter the {!Work_pool} the mapper may already be running on),
+    over the shards {e sequentially} (the mapper already fans reads out
+    across domains; a per-query fan-out would spawn domains per query),
     keep each hit only in the shard owning its start, and shift it to
     global coordinates; shard-order concatenation is globally sorted by
     position, byte-identical to a monolithic index of the same text.

@@ -48,7 +48,8 @@ type options = {
   engine : Kmismatch.engine;  (** search engine; [M_tree] in {!default} *)
   both_strands : bool;
       (** also search the reverse complement (default true) *)
-  domains : int;  (** {!Work_pool} size; 1 = sequential (default) *)
+  domains : int;
+      (** domains the batch fans out over; 1 = sequential (default) *)
   chunk_size : int;  (** reads per pool task *)
   obs : Obs.t;
       (** observability sink; {!Obs.noop} (the default) disables all
@@ -57,7 +58,7 @@ type options = {
       (** compute budget for the whole batch ({!Deadline.none}, the
           default, runs to completion).  Once it expires the batch
           drains fast instead of aborting: reads not yet started are
-          skipped with a typed [Timeout] (whole pending pool chunks are
+          skipped with a typed [Timeout] (whole pending chunks are
           skipped via [Work_pool.run ?cancel]), reads in flight are cut
           at the engines' next cooperative poll and skipped likewise,
           and everything finished before expiry keeps its hits — the
@@ -125,9 +126,9 @@ val run :
     complement is searched too and hits are reported on the forward
     coordinate system.  Hits are sorted by read id, then position.
 
-    [domains] shards the batch across a {!Work_pool} of that many OCaml
-    domains in [chunk_size]-read chunks.  The FM-index is immutable, so
-    workers share it without copying.  {b Determinism guarantee:} hits
+    [domains] fans the batch out over that many OCaml domains
+    ({!Work_pool.run}) in [chunk_size]-read chunks.  The FM-index is
+    immutable, so workers share it without copying.  {b Determinism guarantee:} hits
     and {!deterministic_summary} are byte-identical for every
     [domains]/[chunk_size] combination — each read's hits land in a slot
     indexed by read position and the merge never depends on scheduling;
@@ -135,7 +136,7 @@ val run :
 
     {b Observability:} when [obs] is active, every worker records into
     its own {!Obs.fork} of the sink, merged back in worker-index order
-    after the pool joins.  Per read: a [map.read_ns] latency histogram
+    after the fan-out joins.  Per read: a [map.read_ns] latency histogram
     entry, a [map.read_hits] histogram entry (hit multiplicity — a
     function of the input alone, so it merges bit-for-bit across any
     domain count, as do the [map.reads]/[map.reads_skipped]/

@@ -1,17 +1,15 @@
-(* A small domain pool: Mutex/Condition chunk queue over Domain.spawn.
+(* One-shot fan-out over Domain.spawn.
 
-   One job at a time.  A job is [total] integer tasks; [next] is the
-   queue head.  Workers (and the submitting domain, as worker 0) pull
-   task ids under [lock], execute them unlocked, and bump [finished]
-   when done.  Results are written by the task bodies into caller-owned
-   per-task slots, so merging is deterministic by construction.
+   [run] spawns its helper domains, every worker (the caller is worker
+   0) pulls task ids from one Atomic counter until none are left, and
+   [run] joins every helper before it returns or raises.  Task bodies
+   write their results into caller-owned per-task slots, so merging is
+   deterministic by construction.
 
-   On an exception the remaining tasks still run (keeping the
-   [finished = total] completion invariant trivially true even with
-   tasks in flight on other domains); the first failure observed is
-   re-raised at the submitter as [Task_failed] — carrying the id of the
-   task that blew up — once the job has fully drained, so a raising task
-   can never deadlock the pool or orphan a domain. *)
+   A raising task does not stop its worker: each worker keeps its own
+   lowest failing task, and the lowest over all workers is re-raised as
+   [Task_failed] after the join.  Each worker pulls increasing ids, so
+   that is the lowest failing task of the whole job. *)
 
 exception Task_failed of { task : int; exn : exn }
 exception Cancelled
@@ -25,158 +23,71 @@ let () =
     | Cancelled -> Some "Work_pool.Cancelled"
     | _ -> None)
 
-type job = {
-  body : worker:int -> task:int -> unit;
-  total : int;
-  mutable next : int;  (* next task id to hand out *)
-  mutable finished : int;  (* task ids fully executed *)
-  mutable error : (int * exn) option;  (* first failing task id + exception *)
-  cancel : (unit -> bool) option;  (* polled before each task body *)
-  mutable cancelled : bool;  (* a body was skipped because [cancel] fired *)
-  obs : Obs.t array;  (* per-worker sinks; [||] = observability off *)
-  submitted_ns : int;  (* monotonic submission instant, for queue-wait *)
-}
+type t = int
 
-(* The sink worker [w] records into; never shared across domains. *)
-let obs_of j ~worker =
-  if worker < Array.length j.obs then j.obs.(worker) else Obs.noop
+let max_domains = 128
 
-(* Instrumented task execution: queue-wait histogram (time from job
-   submission to the pull), a task counter, and a per-task duration
-   histogram.  With observability off this is exactly [body]. *)
-let exec_task j ~worker ~task =
-  let o = obs_of j ~worker in
-  if Obs.enabled o then begin
-    Obs.record o "pool.queue_wait_ns" (Obs.Clock.now_ns () - j.submitted_ns);
-    Obs.incr o "pool.tasks";
-    Obs.time o "pool.task" (fun () -> j.body ~worker ~task)
-  end
-  else j.body ~worker ~task
+let default_domains () =
+  max 1 (min max_domains (Domain.recommended_domain_count ()))
 
-type t = {
-  lock : Mutex.t;
-  work_ready : Condition.t;  (* a job was installed, or shutdown begun *)
-  work_done : Condition.t;  (* a job drained *)
-  mutable job : job option;
-  mutable stop : bool;
-  mutable workers : unit Domain.t array;  (* length [n - 1] *)
-  n : int;
-}
+let domains t = t
 
-let default_domains () = max 1 (Domain.recommended_domain_count ())
-let domains t = t.n
-
-(* Pull and execute tasks until none are left to hand out.  Called with
-   [t.lock] held; returns with it held. *)
-let drain_tasks t j ~worker =
-  while j.next < j.total do
-    let task = j.next in
-    j.next <- j.next + 1;
-    Mutex.unlock t.lock;
-    (* The cancel poll happens unlocked: it may read a clock or an
-       Atomic, and must never raise. *)
-    let skip = match j.cancel with Some c -> c () | None -> false in
-    let error =
-      if skip then None
-      else
-        match exec_task j ~worker ~task with
-        | () -> None
-        | exception e -> Some (task, e)
-    in
-    Mutex.lock t.lock;
-    if skip then j.cancelled <- true;
-    (match error with
-    | None -> ()
-    | Some _ when j.error <> None -> ()
-    | Some _ -> j.error <- error);
-    j.finished <- j.finished + 1;
-    if j.finished = j.total then Condition.broadcast t.work_done
-  done
-
-let worker_loop t ~worker =
-  Mutex.lock t.lock;
-  let rec loop () =
-    if t.stop then Mutex.unlock t.lock
-    else
-      match t.job with
-      | Some j when j.next < j.total ->
-          drain_tasks t j ~worker;
-          loop ()
-      | _ ->
-          Condition.wait t.work_ready t.lock;
-          loop ()
-  in
-  loop ()
-
-let create ?domains () =
+let with_pool ?domains f =
   let n = match domains with None -> default_domains () | Some d -> d in
-  if n < 1 then invalid_arg "Work_pool.create: domains must be >= 1";
-  let t =
-    {
-      lock = Mutex.create ();
-      work_ready = Condition.create ();
-      work_done = Condition.create ();
-      job = None;
-      stop = false;
-      workers = [||];
-      n;
-    }
-  in
-  t.workers <-
-    Array.init (n - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t ~worker:(i + 1)));
-  t
+  if n < 1 || n > max_domains then
+    invalid_arg
+      (Printf.sprintf "Work_pool.with_pool: domains must be in 1..%d"
+         max_domains);
+  f n
 
 let run ?cancel ?(obs = [||]) t ~tasks body =
   if tasks < 0 then invalid_arg "Work_pool.run: negative task count";
-  if t.stop then invalid_arg "Work_pool.run: pool is shut down";
-  let submitted_ns =
+  let started_ns =
     if Array.exists Obs.enabled obs then Obs.Clock.now_ns () else 0
   in
-  if tasks = 0 then ()
-  else if t.n = 1 then begin
-    (* Sequential special case: inline, in order, no locking — but with
-       the same failure semantics as the parallel path: a raising task
-       does not stop the remaining tasks, the first failure surfaces
-       as [Task_failed] with its task id once the job has drained, and
-       [cancel] is polled before every task body. *)
-    let j = { body; total = tasks; next = 0; finished = 0; error = None;
-              cancel; cancelled = false; obs; submitted_ns } in
-    let error = ref None in
-    for task = 0 to tasks - 1 do
-      let skip = match cancel with Some c -> c () | None -> false in
-      if skip then j.cancelled <- true
+  let next = Atomic.make 0 in
+  let skipped = Atomic.make false in
+  (* Pull tasks until none are left; return this worker's lowest failing
+     task.  The cancel poll sits inside the handler too, so a worker
+     always drains. *)
+  let work worker =
+    let o = if worker < Array.length obs then obs.(worker) else Obs.noop in
+    let rec loop failed =
+      let task = Atomic.fetch_and_add next 1 in
+      if task >= tasks then failed
       else
-        match exec_task j ~worker:0 ~task with
-        | () -> ()
-        | exception e -> if !error = None then error := Some (task, e)
-    done;
-    match !error with
-    | Some (task, exn) -> raise (Task_failed { task; exn })
-    | None -> if j.cancelled then raise Cancelled
-  end
-  else begin
-    Mutex.lock t.lock;
-    if t.job <> None then begin
-      Mutex.unlock t.lock;
-      invalid_arg "Work_pool.run: a job is already running (re-entrant run?)"
-    end;
-    let j = { body; total = tasks; next = 0; finished = 0; error = None;
-              cancel; cancelled = false; obs; submitted_ns } in
-    t.job <- Some j;
-    Condition.broadcast t.work_ready;
-    (* The submitting domain participates as worker 0. *)
-    drain_tasks t j ~worker:0;
-    while j.finished < j.total do
-      Condition.wait t.work_done t.lock
-    done;
-    t.job <- None;
-    let cancelled = j.cancelled in
-    Mutex.unlock t.lock;
-    match j.error with
-    | Some (task, exn) -> raise (Task_failed { task; exn })
-    | None -> if cancelled then raise Cancelled
-  end
+        match
+          if match cancel with Some c -> c () | None -> false then
+            Atomic.set skipped true
+          else if Obs.enabled o then begin
+            Obs.record o "pool.queue_wait_ns"
+              (Obs.Clock.now_ns () - started_ns);
+            Obs.incr o "pool.tasks";
+            Obs.time o "pool.task" (fun () -> body ~worker ~task)
+          end
+          else body ~worker ~task
+        with
+        | () -> loop failed
+        | exception exn ->
+            loop (if Option.is_none failed then Some (task, exn) else failed)
+    in
+    loop None
+  in
+  (* If the runtime refuses a domain, the workers already started take
+     the remaining tasks. *)
+  let rec spawn w acc =
+    if w >= min t tasks then acc
+    else
+      match Domain.spawn (fun () -> work w) with
+      | d -> spawn (w + 1) (d :: acc)
+      | exception Failure _ -> acc
+  in
+  let helpers = spawn 1 [] in
+  let first = work 0 in
+  let failures = List.filter_map Fun.id (first :: List.map Domain.join helpers) in
+  match List.sort (fun (a, _) (b, _) -> compare a b) failures with
+  | (task, exn) :: _ -> raise (Task_failed { task; exn })
+  | [] -> if Atomic.get skipped then raise Cancelled
 
 let map_array t ~f a =
   let n = Array.length a in
@@ -187,20 +98,6 @@ let map_array t ~f a =
         results.(task) <- Some (f a.(task)));
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let shutdown t =
-  if not t.stop then begin
-    Mutex.lock t.lock;
-    t.stop <- true;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.lock;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
-  end
-
-let with_pool ?domains f =
-  let t = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let chunks ~total ~chunk_size =
   if total < 0 then invalid_arg "Work_pool.chunks: negative total";

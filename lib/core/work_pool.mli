@@ -1,45 +1,47 @@
-(** A small fixed-size pool of OCaml 5 domains with a mutex/condition
-    chunk queue and deterministic result merging.
+(** One-shot fan-out of integer tasks over OCaml 5 domains, with
+    deterministic result merging.
 
-    The pool is the scaling primitive the batch layers ([Mapper], the
-    bench harness) build on: a job is a fixed number of integer tasks
-    (typically chunk indices); workers pull the next task id under a
-    mutex, run it without the lock, and results land in caller-owned
-    slots indexed by task id — so the merged output never depends on
-    scheduling order.
+    The fan-out is the scaling primitive of the batch layers ([Mapper],
+    the sharded [Corpus] build): a job is a fixed number of integer
+    tasks (typically chunk indices).  {!run} spawns its helper domains,
+    every worker pulls the next task id from one atomic counter, and
+    {!run} joins them all before it returns or raises.  Results land in
+    caller-owned slots indexed by task id, so the merged output never
+    depends on scheduling order.
 
-    A pool of [domains = 1] spawns nothing and runs every task inline on
-    the calling domain, in task order, without touching the lock: the
-    sequential path is literally the [domains = 1] special case, not a
-    different code path.
-
-    Tasks must not themselves submit jobs to the same pool. *)
+    With [domains = 1] nothing is spawned and every task runs inline on
+    the calling domain, in task order: the sequential path is the
+    [domains = 1] special case, not a different code path. *)
 
 type t
+(** A validated domain count. *)
 
 exception Task_failed of { task : int; exn : exn }
-(** How a task failure reaches the submitter: the id of the first task
-    observed to raise, together with the exception it raised.  By the
-    time this is raised every task of the job has been executed (or
-    observed to fail) and no domain is left blocked on the job — a
-    raising task can neither deadlock the pool nor orphan a worker. *)
+(** How a task failure reaches the caller: the lowest failing task id,
+    together with the exception it raised.  By the time this is raised
+    every task of the job has been executed (or skipped by [cancel])
+    and every helper domain has been joined. *)
 
 exception Cancelled
 (** The job was cut short: {!run}'s [cancel] callback returned [true]
     before at least one task body ran, so that body (and possibly
-    later ones) was skipped.  Raised at the submitter once the job has
-    drained — same discipline as {!Task_failed} — and only when no task
-    failed ({!Task_failed} wins).  Result slots of skipped tasks are
-    untouched; the caller decides what partial results mean. *)
+    later ones) was skipped.  Raised after the join, like
+    {!Task_failed}, and only when no task failed ({!Task_failed} wins).
+    Result slots of skipped tasks are untouched; the caller decides
+    what partial results mean. *)
+
+val max_domains : int
+(** The most domains one process may run at once, the calling domain
+    included: 128 in the OCaml 5.1 runtime. *)
 
 val default_domains : unit -> int
-(** [Domain.recommended_domain_count ()], clamped to at least 1. *)
+(** [Domain.recommended_domain_count ()], clamped to [1 .. max_domains]. *)
 
-val create : ?domains:int -> unit -> t
-(** Create a pool that executes jobs on [domains] domains in total:
-    [domains - 1] spawned workers plus the calling domain, which
-    participates in every job.  Default: [default_domains ()].
-    @raise Invalid_argument if [domains < 1]. *)
+val with_pool : ?domains:int -> (t -> 'a) -> 'a
+(** [with_pool ?domains f] runs [f] with a fan-out of [domains] domains
+    in total, the caller included.  Default: [default_domains ()].
+    Nothing is spawned until {!run}.
+    @raise Invalid_argument if [domains] is outside [1 .. max_domains]. *)
 
 val domains : t -> int
 (** Number of domains (including the caller) jobs run on. *)
@@ -52,54 +54,44 @@ val run :
   (worker:int -> task:int -> unit) ->
   unit
 (** [run t ~tasks body] executes [body ~worker ~task] once for every
-    [task] in [0 .. tasks - 1] across the pool and returns when all have
-    finished.  [worker] is a stable id in [0 .. domains t - 1] (0 is the
-    calling domain), so callers can keep per-worker accumulators (e.g.
-    one [Stats.t] per domain) without locking.  If any task raises, the
-    remaining tasks still run (so the job always drains and all domains
-    return to the idle queue) and the first failure is re-raised at the
-    caller as {!Task_failed}, carrying the offending task id.  With
-    [domains t = 1] the tasks run inline, in order, with the same
-    failure semantics.  The pool remains usable after a failed job.
+    [task] in [0 .. tasks - 1] and returns when all have finished.  It
+    spawns [min (domains t) tasks - 1] helper domains; if the runtime
+    refuses one, the workers already started take its share.  [worker]
+    is a stable id in [0 .. domains t - 1] (0 is the calling domain),
+    so callers can keep per-worker accumulators (e.g. one [Stats.t] per
+    domain) without locking.  If any task raises, the remaining tasks
+    still run and the lowest failing task is re-raised at the caller as
+    {!Task_failed}.  With [domains t = 1] the tasks run inline, in
+    order, with the same failure semantics.
 
     [cancel] (default: never) is the cooperative cancellation point of
-    the job itself: it is polled — unlocked, from whichever domain is
-    about to start a task — before {e every} task body, and once it
-    returns [true] that body is skipped (the task still counts as
-    finished, so the job drains and the completion invariant holds).
-    Tasks already executing are not interrupted; in-task cancellation
-    is the deadline layer's job ([Deadline.poll] inside the body).  If
-    any body was skipped, {!Cancelled} is raised after the drain (unless
-    a task failed — {!Task_failed} takes precedence).  [cancel] must be
-    safe to call concurrently from any domain and must not raise;
-    checking an [Atomic] flag or a [Deadline] both qualify.
+    the job itself: it is polled before {e every} task body, from
+    whichever domain is about to run it, and once it returns [true]
+    that body is skipped.  Tasks already executing are not interrupted;
+    in-task cancellation is the deadline layer's job ([Deadline.poll]
+    inside the body).  If any body was skipped, {!Cancelled} is raised
+    after the join (unless a task failed: {!Task_failed} takes
+    precedence).  [cancel] must be safe to call concurrently from any
+    domain and must not raise; checking an [Atomic] flag or a
+    [Deadline] both qualify.
 
     [obs] (default [[||]], observability off) supplies one sink per
     worker, indexed by worker id — per-domain sinks, never shared, to be
     {!Obs.merge}d by the caller after the job.  Worker [w] records a
-    [pool.queue_wait_ns] histogram value (submission-to-pull latency), a
-    [pool.tasks] counter bump, and a [pool.task_ns] duration histogram
-    entry for every task it executes.  Workers beyond the array length
-    record nothing.
-    @raise Invalid_argument if called re-entrantly from a task, after
-    [shutdown], or with [tasks < 0].
+    [pool.queue_wait_ns] histogram value (from the [run] call to the
+    pull, so it includes the spawn), a [pool.tasks] counter bump, and a
+    [pool.task_ns] duration histogram entry for every task it executes.
+    Workers beyond the array length record nothing.
+    @raise Invalid_argument if [tasks < 0].
     @raise Task_failed if any task raised. *)
 
 val map_array : t -> f:('a -> 'b) -> 'a array -> 'b array
-(** [map_array t ~f a] applies [f] to every element of [a] on the pool;
-    slot [i] of the result is [f a.(i)] regardless of which domain ran
-    it (deterministic merge). *)
-
-val shutdown : t -> unit
-(** Join all worker domains.  Idempotent; the pool cannot be used
-    afterwards. *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool ?domains f] creates a pool, runs [f], and shuts the pool
-    down even if [f] raises. *)
+(** [map_array t ~f a] applies [f] to every element of [a] in one
+    {!run}; slot [i] of the result is [f a.(i)] regardless of which
+    domain ran it (deterministic merge). *)
 
 val chunks : total:int -> chunk_size:int -> (int * int) array
 (** [chunks ~total ~chunk_size] covers [0 .. total - 1] with contiguous
     [(start, len)] chunks of at most [chunk_size] items, in order: the
-    standard sharding of a batch into pool tasks.
+    standard sharding of a batch into tasks.
     @raise Invalid_argument if [total < 0] or [chunk_size < 1]. *)

@@ -17,10 +17,10 @@
       {!poll_stride} polls (fuel counting), bounding both the overhead
       and the detection latency (stride × per-poll work).
 
-    The ambient slot is per-domain ([Domain.DLS]), so a {!Work_pool}
-    worker inherits nothing from its spawner: callers that fan out must
-    install the deadline inside each task (see [Work_pool.run ?cancel]
-    and [Mapper]). *)
+    The ambient slot is per-domain ([Domain.DLS]), so a domain spawned
+    by [Work_pool.run] inherits nothing from its spawner: callers that
+    fan out must install the deadline inside each task (see
+    [Work_pool.run ?cancel] and [Mapper]). *)
 
 type t
 (** An absolute monotonic instant, or {!none}. *)

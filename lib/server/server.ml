@@ -36,7 +36,8 @@ type config = {
 let default_config ~socket_path =
   {
     socket_path;
-    domains = max 1 (Domain.recommended_domain_count ());
+    domains =
+      min (Core.Work_pool.max_domains - 1) (Core.Work_pool.default_domains ());
     max_queue = 1024;
     backlog = 64;
     limits = Protocol.default_limits;
@@ -749,7 +750,11 @@ let claim_socket_path path =
 let max_socket_path = 107
 
 let start cfg corpus =
-  if cfg.domains < 1 then invalid_arg "Server.start: domains must be >= 1";
+  (* The event loop's domain counts against the runtime's limit too. *)
+  if cfg.domains < 1 || cfg.domains >= Core.Work_pool.max_domains then
+    invalid_arg
+      (Printf.sprintf "Server.start: domains must be in 1..%d"
+         (Core.Work_pool.max_domains - 1));
   if cfg.max_queue < 1 then invalid_arg "Server.start: max_queue must be >= 1";
   if not (cfg.send_timeout > 0.) then
     invalid_arg "Server.start: send_timeout must be > 0";

@@ -114,7 +114,8 @@ type config = {
 }
 
 val default_config : socket_path:string -> config
-(** [domains = Domain.recommended_domain_count ()],
+(** [domains = Core.Work_pool.default_domains ()] (at most
+    [Core.Work_pool.max_domains - 1]),
     [max_queue = 1024], [backlog = 64],
     [limits = Protocol.default_limits], [send_timeout = 10.0],
     [trace = false], [log = ignore]. *)
@@ -133,6 +134,9 @@ val start : config -> Core.Corpus.t -> t
     live daemon, raises [Kmm_error.Error (Io _)]; a stale socket file
     left by a crashed process is replaced; a path longer than
     {!max_socket_path} raises [Kmm_error.Error (Bad_input _)].
+    @raise Invalid_argument before binding anything if [domains] is
+    outside [1 .. Core.Work_pool.max_domains - 1] (the event loop's
+    domain counts too), or [max_queue < 1], or [send_timeout <= 0].
     @raise Kmm_error.Error on socket setup failure. *)
 
 val request_stop : t -> unit

@@ -58,9 +58,12 @@ let test_pool_exception_propagates () =
       check bool "pool alive after error" true (out = [| 2; 3; 4 |]))
 
 let test_pool_invalid_args () =
-  (match Work_pool.create ~domains:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "domains=0 accepted");
+  List.iter
+    (fun domains ->
+      match Work_pool.with_pool ~domains (fun _ -> ()) with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "domains=%d accepted" domains)
+    [ 0; Work_pool.max_domains + 1 ];
   match Work_pool.chunks ~total:10 ~chunk_size:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "chunk_size=0 accepted"
@@ -206,6 +209,52 @@ let prop_pool_map_order =
           Work_pool.map_array pool ~f:(fun x -> x * 2 + 1) arr
           = Array.map (fun x -> (x * 2) + 1) arr))
 
+(* The fan-out contract on random jobs: which bodies run, which
+   exception surfaces, worker ids and the per-worker task counters. *)
+let prop_fan_out =
+  Test_util.qtest ~count:100 "fan-out contract"
+    QCheck2.Gen.(
+      quad (int_range 1 4) (int_range 0 200)
+        (list_size (int_range 0 5) (int_range 0 199))
+        (opt (int_range 0 200)))
+    (fun (domains, tasks, failing, threshold) ->
+      let fails task = List.mem task failing in
+      let runs = Array.init tasks (fun _ -> Atomic.make 0) in
+      let started = Atomic.make 0 in
+      let bad_worker = Atomic.make false in
+      let cancel =
+        Option.map (fun c () -> Atomic.get started >= c) threshold
+      in
+      let sinks = Array.init domains (fun _ -> Obs.create ()) in
+      let outcome =
+        Work_pool.with_pool ~domains (fun pool ->
+            match
+              Work_pool.run ?cancel ~obs:sinks pool ~tasks (fun ~worker ~task ->
+                  Atomic.incr started;
+                  Atomic.incr runs.(task);
+                  if worker < 0 || worker >= domains then Atomic.set bad_worker true;
+                  if fails task then failwith "boom")
+            with
+            | () -> `Done
+            | exception Work_pool.Task_failed { task; exn = Failure _ } -> `Failed task
+            | exception Work_pool.Cancelled -> `Cancelled)
+      in
+      let ran i = Atomic.get runs.(i) = 1 in
+      let ran_all = List.for_all ran (List.init tasks Fun.id) in
+      let failed_run = List.filter (fun i -> i < tasks && ran i) failing in
+      let counted =
+        Array.fold_left (fun n o -> n + Obs.counter_value o "pool.tasks") 0 sinks
+      in
+      Array.for_all (fun r -> Atomic.get r <= 1) runs
+      && (threshold <> None || ran_all)
+      && (not (Atomic.get bad_worker))
+      && counted = Atomic.get started
+      &&
+      match outcome with
+      | `Failed task -> task = List.fold_left min max_int failed_run
+      | `Cancelled -> (not ran_all) && failed_run = []
+      | `Done -> ran_all && failed_run = [])
+
 (* The memoised prepare runs once per batch on every domain count, so a
    one-domain run times its derived-state build as "prepare", not as
    "search". *)
@@ -237,6 +286,7 @@ let () =
           Alcotest.test_case "invalid args" `Quick test_pool_invalid_args;
           Alcotest.test_case "chunks" `Quick test_chunks;
           prop_pool_map_order;
+          prop_fan_out;
         ] );
       ( "mapper_parallel",
         [

@@ -10,7 +10,8 @@
      client killed mid-response;
    - byte-identity: hits served concurrently over the socket must render
      identically to a sequential [Kmismatch.run] on the same queries —
-     including the headless serve-bench smoke (the CI load generator).  *)
+     including the accepted replies of the headless serve-bench
+     overload smoke.  *)
 
 module P = Kmm_server.Protocol
 module S = Kmm_server.Server
@@ -468,6 +469,24 @@ let server_socket_path_too_long () =
       S.stop t;
       Alcotest.fail "over-long socket path accepted"
 
+let server_domains_over_limit () =
+  (* The event loop's domain counts against the runtime's domain limit,
+     so [max_domains] query domains are one too many: refused before the
+     socket is bound. *)
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kmm-limit-%d.sock" (Unix.getpid ()))
+  in
+  let cfg =
+    { (S.default_config ~socket_path:path) with domains = Core.Work_pool.max_domains }
+  in
+  match S.start cfg (Core.Corpus.mono (Lazy.force index)) with
+  | exception Invalid_argument _ ->
+      Alcotest.(check bool) "no socket file" false (Sys.file_exists path)
+  | t ->
+      S.stop t;
+      Alcotest.fail "domains above the limit accepted"
+
 let server_shutdown_command () =
   with_server (fun t path ->
       let c = S.Client.connect path in
@@ -861,8 +880,9 @@ let server_metrics_beside_busy_worker () =
           | _ -> Alcotest.fail "metrics reply has no text")
       | _ -> Alcotest.fail "metrics not answered")
 
-(* The CI serve-bench smoke: a headless end-to-end load run on a tiny
-   index with 2 connections, raising on any divergence from sequential. *)
+(* The serve-bench smoke: a tiny overload round, raising if an accepted
+   reply diverges from a sequential run or an offered query goes
+   unaccounted. *)
 let bench_smoke () = Serve_bench.smoke ()
 
 let () =
@@ -892,6 +912,7 @@ let () =
           Alcotest.test_case "drain answers then refuses" `Quick
             server_drain_answers_then_refuses;
           Alcotest.test_case "socket path over sun_path" `Quick server_socket_path_too_long;
+          Alcotest.test_case "domains over the limit" `Quick server_domains_over_limit;
           Alcotest.test_case "metrics add up across worker domains" `Quick
             server_metrics_add_up;
           Alcotest.test_case "engine exception costs one answer" `Quick
