@@ -10,8 +10,11 @@
    the engines directly (no mapper, one domain).  Every row reports per
    read: process CPU time, minor-heap words allocated, words promoted to
    the major heap, minor collections, and the engine's node, rank-call
-   and derivation counts.  CPU time is noisy on a shared host; the GC
-   and engine counts are not. *)
+   and derivation counts.  Beside them sit the CPU time and rank
+   operations of the delta heuristic both engines compute first, measured
+   in a separate pass over the same reads: [Stats.rank_calls] counts the
+   engine's own extensions only.  CPU time is noisy on a shared host; the
+   GC and operation counts are not. *)
 
 open Bench_util
 
@@ -57,6 +60,23 @@ let row fm pats (name, search) k =
     both ~stats pats.(i)
   done;
   let t1 = Sys.time () and g1 = Gc.quick_stat () in
+  let delta_pass () =
+    for i = warmup to warmup + reads_per_row - 1 do
+      let fwd, rc = pats.(i) in
+      ignore (Core.S_tree.delta_heuristic fm ~pattern:fwd ~k);
+      ignore (Core.S_tree.delta_heuristic fm ~pattern:rc ~k)
+    done
+  in
+  let d0 = Sys.time () in
+  delta_pass ();
+  let delta_cpu = Sys.time () -. d0 in
+  let module T = Fmindex.Fm_index.Telemetry in
+  let was = T.is_enabled () in
+  T.set_enabled true;
+  let r0 = T.snapshot () in
+  delta_pass ();
+  let delta_ops = (T.diff ~since:r0 (T.snapshot ())).T.rank_ops in
+  T.set_enabled was;
   let per x = x /. float_of_int reads_per_row in
   let iper x = per (float_of_int x) in
   [
@@ -69,6 +89,8 @@ let row fm pats (name, search) k =
     Printf.sprintf "%.0f" (iper stats.Core.Stats.nodes);
     Printf.sprintf "%.0f" (iper stats.Core.Stats.rank_calls);
     Printf.sprintf "%.2f" (iper stats.Core.Stats.derivations);
+    Printf.sprintf "%.1f" (per (delta_cpu *. 1e6));
+    Printf.sprintf "%.0f" (iper delta_ops);
   ]
 
 let run () =
@@ -87,6 +109,6 @@ let run () =
   table
     ~header:
       [ "engine"; "k"; "cpu us/read"; "minor words"; "promoted words"; "minor GCs";
-        "nodes"; "rank calls"; "derivations" ]
+        "nodes"; "rank calls"; "derivations"; "delta cpu us"; "delta rank ops" ]
     rows;
   note "all columns but k are per read (two searches: the read and its reverse complement)"

@@ -190,7 +190,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
        r[i ..]; sound for pruning under *any* alignment at position i. *)
     let delta =
       if config.use_delta then
-        Obs.span obs "mtree.delta" (fun () -> S_tree.delta_heuristic fm ~pattern)
+        Obs.span obs "mtree.delta" (fun () -> S_tree.delta_heuristic fm ~pattern ~k)
       else Array.make (m + 2) 0
     in
     let pat_codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in

@@ -5,17 +5,44 @@ module Fm = Fmindex.Fm_index
    steps the interval covers exactly the occurrences (reversed) of the
    j-character path string in s. *)
 
-let delta_heuristic fm ~pattern =
+let delta_heuristic fm ~pattern ~k =
+  if k < 0 then invalid_arg "S_tree.delta_heuristic: negative k";
   let m = String.length pattern in
   let codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
   let delta = Array.make (m + 2) 0 in
-  (* r[i .. i+l-1] occurs in s and, unless it runs to the end of the
-     pattern, r[i .. i+l] does not: the next disjoint window starts at
-     i+l+1. *)
-  for i = m downto 1 do
-    let l = Fm.longest_extension fm codes ~pos:(i - 1) in
-    delta.(i) <- (if i + l > m then 0 else 1 + delta.(i + l + 1))
+  (* [ends.(i)] caches what a probe learnt at start i: 0 if nothing yet,
+     -1 if r[i .. e] occurred for the probe's window end e, else the end
+     E(i) of the first absent window from i.  Window ends only decrease
+     from one level to the next, so a start once probed is never charged
+     again. *)
+  let ends = Array.make (m + 1) 0 in
+  let absent i e =
+    let c = ends.(i) in
+    if c > 0 then c <= e
+    else if c < 0 then false
+    else begin
+      let l = Fm.longest_extension fm codes ~pos:(i - 1) ~stop:e in
+      let gone = l < e - i + 1 in
+      ends.(i) <- (if gone then i + l else -1);
+      gone
+    end
+  in
+  (* delta.(i) >= v exactly for i <= b.  The starts with delta >= v+1 are
+     those whose window r[i .. b-1] is absent, a prefix of 1 .. b-1 found
+     by binary search: lo is absent (or 0), hi present (or b). *)
+  let b = ref (m + 1) and v = ref 0 in
+  while !b > 0 && !v <= k do
+    let e = !b - 1 in
+    let lo = ref 0 and hi = ref !b in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if absent mid e then lo := mid else hi := mid
+    done;
+    Array.fill delta (!lo + 1) (!b - !lo) !v;
+    b := !lo;
+    incr v
   done;
+  Array.fill delta 1 !b !v;
   delta
 
 let search ?(use_delta = true) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
@@ -35,7 +62,7 @@ let search ?(use_delta = true) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
   else begin
     let delta =
       if use_delta then
-        Obs.span obs "stree.delta" (fun () -> delta_heuristic fm ~pattern)
+        Obs.span obs "stree.delta" (fun () -> delta_heuristic fm ~pattern ~k)
       else [||]
     in
     let pat_codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in

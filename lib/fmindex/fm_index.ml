@@ -276,19 +276,19 @@ let count t pat =
       end
 
 (* [longest_extension] is [extend] run along [codes] from [pos] until the
-   interval empties, unrolled like [count]: no options or tuples per
-   step, and the same per-step telemetry as the [extend] calls it
-   replaces (the step that empties the interval counts, a code outside
-   1..sigma-1 stops the run uncounted). *)
-let longest_extension t codes ~pos =
-  let m = Array.length codes in
-  if pos < 0 || pos > m then invalid_arg "Fm_index.longest_extension: pos out of range";
+   interval empties or [stop] is reached, unrolled like [count]: no
+   options or tuples per step, and the same per-step telemetry as the
+   [extend] calls it replaces (the step that empties the interval counts,
+   a code outside 1..sigma-1 stops the run uncounted). *)
+let longest_extension t codes ~pos ~stop =
+  if pos < 0 || pos > stop || stop > Array.length codes then
+    invalid_arg "Fm_index.longest_extension: pos or stop out of range";
   let measured = Telemetry.is_enabled () in
   let ops = ref 0 and decodes = ref 0 in
   let lo = ref 0 and hi = ref (Occ.length t.occ) in
   let pr = Array.make 2 0 in
   let j = ref pos and live = ref true in
-  while !live && !j < m do
+  while !live && !j < stop do
     let c = Array.unsafe_get codes !j in
     if c <= 0 || c >= sigma then live := false
     else begin

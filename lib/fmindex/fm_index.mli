@@ -52,15 +52,18 @@ val count : t -> string -> int
 (** Number of occurrences of a pattern in the text.  Same pattern
     normalization as {!search}: invalid patterns count 0. *)
 
-val longest_extension : t -> int array -> pos:int -> int
-(** [longest_extension t codes ~pos] is the largest [l] such that
-    extending {!whole} by [codes.(pos)], [codes.(pos + 1)], ...,
+val longest_extension : t -> int array -> pos:int -> stop:int -> int
+(** [longest_extension t codes ~pos ~stop] is the largest [l <= stop - pos]
+    such that extending {!whole} by [codes.(pos)], [codes.(pos + 1)], ...,
     [codes.(pos + l - 1)] in turn (each {!extend} prepends its code)
     keeps the interval nonempty; a code outside [1 .. 4] ends the run.
     On the index of a reversed text this is the length of the longest
-    prefix of [codes.(pos ..)] occurring in the forward text.  Allocation
-    free per step, with the {!extend} calls' telemetry.  Raises
-    [Invalid_argument] unless [0 <= pos <= Array.length codes]. *)
+    prefix of [codes.(pos .. stop - 1)] occurring in the forward text, so
+    that window occurs iff the result is [stop - pos].  Allocation free
+    per step, with the telemetry of the {!extend} calls it stands for:
+    the step that empties the interval counts, a code outside [1 .. 4]
+    does not, and no step is taken at [stop].  Raises [Invalid_argument]
+    unless [0 <= pos <= stop <= Array.length codes]. *)
 
 val locate : t -> interval -> int list
 (** Sorted 0-based starting positions of the suffixes in the interval.

@@ -298,11 +298,16 @@ let test_s_tree_delta_soundness =
 
 let test_delta_heuristic_paper_example () =
   (* §IV.A: r = tcaca over s = acagaca: delta(1) = 2 (t absent; cac
-     absent), delta(3) = 0 (every substring of aca occurs). *)
+     absent), delta(3) = 0 (every substring of aca occurs).  The array is
+     capped at k+1: k = 0 already reads delta(1) as 1, k >= m as 2. *)
   let idx = Kmismatch.build_index "acagaca" in
-  let delta = S_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern:"tcaca" in
-  check int "delta(1)" 2 delta.(1);
-  check int "delta(3)" 0 delta.(3)
+  let delta k = S_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern:"tcaca" ~k in
+  List.iter
+    (fun k ->
+      let d = delta k in
+      check int (Printf.sprintf "delta(1) at k=%d" k) (min 2 (k + 1)) d.(1);
+      check int (Printf.sprintf "delta(3) at k=%d" k) 0 d.(3))
+    [ 0; 1; 2; 5; 6 ]
 
 (* ------------------------------------------------------------------ *)
 (* Amir specifics                                                      *)

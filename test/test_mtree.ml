@@ -202,42 +202,94 @@ let test_arena_reset () =
 (* ------------------------------------------------------------------ *)
 (* The delta kernel                                                     *)
 
-(* The definition the kernel replaces: one [Fm.extend] per step from
-   every start, stopping at the first empty interval. *)
+module T = Fmindex.Fm_index.Telemetry
+
+(* [f ()] and the rank/block telemetry it spent. *)
+let measure f =
+  let was = T.is_enabled () in
+  T.set_enabled true;
+  let t0 = T.snapshot () in
+  let r = Fun.protect ~finally:(fun () -> T.set_enabled was) f in
+  (r, T.diff ~since:t0 (T.snapshot ()))
+
+(* One [Fm.extend] per step along [codes] from [pos], until the interval
+   empties or [stop] is reached: the steps [longest_extension] unrolls. *)
+let extend_run fm codes ~pos ~stop =
+  let rec go j iv =
+    if j >= stop then j
+    else
+      match Fmindex.Fm_index.extend fm codes.(j) iv with
+      | None -> j
+      | Some iv' -> go (j + 1) iv'
+  in
+  go pos (Fmindex.Fm_index.whole fm) - pos
+
+(* The uncapped definition: one extension run from every start. *)
 let naive_delta fm pattern =
   let m = String.length pattern in
+  let codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
   let delta = Array.make (m + 2) 0 in
   for i = m downto 1 do
-    let rec extend j iv =
-      if j > m then 0
-      else
-        match Fmindex.Fm_index.extend fm (Dna.Alphabet.code pattern.[j - 1]) iv with
-        | None -> j
-        | Some iv' -> extend (j + 1) iv'
-    in
-    let j = extend i (Fmindex.Fm_index.whole fm) in
-    delta.(i) <- (if j = 0 then 0 else 1 + delta.(j + 1))
+    let l = extend_run fm codes ~pos:(i - 1) ~stop:m in
+    delta.(i) <- (if i + l > m then 0 else 1 + delta.(i + l + 1))
   done;
   delta
 
-(* Same array, and the same rank/block telemetry, as the naive loop. *)
+(* Half the patterns are mutated windows of the text, so long present
+   windows and large delta values both occur. *)
+let gen_text_pattern =
+  QCheck2.Gen.(
+    pair (Test_util.dna_gen ~lo:1 ~hi:300 ()) (Test_util.dna_gen ~lo:1 ~hi:60 ())
+    >>= fun (text, random) ->
+    triple bool (int_bound 1_000_000) (int_range 0 3) >|= fun (planted, at, errors) ->
+    if not planted then (text, random)
+    else begin
+      let n = String.length text in
+      let len = min n (String.length random) in
+      let pat = Bytes.of_string (String.sub text (at mod (n - len + 1)) len) in
+      for e = 1 to errors do
+        Bytes.set pat ((at / e) mod len) random.[e mod String.length random]
+      done;
+      (text, Bytes.to_string pat)
+    end)
+
+let gen_delta_case =
+  QCheck2.Gen.(
+    gen_text_pattern >>= fun (text, pattern) ->
+    int_range 0 (String.length pattern + 1) >|= fun k -> (text, pattern, k))
+
+(* The capped array for every budget from 0 to past m. *)
 let prop_delta_kernel =
-  let module T = Fmindex.Fm_index.Telemetry in
-  Test_util.qtest ~count:300 "delta kernel = per-start extend"
-    QCheck2.Gen.(pair (Test_util.dna_gen ~lo:1 ~hi:300 ()) (Test_util.dna_gen ~lo:1 ~hi:60 ()))
-    (fun (text, pattern) ->
+  Test_util.qtest ~count:300 "delta kernel = per-start extend" gen_delta_case
+    (fun (text, pattern, k) ->
       let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
-      let was = T.is_enabled () in
-      T.set_enabled true;
-      let measure f =
-        let t0 = T.snapshot () in
-        let d = f () in
-        (d, T.diff ~since:t0 (T.snapshot ()))
-      in
-      let want, want_t = measure (fun () -> naive_delta fm pattern) in
-      let got, got_t = measure (fun () -> S_tree.delta_heuristic fm ~pattern) in
-      T.set_enabled was;
-      got = want && got_t = want_t)
+      S_tree.delta_heuristic fm ~pattern ~k
+      = Array.map (fun d -> min d (k + 1)) (naive_delta fm pattern))
+
+(* The capped array never costs more than the runs from every start. *)
+let prop_delta_cost =
+  Test_util.qtest ~count:300 "capped delta spends no more than per-start runs"
+    gen_delta_case
+    (fun (text, pattern, k) ->
+      let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+      let _, capped = measure (fun () -> S_tree.delta_heuristic fm ~pattern ~k) in
+      let _, full = measure (fun () -> naive_delta fm pattern) in
+      capped.T.rank_ops <= full.T.rank_ops && capped.T.block_decodes <= full.T.block_decodes)
+
+(* Same length, and the same rank/block telemetry, as the extend loop,
+   stopped inside the pattern or at its end. *)
+let prop_longest_extension =
+  Test_util.qtest ~count:300 "longest_extension = extend loop"
+    QCheck2.Gen.(
+      gen_text_pattern >>= fun (text, pattern) ->
+      let m = String.length pattern in
+      pair (int_range 0 m) (oneof [ pure m; int_range 0 m ]) >|= fun (a, stop) ->
+      (text, pattern, min a stop, stop))
+    (fun (text, pattern, pos, stop) ->
+      let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+      let codes = Array.init (String.length pattern) (fun i -> Dna.Alphabet.code pattern.[i]) in
+      measure (fun () -> Fmindex.Fm_index.longest_extension fm codes ~pos ~stop)
+      = measure (fun () -> extend_run fm codes ~pos ~stop))
 
 let () =
   Alcotest.run "m_tree"
@@ -254,5 +306,5 @@ let () =
             test_steady_state_minor_gcs;
           Alcotest.test_case "timeouts and outliers leave no trace" `Quick test_arena_reset;
         ] );
-      ("delta", [ prop_delta_kernel ]);
+      ("delta", [ prop_delta_kernel; prop_delta_cost; prop_longest_extension ]);
     ]

@@ -129,12 +129,17 @@ let naive_delta text pattern =
   delta
 
 let prop_delta =
+  (* The capped array for every budget from 0 to past m (where the cap no
+     longer binds). *)
   Test_util.qtest ~count:150 "delta heuristic = naive definition"
-    QCheck2.Gen.(pair (Test_util.dna_gen ~lo:1 ~hi:120 ()) (Test_util.dna_gen ~lo:1 ~hi:20 ()))
-    (fun (text, pattern) ->
+    QCheck2.Gen.(
+      pair (Test_util.dna_gen ~lo:1 ~hi:120 ()) (Test_util.dna_gen ~lo:1 ~hi:20 ())
+      >>= fun (text, pattern) ->
+      int_range 0 (String.length pattern + 1) >|= fun k -> (text, pattern, k))
+    (fun (text, pattern, k) ->
       let idx = Kmismatch.build_index text in
-      S_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern
-      = naive_delta text pattern)
+      S_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern ~k
+      = Array.map (fun d -> min d (k + 1)) (naive_delta text pattern))
 
 (* ------------------------------------------------------------------ *)
 (* Mismatch arrays: R_i tables vs the pairwise definition               *)
