@@ -35,9 +35,11 @@ let make_tests () =
   let probe = String.sub text 42_000 12 in
   [
     Test.make ~name:"fm.extend_all (root interval)"
-      (Staged.stage (fun () -> Fmindex.Fm_index.extend_all fm iv ~los ~his));
+      (let lo, hi = iv in
+       Staged.stage (fun () -> Fmindex.Fm_index.extend_all fm ~lo ~hi ~los ~his));
     Test.make ~name:"fm.extend_all (narrow interval)"
-      (Staged.stage (fun () -> Fmindex.Fm_index.extend_all fm random_iv ~los ~his));
+      (let lo, hi = random_iv in
+       Staged.stage (fun () -> Fmindex.Fm_index.extend_all fm ~lo ~hi ~los ~his));
     Test.make ~name:"fm.count (12-mer)"
       (Staged.stage (fun () -> ignore (Fmindex.Fm_index.count fm probe)));
     Test.make ~name:"mismatch merge (paper SS:IV.B)"

@@ -185,7 +185,8 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?(size = 1_000_000)
        if !filled < nivs && i >= 0 then begin
          ivs.(!filled) <- iv;
          incr filled;
-         Fm.extend_all fm iv ~los:los0 ~his:his0;
+         let lo, hi = iv in
+         Fm.extend_all fm ~lo ~hi ~los:los0 ~his:his0;
          let want = Dna.Alphabet.code pat.[i] in
          let children = ref [] in
          for c = sigma - 1 downto 1 do
@@ -236,7 +237,8 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?(size = 1_000_000)
   let p_dt =
     time_best (fun () ->
         for q = 0 to nivs - 1 do
-          Fm.extend_all fm (Array.unsafe_get ivs q) ~los ~his;
+          let lo, hi = Array.unsafe_get ivs q in
+          Fm.extend_all fm ~lo ~hi ~los ~his;
           acc_p := !acc_p + los.(1) + his.(2) + los.(3) + his.(4)
         done)
   in
@@ -389,7 +391,7 @@ let parity_smoke ?(size = 20_000) ?(seed = 7) () =
   for _ = 1 to 2_000 do
     let a = Random.State.int st (n + 1) in
     let b = a + Random.State.int st (n + 2 - a) in
-    Fm.extend_all fm (a, b) ~los:los_p ~his:his_p;
+    Fm.extend_all fm ~lo:a ~hi:b ~los:los_p ~his:his_p;
     Seed_model.extend_all sm (a, b) ~los:los_s ~his:his_s;
     if not (agree_all los_p los_s && agree_all his_p his_s) then
       failwith "rank_locate parity: fm.extend_all diverges"

@@ -215,7 +215,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
     let los_at d = a.bufs.(2 * d) and his_at d = a.bufs.((2 * d) + 1) in
     let extend_at d lo hi =
       bump (fun s -> s.rank_calls <- s.rank_calls + 2);
-      Fm.extend_all fm (lo, hi) ~los:(los_at d) ~his:(his_at d)
+      Fm.extend_all fm ~lo ~hi ~los:(los_at d) ~his:(his_at d)
     in
 
     (* --- Derivation -------------------------------------------------- *)

@@ -82,26 +82,26 @@ let target_of_index index =
 (* Classify a read the engines cannot process, so one bad record degrades
    to a [skipped] entry instead of an exception that aborts the batch.
    The checks mirror the engines' preconditions: nonempty, ACGT-only
-   (case folded), and no longer than the target can answer. *)
+   (case folded), and no longer than the target can answer.  A valid
+   read comes back normalized: this table pass is the only time the
+   mapper folds its case. *)
 let validate_read ~target sequence =
   let m = String.length sequence in
   if m = 0 then Error (Kmm_error.Bad_input "empty read")
-  else begin
-    let bad = ref None in
-    String.iteri
-      (fun i c ->
-        if !bad = None && not (Dna.Alphabet.is_base c) then bad := Some (i, c))
-      sequence;
-    match !bad with
-    | Some (i, c) ->
+  else
+    match Dna.Sequence.of_string_opt sequence with
+    | None ->
+        let i = ref 0 in
+        while Dna.Alphabet.is_base sequence.[!i] do
+          incr i
+        done;
         Error
           (Kmm_error.Bad_input
-             (Printf.sprintf "invalid base %C at offset %d" c i))
-    | None ->
+             (Printf.sprintf "invalid base %C at offset %d" sequence.[!i] !i))
+    | Some seq ->
         if m > target.tgt_max_read then
           Error (Kmm_error.Bad_input (target.tgt_limit_msg m))
-        else Ok ()
-  end
+        else Ok seq
 
 (* A query the target refused after validation passed — surfaced as the
    read's own skip reason, never as a batch abort. *)
@@ -125,8 +125,7 @@ let recheck ~obs pt ~pattern hits =
         if vtele then Some (Fmindex.Packed_text.Telemetry.snapshot ())
         else None
       in
-      let normalized = String.map Dna.Alphabet.normalize pattern in
-      let pp = Fmindex.Packed_text.Pattern.make normalized in
+      let pp = Fmindex.Packed_text.Pattern.make pattern in
       List.iter
         (fun (pos, distance) ->
           if Fmindex.Packed_text.hamming ~limit:distance pt pp ~pos <> distance
@@ -146,11 +145,11 @@ let recheck ~obs pt ~pattern hits =
             (Fmindex.Packed_text.Telemetry.diff ~since
                (Fmindex.Packed_text.Telemetry.snapshot ()))
 
-(* Map one read: all forward hits, then all reverse-complement hits, in
-   the order the engine reports them.  Pure with respect to the target,
-   so reads can be fanned out across domains freely. *)
-let map_one ~stats ~obs ~engine ~both_strands ~deadline target ~k
-    (read_id, sequence) =
+(* Map one validated read: all forward hits, then all reverse-complement
+   hits, in the order the engine reports them.  Pure with respect to the
+   target, so reads can be fanned out across domains freely. *)
+let map_one ~stats ~obs ~engine ~both_strands ~deadline target ~k read_id seq =
+  let sequence = Dna.Sequence.to_string seq in
   let search strand pattern =
     match
       target.tgt_run (Kmismatch.Query.make ~obs ~deadline ~engine ~pattern ~k ())
@@ -168,10 +167,7 @@ let map_one ~stats ~obs ~engine ~both_strands ~deadline target ~k
   let fwd = search `Forward sequence in
   let rev =
     if both_strands then begin
-      let rc =
-        Dna.Sequence.to_string
-          (Dna.Sequence.revcomp (Dna.Sequence.of_string sequence))
-      in
+      let rc = Dna.Sequence.to_string (Dna.Sequence.revcomp seq) in
       (* A palindromic read would report each site twice. *)
       if rc = sequence then [] else search `Reverse rc
     end
@@ -225,7 +221,7 @@ let run_target opts target ~reads ~k =
             let start, len = bounds.(task) in
             for i = start to start + len - 1 do
               touched.(i) <- true;
-              let _, sequence = reads.(i) in
+              let read_id, sequence = reads.(i) in
               (* Coarse per-read checkpoint: a read started after expiry
                  sheds immediately; one already in flight is cut by the
                  engine polls through the query's own deadline. *)
@@ -238,10 +234,10 @@ let run_target opts target ~reads ~k =
                 | Error e ->
                     skip_slot.(i) <- Some e;
                     Obs.incr o "map.reads_skipped"
-                | Ok () -> (
+                | Ok seq -> (
                     let map () =
                       map_one ~stats ~obs:o ~engine ~both_strands ~deadline
-                        target ~k reads.(i)
+                        target ~k read_id seq
                     in
                     match
                       if Obs.enabled o then Obs.time o "map.read" map

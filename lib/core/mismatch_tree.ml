@@ -54,7 +54,8 @@ let build fm ~pattern ~k =
     if j = m then record ~interval:(Some iv) misms true
     else begin
       let los = Array.make 5 0 and his = Array.make 5 0 in
-      Fm.extend_all fm iv ~los ~his;
+      let lo, hi = iv in
+      Fm.extend_all fm ~lo ~hi ~los ~his;
       let extended = ref false in
       for c = 1 to 4 do
         if los.(c) < his.(c) then begin

@@ -165,7 +165,7 @@ let packed_verify =
           let acc = ref [] in
           for pos = n - m downto 0 do
             if Fmindex.Packed_text.hamming_le pt pp ~pos ~k then
-              acc := (pos, Fmindex.Packed_text.hamming pt pp ~pos) :: !acc
+              acc := (pos, Fmindex.Packed_text.hamming ~limit:max_int pt pp ~pos) :: !acc
           done;
           Some !acc
         end);

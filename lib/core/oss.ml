@@ -193,15 +193,59 @@ end
    cost model). *)
 let verify_cutoff = 2
 
+(* Per-domain scratch, reused from search to search.  Row [l] of [rows]
+   receives the children of a match of length [l]: down the recursion
+   the matched span only grows, so a row is never overwritten while a
+   caller still reads its children, and a cut search leaves nothing a
+   later one depends on. *)
+type scratch = {
+  mutable rows : Bidir.cursor array;
+  mutable locate_buf : int array;
+  hits : (int, int) Hashtbl.t;
+  mutable busy : bool;
+}
+
+let fresh () = { rows = [||]; locate_buf = [||]; hits = Hashtbl.create 64; busy = false }
+
+(* Patterns or candidate intervals past this size leave a fresh scratch
+   behind, so one outlier does not pin its memory on the domain. *)
+let retained = 1 lsl 12
+
+let scratch_key = Domain.DLS.new_key fresh
+
+(* The domain's scratch, ready for a pattern of length [m].  A search
+   that finds it busy (re-entered on the same domain) works in a
+   private one. *)
+let acquire m =
+  let sc = Domain.DLS.get scratch_key in
+  let sc =
+    if sc.busy then fresh ()
+    else if Array.length sc.rows > retained || Array.length sc.locate_buf > retained then begin
+      let sc = fresh () in
+      Domain.DLS.set scratch_key sc;
+      sc
+    end
+    else sc
+  in
+  sc.busy <- true;
+  Hashtbl.reset sc.hits;
+  let have = Array.length sc.rows in
+  if have < m then
+    sc.rows <- Array.init m (fun l -> if l < have then sc.rows.(l) else Bidir.cursor ());
+  sc
+
 let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
   if pattern = "" then invalid_arg "Oss.search: empty pattern";
   if k < 0 then invalid_arg "Oss.search: negative k";
-  String.iter
-    (fun c ->
-      if not (Dna.Alphabet.is_base c && c = Dna.Alphabet.normalize c) then
-        invalid_arg "Oss.search: pattern must be lowercase acgt")
-    pattern;
   let m = String.length pattern in
+  (* Validate and encode in one pass. *)
+  let code = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let c = String.unsafe_get pattern i in
+    if not (Dna.Alphabet.is_base c && Dna.Alphabet.normalize c = c) then
+      invalid_arg "Oss.search: pattern must be lowercase acgt";
+    Array.unsafe_set code i (Dna.Alphabet.code c)
+  done;
   let k = min k m in
   let n = Bidir.length bidir in
   if Packed_text.length ptext <> n then
@@ -215,7 +259,7 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
          can partition the pattern into k + 1 nonempty pieces. *)
       let out = ref [] in
       for w = n - m downto 0 do
-        out := (w, Packed_text.hamming ptext pp ~pos:w) :: !out
+        out := (w, Packed_text.hamming ~limit:max_int ptext pp ~pos:w) :: !out
       done;
       !out
     end
@@ -226,24 +270,25 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
       for t = 1 to p do
         bounds.(t) <- bounds.(t - 1) + base + (if t <= rem then 1 else 0)
       done;
-      let code = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
       let searches = Scheme.for_k ~k in
-      let hits : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let sc = acquire m in
+      let hits = sc.hits in
       let add_hit w d = if not (Hashtbl.mem hits w) then Hashtbl.add hits w d in
       let extends = ref 0 and verifications = ref 0 in
-      let locate_buf = ref [||] in
-      let buf_for st =
-        let cnt = Bidir.width st in
-        if Array.length !locate_buf < cnt then locate_buf := Array.make cnt 0;
-        !locate_buf
+      (* The forward positions of the [r_hi - r_lo] occurrences of the
+         matched span, whose length is [len]. *)
+      let locate ~r_lo ~r_hi ~len =
+        let cnt = r_hi - r_lo in
+        if Array.length sc.locate_buf < cnt then sc.locate_buf <- Array.make cnt 0;
+        Bidir.locate_into bidir ~r_lo ~r_hi ~len sc.locate_buf;
+        sc.locate_buf
       in
       (* Whole pattern matched through the index: the located forward
          positions are the window starts, [e] the exact distance. *)
-      let finish st e =
+      let finish ~r_lo ~r_hi e =
         bump (fun s -> s.leaves <- s.leaves + 1);
-        let buf = buf_for st in
-        Bidir.locate_into bidir st buf;
-        for idx = 0 to Bidir.width st - 1 do
+        let buf = locate ~r_lo ~r_hi ~len:m in
+        for idx = 0 to r_hi - r_lo - 1 do
           add_hit (Array.unsafe_get buf idx) e
         done
       in
@@ -251,12 +296,11 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
          window word-parallel.  [i] is the pattern offset of the matched
          span's left edge, so the window starts [i] characters before
          the located occurrence. *)
-      let verify st i =
+      let verify ~r_lo ~r_hi i j =
         incr verifications;
         bump (fun s -> s.leaves <- s.leaves + 1);
-        let buf = buf_for st in
-        Bidir.locate_into bidir st buf;
-        for idx = 0 to Bidir.width st - 1 do
+        let buf = locate ~r_lo ~r_hi ~len:(j - i) in
+        for idx = 0 to r_hi - r_lo - 1 do
           let w = Array.unsafe_get buf idx - i in
           if w >= 0 && w + m <= n then begin
             let d = Packed_text.hamming ~limit:k ptext pp ~pos:w in
@@ -265,53 +309,67 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
         done
       in
       let run_search (sch : Scheme.search) =
-        (* [enter t st e i j]: pieces of order positions < t are matched
-           as span [i, j) with [e] mismatches; [step] consumes the
-           current piece one character at a time, branching over the
-           four bases from one rank-all pass per side. *)
-        let rec enter t st e i j =
-          if t = p then finish st e
+        (* [enter t f_lo f_hi r_lo r_hi e i j]: pieces of order positions
+           < t are matched as span [i, j) with [e] mismatches, its
+           interval pair [f_lo, f_hi) / [r_lo, r_hi); [step] consumes
+           the current piece one character at a time, branching over
+           the four bases from one rank-all pass per side into the
+           span's row. *)
+        let rec enter t f_lo f_hi r_lo r_hi e i j =
+          if t = p then finish ~r_lo ~r_hi e
           else begin
             let idx = sch.pi.(t) - 1 in
             let plo = bounds.(idx) and phi = bounds.(idx + 1) in
-            step t st e i j ~right:(plo >= j) ~plo ~phi
+            step t f_lo f_hi r_lo r_hi e i j ~right:(plo >= j) ~plo ~phi
           end
-        and step t st e i j ~right ~plo ~phi =
+        and step t f_lo f_hi r_lo r_hi e i j ~right ~plo ~phi =
           Deadline.poll ();
-          if st.Bidir.len > 0 && st.Bidir.len < m && Bidir.width st <= verify_cutoff
-          then verify st i
+          let len = j - i in
+          if len > 0 && len < m && f_hi - f_lo <= verify_cutoff then verify ~r_lo ~r_hi i j
           else if (if right then j = phi else i = plo) then begin
-            if e >= sch.lower.(t) then enter (t + 1) st e i j
+            if e >= sch.lower.(t) then enter (t + 1) f_lo f_hi r_lo r_hi e i j
             else bump (fun s -> s.leaves <- s.leaves + 1)
           end
           else begin
-            let cur = Bidir.cursor () in
+            let cur = Array.unsafe_get sc.rows len in
             incr extends;
             bump (fun s -> s.rank_calls <- s.rank_calls + 2);
             let pc = if right then code.(j) else code.(i - 1) in
-            if right then Bidir.extend_right_all bidir st cur
-            else Bidir.extend_left_all bidir st cur;
+            if right then Bidir.extend_right_all bidir cur ~f_lo ~f_hi ~r_lo ~r_hi
+            else Bidir.extend_left_all bidir cur ~f_lo ~f_hi ~r_lo ~r_hi;
             for c = 1 to 4 do
-              match Bidir.child cur st c with
-              | None -> ()
-              | Some st' ->
-                  let e' = if c = pc then e else e + 1 in
-                  if e' <= sch.upper.(t) then begin
-                    bump (fun s -> s.nodes <- s.nodes + 1);
-                    if right then step t st' e' i (j + 1) ~right ~plo ~phi
-                    else step t st' e' (i - 1) j ~right ~plo ~phi
-                  end
+              let f_lo = Bidir.f_lo cur c and f_hi = Bidir.f_hi cur c in
+              if f_lo < f_hi then begin
+                let e' = if c = pc then e else e + 1 in
+                if e' <= sch.upper.(t) then begin
+                  bump (fun s -> s.nodes <- s.nodes + 1);
+                  let r_lo = Bidir.r_lo cur c and r_hi = Bidir.r_hi cur c in
+                  if right then step t f_lo f_hi r_lo r_hi e' i (j + 1) ~right ~plo ~phi
+                  else step t f_lo f_hi r_lo r_hi e' (i - 1) j ~right ~plo ~phi
+                end
+              end
             done
           end
         in
-        let p0 = bounds.(sch.pi.(0) - 1) in
-        enter 0 (Bidir.start bidir) 0 p0 p0
+        let p0 = bounds.(sch.pi.(0) - 1) and rows = n + 1 in
+        enter 0 0 rows 0 rows 0 p0 p0
       in
-      Obs.span obs "bidir.explore" (fun () -> List.iter run_search searches);
+      let explore () =
+        Obs.span obs "bidir.explore" (fun () -> List.iter run_search searches);
+        Hashtbl.fold (fun w d acc -> (w, d) :: acc) hits []
+      in
+      let out =
+        match explore () with
+        | out ->
+            sc.busy <- false;
+            out
+        | exception e ->
+            sc.busy <- false;
+            raise e
+      in
       Obs.add obs "bidir.extends" !extends;
       Obs.add obs "bidir.verifications" !verifications;
       Obs.add obs "bidir.searches" (List.length searches);
-      let out = Hashtbl.fold (fun w d acc -> (w, d) :: acc) hits [] in
       List.sort (fun (a, _) (b, _) -> compare a b) out
     end
   end

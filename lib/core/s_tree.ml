@@ -89,7 +89,8 @@ let search ?(use_delta = true) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
       else begin
         let los = Array.make 5 0 and his = Array.make 5 0 in
         bump (fun s -> s.rank_calls <- s.rank_calls + 2);
-        Fm.extend_all fm iv ~los ~his;
+        let lo, hi = iv in
+        Fm.extend_all fm ~lo ~hi ~los ~his;
         let died = ref true in
         for c = 1 to 4 do
           let lo = los.(c) and hi = his.(c) in

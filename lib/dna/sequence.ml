@@ -26,7 +26,11 @@ let rev t =
 
 let revcomp t =
   let n = String.length t in
-  String.init n (fun i -> Alphabet.complement t.[n - 1 - i])
+  let buf = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set buf i (Alphabet.complement (String.unsafe_get t (n - 1 - i)))
+  done;
+  Bytes.unsafe_to_string buf
 
 let random ?state n =
   let st =

@@ -32,14 +32,6 @@ let make ~ptext ~fm_rev =
 let length t = t.n
 let fm_rev t = t.fm_rev
 
-type state = { f_lo : int; f_hi : int; r_lo : int; r_hi : int; len : int }
-
-let start t =
-  let rows = t.n + 1 in
-  { f_lo = 0; f_hi = rows; r_lo = 0; r_hi = rows; len = 0 }
-
-let width st = st.f_hi - st.f_lo
-
 (* Child intervals of one extension step, every base at once.  Both
    sides are stored as absolute row intervals; slot 0 (the sentinel) is
    never a child and holds scratch. *)
@@ -48,7 +40,6 @@ type cursor = {
   cf_hi : int array;
   cr_lo : int array;
   cr_hi : int array;
-  mutable clen : int;  (* parent len + 1, stamped by the last extend *)
 }
 
 let cursor () =
@@ -57,8 +48,19 @@ let cursor () =
     cf_hi = Array.make sigma 0;
     cr_lo = Array.make sigma 0;
     cr_hi = Array.make sigma 0;
-    clen = 0;
   }
+
+let f_lo cur c = cur.cf_lo.(c)
+let f_hi cur c = cur.cf_hi.(c)
+let r_lo cur c = cur.cr_lo.(c)
+let r_hi cur c = cur.cr_hi.(c)
+
+(* Both intervals inside [0, n + 1] and of the same width. *)
+let check_pair t ~f_lo ~f_hi ~r_lo ~r_hi =
+  let rows = t.n + 1 in
+  if f_lo < 0 || f_hi < f_lo || f_hi > rows || r_lo < 0 || r_hi > rows
+     || r_hi - r_lo <> f_hi - f_lo
+  then invalid_arg "Bidir.extend_*_all: interval pair out of range"
 
 (* Prepend: a backward step over BWT(s) gives, for every code [b], the
    rank pair whose difference cnt(b) counts the occurrences of b·α.
@@ -68,13 +70,12 @@ let cursor () =
    the very end of rev s ⇔ α is a prefix of s, and '$' is smallest).
    So the reverse child of base c starts after the sentinel block and
    every smaller base's block. *)
-let extend_left_all t st cur =
-  if st.f_lo < 0 || st.f_hi < st.f_lo || st.f_hi > t.n + 1 then
-    invalid_arg "Bidir.extend_left_all: interval out of range";
-  Occ.rank_all_pair_unsafe t.occ_f st.f_lo st.f_hi cur.cf_lo cur.cf_hi;
+let extend_left_all t cur ~f_lo ~f_hi ~r_lo ~r_hi =
+  check_pair t ~f_lo ~f_hi ~r_lo ~r_hi;
+  Occ.rank_all_pair_unsafe t.occ_f f_lo f_hi cur.cf_lo cur.cf_hi;
   (* cf_* hold raw ranks here; cnt must be read before the C offset is
      folded in. *)
-  let acc = ref (st.r_lo + (cur.cf_hi.(0) - cur.cf_lo.(0))) in
+  let acc = ref (r_lo + (cur.cf_hi.(0) - cur.cf_lo.(0))) in
   for c = 1 to sigma - 1 do
     let cnt = cur.cf_hi.(c) - cur.cf_lo.(c) in
     cur.cr_lo.(c) <- !acc;
@@ -83,52 +84,27 @@ let extend_left_all t st cur =
     let base = t.c_f.(c) in
     cur.cf_lo.(c) <- base + cur.cf_lo.(c);
     cur.cf_hi.(c) <- base + cur.cf_hi.(c)
-  done;
-  cur.clen <- st.len + 1
+  done
 
 (* Append is the mirror image through BWT(rev s); the shared
    [Fm_index.extend_all] already returns full (C-offset) intervals, and
    the forward interval re-partitions from the same counts. *)
-let extend_right_all t st cur =
-  Fm_index.extend_all t.fm_rev (st.r_lo, st.r_hi) ~los:cur.cr_lo
-    ~his:cur.cr_hi;
-  let acc = ref (st.f_lo + (cur.cr_hi.(0) - cur.cr_lo.(0))) in
+let extend_right_all t cur ~f_lo ~f_hi ~r_lo ~r_hi =
+  check_pair t ~f_lo ~f_hi ~r_lo ~r_hi;
+  Fm_index.extend_all t.fm_rev ~lo:r_lo ~hi:r_hi ~los:cur.cr_lo ~his:cur.cr_hi;
+  let acc = ref (f_lo + (cur.cr_hi.(0) - cur.cr_lo.(0))) in
   for c = 1 to sigma - 1 do
     let cnt = cur.cr_hi.(c) - cur.cr_lo.(c) in
     cur.cf_lo.(c) <- !acc;
     cur.cf_hi.(c) <- !acc + cnt;
     acc := !acc + cnt
-  done;
-  cur.clen <- st.len + 1
+  done
 
-let child cur _parent c =
-  if c <= 0 || c >= sigma then invalid_arg "Bidir.child: base code out of range";
-  let f_lo = cur.cf_lo.(c) and f_hi = cur.cf_hi.(c) in
-  if f_lo >= f_hi then None
-  else
-    Some
-      {
-        f_lo;
-        f_hi;
-        r_lo = cur.cr_lo.(c);
-        r_hi = cur.cr_hi.(c);
-        len = cur.clen;
-      }
-
-let extend_left t c st =
-  let cur = cursor () in
-  extend_left_all t st cur;
-  child cur st c
-
-let extend_right t c st =
-  let cur = cursor () in
-  extend_right_all t st cur;
-  child cur st c
-
-let locate_into t st dst =
-  Fm_index.locate_into t.fm_rev (st.r_lo, st.r_hi) dst;
-  for i = 0 to st.r_hi - st.r_lo - 1 do
-    (* dst.(i) is where rev α starts in rev s; flip to where α starts
-       in s. *)
-    dst.(i) <- t.n - dst.(i) - st.len
+let locate_into t ~r_lo ~r_hi ~len dst =
+  if r_lo < 0 || r_hi > t.n + 1 || r_lo > r_hi then invalid_arg "Bidir.locate_into: bad interval";
+  if Array.length dst < r_hi - r_lo then invalid_arg "Bidir.locate_into: buffer too small";
+  for i = 0 to r_hi - r_lo - 1 do
+    (* Row [r_lo + i] locates where rev α starts in rev s; flip to where
+       α starts in s. *)
+    dst.(i) <- t.n - Fm_index.locate_row t.fm_rev (r_lo + i) - len
   done

@@ -50,59 +50,49 @@ val length : t -> int
 val fm_rev : t -> Fm_index.t
 (** The shared reverse-text index (the locate-capable side). *)
 
-type state = {
-  f_lo : int;
-  f_hi : int;  (** forward interval [f_lo, f_hi): rows of suffixes of [s]
-                   starting with the matched substring α *)
-  r_lo : int;
-  r_hi : int;  (** reverse interval: rows of suffixes of [rev s] starting
-                   with [rev α]; always the same width as the forward one *)
-  len : int;  (** |α|: characters matched so far *)
-}
-(** A synchronized interval pair.  Nonempty iff [f_lo < f_hi]. *)
-
-val start : t -> state
-(** The empty match: both intervals cover every row, [len = 0]. *)
-
-val width : state -> int
-(** Number of occurrences of the matched substring ([f_hi - f_lo]). *)
-
 (** {1 Extension}
 
-    The rank-all form mirrors {!Fm_index.extend_all}: one call derives
-    the child states of all four bases at once from a single rank-all
-    pass per side, into caller-owned scratch. *)
+    A match α is carried by the caller as its synchronized interval
+    pair: the forward interval [[f_lo, f_hi)] (rows of suffixes of [s]
+    starting with α) and the reverse interval [[r_lo, r_hi)] (rows of
+    suffixes of [rev s] starting with [rev α]), always of the same width
+    — the number of occurrences of α.  The empty match is [[0, n + 1)]
+    on both sides.  The rank-all form mirrors {!Fm_index.extend_all}:
+    one call derives the child pairs of all four bases at once from a
+    single rank-all pass per side, into a caller-owned {!cursor}; the
+    caller reads each child straight off it.  Nothing here allocates. *)
 
 type cursor
-(** Scratch holding the four children of one extension step. *)
+(** Scratch holding the four child interval pairs of one extension. *)
 
 val cursor : unit -> cursor
 
-val extend_left_all : t -> state -> cursor -> unit
+val extend_left_all :
+  t -> cursor -> f_lo:int -> f_hi:int -> r_lo:int -> r_hi:int -> unit
 (** Fill the cursor with the children of prepending each base to α
-    (one rank-all pair over [BWT(s)]). *)
+    (one rank-all pair over [BWT(s)]).  Raises [Invalid_argument] if the
+    pair is out of range or its sides differ in width. *)
 
-val extend_right_all : t -> state -> cursor -> unit
+val extend_right_all :
+  t -> cursor -> f_lo:int -> f_hi:int -> r_lo:int -> r_hi:int -> unit
 (** Fill the cursor with the children of appending each base to α
     (one rank-all pair over [BWT(rev s)], through the shared
     {!Fm_index.extend_all} — its telemetry counts these). *)
 
-val child : cursor -> state -> int -> state option
-(** [child cur parent c] is the child state for base code [c]
-    ({!Dna.Alphabet} codes 1..4) from the last [extend_*_all] on [cur],
-    or [None] when that extension is empty.  Raises [Invalid_argument]
-    on a code outside 1..4. *)
+val f_lo : cursor -> int -> int
+(** [f_lo cur c] is the forward interval start of the child for base
+    code [c] ({!Dna.Alphabet} codes 1..4) from the last [extend_*_all]
+    on [cur]; the child is empty iff [f_lo cur c >= f_hi cur c]. *)
 
-val extend_left : t -> int -> state -> state option
-(** One-character convenience over {!extend_left_all} (allocates a
-    cursor; the executors keep their own). *)
+val f_hi : cursor -> int -> int
+val r_lo : cursor -> int -> int
+val r_hi : cursor -> int -> int
 
-val extend_right : t -> int -> state -> state option
-
-val locate_into : t -> state -> int array -> unit
-(** [locate_into t st dst] writes the {e forward} text position of the
-    matched substring's occurrence for each row of the reverse interval:
-    [dst.(i)] is the start of α in [s] for row [r_lo + i], unsorted.
-    Resolved through the reverse side's sampled SA ([pos = n - p_rev -
-    len]).  Raises [Invalid_argument] if [dst] is shorter than the
-    interval width. *)
+val locate_into : t -> r_lo:int -> r_hi:int -> len:int -> int array -> unit
+(** [locate_into t ~r_lo ~r_hi ~len dst] writes the {e forward} text
+    position of each occurrence of the length-[len] match whose reverse
+    interval is [[r_lo, r_hi)]: [dst.(i)] is the start of α in [s] for
+    row [r_lo + i], unsorted.  Resolved through the reverse side's
+    sampled SA ([pos = n - p_rev - len]), allocating nothing.  Raises
+    [Invalid_argument] if the interval is out of range or [dst] is
+    shorter than its width. *)

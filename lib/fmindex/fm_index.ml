@@ -310,10 +310,6 @@ let longest_extension t codes ~pos ~stop =
   end;
   !j - pos
 
-let lf t row =
-  let c, r = Occ.char_rank t.occ row in
-  t.c_array.(c) + r
-
 (* A legitimate LF walk reaches a marked row within [sa_rate] steps
    (positions decrease by one per step and every sa_rate-th is marked).
    A corrupted Occ payload — reachable only through an mmap'd load,
@@ -323,29 +319,25 @@ let walk_overrun () =
   failwith "Fm_index.locate: LF walk exceeded the sample rate (corrupt index?)"
 
 let position_of_row t row =
+  let row = ref row and steps = ref 0 in
+  while not (mark_test t.marks !row) do
+    if !steps >= t.sa_rate then walk_overrun ();
+    row := Occ.lf t.occ t.c_array !row;
+    Stdlib.incr steps
+  done;
   if Telemetry.is_enabled () then begin
-    let row = ref row and steps = ref 0 in
-    while not (mark_test t.marks !row) do
-      row := lf t !row;
-      Stdlib.incr steps;
-      if !steps > t.sa_rate then walk_overrun ()
-    done;
     let tc = Telemetry.cell () in
     tc.Telemetry.locate_walks <- tc.Telemetry.locate_walks + 1;
     tc.Telemetry.locate_steps <- tc.Telemetry.locate_steps + !steps;
     (* Each LF step is one rank over the block holding its row. *)
     tc.Telemetry.rank_ops <- tc.Telemetry.rank_ops + !steps;
-    tc.Telemetry.block_decodes <- tc.Telemetry.block_decodes + !steps;
-    Storage.word t.samples (mark_rank t !row) + !steps
-  end
-  else begin
-    let rec walk row steps =
-      if mark_test t.marks row then Storage.word t.samples (mark_rank t row) + steps
-      else if steps >= t.sa_rate then walk_overrun ()
-      else walk (lf t row) (steps + 1)
-    in
-    walk row 0
-  end
+    tc.Telemetry.block_decodes <- tc.Telemetry.block_decodes + !steps
+  end;
+  Storage.word t.samples (mark_rank t !row) + !steps
+
+let locate_row t row =
+  if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.locate_row: row out of range";
+  position_of_row t row
 
 let locate_into t (lo, hi) dst =
   let rows = Occ.length t.occ in
@@ -379,7 +371,7 @@ let space_report t =
     ("packed text (2 bit/base)", Storage.length (Packed_text.storage t.ptext));
   ]
 
-let extend_all t (lo, hi) ~los ~his =
+let extend_all t ~lo ~hi ~los ~his =
   (* One boundary check here, then the unchecked pair kernel: engines
      call this millions of times per read with intervals they derived
      from [whole]/previous extensions, so the in-range invariant holds

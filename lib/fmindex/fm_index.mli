@@ -69,6 +69,12 @@ val locate : t -> interval -> int list
 (** Sorted 0-based starting positions of the suffixes in the interval.
     Rows are resolved through the sampled suffix array by LF-walking. *)
 
+val locate_row : t -> int -> int
+(** [locate_row t row] is the text position of the suffix at BWT row
+    [row], by an LF walk to the nearest sampled row; it allocates
+    nothing.  Raises [Invalid_argument] if [row] is outside
+    [0, length t]. *)
+
 val locate_into : t -> interval -> int array -> unit
 (** [locate_into t (lo, hi) dst] writes the position of row [lo + i] into
     [dst.(i)] for [i < hi - lo], unsorted and without allocating — the
@@ -125,12 +131,13 @@ val space_report : t -> (string * int) list
     forced through {!text} is a cache, not an owned component, and is
     not listed.) *)
 
-val extend_all : t -> interval -> los:int array -> his:int array -> unit
+val extend_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
 (** One-pass variant of {!extend} for every character code at once:
-    afterwards the extension of the interval by code [c] is
+    afterwards the extension of the interval [[lo, hi)] by code [c] is
     [(los.(c), his.(c))], nonempty iff [los.(c) < his.(c)].  Both arrays
     must have length 5 (the alphabet size).  Costs two block scans
-    instead of eight. *)
+    instead of eight, and allocates nothing: the bounds are passed
+    unboxed, not as an {!interval}. *)
 
 (** {1 Persistence}
 

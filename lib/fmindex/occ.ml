@@ -323,32 +323,33 @@ let rank_pair_into t c lo hi dst =
     invalid_arg "Occ.rank_pair_into: index out of range";
   rank_pair_into_unsafe t c lo hi dst
 
+(* Is BWT row [row] a sentinel row?  Allocation-free, singleton table
+   first like [sent_before]. *)
+let is_sentinel t row =
+  let s = t.sentinels in
+  match Array.length s with
+  | 1 -> Array.unsafe_get s 0 = row
+  | 0 -> false
+  | n ->
+      let j = sent_before_scan s n row in
+      j < n && Array.unsafe_get s j = row
+
 let get t row =
   if row < 0 || row >= t.len then invalid_arg "Occ.get: index out of range";
-  let s = t.sentinels in
-  let n = Array.length s in
-  let rec scan j before =
-    if j >= n then Some before
-    else
-      let r = Array.unsafe_get s j in
-      if r = row then None
-      else if r < row then scan (j + 1) (before + 1)
-      else Some before
-  in
-  match scan 0 0 with
-  | None -> 0
-  | Some before ->
-      let p = row - before in
-      let b = p lsr t.bshift in
-      let byte =
-        A1.unsafe_get t.data ((b * t.stride) + 8 + ((p land (t.bl - 1)) lsr 2))
-      in
-      ((byte lsr ((p land 3) * 2)) land 3) + 1
+  if is_sentinel t row then 0 else payload_code t (row - sent_before t row)
 
-let char_rank t row =
-  let c = get t row in
-  if c = 0 then (0, sent_before t row)
-  else (c, packed_rank t (c - 1) (row - sent_before t row))
+(* One LF step: the row's own code is read from the payload line the
+   rank decode of the same position then scans, and the answer is a
+   single int — no code/rank pair, no sentinel-scan closure. *)
+let lf t c row =
+  if row < 0 || row >= t.len then invalid_arg "Occ.lf: index out of range";
+  let sb = sent_before t row in
+  if is_sentinel t row then c.(0) + sb
+  else begin
+    let p = row - sb in
+    let code = payload_code t p in
+    c.(code) + packed_rank t (code - 1) p
+  end
 
 let counts t = Array.copy t.totals
 let rate t = t.req_rate

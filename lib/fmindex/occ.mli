@@ -85,9 +85,11 @@ val get : t -> int -> int
 (** [get t row] is the character code of BWT position [row] — the packed
     replacement for indexing the [l] string. *)
 
-val char_rank : t -> int -> int * int
-(** [char_rank t row] is [(c, rank t c row)] for [c = get t row], decoded
-    in one pass: exactly the pair an LF step needs. *)
+val lf : t -> int array -> int -> int
+(** [lf t c row] is [c.(x) + rank t x row] for [x = get t row]: the LF
+    mapping of [row] given the C array [c] (length [sigma]).  One block
+    decode, and it allocates nothing, so locate walks can call it per
+    step.  Raises [Invalid_argument] if [row] is outside [0, length t). *)
 
 val counts : t -> int array
 (** Total occurrences of every character code in the whole BWT (a fresh

@@ -184,57 +184,71 @@ module Pattern = struct
   type t = { m : int; phases : phase array }
 
   let length t = t.m
+  let phase t p = t.phases.(p)
 
-  let make_phase codes p =
-    let m = Array.length codes in
+  let word_bits = 2 * word_lanes
+  let word_mask = (1 lsl word_bits) - 1
+
+  (* Lanes [lo, hi) of a word (0 <= lo <= hi <= word_lanes) as 0b11
+     fields. *)
+  let lane_mask lo hi = ((1 lsl (2 * hi)) - 1) land lnot ((1 lsl (2 * lo)) - 1)
+
+  (* Phase [p] from the phase-0 words [w0] of an [m]-lane pattern: every
+     lane moves up by [p], so each word is its phase-0 word shifted left
+     by [2p] bits plus the top [p] lanes of the word below it. *)
+  let shifted w0 m p =
     let nb = nbytes (p + m) in
     let nw = (nb + word_bytes - 1) / word_bytes in
-    let pat = Bytes.make (nw * word_bytes) '\000' in
-    let msk = Bytes.make (nw * word_bytes) '\000' in
-    for i = 0 to m - 1 do
-      let lane = p + i in
-      let b = lane lsr 2 and off = (lane land 3) * 2 in
-      Bytes.unsafe_set pat b
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get pat b) lor (codes.(i) lsl off)));
-      Bytes.unsafe_set msk b
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get msk b) lor (3 lsl off)))
+    let n0 = Array.length w0 in
+    let words = Array.make nw 0 and masks = Array.make nw 0 in
+    for w = 0 to nw - 1 do
+      let cur = if w < n0 then Array.unsafe_get w0 w else 0 in
+      let below = if w > 0 then Array.unsafe_get w0 (w - 1) lsr (word_bits - (2 * p)) else 0 in
+      words.(w) <- ((cur lsl (2 * p)) land word_mask) lor below;
+      let base = w * word_lanes in
+      masks.(w) <- lane_mask (max p base - base) (min (p + m) (base + word_lanes) - base)
     done;
-    let word_of bytes w =
-      let base = w * word_bytes in
-      let acc = ref 0 in
-      for j = word_bytes - 1 downto 0 do
-        acc := (!acc lsl 8) lor Char.code (Bytes.unsafe_get bytes (base + j))
-      done;
-      !acc
-    in
-    {
-      words = Array.init nw (word_of pat);
-      masks = Array.init nw (word_of msk);
-      last_bytes = nb - (word_bytes * (nw - 1));
-    }
+    { words; masks; last_bytes = nb - (word_bytes * (nw - 1)) }
+
+  (* Lane code of each byte: 0..3 for [acgt], 4 for anything else. *)
+  let lane_of_byte =
+    String.init 256 (fun b ->
+        match Char.chr b with
+        | 'a' -> '\000'
+        | 'c' -> '\001'
+        | 'g' -> '\002'
+        | 't' -> '\003'
+        | _ -> '\004')
+
+  let[@inline never] not_a_base c =
+    invalid_arg (Printf.sprintf "Packed_text.Pattern.make: %C is not a lowercase base" c)
+
+  (* One pass over the pattern fills the phase-0 words. *)
+  let make s =
+    let m = String.length s in
+    if m = 0 then invalid_arg "Packed_text.Pattern: empty pattern";
+    let w0 = Array.make ((m + word_lanes - 1) / word_lanes) 0 in
+    let w = ref 0 and shift = ref 0 in
+    for i = 0 to m - 1 do
+      let c = String.unsafe_get s i in
+      let d = Char.code (String.unsafe_get lane_of_byte (Char.code c)) in
+      if d > 3 then not_a_base c;
+      Array.unsafe_set w0 !w (Array.unsafe_get w0 !w lor (d lsl !shift));
+      if !shift = word_bits - 2 then begin
+        incr w;
+        shift := 0
+      end
+      else shift := !shift + 2
+    done;
+    { m; phases = Array.init 4 (shifted w0 m) }
 
   let of_codes codes =
-    let m = Array.length codes in
-    if m = 0 then invalid_arg "Packed_text.Pattern: empty pattern";
     Array.iter
       (fun d ->
         if d < 0 || d > 3 then
           invalid_arg "Packed_text.Pattern: lane code out of range")
       codes;
-    { m; phases = Array.init 4 (make_phase codes) }
-
-  let make s =
-    of_codes
-      (Array.init (String.length s) (fun i ->
-           match s.[i] with
-           | 'a' -> 0
-           | 'c' -> 1
-           | 'g' -> 2
-           | 't' -> 3
-           | c ->
-               invalid_arg
-                 (Printf.sprintf
-                    "Packed_text.Pattern.make: %C is not a lowercase base" c)))
+    make (String.init (Array.length codes) (fun i -> base_of_code codes.(i)))
 
   let of_packed t ~pos ~len =
     if len <= 0 || pos < 0 || pos + len > t.len then
@@ -287,42 +301,35 @@ let[@inline] telemetry_flush ~words ~early =
    the running mismatch count exceeds [limit].  On early exit the
    return value is some count > limit — meaningful only as "greater
    than limit", not as the exact distance. *)
-let hamming ?(limit = max_int) t (pp : Pattern.t) ~pos =
+let hamming ~limit t (pp : Pattern.t) ~pos =
   let m = pp.Pattern.m in
   if pos < 0 || pos + m > t.len then
     invalid_arg "Packed_text.hamming: window out of range";
   let ph = Array.unsafe_get pp.Pattern.phases (pos land 3) in
   let b0 = pos lsr 2 in
   let words = ph.Pattern.words and masks = ph.Pattern.masks in
-  let nw = Array.length words in
+  let last = Array.length words - 1 in
   let data = t.data in
-  let last = nw - 1 in
-  let rec go w acc =
-    if w = last then begin
-      let tw = load_tail data (b0 + (word_bytes * w)) ph.Pattern.last_bytes in
-      let acc =
-        acc
-        + count_mismatch_word
-            ((tw lxor Array.unsafe_get words w) land Array.unsafe_get masks w)
-      in
-      telemetry_flush ~words:nw ~early:false;
-      acc
-    end
-    else begin
-      let tw = load7 data (b0 + (word_bytes * w)) in
-      let acc =
-        acc
-        + count_mismatch_word
-            ((tw lxor Array.unsafe_get words w) land Array.unsafe_get masks w)
-      in
-      if acc > limit then begin
-        telemetry_flush ~words:(w + 1) ~early:true;
-        acc
-      end
-      else go (w + 1) acc
-    end
-  in
-  go 0 0
+  let acc = ref 0 and w = ref 0 and over = ref false in
+  while (not !over) && !w < last do
+    let tw = load7 data (b0 + (word_bytes * !w)) in
+    acc :=
+      !acc
+      + count_mismatch_word
+          ((tw lxor Array.unsafe_get words !w) land Array.unsafe_get masks !w);
+    incr w;
+    over := !acc > limit
+  done;
+  if !over then telemetry_flush ~words:!w ~early:true
+  else begin
+    let tw = load_tail data (b0 + (word_bytes * last)) ph.Pattern.last_bytes in
+    acc :=
+      !acc
+      + count_mismatch_word
+          ((tw lxor Array.unsafe_get words last) land Array.unsafe_get masks last);
+    telemetry_flush ~words:(last + 1) ~early:false
+  end;
+  !acc
 
 let hamming_le t pp ~pos ~k =
   if k < 0 then false

@@ -124,15 +124,31 @@ module Pattern : sig
       is out of range or empty. *)
 
   val length : t -> int
+
+  type phase = {
+    words : int array;
+        (** the pattern shifted up by the phase's lane count, in
+            28-lane little-endian words *)
+    masks : int array;  (** same shape: [0b11] on pattern lanes, [0b00] on padding *)
+    last_bytes : int;  (** packed bytes the final word covers, 1..7 *)
+  }
+
+  val phase : t -> int -> phase
+  (** [phase t p] ([p] in 0..3) is the packing compared against text
+      positions [pos] with [pos mod 4 = p].  {!make} fills phase 0 in
+      one pass over the pattern and derives phases 1..3 from its words
+      by 2-bit shifts.  Read-only. *)
 end
 
-val hamming : ?limit:int -> t -> Pattern.t -> pos:int -> int
-(** [hamming ?limit t p ~pos] is the Hamming distance between pattern
+val hamming : limit:int -> t -> Pattern.t -> pos:int -> int
+(** [hamming ~limit t p ~pos] is the Hamming distance between pattern
     [p] and the text window starting at lane [pos], scanning word by
     word and stopping as soon as the running count exceeds [limit]
-    (default: no limit).  After an early exit the result is only
+    ([max_int] for none).  After an early exit the result is only
     meaningful as "greater than [limit]" — it counts the scanned prefix
-    only.  Raises [Invalid_argument] when the window does not fit. *)
+    only.  The limit is required, not optional, so a call allocates
+    nothing (an optional argument boxes a [Some] per call).  Raises
+    [Invalid_argument] when the window does not fit. *)
 
 val hamming_le : t -> Pattern.t -> pos:int -> k:int -> bool
 (** [hamming_le t p ~pos ~k] is [hamming t p ~pos <= k], with the

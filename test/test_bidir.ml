@@ -86,43 +86,50 @@ let prop_bidir_matches_unidirectional =
         Fmindex.Bidir.make ~ptext:(Fmindex.Packed_text.of_string text) ~fm_rev
       in
       (* Grow pattern.[split-1 .. 0] leftward and pattern.[split .. m-1]
-         rightward, interleaved at random. *)
+         rightward, interleaved at random, reading each child pair off
+         the cursor. *)
+      let module B = Fmindex.Bidir in
+      let cur = B.cursor () in
+      let rows = String.length text + 1 in
+      let f_lo = ref 0 and f_hi = ref rows and r_lo = ref 0 and r_hi = ref rows in
       let l = ref split and r = ref split in
-      let state = ref (Some (Fmindex.Bidir.start bd)) in
-      while !state <> None && (!l > 0 || !r < m) do
-        let go_left =
-          !l > 0 && (!r >= m || Random.State.bool st)
+      let same_width = ref true in
+      while !f_lo < !f_hi && (!l > 0 || !r < m) do
+        let go_left = !l > 0 && (!r >= m || Random.State.bool st) in
+        let c =
+          if go_left then begin
+            decr l;
+            B.extend_left_all bd cur ~f_lo:!f_lo ~f_hi:!f_hi ~r_lo:!r_lo ~r_hi:!r_hi;
+            Dna.Alphabet.code pattern.[!l]
+          end
+          else begin
+            B.extend_right_all bd cur ~f_lo:!f_lo ~f_hi:!f_hi ~r_lo:!r_lo ~r_hi:!r_hi;
+            incr r;
+            Dna.Alphabet.code pattern.[!r - 1]
+          end
         in
-        match !state with
-        | None -> ()
-        | Some s ->
-            if go_left then begin
-              decr l;
-              state :=
-                Fmindex.Bidir.extend_left bd (Dna.Alphabet.code pattern.[!l]) s
-            end
-            else begin
-              state :=
-                Fmindex.Bidir.extend_right bd (Dna.Alphabet.code pattern.[!r]) s;
-              incr r
-            end
+        f_lo := B.f_lo cur c;
+        f_hi := B.f_hi cur c;
+        r_lo := B.r_lo cur c;
+        r_hi := B.r_hi cur c;
+        if !r_hi - !r_lo <> !f_hi - !f_lo then same_width := false
       done;
       let expected_fwd = Fmindex.Fm_index.search fm_fwd pattern in
       let expected_rev = Fmindex.Fm_index.search fm_rev (rev_string pattern) in
-      match !state with
-      | None ->
-          (* Some prefix of the interleaving died: the full pattern must
-             be absent from the text. *)
-          naive_positions text pattern = []
-      | Some s ->
-          s.Fmindex.Bidir.len = m
-          && expected_fwd = Some (s.Fmindex.Bidir.f_lo, s.Fmindex.Bidir.f_hi)
-          && expected_rev = Some (s.Fmindex.Bidir.r_lo, s.Fmindex.Bidir.r_hi)
-          &&
-          let w = Fmindex.Bidir.width s in
-          let dst = Array.make w 0 in
-          Fmindex.Bidir.locate_into bd s dst;
-          List.sort compare (Array.to_list dst) = naive_positions text pattern)
+      !same_width
+      &&
+      if !f_lo >= !f_hi then
+        (* Some prefix of the interleaving died: the full pattern must
+           be absent from the text. *)
+        naive_positions text pattern = []
+      else
+        !r - !l = m
+        && expected_fwd = Some (!f_lo, !f_hi)
+        && expected_rev = Some (!r_lo, !r_hi)
+        &&
+        let dst = Array.make (!f_hi - !f_lo) 0 in
+        B.locate_into bd ~r_lo:!r_lo ~r_hi:!r_hi ~len:m dst;
+        List.sort compare (Array.to_list dst) = naive_positions text pattern)
 
 (* ------------------------------------------------------------------ *)
 (* Oss.search vs the naive reference                                   *)
@@ -174,6 +181,105 @@ let test_bidir_engine_agrees () =
       ("acagacagacttgacagacatt", 4);
       ("acagacagacttgacagacattacgt", 2);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The per-domain scratch                                               *)
+
+(* A repeat-rich genome (40 mutated copies of one 400 bp unit between
+   random spacers) and 100 bp reads drawn from it with 3% substitutions,
+   the first from inside the first copy of the unit: extension counts
+   range over an order of magnitude, and reads from the repeat hit many
+   windows. *)
+let scratch_case =
+  lazy
+    (let st = Random.State.make [| 20 |] in
+     let rnd n = Test_util.random_dna st n in
+     let mutate s rate =
+       String.map
+         (fun c ->
+           if Random.State.float st 1.0 < rate then "acgt".[Random.State.int st 4] else c)
+         s
+     in
+     let unit = rnd 400 in
+     let text = String.concat "" (List.init 40 (fun _ -> rnd 600 ^ mutate unit 0.04)) in
+     let n = String.length text in
+     let read at = mutate (String.sub text at 100) 0.03 in
+     let pats =
+       Array.init 60 (fun i -> read (if i = 0 then 750 else Random.State.int st (n - 100)))
+     in
+     let idx = Kmismatch.build_index text in
+     (text, Kmismatch.packed_text idx, Kmismatch.bidir idx, pats))
+
+(* Minor words one search allocates, and its hits.  No clock. *)
+let words_of_search ~ptext bd ~pattern ~k =
+  let w0 = Gc.minor_words () in
+  let hits = Oss.search ~ptext bd ~pattern ~k in
+  (Gc.minor_words () -. w0, hits)
+
+(* What one search may allocate: per-pattern buffers (the code array
+   and the packed pattern) and per-hit result cells, never anything per
+   extension or per verified candidate. *)
+let alloc_bound ~m ~hits = float_of_int ((5 * m) + (32 * List.length hits))
+
+let test_search_allocation () =
+  let _, ptext, bd, pats = Lazy.force scratch_case in
+  let k = 4 in
+  Array.iter (fun pattern -> ignore (Oss.search ~ptext bd ~pattern ~k)) pats;
+  let extends = ref [] in
+  Array.iter
+    (fun pattern ->
+      let obs = Obs.create () in
+      ignore (Oss.search ~obs ~ptext bd ~pattern ~k);
+      let x = Obs.counter_value obs "bidir.extends" in
+      extends := x :: !extends;
+      let words, hits = words_of_search ~ptext bd ~pattern ~k in
+      let bound = alloc_bound ~m:(String.length pattern) ~hits in
+      if words > bound then
+        Alcotest.failf "%.0f minor words for %d extensions and %d hits (bound %.0f)" words x
+          (List.length hits) bound)
+    pats;
+  (* The bound must have been met across very different amounts of
+     exploration, or it proves nothing about per-step garbage. *)
+  let lo = List.fold_left min max_int !extends and hi = List.fold_left max 0 !extends in
+  check bool (Printf.sprintf "extensions per search range over %d..%d" lo hi) true (hi >= 4 * lo)
+
+(* A search cut by its deadline part-way through the exploration leaves
+   the domain's rows usable: the next searches are exact and reuse them
+   (a scratch left marked busy would make the next search allocate a
+   fresh row per pattern position, past the bound). *)
+let test_cut_search_leaves_rows_usable () =
+  let text, ptext, bd, pats = Lazy.force scratch_case in
+  let cut = pats.(0) in
+  ignore (Oss.search ~ptext bd ~pattern:cut ~k:8);
+  (* The deadline clock is read at the first poll and then every
+     [Deadline.poll_stride] polls, so a budget that expires between two
+     reads cuts the walk with nodes explored.  Grow the budget until
+     that happens; a preempted attempt can overshoot into a finished
+     search, so start over a few times before giving up. *)
+  let rec cut_mid ~tries budget_ns =
+    let stats = Stats.create () in
+    match
+      Deadline.with_ambient
+        (Deadline.of_ns (Obs.Clock.now_ns () + budget_ns))
+        (fun () -> Oss.search ~stats ~ptext bd ~pattern:cut ~k:8)
+    with
+    | exception Deadline.Expired when stats.nodes > 0 -> ()
+    | exception Deadline.Expired -> cut_mid ~tries (budget_ns * 3 / 2)
+    | _ when tries > 1 -> cut_mid ~tries:(tries - 1) 1_000
+    | _ -> Alcotest.fail "no budget cut the search mid-exploration"
+  in
+  cut_mid ~tries:20 1_000;
+  (* Budgets above 4 build their generic scheme per search, so only the
+     tabled budgets are held to the allocation bound. *)
+  List.iter
+    (fun (pattern, k) ->
+      let words, hits = words_of_search ~ptext bd ~pattern ~k in
+      check hits_t (Printf.sprintf "k=%d after the cut" k) (naive_hits text pattern k) hits;
+      let bound = alloc_bound ~m:(String.length pattern) ~hits in
+      if k <= 4 then
+        check bool (Printf.sprintf "%.0f words, rows reused (bound %.0f)" words bound) true
+          (words <= bound))
+    [ (pats.(1), 4); (cut, 8); (pats.(2), 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* build_index normalizes exactly once                                 *)
@@ -313,6 +419,12 @@ let () =
           prop_oss_matches_naive;
           Alcotest.test_case "engine agrees with naive" `Quick
             test_bidir_engine_agrees;
+        ] );
+      ( "scratch",
+        [
+          Alcotest.test_case "no garbage per extension" `Quick test_search_allocation;
+          Alcotest.test_case "cut search leaves rows usable" `Quick
+            test_cut_search_leaves_rows_usable;
         ] );
       ( "index",
         [

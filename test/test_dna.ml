@@ -39,6 +39,55 @@ let test_complement () =
         (Alphabet.code (Alphabet.complement (Alphabet.complement c))))
     "acgt"
 
+(* The match-based definitions the lookup tables replaced, checked on
+   every byte: the same result, or the same [Invalid_argument]. *)
+let spec_code = function
+  | '$' -> Some 0
+  | 'a' | 'A' -> Some 1
+  | 'c' | 'C' -> Some 2
+  | 'g' | 'G' -> Some 3
+  | 't' | 'T' -> Some 4
+  | _ -> None
+
+let spec_complement = function
+  | 'a' | 'A' -> Some 't'
+  | 'c' | 'C' -> Some 'g'
+  | 'g' | 'G' -> Some 'c'
+  | 't' | 'T' -> Some 'a'
+  | _ -> None
+
+let test_every_byte () =
+  let outcome f c = match f c with v -> Ok v | exception Invalid_argument msg -> Error msg in
+  let res = Alcotest.(result int string) and cres = Alcotest.(result char string) in
+  for b = 0 to 255 do
+    let c = Char.chr b in
+    let name what = Printf.sprintf "%s %C" what c in
+    let base = spec_code c <> None && c <> '$' in
+    check Alcotest.(option int) (name "code_opt") (spec_code c) (Alphabet.code_opt c);
+    check res (name "code")
+      (match spec_code c with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "Alphabet.code: %C is not in {$acgt}" c))
+      (outcome Alphabet.code c);
+    check bool (name "is_base") base (Alphabet.is_base c);
+    check cres (name "normalize")
+      (if c = '$' then Ok '$'
+       else if base then Ok (Char.lowercase_ascii c)
+       else Error (Printf.sprintf "Alphabet.normalize: %C is not a base" c))
+      (outcome Alphabet.normalize c);
+    check cres (name "complement")
+      (match spec_complement c with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "Alphabet.complement: %C is not a base" c))
+      (outcome Alphabet.complement c);
+    check Alcotest.(option string) (name "Sequence.of_string_opt")
+      (if base then Some (String.make 1 (Char.lowercase_ascii c)) else None)
+      (Option.map Sequence.to_string (Sequence.of_string_opt (String.make 1 c)))
+  done;
+  let s = Sequence.of_string "ACGTTGCAacgtaaCCgg" in
+  check string "revcomp = reversed complement" "ccggttacgttgcaacgt"
+    (Sequence.to_string (Sequence.revcomp s))
+
 (* ------------------------------------------------------------------ *)
 (* Sequence                                                            *)
 
@@ -284,6 +333,7 @@ let () =
           Alcotest.test_case "case insensitive" `Quick test_case_insensitive;
           Alcotest.test_case "invalid char" `Quick test_invalid_char;
           Alcotest.test_case "complement" `Quick test_complement;
+          Alcotest.test_case "every byte" `Quick test_every_byte;
         ] );
       ( "sequence",
         [

@@ -229,18 +229,52 @@ let test_occ_rank_all_pair () =
     done
   done
 
-let test_occ_get_char_rank () =
+(* [Occ.lf] against the definition, LF(row) = C[x] + rank(x, row) for
+   x the row's code, at both block geometries and with no, one and
+   several sentinel rows. *)
+let test_occ_get_lf () =
   let st = Random.State.make [| 37 |] in
+  let with_sentinels l rows =
+    let b = Bytes.of_string l in
+    List.iter (fun r -> Bytes.set b r '$') rows;
+    Bytes.to_string b
+  in
   let s = Test_util.random_dna st 400 in
   let l = Bwt.of_text s in
-  let occ = Occ.make ~rate:32 l in
-  for row = 0 to String.length l - 1 do
-    let expected = Dna.Alphabet.code l.[row] in
-    check int (Printf.sprintf "get row=%d" row) expected (Occ.get occ row);
-    let c, r = Occ.char_rank occ row in
-    check int (Printf.sprintf "char_rank code row=%d" row) expected c;
-    check int (Printf.sprintf "char_rank rank row=%d" row) (naive_rank l c row) r
-  done
+  let cases =
+    [
+      ("bwt", l);
+      ("no sentinel", s);
+      ("three sentinels", with_sentinels s [ 0; 57; 399 ]);
+    ]
+  in
+  List.iter
+    (fun (name, l) ->
+      List.iter
+        (fun rate ->
+          let occ = Occ.make ~rate l in
+          let c = Array.make Dna.Alphabet.sigma 0 in
+          String.iter
+            (fun ch ->
+              for x = Dna.Alphabet.code ch + 1 to Dna.Alphabet.sigma - 1 do
+                c.(x) <- c.(x) + 1
+              done)
+            l;
+          for row = 0 to String.length l - 1 do
+            let x = Dna.Alphabet.code l.[row] in
+            check int (Printf.sprintf "%s rate=%d get row=%d" name rate row) x (Occ.get occ row);
+            check int
+              (Printf.sprintf "%s rate=%d lf row=%d" name rate row)
+              (c.(x) + naive_rank l x row) (Occ.lf occ c row)
+          done;
+          List.iter
+            (fun row ->
+              Alcotest.check_raises (Printf.sprintf "lf row=%d" row)
+                (Invalid_argument "Occ.lf: index out of range")
+                (fun () -> ignore (Occ.lf occ c row)))
+            [ -1; String.length l ])
+        [ 32; 128 ])
+    cases
 
 let test_occ_validation () =
   let l = Bwt.of_text "acgt" in
@@ -409,7 +443,7 @@ let () =
           Alcotest.test_case "matches naive at all rates" `Quick test_occ_matches_naive;
           Alcotest.test_case "word and superblock boundaries" `Quick test_occ_word_boundaries;
           Alcotest.test_case "rank_all_pair = two ranks" `Quick test_occ_rank_all_pair;
-          Alcotest.test_case "get / char_rank" `Quick test_occ_get_char_rank;
+          Alcotest.test_case "get / lf kernel" `Quick test_occ_get_lf;
           Alcotest.test_case "validation" `Quick test_occ_validation;
           prop_occ_matches_reference;
         ] );

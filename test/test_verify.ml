@@ -76,7 +76,7 @@ let test_word_boundaries () =
       let pp = Pattern.make pattern in
       for pos = 0 to String.length text - m do
         let expect = Hamming.distance_at ~pattern ~text pos in
-        let got = Packed_text.hamming pt pp ~pos in
+        let got = Packed_text.hamming ~limit:max_int pt pp ~pos in
         if got <> expect then
           Alcotest.failf "hamming m=%d pos=%d: expected %d, got %d" m pos
             expect got;
@@ -115,7 +115,7 @@ let qcheck_equivalence =
       let pt = Packed_text.of_string text in
       let pp = Pattern.make pattern in
       let d = Hamming.distance_at ~pattern ~text pos in
-      Packed_text.hamming pt pp ~pos = d
+      Packed_text.hamming ~limit:max_int pt pp ~pos = d
       && Packed_text.hamming_le pt pp ~pos ~k = (d <= k))
 
 let qcheck_limit =
@@ -150,9 +150,38 @@ let qcheck_of_packed =
         (fun pos ->
           pos < 0
           || pos + m > String.length text
-          || Packed_text.hamming pt pp ~pos
+          || Packed_text.hamming ~limit:max_int pt pp ~pos
              = Hamming.distance_at ~pattern ~text pos)
         [ 0; wpos; String.length text - m ])
+
+(* The one-pass packing against the lane-by-lane construction it
+   replaced: lane [p + i] of phase [p] holds code [i] at bits
+   [2 * ((p + i) mod 28)] of word [(p + i) / 28], with a 0b11 mask. *)
+let lane_by_lane codes p =
+  let m = Array.length codes in
+  let nb = (p + m + 3) / 4 in
+  let nw = (nb + 6) / 7 in
+  let words = Array.make nw 0 and masks = Array.make nw 0 in
+  Array.iteri
+    (fun i d ->
+      let lane = p + i in
+      let w = lane / Packed_text.word_lanes and sh = 2 * (lane mod Packed_text.word_lanes) in
+      words.(w) <- words.(w) lor (d lsl sh);
+      masks.(w) <- masks.(w) lor (3 lsl sh))
+    codes;
+  { Pattern.words; masks; last_bytes = nb - (7 * (nw - 1)) }
+
+let qcheck_phases =
+  Test_util.qtest ~count:500 "Pattern phases = lane-by-lane packing"
+    QCheck2.Gen.(int_range 1 200 >>= fun m -> array_size (pure m) (int_bound 3))
+    (fun codes ->
+      let s = String.init (Array.length codes) (fun i -> "acgt".[codes.(i)]) in
+      let made = Pattern.make s and of_codes = Pattern.of_codes codes in
+      List.for_all
+        (fun p ->
+          let want = lane_by_lane codes p in
+          Pattern.phase made p = want && Pattern.phase of_codes p = want)
+        [ 0; 1; 2; 3 ])
 
 let qcheck_rev =
   Test_util.qtest ~count:500 "rev reverses"
@@ -193,7 +222,7 @@ let test_mmap_adopted () =
               let pp = Pattern.make pattern in
               for pos = 0 to String.length text - m do
                 let expect = Hamming.distance_at ~pattern ~text pos in
-                if Packed_text.hamming pt pp ~pos <> expect then
+                if Packed_text.hamming ~limit:max_int pt pp ~pos <> expect then
                   Alcotest.failf "mmap hamming m=%d pos=%d" m pos
               done)
             [ 1; 28; 57; 64; 173 ]))
@@ -206,10 +235,10 @@ let test_edges () =
   let pp = Pattern.make "acgt" in
   Alcotest.check_raises "window out of range"
     (Invalid_argument "Packed_text.hamming: window out of range")
-    (fun () -> ignore (Packed_text.hamming pt pp ~pos:7));
+    (fun () -> ignore (Packed_text.hamming ~limit:max_int pt pp ~pos:7));
   Alcotest.check_raises "negative pos"
     (Invalid_argument "Packed_text.hamming: window out of range")
-    (fun () -> ignore (Packed_text.hamming pt pp ~pos:(-1)));
+    (fun () -> ignore (Packed_text.hamming ~limit:max_int pt pp ~pos:(-1)));
   Alcotest.check_raises "empty pattern"
     (Invalid_argument "Packed_text.Pattern: empty pattern")
     (fun () -> ignore (Pattern.make ""));
@@ -233,7 +262,7 @@ let test_telemetry () =
     ~finally:(fun () -> T.set_enabled false)
     (fun () ->
       let before = T.snapshot () in
-      ignore (Packed_text.hamming pt self ~pos:0);
+      ignore (Packed_text.hamming ~limit:max_int pt self ~pos:0);
       let mid = T.diff ~since:before (T.snapshot ()) in
       Alcotest.(check int) "calls" 1 mid.T.calls;
       (* 100 lanes at phase 0 → 25 bytes → 4 words *)
@@ -246,7 +275,7 @@ let test_telemetry () =
       Alcotest.(check int) "early exit after one word" 1 mid.T.words);
   (* Disabled: counters stop moving. *)
   let before = T.snapshot () in
-  ignore (Packed_text.hamming pt self ~pos:0);
+  ignore (Packed_text.hamming ~limit:max_int pt self ~pos:0);
   let after = T.diff ~since:before (T.snapshot ()) in
   Alcotest.(check int) "disarmed" 0 after.T.calls
 
@@ -265,6 +294,7 @@ let () =
           qcheck_equivalence;
           qcheck_limit;
           qcheck_of_packed;
+          qcheck_phases;
           qcheck_rev;
         ] );
       ( "bench",
