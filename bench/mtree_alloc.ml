@@ -80,6 +80,12 @@ let timed pats search ~k =
     ],
     stats )
 
+(* Run [f] with the taps armed, counting into [obs]. *)
+let tapped obs f =
+  let was = Atomic.get Obs.taps in
+  Obs.set_taps true;
+  Fun.protect ~finally:(fun () -> Obs.set_taps was) (fun () -> Obs.with_ambient obs f)
+
 let row fm pats (name, search) k =
   let shared, stats = timed pats (fun stats pattern -> search ?stats fm ~pattern ~k) ~k in
   let delta_pass () =
@@ -92,13 +98,9 @@ let row fm pats (name, search) k =
   let d0 = Sys.time () in
   delta_pass ();
   let delta_cpu = Sys.time () -. d0 in
-  let module T = Fmindex.Fm_index.Telemetry in
-  let was = T.is_enabled () in
-  T.set_enabled true;
-  let r0 = T.snapshot () in
-  delta_pass ();
-  let delta_ops = (T.diff ~since:r0 (T.snapshot ())).T.rank_ops in
-  T.set_enabled was;
+  let taps = Obs.create () in
+  tapped taps delta_pass;
+  let delta_ops = Obs.counter_value taps "fm.rank_ops" in
   (name :: shared)
   @ [
       Printf.sprintf "%.2f" (iper stats.Core.Stats.derivations);
@@ -108,7 +110,7 @@ let row fm pats (name, search) k =
 
 (* The bidir engine at k = 4: the timed columns, then its extensions,
    candidate verifications and located rows (LF walks) per read, counted
-   in a second pass with an Obs sink and the FM telemetry armed. *)
+   in a second pass with an Obs sink and the taps armed. *)
 let bidir_row idx pats =
   let k = 4 in
   let ptext = Core.Kmismatch.packed_text idx and bidir = Core.Kmismatch.bidir idx in
@@ -116,22 +118,17 @@ let bidir_row idx pats =
     timed pats (fun stats pattern -> Core.Oss.search ?stats ~ptext bidir ~pattern ~k) ~k
   in
   let obs = Obs.create () in
-  let module T = Fmindex.Fm_index.Telemetry in
-  let was = T.is_enabled () in
-  T.set_enabled true;
-  let r0 = T.snapshot () in
-  for i = warmup to warmup + reads_per_row - 1 do
-    let fwd, rc = pats.(i) in
-    ignore (Core.Oss.search ~obs ~ptext bidir ~pattern:fwd ~k);
-    ignore (Core.Oss.search ~obs ~ptext bidir ~pattern:rc ~k)
-  done;
-  let located = (T.diff ~since:r0 (T.snapshot ())).T.locate_walks in
-  T.set_enabled was;
+  tapped obs (fun () ->
+      for i = warmup to warmup + reads_per_row - 1 do
+        let fwd, rc = pats.(i) in
+        ignore (Core.Oss.search ~obs ~ptext bidir ~pattern:fwd ~k);
+        ignore (Core.Oss.search ~obs ~ptext bidir ~pattern:rc ~k)
+      done);
   ("bidir" :: shared)
   @ [
       Printf.sprintf "%.0f" (iper (Obs.counter_value obs "bidir.extends"));
       Printf.sprintf "%.1f" (iper (Obs.counter_value obs "bidir.verifications"));
-      Printf.sprintf "%.1f" (iper located);
+      Printf.sprintf "%.1f" (iper (Obs.counter_value obs "fm.locate_walks"));
     ]
 
 let run () =

@@ -57,7 +57,7 @@ let with_corpus ~mmap ~genome ~index_file f =
 (* --- observability plumbing ----------------------------------------- *)
 
 (* [--trace FILE] and [--metrics-out FILE] arm an active sink (and the
-   FM-index telemetry hook) for the duration of the command and write
+   [Obs] taps) for the duration of the command and write
    the exporters on the way out — even if the command raises.  Without
    either flag the command runs on [Obs.noop] and pays nothing. *)
 let trace_arg =
@@ -83,11 +83,9 @@ let with_obs ~trace ~metrics_out f =
   | None, None -> f Obs.noop
   | _ ->
       let obs = Obs.create ~trace:(trace <> None) () in
-      Fmindex.Fm_index.Telemetry.set_enabled true;
-      Fmindex.Packed_text.Telemetry.set_enabled true;
+      Obs.set_taps true;
       let finish () =
-        Fmindex.Fm_index.Telemetry.set_enabled false;
-        Fmindex.Packed_text.Telemetry.set_enabled false;
+        Obs.set_taps false;
         Option.iter (Obs.write_chrome_trace ~process_name:"kmm" obs) trace;
         Option.iter (Obs.write_prometheus obs) metrics_out
       in

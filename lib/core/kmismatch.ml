@@ -297,34 +297,16 @@ module Response = struct
   let positions r = List.map fst r.hits
 end
 
-(* Word-parallel verification effort as [verify.*] counters — shared
-   with the mapper, whose hit re-checking runs the kernel outside any
-   query span. *)
-let flush_verify obs (v : Fmindex.Packed_text.Telemetry.counters) =
-  Obs.add obs "verify.calls" v.calls;
-  Obs.add obs "verify.words" v.words;
-  Obs.add obs "verify.early_exits" v.early_exits
-
-(* Flush per-query engine work into the sink's counters (counters v2:
-   the [Stats] fields become [engine.*] counters, and — when the
-   FM-index telemetry hook is armed — rank-layer effort becomes [fm.*]
-   counters).  All of these are per-record sums, so per-domain sinks
-   merge to exactly the sequential totals. *)
-let flush_counters obs (s : Stats.t) fm_delta verify_delta =
-  Obs.add obs "engine.nodes" s.nodes;
-  Obs.add obs "engine.leaves" s.leaves;
-  Obs.add obs "engine.rank_calls" s.rank_calls;
-  Obs.add obs "engine.derivations" s.derivations;
-  Obs.add obs "engine.derived_leaves" s.derived_leaves;
-  Obs.add obs "engine.resumes" s.resumes;
-  (match verify_delta with None -> () | Some v -> flush_verify obs v);
-  match fm_delta with
-  | None -> ()
-  | Some (d : Fmindex.Fm_index.Telemetry.counters) ->
-      Obs.add obs "fm.rank_ops" d.rank_ops;
-      Obs.add obs "fm.block_decodes" d.block_decodes;
-      Obs.add obs "fm.locate_walks" d.locate_walks;
-      Obs.add obs "fm.locate_steps" d.locate_steps
+(* The query's [Stats] as [engine.*] counters: sums, so per-domain
+   sinks merge to exactly the sequential totals. *)
+let record_stats obs (s : Stats.t) =
+  let module C = Obs.Counter in
+  Obs.add obs C.engine_nodes s.nodes;
+  Obs.add obs C.engine_leaves s.leaves;
+  Obs.add obs C.engine_rank_calls s.rank_calls;
+  Obs.add obs C.engine_derivations s.derivations;
+  Obs.add obs C.engine_derived_leaves s.derived_leaves;
+  Obs.add obs C.engine_resumes s.resumes
 
 (* Validation is the typed half of the entry point: every reason a query
    cannot run maps to [Kmm_error.Bad_input] carrying the message [run]
@@ -357,18 +339,6 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
   let k = min q.k (String.length pattern) in
   let t1 = Obs.Clock.now_ns () in
   let stats = Stats.create () in
-  let telemetry =
-    Obs.enabled obs && Fmindex.Fm_index.Telemetry.is_enabled ()
-  in
-  let tele_before =
-    if telemetry then Some (Fmindex.Fm_index.Telemetry.snapshot ()) else None
-  in
-  let vtele =
-    Obs.enabled obs && Fmindex.Packed_text.Telemetry.is_enabled ()
-  in
-  let vtele_before =
-    if vtele then Some (Fmindex.Packed_text.Telemetry.snapshot ()) else None
-  in
   let hits =
     Obs.span obs "query"
       ~args:
@@ -388,25 +358,9 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
   in
   let t2 = Obs.Clock.now_ns () in
   if Obs.enabled obs then begin
-    let fm_delta =
-      match tele_before with
-      | None -> None
-      | Some since ->
-          Some
-            (Fmindex.Fm_index.Telemetry.diff ~since
-               (Fmindex.Fm_index.Telemetry.snapshot ()))
-    in
-    let verify_delta =
-      match vtele_before with
-      | None -> None
-      | Some since ->
-          Some
-            (Fmindex.Packed_text.Telemetry.diff ~since
-               (Fmindex.Packed_text.Telemetry.snapshot ()))
-    in
-    flush_counters obs stats fm_delta verify_delta;
-    Obs.incr obs "query.count";
-    Obs.add obs "query.hits" (List.length hits)
+    record_stats obs stats;
+    Obs.incr obs Obs.Counter.query_count;
+    Obs.add obs Obs.Counter.query_hits (List.length hits)
   end;
   let s ns = float_of_int ns *. 1e-9 in
   {
@@ -429,10 +383,13 @@ let try_run t (q : Query.t) =
         (* The engines poll [Deadline.poll] in their hot loops; install
            the query's budget as the ambient deadline so those polls see
            it without any signature change.  [Deadline.none] (the
-           default) makes every poll a compare-and-return. *)
+           default) makes every poll a compare-and-return.  The query's
+           sink is installed the same way, for the FM-index and
+           verification taps under the engine. *)
         match
-          Deadline.with_ambient q.deadline (fun () ->
-              run_validated t q ~obs:q.obs ~t0 ~pattern ~entry)
+          Obs.with_ambient q.obs (fun () ->
+              Deadline.with_ambient q.deadline (fun () ->
+                  run_validated t q ~obs:q.obs ~t0 ~pattern ~entry))
         with
         | r -> Ok r
         | exception Deadline.Expired ->

@@ -157,12 +157,6 @@ val bidir : index -> Fmindex.Bidir.t
     reverse FM component), built on first use behind a domain-safe memo.
     Only the [Bidir] engine forces it. *)
 
-val flush_verify : Obs.t -> Fmindex.Packed_text.Telemetry.counters -> unit
-(** Record a verification-telemetry delta as [verify.calls] /
-    [verify.words] / [verify.early_exits] counters.  Used by {!run}
-    around each query and by the mapper around its hit re-checking, so
-    both report under the same names. *)
-
 (** {1 Queries and responses}
 
     The primary entry point is {!run}: a {!Query.t} names the engine,
@@ -178,8 +172,9 @@ module Query : sig
     config : M_tree.config option;
         (** [M_tree] tuning; ignored by other engines *)
     obs : Obs.t;
-        (** sink receiving the [query] span, [engine.*]/[fm.*] counters
-            and engine-internal spans; {!Obs.noop} disables all of it *)
+        (** sink receiving the [query] span, the engine-internal spans
+            and the query's counters ({!run}); {!Obs.noop} disables all
+            of it *)
     deadline : Deadline.t;
         (** the query's compute budget as an absolute monotonic instant;
             {!Deadline.none} (the default) runs to completion.  Enforced
@@ -247,9 +242,9 @@ val run : index -> Query.t -> Response.t
 
     When the query's [obs] sink is active, [run] records a ["query"] span
     (with engine, [k] and [m] as trace args), bumps [query.count] and
-    [query.hits], and flushes the engine's {!Stats} into [engine.*]
-    counters; if {!Fmindex.Fm_index.Telemetry} is also armed, the
-    rank-layer effort of the query lands in [fm.*] counters.  All of
+    [query.hits], and adds the engine's {!Stats} to [engine.*].  It is
+    the ambient sink while the query runs ({!Obs.with_ambient}), so the
+    [fm.*] and [verify.*] taps of the query land in it too.  All of
     these are per-record sums, so per-domain sinks {!Obs.merge} to the
     sequential totals. *)
 

@@ -112,38 +112,26 @@ exception Skip of Kmm_error.t
    engine answer the kernel refutes is a bug, and it costs exactly this
    read — a typed [Internal] skip, never a batch abort.  One kernel
    call per hit (limit = the claimed distance, so refutation
-   early-exits); re-checking effort lands in the same [verify.*]
-   counters as the engines' own verification. *)
+   early-exits); with [obs] as the ambient sink, re-checking effort
+   lands in the same [verify.*] taps as the engines' own verification. *)
 let recheck ~obs pt ~pattern hits =
   match hits with
   | [] -> ()
   | _ ->
-      let vtele =
-        Obs.enabled obs && Fmindex.Packed_text.Telemetry.is_enabled ()
-      in
-      let before =
-        if vtele then Some (Fmindex.Packed_text.Telemetry.snapshot ())
-        else None
-      in
       let pp = Fmindex.Packed_text.Pattern.make pattern in
-      List.iter
-        (fun (pos, distance) ->
-          if Fmindex.Packed_text.hamming ~limit:distance pt pp ~pos <> distance
-          then
-            raise
-              (Skip
-                 (Kmm_error.Internal
-                    (Printf.sprintf
-                       "hit re-check: engine hit (pos %d, distance %d) \
-                        disagrees with packed verification"
-                       pos distance))))
-        hits;
-      match before with
-      | None -> ()
-      | Some since ->
-          Kmismatch.flush_verify obs
-            (Fmindex.Packed_text.Telemetry.diff ~since
-               (Fmindex.Packed_text.Telemetry.snapshot ()))
+      Obs.with_ambient obs (fun () ->
+          List.iter
+            (fun (pos, distance) ->
+              if Fmindex.Packed_text.hamming ~limit:distance pt pp ~pos <> distance
+              then
+                raise
+                  (Skip
+                     (Kmm_error.Internal
+                        (Printf.sprintf
+                           "hit re-check: engine hit (pos %d, distance %d) \
+                            disagrees with packed verification"
+                           pos distance))))
+            hits)
 
 (* Map one validated read: all forward hits, then all reverse-complement
    hits, in the order the engine reports them.  Pure with respect to the
@@ -227,13 +215,13 @@ let run_target opts target ~reads ~k =
                  engine polls through the query's own deadline. *)
               if Deadline.expired deadline then begin
                 skip_slot.(i) <- Some (Kmm_error.Timeout expired_msg);
-                Obs.incr o "map.reads_skipped"
+                Obs.incr o Obs.Counter.map_reads_skipped
               end
               else
                 match validate_read ~target sequence with
                 | Error e ->
                     skip_slot.(i) <- Some e;
-                    Obs.incr o "map.reads_skipped"
+                    Obs.incr o Obs.Counter.map_reads_skipped
                 | Ok seq -> (
                     let map () =
                       map_one ~stats ~obs:o ~engine ~both_strands ~deadline
@@ -246,7 +234,7 @@ let run_target opts target ~reads ~k =
                     | hits ->
                         per_read.(i) <- hits;
                         if Obs.enabled o then begin
-                          Obs.incr o "map.reads";
+                          Obs.incr o Obs.Counter.map_reads;
                           (* Hit multiplicity is a function of the input
                              alone — the histogram merges bit-for-bit
                              across any domain count. *)
@@ -255,12 +243,12 @@ let run_target opts target ~reads ~k =
                     | exception Skip e ->
                         (* The target refused the query after validation —
                            the read's own typed skip, not a batch abort. *)
-                        Obs.incr o "map.reads_skipped";
+                        Obs.incr o Obs.Counter.map_reads_skipped;
                         skip_slot.(i) <- Some e
                     | exception e ->
                         (* An engine exception on a validated read is a
                            bug, but it still only costs this one read. *)
-                        Obs.incr o "map.reads_failed";
+                        Obs.incr o Obs.Counter.map_reads_failed;
                         skip_slot.(i) <-
                           Some (Kmm_error.Internal (Printexc.to_string e)))
             done)

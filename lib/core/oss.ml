@@ -367,9 +367,9 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
             sc.busy <- false;
             raise e
       in
-      Obs.add obs "bidir.extends" !extends;
-      Obs.add obs "bidir.verifications" !verifications;
-      Obs.add obs "bidir.searches" (List.length searches);
+      Obs.add obs Obs.Counter.bidir_extends !extends;
+      Obs.add obs Obs.Counter.bidir_verifications !verifications;
+      Obs.add obs Obs.Counter.bidir_searches (List.length searches);
       List.sort (fun (a, _) (b, _) -> compare a b) out
     end
   end

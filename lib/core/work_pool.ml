@@ -62,7 +62,7 @@ let run ?cancel ?(obs = [||]) t ~tasks body =
           else if Obs.enabled o then begin
             Obs.record o "pool.queue_wait_ns"
               (Obs.Clock.now_ns () - started_ns);
-            Obs.incr o "pool.tasks";
+            Obs.incr o Obs.Counter.pool_tasks;
             Obs.time o "pool.task" (fun () -> body ~worker ~task)
           end
           else body ~worker ~task

@@ -77,7 +77,7 @@ val extend_right_all :
   t -> cursor -> f_lo:int -> f_hi:int -> r_lo:int -> r_hi:int -> unit
 (** Fill the cursor with the children of appending each base to α
     (one rank-all pair over [BWT(rev s)], through the shared
-    {!Fm_index.extend_all} — its telemetry counts these). *)
+    {!Fm_index.extend_all} — its taps count these). *)
 
 val f_lo : cursor -> int -> int
 (** [f_lo cur c] is the forward interval start of the child for base

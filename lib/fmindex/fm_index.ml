@@ -28,56 +28,24 @@ type t = {
 let sigma = Dna.Alphabet.sigma
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry                                                            *)
+(* Counters                                                             *)
 
-(* Hot-path accounting for the observability layer: how many rank
-   primitives ran, how many interleaved Occ blocks they decoded, and how
-   much LF walking [locate] did.  Counters live in domain-local storage,
-   so concurrent engines never contend and per-domain deltas merge to
-   the sequential totals (they are sums).  The whole hook sits behind
-   one global flag: disabled (the default), every instrumented entry
-   point pays a single load-and-branch; [compiled = false] removes even
-   that (the conditional becomes a structural constant and the hooks are
-   dead code). *)
+(* Hot-path accounting as [Obs] taps (see the mli).  Each entry point
+   reads [Obs.taps] once, so disarmed it pays one load and a branch. *)
+module C = Obs.Counter
+
+(* Kept for perfbench/layers.ml, its only caller. *)
 module Telemetry = struct
-  type counters = {
-    mutable rank_ops : int;
-    mutable block_decodes : int;
-    mutable locate_walks : int;
-    mutable locate_steps : int;
-  }
-
-  (* The compile-out switch: a structural constant, so with [false] the
-     optimizer drops every hook body. *)
-  let compiled = true
-
-  let flag = Atomic.make false
-  let set_enabled b = Atomic.set flag b
-  let is_enabled () = compiled && Atomic.get flag
-
-  let key =
-    Domain.DLS.new_key (fun () ->
-        { rank_ops = 0; block_decodes = 0; locate_walks = 0; locate_steps = 0 })
-
-  let cell () = Domain.DLS.get key
-
-  let snapshot () =
-    let c = cell () in
-    {
-      rank_ops = c.rank_ops;
-      block_decodes = c.block_decodes;
-      locate_walks = c.locate_walks;
-      locate_steps = c.locate_steps;
-    }
-
-  let diff ~since c =
-    {
-      rank_ops = c.rank_ops - since.rank_ops;
-      block_decodes = c.block_decodes - since.block_decodes;
-      locate_walks = c.locate_walks - since.locate_walks;
-      locate_steps = c.locate_steps - since.locate_steps;
-    }
+  let set_enabled = Obs.set_taps
 end
+
+let tap_rank ops decodes =
+  Obs.tap C.fm_rank_ops ops;
+  Obs.tap C.fm_block_decodes decodes
+
+(* The pair kernel decodes one block for a width-1 interval, two
+   otherwise. *)
+let[@inline] decodes ~lo ~hi = if hi = lo + 1 then 1 else 2
 
 (* ------------------------------------------------------------------ *)
 (* Marked-row bitvector                                                 *)
@@ -197,12 +165,7 @@ let whole t = (0, Occ.length t.occ)
 let extend t c (lo, hi) =
   if c <= 0 || c >= sigma then None
   else begin
-    if Telemetry.is_enabled () then begin
-      let tc = Telemetry.cell () in
-      tc.Telemetry.rank_ops <- tc.Telemetry.rank_ops + 1;
-      tc.Telemetry.block_decodes <-
-        (tc.Telemetry.block_decodes + if hi = lo + 1 then 1 else 2)
-    end;
+    if Atomic.get Obs.taps then tap_rank 1 (decodes ~lo ~hi);
     let r_lo, r_hi = Occ.rank_pair t.occ c lo hi in
     let lo' = t.c_array.(c) + r_lo in
     let hi' = t.c_array.(c) + r_hi in
@@ -250,8 +213,8 @@ let count t pat =
       let m = Array.length codes in
       if m = 0 then Occ.length t.occ
       else begin
-        let measured = Telemetry.is_enabled () in
-        let ops = ref 0 and decodes = ref 0 in
+        let measured = Atomic.get Obs.taps in
+        let ops = ref 0 and blocks = ref 0 in
         let lo = ref 0 and hi = ref (Occ.length t.occ) in
         let pr = Array.make 2 0 in
         let i = ref (m - 1) in
@@ -259,7 +222,7 @@ let count t pat =
           let c = Array.unsafe_get codes !i in
           if measured then begin
             Stdlib.incr ops;
-            decodes := !decodes + (if !hi = !lo + 1 then 1 else 2)
+            blocks := !blocks + decodes ~lo:!lo ~hi:!hi
           end;
           Occ.rank_pair_into_unsafe t.occ c !lo !hi pr;
           let cc = Array.unsafe_get t.c_array c in
@@ -267,24 +230,20 @@ let count t pat =
           hi := cc + Array.unsafe_get pr 1;
           decr i
         done;
-        if measured then begin
-          let tc = Telemetry.cell () in
-          tc.Telemetry.rank_ops <- tc.Telemetry.rank_ops + !ops;
-          tc.Telemetry.block_decodes <- tc.Telemetry.block_decodes + !decodes
-        end;
+        if measured then tap_rank !ops !blocks;
         if !hi > !lo then !hi - !lo else 0
       end
 
 (* [longest_extension] is [extend] run along [codes] from [pos] until the
    interval empties or [stop] is reached, unrolled like [count]: no
-   options or tuples per step, and the same per-step telemetry as the
+   options or tuples per step, and the same per-step counts as the
    [extend] calls it replaces (the step that empties the interval counts,
    a code outside 1..sigma-1 stops the run uncounted). *)
 let longest_extension t codes ~pos ~stop =
   if pos < 0 || pos > stop || stop > Array.length codes then
     invalid_arg "Fm_index.longest_extension: pos or stop out of range";
-  let measured = Telemetry.is_enabled () in
-  let ops = ref 0 and decodes = ref 0 in
+  let measured = Atomic.get Obs.taps in
+  let ops = ref 0 and blocks = ref 0 in
   let lo = ref 0 and hi = ref (Occ.length t.occ) in
   let pr = Array.make 2 0 in
   let j = ref pos and live = ref true in
@@ -294,7 +253,7 @@ let longest_extension t codes ~pos ~stop =
     else begin
       if measured then begin
         Stdlib.incr ops;
-        decodes := !decodes + (if !hi = !lo + 1 then 1 else 2)
+        blocks := !blocks + decodes ~lo:!lo ~hi:!hi
       end;
       Occ.rank_pair_into_unsafe t.occ c !lo !hi pr;
       let cc = Array.unsafe_get t.c_array c in
@@ -303,11 +262,7 @@ let longest_extension t codes ~pos ~stop =
       if !lo < !hi then Stdlib.incr j else live := false
     end
   done;
-  if measured then begin
-    let tc = Telemetry.cell () in
-    tc.Telemetry.rank_ops <- tc.Telemetry.rank_ops + !ops;
-    tc.Telemetry.block_decodes <- tc.Telemetry.block_decodes + !decodes
-  end;
+  if measured then tap_rank !ops !blocks;
   !j - pos
 
 (* A legitimate LF walk reaches a marked row within [sa_rate] steps
@@ -325,13 +280,11 @@ let position_of_row t row =
     row := Occ.lf t.occ t.c_array !row;
     Stdlib.incr steps
   done;
-  if Telemetry.is_enabled () then begin
-    let tc = Telemetry.cell () in
-    tc.Telemetry.locate_walks <- tc.Telemetry.locate_walks + 1;
-    tc.Telemetry.locate_steps <- tc.Telemetry.locate_steps + !steps;
+  if Atomic.get Obs.taps then begin
+    Obs.tap C.fm_locate_walks 1;
+    Obs.tap C.fm_locate_steps !steps;
     (* Each LF step is one rank over the block holding its row. *)
-    tc.Telemetry.rank_ops <- tc.Telemetry.rank_ops + !steps;
-    tc.Telemetry.block_decodes <- tc.Telemetry.block_decodes + !steps
+    tap_rank !steps !steps
   end;
   Storage.word t.samples (mark_rank t !row) + !steps
 
@@ -380,14 +333,7 @@ let extend_all t ~lo ~hi ~los ~his =
     invalid_arg "Fm_index.extend_all: interval out of range";
   if Array.length los <> sigma || Array.length his <> sigma then
     invalid_arg "Fm_index.extend_all: bad dst size";
-  if Telemetry.is_enabled () then begin
-    let tc = Telemetry.cell () in
-    tc.Telemetry.rank_ops <- tc.Telemetry.rank_ops + 1;
-    (* The pair kernel decodes one block for a width-1 interval, two
-       otherwise. *)
-    tc.Telemetry.block_decodes <-
-      (tc.Telemetry.block_decodes + if hi = lo + 1 then 1 else 2)
-  end;
+  if Atomic.get Obs.taps then tap_rank 1 (decodes ~lo ~hi);
   Occ.rank_all_pair_unsafe t.occ lo hi los his;
   for c = 0 to sigma - 1 do
     let base = Array.unsafe_get t.c_array c in

@@ -60,7 +60,7 @@ val longest_extension : t -> int array -> pos:int -> stop:int -> int
     On the index of a reversed text this is the length of the longest
     prefix of [codes.(pos .. stop - 1)] occurring in the forward text, so
     that window occurs iff the result is [stop - pos].  Allocation free
-    per step, with the telemetry of the {!extend} calls it stands for:
+    per step, with the counts of the {!extend} calls it stands for:
     the step that empties the interval counts, a code outside [1 .. 4]
     does not, and no step is taken at [stop].  Raises [Invalid_argument]
     unless [0 <= pos <= stop <= Array.length codes]. *)
@@ -85,42 +85,22 @@ val find_all : t -> string -> int list
 (** [search] then [locate]; sorted positions of the pattern.  Invalid
     patterns (outside ACGT after case folding) yield []. *)
 
-(** {1 Telemetry}
+(** {1 Counters}
 
-    Hot-path counters for the observability layer ([lib/obs]): rank
-    primitives executed, interleaved Occ blocks decoded, and LF-walk
-    effort spent by locate.  Counters are kept in {e domain-local}
-    storage so concurrent engines never contend and per-domain deltas
-    merge to the sequential totals.  The hook is disabled by default;
-    when disabled, every instrumented entry point pays one
-    load-and-branch (measured < 2% end to end, see EXPERIMENTS.md), and
-    flipping the [compiled] constant in the implementation removes even
-    that. *)
+    When {!Obs.set_taps} has armed the taps, the query paths count into
+    the calling domain's ambient sink ({!Obs.with_ambient}):
+    [fm.rank_ops] (one per {!extend}/{!extend_all} call, one per
+    backward-search step of {!count} or {!longest_extension}, one per
+    LF step of a locate walk), [fm.block_decodes] (interleaved Occ
+    blocks decoded: one for a width-1 interval, two otherwise, one per
+    LF step), [fm.locate_walks] (rows located) and [fm.locate_steps]
+    (LF steps across them).  Disarmed, each entry point pays one load
+    and a branch. *)
+
 module Telemetry : sig
-  type counters = {
-    mutable rank_ops : int;
-        (** rank primitives: one per {!extend}/{!extend_all} call, one
-            per backward-search step of {!count}, one per LF step of a
-            locate walk *)
-    mutable block_decodes : int;
-        (** interleaved Occ blocks decoded (width-1 intervals decode one
-            block, general intervals two) *)
-    mutable locate_walks : int;  (** {!locate}d rows (LF walks started) *)
-    mutable locate_steps : int;  (** total LF steps across those walks *)
-  }
-
   val set_enabled : bool -> unit
-  (** Globally enable/disable the hook.  Set it {e before} spawning
-      worker domains; the flag is a process-wide atomic. *)
-
-  val is_enabled : unit -> bool
-
-  val snapshot : unit -> counters
-  (** A copy of the calling domain's counters.  Callers measure a region
-      by taking a snapshot before and after and {!diff}ing. *)
-
-  val diff : since:counters -> counters -> counters
-  (** [diff ~since now] is the per-field difference [now - since]. *)
+  (** {!Obs.set_taps} under its old name, kept for
+      [perfbench/layers.ml], its only caller. *)
 end
 
 val space_report : t -> (string * int) list

@@ -113,42 +113,9 @@ let mismatch_count_table =
     (fun s -> (s land 0xffff) + ((s lsr 16) land 0xffff) + ((s lsr 32) land 0xffff))
     lane_count_table
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                            *)
-
-(* Hot-path accounting for the verification kernel, mirroring
-   Fm_index.Telemetry: counters live in domain-local storage so
-   concurrent verifiers never contend and per-domain deltas merge to
-   the sequential totals.  Disabled (the default), each kernel call
-   pays one load-and-branch; [compiled = false] makes the hooks dead
-   code. *)
+(* Kept for perfbench/layers.ml, its only caller. *)
 module Telemetry = struct
-  type counters = {
-    mutable calls : int;  (* kernel invocations *)
-    mutable words : int;  (* 28-lane words XOR'd + reduced *)
-    mutable early_exits : int;  (* calls that stopped before the last word *)
-  }
-
-  let compiled = true
-  let flag = Atomic.make false
-  let set_enabled b = Atomic.set flag b
-  let is_enabled () = compiled && Atomic.get flag
-
-  let key =
-    Domain.DLS.new_key (fun () -> { calls = 0; words = 0; early_exits = 0 })
-
-  let cell () = Domain.DLS.get key
-
-  let snapshot () =
-    let c = cell () in
-    { calls = c.calls; words = c.words; early_exits = c.early_exits }
-
-  let diff ~since c =
-    {
-      calls = c.calls - since.calls;
-      words = c.words - since.words;
-      early_exits = c.early_exits - since.early_exits;
-    }
+  let set_enabled = Obs.set_taps
 end
 
 (* ------------------------------------------------------------------ *)
@@ -289,12 +256,12 @@ let[@inline] load_tail (data : Storage.t) b count =
   done;
   !acc
 
-let[@inline] telemetry_flush ~words ~early =
-  if Telemetry.is_enabled () then begin
-    let c = Telemetry.cell () in
-    c.Telemetry.calls <- c.Telemetry.calls + 1;
-    c.Telemetry.words <- c.Telemetry.words + words;
-    if early then c.Telemetry.early_exits <- c.Telemetry.early_exits + 1
+(* One kernel call's effort, as [Obs] taps (see the mli). *)
+let[@inline] tap_kernel ~words ~early =
+  if Atomic.get Obs.taps then begin
+    Obs.tap Obs.Counter.verify_calls 1;
+    Obs.tap Obs.Counter.verify_words words;
+    if early then Obs.tap Obs.Counter.verify_early_exits 1
   end
 
 (* The kernel.  Scans the window word by word, early-exiting as soon as
@@ -320,14 +287,14 @@ let hamming ~limit t (pp : Pattern.t) ~pos =
     incr w;
     over := !acc > limit
   done;
-  if !over then telemetry_flush ~words:!w ~early:true
+  if !over then tap_kernel ~words:!w ~early:true
   else begin
     let tw = load_tail data (b0 + (word_bytes * last)) ph.Pattern.last_bytes in
     acc :=
       !acc
       + count_mismatch_word
           ((tw lxor Array.unsafe_get words last) land Array.unsafe_get masks last);
-    telemetry_flush ~words:(last + 1) ~early:false
+    tap_kernel ~words:(last + 1) ~early:false
   end;
   !acc
 

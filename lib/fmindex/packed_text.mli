@@ -156,19 +156,18 @@ val hamming_le : t -> Pattern.t -> pos:int -> k:int -> bool
     is [true].  Raises [Invalid_argument] when the window does not
     fit. *)
 
-(** Domain-local counters for the verification kernel, mirroring
-    {!Fm_index.Telemetry}: armed globally by the CLI, read as
-    snapshot/diff pairs around a unit of work, merged across domains by
-    summing. *)
-module Telemetry : sig
-  type counters = {
-    mutable calls : int;  (** kernel invocations *)
-    mutable words : int;  (** 28-lane words XOR'd and reduced *)
-    mutable early_exits : int;  (** calls stopped before the last word *)  }
+(** {1 Counters}
 
-  val compiled : bool
+    When {!Obs.set_taps} has armed the taps, every kernel scan (a
+    {!hamming} call, or a {!hamming_le} call with [0 <= k < length p])
+    counts into the calling domain's ambient sink
+    ({!Obs.with_ambient}): [verify.calls] (one per scan),
+    [verify.words] (28-lane words compared) and [verify.early_exits]
+    (calls stopped before the last word).  Disarmed, a call pays one
+    load and a branch. *)
+
+module Telemetry : sig
   val set_enabled : bool -> unit
-  val is_enabled : unit -> bool
-  val snapshot : unit -> counters
-  val diff : since:counters -> counters -> counters
+  (** {!Obs.set_taps} under its old name, kept for
+      [perfbench/layers.ml], its only caller. *)
 end

@@ -1,5 +1,5 @@
 (* Zero-dependency observability: monotonic spans, log-bucketed mergeable
-   histograms, named counters, Chrome-trace and Prometheus exporters.
+   histograms, declared counters, Chrome-trace and Prometheus exporters.
    See obs.mli for the contracts; DESIGN.md documents the metric schema
    shared by the engines, the mapper, the work pool and the CLI. *)
 
@@ -149,6 +149,79 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Counters                                                             *)
+
+module Counter = struct
+  (* A counter is its slot in an active sink's array.  Every counter is
+     declared here, once: the exporters list exactly this set, and
+     DESIGN.md's counter table is checked against it. *)
+  type t = int
+
+  let declared = ref [] (* (name, unit, doc), newest first *)
+
+  let declare name unit doc =
+    let c = List.length !declared in
+    declared := (name, unit, doc) :: !declared;
+    c
+
+  (* The [Stats.t] fields of each query, through [Kmismatch]. *)
+  let engine_nodes = declare "engine.nodes" "nodes" "search and mismatching-tree nodes created"
+  let engine_leaves = declare "engine.leaves" "leaves" "paths terminated during exploration"
+  let engine_rank_calls = declare "engine.rank_calls" "calls" "FM-index extend calls the engine made"
+  let engine_derivations = declare "engine.derivations" "subtrees" "subtrees derived instead of explored"
+  let engine_derived_leaves = declare "engine.derived_leaves" "leaves" "path terminations inside derivations"
+  let engine_resumes = declare "engine.resumes" "searches" "real searches resumed inside derivations"
+
+  (* Taps in [Fm_index]. *)
+  let fm_rank_ops = declare "fm.rank_ops" "ops" "rank primitives: one per extend, backward-search step or LF step"
+  let fm_block_decodes = declare "fm.block_decodes" "blocks" "interleaved Occ blocks decoded"
+  let fm_locate_walks = declare "fm.locate_walks" "walks" "rows located (LF walks started)"
+  let fm_locate_steps = declare "fm.locate_steps" "steps" "LF steps across those walks"
+
+  (* Taps in [Packed_text]. *)
+  let verify_calls = declare "verify.calls" "calls" "word-parallel Hamming kernel calls"
+  let verify_words = declare "verify.words" "words" "28-lane words compared by those calls"
+  let verify_early_exits = declare "verify.early_exits" "calls" "kernel calls stopped before the last word"
+
+  let bidir_extends = declare "bidir.extends" "extends" "bidirectional interval extensions by Oss"
+  let bidir_verifications = declare "bidir.verifications" "candidates" "candidates Oss verified against the text"
+  let bidir_searches = declare "bidir.searches" "searches" "search-scheme searches Oss ran"
+  let query_count = declare "query.count" "queries" "queries answered by Kmismatch"
+  let query_hits = declare "query.hits" "hits" "hits those queries returned"
+  let pool_tasks = declare "pool.tasks" "tasks" "tasks a worker pulled (Work_pool or a serve worker)"
+  let map_reads = declare "map.reads" "reads" "reads the mapper searched"
+  let map_reads_skipped = declare "map.reads_skipped" "reads" "reads skipped with a typed reason"
+  let map_reads_failed = declare "map.reads_failed" "reads" "reads whose engine raised"
+  let serve_requests = declare "serve.requests" "frames" "well-formed request frames"
+  let serve_rejected = declare "serve.rejected" "frames" "frames rejected before admission"
+  let serve_shed = declare "serve.shed" "queries" "queries refused at admission (queue full or draining)"
+  let serve_queries = declare "serve.queries" "queries" "queries a worker ran"
+  let serve_hits = declare "serve.hits" "hits" "hits found for those queries"
+  let serve_truncated = declare "serve.truncated" "queries" "replies cut to max_hits"
+  let serve_timeouts = declare "serve.timeouts" "queries" "queries answered Timeout"
+  let serve_errors = declare "serve.errors" "queries" "queries answered with another error"
+  let serve_connections = declare "serve.connections" "connections" "connections accepted"
+  let serve_conns_refused = declare "serve.conns_refused" "connections" "connections refused (descriptor beyond the select limit)"
+  let serve_accept_errors = declare "serve.accept_errors" "errors" "accept failures that paused the listener"
+  let serve_disconnects = declare "serve.disconnects" "connections" "connections closed, for any reason"
+  let serve_conns_dropped = declare "serve.conns_dropped" "connections" "connections lost by the peer"
+  let serve_conns_failed = declare "serve.conns_failed" "connections" "connections closed after an unexpected exception"
+  let serve_conns_stalled = declare "serve.conns_stalled" "connections" "connections closed for not reading their replies"
+  let serve_io_wakeups = declare "serve.io_wakeups" "wakeups" "event-loop rounds"
+  let serve_io_busy_ns = declare "serve.io_busy_ns" "ns" "event-loop time spent outside select"
+  let trace_dropped = declare "obs.trace_dropped" "events" "trace events dropped beyond the buffer cap"
+
+  let specs = Array.of_list (List.rev !declared)
+  let count = Array.length specs
+  let all = List.init count Fun.id
+  let name c = let n, _, _ = specs.(c) in n
+  let unit c = let _, u, _ = specs.(c) in u
+  let doc c = let _, _, d = specs.(c) in d
+  let by_name = List.sort (fun a b -> String.compare (name a) (name b)) all
+  let of_name n = List.find_opt (fun c -> name c = n) all
+end
+
+(* ------------------------------------------------------------------ *)
 (* Sink                                                                 *)
 
 type event = {
@@ -160,7 +233,7 @@ type event = {
 }
 
 type state = {
-  counters : (string, int ref) Hashtbl.t;
+  counts : int array; (* indexed by [Counter.t] *)
   hists : (string, Histogram.t) Hashtbl.t;
   trace : bool;
   mutable events : event list; (* newest first *)
@@ -176,7 +249,7 @@ let noop = Noop
 let create ?(trace = false) () =
   Active
     {
-      counters = Hashtbl.create 32;
+      counts = Array.make Counter.count 0;
       hists = Hashtbl.create 32;
       trace;
       events = [];
@@ -189,32 +262,40 @@ let fork = function Noop -> Noop | Active s -> create ~trace:s.trace ()
 
 (* --- counters ------------------------------------------------------- *)
 
-let counter_cell s name =
-  match Hashtbl.find_opt s.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add s.counters name r;
-      r
+let bump s c n = s.counts.(c) <- s.counts.(c) + n
 
-let add t name by =
-  match t with Noop -> () | Active s -> (
-    let r = counter_cell s name in
-    r := !r + by)
-
-let incr ?(by = 1) t name = add t name by
+let add t c n = match t with Noop -> () | Active s -> bump s c n
+let incr t c = add t c 1
 
 let counter_value t name =
-  match t with
-  | Noop -> 0
-  | Active s -> ( match Hashtbl.find_opt s.counters name with Some r -> !r | None -> 0)
+  match (t, Counter.of_name name) with
+  | Active s, Some c -> s.counts.(c)
+  | _ -> 0
 
 let counters t =
   match t with
   | Noop -> []
-  | Active s ->
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.counters []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  | Active s -> List.map (fun c -> (Counter.name c, s.counts.(c))) Counter.by_name
+
+(* --- taps ------------------------------------------------------------ *)
+
+(* Layers with no sink in scope ([Fm_index], [Packed_text]) count into
+   the calling domain's ambient sink, and only while the process-wide
+   switch is armed: disarmed, a tap is one atomic load and a branch. *)
+let taps = Atomic.make false
+let set_taps b = Atomic.set taps b
+
+let ambient = Domain.DLS.new_key (fun () -> Noop)
+
+let with_ambient t f =
+  let prev = Domain.DLS.get ambient in
+  if prev == t then f ()
+  else begin
+    Domain.DLS.set ambient t;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set ambient prev) f
+  end
+
+let tap c n = if Atomic.get taps then add (Domain.DLS.get ambient) c n
 
 (* --- histograms ----------------------------------------------------- *)
 
@@ -246,10 +327,7 @@ let push_event s ev =
     s.events <- ev :: s.events;
     s.nevents <- s.nevents + 1
   end
-  else begin
-    let r = counter_cell s "obs.trace_dropped" in
-    r := !r + 1
-  end
+  else bump s Counter.trace_dropped 1
 
 let event ?(args = []) t name =
   match t with
@@ -300,11 +378,7 @@ let merge ~into src =
   match (into, src) with
   | Noop, _ | _, Noop -> ()
   | Active dst, Active s ->
-      Hashtbl.iter
-        (fun name r ->
-          let cell = counter_cell dst name in
-          cell := !cell + !r)
-        s.counters;
+      Array.iteri (fun c n -> bump dst c n) s.counts;
       Hashtbl.iter
         (fun name h -> Histogram.merge ~into:(hist_cell dst name) h)
         s.hists;

@@ -1,5 +1,5 @@
 (** Zero-dependency observability: monotonic span timers, log-bucketed
-    mergeable latency histograms, named counters, and two exporters
+    mergeable latency histograms, declared counters, and two exporters
     (Chrome trace events for [about://tracing]/Perfetto, and a
     Prometheus-style text exposition).
 
@@ -10,8 +10,8 @@
     pattern match returning immediately, so fully-instrumented code with
     observability disabled stays within a <2% overhead budget (measured
     in EXPERIMENTS.md) — or an {e active} sink created by {!create},
-    holding named counters, named histograms, and (optionally) a trace
-    event buffer.
+    holding one slot per declared {!Counter}, named histograms, and
+    (optionally) a trace event buffer.
 
     Sinks are single-domain: each worker owns its own ({!fork}), and the
     owner {!merge}s them after the domains join — or, for workers that
@@ -81,7 +81,7 @@ module Histogram : sig
       min/max.  Merging shards equals recording sequentially. *)
 
   val copy : t -> t
-  (** An independent snapshot. *)
+  (** An independent copy. *)
 
   val equal : t -> t -> bool
   (** Structural equality of contents (buckets, count, sum, min, max) —
@@ -93,6 +93,63 @@ module Histogram : sig
   val buckets : t -> (int * int * int) list
   (** Non-empty buckets in ascending value order, as
       [(low, high_inclusive, count)] — the exporter's view. *)
+end
+
+(** The counter schema: every counter any layer bumps, declared once
+    with its name, unit and doc.  Names are dot-separated; a name no
+    declaration carries cannot be counted. *)
+module Counter : sig
+  type t
+
+  val engine_nodes : t
+  val engine_leaves : t
+  val engine_rank_calls : t
+  val engine_derivations : t
+  val engine_derived_leaves : t
+  val engine_resumes : t
+  val fm_rank_ops : t
+  val fm_block_decodes : t
+  val fm_locate_walks : t
+  val fm_locate_steps : t
+  val verify_calls : t
+  val verify_words : t
+  val verify_early_exits : t
+  val bidir_extends : t
+  val bidir_verifications : t
+  val bidir_searches : t
+  val query_count : t
+  val query_hits : t
+  val pool_tasks : t
+  val map_reads : t
+  val map_reads_skipped : t
+  val map_reads_failed : t
+  val serve_requests : t
+  val serve_rejected : t
+  val serve_shed : t
+  val serve_queries : t
+  val serve_hits : t
+  val serve_truncated : t
+  val serve_timeouts : t
+  val serve_errors : t
+  val serve_connections : t
+  val serve_conns_refused : t
+  val serve_accept_errors : t
+  val serve_disconnects : t
+  val serve_conns_dropped : t
+  val serve_conns_failed : t
+  val serve_conns_stalled : t
+  val serve_io_wakeups : t
+  val serve_io_busy_ns : t
+
+  val all : t list
+  (** Every counter, in declaration order ([obs.trace_dropped], which
+      only {!Obs} itself bumps, included). *)
+
+  val name : t -> string
+  (** The exported name, e.g. ["fm.rank_ops"]. *)
+
+  val unit : t -> string
+  val doc : t -> string
 end
 
 type t
@@ -129,17 +186,43 @@ val fork : t -> t
 
 (** {1 Counters} *)
 
-val incr : ?by:int -> t -> string -> unit
-(** Add [by] (default 1) to the named counter, creating it at 0. *)
+val incr : t -> Counter.t -> unit
+(** Add 1 to the counter. *)
 
-val add : t -> string -> int -> unit
-(** [add t name n] is [incr ~by:n t name]. *)
+val add : t -> Counter.t -> int -> unit
+(** [add t c n] adds [n] to the counter. *)
 
 val counter_value : t -> string -> int
-(** Current value; 0 if absent (always 0 on {!noop}). *)
+(** The value of the counter with this {!Counter.name}; 0 for a name
+    no counter carries (always 0 on {!noop}). *)
 
 val counters : t -> (string * int) list
-(** All counters, sorted by name (deterministic export order). *)
+(** Every declared counter with its value, zeros included, sorted by
+    name (deterministic export order); [[]] on {!noop}. *)
+
+(** {1 Taps}
+
+    Counting for code with no sink in scope (the FM-index, the
+    verification kernel): {!tap} adds into the sink its domain's caller
+    installed with {!with_ambient}, so that sink gets exactly the taps
+    its own domain made meanwhile. *)
+
+val set_taps : bool -> unit
+(** Arm or disarm every {!tap} in the process (default: disarmed, where
+    a tap is one atomic load and a branch). *)
+
+val taps : bool Atomic.t
+(** The switch {!set_taps} sets.  Hot paths read it with [Atomic.get],
+    which compiles inline where a call into this module may not, and
+    tap only while it is [true]. *)
+
+val with_ambient : t -> (unit -> 'a) -> 'a
+(** [with_ambient t f] runs [f] with [t] as the calling domain's
+    ambient sink ({!noop} by default) and restores the previous one when
+    [f] returns or raises. *)
+
+val tap : Counter.t -> int -> unit
+(** [tap c n] adds [n] to [c] in the ambient sink if the taps are armed. *)
 
 (** {1 Histograms} *)
 
@@ -188,7 +271,8 @@ val to_chrome_trace : ?process_name:string -> t -> string
     an empty sink. *)
 
 val to_prometheus : ?prefix:string -> t -> string
-(** Counters and histograms in the Prometheus text exposition format
+(** Every declared counter (zeros included) and every histogram in the
+    Prometheus text exposition format
     (version 0.0.4): [# TYPE] comments, [<prefix>_<name>] with
     non-metric characters mapped to [_], histogram [_bucket{le="..."}]
     cumulative series plus [_sum] and [_count].  Output order is sorted

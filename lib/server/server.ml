@@ -20,6 +20,7 @@
 
 module Kmismatch = Core.Kmismatch
 module Corpus = Core.Corpus
+module C = Obs.Counter
 module Client = Client
 
 type config = {
@@ -92,7 +93,7 @@ type job = {
 
 (* A worker domain's own sink, recorded into by that domain alone, one
    query at a time under [wm].  It lives as long as the server: readers
-   merge it into a fresh snapshot under the same mutex, so the hot path
+   merge it into a fresh sink under the same mutex, so the hot path
    never allocates or merges a sink. *)
 type worker = { wm : Mutex.t; wsink : Obs.t }
 
@@ -154,7 +155,7 @@ let merge_workers t snap =
 
 (* Everything recorded so far, merged into a fresh sink.  Only once the
    loop has exited: the loop's sink is its own while it runs. *)
-let snapshot ?(trace = false) t =
+let collect ?(trace = false) t =
   let snap = Obs.create ~trace () in
   Obs.merge ~into:snap t.sink;
   merge_workers t snap;
@@ -194,8 +195,8 @@ let run_job t w j =
     Mutex.protect w.wm (fun () ->
         let o = w.wsink in
         Obs.record o "pool.queue_wait_ns" (Obs.Clock.now_ns () - j.slot.admitted_ns);
-        Obs.incr o "pool.tasks";
-        Obs.incr o "serve.queries";
+        Obs.incr o C.pool_tasks;
+        Obs.incr o C.serve_queries;
         Obs.record o "serve.batch_size" 1;
         let r =
           Obs.time o "pool.task" (fun () ->
@@ -216,11 +217,11 @@ let run_job t w j =
         match r with
         | Ok hits ->
             let count = List.length hits in
-            Obs.add o "serve.hits" count;
-            if count > max_hits then Obs.incr o "serve.truncated";
+            Obs.add o C.serve_hits count;
+            if count > max_hits then Obs.incr o C.serve_truncated;
             Ok (hits, count > max_hits)
         | Error e ->
-            Obs.incr o (match e with Kmm_error.Timeout _ -> "serve.timeouts" | _ -> "serve.errors");
+            Obs.incr o (match e with Kmm_error.Timeout _ -> C.serve_timeouts | _ -> C.serve_errors);
             Error e)
   in
   match result with
@@ -409,7 +410,7 @@ let info_fields t =
 let immediate c reply = Queue.add { admitted_ns = 0; reply = Some reply; timed = false } c.slots
 
 let reject t c ~id e =
-  Obs.incr t.sink "serve.rejected";
+  Obs.incr t.sink C.serve_rejected;
   immediate c (Protocol.error_response ~id e)
 
 (* Queue this round's queries under one lock.  Admission refuses —
@@ -439,7 +440,7 @@ let admit t l =
     Mutex.unlock t.qm;
     List.iter
       (fun (j, why) ->
-        Obs.incr t.sink "serve.shed";
+        Obs.incr t.sink C.serve_shed;
         j.slot.reply <- Some (Protocol.error_response ~id:j.id (Kmm_error.Overloaded why)))
       refused
   end
@@ -464,7 +465,7 @@ let handle_frame t l c line =
   match parse_request ~limits:t.cfg.limits line with
   | Error (id, e) -> reject t c ~id e
   | Ok { id; body } -> (
-      Obs.incr t.sink "serve.requests";
+      Obs.incr t.sink C.serve_requests;
       match body with
       | Ping -> immediate c (ok_obj_response ~id [ ("pong", Json.Bool true) ])
       | Metrics -> (
@@ -545,7 +546,7 @@ let close_conn t l c counter =
   Hashtbl.remove l.conns c.fd;
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
   Option.iter (Obs.incr t.sink) counter;
-  Obs.incr t.sink "serve.disconnects";
+  Obs.incr t.sink C.serve_disconnects;
   (* A descriptor is free again: retry a paused accept now. *)
   l.accept_at <- 0
 
@@ -553,10 +554,10 @@ let close_conn t l c counter =
 let guard t l c f =
   if not c.closed then
     try f () with
-    | Conn_lost -> close_conn t l c (Some "serve.conns_dropped")
+    | Conn_lost -> close_conn t l c (Some C.serve_conns_dropped)
     | e ->
         t.cfg.log (Printf.sprintf "connection failed: %s" (Printexc.to_string e));
-        close_conn t l c (Some "serve.conns_failed")
+        close_conn t l c (Some C.serve_conns_failed)
 
 (* [Unix.select] refuses a descriptor at or above FD_SETSIZE (EINVAL). *)
 let selectable fd =
@@ -578,13 +579,13 @@ let accept_conns t l =
           Unix.set_nonblock fd;
           if selectable fd then begin
             Hashtbl.replace l.conns fd (new_conn fd);
-            Obs.incr t.sink "serve.connections"
+            Obs.incr t.sink C.serve_connections
           end
           else begin
             (try ignore (Unix.write_substring fd refusal 0 (String.length refusal))
              with Unix.Unix_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ());
-            Obs.incr t.sink "serve.conns_refused"
+            Obs.incr t.sink C.serve_conns_refused
           end;
           go (budget - 1)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -594,7 +595,7 @@ let accept_conns t l =
              in the backlog.  Leave the listener out of [select] until a
              connection closes or the back-off passes, instead of
              spinning on its readiness. *)
-          Obs.incr t.sink "serve.accept_errors";
+          Obs.incr t.sink C.serve_accept_errors;
           l.accept_at <- l.now + accept_backoff_ns
   in
   go 16
@@ -633,7 +634,7 @@ let round t l pipe_buf =
   in
   let woke = Obs.Clock.now_ns () in
   l.now <- woke;
-  Obs.incr t.sink "serve.io_wakeups";
+  Obs.incr t.sink C.serve_io_wakeups;
   if List.mem t.wake_r readable then begin
     (try ignore (Unix.read t.wake_r pipe_buf 0 (Bytes.length pipe_buf)) with Unix.Unix_error _ -> ());
     Atomic.set t.wake_pending false;
@@ -666,7 +667,7 @@ let round t l pipe_buf =
     (fun c ->
       if not c.closed then
         if pending_output c then begin
-          if l.now >= c.stall_at then close_conn t l c (Some "serve.conns_stalled")
+          if l.now >= c.stall_at then close_conn t l c (Some C.serve_conns_stalled)
         end
         else if
           Queue.is_empty c.slots
@@ -674,7 +675,7 @@ let round t l pipe_buf =
         then close_conn t l c None)
     conns;
   l.now <- Obs.Clock.now_ns ();
-  Obs.add t.sink "serve.io_busy_ns" (l.now - woke)
+  Obs.add t.sink C.serve_io_busy_ns (l.now - woke)
 
 (* Run rounds until a stop was seen and every connection is closed.  A
    stop closes the listener and opens the drain window, anchored at the
@@ -816,7 +817,7 @@ let start cfg corpus =
       stopped = Atomic.make false;
     }
   in
-  Fmindex.Fm_index.Telemetry.set_enabled true;
+  Obs.set_taps true;
   t.worker_domains <- Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers;
   t.loop <- Some (Thread.create event_loop t);
   cfg.log
@@ -841,7 +842,7 @@ let stop t =
     Array.iter Domain.join t.worker_domains;
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-    Fmindex.Fm_index.Telemetry.set_enabled false;
+    Obs.set_taps false;
     (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
     t.cfg.log "stopped (drained)"
   end
@@ -855,7 +856,7 @@ let serve ?trace_out ?metrics_out cfg corpus =
     stop t;
     Sys.set_signal Sys.sigint old_int;
     Sys.set_signal Sys.sigterm old_term;
-    let snap = snapshot ~trace:cfg.trace t in
+    let snap = collect ~trace:cfg.trace t in
     Option.iter (Obs.write_chrome_trace ~process_name:"kmm-serve" snap) trace_out;
     Option.iter (Obs.write_prometheus snap) metrics_out
   in

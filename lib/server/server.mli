@@ -78,7 +78,7 @@
     one per worker domain behind its own mutex, all alive as long as the
     server.  A worker records each query into its own sink; nothing is
     merged on the query path.  Readers — the [metrics] command and the
-    {!serve} exit taps — merge them all into a fresh snapshot.  A
+    {!serve} exit taps — merge them all into a fresh sink.  A
     worker's sink can be read only between its queries, so the
     [metrics] command copies the loop's sink and leaves the workers'
     to a short-lived thread; its reply waits for the running queries,
@@ -94,7 +94,8 @@
     (queries per worker pull: always 1), the worker loop's
     [pool.tasks] counter, [pool.queue_wait_ns] (admission to the pull)
     and [pool.task_ns] histograms, plus per-query
-    [query_ns]/[engine.*]/[fm.*] metrics.  The whole sink is exported
+    [query_ns]/[engine.*] metrics and the [fm.*]/[verify.*] taps,
+    armed from {!start} to {!stop}.  The whole sink is exported
     live over the wire by the [metrics] command in Prometheus text
     format. *)
 
@@ -158,7 +159,7 @@ val serve :
   ?trace_out:string -> ?metrics_out:string -> config -> Core.Corpus.t -> unit
 (** The blocking CLI entry point: {!start}, install [SIGINT]/[SIGTERM]
     handlers that {!request_stop}, wait, then {!stop} — and on the way
-    out write a snapshot of every sink as a Chrome trace and/or
+    out write every sink, merged, as a Chrome trace and/or
     Prometheus file when the paths are given.  Signal dispositions are restored on exit. *)
 
 module Client = Client

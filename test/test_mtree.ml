@@ -202,15 +202,10 @@ let test_arena_reset () =
 (* ------------------------------------------------------------------ *)
 (* The delta kernel                                                     *)
 
-module T = Fmindex.Fm_index.Telemetry
-
-(* [f ()] and the rank/block telemetry it spent. *)
+(* [f ()] and the [fm.*] counts it spent. *)
 let measure f =
-  let was = T.is_enabled () in
-  T.set_enabled true;
-  let t0 = T.snapshot () in
-  let r = Fun.protect ~finally:(fun () -> T.set_enabled was) f in
-  (r, T.diff ~since:t0 (T.snapshot ()))
+  let r, obs = Test_util.tapped f in
+  (r, List.filter (fun (name, _) -> String.starts_with ~prefix:"fm." name) (Obs.counters obs))
 
 (* One [Fm.extend] per step along [codes] from [pos], until the interval
    empties or [stop] is reached: the steps [longest_extension] unrolls. *)
@@ -274,9 +269,10 @@ let prop_delta_cost =
       let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
       let _, capped = measure (fun () -> S_tree.delta_heuristic fm ~pattern ~k) in
       let _, full = measure (fun () -> naive_delta fm pattern) in
-      capped.T.rank_ops <= full.T.rank_ops && capped.T.block_decodes <= full.T.block_decodes)
+      let le name = List.assoc name capped <= List.assoc name full in
+      le "fm.rank_ops" && le "fm.block_decodes")
 
-(* Same length, and the same rank/block telemetry, as the extend loop,
+(* Same length, and the same rank/block counts, as the extend loop,
    stopped inside the pattern or at its end. *)
 let prop_longest_extension =
   Test_util.qtest ~count:300 "longest_extension = extend loop"

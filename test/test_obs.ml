@@ -193,20 +193,24 @@ let prop_histogram_sharded_merge =
 (* ------------------------------------------------------------------ *)
 (* Sink: counters, fork/merge, span semantics                           *)
 
+module C = Obs.Counter
+
 let test_sink_counters_and_merge () =
   let a = Obs.create () in
-  Obs.incr a "x";
-  Obs.incr ~by:4 a "x";
-  Obs.add a "y" 10;
+  Obs.incr a C.engine_nodes;
+  Obs.add a C.engine_nodes 4;
+  Obs.add a C.query_hits 10;
   Obs.record a "h" 5;
   let b = Obs.fork a in
   check bool "fork is active" true (Obs.enabled b);
-  Obs.incr ~by:2 b "x";
+  Obs.add b C.engine_nodes 2;
   Obs.record b "h" 7;
   Obs.merge ~into:a b;
-  check int "merged counter" 7 (Obs.counter_value a "x");
-  check int "untouched counter" 10 (Obs.counter_value a "y");
+  check int "merged counter" 7 (Obs.counter_value a "engine.nodes");
+  check int "untouched counter" 10 (Obs.counter_value a "query.hits");
   check int "absent counter" 0 (Obs.counter_value a "zzz");
+  check int "every declared counter exported" (List.length C.all)
+    (List.length (Obs.counters a));
   (match Obs.histogram a "h" with
   | None -> Alcotest.fail "histogram lost in merge"
   | Some h ->
@@ -219,9 +223,9 @@ let test_sink_counters_and_merge () =
 let test_noop_is_inert () =
   check bool "noop disabled" false (Obs.enabled Obs.noop);
   check bool "noop fork is noop" false (Obs.enabled (Obs.fork Obs.noop));
-  Obs.incr Obs.noop "x";
+  Obs.incr Obs.noop C.engine_nodes;
   Obs.record Obs.noop "h" 3;
-  check int "noop counter stays 0" 0 (Obs.counter_value Obs.noop "x");
+  check int "noop counter stays 0" 0 (Obs.counter_value Obs.noop "engine.nodes");
   check bool "noop histogram absent" true (Obs.histogram Obs.noop "h" = None);
   check int "span on noop is f ()" 41 (Obs.span Obs.noop "s" (fun () -> 41));
   check bool "noop trace still valid JSON" true
@@ -265,7 +269,7 @@ let test_chrome_trace_valid () =
 
 let test_prometheus_format () =
   let t = Obs.create () in
-  Obs.incr ~by:3 t "engine.nodes";
+  Obs.add t C.engine_nodes 3;
   Obs.record t "map.read_ns" 100;
   Obs.record t "map.read_ns" 100_000;
   let text = Obs.to_prometheus t in
@@ -275,6 +279,12 @@ let test_prometheus_format () =
   check bool "TYPE comment for counter" true
     (List.mem "# TYPE kmm_engine_nodes counter" lines);
   check bool "counter value line" true (List.mem "kmm_engine_nodes 3" lines);
+  check bool "untouched counters exported as 0" true
+    (List.for_all
+       (fun c ->
+         let n = "kmm_" ^ String.map (fun ch -> if ch = '.' then '_' else ch) (C.name c) in
+         List.mem (n ^ " 0") lines || n = "kmm_engine_nodes")
+       C.all);
   check bool "TYPE comment for histogram" true
     (List.mem "# TYPE kmm_map_read_ns histogram" lines);
   check bool "histogram count series" true (List.mem "kmm_map_read_ns_count 2" lines);
@@ -303,10 +313,10 @@ let test_prometheus_format () =
   check int "+Inf bucket equals count" 2 (List.nth buckets (List.length buckets - 1));
   (* custom prefix + name sanitization *)
   let t2 = Obs.create () in
-  Obs.incr t2 "weird-name with spaces!";
+  Obs.record t2 "weird-name with spaces!" 1;
   let text2 = Obs.to_prometheus ~prefix:"x" t2 in
   check bool "sanitized name" true
-    (List.mem "x_weird_name_with_spaces_ 1" (String.split_on_char '\n' text2))
+    (List.mem "x_weird_name_with_spaces__count 1" (String.split_on_char '\n' text2))
 
 (* ------------------------------------------------------------------ *)
 (* Query/Response, wrappers, and end-to-end determinism                 *)
@@ -352,50 +362,52 @@ let test_query_response () =
 
 let test_mapper_metrics_deterministic () =
   (* The acceptance contract: merged per-domain deterministic metrics
-     (counters and the map.read_hits histogram) are identical across
-     jobs = 1 / 2 / 4. *)
-  Fmindex.Fm_index.Telemetry.set_enabled true;
+     (counters, the FM-index and verification taps included, and the
+     map.read_hits histogram) are identical across jobs = 1 / 2 / 4. *)
+  let idx = Lazy.force index in
+  let text = Lazy.force genome in
+  let reads = List.init 30 (fun i -> (i, String.sub text (i * 100) 25)) in
+  let observe engine domains =
+    let obs = Obs.create () in
+    let _, summary =
+      Mapper.run { Mapper.default with engine; domains; chunk_size = 3; obs } idx ~reads ~k:1
+    in
+    check bool "phase timings present" true
+      (List.map fst summary.Mapper.timings = [ "prepare"; "search"; "merge" ]);
+    let deterministic_counters =
+      (* pool.tasks counts per-domain pulls and is scheduling-
+         independent too, but keep the check focused on the
+         workload-derived metrics. *)
+      List.filter (fun (name, _) -> name <> "pool.tasks") (Obs.counters obs)
+    in
+    let hits_hist =
+      match Obs.histogram obs "map.read_hits" with
+      | Some h -> Obs.Histogram.copy h
+      | None -> Alcotest.fail "map.read_hits missing"
+    in
+    (deterministic_counters, hits_hist)
+  in
+  Obs.set_taps true;
   Fun.protect
-    ~finally:(fun () -> Fmindex.Fm_index.Telemetry.set_enabled false)
+    ~finally:(fun () -> Obs.set_taps false)
     (fun () ->
-      let idx = Lazy.force index in
-      let text = Lazy.force genome in
-      let reads = List.init 30 (fun i -> (i, String.sub text (i * 100) 25)) in
-      let observe domains =
-        let obs = Obs.create () in
-        let _, summary =
-          Mapper.run { Mapper.default with domains; chunk_size = 3; obs } idx
-            ~reads ~k:1
-        in
-        check bool "phase timings present" true
-          (List.map fst summary.Mapper.timings = [ "prepare"; "search"; "merge" ]);
-        let deterministic_counters =
-          (* pool.tasks counts per-domain pulls and is scheduling-
-             independent too, but keep the check focused on the
-             workload-derived metrics. *)
-          List.filter (fun (name, _) -> name <> "pool.tasks") (Obs.counters obs)
-        in
-        let hits_hist =
-          match Obs.histogram obs "map.read_hits" with
-          | Some h -> Obs.Histogram.copy h
-          | None -> Alcotest.fail "map.read_hits missing"
-        in
-        (deterministic_counters, hits_hist)
-      in
-      let c1, h1 = observe 1 in
       List.iter
-        (fun d ->
-          let cd, hd = observe d in
-          check bool
-            (Printf.sprintf "counters jobs=%d = jobs=1" d)
-            true (cd = c1);
-          check bool
-            (Printf.sprintf "map.read_hits jobs=%d = jobs=1" d)
-            true
-            (Obs.Histogram.equal hd h1))
-        [ 2; 4 ];
-      check bool "fm.* counters flowed" true
-        (List.mem_assoc "fm.rank_ops" c1 && List.assoc "fm.rank_ops" c1 > 0))
+        (fun engine ->
+          let name = Kmismatch.engine_name engine in
+          let c1, h1 = observe engine 1 in
+          List.iter
+            (fun d ->
+              let cd, hd = observe engine d in
+              check bool (Printf.sprintf "%s counters jobs=%d = jobs=1" name d) true (cd = c1);
+              check bool
+                (Printf.sprintf "%s map.read_hits jobs=%d = jobs=1" name d)
+                true (Obs.Histogram.equal hd h1))
+            [ 2; 4 ];
+          List.iter
+            (fun counter ->
+              check bool (Printf.sprintf "%s %s flowed" name counter) true (List.assoc counter c1 > 0))
+            [ "fm.rank_ops"; "verify.calls"; "verify.words" ])
+        [ Kmismatch.M_tree; Kmismatch.Bidir ])
 
 let test_work_pool_obs () =
   let sinks = Array.init 3 (fun _ -> Obs.create ()) in
@@ -411,34 +423,102 @@ let test_work_pool_obs () =
 
 let test_fm_telemetry () =
   let fm = Fmindex.Fm_index.build "acgtacgtacgtacgtacgtacgaatt" in
-  Fmindex.Fm_index.Telemetry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Fmindex.Fm_index.Telemetry.set_enabled false)
-    (fun () ->
-      let before = Fmindex.Fm_index.Telemetry.snapshot () in
-      ignore (Fmindex.Fm_index.count fm "acgt");
-      ignore (Fmindex.Fm_index.find_all fm "acgt");
-      let d =
-        Fmindex.Fm_index.Telemetry.diff ~since:before
-          (Fmindex.Fm_index.Telemetry.snapshot ())
-      in
-      check bool "rank ops counted" true
-        (d.Fmindex.Fm_index.Telemetry.rank_ops > 0);
-      check bool "blocks decoded" true
-        (d.Fmindex.Fm_index.Telemetry.block_decodes > 0);
-      check bool "locate walks counted" true
-        (d.Fmindex.Fm_index.Telemetry.locate_walks > 0);
-      check bool "walks have steps" true
-        (d.Fmindex.Fm_index.Telemetry.locate_steps
-        >= d.Fmindex.Fm_index.Telemetry.locate_walks - 4));
-  (* disabled again: the hook stays silent *)
-  let before = Fmindex.Fm_index.Telemetry.snapshot () in
-  ignore (Fmindex.Fm_index.count fm "acgt");
-  let d =
-    Fmindex.Fm_index.Telemetry.diff ~since:before
-      (Fmindex.Fm_index.Telemetry.snapshot ())
+  let (), d =
+    Test_util.tapped (fun () ->
+        ignore (Fmindex.Fm_index.count fm "acgt");
+        ignore (Fmindex.Fm_index.find_all fm "acgt"))
   in
-  check int "no rank ops when disabled" 0 d.Fmindex.Fm_index.Telemetry.rank_ops
+  let v = Obs.counter_value d in
+  check bool "rank ops counted" true (v "fm.rank_ops" > 0);
+  check bool "blocks decoded" true (v "fm.block_decodes" > 0);
+  check bool "locate walks counted" true (v "fm.locate_walks" > 0);
+  check bool "walks have steps" true (v "fm.locate_steps" >= v "fm.locate_walks" - 4);
+  (* disarmed: an installed sink stays silent *)
+  let d = Obs.create () in
+  Obs.with_ambient d (fun () -> ignore (Fmindex.Fm_index.count fm "acgt"));
+  check int "no rank ops when disabled" 0 (Obs.counter_value d "fm.rank_ops")
+
+(* A test engine: FM-index work, then a cut — by its deadline when it
+   has one, by an exception otherwise. *)
+type Kmismatch.engine += Cut_test
+
+let () =
+  Kmismatch.Engine_registry.register
+    {
+      Kmismatch.Engine_registry.engine = Cut_test;
+      name = "cut-test";
+      doc = "test double: FM work, then expires or raises";
+      caps = { online = false; needs_tree = false; scales = false };
+      prepare = ignore;
+      run =
+        (fun idx _ ->
+          ignore (Fmindex.Fm_index.count (Kmismatch.fm_rev idx) "acgt");
+          if Deadline.is_none (Deadline.ambient ()) then failwith "engine bug";
+          while true do
+            Deadline.check ()
+          done;
+          []);
+    }
+
+let test_ambient_survives_cut_queries () =
+  let idx = Lazy.force index in
+  let fm = Kmismatch.fm_rev idx in
+  let count () = ignore (Fmindex.Fm_index.count fm "acgt") in
+  let (), one = Test_util.tapped count in
+  let cut_query ~why ~deadline expected =
+    let cut = Obs.create () in
+    let q = Kmismatch.Query.make ~obs:cut ~deadline ~engine:Cut_test ~pattern:"acgtacgt" ~k:1 () in
+    let outcome = try `Returned (Kmismatch.try_run idx q) with Failure _ -> `Raised in
+    (match (outcome, expected) with
+    | `Returned (Error (Kmm_error.Timeout _)), `Timeout | `Raised, `Raise -> ()
+    | _ -> Alcotest.fail (why ^ ": the query was not cut"));
+    check int (why ^ ": the cut query kept its own taps")
+      (Obs.counter_value one "fm.rank_ops")
+      (Obs.counter_value cut "fm.rank_ops");
+    let frozen = Obs.counters cut in
+    count ();
+    check bool (why ^ ": later work leaves the cut query's sink alone") true
+      (Obs.counters cut = frozen)
+  in
+  let (), outer =
+    Test_util.tapped (fun () ->
+        cut_query ~why:"deadline" ~deadline:(Deadline.after 0.005) `Timeout;
+        cut_query ~why:"engine exception" ~deadline:Deadline.none `Raise)
+  in
+  check int "later work lands in the previous ambient sink"
+    (2 * Obs.counter_value one "fm.rank_ops")
+    (Obs.counter_value outer "fm.rank_ops")
+
+(* DESIGN.md's counter table lists exactly the declared counters, each
+   with its unit and doc: the rows between the header and the first
+   line that is not a table row. *)
+let test_design_counter_table () =
+  let lines = In_channel.with_open_text "../DESIGN.md" In_channel.input_all |> String.split_on_char '\n' in
+  let rec rows = function
+    | "| counter | unit | doc |" :: _ :: rest ->
+        List.filter_map
+          (fun l ->
+            match List.map String.trim (String.split_on_char '|' l) with
+            | [ ""; name; unit; doc; "" ] when String.length name > 2 ->
+                Some (String.sub name 1 (String.length name - 2), unit, doc)
+            | _ -> None)
+          (List.filter (fun l -> String.starts_with ~prefix:"|" l) (take_rows rest))
+    | _ :: rest -> rows rest
+    | [] -> Alcotest.fail "DESIGN.md has no counter table"
+  and take_rows = function
+    | l :: rest when String.starts_with ~prefix:"|" l -> l :: take_rows rest
+    | _ -> []
+  in
+  let documented = rows lines in
+  let declared = List.map (fun c -> (C.name c, C.unit c, C.doc c)) C.all in
+  List.iter
+    (fun ((name, _, _) as d) ->
+      check bool (Printf.sprintf "%s: declared as documented" name) true (List.mem d declared))
+    documented;
+  List.iter
+    (fun ((name, _, _) as d) ->
+      check bool (Printf.sprintf "%s: documented as declared" name) true (List.mem d documented))
+    declared
 
 let () =
   Alcotest.run "obs"
@@ -473,5 +553,9 @@ let () =
             test_mapper_metrics_deterministic;
           Alcotest.test_case "work_pool obs" `Quick test_work_pool_obs;
           Alcotest.test_case "fm telemetry" `Quick test_fm_telemetry;
+          Alcotest.test_case "ambient sink survives cut queries" `Quick
+            test_ambient_survives_cut_queries;
+          Alcotest.test_case "DESIGN.md counter table = declarations" `Quick
+            test_design_counter_table;
         ] );
     ]

@@ -582,7 +582,8 @@ let run_clients ~clients path send =
 let server_metrics_add_up () =
   (* Every worker domain records into its own sink; the live [metrics]
      command and the --metrics-out tap written at drain must both count
-     every query exactly once. *)
+     every query exactly once, and both carry the FM-index and
+     verification taps of a bidir query that verifies candidates. *)
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kmm-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
@@ -613,12 +614,20 @@ let server_metrics_add_up () =
         | _ -> failwith "bad reply");
         i := !i + clients
       done);
+  (match S.Client.query admin ~engine:K.Bidir ~pattern:(String.sub text 1000 40) ~k:2 () with
+  | Ok (P.Hits _) -> ()
+  | _ -> Alcotest.fail "bidir query");
   let expect where text =
     List.iter
       (fun name ->
-        Alcotest.(check (option int)) (Printf.sprintf "%s %s" where name) (Some n)
+        Alcotest.(check (option int)) (Printf.sprintf "%s %s" where name) (Some (n + 1))
           (prom_value text name))
-      [ "serve_queries"; "pool_tasks"; "query_ns_count" ]
+      [ "serve_queries"; "pool_tasks"; "query_ns_count" ];
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (Printf.sprintf "%s %s > 0" where name) true
+          (Option.value ~default:0 (prom_value text name) > 0))
+      [ "fm_rank_ops"; "verify_calls" ]
   in
   expect "live" (live_metrics admin);
   (match S.Client.command admin "shutdown" with

@@ -16,3 +16,12 @@ let random_dna st n =
 (* The hits of one query through [Kmismatch.run]. *)
 let run_hits ?config idx ~engine ~pattern ~k =
   (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ?config ~engine ~pattern ~k ())).hits
+
+(* [f ()] with the taps armed (restored after) and a fresh sink as the
+   ambient one: the result and that sink. *)
+let tapped f =
+  let obs = Obs.create () in
+  let was = Atomic.get Obs.taps in
+  Obs.set_taps true;
+  let r = Fun.protect ~finally:(fun () -> Obs.set_taps was) (fun () -> Obs.with_ambient obs f) in
+  (r, obs)

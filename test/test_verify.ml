@@ -252,32 +252,22 @@ let test_edges () =
     (fun () -> ignore (Packed_text.hamming_le pt pp ~pos:7 ~k:99))
 
 let test_telemetry () =
-  let module T = Packed_text.Telemetry in
   let text = String.concat "" (List.init 10 (fun _ -> "acgtacgtacgtacgt")) in
   let pt = Packed_text.of_string text in
   let all_t = Pattern.make (String.make 100 't') in
   let self = Pattern.make (String.sub text 0 100) in
-  T.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> T.set_enabled false)
-    (fun () ->
-      let before = T.snapshot () in
-      ignore (Packed_text.hamming ~limit:max_int pt self ~pos:0);
-      let mid = T.diff ~since:before (T.snapshot ()) in
-      Alcotest.(check int) "calls" 1 mid.T.calls;
-      (* 100 lanes at phase 0 → 25 bytes → 4 words *)
-      Alcotest.(check int) "words" 4 mid.T.words;
-      Alcotest.(check int) "no early exit on a match" 0 mid.T.early_exits;
-      let before = T.snapshot () in
-      ignore (Packed_text.hamming ~limit:0 pt all_t ~pos:0);
-      let mid = T.diff ~since:before (T.snapshot ()) in
-      Alcotest.(check int) "early exit counted" 1 mid.T.early_exits;
-      Alcotest.(check int) "early exit after one word" 1 mid.T.words);
-  (* Disabled: counters stop moving. *)
-  let before = T.snapshot () in
-  ignore (Packed_text.hamming ~limit:max_int pt self ~pos:0);
-  let after = T.diff ~since:before (T.snapshot ()) in
-  Alcotest.(check int) "disarmed" 0 after.T.calls
+  let (), mid = Test_util.tapped (fun () -> ignore (Packed_text.hamming ~limit:max_int pt self ~pos:0)) in
+  Alcotest.(check int) "calls" 1 (Obs.counter_value mid "verify.calls");
+  (* 100 lanes at phase 0 → 25 bytes → 4 words *)
+  Alcotest.(check int) "words" 4 (Obs.counter_value mid "verify.words");
+  Alcotest.(check int) "no early exit on a match" 0 (Obs.counter_value mid "verify.early_exits");
+  let (), mid = Test_util.tapped (fun () -> ignore (Packed_text.hamming ~limit:0 pt all_t ~pos:0)) in
+  Alcotest.(check int) "early exit counted" 1 (Obs.counter_value mid "verify.early_exits");
+  Alcotest.(check int) "early exit after one word" 1 (Obs.counter_value mid "verify.words");
+  (* Disarmed: an installed sink stays untouched. *)
+  let after = Obs.create () in
+  Obs.with_ambient after (fun () -> ignore (Packed_text.hamming ~limit:max_int pt self ~pos:0));
+  Alcotest.(check int) "disarmed" 0 (Obs.counter_value after "verify.calls")
 
 let () =
   Alcotest.run "verify"
