@@ -232,26 +232,19 @@ let ablation () =
   let rs = reads ~count:10 ~len:150 ~seed:51 () in
 
   (* 1. M-tree derivation machinery: chain skipping on/off, and the value
-     of derivations at all (S-tree without the delta heuristic is exactly
-     the M-tree with derivations disabled). *)
+     of derivations at all.  Both S-tree rows run A()'s explorer with
+     nothing stored, so nothing is derived: "S-tree + delta heuristic"
+     differs from "A() full" by that alone, and "S-tree plain" also
+     turns delta off (the paper's Algorithm A without its reuse). *)
   let m_skip =
     avg_search_time ~stats:(Core.Stats.create ()) idx Core.Kmismatch.M_tree ~reads:rs ~k
   in
   let m_noskip =
+    let fm = Core.Kmismatch.fm_rev idx in
+    let config = { Core.M_tree.default_config with chain_skip = false } in
     let total =
       time_unit (fun () ->
-          List.iter
-            (fun pattern ->
-              ignore
-                (Core.Kmismatch.run idx
-                   (Core.Kmismatch.Query.make
-                      ~config:
-                        {
-                          Core.M_tree.default_config with
-                          Core.M_tree.chain_skip = false;
-                        }
-                      ~engine:Core.Kmismatch.M_tree ~pattern ~k ())))
-            rs)
+          List.iter (fun pattern -> ignore (Core.M_tree.search ~config fm ~pattern ~k)) rs)
     in
     total /. float_of_int (List.length rs)
   in
@@ -339,7 +332,13 @@ let deriv_stress () =
           ]
         in
         [
-          run "BWT (S-tree)" (fun stats -> Core.S_tree.search ~stats fm ~pattern ~k);
+          run "BWT (S-tree)" (fun stats ->
+              let r =
+                Core.Kmismatch.run idx
+                  (Core.Kmismatch.Query.make ~engine:Core.Kmismatch.S_tree ~pattern ~k ())
+              in
+              Core.Stats.merge ~into:stats r.Core.Kmismatch.Response.stats;
+              r.hits);
           run "A() store_width=1" (fun stats ->
               Core.M_tree.search ~stats
                 ~config:{ Core.M_tree.default_config with store_width = 1 }

@@ -1,5 +1,5 @@
 (* mtree-alloc: what a read costs Algorithm A next to the BWT baseline,
-   in CPU time and in garbage.
+   with and without delta, in CPU time and in garbage.
 
      dune exec bench/main.exe mtree-alloc
 
@@ -7,12 +7,13 @@
    generated from the same seed as `perfbench --seed 1`) with 100 bp
    reads, 2% substitution errors, from both strands.  Each read is
    searched as given and reverse-complemented, as the mapper does, by
-   the engines directly (no mapper, one domain).  Every row reports per
-   read: process CPU time, minor-heap words allocated, words promoted to
-   the major heap, minor collections, and the engine's node, rank-call
-   and derivation counts.  Beside them sit the CPU time and rank
-   operations of the delta heuristic both engines compute first, measured
-   in a separate pass over the same reads: [Stats.rank_calls] counts the
+   the engines' registry entries directly (no mapper, one domain).
+   Every row reports per read: process CPU time, minor-heap words
+   allocated, words promoted to the major heap, minor collections, and
+   the engine's node, rank-call and derivation counts.  Beside them sit
+   the CPU time and rank operations of the delta heuristic that m-tree
+   and s-tree compute first (s-tree-nodelta does not), measured in a
+   separate pass over the same reads: [Stats.rank_calls] counts the
    engine's own extensions only.  A second table holds the bidir engine
    (optimum search schemes, [Oss.search]) at k = 4 over the same reads,
    with its extension, verification and located-row counts taken in a
@@ -54,7 +55,10 @@ let iper x = per (float_of_int x)
 
 (* Warm up, then time every read and its reverse complement through
    [search stats pattern]: the leading columns every row shares, and the
-   engine's Stats. *)
+   engine's Stats.  Minor words come from [Gc.minor_words], which counts
+   to the word: [Gc.quick_stat] only adds a domain's minor heap to its
+   total when the heap is collected, so its count moves in steps of the
+   heap size (262 words per read here). *)
 let timed pats search ~k =
   let stats = Core.Stats.create () in
   let both stats (fwd, rc) =
@@ -64,15 +68,15 @@ let timed pats search ~k =
   for i = 0 to warmup - 1 do
     both None pats.(i)
   done;
-  let g0 = Gc.quick_stat () and t0 = Sys.time () in
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () and t0 = Sys.time () in
   for i = warmup to warmup + reads_per_row - 1 do
     both (Some stats) pats.(i)
   done;
-  let t1 = Sys.time () and g1 = Gc.quick_stat () in
+  let t1 = Sys.time () and w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
   ( [
       string_of_int k;
       Printf.sprintf "%.1f" (per ((t1 -. t0) *. 1e6));
-      Printf.sprintf "%.0f" (per (g1.Gc.minor_words -. g0.Gc.minor_words));
+      Printf.sprintf "%.0f" (per (w1 -. w0));
       Printf.sprintf "%.0f" (per (g1.Gc.promoted_words -. g0.Gc.promoted_words));
       Printf.sprintf "%.3f" (iper (g1.Gc.minor_collections - g0.Gc.minor_collections));
       Printf.sprintf "%.0f" (iper stats.Core.Stats.nodes);
@@ -86,27 +90,36 @@ let tapped obs f =
   Obs.set_taps true;
   Fun.protect ~finally:(fun () -> Obs.set_taps was) (fun () -> Obs.with_ambient obs f)
 
-let row fm pats (name, search) k =
-  let shared, stats = timed pats (fun stats pattern -> search ?stats fm ~pattern ~k) ~k in
-  let delta_pass () =
-    for i = warmup to warmup + reads_per_row - 1 do
-      let fwd, rc = pats.(i) in
-      ignore (Core.S_tree.delta_heuristic fm ~pattern:fwd ~k);
-      ignore (Core.S_tree.delta_heuristic fm ~pattern:rc ~k)
-    done
+let row idx pats engine k =
+  let e = Option.get (Core.Kmismatch.Engine_registry.find engine) in
+  let search stats pattern =
+    let stats = match stats with Some s -> s | None -> Core.Stats.create () in
+    e.run idx { pattern; k; stats; obs = Obs.noop }
   in
-  let d0 = Sys.time () in
-  delta_pass ();
-  let delta_cpu = Sys.time () -. d0 in
-  let taps = Obs.create () in
-  tapped taps delta_pass;
-  let delta_ops = Obs.counter_value taps "fm.rank_ops" in
-  (name :: shared)
-  @ [
-      Printf.sprintf "%.2f" (iper stats.Core.Stats.derivations);
-      Printf.sprintf "%.1f" (per (delta_cpu *. 1e6));
-      Printf.sprintf "%.0f" (iper delta_ops);
-    ]
+  let shared, stats = timed pats search ~k in
+  let delta_columns =
+    if engine == Core.Kmismatch.S_tree_no_delta then [ "-"; "-" ]
+    else begin
+      let fm = Core.Kmismatch.fm_rev idx in
+      let delta_pass () =
+        for i = warmup to warmup + reads_per_row - 1 do
+          let fwd, rc = pats.(i) in
+          ignore (Core.M_tree.delta_heuristic fm ~pattern:fwd ~k);
+          ignore (Core.M_tree.delta_heuristic fm ~pattern:rc ~k)
+        done
+      in
+      let d0 = Sys.time () in
+      delta_pass ();
+      let delta_cpu = Sys.time () -. d0 in
+      let taps = Obs.create () in
+      tapped taps delta_pass;
+      [
+        Printf.sprintf "%.1f" (per (delta_cpu *. 1e6));
+        Printf.sprintf "%.0f" (iper (Obs.counter_value taps "fm.rank_ops"));
+      ]
+    end
+  in
+  (e.name :: shared) @ (Printf.sprintf "%.2f" (iper stats.Core.Stats.derivations) :: delta_columns)
 
 (* The bidir engine at k = 4: the timed columns, then its extensions,
    candidate verifications and located rows (LF walks) per read, counted
@@ -132,17 +145,18 @@ let bidir_row idx pats =
     ]
 
 let run () =
-  section "mtree-alloc: per-read CPU and GC cost of A() (m-tree) vs the BWT baseline (s-tree)";
+  section
+    "mtree-alloc: per-read CPU and GC cost of A() (m-tree) vs the BWT baseline (s-tree, s-tree-nodelta)";
   let text, pats = patterns () in
   let idx = Core.Kmismatch.build_index text in
-  let fm = Core.Kmismatch.fm_rev idx in
   note "map-mtree genome: %d bp; %d reads of 100 bp per row, both strands, after %d warm-up reads"
     genome_bp reads_per_row warmup;
-  let m_tree ?stats fm ~pattern ~k = Core.M_tree.search ?stats fm ~pattern ~k in
-  let s_tree ?stats fm ~pattern ~k = Core.S_tree.search ?stats fm ~pattern ~k in
   let rows =
     List.concat_map
-      (fun k -> List.map (fun e -> row fm pats e k) [ ("m-tree", m_tree); ("s-tree", s_tree) ])
+      (fun k ->
+        List.map
+          (fun e -> row idx pats e k)
+          Core.Kmismatch.[ M_tree; S_tree; S_tree_no_delta ])
       [ 2; 3 ]
   in
   table

@@ -70,14 +70,13 @@ let bidir t = Fmindex.Storage.Memo.force t.bidir
 (* The engine registry                                                  *)
 
 module Engine_registry = struct
-  type caps = { online : bool; needs_tree : bool; scales : bool }
+  type caps = { scales : bool }
 
   type run_args = {
     pattern : string;
     k : int;
     stats : Stats.t;
     obs : Obs.t;
-    config : M_tree.config option;
   }
 
   type entry = {
@@ -164,8 +163,14 @@ let engine_of_string_err s =
    a new built-in engine touches. *)
 let () =
   let open Engine_registry in
-  let caps ?(online = false) ?(needs_tree = false) ?(scales = true) () =
-    { online; needs_tree; scales }
+  (* The BWT baseline is Algorithm A's explorer with nothing stored: no
+     interval is wide enough to materialize a node, so nothing is ever
+     derived.  The config is built once, not per query. *)
+  let s_tree ~use_delta =
+    let config = Some { M_tree.default_config with use_delta; store_width = max_int } in
+    fun t a ->
+      M_tree.search ?config ~stats:a.stats ~obs:a.obs t.fm_rev ~pattern:a.pattern
+        ~k:a.k
   in
   let nothing (_ : index) = () in
   let force_text t =
@@ -177,11 +182,11 @@ let () =
       engine = M_tree;
       name = "m-tree";
       doc = "the paper's Algorithm A: BWT search with mismatching-tree reuse";
-      caps = caps ();
+      caps = { scales = true };
       prepare = nothing;
       run =
         (fun t a ->
-          M_tree.search ?config:a.config ~stats:a.stats ~obs:a.obs t.fm_rev
+          M_tree.search ~stats:a.stats ~obs:a.obs t.fm_rev
             ~pattern:a.pattern ~k:a.k);
     };
   register
@@ -189,31 +194,25 @@ let () =
       engine = S_tree;
       name = "s-tree";
       doc = "the BWT baseline of ref. [34] with the delta heuristic";
-      caps = caps ();
+      caps = { scales = true };
       prepare = nothing;
-      run =
-        (fun t a ->
-          S_tree.search ~use_delta:true ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
+      run = s_tree ~use_delta:true;
     };
   register
     {
       engine = S_tree_no_delta;
       name = "s-tree-nodelta";
       doc = "the BWT baseline without the delta heuristic";
-      caps = caps ();
+      caps = { scales = true };
       prepare = nothing;
-      run =
-        (fun t a ->
-          S_tree.search ~use_delta:false ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
+      run = s_tree ~use_delta:false;
     };
   register
     {
       engine = Cole;
       name = "cole";
       doc = "suffix-tree brute force (ref. [14])";
-      caps = caps ~needs_tree:true ~scales:false ();
+      caps = { scales = false };
       prepare = (fun t -> ignore (suffix_tree t));
       run =
         (fun t a ->
@@ -224,7 +223,7 @@ let () =
       engine = Amir;
       name = "amir";
       doc = "online mark-and-verify (ref. [2])";
-      caps = caps ~online:true ~scales:false ();
+      caps = { scales = false };
       prepare = force_text;
       run =
         (fun t a ->
@@ -236,7 +235,7 @@ let () =
       engine = Kangaroo;
       name = "kangaroo";
       doc = "online O(kn) Landau-Vishkin kangaroo jumps";
-      caps = caps ~online:true ~scales:false ();
+      caps = { scales = false };
       prepare = force_text;
       run =
         (fun t a ->
@@ -248,7 +247,7 @@ let () =
       engine = Naive;
       name = "naive";
       doc = "online O(mn) scanning reference";
-      caps = caps ~online:true ~scales:false ();
+      caps = { scales = false };
       prepare = (fun t -> ignore (text t));
       run =
         (fun t a ->
@@ -261,7 +260,7 @@ let () =
       doc =
         "bidirectional FM-index executing optimum search schemes (Kianfar & \
          Pockrandt)";
-      caps = caps ();
+      caps = { scales = true };
       prepare =
         (fun t ->
           ignore (bidir t);
@@ -277,14 +276,13 @@ module Query = struct
     engine : engine;
     pattern : string;
     k : int;
-    config : M_tree.config option;
     obs : Obs.t;
     deadline : Deadline.t;
   }
 
-  let make ?config ?(obs = Obs.noop) ?(deadline = Deadline.none) ~engine
-      ~pattern ~k () =
-    { engine; pattern; k; config; obs; deadline }
+  let make ?(obs = Obs.noop) ?(deadline = Deadline.none) ~engine ~pattern
+      ~k () =
+    { engine; pattern; k; obs; deadline }
 end
 
 module Response = struct
@@ -354,7 +352,7 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
         if String.length pattern > length t then []
         else
           entry.Engine_registry.run t
-            { Engine_registry.pattern; k; stats; obs; config = q.config })
+            { Engine_registry.pattern; k; stats; obs })
   in
   let t2 = Obs.Clock.now_ns () in
   if Obs.enabled obs then begin

@@ -7,6 +7,10 @@
 
     - [M_tree]: the paper's Algorithm A, O(kn' + n + m log m);
     - [S_tree]: the BWT baseline of ref. [34] with the delta heuristic;
+    - [S_tree_no_delta]: the same baseline without it (the paper's
+      plain BWT method).  Both run Algorithm A's explorer with nothing
+      stored, so nothing is derived ({!M_tree.config}'s [store_width]
+      at [max_int]);
     - [Cole]: suffix-tree brute force (ref. [14]);
     - [Amir]: online mark-and-verify (ref. [2]);
     - [Kangaroo]: online O(kn) Landau-Vishkin;
@@ -50,9 +54,6 @@ type index
     of this table. *)
 module Engine_registry : sig
   type caps = {
-    online : bool;
-        (** scans the unpacked text string (its [prepare] forces it) *)
-    needs_tree : bool;  (** requires the suffix tree (Cole) *)
     scales : bool;
         (** cheap enough per query to join large-text benchmark
             campaigns (excludes the O(mn)/O(kn)-per-window references) *)
@@ -63,7 +64,6 @@ module Engine_registry : sig
     k : int;  (** clamped to the pattern length, nonnegative *)
     stats : Stats.t;  (** per-query counter sink *)
     obs : Obs.t;  (** per-query observability sink *)
-    config : M_tree.config option;  (** engine tuning; most ignore it *)
   }
   (** What {!Kmismatch.run} hands an engine: the validated query plus
       the per-query sinks. *)
@@ -169,8 +169,6 @@ module Query : sig
     engine : engine;  (** which algorithm answers the query *)
     pattern : string;  (** raw pattern; normalized (case) by {!run} *)
     k : int;  (** mismatch budget; clamped to [length pattern] *)
-    config : M_tree.config option;
-        (** [M_tree] tuning; ignored by other engines *)
     obs : Obs.t;
         (** sink receiving the [query] span, the engine-internal spans
             and the query's counters ({!run}); {!Obs.noop} disables all
@@ -184,7 +182,6 @@ module Query : sig
   }
 
   val make :
-    ?config:M_tree.config ->
     ?obs:Obs.t ->
     ?deadline:Deadline.t ->
     engine:engine ->
@@ -192,8 +189,8 @@ module Query : sig
     k:int ->
     unit ->
     t
-  (** Build a query.  [obs] defaults to {!Obs.noop}, [config] to the
-      engine's own default, [deadline] to {!Deadline.none}. *)
+  (** Build a query.  [obs] defaults to {!Obs.noop}, [deadline] to
+      {!Deadline.none}. *)
 end
 
 module Response : sig

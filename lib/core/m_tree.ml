@@ -148,6 +148,53 @@ let add_skip a v code lo hi =
   a.skipped.(v) <- s;
   a.nskips <- s + 4
 
+(* --- The delta heuristic -------------------------------------------- *)
+
+(* Feeding pattern characters left to right into backward extensions of
+   FM(rev s) matches prefixes of the pattern against windows of s: after j
+   steps the interval covers exactly the occurrences (reversed) of the
+   j-character path string in s. *)
+
+let delta_heuristic fm ~pattern ~k =
+  if k < 0 then invalid_arg "M_tree.delta_heuristic: negative k";
+  let m = String.length pattern in
+  let codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
+  let delta = Array.make (m + 2) 0 in
+  (* [ends.(i)] caches what a probe learnt at start i: 0 if nothing yet,
+     -1 if r[i .. e] occurred for the probe's window end e, else the end
+     E(i) of the first absent window from i.  Window ends only decrease
+     from one level to the next, so a start once probed is never charged
+     again. *)
+  let ends = Array.make (m + 1) 0 in
+  let absent i e =
+    let c = ends.(i) in
+    if c > 0 then c <= e
+    else if c < 0 then false
+    else begin
+      let l = Fm.longest_extension fm codes ~pos:(i - 1) ~stop:e in
+      let gone = l < e - i + 1 in
+      ends.(i) <- (if gone then i + l else -1);
+      gone
+    end
+  in
+  (* delta.(i) >= v exactly for i <= b.  The starts with delta >= v+1 are
+     those whose window r[i .. b-1] is absent, a prefix of 1 .. b-1 found
+     by binary search: lo is absent (or 0), hi present (or b). *)
+  let b = ref (m + 1) and v = ref 0 in
+  while !b > 0 && !v <= k do
+    let e = !b - 1 in
+    let lo = ref 0 and hi = ref !b in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if absent mid e then lo := mid else hi := mid
+    done;
+    Array.fill delta (!lo + 1) (!b - !lo) !v;
+    b := !lo;
+    incr v
+  done;
+  Array.fill delta 1 !b !v;
+  delta
+
 (* --- Search --------------------------------------------------------- *)
 
 let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
@@ -190,7 +237,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
        r[i ..]; sound for pruning under *any* alignment at position i. *)
     let delta =
       if config.use_delta then
-        Obs.span obs "mtree.delta" (fun () -> S_tree.delta_heuristic fm ~pattern ~k)
+        Obs.span obs "mtree.delta" (fun () -> delta_heuristic fm ~pattern ~k)
       else Array.make (m + 2) 0
     in
     let pat_codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in

@@ -1,8 +1,12 @@
 (** Algorithm A (paper §IV): k-mismatch search over a BWT array with
     mismatch-information reuse through a mismatching tree.
 
-    The search explores the same tree as {!S_tree} but keeps every explored
-    node in a hash table keyed by its pair [<x, [lo, hi]>].  When a pair
+    The search explores the S-tree of the BWT method (ref. [34]): the
+    pattern is consumed left to right, each step extending the current
+    BWT interval of [rev s] by one character — the matching character
+    for free, every mismatching character against the budget [k].  It
+    keeps every explored node in a hash table keyed by its pair
+    [<x, [lo, hi]>].  When a pair
     reappears at a deeper pattern position, the subtree below it is not
     re-explored with [search()] (rank) operations; instead the stored
     subtree is *derived*: walked with O(1) character logic, using the
@@ -52,10 +56,34 @@ type config = {
           cost of storing them; they are explored with a storage-free
           S-tree recursion and recorded like budget-skipped branches, so
           derivations through them stay exact.  Set 1 to materialize
-          everything (the paper's literal structure). *)
+          everything (the paper's literal structure); [max_int] stores
+          nothing, so nothing is derived and the search is the BWT
+          baseline of ref. [34] (the [S_tree] engines of {!Kmismatch}). *)
 }
 
 val default_config : config
+
+val delta_heuristic : Fmindex.Fm_index.t -> pattern:string -> k:int -> int array
+(** The delta heuristic of ref. [34]: [delta.(i)] is the number of
+    consecutive disjoint substrings of [r[i ..]] absent from [s]; a
+    branch whose remaining budget is below it cannot reach an
+    occurrence.  [delta_heuristic fm_rev ~pattern ~k] is the 1-based array
+    [min (delta.(i), k + 1)] for [i = 1 .. m+1] over the FM-index of
+    [rev s] ([delta.(m+1) = 0]).  Every pruning test compares delta
+    against a remaining budget [k - q <= k], so the cap changes no
+    decision; a [k >= m] returns delta itself.  Raises [Invalid_argument]
+    on a negative [k].  Exposed for tests and benchmarks.
+
+    Let E(i) be the end of the first window r[i .. E(i)] absent from [s].
+    If r[i+1 .. E(i+1)] is absent so is r[i .. E(i+1)], hence E is
+    nondecreasing, delta nonincreasing, and the starts with
+    [delta >= v] form a prefix [1 .. b_v] of the pattern: [b_0 = m+1],
+    and [b_v] is the largest [i < b_(v-1)] whose window
+    r[i .. b_(v-1) - 1] is absent.  So the array costs at most [k + 1]
+    binary searches, each probe one {!Fmindex.Fm_index.longest_extension}
+    stopped at the window end, instead of one extension run from every
+    start; no start is charged rank operations twice, so the cost never
+    exceeds that of the per-start runs. *)
 
 val search :
   ?config:config ->

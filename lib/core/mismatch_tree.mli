@@ -32,7 +32,7 @@ val build : Fmindex.Fm_index.t -> pattern:string -> k:int -> t
     target and assemble the M-tree, recording every maximal path.  Paths
     are cut one mismatch *after* the budget (the paper stores the full
     [B] of k+1 entries before backtracking).  Same argument contract as
-    {!S_tree.search}. *)
+    {!M_tree.search}. *)
 
 val count_nodes : node -> int
 val leaves : t -> int

@@ -7,7 +7,11 @@
 
 type t = {
   mutable nodes : int;  (** search/mismatch-tree nodes created *)
-  mutable leaves : int;  (** paths terminated during exploration *)
+  mutable leaves : int;
+      (** paths terminated during exploration.  In the BWT search
+          trees ([M_tree] and both [S_tree] engines), a root none of
+          whose children survives the budget has no path and counts no
+          leaf. *)
   mutable rank_calls : int;  (** FM-index [extend] invocations *)
   mutable derivations : int;  (** subtrees derived instead of explored *)
   mutable derived_leaves : int;  (** path terminations inside derivations *)

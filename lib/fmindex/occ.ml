@@ -316,13 +316,6 @@ let rank_pair_into_unsafe t c lo hi dst =
     end
   end
 
-let rank_pair_into t c lo hi dst =
-  if Array.length dst < 2 then invalid_arg "Occ.rank_pair_into: dst too short";
-  if c < 0 || c >= sigma then invalid_arg "Occ.rank_pair_into: bad character code";
-  if lo < 0 || lo > t.len || hi < 0 || hi > t.len then
-    invalid_arg "Occ.rank_pair_into: index out of range";
-  rank_pair_into_unsafe t c lo hi dst
-
 (* Is BWT row [row] a sentinel row?  Allocation-free, singleton table
    first like [sent_before]. *)
 let is_sentinel t row =
@@ -457,19 +450,6 @@ let make ?(rate = 32) l =
   in
   let pt = Packed_text.init (n - !nsent) (fun _ -> next_non_sentinel ()) in
   of_packed ~rate ~sentinels pt
-
-let to_packed t =
-  let out = Storage.create ((t.plen + 3) / 4) in
-  let chunk = t.bl lsr 2 in
-  let b = ref 0 in
-  let copied = ref 0 in
-  while !copied < Storage.length out do
-    let cnt = min chunk (Storage.length out - !copied) in
-    Storage.blit t.data ((!b * t.stride) + 8) out !copied cnt;
-    copied := !copied + cnt;
-    incr b
-  done;
-  Packed_text.of_storage out ~len:t.plen
 
 let raw_blocks t = t.data
 let raw_super t = t.super

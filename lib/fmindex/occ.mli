@@ -53,11 +53,6 @@ val rank_pair : t -> int -> int -> int -> int * int
     with a single block decode plus an indicator of row [lo]'s own code;
     otherwise the two decodes of a narrow interval share a cache line. *)
 
-val rank_pair_into : t -> int -> int -> int -> int array -> unit
-(** [rank_pair_into t c lo hi dst] writes [rank t c lo] to [dst.(0)] and
-    [rank t c hi] to [dst.(1)] — [rank_pair] without the result tuple, for
-    allocation-free backward-search loops.  [dst] needs length >= 2. *)
-
 val rank_all : t -> int -> int array -> unit
 (** [rank_all t i dst] writes [rank t c i] into [dst.(c)] for every
     character code in one block decode.  [dst] must have length [sigma]. *)
@@ -107,16 +102,12 @@ val space_bytes : t -> int
 (** Exact heap footprint of the structure: the interleaved block buffer
     plus superblock counters, sentinel table and totals. *)
 
-val to_packed : t -> Packed_text.t
-(** Extract the 2-bit payload (sentinel excluded) as a fresh contiguous
-    {!Packed_text.t} — what persistence serializes. *)
-
 (** {1 Persistence hooks}
 
-    Every on-disk format since v2 writes the interleaved buffers
-    verbatim so [load] never recounts the text — and format v4 goes one
-    further: the block buffer can be adopted {e in place} from an
-    mmap'd section.  Treat the returned buffers as read-only. *)
+    The index format (v4) writes the interleaved buffers verbatim, so
+    [load] never recounts the text, and the block buffer can be adopted
+    {e in place} from an mmap'd section.  Treat the returned buffers as
+    read-only. *)
 
 val raw_blocks : t -> Storage.t
 val raw_super : t -> int array

@@ -251,16 +251,11 @@ let test_pattern_case_normalized () =
 let test_m_tree_chain_skip_equivalence =
   Test_util.qtest ~count:300 "m-tree: chain_skip on = off" gen_repetitive
     (fun (text, pattern, k) ->
-      let idx = Kmismatch.build_index text in
-      let with_skip =
-        Test_util.run_hits ~config:{ M_tree.default_config with M_tree.chain_skip = true } idx
-          ~engine:Kmismatch.M_tree ~pattern ~k
+      let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+      let search chain_skip =
+        M_tree.search ~config:{ M_tree.default_config with chain_skip } fm ~pattern ~k
       in
-      let without =
-        Test_util.run_hits ~config:{ M_tree.default_config with M_tree.chain_skip = false } idx
-          ~engine:Kmismatch.M_tree ~pattern ~k
-      in
-      with_skip = without)
+      search true = search false)
 
 let test_m_tree_derivations_fire () =
   (* On a repetitive genome the hash table must hit: derivations > 0. *)
@@ -301,7 +296,7 @@ let test_delta_heuristic_paper_example () =
      absent), delta(3) = 0 (every substring of aca occurs).  The array is
      capped at k+1: k = 0 already reads delta(1) as 1, k >= m as 2. *)
   let idx = Kmismatch.build_index "acagaca" in
-  let delta k = S_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern:"tcaca" ~k in
+  let delta k = M_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern:"tcaca" ~k in
   List.iter
     (fun k ->
       let d = delta k in

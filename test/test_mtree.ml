@@ -8,6 +8,8 @@
    six [Stats.t] fields, the hit count and a digest of the hit list must
    equal the line recorded in [fixtures/mtree_golden.txt], so a change to
    how the M-tree is stored cannot change what it explores or finds.
+   [fixtures/stree_golden.txt] pins the BWT baseline engines (s-tree and
+   s-tree-nodelta, through [Kmismatch.run]) on the same queries.
 
    The generator is self-contained (no [Random]), so the recorded lines
    depend only on the engine. *)
@@ -102,31 +104,62 @@ let golden_cases () =
   in
   random @ repetitive @ fixed @ [ genome ] @ clamp
 
-let observe () =
+(* One golden line per query of every case under every variant:
+   [variants] are [(name, search)] pairs, [search idx s ~pattern ~k]
+   counting into [s]. *)
+let observe variants =
   List.concat_map
     (fun (family, text, qs) ->
-      let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+      let idx = Kmismatch.build_index text in
       List.concat_map
         (fun (pattern, k) ->
           List.map
-            (fun (cname, config) ->
+            (fun (vname, search) ->
               let s = Stats.create () in
-              let hits = M_tree.search ~config ~stats:s fm ~pattern ~k in
+              let hits = search idx s ~pattern ~k in
               let flat = String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%d,%d" p d) hits) in
               Printf.sprintf "%s/%s n=%d m=%d k=%d nodes=%d leaves=%d rank_calls=%d derivations=%d derived_leaves=%d resumes=%d hits=%d %s"
-                family cname (String.length text) (String.length pattern) k s.nodes s.leaves
+                family vname (String.length text) (String.length pattern) k s.nodes s.leaves
                 s.rank_calls s.derivations s.derived_leaves s.resumes (List.length hits)
                 (Digest.to_hex (Digest.string flat)))
-            configs)
+            variants)
         qs)
     (golden_cases ())
 
-let test_golden () =
-  let expected = In_channel.with_open_bin "fixtures/mtree_golden.txt" In_channel.input_lines in
-  let got = observe () in
-  check Alcotest.int "case count" (List.length expected) (List.length got);
-  List.iteri (fun i (e, g) -> check Alcotest.string (Printf.sprintf "case %d" i) e g)
-    (List.combine expected got)
+(* [M_tree.search] under each config. *)
+let mtree_variants =
+  List.map
+    (fun (cname, config) ->
+      ( cname,
+        fun idx stats ~pattern ~k ->
+          M_tree.search ~config ~stats (Kmismatch.fm_rev idx) ~pattern ~k ))
+    configs
+
+(* The BWT baseline engines through [Kmismatch.run]. *)
+let stree_variants =
+  List.map
+    (fun engine ->
+      ( Kmismatch.engine_name engine,
+        fun idx stats ~pattern ~k ->
+          let r = Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern ~k ()) in
+          Stats.merge ~into:stats r.stats;
+          r.hits ))
+    Kmismatch.[ S_tree; S_tree_no_delta ]
+
+(* The observed lines must equal [fixtures/<file>].  With
+   KMM_RECORD_GOLDEN set to a directory, they are written to <dir>/<file>
+   instead: how a fixture is recorded. *)
+let golden file variants () =
+  let got = observe variants in
+  match Sys.getenv_opt "KMM_RECORD_GOLDEN" with
+  | Some dir ->
+      Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+          List.iter (fun l -> Printf.fprintf oc "%s\n" l) got)
+  | None ->
+      let expected = In_channel.with_open_bin ("fixtures/" ^ file) In_channel.input_lines in
+      check Alcotest.int "case count" (List.length expected) (List.length got);
+      List.iteri (fun i (e, g) -> check Alcotest.string (Printf.sprintf "case %d" i) e g)
+        (List.combine expected got)
 
 (* The golden set must exercise the derivation machinery, not just the
    plain exploration. *)
@@ -149,12 +182,12 @@ let test_golden_covers_derivations () =
 (* ------------------------------------------------------------------ *)
 (* The per-domain arena                                                 *)
 
-let genome_fm =
+let genome =
   lazy
     (let r = { s = 7 } in
      let text = repeat_rich r ~size:30_000 ~unit:300 in
      let pats = Array.init 64 (fun i -> planted r text ~len:100 ~k:(i mod 3)) in
-     (Kmismatch.fm_rev (Kmismatch.build_index text), pats))
+     (Kmismatch.build_index text, pats))
 
 let run_one fm ?config pattern k =
   let s = Stats.create () in
@@ -163,27 +196,48 @@ let run_one fm ?config pattern k =
 
 (* Steady-state searches reuse the domain's arena: they must not force a
    minor collection each (a fresh 4096-slot table per search did), nor
-   come anywhere near one per search. *)
+   come anywhere near one per search.  The BWT baseline engines run the
+   same explorer, so they are held to the same bounds, and all three to
+   a minor-heap budget per search that per-pattern arrays, closures and
+   hit cells fit but anything allocated per node does not: the explorer
+   spends at most 650 words a search here, while two rank rows and an
+   interval pair per node come to about 10,000. *)
 let test_steady_state_minor_gcs () =
-  let fm, pats = Lazy.force genome_fm in
-  let search i = ignore (M_tree.search fm ~pattern:pats.(i mod Array.length pats) ~k:2) in
-  for i = 0 to 99 do
-    search i
-  done;
-  let before = (Gc.quick_stat ()).Gc.minor_collections in
-  for i = 0 to 499 do
-    search i
-  done;
-  let gcs = (Gc.quick_stat ()).Gc.minor_collections - before in
-  check Alcotest.bool
-    (Printf.sprintf "%d minor collections over 500 searches (< 50)" gcs)
-    true (gcs < 50)
+  let idx, pats = Lazy.force genome in
+  List.iter
+    (fun engine ->
+      let e = Option.get (Kmismatch.Engine_registry.find engine) in
+      let stats = Stats.create () and hits = ref 0 in
+      let search i =
+        let pattern = pats.(i mod Array.length pats) in
+        hits := !hits + List.length (e.run idx { pattern; k = 2; stats; obs = Obs.noop })
+      in
+      for i = 0 to 99 do
+        search i
+      done;
+      hits := 0;
+      let before = (Gc.quick_stat ()).Gc.minor_collections and w0 = Gc.minor_words () in
+      for i = 0 to 499 do
+        search i
+      done;
+      let words = Gc.minor_words () -. w0 in
+      let gcs = (Gc.quick_stat ()).Gc.minor_collections - before in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d minor collections over 500 searches (< 50)" e.name gcs)
+        true (gcs < 50);
+      let bound = 500. *. 900. +. (32. *. float_of_int !hits) in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f minor words over 500 searches, %d hits (<= %.0f)" e.name
+           words !hits bound)
+        true (words <= bound))
+    Kmismatch.[ M_tree; S_tree; S_tree_no_delta ]
 
 (* A search cut short by its deadline, and one large enough to be
    replaced by a fresh arena, leave nothing behind: the next search sees
    the same tree as before them. *)
 let test_arena_reset () =
-  let fm, pats = Lazy.force genome_fm in
+  let idx, pats = Lazy.force genome in
+  let fm = Kmismatch.fm_rev idx in
   let probe () = List.map (fun p -> run_one fm p 3) [ pats.(0); pats.(1); pats.(2) ] in
   let before = probe () in
   (match
@@ -258,7 +312,7 @@ let prop_delta_kernel =
   Test_util.qtest ~count:300 "delta kernel = per-start extend" gen_delta_case
     (fun (text, pattern, k) ->
       let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
-      S_tree.delta_heuristic fm ~pattern ~k
+      M_tree.delta_heuristic fm ~pattern ~k
       = Array.map (fun d -> min d (k + 1)) (naive_delta fm pattern))
 
 (* The capped array never costs more than the runs from every start. *)
@@ -267,7 +321,7 @@ let prop_delta_cost =
     gen_delta_case
     (fun (text, pattern, k) ->
       let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
-      let _, capped = measure (fun () -> S_tree.delta_heuristic fm ~pattern ~k) in
+      let _, capped = measure (fun () -> M_tree.delta_heuristic fm ~pattern ~k) in
       let _, full = measure (fun () -> naive_delta fm pattern) in
       let le name = List.assoc name capped <= List.assoc name full in
       le "fm.rank_ops" && le "fm.block_decodes")
@@ -292,7 +346,10 @@ let () =
     [
       ( "golden",
         [
-          Alcotest.test_case "stats and hits match the recorded exploration" `Quick test_golden;
+          Alcotest.test_case "stats and hits match the recorded exploration" `Quick
+            (golden "mtree_golden.txt" mtree_variants);
+          Alcotest.test_case "s-tree stats and hits match the recorded exploration" `Quick
+            (golden "stree_golden.txt" stree_variants);
           Alcotest.test_case "golden set fires derivations" `Quick
             test_golden_covers_derivations;
         ] );

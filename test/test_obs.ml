@@ -448,7 +448,7 @@ let () =
       Kmismatch.Engine_registry.engine = Cut_test;
       name = "cut-test";
       doc = "test double: FM work, then expires or raises";
-      caps = { online = false; needs_tree = false; scales = false };
+      caps = { scales = false };
       prepare = ignore;
       run =
         (fun idx _ ->

@@ -138,7 +138,7 @@ let prop_delta =
       int_range 0 (String.length pattern + 1) >|= fun k -> (text, pattern, k))
     (fun (text, pattern, k) ->
       let idx = Kmismatch.build_index text in
-      S_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern ~k
+      M_tree.delta_heuristic (Kmismatch.fm_rev idx) ~pattern ~k
       = Array.map (fun d -> min d (k + 1)) (naive_delta text pattern))
 
 (* ------------------------------------------------------------------ *)
@@ -228,8 +228,7 @@ let prop_m_tree_all_configs =
         (Test_util.dna_gen ~lo:1 ~hi:15 ())
         (int_range 0 4) config_gen)
     (fun (text, pattern, k, config) ->
-      let idx = Kmismatch.build_index text in
-      Test_util.run_hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      M_tree.search ~config (Kmismatch.fm_rev (Kmismatch.build_index text)) ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 let prop_m_tree_repetitive_configs =
@@ -241,8 +240,7 @@ let prop_m_tree_repetitive_configs =
         (int_range 0 4) config_gen)
     (fun (unit_str, (reps, pattern), k, config) ->
       let text = String.concat "" (List.init reps (fun _ -> unit_str)) in
-      let idx = Kmismatch.build_index text in
-      Test_util.run_hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      M_tree.search ~config (Kmismatch.fm_rev (Kmismatch.build_index text)) ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 (* ------------------------------------------------------------------ *)

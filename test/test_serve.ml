@@ -649,7 +649,7 @@ let () =
       K.Engine_registry.engine = Raises;
       name = "raises-test";
       doc = "test double: raises on every query";
-      caps = { online = false; needs_tree = false; scales = false };
+      caps = { scales = false };
       prepare = ignore;
       run = (fun _ _ -> failwith "engine bug");
     }
@@ -836,7 +836,7 @@ let () =
       K.Engine_registry.engine = Gated;
       name = "gated-test";
       doc = "test double: blocks until the test opens its gate";
-      caps = { online = false; needs_tree = false; scales = false };
+      caps = { scales = false };
       prepare = ignore;
       run =
         (fun _ _ ->

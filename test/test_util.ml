@@ -14,8 +14,8 @@ let random_dna st n =
   String.init n (fun _ -> [| 'a'; 'c'; 'g'; 't' |].(Random.State.int st 4))
 
 (* The hits of one query through [Kmismatch.run]. *)
-let run_hits ?config idx ~engine ~pattern ~k =
-  (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ?config ~engine ~pattern ~k ())).hits
+let run_hits idx ~engine ~pattern ~k =
+  (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ~engine ~pattern ~k ())).hits
 
 (* [f ()] with the taps armed (restored after) and a fresh sink as the
    ambient one: the result and that sink. *)
