@@ -38,9 +38,10 @@ let all =
     {
       name = "load-modes";
       doc =
-        "index cold start: copy load (full verification) vs mmap adoption \
-         at 1/32/128 Mbp (probe answers cross-checked; appends to \
-         BENCH_fmindex.json; --size narrows to one size)";
+        "index cold start: time to the first m-tree and bidir answer and \
+         peak RSS, copy load (full verification) vs mmap adoption, at 4 and \
+         32 Mbp (answers cross-checked; appends to BENCH_fmindex.json; \
+         --size narrows to one size)";
       run =
         (fun c -> Load_modes.run ~obs:c.obs ?out:c.out ?size:c.size ~seed:c.seed ());
       smoke = None;

@@ -3,117 +3,161 @@
    (header validation only; the kernel pages the sections in on first
    touch).
 
-   The metric that matters is daemon cold start: how long between
-   [kmm serve -i ref.fmi] and the first answered query.  So besides the
-   bare load call each mode also times a small probe batch — for mmap
-   that is where the page faults land, and an adoption that merely
-   deferred all the work would be exposed here.  Every probe answer is
-   cross-checked against the freshly built index; a wrong answer fails
-   the run.
+   The metric that matters is time to the first answer: how long
+   between opening ref.fmi and answering one query, as [kmm map --index
+   ref.fmi] or a freshly started daemon meets it.  So each mode is timed
+   twice from a fresh load: to the first m-tree answer and to the first
+   bidir answer.  The bidir answer needs the index's forward rank side,
+   so a format that does not carry it pays its rebuild here.  Every
+   answer is cross-checked against the freshly built heap index; a
+   wrong answer fails the run.  Alongside each time is the peak resident
+   memory the cold start added to the process.
 
    One JSON record per run is appended to --out (default
    BENCH_fmindex.json). *)
 
-let default_sizes = [ 1_000_000; 32_000_000; 128_000_000 ]
+module K = Core.Kmismatch
+
+let default_sizes = [ 4_000_000; 32_000_000 ]
+
+(* The query: a 100 bp window of the text with two bases changed,
+   searched at k = 4. *)
+let k = 4
+
+let probe ~st text =
+  let len = 100 in
+  let p = Bytes.of_string (String.sub text (Random.State.int st (String.length text - len)) len) in
+  List.iter
+    (fun i -> Bytes.set p i (if Bytes.get p i = 'a' then 'c' else 'a'))
+    [ 17; 71 ];
+  Bytes.to_string p
+
+let answer idx engine pattern = (K.run idx (K.Query.make ~engine ~pattern ~k ())).K.Response.hits
+
+(* A /proc/self/status field in KiB: VmHWM (peak resident set since the
+   last [reset_peak]) or VmRSS (current). *)
+let status_kb field =
+  let status = In_channel.with_open_bin "/proc/self/status" In_channel.input_all in
+  List.find_map
+    (fun l -> Scanf.sscanf_opt l (field ^^ ": %d kB") (fun kb -> kb))
+    (String.split_on_char '\n' status)
+  |> Option.value ~default:0
+
+let reset_peak () =
+  try Out_channel.with_open_bin "/proc/self/clear_refs" (fun oc -> output_string oc "5")
+  with Sys_error _ -> ()
+
+type cell = { first_s : float; rss_mb : float }
+
+(* Best of [reps] cold starts (load + one answer), each from a compacted
+   heap; [rss_mb] is the largest peak-RSS growth over the resident set
+   the cold start began with. *)
+let cold ~reps ~expected ~path ~pattern mode engine =
+  let best = ref infinity and rss = ref 0. in
+  for _ = 1 to reps do
+    Gc.compact ();
+    reset_peak ();
+    let base = status_kb "VmRSS" in
+    let hits, dt =
+      Bench_util.time (fun () -> answer (K.load_index ~mode path) engine pattern)
+    in
+    if hits <> expected then
+      failwith
+        (Printf.sprintf "load bench: %s answer diverges from the heap index" (K.engine_name engine));
+    best := min !best dt;
+    rss := max !rss (float_of_int (status_kb "VmHWM" - base) /. 1024.)
+  done;
+  { first_s = !best; rss_mb = !rss }
 
 type row = {
   size : int;
   build_s : float;
   file_bytes : int;
-  copy_s : float;
-  mmap_s : float;
-  mmap_probe_s : float;
-  speedup : float;  (* copy / mmap *)
+  cells : ((string * string) * cell) list;  (* (mode, engine) *)
 }
 
-let probe_patterns ~st text =
-  List.init 16 (fun _ ->
-      let len = 20 + Random.State.int st 21 in
-      let pos = Random.State.int st (String.length text - len) in
-      String.sub text pos len)
-
-(* Best-of-[reps] wall-clock of [load ()], cross-checking every rep's
-   probe answers against [expected].  Returns (load, probe) seconds. *)
-let time_load ~reps ~probes ~expected load =
-  let best_load = ref infinity and best_probe = ref infinity in
-  for _ = 1 to reps do
-    let fm, load_s = Bench_util.time load in
-    let answers, probe_s =
-      Bench_util.time (fun () ->
-          List.map (fun p -> Fmindex.Fm_index.find_all fm p) probes)
-    in
-    if answers <> expected then failwith "load bench: probe answers diverge";
-    best_load := min !best_load load_s;
-    best_probe := min !best_probe probe_s
-  done;
-  (!best_load, !best_probe)
+let modes = [ ("copy", Fmindex.Fm_index.Copy); ("mmap", Fmindex.Fm_index.Mmap) ]
+let engines = [ K.M_tree; K.Bidir ]
 
 let bench_one ~st ~reps size =
-  let text =
-    Dna.Sequence.to_string (Dna.Sequence.random ~state:st size)
-  in
-  let fm, build_s = Bench_util.time (fun () -> Fmindex.Fm_index.build text) in
+  let text = Dna.Sequence.to_string (Dna.Sequence.random ~state:st size) in
+  let idx, build_s = Bench_util.time (fun () -> K.build_index text) in
   Bench_util.note "%s bp: index built in %s" (Bench_util.fmt_count size)
     (Bench_util.fmt_time build_s);
-  let probes = probe_patterns ~st text in
-  let expected = List.map (fun p -> Fmindex.Fm_index.find_all fm p) probes in
+  let pattern = probe ~st text in
+  let expected = answer idx K.M_tree pattern in
+  if answer idx K.Bidir pattern <> expected then failwith "load bench: engines disagree";
   let path = Filename.temp_file "kmm-load-bench" ".fmi" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Fmindex.Fm_index.save fm path;
+      K.save_index idx path;
       let file_bytes = (Unix.stat path).Unix.st_size in
-      let copy_s, _ =
-        time_load ~reps ~probes ~expected (fun () ->
-            Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy path)
+      let cells =
+        List.concat_map
+          (fun (mname, mode) ->
+            List.map
+              (fun engine ->
+                ( (mname, K.engine_name engine),
+                  cold ~reps ~expected ~path ~pattern mode engine ))
+              engines)
+          modes
       in
-      let mmap_s, mmap_probe_s =
-        time_load ~reps ~probes ~expected (fun () ->
-            Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Mmap path)
-      in
-      { size; build_s; file_bytes; copy_s; mmap_s; mmap_probe_s; speedup = copy_s /. mmap_s })
+      { size; build_s; file_bytes; cells })
 
 let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
   let sizes = match size with Some s -> [ s ] | None -> default_sizes in
-  Bench_util.section "load-modes: copy vs mmap cold start";
+  Bench_util.section "load-modes: time to the first answer from a cold load";
   Bench_util.note
-    "per mode: best of 3 bare loads, plus a 16-query probe batch (mmap pays \
-     its page faults there); every probe cross-checked against the built index";
+    "per mode and engine: best of 3 cold starts (load + one 100 bp query at k = %d), \
+     each answer cross-checked against the built index; rss = peak RSS the cold \
+     start added"
+    k;
   let st = Random.State.make [| seed |] in
   let rows =
     Obs.span obs "bench.load_modes" (fun () ->
         List.map (fun s -> bench_one ~st ~reps:3 s) sizes)
   in
   Bench_util.table
-    ~header:
-      [ "size"; "file"; "copy"; "mmap"; "mmap probe"; "copy/mmap" ]
-    (List.map
+    ~header:[ "size"; "file"; "mode"; "engine"; "first answer"; "rss" ]
+    (List.concat_map
        (fun r ->
-         [
-           Bench_util.fmt_count r.size;
-           Bench_util.fmt_count r.file_bytes;
-           Bench_util.fmt_time r.copy_s;
-           Bench_util.fmt_time r.mmap_s;
-           Bench_util.fmt_time r.mmap_probe_s;
-           Printf.sprintf "%.0fx" r.speedup;
-         ])
+         List.map
+           (fun ((mode, engine), c) ->
+             [
+               Bench_util.fmt_count r.size;
+               Bench_util.fmt_count r.file_bytes;
+               mode;
+               engine;
+               Bench_util.fmt_time c.first_s;
+               Printf.sprintf "%.1f MiB" c.rss_mb;
+             ])
+           r.cells)
        rows);
   List.iter
     (fun r ->
-      Obs.record obs
-        (Printf.sprintf "bench.load.%d.v4_mmap_us" r.size)
-        (int_of_float (r.mmap_s *. 1e6)))
+      List.iter
+        (fun ((mode, engine), c) ->
+          Obs.record obs
+            (Printf.sprintf "bench.load.%d.%s_%s_first_us" r.size mode engine)
+            (int_of_float (c.first_s *. 1e6)))
+        r.cells)
     rows;
   let json =
-    Printf.sprintf "{\"bench\":\"load_modes\",\"meta\":%s,\"seed\":%d,\"results\":[%s]}"
-      (Bench_meta.to_json ()) seed
+    Printf.sprintf "{\"bench\":\"load_modes\",\"meta\":%s,\"seed\":%d,\"k\":%d,\"results\":[%s]}"
+      (Bench_meta.to_json ()) seed k
       (String.concat ","
          (List.map
             (fun r ->
-              Printf.sprintf
-                "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\"copy_s\":%.4f,\
-                 \"mmap_s\":%.6f,\"mmap_probe_s\":%.6f,\"speedup_copy_over_mmap\":%.1f}"
-                r.size r.file_bytes r.build_s r.copy_s r.mmap_s r.mmap_probe_s r.speedup)
+              Printf.sprintf "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\"cold\":[%s]}"
+                r.size r.file_bytes r.build_s
+                (String.concat ","
+                   (List.map
+                      (fun ((mode, engine), c) ->
+                        Printf.sprintf
+                          "{\"mode\":\"%s\",\"engine\":\"%s\",\"first_answer_s\":%.6f,\"rss_mb\":%.1f}"
+                          mode engine c.first_s c.rss_mb)
+                      r.cells)))
             rows))
   in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 out in

@@ -230,7 +230,7 @@ let engine_arg =
     Printf.sprintf "Search engine; one of %s (dashes and underscores both accepted)."
       (String.concat ", " (Core.Kmismatch.engine_names ()))
   in
-  Arg.(value & opt engine_conv Core.Kmismatch.M_tree & info [ "engine" ] ~doc)
+  Arg.(value & opt engine_conv Core.Kmismatch.Bidir & info [ "engine" ] ~doc)
 
 let search_cmd =
   let run genome index_file mmap pattern k engine verbose trace metrics_out =
@@ -407,11 +407,14 @@ let index_cmd =
            `S Manpage.s_description;
            `P
              "Builds the FM-index and writes it in the current on-disk format \
-              (v4: 8-byte-aligned CRC-guarded sections, loadable by copy or by \
-              mmap).  With --shard-size the corpus is cut into overlapping \
-              shards built in parallel across --jobs domains and saved as one \
-              index file per shard plus a manifest; search/map/serve accept \
-              the manifest wherever they accept an index.";
+              (v5: 8-byte-aligned CRC-guarded sections, loadable by copy or by \
+              mmap; about 1.33 bytes per base).  The file carries the forward \
+              rank side the bidir engine needs, so no load rebuilds it; an \
+              unsharded build sorts both sides at once on two domains.  With \
+              --shard-size the corpus is cut into overlapping shards built in \
+              parallel across --jobs domains and saved as one index file per \
+              shard plus a manifest; search/map/serve accept the manifest \
+              wherever they accept an index.";
          ])
     Term.(ret (const run $ genome $ out $ shard_size $ overlap $ jobs))
 
@@ -492,7 +495,7 @@ let verify_cmd =
              "Loads the index by copy, checking magic, version, header sanity, \
               per-section CRC-32 checksums, the whole-file trailer and the \
               structural recount — everything an mmap load deliberately skips.  \
-              Index files of the retired formats v1-v3 fail with exit code 4; \
+              Index files of the retired formats v1-v4 fail with exit code 4; \
               rebuild them with kmm index. \
               Given a shard manifest, validates the manifest (header CRC, shard \
               geometry) and then every shard file against both the manifest's \

@@ -160,13 +160,16 @@ let build ?occ_rate ?sa_rate ?shard_size ?(overlap = default_overlap) ?domains
       in
       (* Shard builds are independent; slot [task] receives shard [task]
          no matter which domain built it, so the corpus is deterministic
-         at any domain count. *)
+         at any domain count.  Each shard builds both of its rank sides
+         on its own domain ([~parallel:false]): a helper domain per
+         shard task could push the process past the runtime's domain
+         limit. *)
       Work_pool.with_pool ~domains (fun pool ->
           Work_pool.run pool ~tasks:(Array.length specs)
             (fun ~worker:_ ~task ->
               let off, owned, stored = specs.(task) in
               let idx =
-                Kmismatch.build_index ?occ_rate ?sa_rate
+                Kmismatch.build_index ?occ_rate ?sa_rate ~parallel:false
                   (String.sub text off stored)
               in
               shards.(task) <-

@@ -10,13 +10,12 @@ type engine +=
   | Naive
   | Bidir
 
-(* The forward text, the suffix tree and the bidirectional index are
-   derived views: the FM-index of the reversed text is the only
-   component persisted, and an index loaded by mmap should not pay O(n)
-   materialization up front.  All memos are domain-safe
-   ([Storage.Memo], not [Lazy.t], whose concurrent forcing is
-   undefined), so a mapper fan-out may race on the first force without
-   corruption. *)
+(* The forward text and the suffix tree are derived views: the FM-index
+   of the reversed text is the only component persisted, and an index
+   loaded by mmap should not pay O(n) materialization up front.  All
+   memos are domain-safe ([Storage.Memo], not [Lazy.t], whose concurrent
+   forcing is undefined), so a mapper fan-out may race on the first
+   force without corruption. *)
 type index = {
   text : string Fmindex.Storage.Memo.t;
   fm_rev : Fmindex.Fm_index.t;
@@ -25,11 +24,10 @@ type index = {
       (* forward text, 2-bit packed: what the word-parallel verifiers
          run against.  Derived by reversing the FM component's packed
          payload — n/4 bytes, never the unpacked string. *)
-  bidir : Fmindex.Bidir.t Fmindex.Storage.Memo.t;
-      (* forward rank side paired with [fm_rev]; only the Bidir engine
-         forces it.  Rebuilt per process (one SA-IS pass over [pforward],
-         never the unpacked text) rather than persisted, which would add
-         ~0.5 B/base to the index file. *)
+  bidir : Fmindex.Bidir.t;
+      (* [fm_rev] paired with the forward rank side it carries.  That
+         side is built with the index and persisted in it (format v5),
+         so pairing them costs nothing at load. *)
 }
 
 let make_index ~text_memo fm_rev =
@@ -41,13 +39,9 @@ let make_index ~text_memo fm_rev =
     Fmindex.Storage.Memo.make (fun () ->
         Fmindex.Packed_text.rev (Fmindex.Fm_index.packed_text fm_rev))
   in
-  let bidir =
-    Fmindex.Storage.Memo.make (fun () ->
-        Fmindex.Bidir.make ~ptext:(Fmindex.Storage.Memo.force pforward) ~fm_rev)
-  in
-  { text = text_memo; fm_rev; tree; pforward; bidir }
+  { text = text_memo; fm_rev; tree; pforward; bidir = Fmindex.Bidir.make fm_rev }
 
-let build_index ?occ_rate ?sa_rate raw =
+let build_index ?occ_rate ?sa_rate ?parallel raw =
   (* Validate and normalize exactly once; the reverse is derived from
      the parsed sequence in place instead of being re-parsed through a
      second string round-trip. *)
@@ -56,7 +50,7 @@ let build_index ?occ_rate ?sa_rate raw =
   let rev = Dna.Sequence.to_string (Dna.Sequence.rev seq) in
   make_index
     ~text_memo:(Fmindex.Storage.Memo.make (fun () -> text))
-    (Fmindex.Fm_index.build ?occ_rate ?sa_rate rev)
+    (Fmindex.Fm_index.build ?occ_rate ?sa_rate ?parallel rev)
 
 let of_sequence seq = build_index (Dna.Sequence.to_string seq)
 let text t = Fmindex.Storage.Memo.force t.text
@@ -64,7 +58,7 @@ let length t = Fmindex.Fm_index.length t.fm_rev
 let fm_rev t = t.fm_rev
 let suffix_tree t = Fmindex.Storage.Memo.force t.tree
 let packed_text t = Fmindex.Storage.Memo.force t.pforward
-let bidir t = Fmindex.Storage.Memo.force t.bidir
+let bidir t = t.bidir
 
 (* ------------------------------------------------------------------ *)
 (* The engine registry                                                  *)
@@ -261,10 +255,7 @@ let () =
         "bidirectional FM-index executing optimum search schemes (Kianfar & \
          Pockrandt)";
       caps = { scales = true };
-      prepare =
-        (fun t ->
-          ignore (bidir t);
-          ignore (packed_text t));
+      prepare = (fun t -> ignore (packed_text t));
       run =
         (fun t a ->
           Oss.search ~stats:a.stats ~obs:a.obs ~ptext:(packed_text t)

@@ -121,12 +121,14 @@ val engine_of_string_err : string -> (engine, Kmm_error.t) result
 val engine_names : unit -> string list
 (** The registered names, registration order ({!Engine_registry.names}). *)
 
-val build_index : ?occ_rate:int -> ?sa_rate:int -> string -> index
+val build_index : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> index
 (** Build the shared index of a target text (lowercase [acgt]; validated
     and normalized exactly once — the reverse is derived from the parsed
-    sequence, not re-parsed).  The FM-index of the reversed text is built
-    eagerly; the suffix tree (used only by [Cole]) and the bidirectional
-    index (used only by [Bidir]) lazily. *)
+    sequence, not re-parsed).  The FM-index of the reversed text, forward
+    rank side included, is built eagerly ({!Fmindex.Fm_index.build}:
+    [parallel], default [true], overlaps its two suffix sorts on a helper
+    domain; a build already running on a pool passes [~parallel:false]);
+    the suffix tree (used only by [Cole]) lazily. *)
 
 val of_sequence : Dna.Sequence.t -> index
 
@@ -153,9 +155,10 @@ val packed_text : index -> Fmindex.Packed_text.t
     string round-trip) and cached behind a domain-safe memo. *)
 
 val bidir : index -> Fmindex.Bidir.t
-(** The bidirectional index (forward rank side paired with the shared
-    reverse FM component), built on first use behind a domain-safe memo.
-    Only the [Bidir] engine forces it. *)
+(** The bidirectional index: the forward rank side the FM component
+    carries, paired with that component.  It is part of the index (built
+    with it, persisted with it, adopted by both loaders), so this is a
+    field read; no load pays a suffix sort for it. *)
 
 (** {1 Queries and responses}
 

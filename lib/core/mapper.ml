@@ -30,7 +30,7 @@ type options = {
 
 let default =
   {
-    engine = Kmismatch.M_tree;
+    engine = Kmismatch.Bidir;
     both_strands = true;
     domains = 1;
     chunk_size = default_chunk_size;

@@ -45,7 +45,7 @@ val default_chunk_size : int
 (** {1 Options and the primary entry point} *)
 
 type options = {
-  engine : Kmismatch.engine;  (** search engine; [M_tree] in {!default} *)
+  engine : Kmismatch.engine;  (** search engine; [Bidir] in {!default} *)
   both_strands : bool;
       (** also search the reverse complement (default true) *)
   domains : int;
@@ -69,7 +69,7 @@ type options = {
 }
 
 val default : options
-(** [{ engine = M_tree; both_strands = true; domains = 1; chunk_size =
+(** [{ engine = Bidir; both_strands = true; domains = 1; chunk_size =
     default_chunk_size; obs = Obs.noop; deadline = Deadline.none }] —
     override fields with [{ default with ... }]. *)
 

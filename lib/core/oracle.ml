@@ -74,7 +74,7 @@ let fm_packed_find_all =
           Some (List.map (fun p -> (p, 0)) (Fmindex.Fm_index.find_all fm c.pattern)));
   }
 
-(* Persistence under fuzz: the index is saved (format v4),
+(* Persistence under fuzz: the index is saved (format v5),
    reloaded and queried through the fastest engine; any disagreement
    between the adopted buffers and a freshly built index shows up as a
    divergence. *)
@@ -96,7 +96,7 @@ let fm_save_roundtrip =
             Some (Kmismatch.run idx' q).hits));
   }
 
-(* Format-v4 self-verification under fuzz: serialize a forward index of
+(* Format-v5 self-verification under fuzz: serialize a forward index of
    the case's text, then hit the image with a pseudo-random battery of
    fault plans (bit flips, truncations, ENOSPC-style prefixes).  Every
    corrupted image must either be rejected by [try_of_string] with a
@@ -171,10 +171,11 @@ let packed_verify =
         end);
   }
 
-(* The bidirectional engine rebuilt from the case's raw text (rather
-   than the shared index): covers [Bidir.make] over arbitrary fuzz
-   texts plus the full scheme executor, diffed against naive like every
-   other subject. *)
+(* The bidirectional engine over an FM-index rebuilt from the case's
+   raw text (rather than the shared index): covers the forward side
+   [Fm_index.build] derives for [Bidir.make] over arbitrary fuzz texts
+   plus the full scheme executor, diffed against naive like every other
+   subject. *)
 let bidir_find_all =
   {
     sub_name = "bidir-find-all";
@@ -185,7 +186,7 @@ let bidir_find_all =
               c.text.[String.length c.text - 1 - i])
         in
         let ptext = Fmindex.Packed_text.of_string c.text in
-        let bd = Fmindex.Bidir.make ~ptext ~fm_rev:(Fmindex.Fm_index.build rev) in
+        let bd = Fmindex.Bidir.make (Fmindex.Fm_index.build rev) in
         Some (Oss.search ~ptext bd ~pattern:c.pattern ~k:c.k));
   }
 

@@ -3,6 +3,8 @@ type section =
   | Text_section
   | Rank_blocks
   | Superblocks
+  | Forward_blocks
+  | Forward_superblocks
   | Sa_marks
   | Sa_samples
   | Trailer
@@ -12,6 +14,8 @@ let section_name = function
   | Text_section -> "text section"
   | Rank_blocks -> "rank blocks"
   | Superblocks -> "superblocks"
+  | Forward_blocks -> "forward rank blocks"
+  | Forward_superblocks -> "forward superblocks"
   | Sa_marks -> "sa marks"
   | Sa_samples -> "sa samples"
   | Trailer -> "trailer"

@@ -17,6 +17,8 @@ type section =
   | Text_section  (** 2-bit packed text payload *)
   | Rank_blocks  (** interleaved Occ checkpoint blocks *)
   | Superblocks  (** absolute superblock counters *)
+  | Forward_blocks  (** checkpoint blocks of the forward rank side *)
+  | Forward_superblocks  (** superblock counters of the forward rank side *)
   | Sa_marks  (** sampled-row bitvector *)
   | Sa_samples  (** sampled suffix-array positions *)
   | Trailer  (** whole-file checksum trailer *)

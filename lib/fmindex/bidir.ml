@@ -1,7 +1,8 @@
-(* Bidirectional FM-index: a rank-only Occ over BWT(s) synchronized with
-   the system's existing locate-capable FM-index of rev s.  See bidir.mli
-   for the interval-pair invariant; DESIGN.md "Bidirectional index and
-   optimum search schemes" for the derivation. *)
+(* Bidirectional FM-index: the forward rank side an FM-index of rev s
+   carries (an Occ over BWT(s)), synchronized with that index itself.
+   See bidir.mli for the interval-pair invariant; DESIGN.md
+   "Bidirectional index and optimum search schemes" for the
+   derivation. *)
 
 let sigma = Dna.Alphabet.sigma
 
@@ -21,13 +22,9 @@ let c_array_of_counts counts =
   done;
   c
 
-let make ~ptext ~fm_rev =
-  let n = Packed_text.length ptext in
-  if n <> Fm_index.length fm_rev then
-    invalid_arg "Bidir.make: text and reverse-index lengths differ";
-  let packed, sentinel_row, _ = Bwt.of_packed_text ptext in
-  let occ_f = Occ.of_packed ~sentinels:[| sentinel_row |] packed in
-  { n; occ_f; c_f = c_array_of_counts (Occ.counts occ_f); fm_rev }
+let make fm_rev =
+  let occ_f = Fm_index.forward_occ fm_rev in
+  { n = Fm_index.length fm_rev; occ_f; c_f = c_array_of_counts (Occ.counts occ_f); fm_rev }
 
 let length t = t.n
 let fm_rev t = t.fm_rev

@@ -30,19 +30,18 @@
     The reverse side reuses the index the rest of the system already
     has — {!Fm_index.t} of the reversed text, SA samples included, so
     candidate occurrences are located through the existing sampled-SA
-    walk.  The forward side is rank-only (an {!Occ} over [BWT(s)] plus
-    its C array): it never locates, so it carries no SA samples. *)
+    walk.  The forward side is that index's {!Fm_index.forward_occ}
+    (rank blocks over [BWT(s)], built at index time and persisted with
+    it) plus its C array: it never locates, so it carries no SA
+    samples. *)
 
 type t
 
-val make : ptext:Packed_text.t -> fm_rev:Fm_index.t -> t
-(** [make ~ptext ~fm_rev] builds the forward rank side over the 2-bit
-    packed text [ptext] and pairs it with [fm_rev], the existing index
-    of the {e reversed} text.  Raises [Invalid_argument] if the lengths
-    disagree.  Cost: one SA-IS pass straight from the packed lanes
-    ({!Bwt.of_packed_text}; ~10 bytes/base of transient working
-    memory) plus the interleaved rank blocks (~0.5 bytes/base); the
-    reverse side is shared, not copied. *)
+val make : Fm_index.t -> t
+(** [make fm_rev] pairs [fm_rev], the index of the {e reversed} text,
+    with the forward rank side it carries.  O(1): nothing is built or
+    copied, so a loaded index (Copy or Mmap) answers its first
+    bidirectional query without any suffix sorting. *)
 
 val length : t -> int
 (** Length of the indexed text. *)

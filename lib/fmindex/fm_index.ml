@@ -7,22 +7,34 @@ module A1 = Bigarray.Array1
    the forward text is kept 2-bit packed with the unpacked string
    materialized on demand behind a domain-safe memo, the sentinel row is
    tracked out-of-band, and suffix-array samples are a marked-row
-   bitvector with a rank directory plus a flat word array —
+   bitvector with a rank directory plus a bit-packed sample array —
    [position_of_row] allocates nothing.  Every bulk buffer is a
    [Storage.t]/[Storage.words], so a loaded index is either heap-owned
    (Copy mode) or a set of views over an mmap'd index file (Mmap mode)
-   — the query paths cannot tell the difference. *)
+   — the query paths cannot tell the difference.
+
+   [fwd] is the rank side of the mirror transform, BWT(rev text): the
+   system indexes the reversed genome, so for it this is BWT of the
+   genome itself, the side a bidirectional search prepends through
+   ({!Bidir}).  It is rank-only and never located, so it is kept at a
+   sparser checkpoint rate. *)
 type t = {
   n : int;  (* text length *)
   ptext : Packed_text.t;  (* forward text, 2-bit packed *)
   text : string Storage.Memo.t;  (* unpacked text, built on first use *)
   occ : Occ.t;
+  fwd : Occ.t;  (* rank blocks over BWT(rev text) *)
+  fwd_sentinel_row : int;
   c_array : int array;  (* c_array.(c) = # characters with code < c in BWT *)
   sa_rate : int;
   sentinel_row : int;
   marks : Storage.t;  (* bit per row 0..n: row sampled? *)
   mark_cum : int array;  (* sampled rows before each 64-row chunk *)
-  samples : Storage.words;  (* text position of each sampled row, row order *)
+  nsamples : int;  (* marked rows, row 0 included *)
+  samples : Storage.words;
+      (* position / sa_rate of each sampled row but row 0 (whose
+         position is n), row order, [sample_bits] bits each *)
+  sample_bits : int;
 }
 
 let sigma = Dna.Alphabet.sigma
@@ -89,6 +101,37 @@ let build_mark_cum (marks : Storage.t) rows =
   (cum, !total)
 
 (* ------------------------------------------------------------------ *)
+(* Bit-packed samples                                                   *)
+
+(* Every sampled row but row 0 sits at a multiple of [sa_rate] below n,
+   so its sample is stored as position / sa_rate, in the fewest bits
+   that hold n / sa_rate. *)
+let sample_bits ~n ~sa_rate =
+  let rec go b = if (n / sa_rate) lsr b = 0 then b else go (b + 1) in
+  max 1 (go 0)
+
+let sample_words ~nsamples ~bits = (((nsamples - 1) * bits) + 63) / 64
+
+(* Sample [j] straddles at most two little-endian words. *)
+let[@inline] sample (w : Storage.words) bits j =
+  let bit = j * bits in
+  let i = bit lsr 6 and o = bit land 63 in
+  let v = Int64.shift_right_logical (A1.unsafe_get w i) o in
+  let v =
+    if o + bits > 64 then Int64.logor v (Int64.shift_left (A1.unsafe_get w (i + 1)) (64 - o))
+    else v
+  in
+  Int64.to_int v land ((1 lsl bits) - 1)
+
+let set_sample (w : Storage.words) bits j v =
+  let bit = j * bits in
+  let i = bit lsr 6 and o = bit land 63 in
+  let v = Int64.of_int v in
+  A1.set w i (Int64.logor (A1.get w i) (Int64.shift_left v o));
+  if o + bits > 64 then
+    A1.set w (i + 1) (Int64.logor (A1.get w (i + 1)) (Int64.shift_right_logical v (64 - o)))
+
+(* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
 let c_array_of_counts counts =
@@ -105,21 +148,47 @@ let c_array_of_counts counts =
 let text_memo_of_packed ptext =
   Storage.Memo.make (fun () -> Packed_text.to_string ptext)
 
-let build ?(occ_rate = 32) ?(sa_rate = 16) text =
-  if sa_rate <= 0 then invalid_arg "Fm_index.build: sa_rate must be positive";
-  String.iter
-    (fun c ->
-      if not (Dna.Alphabet.is_base c) || c <> Dna.Alphabet.normalize c then
-        invalid_arg "Fm_index.build: text must be lowercase acgt")
-    text;
-  let n = String.length text in
-  let ptext = Packed_text.of_string text in
+(* The forward side: checkpoints every 128 bases (0.3125 B/base) where
+   the located side keeps 32; it serves only the prepend steps of a
+   bidirectional search. *)
+let forward_rate = 128
+
+let build_forward ptext =
+  let packed, sentinel_row, _ = Bwt.of_packed_text (Packed_text.rev ptext) in
+  (Occ.of_packed ~rate:forward_rate ~sentinels:[| sentinel_row |] packed, sentinel_row)
+
+(* Below this length a second domain costs more than the pass it
+   overlaps. *)
+let parallel_min = 1 lsl 16
+
+(* [f ()] and [g ()], with [g] on a helper domain when asked for; a
+   runtime that refuses the domain gets both on the caller's. *)
+let both ~parallel f g =
+  if not parallel then
+    let a = f () in
+    (a, g ())
+  else
+    match Domain.spawn g with
+    | exception Failure _ ->
+        let a = f () in
+        (a, g ())
+    | d ->
+        let a =
+          try f ()
+          with e ->
+            (try ignore (Domain.join d) with _ -> ());
+            raise e
+        in
+        (a, Domain.join d)
+
+(* The located side: BWT(text) with its rank blocks and the sampled SA.
+   Row 0 is the sentinel suffix (position n), always sampled; other rows
+   are sampled when their position is a multiple of sa_rate, so any
+   locate walk ends within sa_rate LF steps. *)
+let build_located ~occ_rate ~sa_rate ptext =
+  let n = Packed_text.length ptext in
   let packed, sentinel_row, sa = Bwt.of_packed_text ptext in
   let occ = Occ.of_packed ~rate:occ_rate ~sentinels:[| sentinel_row |] packed in
-  let c_array = c_array_of_counts (Occ.counts occ) in
-  (* Row 0 is the sentinel suffix (position n), always sampled; other
-     rows are sampled when their position is a multiple of sa_rate, so
-     any locate walk ends within sa_rate LF steps. *)
   let marks = Storage.create ((n + 8) / 8) in
   mark_set marks 0;
   let nsamples = ref 1 in
@@ -129,31 +198,54 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) text =
       incr nsamples
     end
   done;
-  let samples = Storage.create_words !nsamples in
-  Storage.set_word samples 0 n;
-  let j = ref 1 in
+  let bits = sample_bits ~n ~sa_rate in
+  let samples = Storage.create_words (sample_words ~nsamples:!nsamples ~bits) in
+  let j = ref 0 in
   for row = 1 to n do
     if sa.(row) mod sa_rate = 0 then begin
-      Storage.set_word samples !j sa.(row);
+      set_sample samples bits !j (sa.(row) / sa_rate);
       incr j
     end
   done;
+  (occ, sentinel_row, marks, !nsamples, samples)
+
+let build ?(occ_rate = 32) ?(sa_rate = 16) ?(parallel = true) text =
+  if sa_rate <= 0 then invalid_arg "Fm_index.build: sa_rate must be positive";
+  String.iter
+    (fun c ->
+      if not (Dna.Alphabet.is_base c) || c <> Dna.Alphabet.normalize c then
+        invalid_arg "Fm_index.build: text must be lowercase acgt")
+    text;
+  let n = String.length text in
+  let ptext = Packed_text.of_string text in
+  (* The two sides share nothing but the packed text, so each runs its
+     own SA-IS pass, on its own domain when there are two. *)
+  let (occ, sentinel_row, marks, nsamples, samples), (fwd, fwd_sentinel_row) =
+    both ~parallel:(parallel && n >= parallel_min)
+      (fun () -> build_located ~occ_rate ~sa_rate ptext)
+      (fun () -> build_forward ptext)
+  in
   let mark_cum, total = build_mark_cum marks (n + 1) in
-  assert (total = !nsamples);
+  assert (total = nsamples);
   {
     n;
     ptext;
     text = Storage.Memo.make (fun () -> text);
     occ;
-    c_array;
+    fwd;
+    fwd_sentinel_row;
+    c_array = c_array_of_counts (Occ.counts occ);
     sa_rate;
     sentinel_row;
     marks;
     mark_cum;
+    nsamples;
     samples;
+    sample_bits = sample_bits ~n ~sa_rate;
   }
 
 let length t = t.n
+let forward_occ t = t.fwd
 let text t = Storage.Memo.force t.text
 let packed_text t = t.ptext
 let bwt t = String.init (Occ.length t.occ) (fun row -> Dna.Alphabet.of_code (Occ.get t.occ row))
@@ -286,7 +378,9 @@ let position_of_row t row =
     (* Each LF step is one rank over the block holding its row. *)
     tap_rank !steps !steps
   end;
-  Storage.word t.samples (mark_rank t !row) + !steps
+  let row = !row in
+  if row = 0 then t.n + !steps
+  else (t.sa_rate * sample t.samples t.sample_bits (mark_rank t row - 1)) + !steps
 
 let locate_row t row =
   if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.locate_row: row out of range";
@@ -317,9 +411,10 @@ let find_all t pat =
 let space_report t =
   [
     ("packed bwt + rank blocks", Occ.space_bytes t.occ);
+    ("forward bwt + rank blocks", Occ.space_bytes t.fwd);
     ("sa marks (bitvector + rank dir)",
      Storage.length t.marks + (8 * Array.length t.mark_cum));
-    ("sa samples", 8 * Storage.length_words t.samples);
+    ("sa samples (bit-packed)", 8 * Storage.length_words t.samples);
     ("c array", 8 * sigma);
     ("packed text (2 bit/base)", Storage.length (Packed_text.storage t.ptext));
   ]
@@ -343,22 +438,32 @@ let extend_all t ~lo ~hi ~los ~his =
 
 (* --- persistence ----------------------------------------------------- *)
 
-(* Format v4, the only format: three ASCII header lines
+(* Format v5, the only format: three ASCII header lines
 
-       "kmm-fm-index 4 <n> <occ_rate> <sa_rate> <sentinel_row> <nsamples>
-        <blocks_bytes> <super_len> <a_total> <c_total> <g_total> <t_total>\n"
-       "sections" + 5x " %012d %012d %08x" (offset, length, CRC-32) + "\n"
+       "kmm-fm-index 5 <n> <occ_rate> <sa_rate> <sentinel_row> <nsamples>
+        <blocks_bytes> <super_len> <a_total> <c_total> <g_total> <t_total>
+        <fwd_rate> <fwd_sentinel_row> <fwd_blocks_bytes> <fwd_super_len>
+        <fwd_a_total> <fwd_c_total> <fwd_g_total> <fwd_t_total>\n"
+       "sections" + 7x " %012d %012d %08x" (offset, length, CRC-32) + "\n"
        "hcrc %08x\n"   (CRC-32 of the two preceding lines)
 
-   followed by five binary little-endian sections —
+   followed by seven binary little-endian sections —
      1. packed text          ceil(n/4) bytes (2-bit codes, 4 bases/byte)
      2. occ blocks           <blocks_bytes> bytes (interleaved counts+payload)
      3. occ superblocks      <super_len> * 8 bytes (int64)
-     4. sa marks bitvector   ceil((n+1)/8) bytes
-     5. sa samples           <nsamples> * 8 bytes (int64)
+     4. forward blocks       <fwd_blocks_bytes> bytes, BWT(rev text)
+     5. forward superblocks  <fwd_super_len> * 8 bytes (int64)
+     6. sa marks bitvector   ceil((n+1)/8) bytes
+     7. sa samples           ceil((nsamples-1) * b / 64) * 8 bytes: position
+                             / sa_rate of every sampled row but row 0, at
+                             b = bits of n / sa_rate, packed LSB first into
+                             64-bit words
    — each placed at the 8-byte-aligned offset its table entry records
    (zero padding in the gaps), and an 8-byte trailer: the ASCII magic
-   "kmm4" plus the 4-byte LE CRC-32 of every preceding byte of the file.
+   "kmm5" plus the 4-byte LE CRC-32 of every preceding byte of the file.
+
+   Both BWTs are permutations of text$, so the forward totals must equal
+   the located side's; the readers refuse a header where they differ.
 
    The alignment + explicit offset table is what makes the file
    mmap-adoptable: every section can be turned into a Bigarray view in
@@ -374,12 +479,14 @@ let extend_all t ~lo ~hi ~los ~his =
    not the bulk payload CRCs, trading detection of payload rot for the
    cold-start win ([kmm verify] runs the full Copy validation).
 
-   Loading adopts the buffers directly; no BWT inversion, no LF walk.
-   Files of the retired formats v1–v3 are rejected with
+   Loading adopts the buffers directly; no BWT inversion, no LF walk, no
+   suffix sorting.  Files of the retired formats v1–v4 are rejected with
    [Unsupported_version]; such an index is rebuilt with [kmm index]. *)
 
 let magic = "kmm-fm-index"
-let trailer_magic = "kmm4"
+let version = 5
+let trailer_magic = "kmm5"
+let nsections = 7
 
 let bytes_of_ints a =
   let b = Bytes.create (8 * Array.length a) in
@@ -405,30 +512,36 @@ let sections t =
     Packed_text.payload_string t.ptext;
     Storage.to_string (Occ.raw_blocks t.occ);
     Bytes.unsafe_to_string (bytes_of_ints (Occ.raw_super t.occ));
+    Storage.to_string (Occ.raw_blocks t.fwd);
+    Bytes.unsafe_to_string (bytes_of_ints (Occ.raw_super t.fwd));
     Storage.to_string t.marks;
     Storage.words_to_string t.samples;
   ]
 
 let align8 x = (x + 7) land lnot 7
 
-(* Fixed-width section-table geometry: "sections" + 5 entries of
+(* Fixed-width section-table geometry: "sections" + 7 entries of
    " <12-digit offset> <12-digit length> <8-hex CRC>" + "\n". *)
-let section_table_len = 8 + (5 * (1 + 12 + 1 + 12 + 1 + 8)) + 1
+let section_table_len = 8 + (nsections * (1 + 12 + 1 + 12 + 1 + 8)) + 1
 let hcrc_line_len = String.length "hcrc " + 8 + 1
 
-(* The whole v4 file as one in-memory image: serialization is separated
+(* The whole v5 file as one in-memory image: serialization is separated
    from file I/O so the byte-sweep tests (and the fuzz oracle) can
    corrupt and re-parse images without touching the filesystem. *)
 let serialize t =
   let secs = sections t in
-  let counts = Occ.counts t.occ in
+  let counts = Occ.counts t.occ and fwd_counts = Occ.counts t.fwd in
   let l1 =
-    Printf.sprintf "%s 4 %d %d %d %d %d %d %d %d %d %d %d\n" magic t.n
-      (Occ.rate t.occ) t.sa_rate t.sentinel_row
-      (Storage.length_words t.samples)
+    Printf.sprintf "%s %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n" magic
+      version t.n (Occ.rate t.occ) t.sa_rate t.sentinel_row
+      t.nsamples
       (Storage.length (Occ.raw_blocks t.occ))
       (Array.length (Occ.raw_super t.occ))
       counts.(1) counts.(2) counts.(3) counts.(4)
+      (Occ.rate t.fwd) t.fwd_sentinel_row
+      (Storage.length (Occ.raw_blocks t.fwd))
+      (Array.length (Occ.raw_super t.fwd))
+      fwd_counts.(1) fwd_counts.(2) fwd_counts.(3) fwd_counts.(4)
   in
   let hdr_len = String.length l1 + section_table_len + hcrc_line_len in
   let offs =
@@ -441,7 +554,7 @@ let serialize t =
     go hdr_len secs
   in
   (if List.exists (fun off -> off > 999_999_999_999) offs then
-     invalid_arg "Fm_index.serialize: index too large for the v4 section table");
+     invalid_arg "Fm_index.serialize: index too large for the v5 section table");
   let l2buf = Buffer.create section_table_len in
   Buffer.add_string l2buf "sections";
   List.iter2
@@ -578,12 +691,12 @@ let hex_field what s =
     | Some v -> v
     | None -> corrupt Kmm_error.Header (Printf.sprintf "unparsable %s field" what)
 
-(* Line 1's magic and version token: version 4 yields the remaining
-   header fields; any other integer is a retired (v1–v3) or unknown
+(* Line 1's magic and version token: version 5 yields the remaining
+   header fields; any other integer is a retired (v1–v4) or unknown
    format. *)
 let version_fields line =
   match String.split_on_char ' ' line with
-  | m :: "4" :: fields when m = magic -> fields
+  | m :: v :: fields when m = magic && v = string_of_int version -> fields
   | m :: v :: _ when m = magic -> (
       match int_of_string_opt v with
       | Some nv -> fail (Kmm_error.Unsupported_version nv)
@@ -599,6 +712,10 @@ type header = {
   h_blocks_bytes : int;
   h_super_len : int;
   h_totals : int array;  (* BWT character counts by code, sentinel included *)
+  h_fwd_rate : int;
+  h_fwd_sentinel_row : int;
+  h_fwd_blocks_bytes : int;
+  h_fwd_super_len : int;
 }
 
 (* The header fields after the version token.  A forged or bit-flipped
@@ -608,9 +725,11 @@ type header = {
    The character totals let the mmap reader skip the O(n) payload
    recount; the Copy reader cross-checks them against it. *)
 let parse_header fields =
+  let totals names vals = Array.of_list (1 :: List.map2 int_field names vals) in
   match fields with
   | [ n; occ_rate; sa_rate; sentinel_row; nsamples; blocks_bytes; super_len;
-      ca; cc; cg; ct ] ->
+      ca; cc; cg; ct; fwd_rate; fwd_sentinel_row; fwd_blocks_bytes; fwd_super_len;
+      fa; fc; fg; ft ] ->
       let h =
         {
           h_n = int_field "n" n;
@@ -621,23 +740,45 @@ let parse_header fields =
           h_blocks_bytes = int_field "blocks_bytes" blocks_bytes;
           h_super_len = int_field "super_len" super_len;
           h_totals =
-            [| 1; int_field "a_total" ca; int_field "c_total" cc;
-               int_field "g_total" cg; int_field "t_total" ct |];
+            totals [ "a_total"; "c_total"; "g_total"; "t_total" ] [ ca; cc; cg; ct ];
+          h_fwd_rate = int_field "fwd_rate" fwd_rate;
+          h_fwd_sentinel_row = int_field "fwd_sentinel_row" fwd_sentinel_row;
+          h_fwd_blocks_bytes = int_field "fwd_blocks_bytes" fwd_blocks_bytes;
+          h_fwd_super_len = int_field "fwd_super_len" fwd_super_len;
         }
+      in
+      let fwd_totals =
+        totals [ "fwd_a_total"; "fwd_c_total"; "fwd_g_total"; "fwd_t_total" ] [ fa; fc; fg; ft ]
       in
       if
         h.h_n < 0 || h.h_occ_rate <= 0 || h.h_sa_rate <= 0 || h.h_sentinel_row < 0
         || h.h_sentinel_row > h.h_n || h.h_nsamples < 1 || h.h_nsamples > h.h_n + 1
         || h.h_blocks_bytes < 0 || h.h_super_len < 0
+        || h.h_fwd_blocks_bytes < 0 || h.h_fwd_super_len < 0
         || Array.exists (fun v -> v < 0) h.h_totals
       then corrupt Kmm_error.Header "field out of range";
       if Array.fold_left ( + ) 0 h.h_totals <> h.h_n + 1 then
         corrupt Kmm_error.Header "character totals do not sum to length";
+      if h.h_fwd_rate <= 0 then corrupt Kmm_error.Header "forward rate out of range";
+      if h.h_fwd_sentinel_row < 0 || h.h_fwd_sentinel_row > h.h_n then
+        corrupt Kmm_error.Header "forward sentinel row out of range";
+      (* Both BWTs are permutations of text$. *)
+      if fwd_totals <> h.h_totals then
+        corrupt Kmm_error.Header "forward totals disagree with the character totals";
       h
   | _ -> corrupt Kmm_error.Header "wrong field count"
 
 (* Where one section lies in the file, and its stored CRC-32. *)
 type extent = { off : int; len : int; crc : int }
+
+(* Section indices in file order. *)
+let s_text = 0
+let s_blocks = 1
+let s_super = 2
+let s_fwd_blocks = 3
+let s_fwd_super = 4
+let s_marks = 5
+let s_samples = 6
 
 (* Parse and validate the section-table line (newline stripped) against
    the header geometry: every offset must be the 8-aligned successor of
@@ -646,19 +787,21 @@ let parse_sections h ~hdr_len line =
   if String.length line <> section_table_len - 1 then
     corrupt Kmm_error.Header "bad section table";
   match String.split_on_char ' ' line with
-  | "sections" :: rest when List.length rest = 15 ->
+  | "sections" :: rest when List.length rest = 3 * nsections ->
       let f = Array.of_list rest in
       let ext =
-        Array.init 5 (fun i ->
+        Array.init nsections (fun i ->
             {
               off = int_field "section offset" f.(3 * i);
               len = int_field "section length" f.((3 * i) + 1);
               crc = hex_field "section checksum" f.((3 * i) + 2);
             })
       in
+      let bits = sample_bits ~n:h.h_n ~sa_rate:h.h_sa_rate in
       let expected_lens =
-        [| (h.h_n + 3) / 4; h.h_blocks_bytes; 8 * h.h_super_len; (h.h_n + 8) / 8;
-           8 * h.h_nsamples |]
+        [| (h.h_n + 3) / 4; h.h_blocks_bytes; 8 * h.h_super_len; h.h_fwd_blocks_bytes;
+           8 * h.h_fwd_super_len; (h.h_n + 8) / 8;
+           8 * sample_words ~nsamples:h.h_nsamples ~bits |]
       in
       let cur = ref hdr_len in
       Array.iter2
@@ -690,7 +833,8 @@ let read_prologue r ~size =
   if Crc32.sub r.image ~pos:0 ~len:l2_end <> stored_hcrc then
     corrupt Kmm_error.Header "header checksum mismatch";
   let ext = parse_sections h ~hdr_len:r.pos l2 in
-  let expected_size = ext.(4).off + ext.(4).len + 8 in
+  let last = ext.(nsections - 1) in
+  let expected_size = last.off + last.len + 8 in
   if size < expected_size then fail (Kmm_error.Truncated "index payload");
   if size > expected_size then
     corrupt Kmm_error.Trailer "trailing garbage after index payload";
@@ -700,10 +844,16 @@ let adopt_text h data =
   try Packed_text.of_storage data ~len:h.h_n
   with Invalid_argument _ -> corrupt Kmm_error.Text_section "bad packed payload"
 
+(* The two rank sides, adopted with [of_raw] (Copy: recount every
+   checkpoint) or [of_raw_trusted] (Mmap: take the header's totals). *)
+let adopt_occ adopt ~section ~rate ~len ~sentinel_row =
+  try adopt ~rate ~len ~sentinels:[| sentinel_row |]
+  with Invalid_argument msg -> corrupt section msg
+
 (* The tail both readers run once the bulk buffers are adopted: clear
    the mark padding bits beyond row n, build the mark rank directory,
    check the sampling shape, and assemble the index. *)
-let finish h ~ptext ~occ ~marks ~samples =
+let finish h ~ptext ~occ ~fwd ~marks ~samples =
   let n = h.h_n in
   (let rows = n + 1 in
    if rows land 7 <> 0 then begin
@@ -713,26 +863,29 @@ let finish h ~ptext ~occ ~marks ~samples =
   let mark_cum, total = build_mark_cum marks (n + 1) in
   if total <> h.h_nsamples then corrupt Kmm_error.Sa_marks "sample count mismatch";
   if not (mark_test marks 0) then corrupt Kmm_error.Sa_marks "row 0 unmarked";
-  if Storage.word samples 0 <> n then
-    corrupt Kmm_error.Sa_samples "row 0 sample wrong";
   {
     n;
     ptext;
     text = text_memo_of_packed ptext;
     occ;
+    fwd;
+    fwd_sentinel_row = h.h_fwd_sentinel_row;
     c_array = c_array_of_counts h.h_totals;
     sa_rate = h.h_sa_rate;
     sentinel_row = h.h_sentinel_row;
     marks;
     mark_cum;
+    nsamples = h.h_nsamples;
     samples;
+    sample_bits = sample_bits ~n ~sa_rate:h.h_sa_rate;
   }
 
 (* Copy-mode reader: full verification — header CRC, exact file size,
    whole-file trailer CRC (which covers the alignment padding),
-   per-section CRCs, then the structural recount: Occ checkpoints, the
-   text/BWT character totals (an O(n) lane scan, no reconstruction)
-   against each other and against the header, and the sample range. *)
+   per-section CRCs, then the structural recount: both sides' Occ
+   checkpoints, the text/BWT character totals (an O(n) lane scan, no
+   reconstruction) against each other and against the header, and the
+   sample range. *)
 let read_copy image =
   let r = { image; pos = 0 } in
   let size = String.length image in
@@ -748,18 +901,26 @@ let read_copy image =
     if Crc32.string payload <> ext.(i).crc then corrupt sec "checksum mismatch";
     payload
   in
-  let text_s = section 0 Kmm_error.Text_section in
-  let blocks_s = section 1 Kmm_error.Rank_blocks in
-  let super_s = section 2 Kmm_error.Superblocks in
-  let marks_s = section 3 Kmm_error.Sa_marks in
-  let samples_s = section 4 Kmm_error.Sa_samples in
+  let text_s = section s_text Kmm_error.Text_section in
+  let blocks_s = section s_blocks Kmm_error.Rank_blocks in
+  let super_s = section s_super Kmm_error.Superblocks in
+  let fwd_blocks_s = section s_fwd_blocks Kmm_error.Forward_blocks in
+  let fwd_super_s = section s_fwd_super Kmm_error.Forward_superblocks in
+  let marks_s = section s_marks Kmm_error.Sa_marks in
+  let samples_s = section s_samples Kmm_error.Sa_samples in
   let n = h.h_n in
   let ptext = adopt_text h (Storage.of_string text_s) in
+  let recount blocks super ~rate ~len ~sentinels =
+    Occ.of_raw ~rate ~len ~sentinels ~blocks:(Storage.of_string blocks)
+      ~super:(ints_of_string super)
+  in
   let occ =
-    try
-      Occ.of_raw ~rate:h.h_occ_rate ~len:(n + 1) ~sentinels:[| h.h_sentinel_row |]
-        ~blocks:(Storage.of_string blocks_s) ~super:(ints_of_string super_s)
-    with Invalid_argument msg -> corrupt Kmm_error.Rank_blocks msg
+    adopt_occ (recount blocks_s super_s) ~section:Kmm_error.Rank_blocks ~rate:h.h_occ_rate
+      ~len:(n + 1) ~sentinel_row:h.h_sentinel_row
+  in
+  let fwd =
+    adopt_occ (recount fwd_blocks_s fwd_super_s) ~section:Kmm_error.Forward_blocks
+      ~rate:h.h_fwd_rate ~len:(n + 1) ~sentinel_row:h.h_fwd_sentinel_row
   in
   (* Lane code d of the packed text is alphabet code d+1. *)
   let counts = Occ.counts occ in
@@ -772,17 +933,17 @@ let read_copy image =
     if text_counts.(c) <> counts.(c) then
       corrupt Kmm_error.Text_section "text and BWT sections disagree"
   done;
-  for c = 0 to sigma - 1 do
-    if h.h_totals.(c) <> counts.(c) then
-      corrupt Kmm_error.Header "character totals disagree with payload"
-  done;
+  if counts <> h.h_totals then
+    corrupt Kmm_error.Header "character totals disagree with payload";
+  if Occ.counts fwd <> h.h_totals then
+    corrupt Kmm_error.Forward_blocks "forward totals disagree with payload";
   let t =
-    finish h ~ptext ~occ ~marks:(Storage.of_string marks_s)
+    finish h ~ptext ~occ ~fwd ~marks:(Storage.of_string marks_s)
       ~samples:(Storage.words_of_string samples_s)
   in
-  for i = 0 to Storage.length_words t.samples - 1 do
-    let p = Storage.word t.samples i in
-    if p < 0 || p > n then corrupt Kmm_error.Sa_samples "sample out of range"
+  for j = 0 to t.nsamples - 2 do
+    if t.sa_rate * sample t.samples t.sample_bits j >= n then
+      corrupt Kmm_error.Sa_samples "sample out of range"
   done;
   t
 
@@ -815,22 +976,29 @@ let read_mmap fd =
   if String.sub trailer 0 4 <> trailer_magic then
     corrupt Kmm_error.Trailer "bad trailer magic";
   let map i = Storage.map_bytes fd ~pos:ext.(i).off ~len:ext.(i).len in
-  let ptext = adopt_text h (map 0) in
-  let blocks = map 1 in
   (* Superblocks are tiny (4 ints per 64 Ki bases): read them into the
      int array the rank kernel wants rather than keeping a mapping. *)
-  let super =
-    ints_of_string (read_exact fd ~pos:ext.(2).off ~len:ext.(2).len ~what:"superblocks")
+  let ints i what = ints_of_string (read_exact fd ~pos:ext.(i).off ~len:ext.(i).len ~what) in
+  let trusted blocks super ~rate ~len ~sentinels =
+    Occ.of_raw_trusted ~rate ~len ~sentinels ~blocks ~super ~totals:h.h_totals
   in
-  let marks = map 3 in
-  let samples = Storage.map_words fd ~pos:ext.(4).off ~len:h.h_nsamples in
+  let ptext = adopt_text h (map s_text) in
   let occ =
-    try
-      Occ.of_raw_trusted ~rate:h.h_occ_rate ~len:(h.h_n + 1)
-        ~sentinels:[| h.h_sentinel_row |] ~blocks ~super ~totals:h.h_totals
-    with Invalid_argument msg -> corrupt Kmm_error.Rank_blocks msg
+    adopt_occ
+      (trusted (map s_blocks) (ints s_super "superblocks"))
+      ~section:Kmm_error.Rank_blocks ~rate:h.h_occ_rate ~len:(h.h_n + 1)
+      ~sentinel_row:h.h_sentinel_row
   in
-  finish h ~ptext ~occ ~marks ~samples
+  let fwd =
+    adopt_occ
+      (trusted (map s_fwd_blocks) (ints s_fwd_super "forward superblocks"))
+      ~section:Kmm_error.Forward_blocks ~rate:h.h_fwd_rate ~len:(h.h_n + 1)
+      ~sentinel_row:h.h_fwd_sentinel_row
+  in
+  let samples =
+    Storage.map_words fd ~pos:ext.(s_samples).off ~len:(ext.(s_samples).len / 8)
+  in
+  finish h ~ptext ~occ ~fwd ~marks:(map s_marks) ~samples
 
 (* Failures that are properties of the file come back typed; anything
    else is a reader bug and is surfaced as such rather than masked as

@@ -10,11 +10,26 @@ type t
 type interval = int * int
 (** Half-open row range [lo, hi); nonempty iff [lo < hi]. *)
 
-val build : ?occ_rate:int -> ?sa_rate:int -> string -> t
+val build : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> t
 (** Index the DNA text [s] (lowercase [acgt]; the sentinel is appended
     internally).  [occ_rate] is the rank checkpoint spacing (default 32,
     quantized by {!Occ} to a power of two); [sa_rate] the suffix-array
-    sampling rate for {!locate} (default 16). *)
+    sampling rate for {!locate} (default 16).
+
+    The index also carries the {e forward side}: the rank blocks of
+    BWT([rev s]) at checkpoint rate 128, which {!Bidir}
+    prepends through (for the system's index of a reversed genome that
+    is the BWT of the genome itself).  Building it is a second SA-IS
+    pass; with [parallel] (default [true]) and a text of at least 64 Ki
+    bases the two passes run at once, the second on a helper domain.  A
+    caller already running on a pool of domains passes
+    [~parallel:false] so the build spawns nothing.  The result is the
+    same either way, byte for byte. *)
+
+val forward_occ : t -> Occ.t
+(** The forward side: rank blocks over BWT([rev s]) with its sentinel
+    row, built at index time and adopted by both loaders like the rest
+    of the index.  Rank-only: no SA samples are kept for it. *)
 
 val length : t -> int
 (** Length of the indexed text (sentinel excluded). *)
@@ -105,11 +120,11 @@ end
 
 val space_report : t -> (string * int) list
 (** Named byte sizes of the index components, one entry per owned buffer
-    (packed rank blocks, SA mark bitvector + rank directory, SA samples,
-    C array, and the 2-bit packed text); entries sum to the index's
-    resident footprint, with no component counted twice.  (A text string
-    forced through {!text} is a cache, not an owned component, and is
-    not listed.) *)
+    (packed rank blocks, the forward side's rank blocks, SA mark
+    bitvector + rank directory, bit-packed SA samples, C array, and the
+    2-bit packed text); entries sum to the index's resident footprint,
+    with no component counted twice.  (A text string forced through
+    {!text} is a cache, not an owned component, and is not listed.) *)
 
 val extend_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
 (** One-pass variant of {!extend} for every character code at once:
@@ -121,18 +136,27 @@ val extend_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
 
 (** {1 Persistence}
 
-    The on-disk format is {b v4}: a CRC-guarded ASCII header carrying a
-    section-offset table, then the 2-bit packed text, the interleaved
-    rank blocks, the superblock counters, and the SA mark bitvector and
-    samples — the index's own buffers written verbatim at 8-byte-aligned
-    offsets — plus an 8-byte trailer ([kmm4] + the CRC-32 of the whole
-    preceding file).  The alignment and offset table exist so the bulk
-    sections can be adopted {e in place} from [Unix.map_file]: see
-    {!mode}.  Any single-byte corruption or truncation of a v4 file is
-    detected by the Copy-mode reader with a typed {!Kmm_error.t}.
-    v4 is the only format read or written: a file of the retired
-    formats v1–v3 fails in both modes with
-    [Unsupported_version], and the index is rebuilt with [kmm index]. *)
+    The on-disk format is {b v5}: a CRC-guarded ASCII header carrying a
+    section-offset table, then seven sections — the 2-bit packed text,
+    the interleaved rank blocks and superblock counters of the located
+    side, the same two of the forward side ({!forward_occ}), and the SA
+    mark bitvector and samples — the index's own buffers written
+    verbatim at 8-byte-aligned offsets, plus an 8-byte trailer ([kmm5]
+    + the CRC-32 of the whole preceding file).  SA samples are
+    bit-packed: every sampled row but row 0 sits at a multiple of
+    [sa_rate], so its position divided by [sa_rate] is stored in
+    ⌈log2(n/sa_rate + 1)⌉ bits (18 at 4 Mbp) instead of a 64-bit word.
+    At the default rates a file costs about 1.33 bytes per base.  The
+    alignment and offset table exist so the bulk sections can be
+    adopted {e in place} from [Unix.map_file]: see {!mode}.  Any
+    single-byte corruption or truncation of a v5 file is detected by
+    the Copy-mode reader with a typed {!Kmm_error.t}; both readers
+    refuse a header whose forward totals differ from the character
+    totals (both BWTs permute [s$]), a forward sentinel row outside
+    [0, n] and a non-positive forward rate.  v5 is the only format read
+    or written: a file of the retired formats v1–v4 fails in both modes
+    with [Unsupported_version], and the index is rebuilt with
+    [kmm index]. *)
 
 type sink = {
   sink_write : string -> unit;  (** append a chunk; may raise *)
@@ -143,12 +167,12 @@ type sink = {
     short or corrupted writes — without touching the production path. *)
 
 val serialize : t -> string
-(** The complete v4 file image in memory — what {!save} writes and
+(** The complete v5 file image in memory — what {!save} writes and
     {!try_of_string} parses.  Separated from file I/O so corruption
     sweeps and fuzzers can work on images directly. *)
 
 val save : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
-(** Persist the index to [path] in format v4, {b atomically}: the image
+(** Persist the index to [path] in format v5, {b atomically}: the image
     is streamed to a fresh temp file in the same directory, flushed and
     fsynced ([fsync] defaults to [true]), and renamed over [path] only
     then.  If anything fails mid-save — disk full, a crash simulated by
@@ -166,12 +190,12 @@ val write_atomic : ?fsync:bool -> ?wrap:(sink -> sink) -> string -> string -> un
     permission guarantees as index files. *)
 
 val try_of_string : string -> (t, Kmm_error.t) result
-(** Parse a v4 index image with the full Copy-mode verification and
+(** Parse a v5 index image with the full Copy-mode verification and
     adopt its buffers directly (structural validation, no
     reconstruction).  Never raises on bad input: a forged header,
     flipped byte, truncation or trailing garbage comes back as [Error]
     with the failing section attributed — and never as [Out_of_memory],
-    [End_of_file] or a silently wrong index.  Any version other than 4
+    [End_of_file] or a silently wrong index.  Any version other than 5
     is [Error (Unsupported_version v)]. *)
 
 type mode =
@@ -192,7 +216,7 @@ val try_load : ?mode:mode -> string -> (t, Kmm_error.t) result
     becomes O(header + superblocks + marks) and the OS shares the
     mapped pages across processes.  Run [kmm verify] (or a [Copy] load)
     when payload integrity must be proven.  Both modes run the same
-    header checks, so a v1–v3 file fails either way with
+    header checks, so a v1–v4 file fails either way with
     [Unsupported_version]. *)
 
 val load : ?mode:mode -> string -> t

@@ -1,6 +1,6 @@
 (* Packed-rank Occ: interleaved popcount blocks over a 2-bit BWT payload.
    See occ.mli for the layout contract.  The block buffer is a Storage.t
-   (heap or mmap'd format-v4 section); the kernels below read it through
+   (heap or mmap'd format-v5 section); the kernels below read it through
    Bigarray.Array1.unsafe_get, which compiles to the same inline load a
    Bytes access did. *)
 

@@ -104,7 +104,7 @@ val space_bytes : t -> int
 
 (** {1 Persistence hooks}
 
-    The index format (v4) writes the interleaved buffers verbatim, so
+    The index format (v5) writes the interleaved buffers verbatim, so
     [load] never recounts the text, and the block buffer can be adopted
     {e in place} from an mmap'd section.  Treat the returned buffers as
     read-only. *)
@@ -133,7 +133,7 @@ val of_raw_trusted :
     path: geometry and sentinel validation and padding clearing still
     happen, but the stored checkpoints are taken at face value and the
     character [totals] (length [sigma], [totals.(0)] = sentinel count,
-    summing to [len]) come from the caller — in practice the v4 header,
+    summing to [len]) come from the caller — in practice the v5 header,
     whose own CRC has already been checked.  A corrupted payload that
     slips past the file-level CRCs therefore yields wrong answers, not
     crashes: every offset derived from the validated geometry stays in

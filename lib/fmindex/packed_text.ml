@@ -2,7 +2,7 @@
    (i land 3) * 2, LSB first — the byte layout shared by the in-memory
    rank blocks and the on-disk payload of every index format.  The
    buffer is a Storage.t, so it is either heap-allocated or a view over
-   an mmap'd format-v4 section; readers cannot tell the difference. *)
+   an mmap'd format-v5 section; readers cannot tell the difference. *)
 
 module A1 = Bigarray.Array1
 

@@ -7,7 +7,7 @@
     byte [i / 4] at bit offset [(i mod 4) * 2], least significant bits
     first.  This is exactly the byte layout of the on-disk index payload
     (every format version), so persistence is a flat copy — or, for
-    format v4, no copy at all: {!of_storage} adopts an mmap'd section in
+    format v5, no copy at all: {!of_storage} adopts an mmap'd section in
     place.
 
     Unused lanes in the final byte are always zero — builders guarantee

@@ -4,7 +4,7 @@
     Every bulk buffer of the FM-index core (packed text, interleaved
     rank blocks, SA mark bitvector, SA sample words) is a [Bigarray]
     over bytes or 64-bit words.  A buffer is either allocated on the
-    OCaml heap ({!create}) or adopted zero-copy from a format-v4 index
+    OCaml heap ({!create}) or adopted zero-copy from a format-v5 index
     file ({!map_bytes}/{!map_words} over [Unix.map_file]) — the hot
     rank/locate kernels are written once against this representation
     and cannot tell the two apart.
@@ -66,7 +66,7 @@ val map_bytes : Unix.file_descr -> pos:int -> len:int -> t
 
 val map_words : Unix.file_descr -> pos:int -> len:int -> words
 (** Same for a buffer of [len] 64-bit words; [pos] must be 8-byte
-    aligned (format v4 aligns every section). *)
+    aligned (the index format aligns every section). *)
 
 (** A domain-safe memoized thunk — [Lazy.t] without the undefined
     behaviour of concurrent forcing.  Adopting loaders defer expensive

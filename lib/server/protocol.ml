@@ -391,7 +391,7 @@ let parse_request ~limits line =
                                       {
                                         pattern;
                                         k;
-                                        engine = Core.Kmismatch.M_tree;
+                                        engine = Core.Kmismatch.Bidir;
                                         deadline;
                                       };
                                 }

@@ -23,7 +23,7 @@
     v}
 
     [pattern] is required for queries; [k] defaults to [0]; [engine]
-    defaults to ["m-tree"] and accepts every name of
+    defaults to ["bidir"] and accepts every name of
     {!Core.Kmismatch.all_engines}.  [deadline] (optional) is the query's
     compute budget in {e relative} seconds — relative so client and
     server clocks never need to agree; the server anchors it to its own

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Index files of the retired formats v1-v3 must fail at the CLI with the
+# Index files of the retired formats v1-v4 must fail at the CLI with the
 # typed "unsupported version" exit code (4) and nothing on stdout, both
 # in `kmm verify` and in a --mmap search.
 # Usage: old_formats.sh KMM_EXE FIXTURE.fmi...

@@ -82,9 +82,7 @@ let prop_bidir_matches_unidirectional =
       let st = Random.State.make [| seed |] in
       let fm_fwd = Fmindex.Fm_index.build text in
       let fm_rev = Fmindex.Fm_index.build (rev_string text) in
-      let bd =
-        Fmindex.Bidir.make ~ptext:(Fmindex.Packed_text.of_string text) ~fm_rev
-      in
+      let bd = Fmindex.Bidir.make fm_rev in
       (* Grow pattern.[split-1 .. 0] leftward and pattern.[split .. m-1]
          rightward, interleaved at random, reading each child pair off
          the cursor. *)
@@ -157,10 +155,7 @@ let prop_oss_matches_naive =
       if text = "" then true
       else
         let ptext = Fmindex.Packed_text.of_string text in
-        let bd =
-          Fmindex.Bidir.make ~ptext
-            ~fm_rev:(Fmindex.Fm_index.build (rev_string text))
-        in
+        let bd = Fmindex.Bidir.make (Fmindex.Fm_index.build (rev_string text)) in
         let got = Oss.search ~ptext bd ~pattern ~k in
         got = naive_hits text pattern k)
 
@@ -401,6 +396,103 @@ let test_stub_engine_registration () =
   | () -> Alcotest.fail "duplicate engine accepted"
 
 (* ------------------------------------------------------------------ *)
+(* The persisted forward side                                          *)
+
+let with_saved idx f =
+  let path = Filename.temp_file "kmm-bidir" ".fmi" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Kmismatch.save_index idx path;
+      f path)
+
+let genome size =
+  Dna.Sequence.to_string
+    (Dna.Genome_gen.generate { Dna.Genome_gen.default with size; seed = 3 })
+
+let test_cold_start_allocation () =
+  (* The forward side is adopted with the rest of the index, so a bidir
+     cold start builds nothing: reaching the bidirectional index of an
+     mmap-loaded index and taking one step each way allocates next to
+     nothing (the SA-IS rebuild this replaced allocated ~12.9 n bytes
+     here). *)
+  let n = 200_000 in
+  with_saved (Kmismatch.build_index (genome n)) (fun path ->
+      let idx = Kmismatch.load_index ~mode:Fmindex.Fm_index.Mmap path in
+      let cur = Fmindex.Bidir.cursor () in
+      let rows = n + 1 in
+      let a0 = Gc.allocated_bytes () in
+      let bd = Kmismatch.bidir idx in
+      Fmindex.Bidir.extend_left_all bd cur ~f_lo:0 ~f_hi:rows ~r_lo:0 ~r_hi:rows;
+      Fmindex.Bidir.extend_right_all bd cur ~f_lo:0 ~f_hi:rows ~r_lo:0 ~r_hi:rows;
+      let bytes = Gc.allocated_bytes () -. a0 in
+      check bool
+        (Printf.sprintf "%.0f bytes allocated, under n/8 = %d" bytes (n / 8))
+        true
+        (bytes < float_of_int (n / 8)))
+
+(* Every interval pair met while growing each pattern from a seeded
+   split point, in a seeded left/right order. *)
+let interval_trace bd patterns =
+  let module B = Fmindex.Bidir in
+  let st = Random.State.make [| 17 |] in
+  let cur = B.cursor () in
+  let rows = B.length bd + 1 in
+  List.concat_map
+    (fun pattern ->
+      let m = String.length pattern in
+      let l = ref (Random.State.int st (m + 1)) in
+      let r = ref !l in
+      let f_lo = ref 0 and f_hi = ref rows and r_lo = ref 0 and r_hi = ref rows in
+      let trace = ref [] in
+      while (!l > 0 || !r < m) && !f_lo < !f_hi do
+        let left = !l > 0 && (!r >= m || Random.State.bool st) in
+        let c =
+          if left then begin
+            decr l;
+            B.extend_left_all bd cur ~f_lo:!f_lo ~f_hi:!f_hi ~r_lo:!r_lo ~r_hi:!r_hi;
+            Dna.Alphabet.code pattern.[!l]
+          end
+          else begin
+            B.extend_right_all bd cur ~f_lo:!f_lo ~f_hi:!f_hi ~r_lo:!r_lo ~r_hi:!r_hi;
+            incr r;
+            Dna.Alphabet.code pattern.[!r - 1]
+          end
+        in
+        f_lo := B.f_lo cur c;
+        f_hi := B.f_hi cur c;
+        r_lo := B.r_lo cur c;
+        r_hi := B.r_hi cur c;
+        trace := (!f_lo, !f_hi, !r_lo, !r_hi) :: !trace
+      done;
+      List.rev !trace)
+    patterns
+
+let test_pairs_across_load_modes () =
+  let text = genome 50_000 in
+  let st = Random.State.make [| 29 |] in
+  (* Substrings, some with a base changed, and random patterns. *)
+  let patterns =
+    List.init 200 (fun i ->
+        let len = 4 + Random.State.int st 40 in
+        if i mod 4 = 3 then Test_util.random_dna st len
+        else
+          let p = Bytes.of_string (String.sub text (Random.State.int st (50_000 - len)) len) in
+          if i mod 2 = 1 then Bytes.set p (Random.State.int st len) 'g';
+          Bytes.to_string p)
+  in
+  let heap = Kmismatch.build_index text in
+  let expected = interval_trace (Kmismatch.bidir heap) patterns in
+  check bool "pairs traced" true (List.length expected > 1000);
+  with_saved heap (fun path ->
+      List.iter
+        (fun (label, mode) ->
+          let idx = Kmismatch.load_index ~mode path in
+          check bool (label ^ ": same interval pairs") true
+            (interval_trace (Kmismatch.bidir idx) patterns = expected))
+        [ ("copy", Fmindex.Fm_index.Copy); ("mmap", Fmindex.Fm_index.Mmap) ])
+
+(* ------------------------------------------------------------------ *)
 
 let test_engines_bench_smoke () = Engines_bench.smoke ()
 
@@ -430,6 +522,10 @@ let () =
         [
           Alcotest.test_case "build_index normalizes once" `Quick
             test_build_index_normalization;
+          Alcotest.test_case "cold start builds nothing" `Quick
+            test_cold_start_allocation;
+          Alcotest.test_case "pairs equal across load modes" `Quick
+            test_pairs_across_load_modes;
         ] );
       ( "registry",
         [

@@ -316,7 +316,7 @@ let server_sheds_when_full () =
                       ~finally:(fun () -> S.Client.close c)
                       (fun () ->
                         match
-                          S.Client.query c ~pattern:slow_pattern ~k:slow_k ()
+                          S.Client.query c ~engine:K.M_tree ~pattern:slow_pattern ~k:slow_k ()
                         with
                         | Ok (P.Hits _) -> Atomic.incr hits
                         | Ok (P.Error_reply { code = 10; _ }) ->
@@ -360,7 +360,7 @@ let server_deadline_expires_in_queue () =
             ~finally:(fun () -> S.Client.close occupier)
             (fun () ->
               S.Client.send_line occupier
-                (P.query_request ~pattern:slow_pattern ~k:slow_k ());
+                (P.query_request ~engine:K.M_tree ~pattern:slow_pattern ~k:slow_k ());
               Thread.delay 0.05 (* let the occupier reach the pool *);
               let c = S.Client.connect path in
               Fun.protect
@@ -396,8 +396,8 @@ let server_deadline_expires_mid_search () =
             ~finally:(fun () -> S.Client.close c)
             (fun () ->
               (match
-                 S.Client.query c ~deadline:0.02 ~pattern:slow_pattern
-                   ~k:slow_k ()
+                 S.Client.query c ~deadline:0.02 ~engine:K.M_tree
+                   ~pattern:slow_pattern ~k:slow_k ()
                with
               | Ok (P.Error_reply { code = 9; _ }) -> ()
               | Ok (P.Error_reply { code; _ }) ->

@@ -134,16 +134,64 @@ let test_packed_bwt_genome () =
   check bool "sentinel row" true (sa.(row) = 0);
   check string "BWT inverts to the text" s (Bwt.inverse (bwt_string packed row))
 
-(* Digests captured from the previous SA-IS implementation: the index
-   file bytes, and the forward BWT the bidirectional index ranks over,
-   must not change with the builder. *)
+(* Digests of the index file bytes (recorded when format v5 replaced
+   v4) and of the forward BWT the bidirectional index ranks over (from
+   the previous SA-IS implementation) must not change with the
+   builder. *)
 let test_golden_index_bytes () =
   let s = genome ~size:300_000 ~seed:2017 in
-  check string "serialized index digest" "d9005b7a4a6e0057c9d6de3dbe446cb7"
+  check string "serialized index digest" "a4b1796ee58183b7b43adf504ceb630f"
     (Digest.to_hex (Digest.string (Fm_index.serialize (Fm_index.build s))));
   let packed, row, _ = Bwt.of_packed_text (Packed_text.of_string s) in
   check string "forward BWT digest" "3b7f6d592dce4f17bb36f8e119b64013"
     (Digest.to_hex (Digest.string (bwt_string packed row)))
+
+(* The forward side an index carries is exactly the rate-128 Occ over
+   BWT(rev text) — built at index time, adopted as is by both loaders. *)
+let same_occ (a : Occ.t) (b : Occ.t) =
+  Occ.rate a = Occ.rate b
+  && Occ.length a = Occ.length b
+  && Occ.counts a = Occ.counts b
+  && Storage.to_string (Occ.raw_blocks a) = Storage.to_string (Occ.raw_blocks b)
+  && Occ.raw_super a = Occ.raw_super b
+  && List.for_all (fun row -> Occ.get a row = Occ.get b row) (List.init (Occ.length a) Fun.id)
+
+let test_forward_side_equals_rebuild () =
+  let st = Random.State.make [| 23 |] in
+  let texts =
+    List.map (Test_util.random_dna st) [ 0; 1; 127; 128; 129; 256 ]
+    @ [ Test_util.random_dna st 5_000; String.make 300 'a'; String.make 129 't' ]
+  in
+  List.iter
+    (fun text ->
+      let n = String.length text in
+      let rev = String.init n (fun i -> text.[n - 1 - i]) in
+      let packed, row, _ = Bwt.of_packed_text (Packed_text.of_string rev) in
+      let expected = Occ.of_packed ~rate:128 ~sentinels:[| row |] packed in
+      let fm = Fm_index.build text in
+      check bool (Printf.sprintf "built, n = %d" n) true (same_occ expected (Fm_index.forward_occ fm));
+      let image = Fm_index.serialize fm in
+      (match Fm_index.try_of_string image with
+      | Ok copy ->
+          check bool (Printf.sprintf "copy-loaded, n = %d" n) true
+            (same_occ expected (Fm_index.forward_occ copy))
+      | Error e -> Alcotest.failf "copy load, n = %d: %s" n (Kmm_error.to_string e));
+      let path = Filename.temp_file "kmm" ".fmi" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc image);
+          check bool (Printf.sprintf "mmap-loaded, n = %d" n) true
+            (same_occ expected (Fm_index.forward_occ (Fm_index.load ~mode:Fm_index.Mmap path)))))
+    texts
+
+let test_parallel_build_identical () =
+  (* Long enough that [parallel] really puts the forward pass on a
+     second domain. *)
+  let s = genome ~size:70_000 ~seed:11 in
+  check string "one domain = two domains"
+    (Fm_index.serialize (Fm_index.build ~parallel:false s))
+    (Fm_index.serialize (Fm_index.build ~parallel:true s))
 
 (* ------------------------------------------------------------------ *)
 (* Occ / rankall                                                       *)
@@ -372,12 +420,19 @@ let test_fm_space_report () =
      sigma totals round out the rank structure. *)
   let occ_bytes = (32 * (8 + (32 / 4))) + (8 * (4 + 1 + 5)) in
   check int "packed rank structure" occ_bytes (List.assoc "packed bwt + rank blocks" report);
+  (* The forward side at rate 128: ceil(1000/128) = 8 blocks of 8 + 32
+     bytes, and the same superblock, sentinel and totals. *)
+  let fwd_bytes = (8 * (8 + (128 / 4))) + (8 * (4 + 1 + 5)) in
+  check int "forward rank structure" fwd_bytes (List.assoc "forward bwt + rank blocks" report);
   (* Mark bitvector: one bit per BWT row, plus a rank-directory entry per
      64-row chunk. *)
   let marks_bytes = ((n + 8) / 8) + (8 * ((n + 1 + 63) / 64)) in
   check int "sa marks" marks_bytes (List.assoc "sa marks (bitvector + rank dir)" report);
-  (* Samples: text positions divisible by 16 (63 of them) plus row 0. *)
-  check int "sa samples" (8 * 64) (List.assoc "sa samples" report);
+  (* Samples: the 62 text positions 16..992 divisible by 16 and position
+     0, at 6 bits each (1000 / 16 = 62 < 2^6); row 0 (position n) is not
+     stored.  63 * 6 bits round up to 6 words. *)
+  let samples_bytes = 8 * 6 in
+  check int "sa samples" samples_bytes (List.assoc "sa samples (bit-packed)" report);
   check int "c array" (8 * Dna.Alphabet.sigma) (List.assoc "c array" report);
   check int "packed text" ((n + 3) / 4) (List.assoc "packed text (2 bit/base)" report);
   (* The packed index beats the seed's byte-per-char BWT + codes table by
@@ -385,7 +440,9 @@ let test_fm_space_report () =
   check bool "rank structure under 1 byte/base" true (occ_bytes < n);
   (* No double counting: the report's sum is exactly the component sum. *)
   let total = List.fold_left (fun acc (_, v) -> acc + v) 0 report in
-  check int "entries sum" (occ_bytes + marks_bytes + (8 * 64) + 40 + ((n + 3) / 4)) total
+  check int "entries sum"
+    (occ_bytes + fwd_bytes + marks_bytes + samples_bytes + 40 + ((n + 3) / 4))
+    total
 
 let test_fm_pattern_validation () =
   (* Satellite: searching uppercase or non-ACGT patterns must not raise.
@@ -437,6 +494,10 @@ let () =
           Alcotest.test_case "recursion-forcing inputs" `Quick test_packed_bwt_recursion;
           Alcotest.test_case "200 kbp genome" `Quick test_packed_bwt_genome;
           Alcotest.test_case "golden index bytes" `Quick test_golden_index_bytes;
+          Alcotest.test_case "forward side = rate-128 rebuild" `Quick
+            test_forward_side_equals_rebuild;
+          Alcotest.test_case "parallel build byte-identical" `Quick
+            test_parallel_build_identical;
         ] );
       ( "occ",
         [

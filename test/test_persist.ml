@@ -70,7 +70,7 @@ let expect_load_failure ?mode ~containing path =
          scan 0)
   | _ -> Alcotest.fail "corrupt file accepted"
 
-(* Each v4 header line must be rejected by the header field checks
+(* Each v5 header line must be rejected by the header field checks
    themselves (not by a later line), under both load modes, with the
    friendly header error. *)
 let expect_header_rejected ?(detail = "field out of range") lines =
@@ -90,24 +90,33 @@ let expect_header_rejected ?(detail = "field out of range") lines =
 let test_fm_load_negative_n () =
   (* a negative length in the header must be the friendly header error,
      not a raw Invalid_argument from an allocation *)
-  expect_header_rejected [ "kmm-fm-index 4 -5 16 16 0 1 0 0 0 0 0 0\n" ]
+  expect_header_rejected [ "kmm-fm-index 5 -5 16 16 0 1 0 0 0 0 0 0 128 0 0 0 0 0 0 0\n" ]
 
 let test_fm_load_bad_rates () =
   (* Fields: n occ_rate sa_rate sentinel_row nsamples blocks_bytes
-     super_len a_total c_total g_total t_total; one bad field per line. *)
+     super_len a_total c_total g_total t_total, then the forward side's
+     fwd_rate fwd_sentinel_row fwd_blocks_bytes fwd_super_len and four
+     totals; one bad field per line. *)
+  let fwd = " 128 0 0 0 2 2 2 2\nxx" in
   expect_header_rejected
-    [
-      "kmm-fm-index 4 8 0 16 0 1 0 0 2 2 2 2\nxx";
-      "kmm-fm-index 4 8 32 0 0 1 0 0 2 2 2 2\nxx";
-      "kmm-fm-index 4 8 32 16 9 1 0 0 2 2 2 2\nxx";
-      "kmm-fm-index 4 8 32 16 0 0 0 0 2 2 2 2\nxx";
-      "kmm-fm-index 4 8 32 16 0 10 0 0 2 2 2 2\nxx";
-      "kmm-fm-index 4 8 32 16 0 1 -1 0 2 2 2 2\nxx";
-      "kmm-fm-index 4 8 32 16 0 1 0 -1 2 2 2 2\nxx";
-      "kmm-fm-index 4 8 32 16 0 1 0 0 -2 2 4 4\nxx";
-    ];
+    (List.map
+       (fun l -> l ^ fwd)
+       [
+         "kmm-fm-index 5 8 0 16 0 1 0 0 2 2 2 2";
+         "kmm-fm-index 5 8 32 0 0 1 0 0 2 2 2 2";
+         "kmm-fm-index 5 8 32 16 9 1 0 0 2 2 2 2";
+         "kmm-fm-index 5 8 32 16 0 0 0 0 2 2 2 2";
+         "kmm-fm-index 5 8 32 16 0 10 0 0 2 2 2 2";
+         "kmm-fm-index 5 8 32 16 0 1 -1 0 2 2 2 2";
+         "kmm-fm-index 5 8 32 16 0 1 0 -1 2 2 2 2";
+       ]
+    @ [
+        "kmm-fm-index 5 8 32 16 0 1 0 0 -2 2 4 4 128 0 0 0 -2 2 4 4\nxx";
+        "kmm-fm-index 5 8 32 16 0 1 0 0 2 2 2 2 128 0 -1 0 2 2 2 2\nxx";
+        "kmm-fm-index 5 8 32 16 0 1 0 0 2 2 2 2 128 0 0 -1 2 2 2 2\nxx";
+      ]);
   expect_header_rejected ~detail:"character totals do not sum to length"
-    [ "kmm-fm-index 4 8 32 16 0 1 0 0 2 2 2 3\nxx" ]
+    [ "kmm-fm-index 5 8 32 16 0 1 0 0 2 2 2 3 128 0 0 0 2 2 2 3\nxx" ]
 
 let test_fm_load_trailing_garbage () =
   with_temp (fun path ->
@@ -140,18 +149,20 @@ let test_fm_load_truncated () =
       | _ -> Alcotest.fail "truncated file accepted")
 
 let test_index_file_size () =
-  (* Format v4 serializes the index's own buffers — packed text (n/4),
-     interleaved rank blocks (~n/2 at rate 32), SA marks (~n/8) and
-     samples (~n/2 at rate 16) plus ~260 bytes of header, section table
-     and checksums — trading ~1.4 bytes/base of file for a load that
-     performs no reconstruction at all. *)
+  (* Format v5 serializes the index's own buffers — packed text (n/4),
+     interleaved rank blocks (~n/2 at rate 32), the forward side's rank
+     blocks (~0.31 n at rate 128), SA marks (~n/8) and bit-packed
+     samples (10 bits each at this size, ~0.08 n at rate 16) plus ~330
+     bytes of header, section table and checksums: 13 152 bytes for
+     these 10 000 bases, a load that performs no reconstruction at
+     all. *)
   with_temp (fun path ->
       let text = Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 4 |]) 10_000) in
       Fmindex.Fm_index.save (Fmindex.Fm_index.build text) path;
       let size = (Unix.stat path).Unix.st_size in
-      check bool "about 1.4 n" true (size < 14_500 && size > 13_000))
+      check bool "about 1.3 n" true (size < 13_902 && size > 12_402))
 
-let test_v4_header () =
+let test_v5_header () =
   (* [save] writes the current format: other tools (and these tests) may
      rely on the version token. *)
   with_temp (fun path ->
@@ -159,13 +170,13 @@ let test_v4_header () =
       let line = In_channel.with_open_bin path In_channel.input_line in
       match line with
       | Some l ->
-          check bool "v4 magic" true
-            (String.length l > 14 && String.sub l 0 14 = "kmm-fm-index 4")
+          check bool "v5 magic" true
+            (String.length l > 14 && String.sub l 0 14 = "kmm-fm-index 5")
       | None -> Alcotest.fail "empty index file")
 
-let test_v4_section_corruption () =
+let test_v5_section_corruption () =
   (* Flip bytes inside the binary sections of a saved file; every
-     corruption must be rejected (in v4 by the per-section CRCs and the
+     corruption must be rejected (by the per-section CRCs and the
      whole-file trailer CRC), never loaded quietly. *)
   with_temp (fun path ->
       let st = Random.State.make [| 9 |] in
@@ -191,7 +202,7 @@ let test_v4_section_corruption () =
       (* A byte in the binary sections: per-section CRC mismatch. *)
       corrupt_at (header_len + 300 + 8))
 
-let test_v4_truncated_sections () =
+let test_v5_truncated_sections () =
   (* Truncate at several byte counts spanning every section boundary. *)
   with_temp (fun path ->
       let text = Test_util.random_dna (Random.State.make [| 11 |]) 300 in
@@ -208,7 +219,130 @@ let test_v4_truncated_sections () =
             | exception Failure _ -> ()
             | _ -> Alcotest.fail (Printf.sprintf "truncation to %d bytes accepted" keep)
           end)
-        [ 0; 10; 40; 100; 200; 400; 600; n - 1 ])
+        [ 0; 10; 40; 100; 200; 400; 600; 800; n - 1 ])
+
+(* ------------------------------------------------------------------ *)
+(* The forward side's typed checks.  Each forgery below is resealed:
+   its section CRCs, header CRC and whole-file CRC are recomputed, so
+   only the check on the forged value itself can refuse it. *)
+
+let error_t = Alcotest.testable Kmm_error.pp Kmm_error.equal
+
+(* [image] with every checksum recomputed from its bytes.  The three
+   header lines are line 1, the section table ("sections" and seven
+   "offset length crc" triples) and "hcrc <crc>". *)
+let reseal image =
+  let l1_end = 1 + String.index image '\n' in
+  let l2_end = 1 + String.index_from image l1_end '\n' in
+  let table = String.split_on_char ' ' (String.sub image l1_end (l2_end - l1_end - 1)) in
+  let rec entries = function
+    | off :: len :: _ :: rest ->
+        let off = int_of_string off and len = int_of_string len in
+        Printf.sprintf " %012d %012d %08x" off len (Fmindex.Crc32.sub image ~pos:off ~len)
+        :: entries rest
+    | _ -> []
+  in
+  let l2 = "sections" ^ String.concat "" (entries (List.tl table)) ^ "\n" in
+  let head = String.sub image 0 l1_end ^ l2 in
+  let hcrc = Printf.sprintf "hcrc %08x\n" (Fmindex.Crc32.string head) in
+  let body_start = l2_end + String.length hcrc in
+  let unsealed =
+    head ^ hcrc ^ String.sub image body_start (String.length image - body_start - 4)
+  in
+  let crc = Fmindex.Crc32.string unsealed in
+  unsealed ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xff))
+
+(* Header field [i] (0 = n, counting after the version token) set to
+   [v], zero-padded to the field's old width so no offset moves. *)
+let forge_field image i v =
+  let l1_end = String.index image '\n' in
+  let fields = Array.of_list (String.split_on_char ' ' (String.sub image 0 l1_end)) in
+  let old = fields.(i + 2) in
+  let digits = string_of_int (abs v) in
+  let pad = String.length old - String.length digits - if v < 0 then 1 else 0 in
+  if pad < 0 then Alcotest.failf "forged value %d wider than field %S" v old;
+  fields.(i + 2) <- (if v < 0 then "-" else "") ^ String.make pad '0' ^ digits;
+  reseal
+    (String.concat " " (Array.to_list fields)
+    ^ String.sub image l1_end (String.length image - l1_end))
+
+let field image i =
+  let l1 = String.sub image 0 (String.index image '\n') in
+  int_of_string (List.nth (String.split_on_char ' ' l1) (i + 2))
+
+(* Header field numbers of the forward side. *)
+let f_fwd_rate = 11
+let f_fwd_sentinel_row = 12
+let f_fwd_super_len = 14
+let f_fwd_totals = 15
+
+let expect_error ?(modes = [ Fmindex.Fm_index.Copy; Fmindex.Fm_index.Mmap ]) ~expected image =
+  List.iter
+    (fun mode ->
+      with_temp (fun path ->
+          let oc = open_out_bin path in
+          output_string oc image;
+          close_out oc;
+          match Fmindex.Fm_index.try_load ~mode path with
+          | Error e -> check error_t (Kmm_error.to_string expected) expected e
+          | Ok _ -> Alcotest.failf "forgery accepted (%s)" (Kmm_error.to_string expected)))
+    modes
+
+let homopolymer = Fmindex.Fm_index.serialize (Fmindex.Fm_index.build (String.make 300 'a'))
+
+let test_reseal_is_identity () =
+  (* The forgeries below are only meaningful if resealing an untouched
+     image changes nothing. *)
+  let image = Fmindex.Fm_index.serialize (Fmindex.Fm_index.build (Test_util.random_dna (Random.State.make [| 5 |]) 500)) in
+  check string "reseal" image (reseal image);
+  check bool "loads" true (Result.is_ok (Fmindex.Fm_index.try_of_string image))
+
+let test_forward_totals_forged () =
+  (* 300 a's: totals a=300, c=0.  Move one a to c on the forward side
+     only; the sum still matches n + 1. *)
+  let image = forge_field (forge_field homopolymer f_fwd_totals 299) (f_fwd_totals + 1) 1 in
+  expect_error image
+    ~expected:
+      (Kmm_error.Corrupt
+         (Kmm_error.Header, "forward totals disagree with the character totals"))
+
+let test_forward_sentinel_forged () =
+  (* The whole reversed homopolymer is its largest suffix: row n = 300. *)
+  check int "forward sentinel row" 300 (field homopolymer f_fwd_sentinel_row);
+  let expected =
+    Kmm_error.Corrupt (Kmm_error.Header, "forward sentinel row out of range")
+  in
+  expect_error ~expected (forge_field homopolymer f_fwd_sentinel_row 301);
+  expect_error ~expected (forge_field homopolymer f_fwd_sentinel_row (-1))
+
+let test_forward_rate_forged () =
+  check int "forward rate" 128 (field homopolymer f_fwd_rate);
+  let expected = Kmm_error.Corrupt (Kmm_error.Header, "forward rate out of range") in
+  expect_error ~expected (forge_field homopolymer f_fwd_rate 0);
+  expect_error ~expected (forge_field homopolymer f_fwd_rate (-1))
+
+let test_forward_blocks_recounted () =
+  (* One forward checkpoint off by one, every checksum resealed: the
+     Copy reader's recount of the forward blocks is what refuses it.
+     The Mmap reader trusts the payload by design. *)
+  let image = Fmindex.Fm_index.serialize (Fmindex.Fm_index.build (Test_util.random_dna (Random.State.make [| 6 |]) 600)) in
+  check int "one forward superblock (four counters)" 4 (field image f_fwd_super_len);
+  let l1_end = 1 + String.index image '\n' in
+  (* Section 4's offset: "sections" + three 35-byte entries + " ". *)
+  let off = int_of_string (String.sub image (l1_end + 8 + (3 * 35) + 1) 12) in
+  (* Block 1 of the 40-byte blocks: its count of a's before it. *)
+  let b = Bytes.of_string image in
+  Bytes.set b (off + 40) (Char.chr ((Char.code (Bytes.get b (off + 40)) + 1) land 0xff));
+  let forged = reseal (Bytes.to_string b) in
+  match Fmindex.Fm_index.try_of_string forged with
+  | Error (Kmm_error.Corrupt (Kmm_error.Forward_blocks, _)) -> ()
+  | Error e -> Alcotest.failf "expected forward-blocks corruption, got %s" (Kmm_error.to_string e)
+  | Ok _ -> Alcotest.fail "forged forward checkpoint accepted"
+
+let test_v4_fixture_unsupported () =
+  (* A file the previous release wrote. *)
+  let image = In_channel.with_open_bin "fixtures/v4-random211.fmi" In_channel.input_all in
+  expect_error ~expected:(Kmm_error.Unsupported_version 4) image
 
 let test_saved_file_permissions () =
   (* [write_atomic] builds the file under a 0o600 temp name; the final
@@ -291,11 +425,9 @@ let test_mmap_detects_truncation_and_header_damage () =
       | Ok _ -> Alcotest.fail "header damage accepted by the mmap loader")
 
 (* ------------------------------------------------------------------ *)
-(* Retired formats: v1–v3 files (the committed fixtures were written by
+(* Retired formats: v1–v4 files (the committed fixtures were written by
    old releases) fail with the typed [Unsupported_version] in both load
    modes; the index is rebuilt from its text instead. *)
-
-let error_t = Alcotest.testable Kmm_error.pp Kmm_error.equal
 
 let expect_unsupported ~version path =
   List.iter
@@ -331,10 +463,10 @@ let test_v1_fixture_paper () = expect_unsupported ~version:1 "fixtures/v1-paper.
 
 let test_v1_fixture_random () = expect_unsupported ~version:1 "fixtures/v1-random211.fmi"
 
-let test_v1_fixture_resave_is_v4 () =
+let test_v1_fixture_resave_is_v5 () =
   (* The migration path for an old file: it no longer loads, so the
      index is rebuilt from its text (at the v1 file's occ_rate 7 /
-     sa_rate 5) and saved, which writes v4.  The rebuilt file answers
+     sa_rate 5) and saved, which writes v5.  The rebuilt file answers
      like a fresh default build in both load modes. *)
   expect_unsupported ~version:1 "fixtures/v1-random211.fmi";
   let text = In_channel.with_open_bin "fixtures/v1-random211.txt" In_channel.input_all in
@@ -342,7 +474,7 @@ let test_v1_fixture_resave_is_v4 () =
       Fmindex.Fm_index.save (Fmindex.Fm_index.build ~occ_rate:7 ~sa_rate:5 text) path;
       let line = In_channel.with_open_bin path In_channel.input_line in
       (match line with
-      | Some l -> check bool "resave v4" true (String.sub l 0 14 = "kmm-fm-index 4")
+      | Some l -> check bool "resave v5" true (String.sub l 0 14 = "kmm-fm-index 5")
       | None -> Alcotest.fail "empty resave");
       let fresh = Fmindex.Fm_index.build text in
       List.iter
@@ -472,9 +604,15 @@ let () =
           Alcotest.test_case "bad rates rejected" `Quick test_fm_load_bad_rates;
           Alcotest.test_case "trailing garbage rejected" `Quick test_fm_load_trailing_garbage;
           Alcotest.test_case "file size ~ 1.4 n" `Quick test_index_file_size;
-          Alcotest.test_case "v4 header written" `Quick test_v4_header;
-          Alcotest.test_case "v4 section corruption rejected" `Quick test_v4_section_corruption;
-          Alcotest.test_case "v4 truncated sections rejected" `Quick test_v4_truncated_sections;
+          Alcotest.test_case "v5 header written" `Quick test_v5_header;
+          Alcotest.test_case "v5 section corruption rejected" `Quick test_v5_section_corruption;
+          Alcotest.test_case "v5 truncated sections rejected" `Quick test_v5_truncated_sections;
+          Alcotest.test_case "reseal is the identity" `Quick test_reseal_is_identity;
+          Alcotest.test_case "forged forward totals rejected" `Quick test_forward_totals_forged;
+          Alcotest.test_case "forged forward sentinel rejected" `Quick test_forward_sentinel_forged;
+          Alcotest.test_case "forged forward rate rejected" `Quick test_forward_rate_forged;
+          Alcotest.test_case "copy recounts forward blocks" `Quick test_forward_blocks_recounted;
+          Alcotest.test_case "v4 fixture: unsupported" `Quick test_v4_fixture_unsupported;
           Alcotest.test_case "saved file is world-readable" `Quick test_saved_file_permissions;
           Alcotest.test_case "proc-style file read to EOF" `Quick test_load_proc_style_file;
           Alcotest.test_case "directory gives typed Io" `Quick test_load_directory_is_typed_io;
@@ -485,7 +623,7 @@ let () =
           prop_mmap_equals_copy;
           Alcotest.test_case "v1 fixture: paper text" `Quick test_v1_fixture_paper;
           Alcotest.test_case "v1 fixture: random211" `Quick test_v1_fixture_random;
-          Alcotest.test_case "v1 fixture: resave migrates to v4" `Quick test_v1_fixture_resave_is_v4;
+          Alcotest.test_case "v1 fixture: resave migrates to v5" `Quick test_v1_fixture_resave_is_v5;
           Alcotest.test_case "v2 fixture: paper text" `Quick test_v2_fixture_paper;
           Alcotest.test_case "v2 fixture: random317" `Quick test_v2_fixture_random;
           prop_fm_roundtrip;

@@ -1,5 +1,5 @@
 (* Robustness suite: the crash-safety and self-verification guarantees
-   of the v4 on-disk format, the fault-injection harness behind them,
+   of the on-disk format, the fault-injection harness behind them,
    and the fail-soft behavior of the batch layers.
 
    The contracts under test:
@@ -165,11 +165,12 @@ let prop_truncation_rejected =
    CRC sweep is deliberately skipped, that is the cold-start win — but
    geometry validation must keep queries from ever crashing on it.     *)
 
-let test_v4_mmap_header_sweep () =
+let test_mmap_header_sweep () =
   let fm = fm_of_seed ~len:151 5 in
   let image = Fmindex.Fm_index.serialize fm in
-  (* L1 line + 184-byte section table + 14-byte hcrc line *)
-  let hdr_len = String.index image '\n' + 1 + 184 + 14 in
+  (* L1 line + the section table line + the 14-byte hcrc line *)
+  let l1_end = String.index image '\n' + 1 in
+  let hdr_len = String.index_from image l1_end '\n' + 1 + 14 in
   let path = Filename.temp_file "kmmrob" ".fmi" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
@@ -527,7 +528,7 @@ let () =
       ( "truncation",
         [
           Alcotest.test_case "v4 mmap header sweep + prefixes" `Quick
-            test_v4_mmap_header_sweep;
+            test_mmap_header_sweep;
           Alcotest.test_case "every prefix rejected (v2+v3)" `Quick
             test_every_truncation_rejected;
           prop_truncation_rejected;

@@ -133,7 +133,7 @@ let parse_request_frames () =
   | Ok
       {
         id = J.Null;
-        body = P.Query { pattern = "acgt"; k = 0; engine = K.M_tree; deadline = None };
+        body = P.Query { pattern = "acgt"; k = 0; engine = K.Bidir; deadline = None };
       } ->
       ()
   | _ -> Alcotest.fail "defaulted query frame");
@@ -714,7 +714,8 @@ let server_pipelined_frames () =
   with_server ~limits ~domains:1 (fun _t path ->
       let q = Array.of_list queries in
       let query id (pattern, k) =
-        (P.query_request ~id:(J.Int id) ~pattern ~k (), Some (J.Int id, Hits_of (pattern, k)))
+        (P.query_request ~id:(J.Int id) ~engine:K.M_tree ~pattern ~k (),
+         Some (J.Int id, Hits_of (pattern, k)))
       in
       let ping id = (P.command_request ~id:(J.Int id) "ping", Some (J.Int id, Pong)) in
       let error line id code = (line, Some (id, Code code)) in
