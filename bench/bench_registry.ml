@@ -27,15 +27,6 @@ type entry = {
 let all =
   [
     {
-      name = "rank-locate";
-      doc =
-        "packed-rank FM-index kernel vs. the seed byte-scan on rank, extend_all, \
-         count and locate workloads (cross-checked; appends to BENCH_fmindex.json)";
-      run =
-        (fun c -> Rank_locate.run ~obs:c.obs ?out:c.out ?size:c.size ~seed:c.seed ());
-      smoke = Some (fun c -> Rank_locate.parity_smoke ?size:c.size ~seed:c.seed ());
-    };
-    {
       name = "load-modes";
       doc =
         "index cold start: time to the first m-tree and bidir answer and \
@@ -45,18 +36,6 @@ let all =
       run =
         (fun c -> Load_modes.run ~obs:c.obs ?out:c.out ?size:c.size ~seed:c.seed ());
       smoke = None;
-    };
-    {
-      name = "verify";
-      doc =
-        "word-parallel SWAR Hamming kernel vs. the byte-scan reference on \
-         planted true hits (full-scan regime) and random windows (early-exit \
-         regime), m in 16..512, k in 0..16, at 1/32/128 Mbp (every call \
-         cross-checked; appends to BENCH_verify.json; --size narrows to one \
-         size)";
-      run =
-        (fun c -> Verify_bench.run ~obs:c.obs ?out:c.out ?size:c.size ~seed:c.seed ());
-      smoke = Some (fun c -> Verify_bench.parity_smoke ?size:c.size ~seed:c.seed ());
     };
     {
       name = "engines";

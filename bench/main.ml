@@ -4,7 +4,7 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe table2 fig11a   # a selection
 
-   Machine-runnable benchmarks (rank-locate, serve, ...) come
+   Machine-runnable benchmarks (load-modes, engines, serve) come
    from [Bench_registry] — the same dispatch table `kmm bench` uses — so
    the two entry points can never drift apart; the paper-reproduction
    experiments and the bechamel micro suite stay local to this harness. *)

@@ -30,16 +30,26 @@ type index = {
          so pairing them costs nothing at load. *)
 }
 
-let make_index ~text_memo fm_rev =
-  let tree =
-    Fmindex.Storage.Memo.make (fun () ->
-        Suffix.Suffix_tree.build (Fmindex.Storage.Memo.force text_memo))
-  in
+(* [text] is the forward string when the caller has it in hand.  A
+   loaded index has only the 2-bit packed reverse, so its forward string
+   is unpacked from [pforward] on demand: one pass, and an mmap'd load
+   stays O(1). *)
+let make_index ?text fm_rev =
   let pforward =
     Fmindex.Storage.Memo.make (fun () ->
         Fmindex.Packed_text.rev (Fmindex.Fm_index.packed_text fm_rev))
   in
-  { text = text_memo; fm_rev; tree; pforward; bidir = Fmindex.Bidir.make fm_rev }
+  let text =
+    Fmindex.Storage.Memo.make (fun () ->
+        match text with
+        | Some s -> s
+        | None -> Fmindex.Packed_text.to_string (Fmindex.Storage.Memo.force pforward))
+  in
+  let tree =
+    Fmindex.Storage.Memo.make (fun () ->
+        Suffix.Suffix_tree.build (Fmindex.Storage.Memo.force text))
+  in
+  { text; fm_rev; tree; pforward; bidir = Fmindex.Bidir.make fm_rev }
 
 let build_index ?occ_rate ?sa_rate ?parallel raw =
   (* Validate and normalize exactly once; the reverse is derived from
@@ -48,9 +58,7 @@ let build_index ?occ_rate ?sa_rate ?parallel raw =
   let seq = Dna.Sequence.of_string raw in
   let text = Dna.Sequence.to_string seq in
   let rev = Dna.Sequence.to_string (Dna.Sequence.rev seq) in
-  make_index
-    ~text_memo:(Fmindex.Storage.Memo.make (fun () -> text))
-    (Fmindex.Fm_index.build ?occ_rate ?sa_rate ?parallel rev)
+  make_index ~text (Fmindex.Fm_index.build ?occ_rate ?sa_rate ?parallel rev)
 
 let of_sequence seq = build_index (Dna.Sequence.to_string seq)
 let text t = Fmindex.Storage.Memo.force t.text
@@ -395,16 +403,7 @@ let run t q =
 
 let save_index t path = Fmindex.Fm_index.save t.fm_rev path
 
-let of_fm fm_rev =
-  (* Loaded indexes derive the forward text on demand: the FM-index keeps
-     only the 2-bit packed reverse, and an mmap'd load must stay O(1). *)
-  make_index
-    ~text_memo:
-      (Fmindex.Storage.Memo.make (fun () ->
-           Dna.Sequence.to_string
-             (Dna.Sequence.rev
-                (Dna.Sequence.of_string (Fmindex.Fm_index.text fm_rev)))))
-    fm_rev
+let of_fm fm_rev = make_index fm_rev
 
 let load_index ?mode path = of_fm (Fmindex.Fm_index.load ?mode path)
 

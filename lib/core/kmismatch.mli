@@ -133,8 +133,8 @@ val build_index : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> i
 val of_sequence : Dna.Sequence.t -> index
 
 val text : index -> string
-(** The forward target text.  For a loaded index this is derived from
-    the FM component on first use and cached behind a domain-safe memo
+(** The forward target text.  For a loaded index this is unpacked from
+    {!packed_text} on first use and cached behind a domain-safe memo
     (so an mmap'd load stays O(1) until an engine actually needs the
     string). *)
 

@@ -346,7 +346,6 @@ let lf t c row =
 
 let counts t = Array.copy t.totals
 let rate t = t.req_rate
-let block_lanes t = t.bl
 let length t = t.len
 
 let space_bytes t =
@@ -559,7 +558,7 @@ let of_raw_trusted ~rate ~len ~sentinels ~blocks:data ~super ~totals =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Seed byte-scan reference (oracle for tests and the rank benchmark)   *)
+(* Seed byte-scan reference (the oracle the tests rank against)        *)
 
 module Reference = struct
   type t = {
@@ -608,22 +607,4 @@ module Reference = struct
       if Bytes.unsafe_get t.codes j = ch then incr acc
     done;
     !acc
-
-  let rank_all t i dst =
-    if i < 0 || i > t.len then invalid_arg "Occ.Reference.rank_all: index out of range";
-    if Array.length dst <> sigma then invalid_arg "Occ.Reference.rank_all: bad dst size";
-    let b = i / t.rate in
-    let base = b * t.rate in
-    let cp = b * sigma in
-    for c = 0 to sigma - 1 do
-      Array.unsafe_set dst c (Array.unsafe_get t.checkpoints (cp + c))
-    done;
-    for j = base to i - 1 do
-      let c = Char.code (Bytes.unsafe_get t.codes j) in
-      Array.unsafe_set dst c (Array.unsafe_get dst c + 1)
-    done
-
-  let rate t = t.rate
-  let length t = t.len
-  let space_bytes t = (8 * Array.length t.checkpoints) + Bytes.length t.codes
 end

@@ -93,10 +93,6 @@ val counts : t -> int array
 val rate : t -> int
 (** The {e requested} checkpoint rate (persisted in index headers). *)
 
-val block_lanes : t -> int
-(** The effective block size in bases: [rate] rounded up to a power of
-    two in 32..65536. *)
-
 val length : t -> int
 val space_bytes : t -> int
 (** Exact heap footprint of the structure: the interleaved block buffer
@@ -141,15 +137,11 @@ val of_raw_trusted :
 
 (** {1 Differential reference} *)
 
-(** The seed's byte-scan implementation, kept verbatim as the oracle the
-    packed kernel is tested and benchmarked against. *)
+(** The seed's byte-scan rank, kept verbatim as the oracle the
+    packed kernel is tested against. *)
 module Reference : sig
   type t
 
   val make : ?rate:int -> string -> t
   val rank : t -> int -> int -> int
-  val rank_all : t -> int -> int array -> unit
-  val rate : t -> int
-  val length : t -> int
-  val space_bytes : t -> int
 end

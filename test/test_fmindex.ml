@@ -364,7 +364,79 @@ let prop_fm_equals_naive =
     QCheck2.Gen.(pair (Test_util.dna_gen ~lo:1 ~hi:250 ()) (Test_util.dna_gen ~lo:1 ~hi:8 ()))
     (fun (text, pattern) ->
       let fm = Fm_index.build text in
-      Fm_index.find_all fm pattern = Stringmatch.Naive.find_all ~pattern ~text)
+      let naive = Stringmatch.Naive.find_all ~pattern ~text in
+      Fm_index.find_all fm pattern = naive
+      && Fm_index.count fm pattern = List.length naive)
+
+(* [extend_all] against an independent rank: C.(c) + the seed byte-scan
+   rank at both ends, for every code, both taken from an independently
+   built BWT.  [extend_all_agrees] probes, per [lo], each branch of the
+   pair kernel: an empty interval, a width-1 interval, one ending at the
+   last row, and an arbitrary one. *)
+let extend_all_agrees ~st text fm =
+  let l = Bwt.of_text text in
+  let len = String.length l in
+  let sigma = Dna.Alphabet.sigma in
+  let reference = Occ.Reference.make l in
+  let c_array = Array.make sigma 0 in
+  String.iter
+    (fun ch ->
+      for c = Dna.Alphabet.code ch + 1 to sigma - 1 do
+        c_array.(c) <- c_array.(c) + 1
+      done)
+    l;
+  let los = Array.make sigma 0 and his = Array.make sigma 0 in
+  let agrees lo hi =
+    Fm_index.extend_all fm ~lo ~hi ~los ~his;
+    List.for_all
+      (fun c ->
+        los.(c) = c_array.(c) + Occ.Reference.rank reference c lo
+        && his.(c) = c_array.(c) + Occ.Reference.rank reference c hi)
+      (List.init sigma Fun.id)
+  in
+  fun lo ->
+    List.for_all
+      (fun hi -> hi > len || agrees lo hi)
+      [ lo; lo + 1; len; lo + Random.State.int st (len - lo + 1) ]
+
+let prop_extend_all_matches_reference =
+  Test_util.qtest ~count:150 "extend_all = C + Reference rank"
+    QCheck2.Gen.(triple (Test_util.dna_gen ~hi:300 ()) (int_range 1 200) int)
+    (fun (text, occ_rate, seed) ->
+      let fm = Fm_index.build ~occ_rate text in
+      let agrees = extend_all_agrees ~st:(Random.State.make [| seed |]) text fm in
+      List.for_all agrees (List.init (String.length text + 2) Fun.id))
+
+(* The same check past the first superblock (65536 rows), where the
+   block counts are relative to a second absolute counter. *)
+let test_extend_all_superblocks () =
+  let st = Random.State.make [| 47 |] in
+  let text = Test_util.random_dna st 70_000 in
+  let agrees = extend_all_agrees ~st text (Fm_index.build text) in
+  for lo = 65_400 to 65_700 do
+    if not (agrees lo) then Alcotest.failf "extend_all diverges at lo=%d" lo
+  done;
+  for _ = 1 to 2_000 do
+    let lo = Random.State.int st 70_002 in
+    if not (agrees lo) then Alcotest.failf "extend_all diverges at lo=%d" lo
+  done
+
+(* Every row, the sentinel's included, resolves to its suffix-array
+   entry, whatever the sampling rate. *)
+let prop_locate_row_matches_sa =
+  Test_util.qtest ~count:150 "locate_row = suffix array"
+    QCheck2.Gen.(pair (Test_util.dna_gen ~hi:300 ()) (int_range 1 40))
+    (fun (text, sa_rate) ->
+      let fm = Fm_index.build ~sa_rate text in
+      let sa =
+        Array.append [| String.length text |] (Suffix.Suffix_array.build_doubling text)
+      in
+      let one = Array.make 1 0 in
+      List.for_all
+        (fun row ->
+          Fm_index.locate_into fm (row, row + 1) one;
+          Fm_index.locate_row fm row = sa.(row) && one.(0) = sa.(row))
+        (List.init (Array.length sa) Fun.id))
 
 let prop_fm_sampling_rates =
   Test_util.qtest ~count:100 "locate independent of sa_rate"
@@ -521,9 +593,11 @@ let () =
           Alcotest.test_case "space report" `Quick test_fm_space_report;
           Alcotest.test_case "pattern validation" `Quick test_fm_pattern_validation;
           Alcotest.test_case "locate_into" `Quick test_fm_locate_into;
-          Alcotest.test_case "bench parity smoke (packed vs seed model)" `Quick (fun () ->
-              Rank_locate.parity_smoke ());
+          Alcotest.test_case "extend_all across superblocks" `Quick
+            test_extend_all_superblocks;
           prop_fm_equals_naive;
+          prop_extend_all_matches_reference;
+          prop_locate_row_matches_sa;
           prop_fm_sampling_rates;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Word-parallel verification kernel: Packed_text.hamming / hamming_le
-   against the scalar Hamming reference, the shared SWAR count tables,
-   and the bench parity smoke. *)
+   against the scalar Hamming reference, and the shared SWAR count
+   tables. *)
 
 module Packed_text = Fmindex.Packed_text
 module Pattern = Packed_text.Pattern
@@ -93,30 +93,46 @@ let test_word_boundaries () =
 (* ------------------------------------------------------------------ *)
 (* qcheck equivalence                                                  *)
 
+(* Unrelated patterns, copies of some text window, and the window at
+   [pos] itself with up to 16 bases flipped.  The last is the full-scan
+   regime (distance <= k, so no early exit), with patterns up to 520
+   bases long so one spans many words; [k] is drawn both across the
+   whole range and near the planted distances. *)
 let gen_case =
+  let flip c = if c = 'a' then 'c' else 'a' in
   QCheck2.Gen.(
-    Test_util.dna_gen ~lo:1 ~hi:220 ()
+    Test_util.dna_gen ~lo:1 ~hi:600 ()
     >>= fun text ->
-    int_range 1 (min 90 (String.length text))
+    int_range 1 (min 520 (String.length text))
     >>= fun m ->
-    (* Mix of unrelated patterns and planted near-matches. *)
+    int_range 0 (String.length text - m)
+    >>= fun pos ->
     oneof
       [
         Test_util.dna_gen ~lo:m ~hi:m ();
         (int_range 0 (String.length text - m) >|= fun p -> String.sub text p m);
+        ( list_size (int_range 0 16) (int_bound (m - 1)) >|= fun flips ->
+          let b = Bytes.of_string (String.sub text pos m) in
+          List.iter (fun j -> Bytes.set b j (flip (Bytes.get b j))) flips;
+          Bytes.to_string b );
       ]
     >>= fun pattern ->
-    int_range 0 (String.length text - m)
-    >>= fun pos -> int_range (-1) (m + 1) >|= fun k -> (text, pattern, pos, k))
+    oneof [ int_range (-1) (m + 1); int_range (-1) 17 ] >|= fun k ->
+    (text, pattern, pos, k))
 
+(* [hamming ~limit:k] is what every verifier calls: its verdict must
+   match the true distance's, and an accepted distance must be exact. *)
 let qcheck_equivalence =
   Test_util.qtest ~count:2000 "hamming_le ≡ distance_at <= k" gen_case
     (fun (text, pattern, pos, k) ->
       let pt = Packed_text.of_string text in
       let pp = Pattern.make pattern in
       let d = Hamming.distance_at ~pattern ~text pos in
+      let capped = Packed_text.hamming ~limit:k pt pp ~pos in
       Packed_text.hamming ~limit:max_int pt pp ~pos = d
-      && Packed_text.hamming_le pt pp ~pos ~k = (d <= k))
+      && Packed_text.hamming_le pt pp ~pos ~k = (d <= k)
+      && (capped <= k) = (d <= k)
+      && (d > k || capped = d))
 
 let qcheck_limit =
   Test_util.qtest ~count:1000 "scalar/packed ?limit contract agrees"
@@ -286,14 +302,5 @@ let () =
           qcheck_of_packed;
           qcheck_phases;
           qcheck_rev;
-        ] );
-      ( "bench",
-        [
-          (* Same cross-checks as a `kmm bench verify` run, replayed
-             headlessly on a small planted workload: a kernel bug that
-             slipped past the unit suite fails here before anyone
-             trusts a speedup number. *)
-          Alcotest.test_case "bench parity smoke (packed vs byte-scan)" `Quick
-            (fun () -> Verify_bench.parity_smoke ());
         ] );
     ]

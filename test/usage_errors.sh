@@ -58,6 +58,18 @@ if [ -e "$tmp/kmm.sock" ]; then
 fi
 expect_usage_error search -k 1 acgt
 
+# The retired kernel suites (their numbers are perfbench's fm.* and
+# verify.* rows) are unknown benchmarks; the error lists the suites
+# that remain.
+for retired in rank-locate verify; do
+  expect_usage_error bench "$retired"
+  if ! tr -s ' \n' ' ' <"$tmp/err" | grep -q '(available: load-modes, engines, serve)'; then
+    echo "usage_errors: kmm bench $retired does not list the remaining suites:" >&2
+    cat "$tmp/err" >&2
+    exit 1
+  fi
+done
+
 # The serve bench is its overload round alone: no sweep flags.
 expect_usage_error bench serve --connections 2
 
