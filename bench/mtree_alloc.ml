@@ -126,16 +126,16 @@ let row idx pats engine k =
    in a second pass with an Obs sink and the taps armed. *)
 let bidir_row idx pats =
   let k = 4 in
-  let ptext = Core.Kmismatch.packed_text idx and bidir = Core.Kmismatch.bidir idx in
+  let bidir = Core.Kmismatch.bidir idx in
   let shared, _ =
-    timed pats (fun stats pattern -> Core.Oss.search ?stats ~ptext bidir ~pattern ~k) ~k
+    timed pats (fun stats pattern -> Core.Oss.search ?stats bidir ~pattern ~k) ~k
   in
   let obs = Obs.create () in
   tapped obs (fun () ->
       for i = warmup to warmup + reads_per_row - 1 do
         let fwd, rc = pats.(i) in
-        ignore (Core.Oss.search ~obs ~ptext bidir ~pattern:fwd ~k);
-        ignore (Core.Oss.search ~obs ~ptext bidir ~pattern:rc ~k)
+        ignore (Core.Oss.search ~obs bidir ~pattern:fwd ~k);
+        ignore (Core.Oss.search ~obs bidir ~pattern:rc ~k)
       done);
   ("bidir" :: shared)
   @ [

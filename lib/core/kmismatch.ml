@@ -21,7 +21,7 @@ type index = {
   fm_rev : Fmindex.Fm_index.t;
   tree : Suffix.Suffix_tree.t Fmindex.Storage.Memo.t;
   pforward : Fmindex.Packed_text.t Fmindex.Storage.Memo.t;
-      (* forward text, 2-bit packed: what the word-parallel verifiers
+      (* forward text, 2-bit packed: what the online engines' verifiers
          run against.  Derived by reversing the FM component's packed
          payload — n/4 bytes, never the unpacked string. *)
   bidir : Fmindex.Bidir.t;
@@ -263,11 +263,11 @@ let () =
         "bidirectional FM-index executing optimum search schemes (Kianfar & \
          Pockrandt)";
       caps = { scales = true };
-      prepare = (fun t -> ignore (packed_text t));
+      prepare = (fun t -> ignore (Fmindex.Bidir.prefix_table (bidir t)));
       run =
         (fun t a ->
-          Oss.search ~stats:a.stats ~obs:a.obs ~ptext:(packed_text t)
-            (bidir t) ~pattern:a.pattern ~k:a.k);
+          Oss.search ~stats:a.stats ~obs:a.obs (bidir t) ~pattern:a.pattern
+            ~k:a.k);
     }
 
 module Query = struct

@@ -149,10 +149,12 @@ val suffix_tree : index -> Suffix.Suffix_tree.t
     memo). *)
 
 val packed_text : index -> Fmindex.Packed_text.t
-(** The forward text 2-bit packed — what the word-parallel verifiers
-    ({!Fmindex.Packed_text.hamming_le}) run against.  Derived on first
-    use by reversing the FM component's packed payload (n/4 bytes, no
-    string round-trip) and cached behind a domain-safe memo. *)
+(** The forward text 2-bit packed — what the online engines' verifiers
+    ([Amir], [Kangaroo]) run against.  Derived on first use by reversing
+    the FM component's packed payload (n/4 bytes, no string round-trip)
+    and cached behind a domain-safe memo.  [Bidir] and the mapper's hit
+    re-check never force it: they verify in place on the FM component's
+    own payload, the reversed text. *)
 
 val bidir : index -> Fmindex.Bidir.t
 (** The bidirectional index: the forward rank side the FM component

@@ -51,8 +51,8 @@ type target = {
       (** force shared derived state before fan-out *)
   tgt_run : Kmismatch.Query.t -> (Kmismatch.Response.t, Kmm_error.t) result;
   tgt_packed : unit -> Fmindex.Packed_text.t option;
-      (** the packed text hits can be re-checked against, when the
-          target has a single coordinate space ([None] for sharded
+      (** the reversed packed text hits can be re-checked against, when
+          the target has a single coordinate space ([None] for sharded
           corpora, whose global positions span shard boundaries) *)
 }
 
@@ -70,13 +70,13 @@ let target_of_index index =
            but forcing the ones the run needs before fan-out keeps the
            workers from serializing on the first force.  Each registry
            entry knows what its engine reads. *)
-        (match Kmismatch.Engine_registry.find engine with
+        match Kmismatch.Engine_registry.find engine with
         | Some entry -> entry.Kmismatch.Engine_registry.prepare index
         | None -> ());
-        (* Hit re-checking runs the packed kernel for every engine. *)
-        ignore (Kmismatch.packed_text index));
     tgt_run = (fun q -> Kmismatch.try_run index q);
-    tgt_packed = (fun () -> Some (Kmismatch.packed_text index));
+    (* The index's own payload: re-checking reverses nothing. *)
+    tgt_packed =
+      (fun () -> Some (Fmindex.Fm_index.packed_text (Kmismatch.fm_rev index)));
   }
 
 (* Classify a read the engines cannot process, so one bad record degrades
@@ -107,22 +107,28 @@ let validate_read ~target sequence =
    read's own skip reason, never as a batch abort. *)
 exception Skip of Kmm_error.t
 
-(* Re-check an engine's hits against the packed text: every reported
-   (position, distance) must agree with the word-parallel kernel.  An
-   engine answer the kernel refutes is a bug, and it costs exactly this
-   read — a typed [Internal] skip, never a batch abort.  One kernel
-   call per hit (limit = the claimed distance, so refutation
-   early-exits); with [obs] as the ambient sink, re-checking effort
-   lands in the same [verify.*] taps as the engines' own verification. *)
-let recheck ~obs pt ~pattern hits =
+(* Re-check an engine's hits against the reversed packed text [rt]:
+   every reported (position, distance) must agree with the word-parallel
+   kernel, which reads window [pos] of the text as window [n - pos - m]
+   of [rt] against the reversed pattern.  An engine answer the kernel
+   refutes, or a window outside the text, is a bug, and it costs
+   exactly this read — a typed [Internal] skip, never a batch abort.  One kernel call per hit
+   (limit = the claimed distance, so refutation early-exits); with
+   [obs] as the ambient sink, re-checking effort lands in the same
+   [verify.*] taps as the engines' own verification. *)
+let recheck ~obs rt ~pattern hits =
   match hits with
   | [] -> ()
   | _ ->
-      let pp = Fmindex.Packed_text.Pattern.make pattern in
+      let rpp = Fmindex.Packed_text.Pattern.make_rev pattern in
+      let back = Fmindex.Packed_text.length rt - String.length pattern in
       Obs.with_ambient obs (fun () ->
           List.iter
             (fun (pos, distance) ->
-              if Fmindex.Packed_text.hamming ~limit:distance pt pp ~pos <> distance
+              if
+                pos < 0 || pos > back
+                || Fmindex.Packed_text.hamming ~limit:distance rt rpp ~pos:(back - pos)
+                   <> distance
               then
                 raise
                   (Skip
@@ -146,7 +152,7 @@ let map_one ~stats ~obs ~engine ~both_strands ~deadline target ~k read_id seq =
     | Ok r ->
         Stats.merge ~into:stats r.Kmismatch.Response.stats;
         (match target.tgt_packed () with
-        | Some pt -> recheck ~obs pt ~pattern r.Kmismatch.Response.hits
+        | Some rt -> recheck ~obs rt ~pattern r.Kmismatch.Response.hits
         | None -> ());
         List.map
           (fun (pos, distance) -> { read_id; pos; strand; distance })

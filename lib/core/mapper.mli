@@ -99,17 +99,21 @@ type target = {
           to call from any domain.  An [Error] skips the read (typed),
           never aborts the batch. *)
   tgt_packed : unit -> Fmindex.Packed_text.t option;
-      (** the packed text in the target's own coordinate space, if it
-          has one: every hit is then re-checked with the word-parallel
-          kernel ({!Fmindex.Packed_text.hamming}), and a refuted hit
-          skips its read with a typed [Internal] error.  [None] (e.g. a
-          sharded corpus, whose global positions span shard boundaries)
+      (** the target's text {e reversed}, 2-bit packed, if the target
+          has a single coordinate space: every hit [(pos, d)] of an
+          [m] bp read is then re-checked with the word-parallel kernel
+          ({!Fmindex.Packed_text.hamming}) as window [n - pos - m] of
+          it against the reversed read, and a refuted hit skips its
+          read with a typed [Internal] error.  [None] (e.g. a sharded
+          corpus, whose global positions span shard boundaries)
           disables re-checking. *)
 }
 
 val target_of_index : Kmismatch.index -> target
 (** The monolithic target: queries go to {!Kmismatch.try_run}, the read
-    limit is the text length. *)
+    limit is the text length, and hits are re-checked in place on the
+    index's own packed payload (the reversed text), so no engine forces
+    {!Kmismatch.packed_text}. *)
 
 val run_target :
   options -> target -> reads:(int * string) list -> k:int -> hit list * summary

@@ -185,9 +185,8 @@ let bidir_find_all =
           String.init (String.length c.text) (fun i ->
               c.text.[String.length c.text - 1 - i])
         in
-        let ptext = Fmindex.Packed_text.of_string c.text in
         let bd = Fmindex.Bidir.make (Fmindex.Fm_index.build rev) in
-        Some (Oss.search ~ptext bd ~pattern:c.pattern ~k:c.k));
+        Some (Oss.search bd ~pattern:c.pattern ~k:c.k));
   }
 
 let default_subjects () =

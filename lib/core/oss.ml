@@ -234,7 +234,7 @@ let acquire m =
     sc.rows <- Array.init m (fun l -> if l < have then sc.rows.(l) else Bidir.cursor ());
   sc
 
-let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
+let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
   if pattern = "" then invalid_arg "Oss.search: empty pattern";
   if k < 0 then invalid_arg "Oss.search: negative k";
   let m = String.length pattern in
@@ -248,18 +248,20 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
   done;
   let k = min k m in
   let n = Bidir.length bidir in
-  if Packed_text.length ptext <> n then
-    invalid_arg "Oss.search: packed text and index lengths differ";
   let bump (f : Stats.t -> unit) = match stats with Some s -> f s | None -> () in
   if m > n then []
   else begin
-    let pp = Packed_text.Pattern.make pattern in
+    (* Verification runs in place on the index's own payload, the
+       reversed text: window [w] of the text is window [n - w - m] of
+       it, against the reversed pattern. *)
+    let rtext = Fmindex.Fm_index.packed_text (Bidir.fm_rev bidir) in
+    let rpp = Packed_text.Pattern.make_rev pattern in
     if k >= m then begin
       (* Every window is within budget at its true distance; no scheme
          can partition the pattern into k + 1 nonempty pieces. *)
       let out = ref [] in
       for w = n - m downto 0 do
-        out := (w, Packed_text.hamming ~limit:max_int ptext pp ~pos:w) :: !out
+        out := (w, Packed_text.hamming ~limit:max_int rtext rpp ~pos:(n - w - m)) :: !out
       done;
       !out
     end
@@ -271,6 +273,8 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
         bounds.(t) <- bounds.(t - 1) + base + (if t <= rem then 1 else 0)
       done;
       let searches = Scheme.for_k ~k in
+      let q = Bidir.prefix_len bidir in
+      let prefix = Bidir.prefix_table bidir in
       let sc = acquire m in
       let hits = sc.hits in
       let add_hit w d = if not (Hashtbl.mem hits w) then Hashtbl.add hits w d in
@@ -303,7 +307,7 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
         for idx = 0 to r_hi - r_lo - 1 do
           let w = Array.unsafe_get buf idx - i in
           if w >= 0 && w + m <= n then begin
-            let d = Packed_text.hamming ~limit:k ptext pp ~pos:w in
+            let d = Packed_text.hamming ~limit:k rtext rpp ~pos:(n - w - m) in
             if d <= k then add_hit w d
           end
         done
@@ -351,8 +355,21 @@ let search ?stats ?(obs = Obs.noop) ~ptext bidir ~pattern ~k =
             done
           end
         in
-        let p0 = bounds.(sch.pi.(0) - 1) and rows = n + 1 in
-        enter 0 0 rows 0 rows 0 p0 p0
+        (* The opening piece is exact: when it spans at least q bases,
+           its first q are one prefix-table lookup, not q extensions. *)
+        let idx = sch.pi.(0) - 1 in
+        let p0 = bounds.(idx) and phi = bounds.(idx + 1) and rows = n + 1 in
+        if q > 0 && phi - p0 >= q then begin
+          let key = ref 0 in
+          for i = p0 to p0 + q - 1 do
+            key := (4 * !key) + code.(i) - 1
+          done;
+          let slot = 3 * !key in
+          let f_lo = prefix.(slot) and r_lo = prefix.(slot + 1) and width = prefix.(slot + 2) in
+          if width > 0 then
+            step 0 f_lo (f_lo + width) r_lo (r_lo + width) 0 p0 (p0 + q) ~right:true ~plo:p0 ~phi
+        end
+        else enter 0 0 rows 0 rows 0 p0 p0
       in
       let explore () =
         Obs.span obs "bidir.explore" (fun () -> List.iter run_search searches);

@@ -71,26 +71,28 @@ end
 val search :
   ?stats:Stats.t ->
   ?obs:Obs.t ->
-  ptext:Fmindex.Packed_text.t ->
   Fmindex.Bidir.t ->
   pattern:string ->
   k:int ->
   (int * int) list
-(** [search ~ptext bidir ~pattern ~k] returns every [(position,
-    distance)] with [distance <= k], sorted by position — the same
-    contract as every other engine.  [ptext] is the forward text 2-bit
-    packed (the verification kernel's input; must match the index).
+(** [search bidir ~pattern ~k] returns every [(position, distance)]
+    with [distance <= k], sorted by position — the same contract as
+    every other engine.
 
     Execution: the pattern splits into [Scheme.pieces ~k] near-equal
     pieces; each search of [Scheme.for_k ~k] grows a synchronized
     interval pair piece by piece, branching over the four bases with the
-    cumulative bounds pruning.  When an interval narrows to at most two
-    candidate rows, the executor leaves the index: it locates the rows
-    through the reverse side's sampled SA and verifies the whole pattern
-    window with the word-parallel SWAR kernel
-    ({!Fmindex.Packed_text.hamming}, limit [k]).  Occurrences reached by
-    several searches are deduplicated by position before the sorted
-    return.
+    cumulative bounds pruning.  A search whose opening (exact) piece
+    spans at least {!Fmindex.Bidir.prefix_len} bases starts from the
+    {!Fmindex.Bidir.prefix_table} entry of that piece's first q bases
+    instead of extending q times from the empty match; an empty entry
+    ends the search.  When an interval narrows to at most two candidate
+    rows, the executor leaves the index: it locates the rows through
+    the reverse side's sampled SA and verifies the whole pattern window
+    with the word-parallel SWAR kernel ({!Fmindex.Packed_text.hamming},
+    limit [k]), in place on the index's packed reversed text against
+    the reversed pattern.  Occurrences reached by several searches are
+    deduplicated by position before the sorted return.
 
     Degenerate budgets follow the house rules: [k] is clamped to the
     pattern length; [k >= m] answers every window at its true distance;

@@ -11,6 +11,8 @@ type t = {
   occ_f : Occ.t;  (* rank structure over BWT(s); no SA samples *)
   c_f : int array;  (* c_f.(c) = # characters with code < c in BWT(s) *)
   fm_rev : Fm_index.t;  (* shared index of rev s: ranks + sampled SA *)
+  q : int;  (* prefix table depth; 0 = no table *)
+  prefix : int array Storage.Memo.t;  (* built on first use, see below *)
 }
 
 let c_array_of_counts counts =
@@ -22,12 +24,14 @@ let c_array_of_counts counts =
   done;
   c
 
-let make fm_rev =
-  let occ_f = Fm_index.forward_occ fm_rev in
-  { n = Fm_index.length fm_rev; occ_f; c_f = c_array_of_counts (Occ.counts occ_f); fm_rev }
-
-let length t = t.n
-let fm_rev t = t.fm_rev
+(* q = min 8 (floor (log4 n) - 3): at least 64 expected occurrences
+   per q-mer, at most 4^8 entries. *)
+let prefix_depth n =
+  let log4 = ref 0 in
+  while n lsr (2 * (!log4 + 1)) > 0 do
+    incr log4
+  done;
+  max 0 (min 8 (!log4 - 3))
 
 (* Child intervals of one extension step, every base at once.  Both
    sides are stored as absolute row intervals; slot 0 (the sentinel) is
@@ -96,6 +100,55 @@ let extend_right_all t cur ~f_lo ~f_hi ~r_lo ~r_hi =
     cur.cf_hi.(c) <- !acc + cnt;
     acc := !acc + cnt
   done
+
+(* The prefix table: one depth-q walk of [extend_right_all] from the
+   empty match, recording each q-mer's pair at slot 3·key.  A q-mer that
+   does not occur keeps the zero entry (width 0); its subtree is never
+   walked.  The build runs under the no-op ambient sink, so its fm.*
+   taps never land in the query that happens to force it. *)
+let build_prefix t =
+  let q = t.q in
+  let table = Array.make (if q = 0 then 0 else 3 lsl (2 * q)) 0 in
+  let rows = Array.init q (fun _ -> cursor ()) in
+  let rec walk d key f_lo f_hi r_lo r_hi =
+    if d = q then begin
+      table.(3 * key) <- f_lo;
+      table.((3 * key) + 1) <- r_lo;
+      table.((3 * key) + 2) <- f_hi - f_lo
+    end
+    else begin
+      let cur = rows.(d) in
+      extend_right_all t cur ~f_lo ~f_hi ~r_lo ~r_hi;
+      for c = 1 to sigma - 1 do
+        if cur.cf_lo.(c) < cur.cf_hi.(c) then
+          walk (d + 1) ((4 * key) + c - 1) cur.cf_lo.(c) cur.cf_hi.(c) cur.cr_lo.(c)
+            cur.cr_hi.(c)
+      done
+    end
+  in
+  if q > 0 then Obs.with_ambient Obs.noop (fun () -> walk 0 0 0 (t.n + 1) 0 (t.n + 1));
+  table
+
+let make fm_rev =
+  let occ_f = Fm_index.forward_occ fm_rev in
+  let n = Fm_index.length fm_rev in
+  let unseeded =
+    {
+      n;
+      occ_f;
+      c_f = c_array_of_counts (Occ.counts occ_f);
+      fm_rev;
+      q = prefix_depth n;
+      prefix = Storage.Memo.make (fun () -> [||]);
+    }
+  in
+  (* The build only extends, which never reads the table. *)
+  { unseeded with prefix = Storage.Memo.make (fun () -> build_prefix unseeded) }
+
+let length t = t.n
+let fm_rev t = t.fm_rev
+let prefix_len t = t.q
+let prefix_table t = Storage.Memo.force t.prefix
 
 let locate_into t ~r_lo ~r_hi ~len dst =
   if r_lo < 0 || r_hi > t.n + 1 || r_lo > r_hi then invalid_arg "Bidir.locate_into: bad interval";

@@ -40,8 +40,9 @@ type t
 val make : Fm_index.t -> t
 (** [make fm_rev] pairs [fm_rev], the index of the {e reversed} text,
     with the forward rank side it carries.  O(1): nothing is built or
-    copied, so a loaded index (Copy or Mmap) answers its first
-    bidirectional query without any suffix sorting. *)
+    copied (the {!prefix_table} is built on first use), so a loaded
+    index (Copy or Mmap) answers its first bidirectional query without
+    any suffix sorting. *)
 
 val length : t -> int
 (** Length of the indexed text. *)
@@ -86,6 +87,27 @@ val f_lo : cursor -> int -> int
 val f_hi : cursor -> int -> int
 val r_lo : cursor -> int -> int
 val r_hi : cursor -> int -> int
+
+(** {1 Prefix table}
+
+    The synchronized pair of every q-mer, so a search that opens with
+    an exact piece of at least q bases starts q extensions down instead
+    of at the empty match (Bowtie's [ftab]). *)
+
+val prefix_len : t -> int
+(** q = min 8 (⌊log4 n⌋ − 3) for a text of length n — at least 64
+    expected occurrences per q-mer — or 0 (no table) below 256 bases. *)
+
+val prefix_table : t -> int array
+(** The table, built on first call by one depth-q walk of
+    {!extend_right_all} from the empty match (at most 4^q / 3 extends,
+    about n / 192) and shared after that, from any number of domains.
+    The q-mer with base codes [c_0 .. c_(q-1)] (1..4) has key
+    [Σ (c_i - 1) · 4^(q-1-i)]; slots [3·key], [3·key + 1] and
+    [3·key + 2] hold its [f_lo], [r_lo] and width, so its pair is
+    [[f_lo, f_lo + width)] / [[r_lo, r_lo + width)].  A q-mer that does
+    not occur has width 0.  Length [3 · 4^q] (at most 1.5 MiB); empty
+    when q = 0.  The build's {!Fm_index} taps count into no sink. *)
 
 val locate_into : t -> r_lo:int -> r_hi:int -> len:int -> int array -> unit
 (** [locate_into t ~r_lo ~r_hi ~len dst] writes the {e forward} text

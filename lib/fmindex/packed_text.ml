@@ -81,9 +81,31 @@ let of_bytes payload ~len =
     invalid_arg "Packed_text.of_bytes: payload size does not match length";
   of_storage (Storage.of_string payload) ~len
 
+(* [lane_rev_table.(b)] is byte [b] with its four lanes in reverse
+   order. *)
+let lane_rev_table =
+  Array.init 256 (fun b ->
+      ((b land 3) lsl 6) lor (((b lsr 2) land 3) lsl 4) lor (((b lsr 4) land 3) lsl 2)
+      lor (b lsr 6))
+
+(* Reversing the bytes in order and the lanes of each byte through the
+   table reverses the text padded to whole bytes, so its [pad] padding
+   lanes come first; shifting every byte down by [pad] lanes (pulling
+   the low lanes of the next byte into the top) drops them, and leaves
+   the final byte's padding zero. *)
 let rev t =
   let n = t.len in
-  init n (fun i -> unsafe_get t (n - 1 - i))
+  let nb = nbytes n in
+  let data = Storage.create nb in
+  let sh = 2 * ((4 - (n land 3)) land 3) in
+  let src j = Array.unsafe_get lane_rev_table (A1.unsafe_get t.data (nb - 1 - j)) in
+  let cur = ref (if nb > 0 then src 0 else 0) in
+  for j = 0 to nb - 1 do
+    let next = if j + 1 < nb then src (j + 1) else 0 in
+    A1.unsafe_set data j ((!cur lsr sh) lor ((next lsl (8 - sh)) land 0xff));
+    cur := next
+  done;
+  { data; len = n }
 
 (* ------------------------------------------------------------------ *)
 (* SWAR count tables                                                    *)
@@ -190,14 +212,15 @@ module Pattern = struct
   let[@inline never] not_a_base c =
     invalid_arg (Printf.sprintf "Packed_text.Pattern.make: %C is not a lowercase base" c)
 
-  (* One pass over the pattern fills the phase-0 words. *)
-  let make s =
+  (* One pass over the pattern, front to back or back to front, fills
+     the phase-0 words. *)
+  let pack ~rev s =
     let m = String.length s in
     if m = 0 then invalid_arg "Packed_text.Pattern: empty pattern";
     let w0 = Array.make ((m + word_lanes - 1) / word_lanes) 0 in
     let w = ref 0 and shift = ref 0 in
     for i = 0 to m - 1 do
-      let c = String.unsafe_get s i in
+      let c = String.unsafe_get s (if rev then m - 1 - i else i) in
       let d = Char.code (String.unsafe_get lane_of_byte (Char.code c)) in
       if d > 3 then not_a_base c;
       Array.unsafe_set w0 !w (Array.unsafe_get w0 !w lor (d lsl !shift));
@@ -208,6 +231,9 @@ module Pattern = struct
       else shift := !shift + 2
     done;
     { m; phases = Array.init 4 (shifted w0 m) }
+
+  let make s = pack ~rev:false s
+  let make_rev s = pack ~rev:true s
 
   let of_codes codes =
     Array.iter

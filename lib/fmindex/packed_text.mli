@@ -68,7 +68,8 @@ val code_of_base : char -> int option
 val rev : t -> t
 (** [rev t] is a fresh packed text holding the lanes of [t] in reverse
     order — e.g. the forward genome recovered from an index built over
-    the reversed text, without materializing either as a string. *)
+    the reversed text, without materializing either as a string.  One
+    table lookup and one shift per byte, not per lane. *)
 
 (** {1 SWAR count tables}
 
@@ -113,6 +114,12 @@ module Pattern : sig
   val make : string -> t
   (** Pack a lowercase [acgt] pattern.  Raises [Invalid_argument] on an
       empty string or any other character. *)
+
+  val make_rev : string -> t
+  (** [make_rev s] is [make] of [s] reversed, without building the
+      reversed string: the pattern to verify against a reversed text
+      (window [pos] of a length-[n] text is window [n - pos - m] of its
+      reverse).  Same errors as {!make}. *)
 
   val of_codes : int array -> t
   (** Pack an array of lane codes 0..3.  Raises [Invalid_argument] on

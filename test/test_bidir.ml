@@ -7,7 +7,12 @@
      from a random split point in a random left/right interleaving lands
      on exactly the intervals two independent unidirectional FM searches
      compute, and locates exactly the naive occurrence positions.
-   - The Bidir engine agrees with the naive scan on random cases.
+   - The prefix table: every entry equals a q-step extend_right_all
+     walk (empty entries included) on random and homopolymer texts, and
+     q follows the text length.
+   - The Bidir engine agrees with the naive scan on random cases, on
+     texts long enough to carry a prefix table, with opening pieces
+     shorter than, equal to and longer than q.
    - build_index parses its input exactly once: the indexed text is the
      normalized input byte for byte, and the reverse component is its
      exact mirror (regression for the double Dna.Sequence round-trip).
@@ -144,20 +149,109 @@ let naive_hits text pattern k =
   done;
   !out
 
+let bidir_of text = Fmindex.Bidir.make (Fmindex.Fm_index.build (rev_string text))
+
+(* A pattern of [pieces] pieces of [piece] bases (plus [extra]), planted
+   at a random offset of [text] with up to [muts] random substitutions,
+   or drawn at random one time in four. *)
+let planted st text ~pieces ~piece ~extra ~muts =
+  let m = min (String.length text) ((pieces * piece) + extra) in
+  if Random.State.int st 4 = 0 then Test_util.random_dna st m
+  else begin
+    let p = Bytes.of_string (String.sub text (Random.State.int st (String.length text - m + 1)) m) in
+    for _ = 1 to Random.State.int st (muts + 1) do
+      Bytes.set p (Random.State.int st m) "acgt".[Random.State.int st 4]
+    done;
+    Bytes.to_string p
+  end
+
+(* Texts of 256..5000 bp, so q is 1..3 and searches start from the
+   prefix table; piece lengths 1..6 put the opening piece below, at and
+   above q. *)
 let prop_oss_matches_naive =
   Test_util.qtest ~count:300 "Oss.search = naive scan"
     QCheck2.Gen.(
-      triple
-        (Test_util.dna_gen ~lo:0 ~hi:120 ())
-        (Test_util.dna_gen ~lo:1 ~hi:16 ())
-        (int_bound 5))
-    (fun (text, pattern, k) ->
-      if text = "" then true
-      else
-        let ptext = Fmindex.Packed_text.of_string text in
-        let bd = Fmindex.Bidir.make (Fmindex.Fm_index.build (rev_string text)) in
-        let got = Oss.search ~ptext bd ~pattern ~k in
-        got = naive_hits text pattern k)
+      triple (Test_util.dna_gen ~lo:256 ~hi:5000 ()) (int_bound 5) (pair (int_range 1 6) int))
+    (fun (text, k, (piece, seed)) ->
+      let st = Random.State.make [| seed |] in
+      let pattern = planted st text ~pieces:(k + 1) ~piece ~extra:(Random.State.int st (k + 1)) ~muts:(k + 1) in
+      Oss.search (bidir_of text) ~pattern ~k = naive_hits text pattern k)
+
+(* Every opening-piece length against q, on each text size that gives a
+   different q: pieces of q - 1, q and q + 1 bases, k = 0..4. *)
+let test_oss_opening_pieces () =
+  let st = Random.State.make [| 41 |] in
+  List.iter
+    (fun n ->
+      let text = Test_util.random_dna st n in
+      let bd = bidir_of text in
+      let q = Fmindex.Bidir.prefix_len bd in
+      for k = 0 to 4 do
+        List.iter
+          (fun piece ->
+            for _ = 1 to 8 do
+              let pattern = planted st text ~pieces:(k + 1) ~piece ~extra:0 ~muts:k in
+              check hits_t
+                (Printf.sprintf "n=%d q=%d k=%d piece=%d %s" n q k piece pattern)
+                (naive_hits text pattern k) (Oss.search bd ~pattern ~k)
+            done)
+          (List.filter (fun l -> l >= 1) [ q - 1; q; q + 1 ])
+      done)
+    [ 300; 1100; 4200 ]
+
+(* ------------------------------------------------------------------ *)
+(* The prefix table                                                    *)
+
+(* Every entry against its own q-step walk of extend_right_all from the
+   empty match; a walk that empties must meet a width-0 entry. *)
+let check_prefix_table label text =
+  let module B = Fmindex.Bidir in
+  let bd = bidir_of text in
+  let q = B.prefix_len bd and table = B.prefix_table bd in
+  check int (label ^ ": table length") (if q = 0 then 0 else 3 lsl (2 * q)) (Array.length table);
+  let cur = B.cursor () in
+  let rows = String.length text + 1 in
+  let empty = ref 0 in
+  for key = 0 to Array.length table / 3 - 1 do
+    let f_lo = ref 0 and f_hi = ref rows and r_lo = ref 0 and r_hi = ref rows in
+    for d = q - 1 downto 0 do
+      if !f_lo < !f_hi then begin
+        B.extend_right_all bd cur ~f_lo:!f_lo ~f_hi:!f_hi ~r_lo:!r_lo ~r_hi:!r_hi;
+        let c = 1 + ((key lsr (2 * d)) land 3) in
+        f_lo := B.f_lo cur c;
+        f_hi := B.f_hi cur c;
+        r_lo := B.r_lo cur c;
+        r_hi := B.r_hi cur c
+      end
+    done;
+    let width = table.((3 * key) + 2) in
+    if !f_lo >= !f_hi then begin
+      incr empty;
+      check int (Printf.sprintf "%s: key %d empty" label key) 0 width
+    end
+    else
+      check (Alcotest.triple int int int)
+        (Printf.sprintf "%s: key %d" label key)
+        (!f_lo, !r_lo, !f_hi - !f_lo)
+        (table.(3 * key), table.((3 * key) + 1), width)
+  done;
+  !empty
+
+let test_prefix_table () =
+  let st = Random.State.make [| 23 |] in
+  List.iter
+    (fun (n, q) ->
+      let text = Test_util.random_dna st n in
+      check int (Printf.sprintf "q at n=%d" n) q (Fmindex.Bidir.prefix_len (bidir_of text));
+      ignore (check_prefix_table (Printf.sprintf "random %d" n) text))
+    [ (255, 0); (256, 1); (1023, 1); (1024, 2); (5000, 3); (20_000, 4) ];
+  (* Homopolymers: one q-mer occurs, every other entry is empty. *)
+  let empty = check_prefix_table "poly-a" (String.make 1100 'a') in
+  check int "poly-a: 15 of 16 entries empty" 15 empty;
+  let runs =
+    String.concat "" (List.init 400 (fun i -> String.make (1 + (i mod 7)) "acgt".[i mod 4]))
+  in
+  check bool "runs: some entries empty" true (check_prefix_table "runs" runs > 0)
 
 let test_bidir_engine_agrees () =
   let idx = Kmismatch.build_index "acagacagacttgacagacatt" in
@@ -203,12 +297,12 @@ let scratch_case =
        Array.init 60 (fun i -> read (if i = 0 then 750 else Random.State.int st (n - 100)))
      in
      let idx = Kmismatch.build_index text in
-     (text, Kmismatch.packed_text idx, Kmismatch.bidir idx, pats))
+     (text, Kmismatch.bidir idx, pats))
 
 (* Minor words one search allocates, and its hits.  No clock. *)
-let words_of_search ~ptext bd ~pattern ~k =
+let words_of_search bd ~pattern ~k =
   let w0 = Gc.minor_words () in
-  let hits = Oss.search ~ptext bd ~pattern ~k in
+  let hits = Oss.search bd ~pattern ~k in
   (Gc.minor_words () -. w0, hits)
 
 (* What one search may allocate: per-pattern buffers (the code array
@@ -217,17 +311,17 @@ let words_of_search ~ptext bd ~pattern ~k =
 let alloc_bound ~m ~hits = float_of_int ((5 * m) + (32 * List.length hits))
 
 let test_search_allocation () =
-  let _, ptext, bd, pats = Lazy.force scratch_case in
+  let _, bd, pats = Lazy.force scratch_case in
   let k = 4 in
-  Array.iter (fun pattern -> ignore (Oss.search ~ptext bd ~pattern ~k)) pats;
+  Array.iter (fun pattern -> ignore (Oss.search bd ~pattern ~k)) pats;
   let extends = ref [] in
   Array.iter
     (fun pattern ->
       let obs = Obs.create () in
-      ignore (Oss.search ~obs ~ptext bd ~pattern ~k);
+      ignore (Oss.search ~obs bd ~pattern ~k);
       let x = Obs.counter_value obs "bidir.extends" in
       extends := x :: !extends;
-      let words, hits = words_of_search ~ptext bd ~pattern ~k in
+      let words, hits = words_of_search bd ~pattern ~k in
       let bound = alloc_bound ~m:(String.length pattern) ~hits in
       if words > bound then
         Alcotest.failf "%.0f minor words for %d extensions and %d hits (bound %.0f)" words x
@@ -243,9 +337,9 @@ let test_search_allocation () =
    (a scratch left marked busy would make the next search allocate a
    fresh row per pattern position, past the bound). *)
 let test_cut_search_leaves_rows_usable () =
-  let text, ptext, bd, pats = Lazy.force scratch_case in
+  let text, bd, pats = Lazy.force scratch_case in
   let cut = pats.(0) in
-  ignore (Oss.search ~ptext bd ~pattern:cut ~k:8);
+  ignore (Oss.search bd ~pattern:cut ~k:8);
   (* The deadline clock is read at the first poll and then every
      [Deadline.poll_stride] polls, so a budget that expires between two
      reads cuts the walk with nodes explored.  Grow the budget until
@@ -256,7 +350,7 @@ let test_cut_search_leaves_rows_usable () =
     match
       Deadline.with_ambient
         (Deadline.of_ns (Obs.Clock.now_ns () + budget_ns))
-        (fun () -> Oss.search ~stats ~ptext bd ~pattern:cut ~k:8)
+        (fun () -> Oss.search ~stats bd ~pattern:cut ~k:8)
     with
     | exception Deadline.Expired when stats.nodes > 0 -> ()
     | exception Deadline.Expired -> cut_mid ~tries (budget_ns * 3 / 2)
@@ -268,7 +362,7 @@ let test_cut_search_leaves_rows_usable () =
      tabled budgets are held to the allocation bound. *)
   List.iter
     (fun (pattern, k) ->
-      let words, hits = words_of_search ~ptext bd ~pattern ~k in
+      let words, hits = words_of_search bd ~pattern ~k in
       check hits_t (Printf.sprintf "k=%d after the cut" k) (naive_hits text pattern k) hits;
       let bound = alloc_bound ~m:(String.length pattern) ~hits in
       if k <= 4 then
@@ -509,8 +603,10 @@ let () =
         [
           prop_bidir_matches_unidirectional;
           prop_oss_matches_naive;
+          Alcotest.test_case "opening pieces around q" `Quick test_oss_opening_pieces;
           Alcotest.test_case "engine agrees with naive" `Quick
             test_bidir_engine_agrees;
+          Alcotest.test_case "prefix table = q-step walks" `Quick test_prefix_table;
         ] );
       ( "scratch",
         [

@@ -35,15 +35,21 @@ let test_corpus_replay () =
 (* Bounded fixed-seed fuzz smoke: the tier-1 incarnation of `kmm fuzz`.
    Small sizes keep it well under the runtest budget. *)
 
-let test_fuzz_smoke () =
-  let r = Oracle.fuzz ~seed:42 ~iters:400 ~max_text:120 () in
+let fuzz_smoke ~iters ~max_text () =
+  let r = Oracle.fuzz ~seed:42 ~iters ~max_text () in
   (match r.Oracle.divergences with
   | [] -> ()
   | d :: _ -> Alcotest.failf "fuzz smoke: %s" (Format.asprintf "%a" Oracle.pp_divergence d));
-  check int "iterations all ran" 400 r.Oracle.iters_run;
+  check int "iterations all ran" iters r.Oracle.iters_run;
   check int "every generator class drawn"
     (List.length Oracle.all_classes)
     (List.length r.Oracle.by_class)
+
+let test_fuzz_smoke = fuzz_smoke ~iters:400 ~max_text:120
+
+(* Texts up to 4096 bp carry a bidir prefix table (q = 1..3 from 256 bp
+   on), which the default sizes never reach. *)
+let test_fuzz_smoke_long = fuzz_smoke ~iters:200 ~max_text:4096
 
 (* ------------------------------------------------------------------ *)
 (* Shrinker sanity: broken engines must be caught and minimized. *)
@@ -224,7 +230,11 @@ let () =
           Alcotest.test_case "format errors" `Quick test_corpus_format_errors;
           Alcotest.test_case "comments and CRLF" `Quick test_corpus_tolerates_comments_and_crlf;
         ] );
-      ("fuzz", [ Alcotest.test_case "fixed-seed smoke" `Quick test_fuzz_smoke ]);
+      ( "fuzz",
+        [
+          Alcotest.test_case "fixed-seed smoke" `Quick test_fuzz_smoke;
+          Alcotest.test_case "fixed-seed smoke, texts to 4096 bp" `Quick test_fuzz_smoke_long;
+        ] );
       ( "shrinker",
         [
           Alcotest.test_case "drops-pos0 caught" `Quick test_broken_engine_caught_and_shrunk;

@@ -1,6 +1,7 @@
 (* Word-parallel verification kernel: Packed_text.hamming / hamming_le
-   against the scalar Hamming reference, and the shared SWAR count
-   tables. *)
+   against the scalar Hamming reference, the shared SWAR count tables,
+   the byte-wise Packed_text.rev against its per-lane definition, and
+   the mapper's hit re-check refuting a forged hit. *)
 
 module Packed_text = Fmindex.Packed_text
 module Pattern = Packed_text.Pattern
@@ -206,6 +207,90 @@ let qcheck_rev =
       Packed_text.to_string (Packed_text.rev (Packed_text.of_string s))
       = reverse_string s)
 
+(* The table-driven rev equals lane [n - 1 - i] at lane [i], byte for
+   byte (padding lanes included), at every n mod 4 phase and n = 0. *)
+let test_rev_per_lane () =
+  let st = Random.State.make [| 13 |] in
+  for n = 0 to 67 do
+    let t = Packed_text.init n (fun _ -> Random.State.int st 4) in
+    let want = Packed_text.init n (fun i -> Packed_text.get t (n - 1 - i)) in
+    let got = Packed_text.rev t in
+    Alcotest.(check int) (Printf.sprintf "n=%d length" n) n (Packed_text.length got);
+    Alcotest.(check string)
+      (Printf.sprintf "n=%d bytes" n)
+      (Packed_text.payload_string want) (Packed_text.payload_string got)
+  done
+
+let qcheck_make_rev =
+  Test_util.qtest ~count:300 "make_rev = make of the reversal"
+    (Test_util.dna_gen ~lo:1 ~hi:90 ())
+    (fun s ->
+      let got = Pattern.make_rev s and want = Pattern.make (reverse_string s) in
+      List.for_all (fun p -> Pattern.phase got p = Pattern.phase want p) [ 0; 1; 2; 3 ])
+
+(* ------------------------------------------------------------------ *)
+(* The mapper's hit re-check                                           *)
+
+(* A test double: the naive scan, plus one forged hit for each read of
+   [forged]: at the mirror image of its first true position
+   ([n - m - pos], which only a re-check reading the wrong coordinates
+   would accept), or one past the last window. *)
+type Core.Kmismatch.engine += Forger
+
+let forged : (string * [ `Mirror | `Past_end ]) list ref = ref []
+
+let () =
+  let module R = Core.Kmismatch.Engine_registry in
+  match R.find_name "naive" with
+  | None -> failwith "naive not registered"
+  | Some naive ->
+      R.register
+        {
+          naive with
+          R.engine = Forger;
+          name = "forger";
+          doc = "test double: the naive scan plus one mirrored forged hit";
+          run =
+            (fun idx a ->
+              let hits = naive.R.run idx a in
+              let n = Core.Kmismatch.length idx and m = String.length a.R.pattern in
+              match List.assoc_opt a.R.pattern !forged with
+              | None -> hits
+              | Some `Mirror -> List.sort compare ((n - m - fst (List.hd hits), 0) :: hits)
+              | Some `Past_end -> hits @ [ (n - m + 1, 0) ]);
+        }
+
+let test_recheck_refutes_forged_hit () =
+  let st = Random.State.make [| 31 |] in
+  let text = Test_util.random_dna st 3000 in
+  let idx = Core.Kmismatch.build_index text in
+  let reads = List.init 5 (fun i -> (10 + i, String.sub text (100 + (400 * i)) 40)) in
+  forged := [ (List.assoc 12 reads, `Mirror); (List.assoc 14 reads, `Past_end) ];
+  let map engine =
+    Core.Mapper.run
+      { Core.Mapper.default with engine; both_strands = false }
+      idx ~reads ~k:1
+  in
+  let want, _ = map Core.Kmismatch.Naive in
+  let got, summary = map Forger in
+  (match summary.Core.Mapper.skipped with
+  | [ (12, Kmm_error.Internal a); (14, Kmm_error.Internal b) ] ->
+      List.iter
+        (fun msg ->
+          Alcotest.(check bool) ("names the re-check: " ^ msg) true
+            (String.starts_with ~prefix:"hit re-check" msg))
+        [ a; b ]
+  | _ -> Alcotest.fail "expected typed Internal skips for reads 12 and 14 only");
+  (* Every other read keeps its hits, each re-checked in place. *)
+  Alcotest.(check (list (pair int int)))
+    "other reads' hits"
+    (List.filter_map
+       (fun h ->
+         if List.mem h.Core.Mapper.read_id [ 12; 14 ] then None else Some (h.read_id, h.pos))
+       want)
+    (List.map (fun h -> (h.Core.Mapper.read_id, h.Core.Mapper.pos)) got);
+  Alcotest.(check int) "three reads mapped" 3 summary.mapped
+
 (* ------------------------------------------------------------------ *)
 (* mmap-adopted texts                                                  *)
 
@@ -302,5 +387,12 @@ let () =
           qcheck_of_packed;
           qcheck_phases;
           qcheck_rev;
+          Alcotest.test_case "rev = per-lane definition" `Quick test_rev_per_lane;
+          qcheck_make_rev;
+        ] );
+      ( "recheck",
+        [
+          Alcotest.test_case "forged hit skips its read" `Quick
+            test_recheck_refutes_forged_hit;
         ] );
     ]
