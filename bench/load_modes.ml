@@ -11,7 +11,8 @@
    so a format that does not carry it pays its rebuild here.  Every
    answer is cross-checked against the freshly built heap index; a
    wrong answer fails the run.  Alongside each time is the peak resident
-   memory the cold start added to the process.
+   memory the cold start added to the process, and alongside the build
+   time the peak resident memory the build added.
 
    One JSON record per run is appended to --out (default
    BENCH_fmindex.json). *)
@@ -72,6 +73,7 @@ let cold ~reps ~expected ~path ~pattern mode engine =
 type row = {
   size : int;
   build_s : float;
+  build_rss_mb : float;  (* peak RSS growth over the build *)
   file_bytes : int;
   cells : ((string * string) * cell) list;  (* (mode, engine) *)
 }
@@ -81,9 +83,13 @@ let engines = [ K.M_tree; K.Bidir ]
 
 let bench_one ~st ~reps size =
   let text = Dna.Sequence.to_string (Dna.Sequence.random ~state:st size) in
+  Gc.compact ();
+  reset_peak ();
+  let base = status_kb "VmRSS" in
   let idx, build_s = Bench_util.time (fun () -> K.build_index text) in
-  Bench_util.note "%s bp: index built in %s" (Bench_util.fmt_count size)
-    (Bench_util.fmt_time build_s);
+  let build_rss_mb = float_of_int (status_kb "VmHWM" - base) /. 1024. in
+  Bench_util.note "%s bp: index built in %s, peak RSS +%.1f MiB" (Bench_util.fmt_count size)
+    (Bench_util.fmt_time build_s) build_rss_mb;
   let pattern = probe ~st text in
   let expected = answer idx K.M_tree pattern in
   if answer idx K.Bidir pattern <> expected then failwith "load bench: engines disagree";
@@ -103,7 +109,7 @@ let bench_one ~st ~reps size =
               engines)
           modes
       in
-      { size; build_s; file_bytes; cells })
+      { size; build_s; build_rss_mb; file_bytes; cells })
 
 let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
   let sizes = match size with Some s -> [ s ] | None -> default_sizes in
@@ -149,8 +155,9 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
       (String.concat ","
          (List.map
             (fun r ->
-              Printf.sprintf "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\"cold\":[%s]}"
-                r.size r.file_bytes r.build_s
+              Printf.sprintf
+                "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\"build_rss_mb\":%.1f,\"cold\":[%s]}"
+                r.size r.file_bytes r.build_s r.build_rss_mb
                 (String.concat ","
                    (List.map
                       (fun ((mode, engine), c) ->

@@ -159,7 +159,7 @@ let overload ~size ~seed ~queries =
   let cfg =
     { (Kmm_server.Server.default_config ~socket_path:path) with domains = jobs; max_queue }
   in
-  let server = Kmm_server.Server.start cfg (Core.Corpus.mono idx) in
+  let server = Kmm_server.Server.start cfg idx in
   Fun.protect
     ~finally:(fun () -> Kmm_server.Server.stop server)
     (fun () -> drive ~path ~queries ~reference)

@@ -24,34 +24,36 @@ let fail_typed ?path e =
     (Kmm_error.to_string e);
   exit (Kmm_error.exit_code e)
 
+(* Every command that takes a genome reads its first FASTA record. *)
 let read_genome path =
   match Dna.Fasta.try_read_file path with
   | Error e -> fail_typed ~path e
   | Ok [] -> fail_typed ~path (Kmm_error.Bad_input "no FASTA records")
   | Ok (r :: _) -> r.Dna.Fasta.seq
 
-(* Every record of a FASTA file, concatenated — the corpus view a
-   sharded index is built over. *)
-let read_genome_all path =
-  match Dna.Fasta.try_read_file path with
-  | Error e -> fail_typed ~path e
-  | Ok [] -> fail_typed ~path (Kmm_error.Bad_input "no FASTA records")
-  | Ok records ->
-      String.concat ""
-        (List.map (fun r -> Dna.Sequence.to_string r.Dna.Fasta.seq) records)
+(* Index a FASTA genome.  A genome too long for the suffix sort's 32-bit
+   cells is bad input, refused before the build allocates anything. *)
+let index_of_genome path =
+  let g = read_genome path in
+  let n = Dna.Sequence.length g in
+  if n > Fmindex.Fm_index.max_length then
+    fail_typed ~path
+      (Kmm_error.Bad_input
+         (Printf.sprintf "genome of %d bp exceeds the index limit of %d bp" n
+            Fmindex.Fm_index.max_length));
+  Core.Kmismatch.of_sequence g
 
 (* Run [f] on either a FASTA genome (indexed on the fly) or a prebuilt
-   .fmi index / .fmi manifest; [--mmap] adopts prebuilt index files in
-   place.  Naming neither is a usage error. *)
-let with_corpus ~mmap ~genome ~index_file f =
+   .fmi index; [--mmap] adopts a prebuilt index file in place.  Naming
+   neither is a usage error. *)
+let with_index ~mmap ~genome ~index_file f =
   let mode = if mmap then Some Fmindex.Fm_index.Mmap else None in
   match (genome, index_file) with
   | _, Some path -> (
-      match Core.Corpus.try_load ?mode path with
-      | Ok c -> f c
+      match Core.Kmismatch.try_load_index ?mode path with
+      | Ok idx -> f idx
       | Error e -> fail_typed ~path e)
-  | Some path, None ->
-      f (Core.Corpus.mono (Core.Kmismatch.of_sequence (read_genome path)))
+  | Some path, None -> f (index_of_genome path)
   | None, None -> `Error (true, "one of --genome or --index is required")
 
 (* --- observability plumbing ----------------------------------------- *)
@@ -111,13 +113,13 @@ let int_in ?(hi = max_int) lo =
 let genome_arg =
   Cmdliner.Arg.(
     value & opt (some string) None
-    & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome FASTA file.")
+    & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome FASTA file (its first record).")
 
 let index_arg =
   Cmdliner.Arg.(
     value & opt (some string) None
     & info [ "i"; "index" ] ~docv:"FMI"
-        ~doc:"Prebuilt index or shard manifest (see kmm index).")
+        ~doc:"Prebuilt index file (see kmm index).")
 
 let mmap_arg =
   Cmdliner.Arg.(
@@ -234,15 +236,14 @@ let engine_arg =
 
 let search_cmd =
   let run genome index_file mmap pattern k engine verbose trace metrics_out =
-    with_corpus ~mmap ~genome ~index_file @@ fun corpus ->
+    with_index ~mmap ~genome ~index_file @@ fun idx ->
     with_obs ~trace ~metrics_out (fun obs ->
         let r =
-          (* The typed channel: an empty/non-ACGT pattern, k < 0, or a
-             pattern exceeding a sharded corpus's query limit exits with
-             the Bad_input code (2) instead of an uncaught exception
+          (* The typed channel: an empty/non-ACGT pattern or k < 0 exits
+             with the Bad_input code (2) instead of an uncaught exception
              backtrace. *)
           match
-            Core.Corpus.try_run corpus
+            Core.Kmismatch.try_run idx
               (Core.Kmismatch.Query.make ~obs ~engine ~pattern ~k ())
           with
           | Ok r -> r
@@ -275,7 +276,7 @@ let search_cmd =
 let map_cmd =
   let run genome index_file mmap reads k engine both_strands best jobs trace
       metrics_out =
-    with_corpus ~mmap ~genome ~index_file @@ fun corpus ->
+    with_index ~mmap ~genome ~index_file @@ fun idx ->
     let records =
       match Dna.Fasta.try_read_file reads with
       | Ok rs -> rs
@@ -288,10 +289,7 @@ let map_cmd =
         let options =
           { Core.Mapper.default with engine; both_strands; domains = jobs; obs }
         in
-        let hits, summary =
-          Core.Mapper.run_target options (Core.Corpus.target corpus)
-            ~reads:inputs ~k
-        in
+        let hits, summary = Core.Mapper.run options idx ~reads:inputs ~k in
         let hits = if best then Core.Mapper.best_hits hits else hits in
         print_string (Core.Mapper.to_tsv hits);
         Format.eprintf
@@ -339,66 +337,24 @@ let map_cmd =
 (* --- index ---------------------------------------------------------- *)
 
 let index_cmd =
-  let run genome out shard_size overlap jobs =
-    let corpus =
-      match shard_size with
-      | None ->
-          Core.Corpus.mono (Core.Kmismatch.of_sequence (read_genome genome))
-      | Some _ ->
-          (* Sharded corpora index every FASTA record, concatenated. *)
-          Core.Corpus.build ?shard_size ~overlap ~domains:jobs
-            (read_genome_all genome)
-    in
-    Core.Corpus.save corpus out;
-    (match Core.Corpus.overlap corpus with
-    | None ->
-        Format.eprintf "indexed %d bp -> %s@." (Core.Corpus.length corpus) out
-    | Some ov ->
-        Format.eprintf "indexed %d bp -> %s (%d shard%s, overlap %d)@."
-          (Core.Corpus.length corpus)
-          out
-          (Core.Corpus.nshards corpus)
-          (if Core.Corpus.nshards corpus = 1 then "" else "s")
-          ov);
+  let run genome out =
+    let idx = index_of_genome genome in
+    (* The build's suffix-array cells and code strings are garbage now:
+       reclaim them before serialization allocates the file image, so
+       the two never add up in the peak resident set. *)
+    Gc.full_major ();
+    Core.Kmismatch.save_index idx out;
+    Format.eprintf "indexed %d bp -> %s@." (Core.Kmismatch.length idx) out;
     `Ok ()
   in
   let genome =
-    Arg.(required & opt (some string) None & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome.")
-  in
-  let out =
     Arg.(
       required
       & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FMI"
-          ~doc:"Index file (with --shard-size: the manifest; shard files land beside it).")
+      & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome FASTA file (its first record).")
   in
-  let shard_size =
-    Arg.(
-      value
-      & opt (some (int_in 1)) None
-      & info [ "shard-size" ] ~docv:"N"
-          ~doc:
-            "Split the corpus into shards of $(docv) bp, indexed in parallel \
-             and tied together by a manifest.  Every FASTA record is indexed \
-             (concatenated); without this flag only the first record is, as \
-             a single monolithic index.")
-  in
-  let overlap =
-    Arg.(
-      value
-      & opt (int_in 0) Core.Corpus.default_overlap
-      & info [ "shard-overlap" ] ~docv:"N"
-          ~doc:
-            "Bases each shard stores beyond its own range so boundary-straddling \
-             matches are found; queries longer than N+1 bp are refused.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (int_in ~hi:Core.Work_pool.max_domains 1)
-          (Core.Work_pool.default_domains ())
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains building shards (default: the number of cores).")
+  let out =
+    Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FMI" ~doc:"Index file.")
   in
   Cmd.v
     (Cmd.info "index" ~doc:"Build and save an FM-index of a genome"
@@ -406,22 +362,20 @@ let index_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Builds the FM-index and writes it in the current on-disk format \
-              (v5: 8-byte-aligned CRC-guarded sections, loadable by copy or by \
-              mmap; about 1.33 bytes per base).  The file carries the forward \
-              rank side the bidir engine needs, so no load rebuilds it; an \
-              unsharded build sorts both sides at once on two domains.  With \
-              --shard-size the corpus is cut into overlapping shards built in \
-              parallel across --jobs domains and saved as one index file per \
-              shard plus a manifest; search/map/serve accept the manifest \
-              wherever they accept an index.";
+             "Builds the FM-index of the genome's first FASTA record and writes \
+              it in the current on-disk format (v5: 8-byte-aligned CRC-guarded \
+              sections, loadable by copy or by mmap; about 1.33 bytes per \
+              base).  The file carries the forward rank side the bidir engine \
+              needs, so no load rebuilds it.  The build sorts both sides at \
+              once on two domains, in 32-bit cells: a genome longer than \
+              2^31 - 3 bp is refused with exit code 2.";
          ])
-    Term.(ret (const run $ genome $ out $ shard_size $ overlap $ jobs))
+    Term.(ret (const run $ genome $ out))
 
 (* --- verify --------------------------------------------------------- *)
 
 let verify_cmd =
-  let verify_plain path quiet =
+  let run path quiet =
     match Fmindex.Fm_index.try_load path with
     | Error e -> fail_typed ~path e
     | Ok fm ->
@@ -430,64 +384,15 @@ let verify_cmd =
           List.iter
             (fun (what, bytes) -> Printf.printf "  %-26s %d bytes\n" what bytes)
             (Fmindex.Fm_index.space_report fm)
-        end
-  in
-  let verify_manifest path quiet =
-    match Core.Corpus.try_read_manifest path with
-    | Error e -> fail_typed ~path e
-    | Ok m ->
-        let dir = Filename.dirname path in
-        if not quiet then
-          Printf.printf "%s: manifest ok (%d bp corpus, %d shard%s, overlap %d)\n"
-            path m.Core.Corpus.m_total
-            (Array.length m.Core.Corpus.m_entries)
-            (if Array.length m.Core.Corpus.m_entries = 1 then "" else "s")
-            m.Core.Corpus.m_overlap;
-        Array.iteri
-          (fun i e ->
-            let file = Filename.concat dir e.Core.Corpus.e_file in
-            let image =
-              match In_channel.with_open_bin file In_channel.input_all with
-              | s -> s
-              | exception (Sys_error _ as exn) ->
-                  fail_typed ~path:file (Kmm_error.Io exn)
-            in
-            (* The manifest's own CRC of the shard image: catches a shard
-               file swapped or rewritten behind the manifest's back, which
-               the shard's internal CRCs alone cannot. *)
-            if Fmindex.Crc32.string image <> e.Core.Corpus.e_crc then
-              fail_typed ~path:file
-                (Kmm_error.Corrupt
-                   ( Kmm_error.Header,
-                     "shard image checksum disagrees with the manifest" ));
-            match Fmindex.Fm_index.try_of_string image with
-            | Error err -> fail_typed ~path:file err
-            | Ok fm ->
-                if Fmindex.Fm_index.length fm <> e.Core.Corpus.e_stored then
-                  fail_typed ~path:file
-                    (Kmm_error.Corrupt
-                       ( Kmm_error.Header,
-                         "shard length disagrees with the manifest" ));
-                if not quiet then
-                  Printf.printf "  shard %03d: ok (%d bp at offset %d, %s)\n" i
-                    e.Core.Corpus.e_stored e.Core.Corpus.e_off
-                    e.Core.Corpus.e_file)
-          m.Core.Corpus.m_entries
-  in
-  let run index_file quiet =
-    if Core.Corpus.is_manifest index_file then verify_manifest index_file quiet
-    else verify_plain index_file quiet;
-    `Ok ()
+        end;
+        `Ok ()
   in
   let index_file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FMI" ~doc:"Index file or shard manifest.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FMI" ~doc:"Index file.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Exit code only.") in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Check an index or manifest file's integrity"
+    (Cmd.info "verify" ~doc:"Check an index file's integrity"
        ~man:
          [
            `S Manpage.s_description;
@@ -496,13 +401,10 @@ let verify_cmd =
               per-section CRC-32 checksums, the whole-file trailer and the \
               structural recount — everything an mmap load deliberately skips.  \
               Index files of the retired formats v1-v4 fail with exit code 4; \
-              rebuild them with kmm index. \
-              Given a shard manifest, validates the manifest (header CRC, shard \
-              geometry) and then every shard file against both the manifest's \
-              recorded CRC-32 and the shard's own internal checks.  Prints a \
-              space report on success.  The exit code distinguishes the failure: \
-              0 ok, 3 not an index file, 4 unsupported version, 5 truncated, 6 \
-              corrupt, 7 I/O error.";
+              rebuild them with kmm index.  Prints a space report on success.  \
+              The exit code distinguishes the failure: 0 ok, 3 not an index \
+              file, 4 unsupported version, 5 truncated, 6 corrupt, 7 I/O \
+              error.";
          ])
     Term.(ret (const run $ index_file $ quiet))
 
@@ -699,7 +601,7 @@ let bench_cmd =
 let serve_cmd =
   let run genome index_file mmap socket jobs max_queue send_timeout
       max_pattern max_k max_hits max_frame quiet trace metrics_out =
-    with_corpus ~mmap ~genome ~index_file @@ fun corpus ->
+    with_index ~mmap ~genome ~index_file @@ fun idx ->
     let limits =
       { Kmm_server.Protocol.max_pattern; max_k; max_hits; max_frame }
     in
@@ -715,8 +617,7 @@ let serve_cmd =
       }
     in
     (match
-       Kmm_server.Server.serve ?trace_out:trace ?metrics_out:metrics_out cfg
-         corpus
+       Kmm_server.Server.serve ?trace_out:trace ?metrics_out:metrics_out cfg idx
      with
     | () -> ()
     | exception Kmm_error.Error e -> fail_typed e);

@@ -51,16 +51,13 @@ let make_index ?text fm_rev =
   in
   { text; fm_rev; tree; pforward; bidir = Fmindex.Bidir.make fm_rev }
 
-let build_index ?occ_rate ?sa_rate ?parallel raw =
-  (* Validate and normalize exactly once; the reverse is derived from
-     the parsed sequence in place instead of being re-parsed through a
-     second string round-trip. *)
-  let seq = Dna.Sequence.of_string raw in
-  let text = Dna.Sequence.to_string seq in
+(* The reverse is derived from the validated sequence, never re-parsed,
+   and the FM component keeps it only 2-bit packed. *)
+let of_sequence seq =
   let rev = Dna.Sequence.to_string (Dna.Sequence.rev seq) in
-  make_index ~text (Fmindex.Fm_index.build ?occ_rate ?sa_rate ?parallel rev)
+  make_index ~text:(Dna.Sequence.to_string seq) (Fmindex.Fm_index.build rev)
 
-let of_sequence seq = build_index (Dna.Sequence.to_string seq)
+let build_index raw = of_sequence (Dna.Sequence.of_string raw)
 let text t = Fmindex.Storage.Memo.force t.text
 let length t = Fmindex.Fm_index.length t.fm_rev
 let fm_rev t = t.fm_rev
@@ -151,6 +148,11 @@ let engine_of_string s =
   Option.map
     (fun e -> e.Engine_registry.engine)
     (Engine_registry.find_name s)
+
+let prepare engine t =
+  match Engine_registry.find engine with
+  | Some e -> e.Engine_registry.prepare t
+  | None -> ()
 
 let engine_of_string_err s =
   match Engine_registry.find_name s with

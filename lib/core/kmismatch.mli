@@ -121,16 +121,24 @@ val engine_of_string_err : string -> (engine, Kmm_error.t) result
 val engine_names : unit -> string list
 (** The registered names, registration order ({!Engine_registry.names}). *)
 
-val build_index : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> index
-(** Build the shared index of a target text (lowercase [acgt]; validated
-    and normalized exactly once — the reverse is derived from the parsed
-    sequence, not re-parsed).  The FM-index of the reversed text, forward
-    rank side included, is built eagerly ({!Fmindex.Fm_index.build}:
-    [parallel], default [true], overlaps its two suffix sorts on a helper
-    domain; a build already running on a pool passes [~parallel:false]);
-    the suffix tree (used only by [Cole]) lazily. *)
+val prepare : engine -> index -> unit
+(** Run [engine]'s registry [prepare] on the index: build the derived
+    state the engine reads (suffix tree, unpacked text, prefix table)
+    now, so no query pays for it.  A no-op for an unregistered engine. *)
+
+val build_index : string -> index
+(** Build the shared index of a target text ([acgt], any case; validated
+    and normalized exactly once, then {!of_sequence}). *)
 
 val of_sequence : Dna.Sequence.t -> index
+(** Build the shared index of an already validated sequence, with no
+    second validation or copy of it.  The FM-index of the reversed text,
+    forward rank side included, is built eagerly
+    ({!Fmindex.Fm_index.build}, its two suffix sorts at once on two
+    domains); the suffix tree (used only by [Cole]) lazily.  The
+    reversed string is garbage once the build has packed it.  Raises
+    [Invalid_argument] on a sequence longer than
+    {!Fmindex.Fm_index.max_length}. *)
 
 val text : index -> string
 (** The forward target text.  For a loaded index this is unpacked from

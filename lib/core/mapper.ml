@@ -38,54 +38,13 @@ let default =
     deadline = Deadline.none;
   }
 
-(* What the mapper actually needs from the thing it maps against — a
-   monolithic {!Kmismatch.index} or a sharded {!Corpus.t} — abstracted so
-   the fan-out/merge machinery is written once.  [tgt_run] must be pure
-   with respect to the target (safe to call from any domain) and report
-   hits in the target's global coordinates. *)
-type target = {
-  tgt_length : int;  (** total reference length (reporting) *)
-  tgt_max_read : int;  (** longest read the target can answer *)
-  tgt_limit_msg : int -> string;  (** skip reason for an oversize read *)
-  tgt_prepare : Kmismatch.engine -> unit;
-      (** force shared derived state before fan-out *)
-  tgt_run : Kmismatch.Query.t -> (Kmismatch.Response.t, Kmm_error.t) result;
-  tgt_packed : unit -> Fmindex.Packed_text.t option;
-      (** the reversed packed text hits can be re-checked against, when
-          the target has a single coordinate space ([None] for sharded
-          corpora, whose global positions span shard boundaries) *)
-}
-
-let target_of_index index =
-  let len = Kmismatch.length index in
-  {
-    tgt_length = len;
-    tgt_max_read = len;
-    tgt_limit_msg =
-      (fun m ->
-        Printf.sprintf "read of %d bp exceeds the %d bp reference" m len);
-    tgt_prepare =
-      (fun engine ->
-        (* The memos under the derived index components are domain-safe,
-           but forcing the ones the run needs before fan-out keeps the
-           workers from serializing on the first force.  Each registry
-           entry knows what its engine reads. *)
-        match Kmismatch.Engine_registry.find engine with
-        | Some entry -> entry.Kmismatch.Engine_registry.prepare index
-        | None -> ());
-    tgt_run = (fun q -> Kmismatch.try_run index q);
-    (* The index's own payload: re-checking reverses nothing. *)
-    tgt_packed =
-      (fun () -> Some (Fmindex.Fm_index.packed_text (Kmismatch.fm_rev index)));
-  }
-
 (* Classify a read the engines cannot process, so one bad record degrades
    to a [skipped] entry instead of an exception that aborts the batch.
    The checks mirror the engines' preconditions: nonempty, ACGT-only
-   (case folded), and no longer than the target can answer.  A valid
-   read comes back normalized: this table pass is the only time the
-   mapper folds its case. *)
-let validate_read ~target sequence =
+   (case folded), and no longer than the reference.  A valid read comes
+   back normalized: this table pass is the only time the mapper folds
+   its case. *)
+let validate_read ~len sequence =
   let m = String.length sequence in
   if m = 0 then Error (Kmm_error.Bad_input "empty read")
   else
@@ -99,11 +58,13 @@ let validate_read ~target sequence =
           (Kmm_error.Bad_input
              (Printf.sprintf "invalid base %C at offset %d" sequence.[!i] !i))
     | Some seq ->
-        if m > target.tgt_max_read then
-          Error (Kmm_error.Bad_input (target.tgt_limit_msg m))
+        if m > len then
+          Error
+            (Kmm_error.Bad_input
+               (Printf.sprintf "read of %d bp exceeds the %d bp reference" m len))
         else Ok seq
 
-(* A query the target refused after validation passed — surfaced as the
+(* A query the index refused after validation passed — surfaced as the
    read's own skip reason, never as a batch abort. *)
 exception Skip of Kmm_error.t
 
@@ -141,19 +102,19 @@ let recheck ~obs rt ~pattern hits =
 
 (* Map one validated read: all forward hits, then all reverse-complement
    hits, in the order the engine reports them.  Pure with respect to the
-   target, so reads can be fanned out across domains freely. *)
-let map_one ~stats ~obs ~engine ~both_strands ~deadline target ~k read_id seq =
+   index, so reads can be fanned out across domains freely.  Hits are
+   re-checked on the index's own payload [rt], the reversed text, so
+   re-checking reverses nothing. *)
+let map_one ~stats ~obs ~engine ~both_strands ~deadline index rt ~k read_id seq =
   let sequence = Dna.Sequence.to_string seq in
   let search strand pattern =
     match
-      target.tgt_run (Kmismatch.Query.make ~obs ~deadline ~engine ~pattern ~k ())
+      Kmismatch.try_run index (Kmismatch.Query.make ~obs ~deadline ~engine ~pattern ~k ())
     with
     | Error e -> raise (Skip e)
     | Ok r ->
         Stats.merge ~into:stats r.Kmismatch.Response.stats;
-        (match target.tgt_packed () with
-        | Some rt -> recheck ~obs rt ~pattern r.Kmismatch.Response.hits
-        | None -> ());
+        recheck ~obs rt ~pattern r.Kmismatch.Response.hits;
         List.map
           (fun (pos, distance) -> { read_id; pos; strand; distance })
           r.Kmismatch.Response.hits
@@ -169,7 +130,7 @@ let map_one ~stats ~obs ~engine ~both_strands ~deadline target ~k read_id seq =
   in
   fwd @ rev
 
-let run_target opts target ~reads ~k =
+let run opts index ~reads ~k =
   let { engine; both_strands; domains; chunk_size; obs; deadline } = opts in
   if domains < 1 then invalid_arg "Mapper.run: domains must be >= 1";
   if chunk_size < 1 then invalid_arg "Mapper.run: chunk_size must be >= 1";
@@ -182,7 +143,9 @@ let run_target opts target ~reads ~k =
   (* Force shared derived state (suffix tree, unpacked text) before the
      fan-out so workers don't serialize on its first use — on one domain
      too, so that the "prepare" phase, not "search", carries its cost. *)
-  target.tgt_prepare engine;
+  Kmismatch.prepare engine index;
+  let ref_len = Kmismatch.length index in
+  let rt = Fmindex.Fm_index.packed_text (Kmismatch.fm_rev index) in
   (* Per-domain counters and sinks, merged in worker-index order at the
      end, so the reported totals match a sequential run exactly.
      ([Obs.fork] of the noop sink is noop: observability off costs one
@@ -224,14 +187,14 @@ let run_target opts target ~reads ~k =
                 Obs.incr o Obs.Counter.map_reads_skipped
               end
               else
-                match validate_read ~target sequence with
+                match validate_read ~len:ref_len sequence with
                 | Error e ->
                     skip_slot.(i) <- Some e;
                     Obs.incr o Obs.Counter.map_reads_skipped
                 | Ok seq -> (
                     let map () =
                       map_one ~stats ~obs:o ~engine ~both_strands ~deadline
-                        target ~k read_id seq
+                        index rt ~k read_id seq
                     in
                     match
                       if Obs.enabled o then Obs.time o "map.read" map
@@ -247,7 +210,7 @@ let run_target opts target ~reads ~k =
                           Obs.record o "map.read_hits" (List.length hits)
                         end
                     | exception Skip e ->
-                        (* The target refused the query after validation —
+                        (* The index refused the query after validation —
                            the read's own typed skip, not a batch abort. *)
                         Obs.incr o Obs.Counter.map_reads_skipped;
                         skip_slot.(i) <- Some e
@@ -316,8 +279,6 @@ let run_target opts target ~reads ~k =
       stats;
       timings;
     } )
-
-let run opts index ~reads ~k = run_target opts (target_of_index index) ~reads ~k
 
 let best_hits hits =
   let best = Hashtbl.create 64 in

@@ -73,53 +73,6 @@ val default : options
     default_chunk_size; obs = Obs.noop; deadline = Deadline.none }] —
     override fields with [{ default with ... }]. *)
 
-(** {1 Map targets}
-
-    The mapper's fan-out/merge machinery is written once against an
-    abstract {!target} — what to search, how long a read it can answer,
-    and what to force before spawning workers.  {!target_of_index} wraps
-    a monolithic index; [Corpus.target] wraps a sharded corpus. *)
-
-type target = {
-  tgt_length : int;  (** total reference length *)
-  tgt_max_read : int;
-      (** longest read the target can answer; anything longer becomes a
-          typed [skipped] entry *)
-  tgt_limit_msg : int -> string;
-      (** [tgt_limit_msg m] is the skip reason for an [m] bp oversize
-          read *)
-  tgt_prepare : Kmismatch.engine -> unit;
-      (** called once per run, before the search phase and whatever the
-          domain count, to force derived state — suffix tree, unpacked
-          text — the given engine will need, so workers don't serialize
-          on its first use and the [prepare] timing carries its cost.
-          Must be memoised: every run calls it. *)
-  tgt_run : Kmismatch.Query.t -> (Kmismatch.Response.t, Kmm_error.t) result;
-      (** answer one query with hits in global coordinates; must be safe
-          to call from any domain.  An [Error] skips the read (typed),
-          never aborts the batch. *)
-  tgt_packed : unit -> Fmindex.Packed_text.t option;
-      (** the target's text {e reversed}, 2-bit packed, if the target
-          has a single coordinate space: every hit [(pos, d)] of an
-          [m] bp read is then re-checked with the word-parallel kernel
-          ({!Fmindex.Packed_text.hamming}) as window [n - pos - m] of
-          it against the reversed read, and a refuted hit skips its
-          read with a typed [Internal] error.  [None] (e.g. a sharded
-          corpus, whose global positions span shard boundaries)
-          disables re-checking. *)
-}
-
-val target_of_index : Kmismatch.index -> target
-(** The monolithic target: queries go to {!Kmismatch.try_run}, the read
-    limit is the text length, and hits are re-checked in place on the
-    index's own packed payload (the reversed text), so no engine forces
-    {!Kmismatch.packed_text}. *)
-
-val run_target :
-  options -> target -> reads:(int * string) list -> k:int -> hit list * summary
-(** {!run} against an abstract {!target}; all guarantees of {!run}
-    (determinism, fail-soft, observability) hold unchanged. *)
-
 val run :
   options ->
   Kmismatch.index ->
@@ -129,6 +82,15 @@ val run :
 (** Map every [(id, sequence)] read; with [both_strands] the reverse
     complement is searched too and hits are reported on the forward
     coordinate system.  Hits are sorted by read id, then position.
+    Before the fan-out the engine's registry [prepare] forces the
+    derived state it reads (suffix tree, unpacked text, prefix table),
+    so the ["prepare"] timing carries that cost on every domain count.
+
+    {b Re-check:} every engine hit [(pos, d)] of an [m] bp read is
+    re-checked with the word-parallel kernel
+    ({!Fmindex.Packed_text.hamming}) as window [n - pos - m] of the
+    index's own packed payload (the reversed text) against the reversed
+    read.  A refuted hit skips its read with a typed [Internal] error.
 
     [domains] fans the batch out over that many OCaml domains
     ({!Work_pool.run}) in [chunk_size]-read chunks.  The FM-index is

@@ -1,8 +1,8 @@
 (** One-shot fan-out of integer tasks over OCaml 5 domains, with
     deterministic result merging.
 
-    The fan-out is the scaling primitive of the batch layers ([Mapper],
-    the sharded [Corpus] build): a job is a fixed number of integer
+    The fan-out is the scaling primitive of the batch mapper
+    ([Mapper]): a job is a fixed number of integer
     tasks (typically chunk indices).  {!run} spawns its helper domains,
     every worker pulls the next task id from one atomic counter, and
     {!run} joins them all before it returns or raises.  Results land in

@@ -70,7 +70,7 @@ val poll : unit -> unit
 
 val check : unit -> unit
 (** Like {!poll} but reads the clock on every call (no fuel): for
-    coarse checkpoints — per read, per shard — where immediate
+    coarse checkpoints — per read — where immediate
     detection matters more than per-call cost. *)
 
 val poll_stride : int

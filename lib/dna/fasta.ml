@@ -4,11 +4,13 @@ exception Parse_error of string
 
 let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg))
 
+(* One pass over [text], a line at a time: no list of all its lines, and
+   a sequence buffer sized once to the input, so a genome is never held
+   in more than its file string, the buffer and the record. *)
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
   let records = ref [] in
   let name = ref None in
-  let body = Buffer.create 256 in
+  let body = Buffer.create (String.length text) in
   let lineno = ref 0 in
   let flush_record () =
     match !name with
@@ -45,7 +47,13 @@ let parse_string text =
           if !name = None then fail !lineno "sequence data before any '>' header";
           Buffer.add_string body line
   in
-  List.iter handle_line lines;
+  let len = String.length text in
+  let rec lines start =
+    let stop = Option.value (String.index_from_opt text start '\n') ~default:len in
+    handle_line (String.sub text start (stop - start));
+    if stop < len then lines (stop + 1)
+  in
+  lines 0;
   flush_record ();
   List.rev !records
 

@@ -149,6 +149,7 @@ let length t = t.n
 let fm_rev t = t.fm_rev
 let prefix_len t = t.q
 let prefix_table t = Storage.Memo.force t.prefix
+let prefix_table_built t = Storage.Memo.is_forced t.prefix
 
 let locate_into t ~r_lo ~r_hi ~len dst =
   if r_lo < 0 || r_hi > t.n + 1 || r_lo > r_hi then invalid_arg "Bidir.locate_into: bad interval";

@@ -109,6 +109,10 @@ val prefix_table : t -> int array
     not occur has width 0.  Length [3 · 4^q] (at most 1.5 MiB); empty
     when q = 0.  The build's {!Fm_index} taps count into no sink. *)
 
+val prefix_table_built : t -> bool
+(** Whether {!prefix_table} has been built: a daemon builds it before
+    it accepts its first query. *)
+
 val locate_into : t -> r_lo:int -> r_hi:int -> len:int -> int array -> unit
 (** [locate_into t ~r_lo ~r_hi ~len dst] writes the {e forward} text
     position of each occurrence of the length-[len] match whose reverse

@@ -14,7 +14,7 @@ let of_text s = of_suffix_array s (Suffix.Suffix_array.build s)
 
 (* The packed BWT skips the sentinel row entirely: lane j holds the
    (j < sentinel_row ? j : j+1)-th BWT character.  Row r's suffix starts
-   at sa.(r) (row 0 is the sentinel suffix, sa.(0) = n), so its
+   at sa.{r} (row 0 is the sentinel suffix, sa.{0} = n), so its
    L-character is the code before it, and the row of position 0 is where
    the sentinel sits in L. *)
 let of_packed_text ptext =
@@ -28,7 +28,7 @@ let of_packed_text ptext =
   let data = Storage.create ((n + 3) / 4) in
   let sentinel_row = ref 0 and lane = ref 0 in
   for row = 0 to n do
-    let p = Array.unsafe_get sa row in
+    let p = Int32.to_int (Bigarray.Array1.unsafe_get sa row) in
     if p = 0 then sentinel_row := row
     else begin
       let d = Char.code (Bytes.unsafe_get codes (p - 1)) - 1 and j = !lane in

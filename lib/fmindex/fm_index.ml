@@ -193,7 +193,7 @@ let build_located ~occ_rate ~sa_rate ptext =
   mark_set marks 0;
   let nsamples = ref 1 in
   for row = 1 to n do
-    if sa.(row) mod sa_rate = 0 then begin
+    if Int32.to_int sa.{row} mod sa_rate = 0 then begin
       mark_set marks row;
       incr nsamples
     end
@@ -202,15 +202,22 @@ let build_located ~occ_rate ~sa_rate ptext =
   let samples = Storage.create_words (sample_words ~nsamples:!nsamples ~bits) in
   let j = ref 0 in
   for row = 1 to n do
-    if sa.(row) mod sa_rate = 0 then begin
-      set_sample samples bits !j (sa.(row) / sa_rate);
+    let p = Int32.to_int sa.{row} in
+    if p mod sa_rate = 0 then begin
+      set_sample samples bits !j (p / sa_rate);
       incr j
     end
   done;
   (occ, sentinel_row, marks, !nsamples, samples)
 
+let max_length = Suffix.Suffix_array.max_length - 1
+
 let build ?(occ_rate = 32) ?(sa_rate = 16) ?(parallel = true) text =
   if sa_rate <= 0 then invalid_arg "Fm_index.build: sa_rate must be positive";
+  if String.length text > max_length then
+    invalid_arg
+      (Printf.sprintf "Fm_index.build: a text of %d bases exceeds the limit of %d"
+         (String.length text) max_length);
   String.iter
     (fun c ->
       if not (Dna.Alphabet.is_base c) || c <> Dna.Alphabet.normalize c then
@@ -230,7 +237,7 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) ?(parallel = true) text =
   {
     n;
     ptext;
-    text = Storage.Memo.make (fun () -> text);
+    text = text_memo_of_packed ptext;
     occ;
     fwd;
     fwd_sentinel_row;
@@ -566,7 +573,11 @@ let serialize t =
   let l2 = Buffer.contents l2buf in
   assert (String.length l2 = section_table_len);
   let l3 = Printf.sprintf "hcrc %08x\n" (Crc32.string ~init:(Crc32.string l1) l2) in
-  let buf = Buffer.create (4096 + hdr_len + (t.n / 2)) in
+  let image_len =
+    List.fold_left2 (fun _ off s -> off + String.length s) hdr_len offs secs
+    + String.length trailer_magic + 4
+  in
+  let buf = Buffer.create image_len in
   let crc = ref 0 in
   let add s =
     Buffer.add_string buf s;
@@ -583,6 +594,7 @@ let serialize t =
     offs secs;
   add trailer_magic;
   Buffer.add_string buf (le32_of_int !crc);
+  assert (Buffer.length buf = image_len);
   Buffer.contents buf
 
 (* --- atomic, crash-safe file writing ---------------------------------- *)

@@ -24,7 +24,17 @@ val build : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> t
     bases the two passes run at once, the second on a helper domain.  A
     caller already running on a pool of domains passes
     [~parallel:false] so the build spawns nothing.  The result is the
-    same either way, byte for byte. *)
+    same either way, byte for byte.
+
+    Each pass sorts in 32-bit cells outside the OCaml heap (4 bytes per
+    base) beside a byte per base of codes and the sort's type bytes.
+    The index does not keep [s]: {!text} unpacks it on demand.  Raises
+    [Invalid_argument] on a non-[acgt] character, a nonpositive
+    [sa_rate], or a text longer than {!max_length}. *)
+
+val max_length : int
+(** [2{^31} - 3]: the longest text {!build} indexes, so that the text
+    and its sentinel fit the suffix sort's 32-bit cells. *)
 
 val forward_occ : t -> Occ.t
 (** The forward side: rank blocks over BWT([rev s]) with its sentinel
@@ -182,12 +192,6 @@ val save : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
     file is readable by other users: the temp file's 0o600 creation mode
     is widened to 0o644 masked by the process umask before the data is
     written. *)
-
-val write_atomic : ?fsync:bool -> ?wrap:(sink -> sink) -> string -> string -> unit
-(** [write_atomic image path]: the atomic temp-file + fsync + rename
-    protocol of {!save}, for any byte image.  The corpus manifest writer
-    reuses it so shard files and manifests get the same crash-safety and
-    permission guarantees as index files. *)
 
 val try_of_string : string -> (t, Kmm_error.t) result
 (** Parse a v5 index image with the full Copy-mode verification and

@@ -313,6 +313,8 @@ type body =
 
 type request = { id : Json.t; body : body }
 
+let default_engine = Core.Kmismatch.Bidir
+
 let bad fmt = Printf.ksprintf (fun m -> Kmm_error.Bad_input m) fmt
 
 
@@ -391,7 +393,7 @@ let parse_request ~limits line =
                                       {
                                         pattern;
                                         k;
-                                        engine = Core.Kmismatch.Bidir;
+                                        engine = default_engine;
                                         deadline;
                                       };
                                 }

@@ -113,6 +113,9 @@ type body =
 
 type request = { id : Json.t;  (** [Null] when absent *) body : body }
 
+val default_engine : Core.Kmismatch.engine
+(** The engine of a query frame without an [engine] field: [Bidir]. *)
+
 val parse_request :
   limits:limits -> string -> (request, Json.t * Kmm_error.t) result
 (** Parse and admit one frame.  Every failure is typed — malformed JSON,

@@ -19,7 +19,6 @@
    sink and every connection belong to the loop alone. *)
 
 module Kmismatch = Core.Kmismatch
-module Corpus = Core.Corpus
 module C = Obs.Counter
 module Client = Client
 
@@ -118,7 +117,7 @@ type conn = {
 
 type t = {
   cfg : config;
-  corpus : Corpus.t;
+  index : Kmismatch.index;
   listen_fd : Unix.file_descr;
   workers : worker array;
   mutable worker_domains : unit Domain.t array;
@@ -207,7 +206,7 @@ let run_job t w j =
                 Error (Kmm_error.Timeout "deadline expired while queued")
               else
                 match
-                  Corpus.try_run t.corpus
+                  Kmismatch.try_run t.index
                     (Kmismatch.Query.make ~obs:o ~deadline:j.deadline ~engine:j.engine
                        ~pattern:j.pattern ~k:j.k ())
                 with
@@ -395,9 +394,7 @@ let info_fields t =
   let open Protocol in
   [
     ("protocol", Json.Int 1);
-    ("length", Json.Int (Corpus.length t.corpus));
-    ("shards", Json.Int (Corpus.nshards t.corpus));
-    ("max_query", Json.Int (Corpus.max_query t.corpus));
+    ("length", Json.Int (Kmismatch.length t.index));
     ("domains", Json.Int t.cfg.domains);
     ( "engines",
       Json.List
@@ -750,7 +747,7 @@ let claim_socket_path path =
    up front as the typed bad-input it is. *)
 let max_socket_path = 107
 
-let start cfg corpus =
+let start cfg index =
   (* The event loop's domain counts against the runtime's limit too. *)
   if cfg.domains < 1 || cfg.domains >= Core.Work_pool.max_domains then
     invalid_arg
@@ -766,6 +763,9 @@ let start cfg corpus =
             "socket path is %d bytes; AF_UNIX socket paths are limited to %d bytes"
             (String.length cfg.socket_path)
             max_socket_path));
+  (* Build what the default engine builds once (bidir's prefix table)
+     before the daemon accepts, so no first query pays for it. *)
+  Kmismatch.prepare Protocol.default_engine index;
   (* A disconnecting client must never kill the daemon: writes to a dead
      peer report EPIPE instead of raising the default-fatal SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -796,7 +796,7 @@ let start cfg corpus =
   let t =
     {
       cfg;
-      corpus;
+      index;
       listen_fd;
       workers =
         Array.init cfg.domains (fun _ ->
@@ -821,11 +821,8 @@ let start cfg corpus =
   t.worker_domains <- Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers;
   t.loop <- Some (Thread.create event_loop t);
   cfg.log
-    (Printf.sprintf "listening on %s (%d bp corpus, %d shard%s, %d domain%s)"
-       cfg.socket_path (Corpus.length corpus)
-       (Corpus.nshards corpus)
-       (if Corpus.nshards corpus = 1 then "" else "s")
-       cfg.domains
+    (Printf.sprintf "listening on %s (%d bp index, %d domain%s)" cfg.socket_path
+       (Kmismatch.length index) cfg.domains
        (if cfg.domains = 1 then "" else "s"));
   t
 
@@ -847,8 +844,8 @@ let stop t =
     t.cfg.log "stopped (drained)"
   end
 
-let serve ?trace_out ?metrics_out cfg corpus =
-  let t = start cfg corpus in
+let serve ?trace_out ?metrics_out cfg index =
+  let t = start cfg index in
   let install sg = Sys.signal sg (Sys.Signal_handle (fun _ -> request_stop t)) in
   let old_int = install Sys.sigint in
   let old_term = install Sys.sigterm in

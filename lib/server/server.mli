@@ -1,9 +1,8 @@
 (** [kmm serve]: a long-running k-mismatch query daemon over a Unix
     domain socket.
 
-    The daemon loads one immutable {!Core.Corpus.t} at startup — a
-    monolithic index or a sharded manifest, optionally mmap'd — and
-    answers {!Protocol} frames from any number of concurrent clients.
+    The daemon serves one immutable {!Core.Kmismatch.index}, loaded by
+    copy or mmap'd, and answers {!Protocol} frames from any number of concurrent clients.
     All socket I/O runs in one event loop, a single [select] over the
     listener, every connection and a self-pipe, on the domain that
     called {!start}.  The loop reads whatever bytes a connection has,
@@ -129,9 +128,11 @@ val max_socket_path : int
     [Kmm_error.Error (Bad_input _)] naming the limit, instead of
     surfacing as a raw [Unix_error] from [bind]. *)
 
-val start : config -> Core.Corpus.t -> t
-(** Bind the socket and spawn the event loop and the worker domains; returns once
-    the daemon is accepting.  If the socket path is already bound by a
+val start : config -> Core.Kmismatch.index -> t
+(** Run the registry [prepare] of {!Protocol.default_engine} on the
+    index (bidir's prefix table), so no query pays for that one-off
+    build; then bind the socket and spawn the event loop and the worker
+    domains.  Returns once the daemon is accepting.  If the socket path is already bound by a
     live daemon, raises [Kmm_error.Error (Io _)]; a stale socket file
     left by a crashed process is replaced; a path longer than
     {!max_socket_path} raises [Kmm_error.Error (Bad_input _)].
@@ -156,7 +157,7 @@ val stop : t -> unit
     socket.  Idempotent; safe after {!request_stop}. *)
 
 val serve :
-  ?trace_out:string -> ?metrics_out:string -> config -> Core.Corpus.t -> unit
+  ?trace_out:string -> ?metrics_out:string -> config -> Core.Kmismatch.index -> unit
 (** The blocking CLI entry point: {!start}, install [SIGINT]/[SIGTERM]
     handlers that {!request_stop}, wait, then {!stop} — and on the way
     out write every sink, merged, as a Chrome trace and/or

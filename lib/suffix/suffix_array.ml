@@ -1,22 +1,36 @@
 (* SA-IS (Nong, Zhang & Chan 2009): induced sorting of LMS substrings with a
    recursive call on the reduced string when LMS names are not yet unique.
 
-   One lean core serves every caller.  Level 0 reads either a byte string
-   of symbol codes (the DNA entry point: sentinel 0, bases 1..4) or an int
-   array (the byte-alphabet [build]); every deeper level reads the reduced
-   string of LMS names, which lives in the upper part of the caller's SA.
-   Suffix types take one byte each (1 = S-type), LMS names are written
-   into the SA's upper half (LMS positions are at least two apart, so
-   [pos / 2] is a unique slot), and a level allocates nothing beyond its
-   type bytes and two bucket arrays. *)
+   One lean core serves every caller.  The suffix array is sorted in
+   32-bit cells outside the OCaml heap, 4 bytes per symbol.  Level 0
+   reads either a byte string of symbol codes (the DNA entry point:
+   sentinel 0, bases 1..4) or a cell array (the byte-alphabet [build]);
+   every deeper level reads the reduced string of LMS names, which lives
+   in the upper part of the caller's SA.  Suffix types take one byte each
+   (1 = S-type), LMS names are written into the SA's upper half (LMS
+   positions are at least two apart, so [pos / 2] is a unique slot), and
+   a level allocates nothing beyond its type bytes and two bucket
+   arrays. *)
 
-type text = Codes of Bytes.t | Ints of int array * int
-(* [Ints (a, off)]: symbol [i] is [a.(off + i)]. *)
+type cells = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Every position, name and the -1 marker fit a cell below this length. *)
+let max_length = 0x7fff_fffe
+
+let[@inline] get (a : cells) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
+let[@inline] set (a : cells) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v)
+let fill (a : cells) pos len v =
+  Bigarray.Array1.fill (Bigarray.Array1.sub a pos len) (Int32.of_int v)
+
+let create_cells n : cells = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
+
+type text = Codes of Bytes.t | Cells of cells * int
+(* [Cells (a, off)]: symbol [i] is [a.{off + i}]. *)
 
 let[@inline] chr s i =
   match s with
   | Codes b -> Char.code (Bytes.unsafe_get b i)
-  | Ints (a, off) -> Array.unsafe_get a (off + i)
+  | Cells (a, off) -> get a (off + i)
 
 let[@inline] is_s ty i = Bytes.unsafe_get ty i <> '\000'
 let[@inline] is_lms ty i = i > 0 && is_s ty i && not (is_s ty (i - 1))
@@ -39,13 +53,13 @@ let bucket_tails cnt bkt =
 let[@inline] push_head s sa bkt j =
   let c = chr s j in
   let p = Array.unsafe_get bkt c in
-  Array.unsafe_set sa p j;
+  set sa p j;
   Array.unsafe_set bkt c (p + 1)
 
 let[@inline] push_tail s sa bkt j =
   let c = chr s j in
   let p = Array.unsafe_get bkt c - 1 in
-  Array.unsafe_set sa p j;
+  set sa p j;
   Array.unsafe_set bkt c p
 
 (* Given the LMS suffixes at their bucket tails, induce L-types left to
@@ -53,12 +67,12 @@ let[@inline] push_tail s sa bkt j =
 let induce s ty sa n cnt bkt =
   bucket_heads cnt bkt;
   for i = 0 to n - 1 do
-    let j = Array.unsafe_get sa i - 1 in
+    let j = get sa i - 1 in
     if j >= 0 && not (is_s ty j) then push_head s sa bkt j
   done;
   bucket_tails cnt bkt;
   for i = n - 1 downto 0 do
-    let j = Array.unsafe_get sa i - 1 in
+    let j = get sa i - 1 in
     if j >= 0 && is_s ty j then push_tail s sa bkt j
   done
 
@@ -72,10 +86,10 @@ let rec same_lms s ty a b d =
   else same_lms s ty a b (d + 1)
 
 (* [sais s n sigma sa] writes the suffix array of [s.[0 .. n-1]] into
-   [sa.(0 .. n-1)]; [s] ends with a unique, smallest sentinel 0 and every
+   [sa.{0 .. n-1}]; [s] ends with a unique, smallest sentinel 0 and every
    symbol is below [sigma]. *)
 let rec sais s n sigma sa =
-  if n = 1 then sa.(0) <- 0
+  if n = 1 then set sa 0 0
   else begin
     let ty = Bytes.make n '\000' in
     Bytes.unsafe_set ty (n - 1) '\001';
@@ -90,8 +104,8 @@ let rec sais s n sigma sa =
     done;
     let bkt = Array.make sigma 0 in
     (* Stage 1: induce from the LMS positions in text order, which sorts
-       the LMS substrings; compact them into sa.(0 .. n1-1). *)
-    Array.fill sa 0 n (-1);
+       the LMS substrings; compact them into sa.{0 .. n1-1}. *)
+    fill sa 0 n (-1);
     bucket_tails cnt bkt;
     for i = 1 to n - 1 do
       if is_lms ty i then push_tail s sa bkt i
@@ -99,9 +113,9 @@ let rec sais s n sigma sa =
     induce s ty sa n cnt bkt;
     let n1 = ref 0 in
     for i = 0 to n - 1 do
-      let p = Array.unsafe_get sa i in
+      let p = get sa i in
       if is_lms ty p then begin
-        Array.unsafe_set sa !n1 p;
+        set sa !n1 p;
         incr n1
       end
     done;
@@ -109,49 +123,49 @@ let rec sais s n sigma sa =
     (* Name the LMS substrings (equal substrings share a name) into the
        upper half, then gather the names in text order at the top: the
        reduced string, ending in the sentinel's unique name 0. *)
-    Array.fill sa n1 (n - n1) (-1);
+    fill sa n1 (n - n1) (-1);
     let names = ref 0 and prev = ref (-1) in
     for i = 0 to n1 - 1 do
-      let pos = sa.(i) in
+      let pos = get sa i in
       if !prev < 0 || not (same_lms s ty !prev pos 0) then begin
         incr names;
         prev := pos
       end;
-      sa.(n1 + (pos / 2)) <- !names - 1
+      set sa (n1 + (pos / 2)) (!names - 1)
     done;
     let j = ref (n - 1) in
     for i = n - 1 downto n1 do
-      let v = sa.(i) in
+      let v = get sa i in
       if v >= 0 then begin
-        sa.(!j) <- v;
+        set sa !j v;
         decr j
       end
     done;
-    (* Stage 2: order the LMS suffixes.  Unique names mean sa.(0 .. n1-1)
+    (* Stage 2: order the LMS suffixes.  Unique names mean sa.{0 .. n1-1}
        already is that order; otherwise recurse on the reduced string and
        map its suffix array back to text positions. *)
     if !names < n1 then begin
       let off = n - n1 in
-      sais (Ints (sa, off)) n1 !names sa;
+      sais (Cells (sa, off)) n1 !names sa;
       let j = ref off in
       for i = 1 to n - 1 do
         if is_lms ty i then begin
-          sa.(!j) <- i;
+          set sa !j i;
           incr j
         end
       done;
       for i = 0 to n1 - 1 do
-        sa.(i) <- sa.(off + sa.(i))
+        set sa i (get sa (off + get sa i))
       done
     end;
     (* Stage 3: seed the bucket tails with the sorted LMS suffixes (back
        to front, so each lands at or past its current slot) and induce
        the full order. *)
-    Array.fill sa n1 (n - n1) (-1);
+    fill sa n1 (n - n1) (-1);
     bucket_tails cnt bkt;
     for i = n1 - 1 downto 0 do
-      let p = sa.(i) in
-      sa.(i) <- -1;
+      let p = get sa i in
+      set sa i (-1);
       push_tail s sa bkt p
     done;
     induce s ty sa n cnt bkt
@@ -161,6 +175,10 @@ let rec sais s n sigma sa =
    here, once, for every caller-supplied string. *)
 let sais_codes codes ~sigma =
   let n = Bytes.length codes in
+  if n > max_length then
+    invalid_arg
+      (Printf.sprintf "Suffix_array.sais_codes: %d symbols exceed the 32-bit limit of %d" n
+         max_length);
   let bad () =
     invalid_arg "Suffix_array.sais_codes: codes must end in a unique 0 below sigma"
   in
@@ -169,7 +187,7 @@ let sais_codes codes ~sigma =
     let c = Char.code (Bytes.unsafe_get codes i) in
     if c = 0 || c >= sigma then bad ()
   done;
-  let sa = Array.make n 0 in
+  let sa = create_cells n in
   sais (Codes codes) n sigma sa;
   sa
 
@@ -177,14 +195,19 @@ let build s =
   let n = String.length s in
   if n = 0 then [||]
   else begin
-    let codes = Array.make (n + 1) 0 in
+    if n >= max_length then
+      invalid_arg
+        (Printf.sprintf "Suffix_array.build: %d bytes exceed the 32-bit limit of %d" n
+           (max_length - 1));
+    let codes = create_cells (n + 1) in
     for i = 0 to n - 1 do
-      codes.(i) <- Char.code s.[i] + 1
+      set codes i (Char.code s.[i] + 1)
     done;
-    let sa = Array.make (n + 1) 0 in
-    sais (Ints (codes, 0)) (n + 1) 257 sa;
+    set codes n 0;
+    let sa = create_cells (n + 1) in
+    sais (Cells (codes, 0)) (n + 1) 257 sa;
     (* Drop the sentinel suffix (always first). *)
-    Array.sub sa 1 n
+    Array.init n (fun i -> get sa (i + 1))
   end
 
 let build_doubling s =

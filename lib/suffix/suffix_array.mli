@@ -10,18 +10,28 @@
     the suffix [s[sa.(i) ..]] is the [i]-th smallest suffix in plain
     lexicographic order (a proper prefix sorts before its extensions). *)
 
+type cells = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** The SA-IS core's working array: one 32-bit cell per symbol, outside
+    the OCaml heap. *)
+
+val max_length : int
+(** [2{^31} - 2]: the longest symbol string, sentinel included, whose
+    positions and LMS names fit the 32-bit cells. *)
+
 val build : string -> int array
 (** Linear-time SA-IS construction over the byte alphabet (all 256 byte
-    values allowed). *)
+    values allowed).  Raises [Invalid_argument] on a string of
+    {!max_length} bytes or more. *)
 
-val sais_codes : Bytes.t -> sigma:int -> int array
+val sais_codes : Bytes.t -> sigma:int -> cells
 (** [sais_codes codes ~sigma] is the suffix array of [codes], read as
     symbols [0 .. sigma-1] ([sigma <= 256]): its last byte must be a
-    sentinel 0 that occurs nowhere else.  The result has one entry per
-    byte, the sentinel suffix first ([sa.(0) = Bytes.length codes - 1]).
-    Working memory beyond the result is one byte per symbol plus the
-    recursion's type bytes and buckets.  Raises [Invalid_argument] when
-    [codes] breaks that contract. *)
+    sentinel 0 that occurs nowhere else.  The result has one cell per
+    byte, the sentinel suffix first ([sa.{0} = Bytes.length codes - 1]).
+    Working memory beyond the result's 4 bytes per symbol is one byte
+    per symbol plus the recursion's type bytes and buckets.  Raises
+    [Invalid_argument] when [codes] breaks that contract or is longer
+    than {!max_length}. *)
 
 val build_doubling : string -> int array
 (** O(n log^2 n) prefix-doubling construction; reference implementation for

@@ -70,7 +70,7 @@ let with_server ?(domains = 2) ?max_queue ?send_timeout f =
       send_timeout = Option.value send_timeout ~default:base.send_timeout;
     }
   in
-  let t = S.start cfg (Core.Corpus.mono (Lazy.force index)) in
+  let t = S.start cfg (Lazy.force index) in
   Fun.protect ~finally:(fun () -> S.stop t) (fun () -> f t path)
 
 let expect_hits name = function
@@ -679,7 +679,7 @@ let client_retry_end_to_end () =
             let cfg =
               { (S.default_config ~socket_path:path) with domains = 1 }
             in
-            server := Some (S.start cfg (Core.Corpus.mono (Lazy.force index))))
+            server := Some (S.start cfg (Lazy.force index)))
           ()
       in
       Fun.protect

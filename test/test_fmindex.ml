@@ -40,11 +40,15 @@ let test_bwt_is_permutation () =
 (* ------------------------------------------------------------------ *)
 (* Packed BWT builder (the DNA SA-IS entry point)                      *)
 
+let ints_of_cells (sa : Suffix.Suffix_array.cells) =
+  Array.init (Bigarray.Array1.dim sa) (fun i -> Int32.to_int sa.{i})
+
 (* [Bwt.of_packed_text] against an independent oracle: BWT(s$) through
    prefix doubling, the sentinel cut out of the lanes, and the
    row-indexed SA as the sentinel row followed by SA(s). *)
 let packed_bwt_agrees s =
   let packed, row, sa = Bwt.of_packed_text (Packed_text.of_string s) in
+  let sa = ints_of_cells sa in
   let sa_ref = Suffix.Suffix_array.build_doubling s in
   let l = Bwt.of_suffix_array s sa_ref in
   let srow = String.index l '$' in
@@ -130,6 +134,7 @@ let test_packed_bwt_genome () =
   (* 200 kbp with 30% diverged repeats: at least two recursion levels. *)
   let s = genome ~size:200_000 ~seed:5 in
   let packed, row, sa = Bwt.of_packed_text (Packed_text.of_string s) in
+  let sa = ints_of_cells sa in
   check bool "row-indexed SA" true (is_row_sa s sa);
   check bool "sentinel row" true (sa.(row) = 0);
   check string "BWT inverts to the text" s (Bwt.inverse (bwt_string packed row))
@@ -192,6 +197,23 @@ let test_parallel_build_identical () =
   check string "one domain = two domains"
     (Fm_index.serialize (Fm_index.build ~parallel:false s))
     (Fm_index.serialize (Fm_index.build ~parallel:true s))
+
+(* The suffix sorts run in 32-bit cells outside the OCaml heap, so a
+   one-domain build of 1 Mbp allocates there only its code strings, type
+   bytes and rank tables: 11.5 bytes per base.  An [int array] suffix
+   array would add 8 bytes per base for each of the two sorts (27.5). *)
+let build_heap_bound = 16.
+
+let test_build_heap_bytes () =
+  let n = 1_000_000 in
+  let s = Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 3 |]) n) in
+  let before = Gc.allocated_bytes () in
+  let fm = Fm_index.build ~parallel:false s in
+  let per_base = (Gc.allocated_bytes () -. before) /. float n in
+  check int "length" n (Fm_index.length fm);
+  if per_base > build_heap_bound then
+    Alcotest.failf "build allocated %.2f B/base on the heap (bound %.0f)" per_base
+      build_heap_bound
 
 (* ------------------------------------------------------------------ *)
 (* Occ / rankall                                                       *)
@@ -570,6 +592,7 @@ let () =
             test_forward_side_equals_rebuild;
           Alcotest.test_case "parallel build byte-identical" `Quick
             test_parallel_build_identical;
+          Alcotest.test_case "build heap bytes per base" `Quick test_build_heap_bytes;
         ] );
       ( "occ",
         [

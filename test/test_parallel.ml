@@ -255,23 +255,40 @@ let prop_fan_out =
       | `Cancelled -> (not ran_all) && failed_run = []
       | `Done -> ran_all && failed_run = [])
 
-(* The memoised prepare runs once per batch on every domain count, so a
+(* A naive-search engine whose registry [prepare] counts its calls,
+   registered in this test process only. *)
+type Kmismatch.engine += Counting_prepare
+
+let prepare_calls = Atomic.make 0
+
+let () =
+  Kmismatch.Engine_registry.register
+    {
+      Kmismatch.Engine_registry.engine = Counting_prepare;
+      name = "counting-prepare-test";
+      doc = "test double: naive search, counted prepare";
+      caps = { scales = false };
+      prepare = (fun _ -> Atomic.incr prepare_calls);
+      run =
+        (fun t a ->
+          Stringmatch.Hamming.search ~pattern:a.Kmismatch.Engine_registry.pattern
+            ~text:(Kmismatch.text t) ~k:a.Kmismatch.Engine_registry.k);
+    }
+
+(* The engine's prepare runs once per batch on every domain count, so a
    one-domain run times its derived-state build as "prepare", not as
    "search". *)
 let test_prepare_always_runs () =
   let idx = Kmismatch.build_index "acgtacgtaaccggttacgt" in
-  let calls = ref 0 in
-  let target =
-    { (Mapper.target_of_index idx) with Mapper.tgt_prepare = (fun _ -> incr calls) }
-  in
   List.iter
     (fun domains ->
-      calls := 0;
+      Atomic.set prepare_calls 0;
       ignore
-        (Mapper.run_target
-           { Mapper.default with domains; chunk_size = 1 }
-           target ~reads:[ (0, "acgt"); (1, "ggtt") ] ~k:1);
-      check int (Printf.sprintf "prepare calls, domains=%d" domains) 1 !calls)
+        (Mapper.run
+           { Mapper.default with engine = Counting_prepare; domains; chunk_size = 1 }
+           idx ~reads:[ (0, "acgt"); (1, "ggtt") ] ~k:1);
+      check int (Printf.sprintf "prepare calls, domains=%d" domains) 1
+        (Atomic.get prepare_calls))
     [ 1; 2 ]
 
 let () =

@@ -59,7 +59,7 @@ let with_server ?(limits = P.default_limits) ?(domains = 2) ?send_timeout f =
   let base = S.default_config ~socket_path:path in
   let send_timeout = Option.value send_timeout ~default:base.send_timeout in
   let cfg = { base with domains; limits; send_timeout } in
-  let t = S.start cfg (Core.Corpus.mono (Lazy.force index)) in
+  let t = S.start cfg (Lazy.force index) in
   Fun.protect ~finally:(fun () -> S.stop t) (fun () -> f t path)
 
 let rpc_exn c frame =
@@ -456,7 +456,7 @@ let server_socket_path_too_long () =
       (String.make (S.max_socket_path + 1) 'x' ^ ".sock")
   in
   let cfg = { (S.default_config ~socket_path:path) with domains = 1 } in
-  match S.start cfg (Core.Corpus.mono (Lazy.force index)) with
+  match S.start cfg (Lazy.force index) with
   | exception Kmm_error.Error (Kmm_error.Bad_input msg) ->
       Alcotest.(check bool) "message names the 107-byte limit" true
         (let needle = "107" in
@@ -480,12 +480,27 @@ let server_domains_over_limit () =
   let cfg =
     { (S.default_config ~socket_path:path) with domains = Core.Work_pool.max_domains }
   in
-  match S.start cfg (Core.Corpus.mono (Lazy.force index)) with
+  match S.start cfg (Lazy.force index) with
   | exception Invalid_argument _ ->
       Alcotest.(check bool) "no socket file" false (Sys.file_exists path)
   | t ->
       S.stop t;
       Alcotest.fail "domains above the limit accepted"
+
+let server_start_prepares_default_engine () =
+  (* The default engine's one-off build (bidir's prefix table) runs in
+     [start], so it is done before the first query arrives. *)
+  let idx = K.build_index text in
+  let table_built () = Fmindex.Bidir.prefix_table_built (K.bidir idx) in
+  Alcotest.(check bool) "no table before start" false (table_built ());
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kmm-warm-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
+  in
+  let t = S.start { (S.default_config ~socket_path:path) with domains = 1 } idx in
+  Fun.protect
+    ~finally:(fun () -> S.stop t)
+    (fun () -> Alcotest.(check bool) "table built once start returns" true (table_built ()))
 
 let server_shutdown_command () =
   with_server (fun t path ->
@@ -592,7 +607,7 @@ let server_metrics_add_up () =
   let cfg = { (S.default_config ~socket_path:path) with domains = 2 } in
   let server =
     Thread.create
-      (fun () -> S.serve ~metrics_out cfg (Core.Corpus.mono (Lazy.force index)))
+      (fun () -> S.serve ~metrics_out cfg (Lazy.force index))
       ()
   in
   let rec connect tries =
@@ -659,12 +674,12 @@ let server_engine_exception_isolated () =
      each raising query costs exactly its own answer (a typed Internal
      frame), every good one is answered as in-process, and the daemon
      still drains and stops. *)
-  let corpus = Core.Corpus.mono (Lazy.force index) in
+  let idx = Lazy.force index in
   let qarr = Array.of_list queries in
   let expected =
     Array.map
       (fun (pattern, k) ->
-        match Core.Corpus.try_run corpus (K.Query.make ~engine:K.M_tree ~pattern ~k ()) with
+        match K.try_run idx (K.Query.make ~engine:K.M_tree ~pattern ~k ()) with
         | Ok r -> P.render_hits r.K.Response.hits
         | Error e -> Alcotest.fail (Kmm_error.to_string e))
       qarr
@@ -923,6 +938,8 @@ let () =
             server_drain_answers_then_refuses;
           Alcotest.test_case "socket path over sun_path" `Quick server_socket_path_too_long;
           Alcotest.test_case "domains over the limit" `Quick server_domains_over_limit;
+          Alcotest.test_case "start builds the prefix table" `Quick
+            server_start_prepares_default_engine;
           Alcotest.test_case "metrics add up across worker domains" `Quick
             server_metrics_add_up;
           Alcotest.test_case "engine exception costs one answer" `Quick

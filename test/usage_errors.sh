@@ -43,14 +43,11 @@ esac
 # The serve daemon batches nothing, so it has no --batch-max knob.
 expect_usage_error serve --batch-max 8 --index nonexistent.idx
 
-# Out-of-range counts and a missing corpus are usage errors, not
+# Out-of-range counts are usage errors, not
 # internal errors (125): the runtime runs at most 128 domains, and the
 # daemon's event loop takes one of them.
 expect_usage_error map --jobs 0 --genome g.fa --reads r.fa
 expect_usage_error map --jobs 129 --genome g.fa --reads r.fa
-expect_usage_error index --jobs 0 --genome g.fa --output g.fmi
-expect_usage_error index --shard-size 0 --genome g.fa --output g.fmi
-expect_usage_error index --shard-size 100 --jobs 200 --genome g.fa --output g.fmi
 expect_usage_error serve --jobs 128 --genome g.fa --socket "$tmp/kmm.sock"
 if [ -e "$tmp/kmm.sock" ]; then
   echo "usage_errors: refused serve left its socket file behind" >&2
