@@ -19,38 +19,38 @@ let flip_byte s ~offset ~bit =
   Bytes.set b offset (Char.chr (Char.code (Bytes.get b offset) lxor (1 lsl bit)));
   Bytes.unsafe_to_string b
 
-(* Split [chunk] around the absolute stream boundary [limit], given that
-   [written] bytes went before it: the part that still fits, and whether
-   the chunk crosses the boundary. *)
-let prefix_upto ~written ~limit chunk =
-  if written >= limit then ("", String.length chunk > 0)
-  else if written + String.length chunk <= limit then (chunk, false)
-  else (String.sub chunk 0 (limit - written), true)
+(* How much of a [len]-byte chunk still fits below the absolute stream
+   boundary [limit], given that [written] bytes went before it, and
+   whether the chunk crosses the boundary. *)
+let prefix_upto ~written ~limit len =
+  if written >= limit then (0, len > 0)
+  else if written + len <= limit then (len, false)
+  else (limit - written, true)
 
 let wrap plan (base : Fmindex.Fm_index.sink) : Fmindex.Fm_index.sink =
   let written = ref 0 in
   let lost = ref false in
-  let write_counted s =
-    base.Fmindex.Fm_index.sink_write s;
-    written := !written + String.length s
+  let write_counted s off len =
+    base.Fmindex.Fm_index.sink_write s off len;
+    written := !written + len
   in
   match plan with
   | Enospc_after limit ->
       {
         sink_write =
-          (fun chunk ->
-            let keep, overflow = prefix_upto ~written:!written ~limit chunk in
-            write_counted keep;
+          (fun s off len ->
+            let keep, overflow = prefix_upto ~written:!written ~limit len in
+            write_counted s off keep;
             if overflow then raise (Injected "ENOSPC"));
         sink_flush = base.sink_flush;
       }
   | Crash_after limit ->
       {
         sink_write =
-          (fun chunk ->
+          (fun s off len ->
             if !lost then raise (Injected "crash");
-            let keep, overflow = prefix_upto ~written:!written ~limit chunk in
-            write_counted keep;
+            let keep, overflow = prefix_upto ~written:!written ~limit len in
+            write_counted s off keep;
             if overflow then begin
               lost := true;
               raise (Injected "crash")
@@ -61,9 +61,9 @@ let wrap plan (base : Fmindex.Fm_index.sink) : Fmindex.Fm_index.sink =
   | Short_write limit ->
       {
         sink_write =
-          (fun chunk ->
-            let keep, overflow = prefix_upto ~written:!written ~limit chunk in
-            write_counted keep;
+          (fun s off len ->
+            let keep, overflow = prefix_upto ~written:!written ~limit len in
+            write_counted s off keep;
             if overflow then lost := true);
         sink_flush =
           (fun () ->
@@ -73,24 +73,23 @@ let wrap plan (base : Fmindex.Fm_index.sink) : Fmindex.Fm_index.sink =
   | Bit_flip { offset; bit } ->
       {
         sink_write =
-          (fun chunk ->
+          (fun s off len ->
             let start = !written in
-            let chunk =
-              if offset >= start && offset < start + String.length chunk then
-                flip_byte chunk ~offset:(offset - start) ~bit
-              else chunk
-            in
-            write_counted chunk);
+            if offset >= start && offset < start + len then
+              write_counted
+                (flip_byte (String.sub s off len) ~offset:(offset - start) ~bit)
+                0 len
+            else write_counted s off len);
         sink_flush = base.sink_flush;
       }
   | Truncate_at limit ->
       {
         sink_write =
-          (fun chunk ->
-            let keep, _ = prefix_upto ~written:!written ~limit chunk in
-            base.Fmindex.Fm_index.sink_write keep;
+          (fun s off len ->
+            let keep, _ = prefix_upto ~written:!written ~limit len in
+            base.Fmindex.Fm_index.sink_write s off keep;
             (* count the bytes the writer believes it wrote *)
-            written := !written + String.length chunk);
+            written := !written + len);
         sink_flush = base.sink_flush;
       }
 

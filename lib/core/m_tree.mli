@@ -79,11 +79,13 @@ val delta_heuristic : Fmindex.Fm_index.t -> pattern:string -> k:int -> int array
     nondecreasing, delta nonincreasing, and the starts with
     [delta >= v] form a prefix [1 .. b_v] of the pattern: [b_0 = m+1],
     and [b_v] is the largest [i < b_(v-1)] whose window
-    r[i .. b_(v-1) - 1] is absent.  So the array costs at most [k + 1]
-    binary searches, each probe one {!Fmindex.Fm_index.longest_extension}
-    stopped at the window end, instead of one extension run from every
-    start; no start is charged rank operations twice, so the cost never
-    exceeds that of the per-start runs. *)
+    r[i .. b_(v-1) - 1] is absent.  Windows with one end are absent
+    from some start down, so [b_v] is where one backward search on the
+    forward side of the index ({!Fmindex.Fm_index.longest_left_extension}
+    over BWT([s])), prepending r[b_(v-1) - 1], r[b_(v-1) - 2], ..., first
+    empties its interval; level [v + 1] scans on from [b_v - 1].  No
+    character is prepended twice, so the whole array costs at most [m]
+    rank steps ([fm.rank_ops]). *)
 
 val search :
   ?config:config ->

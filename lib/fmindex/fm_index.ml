@@ -15,9 +15,9 @@ module A1 = Bigarray.Array1
 
    [fwd] is the rank side of the mirror transform, BWT(rev text): the
    system indexes the reversed genome, so for it this is BWT of the
-   genome itself, the side a bidirectional search prepends through
-   ({!Bidir}).  It is rank-only and never located, so it is kept at a
-   sparser checkpoint rate. *)
+   genome itself, the side a bidirectional search ({!Bidir}) and
+   [longest_left_extension] prepend through.  It is rank-only and never
+   located, so it is kept at a sparser checkpoint rate. *)
 type t = {
   n : int;  (* text length *)
   ptext : Packed_text.t;  (* forward text, 2-bit packed *)
@@ -149,8 +149,8 @@ let text_memo_of_packed ptext =
   Storage.Memo.make (fun () -> Packed_text.to_string ptext)
 
 (* The forward side: checkpoints every 128 bases (0.3125 B/base) where
-   the located side keeps 32; it serves only the prepend steps of a
-   bidirectional search. *)
+   the located side keeps 32; it serves only prepend steps
+   ([Bidir]'s and [longest_left_extension]'s). *)
 let forward_rate = 128
 
 let build_forward ptext =
@@ -333,36 +333,38 @@ let count t pat =
         if !hi > !lo then !hi - !lo else 0
       end
 
-(* [longest_extension] is [extend] run along [codes] from [pos] until the
-   interval empties or [stop] is reached, unrolled like [count]: no
-   options or tuples per step, and the same per-step counts as the
-   [extend] calls it replaces (the step that empties the interval counts,
-   a code outside 1..sigma-1 stops the run uncounted). *)
-let longest_extension t codes ~pos ~stop =
-  if pos < 0 || pos > stop || stop > Array.length codes then
-    invalid_arg "Fm_index.longest_extension: pos or stop out of range";
+(* [longest_left_extension] is backward search on the forward side:
+   from the whole interval it prepends [codes.(stop - 1)], then
+   [codes.(stop - 2)], ... until the interval empties or [codes.(0)] is
+   in, unrolled like [count].  Both BWTs permute the same [s$], so
+   the located side's C array serves the forward side too.  Each step
+   counts like an [extend] (the step that empties the interval counts, a
+   code outside 1..sigma-1 stops the run uncounted). *)
+let longest_left_extension t codes ~stop =
+  if stop < 0 || stop > Array.length codes then
+    invalid_arg "Fm_index.longest_left_extension: stop out of range";
   let measured = Atomic.get Obs.taps in
   let ops = ref 0 and blocks = ref 0 in
-  let lo = ref 0 and hi = ref (Occ.length t.occ) in
+  let lo = ref 0 and hi = ref (Occ.length t.fwd) in
   let pr = Array.make 2 0 in
-  let j = ref pos and live = ref true in
-  while !live && !j < stop do
-    let c = Array.unsafe_get codes !j in
+  let j = ref stop and live = ref true in
+  while !live && !j > 0 do
+    let c = Array.unsafe_get codes (!j - 1) in
     if c <= 0 || c >= sigma then live := false
     else begin
       if measured then begin
         Stdlib.incr ops;
         blocks := !blocks + decodes ~lo:!lo ~hi:!hi
       end;
-      Occ.rank_pair_into_unsafe t.occ c !lo !hi pr;
+      Occ.rank_pair_into_unsafe t.fwd c !lo !hi pr;
       let cc = Array.unsafe_get t.c_array c in
       lo := cc + Array.unsafe_get pr 0;
       hi := cc + Array.unsafe_get pr 1;
-      if !lo < !hi then Stdlib.incr j else live := false
+      if !lo < !hi then decr j else live := false
     end
   done;
   if measured then tap_rank !ops !blocks;
-  !j - pos
+  stop - !j
 
 (* A legitimate LF walk reaches a marked row within [sa_rate] steps
    (positions decrease by one per step and every sa_rate-th is marked).
@@ -599,7 +601,7 @@ let serialize t =
 
 (* --- atomic, crash-safe file writing ---------------------------------- *)
 
-type sink = { sink_write : string -> unit; sink_flush : unit -> unit }
+type sink = { sink_write : string -> int -> int -> unit; sink_flush : unit -> unit }
 
 (* Write [image] to [path] atomically: stream into a same-directory temp
    file, flush + fsync, close, then rename over [path].  On {e any}
@@ -627,7 +629,7 @@ let write_atomic ?(fsync = true) ?(wrap = fun (s : sink) -> s) image path =
        (fun () ->
          let base =
            {
-             sink_write = (fun s -> output_string oc s);
+             sink_write = (fun s off len -> output_substring oc s off len);
              sink_flush =
                (fun () ->
                  flush oc;
@@ -635,14 +637,15 @@ let write_atomic ?(fsync = true) ?(wrap = fun (s : sink) -> s) image path =
            }
          in
          let s = wrap base in
-         (* Chunked writes, so injected faults see the same granularity a
-            real kernel write path would. *)
+         (* Chunked writes of the image in place, so injected faults see
+            the same granularity a real kernel write path would and no
+            chunk is copied. *)
          let len = String.length image in
          let chunk = 65536 in
          let pos = ref 0 in
          while !pos < len do
            let l = min chunk (len - !pos) in
-           s.sink_write (String.sub image !pos l);
+           s.sink_write image !pos l;
            pos := !pos + l
          done;
          s.sink_flush ())

@@ -17,11 +17,12 @@ val build : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> t
     sampling rate for {!locate} (default 16).
 
     The index also carries the {e forward side}: the rank blocks of
-    BWT([rev s]) at checkpoint rate 128, which {!Bidir}
-    prepends through (for the system's index of a reversed genome that
-    is the BWT of the genome itself).  Building it is a second SA-IS
-    pass; with [parallel] (default [true]) and a text of at least 64 Ki
-    bases the two passes run at once, the second on a helper domain.  A
+    BWT([rev s]) at checkpoint rate 128, which {!Bidir} and
+    {!longest_left_extension} prepend through (for the system's index
+    of a reversed genome that is the BWT of the genome itself).
+    Building it is a second SA-IS pass; with [parallel] (default
+    [true]) and a text of at least 64 Ki bases the two passes run at
+    once, the second on a helper domain.  A
     caller already running on a pool of domains passes
     [~parallel:false] so the build spawns nothing.  The result is the
     same either way, byte for byte.
@@ -77,18 +78,20 @@ val count : t -> string -> int
 (** Number of occurrences of a pattern in the text.  Same pattern
     normalization as {!search}: invalid patterns count 0. *)
 
-val longest_extension : t -> int array -> pos:int -> stop:int -> int
-(** [longest_extension t codes ~pos ~stop] is the largest [l <= stop - pos]
-    such that extending {!whole} by [codes.(pos)], [codes.(pos + 1)], ...,
-    [codes.(pos + l - 1)] in turn (each {!extend} prepends its code)
-    keeps the interval nonempty; a code outside [1 .. 4] ends the run.
-    On the index of a reversed text this is the length of the longest
-    prefix of [codes.(pos .. stop - 1)] occurring in the forward text, so
-    that window occurs iff the result is [stop - pos].  Allocation free
-    per step, with the counts of the {!extend} calls it stands for:
-    the step that empties the interval counts, a code outside [1 .. 4]
-    does not, and no step is taken at [stop].  Raises [Invalid_argument]
-    unless [0 <= pos <= stop <= Array.length codes]. *)
+val longest_left_extension : t -> int array -> stop:int -> int
+(** [longest_left_extension t codes ~stop] is the largest [l <= stop]
+    such that backward search on the forward side ({!forward_occ}) from
+    the whole interval, prepending [codes.(stop - 1)],
+    [codes.(stop - 2)], ..., [codes.(stop - l)] in turn, keeps the
+    interval nonempty; a code outside [1 .. 4] ends the run.  The
+    forward side is the BWT of the reversed text, so on the index of a
+    reversed text this is the length of the longest suffix of
+    [codes.(0 .. stop - 1)] occurring in the forward text, and when
+    [l < stop] the window [codes.(stop - l - 1 .. stop - 1)] is the
+    shortest one ending at [stop - 1] that does not occur.  Allocation
+    free per step, with the counts of an {!extend} per step: the step
+    that empties the interval counts, a code outside [1 .. 4] does not.
+    Raises [Invalid_argument] unless [0 <= stop <= Array.length codes]. *)
 
 val locate : t -> interval -> int list
 (** Sorted 0-based starting positions of the suffixes in the interval.
@@ -115,7 +118,7 @@ val find_all : t -> string -> int list
     When {!Obs.set_taps} has armed the taps, the query paths count into
     the calling domain's ambient sink ({!Obs.with_ambient}):
     [fm.rank_ops] (one per {!extend}/{!extend_all} call, one per
-    backward-search step of {!count} or {!longest_extension}, one per
+    backward-search step of {!count} or {!longest_left_extension}, one per
     LF step of a locate walk), [fm.block_decodes] (interleaved Occ
     blocks decoded: one for a width-1 interval, two otherwise, one per
     LF step), [fm.locate_walks] (rows located) and [fm.locate_steps]
@@ -169,7 +172,9 @@ val extend_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
     [kmm index]. *)
 
 type sink = {
-  sink_write : string -> unit;  (** append a chunk; may raise *)
+  sink_write : string -> int -> int -> unit;
+      (** [sink_write image off len] appends [image.[off .. off+len-1]]
+          in place; may raise *)
   sink_flush : unit -> unit;  (** flush + fsync barrier before rename; may raise *)
 }
 (** The byte stream [save] writes through.  Test harnesses interpose on

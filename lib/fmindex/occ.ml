@@ -393,15 +393,18 @@ let of_packed ?(rate = 32) ?(sentinels = [||]) pt =
     for d = 0 to 3 do
       set_u16 data (off + (2 * d)) (running.(d) - super.((sb * 4) + d))
     done;
-    (* Copy this block's payload and count it through the table. *)
+    (* Copy this block's payload and count it through the table, a
+       byte at a time: a [Bigarray] blit would make two sub-array
+       proxies per block. *)
     let src = b * (bl lsr 2) in
     let cnt = min (bl lsr 2) (pbytes - src) in
     if cnt > 0 then begin
-      Storage.blit payload src data (off + 8) cnt;
       let lanes = min bl (plen - (b * bl)) in
       let s = ref 0 in
       for j = 0 to cnt - 1 do
-        s := !s + tbl.(A1.unsafe_get data (off + 8 + j))
+        let byte = A1.unsafe_get payload (src + j) in
+        A1.unsafe_set data (off + 8 + j) byte;
+        s := !s + Array.unsafe_get tbl byte
       done;
       let s = !s in
       let f1 = s land 0xffff

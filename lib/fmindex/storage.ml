@@ -30,9 +30,6 @@ let to_string (a : t) =
   let n = A1.dim a in
   String.init n (fun i -> Char.unsafe_chr (A1.unsafe_get a i))
 
-let blit (src : t) spos (dst : t) dpos len =
-  if len > 0 then A1.blit (A1.sub src spos len) (A1.sub dst dpos len)
-
 let word (a : words) i = Int64.to_int (A1.unsafe_get a i)
 let set_word (a : words) i v = A1.unsafe_set a i (Int64.of_int v)
 

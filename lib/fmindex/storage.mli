@@ -41,9 +41,6 @@ val of_string : string -> t
 val to_string : t -> string
 (** Copy the buffer out as a string. *)
 
-val blit : t -> int -> t -> int -> int -> unit
-(** [blit src spos dst dpos len], semantics of [Bytes.blit]. *)
-
 val word : words -> int -> int
 (** [word w i] is word [i] as an OCaml int (truncating the top bit, as
     everywhere else in the 63-bit index arithmetic). *)

@@ -215,6 +215,18 @@ let test_build_heap_bytes () =
     Alcotest.failf "build allocated %.2f B/base on the heap (bound %.0f)" per_base
       build_heap_bound
 
+(* [Occ.of_packed] copies and counts each block's payload in place: at
+   1 Mbp its minor garbage is a few small arrays, not a proxy pair per
+   block (about 2 B/base). *)
+let test_occ_of_packed_garbage () =
+  let s = Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 4 |]) 1_000_000) in
+  let pt = Packed_text.of_string s in
+  let before = Gc.minor_words () in
+  let occ = Occ.of_packed ~rate:32 ~sentinels:[| 17 |] pt in
+  let words = Gc.minor_words () -. before in
+  check int "length" 1_000_001 (Occ.length occ);
+  if words > 4096. then Alcotest.failf "of_packed made %.0f minor words" words
+
 (* ------------------------------------------------------------------ *)
 (* Occ / rankall                                                       *)
 
@@ -593,6 +605,7 @@ let () =
           Alcotest.test_case "parallel build byte-identical" `Quick
             test_parallel_build_identical;
           Alcotest.test_case "build heap bytes per base" `Quick test_build_heap_bytes;
+          Alcotest.test_case "of_packed minor words" `Quick test_occ_of_packed_garbage;
         ] );
       ( "occ",
         [

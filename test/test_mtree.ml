@@ -262,7 +262,8 @@ let measure f =
   (r, List.filter (fun (name, _) -> String.starts_with ~prefix:"fm." name) (Obs.counters obs))
 
 (* One [Fm.extend] per step along [codes] from [pos], until the interval
-   empties or [stop] is reached: the steps [longest_extension] unrolls. *)
+   empties or [stop] is reached: a window's longest present prefix,
+   through the located side. *)
 let extend_run fm codes ~pos ~stop =
   let rec go j iv =
     if j >= stop then j
@@ -315,31 +316,101 @@ let prop_delta_kernel =
       M_tree.delta_heuristic fm ~pattern ~k
       = Array.map (fun d -> min d (k + 1)) (naive_delta fm pattern))
 
-(* The capped array never costs more than the runs from every start. *)
+(* The scan prepends each pattern character at most once. *)
 let prop_delta_cost =
-  Test_util.qtest ~count:300 "capped delta spends no more than per-start runs"
-    gen_delta_case
+  Test_util.qtest ~count:300 "delta spends at most m rank ops" gen_delta_case
     (fun (text, pattern, k) ->
       let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
-      let _, capped = measure (fun () -> M_tree.delta_heuristic fm ~pattern ~k) in
-      let _, full = measure (fun () -> naive_delta fm pattern) in
-      let le name = List.assoc name capped <= List.assoc name full in
-      le "fm.rank_ops" && le "fm.block_decodes")
+      let _, counts = measure (fun () -> M_tree.delta_heuristic fm ~pattern ~k) in
+      let m = String.length pattern in
+      List.assoc "fm.rank_ops" counts <= m && List.assoc "fm.block_decodes" counts <= 2 * m)
 
-(* Same length, and the same rank/block counts, as the extend loop,
-   stopped inside the pattern or at its end. *)
-let prop_longest_extension =
-  Test_util.qtest ~count:300 "longest_extension = extend loop"
+(* Backward search on the forward side, one [Occ.rank_pair] per step,
+   prepending [codes.(stop - 1)], [codes.(stop - 2)], ...: the length it
+   keeps live and the [fm.*] counts the unrolled scan must report. *)
+let left_run fm codes ~stop =
+  let occ = Fmindex.Fm_index.forward_occ fm in
+  let counts = Fmindex.Occ.counts occ in
+  let cnt = Array.init 5 (fun c -> Array.fold_left ( + ) 0 (Array.sub counts 0 c)) in
+  let ops = ref 0 and decodes = ref 0 in
+  let rec go j lo hi =
+    let c = if j > 0 then codes.(j - 1) else 0 in
+    if c < 1 || c > 4 then j
+    else begin
+      incr ops;
+      decodes := !decodes + if hi = lo + 1 then 1 else 2;
+      let r_lo, r_hi = Fmindex.Occ.rank_pair occ c lo hi in
+      let lo = cnt.(c) + r_lo and hi = cnt.(c) + r_hi in
+      if lo < hi then go (j - 1) lo hi else j
+    end
+  in
+  let j = go stop 0 (Fmindex.Occ.length occ) in
+  (stop - j, [ ("fm.block_decodes", !decodes); ("fm.rank_ops", !ops) ])
+
+(* Half the cases carry a code outside 1..4 (0 is the sentinel's, 5 is
+   past the alphabet), which ends the scan like an absent window. *)
+let prop_longest_left_extension =
+  Test_util.qtest ~count:300 "longest_left_extension = extend loop"
     QCheck2.Gen.(
       gen_text_pattern >>= fun (text, pattern) ->
       let m = String.length pattern in
-      pair (int_range 0 m) (oneof [ pure m; int_range 0 m ]) >|= fun (a, stop) ->
-      (text, pattern, min a stop, stop))
-    (fun (text, pattern, pos, stop) ->
+      triple (oneof [ pure m; int_range 0 m ]) (int_range 0 (2 * m)) (oneofl [ 0; 5 ])
+      >|= fun (stop, bad_at, bad) ->
+      let codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
+      if bad_at < m then codes.(bad_at) <- bad;
+      (text, codes, stop))
+    (fun (text, codes, stop) ->
       let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
-      let codes = Array.init (String.length pattern) (fun i -> Dna.Alphabet.code pattern.[i]) in
-      measure (fun () -> Fmindex.Fm_index.longest_extension fm codes ~pos ~stop)
-      = measure (fun () -> extend_run fm codes ~pos ~stop))
+      let l, counts = measure (fun () -> Fmindex.Fm_index.longest_left_extension fm codes ~stop) in
+      let l', counts' = left_run fm codes ~stop in
+      (* On the index of rev text: the longest suffix of codes.(0 .. stop-1)
+         that occurs in text. *)
+      let occurs i =
+        let w = String.init (stop - i) (fun j -> "$acgt?".[codes.(i + j)]) in
+        let lw = String.length w in
+        let rec at p = p + lw <= String.length text && (String.sub text p lw = w || at (p + 1)) in
+        at 0
+      in
+      l = l'
+      && List.for_all (fun (name, v) -> List.assoc name counts = v) counts'
+      && occurs (stop - l)
+      && (l = stop || not (occurs (stop - l - 1)))
+      || QCheck2.Test.fail_reportf "stop %d: scan %d, loop %d" stop l l')
+
+(* A saved index answers delta from its adopted forward side, in either
+   load mode, exactly as the index it was built as. *)
+let test_delta_reloaded () =
+  let r = { s = 27 } in
+  let text = dna r 20_000 in
+  let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+  let path = Filename.temp_file "kmm-delta" ".fmi" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Fmindex.Fm_index.save ~fsync:false fm path;
+      let cases =
+        List.init 40 (fun i ->
+            let pattern =
+              if i mod 2 = 0 then planted r text ~len:(between r 20 120) ~k:(i mod 7)
+              else dna r (between r 1 60)
+            in
+            (pattern, below r 8))
+      in
+      let deltas fm = List.map (fun (pattern, k) -> M_tree.delta_heuristic fm ~pattern ~k) cases in
+      let built = deltas fm in
+      List.iter
+        (fun (name, mode) ->
+          let loaded = Fmindex.Fm_index.load ~mode path in
+          check Alcotest.bool (name ^ " load = built") true (deltas loaded = built))
+        [ ("copy", Fmindex.Fm_index.Copy); ("mmap", Fmindex.Fm_index.Mmap) ])
+
+(* A pattern character outside acgt: '$' has code 0, absent from every
+   window, so it costs one absent window and no rank step. *)
+let test_delta_non_acgt () =
+  let fm = Kmismatch.fm_rev (Kmismatch.build_index "acagaca") in
+  let d, counts = measure (fun () -> M_tree.delta_heuristic fm ~pattern:"ac$ca" ~k:5) in
+  check Alcotest.(array int) "delta" [| 0; 1; 1; 1; 0; 0; 0 |] d;
+  check Alcotest.int "rank ops" 4 (List.assoc "fm.rank_ops" counts)
 
 let () =
   Alcotest.run "m_tree"
@@ -359,5 +430,12 @@ let () =
             test_steady_state_minor_gcs;
           Alcotest.test_case "timeouts and outliers leave no trace" `Quick test_arena_reset;
         ] );
-      ("delta", [ prop_delta_kernel; prop_delta_cost; prop_longest_extension ]);
+      ( "delta",
+        [
+          prop_delta_kernel;
+          prop_delta_cost;
+          prop_longest_left_extension;
+          Alcotest.test_case "reloaded index (copy, mmap) = built" `Quick test_delta_reloaded;
+          Alcotest.test_case "non-acgt pattern character" `Quick test_delta_non_acgt;
+        ] );
     ]

@@ -344,6 +344,29 @@ let test_v4_fixture_unsupported () =
   let image = In_channel.with_open_bin "fixtures/v4-random211.fmi" In_channel.input_all in
   expect_error ~expected:(Kmm_error.Unsupported_version 4) image
 
+(* The save loop streams the image in chunks straight from the image
+   string: between the sink's creation and its flush barrier it copies
+   nothing onto the OCaml heap (a chunked copy would allocate the whole
+   image again). *)
+let test_save_writes_in_place () =
+  let s = Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 5 |]) 1_000_000) in
+  let fm = Fmindex.Fm_index.build ~parallel:false s in
+  let image_bytes = float (String.length (Fmindex.Fm_index.serialize fm)) in
+  let start = ref 0. and spent = ref nan in
+  let wrap (base : Fmindex.Fm_index.sink) =
+    start := Gc.allocated_bytes ();
+    {
+      base with
+      Fmindex.Fm_index.sink_flush =
+        (fun () ->
+          spent := Gc.allocated_bytes () -. !start;
+          base.sink_flush ());
+    }
+  in
+  with_temp (fun path -> Fmindex.Fm_index.save ~fsync:false ~wrap fm path);
+  if not (!spent < 0.01 *. image_bytes) then
+    Alcotest.failf "writing a %.0f-byte image allocated %.0f bytes" image_bytes !spent
+
 let test_saved_file_permissions () =
   (* [write_atomic] builds the file under a 0o600 temp name; the final
      index must still be world-readable (0o644 masked by the process
@@ -614,6 +637,7 @@ let () =
           Alcotest.test_case "copy recounts forward blocks" `Quick test_forward_blocks_recounted;
           Alcotest.test_case "v4 fixture: unsupported" `Quick test_v4_fixture_unsupported;
           Alcotest.test_case "saved file is world-readable" `Quick test_saved_file_permissions;
+          Alcotest.test_case "save writes the image in place" `Quick test_save_writes_in_place;
           Alcotest.test_case "proc-style file read to EOF" `Quick test_load_proc_style_file;
           Alcotest.test_case "directory gives typed Io" `Quick test_load_directory_is_typed_io;
           Alcotest.test_case "missing file gives typed Io" `Quick test_load_missing_is_typed_io;
