@@ -11,17 +11,27 @@ let table =
 
 let mask32 = 0xFFFFFFFF
 
-let sub ?(init = 0) s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Crc32.sub: out-of-range slice";
+let[@inline] step table c byte = Array.unsafe_get table ((c lxor byte) land 0xff) lxor (c lsr 8)
+
+let check_slice who length ~pos ~len =
+  if pos < 0 || len < 0 || pos > length - len then invalid_arg (who ^ ": out-of-range slice")
+
+let sub s ~pos ~len =
+  check_slice "Crc32.sub" (String.length s) ~pos ~len;
   let table = Lazy.force table in
-  let c = ref (init lxor mask32) in
+  let c = ref mask32 in
   for i = pos to pos + len - 1 do
-    c :=
-      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-      lxor (!c lsr 8)
+    c := step table !c (Char.code (String.unsafe_get s i))
   done;
   !c lxor mask32
 
-let string ?init s = sub ?init s ~pos:0 ~len:(String.length s)
-let bytes ?init b = string ?init (Bytes.unsafe_to_string b)
+let string s = sub s ~pos:0 ~len:(String.length s)
+
+let storage (a : Storage.t) ~pos ~len =
+  check_slice "Crc32.storage" (Storage.length a) ~pos ~len;
+  let table = Lazy.force table in
+  let c = ref mask32 in
+  for i = pos to pos + len - 1 do
+    c := step table !c (Bigarray.Array1.unsafe_get a i)
+  done;
+  !c lxor mask32

@@ -7,12 +7,14 @@
     Matches the reference implementation used by zlib/PNG, so fixtures
     can be cross-checked with external tools. *)
 
-val string : ?init:int -> string -> int
-(** CRC of a whole string.  [init] (default 0) is a previous CRC to
-    continue from, so [string ~init:(string a) b = string (a ^ b)]. *)
+val string : string -> int
+(** CRC of a whole string. *)
 
-val sub : ?init:int -> string -> pos:int -> len:int -> int
+val sub : string -> pos:int -> len:int -> int
 (** CRC of a substring, without copying.
     @raise Invalid_argument on an out-of-range slice. *)
 
-val bytes : ?init:int -> Bytes.t -> int
+val storage : Storage.t -> pos:int -> len:int -> int
+(** {!sub} of a byte buffer — a heap copy of an index image or the
+    mapped file itself.
+    @raise Invalid_argument on an out-of-range slice. *)

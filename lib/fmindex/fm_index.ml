@@ -9,9 +9,10 @@ module A1 = Bigarray.Array1
    tracked out-of-band, and suffix-array samples are a marked-row
    bitvector with a rank directory plus a bit-packed sample array —
    [position_of_row] allocates nothing.  Every bulk buffer is a
-   [Storage.t]/[Storage.words], so a loaded index is either heap-owned
-   (Copy mode) or a set of views over an mmap'd index file (Mmap mode)
-   — the query paths cannot tell the difference.
+   [Storage.t]/[Storage.words], so a loaded index is a set of views
+   over one image of its file — a buffer the file was read into (Copy
+   mode) or the file mapped (Mmap mode) — and the query paths cannot
+   tell the difference.
 
    [fwd] is the rank side of the mirror transform, BWT(rev text): the
    system indexes the reversed genome, so for it this is BWT of the
@@ -155,7 +156,7 @@ let forward_rate = 128
 
 let build_forward ptext =
   let packed, sentinel_row, _ = Bwt.of_packed_text (Packed_text.rev ptext) in
-  (Occ.of_packed ~rate:forward_rate ~sentinels:[| sentinel_row |] packed, sentinel_row)
+  (Occ.of_packed ~rate:forward_rate ~sentinel:sentinel_row packed, sentinel_row)
 
 (* Below this length a second domain costs more than the pass it
    overlaps. *)
@@ -188,7 +189,7 @@ let both ~parallel f g =
 let build_located ~occ_rate ~sa_rate ptext =
   let n = Packed_text.length ptext in
   let packed, sentinel_row, sa = Bwt.of_packed_text ptext in
-  let occ = Occ.of_packed ~rate:occ_rate ~sentinels:[| sentinel_row |] packed in
+  let occ = Occ.of_packed ~rate:occ_rate ~sentinel:sentinel_row packed in
   let marks = Storage.create ((n + 8) / 8) in
   mark_set marks 0;
   let nsamples = ref 1 in
@@ -470,23 +471,30 @@ let extend_all t ~lo ~hi ~los ~his =
    — each placed at the 8-byte-aligned offset its table entry records
    (zero padding in the gaps), and an 8-byte trailer: the ASCII magic
    "kmm5" plus the 4-byte LE CRC-32 of every preceding byte of the file.
+   [layout] is the one place these extents are derived: [serialize]
+   places the sections by it and the reader checks the table against
+   it.
 
    Both BWTs are permutations of text$, so the forward totals must equal
-   the located side's; the readers refuse a header where they differ.
+   the located side's; the reader refuses a header where they differ.
 
    The alignment + explicit offset table is what makes the file
    mmap-adoptable: every section can be turned into a Bigarray view in
-   place (the int64 sections need 8-byte alignment), so [load
-   ~mode:Mmap] touches O(header + superblocks + marks) bytes instead of
-   O(file).  The header CRC lets both readers trust the geometry before
-   doing anything with it; the per-section CRCs attribute corruption;
-   the whole-file trailer covers what they cannot (header, padding, the
-   checksum fields themselves) and doubles as an end-of-file marker.
-   The Copy reader checks everything, so any single-byte corruption or
-   truncation is detected deterministically; the Mmap reader checks the
-   header CRC, geometry, file size and trailer magic but — by design —
-   not the bulk payload CRCs, trading detection of payload rot for the
-   cold-start win ([kmm verify] runs the full Copy validation).
+   place (the int64 sections need 8-byte alignment).  The header CRC
+   lets the reader trust the geometry before doing anything with it;
+   the per-section CRCs attribute corruption; the whole-file trailer
+   covers what they cannot (header, padding, the checksum fields
+   themselves) and doubles as an end-of-file marker.
+
+   There is one reader.  Both modes run the same prologue (header CRC,
+   geometry, exact size, trailer magic) over a byte image of the file
+   and adopt its sections as views through the same [adopt]; they
+   differ only in where the image lives and in the checks they add.
+   Mmap maps the file and adopts, touching O(header + superblocks +
+   marks) bytes.  Copy reads the file into one buffer, checks the
+   trailer and section CRCs before adopting and [recount]s the adopted
+   index after, so any single-byte corruption or truncation is detected
+   deterministically ([kmm verify] runs it).
 
    Loading adopts the buffers directly; no BWT inversion, no LF walk, no
    suffix sorting.  Files of the retired formats v1–v4 are rejected with
@@ -497,35 +505,35 @@ let version = 5
 let trailer_magic = "kmm5"
 let nsections = 7
 
-let bytes_of_ints a =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i v -> Bytes.set_int64_le b (i * 8) (Int64.of_int v)) a;
-  b
+type header = {
+  h_n : int;
+  h_occ_rate : int;
+  h_sa_rate : int;
+  h_sentinel_row : int;
+  h_nsamples : int;
+  h_blocks_bytes : int;
+  h_super_len : int;
+  h_totals : int array;  (* BWT character counts by code, sentinel included *)
+  h_fwd_rate : int;
+  h_fwd_sentinel_row : int;
+  h_fwd_blocks_bytes : int;
+  h_fwd_super_len : int;
+}
 
-let ints_of_string s =
-  Array.init (String.length s / 8) (fun i -> Int64.to_int (String.get_int64_le s (i * 8)))
+(* Section indices in file order, and the section each one's failures
+   are attributed to. *)
+let s_text = 0
+let s_blocks = 1
+let s_super = 2
+let s_fwd_blocks = 3
+let s_fwd_super = 4
+let s_marks = 5
+let s_samples = 6
 
-let le32_of_int v =
-  String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
-
-let int_of_le32 s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
-(* --- serialization ---------------------------------------------------- *)
-
-let sections t =
-  [
-    Packed_text.payload_string t.ptext;
-    Storage.to_string (Occ.raw_blocks t.occ);
-    Bytes.unsafe_to_string (bytes_of_ints (Occ.raw_super t.occ));
-    Storage.to_string (Occ.raw_blocks t.fwd);
-    Bytes.unsafe_to_string (bytes_of_ints (Occ.raw_super t.fwd));
-    Storage.to_string t.marks;
-    Storage.words_to_string t.samples;
-  ]
+let section_of =
+  Kmm_error.
+    [| Text_section; Rank_blocks; Superblocks; Forward_blocks; Forward_superblocks; Sa_marks;
+       Sa_samples |]
 
 let align8 x = (x + 7) land lnot 7
 
@@ -534,70 +542,114 @@ let align8 x = (x + 7) land lnot 7
 let section_table_len = 8 + (nsections * (1 + 12 + 1 + 12 + 1 + 8)) + 1
 let hcrc_line_len = String.length "hcrc " + 8 + 1
 
-(* The whole v5 file as one in-memory image: serialization is separated
+(* Where one section lies in the image. *)
+type extent = { off : int; len : int }
+
+(* The v5 layout: the extent of every section, in file order, of an
+   image whose header [h] and three header lines ([hdr_len] bytes)
+   come first — each section at the 8-byte-aligned end of the one
+   before it. *)
+let layout h ~hdr_len =
+  let bits = sample_bits ~n:h.h_n ~sa_rate:h.h_sa_rate in
+  let lens =
+    [| (h.h_n + 3) / 4; h.h_blocks_bytes; 8 * h.h_super_len; h.h_fwd_blocks_bytes;
+       8 * h.h_fwd_super_len; (h.h_n + 8) / 8;
+       8 * sample_words ~nsamples:h.h_nsamples ~bits |]
+  in
+  let cur = ref hdr_len in
+  Array.map
+    (fun len ->
+      let off = align8 !cur in
+      cur := off + len;
+      { off; len })
+    lens
+
+(* The [n] (at most 8) little-endian bytes at [off] of an image, as an
+   int (modulo 2^63, as [Int64.to_int] reads them). *)
+let get_le (img : Storage.t) off n =
+  let v = ref 0 in
+  for j = n - 1 downto 0 do
+    v := (!v lsl 8) lor A1.get img (off + j)
+  done;
+  !v
+
+(* --- serialization ---------------------------------------------------- *)
+
+let header_of t =
+  {
+    h_n = t.n;
+    h_occ_rate = Occ.rate t.occ;
+    h_sa_rate = t.sa_rate;
+    h_sentinel_row = t.sentinel_row;
+    h_nsamples = t.nsamples;
+    h_blocks_bytes = Storage.length (Occ.raw_blocks t.occ);
+    h_super_len = Array.length (Occ.raw_super t.occ);
+    h_totals = Occ.counts t.occ;
+    h_fwd_rate = Occ.rate t.fwd;
+    h_fwd_sentinel_row = t.fwd_sentinel_row;
+    h_fwd_blocks_bytes = Storage.length (Occ.raw_blocks t.fwd);
+    h_fwd_super_len = Array.length (Occ.raw_super t.fwd);
+  }
+
+(* Line 1.  The forward totals repeat the character totals: both BWTs
+   permute text$. *)
+let header_line h =
+  let c = h.h_totals in
+  Printf.sprintf "%s %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n" magic version
+    h.h_n h.h_occ_rate h.h_sa_rate h.h_sentinel_row h.h_nsamples h.h_blocks_bytes h.h_super_len
+    c.(1) c.(2) c.(3) c.(4) h.h_fwd_rate h.h_fwd_sentinel_row h.h_fwd_blocks_bytes
+    h.h_fwd_super_len c.(1) c.(2) c.(3) c.(4)
+
+(* The whole v5 file as one in-memory image, written into one buffer of
+   its length with every CRC taken in place: serialization is separated
    from file I/O so the byte-sweep tests (and the fuzz oracle) can
    corrupt and re-parse images without touching the filesystem. *)
 let serialize t =
-  let secs = sections t in
-  let counts = Occ.counts t.occ and fwd_counts = Occ.counts t.fwd in
-  let l1 =
-    Printf.sprintf "%s %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n" magic
-      version t.n (Occ.rate t.occ) t.sa_rate t.sentinel_row
-      t.nsamples
-      (Storage.length (Occ.raw_blocks t.occ))
-      (Array.length (Occ.raw_super t.occ))
-      counts.(1) counts.(2) counts.(3) counts.(4)
-      (Occ.rate t.fwd) t.fwd_sentinel_row
-      (Storage.length (Occ.raw_blocks t.fwd))
-      (Array.length (Occ.raw_super t.fwd))
-      fwd_counts.(1) fwd_counts.(2) fwd_counts.(3) fwd_counts.(4)
+  let h = header_of t in
+  let l1 = header_line h in
+  let ext = layout h ~hdr_len:(String.length l1 + section_table_len + hcrc_line_len) in
+  if Array.exists (fun e -> e.off > 999_999_999_999) ext then
+    invalid_arg "Fm_index.serialize: index too large for the v5 section table";
+  let last = ext.(nsections - 1) in
+  let size = last.off + last.len + 8 in
+  let b = Bytes.make size '\000' in
+  let crc ~pos ~len = Crc32.sub (Bytes.unsafe_to_string b) ~pos ~len in
+  let bytes i (src : Storage.t) =
+    assert (Storage.length src = ext.(i).len);
+    for j = 0 to ext.(i).len - 1 do
+      Bytes.unsafe_set b (ext.(i).off + j) (Char.unsafe_chr (A1.unsafe_get src j))
+    done
   in
-  let hdr_len = String.length l1 + section_table_len + hcrc_line_len in
-  let offs =
-    let rec go cur = function
-      | [] -> []
-      | s :: rest ->
-          let off = align8 cur in
-          off :: go (off + String.length s) rest
-    in
-    go hdr_len secs
+  let ints i a =
+    assert (8 * Array.length a = ext.(i).len);
+    Array.iteri (fun j v -> Bytes.set_int64_le b (ext.(i).off + (8 * j)) (Int64.of_int v)) a
   in
-  (if List.exists (fun off -> off > 999_999_999_999) offs then
-     invalid_arg "Fm_index.serialize: index too large for the v5 section table");
-  let l2buf = Buffer.create section_table_len in
-  Buffer.add_string l2buf "sections";
-  List.iter2
-    (fun off s ->
-      Buffer.add_string l2buf
-        (Printf.sprintf " %012d %012d %08x" off (String.length s) (Crc32.string s)))
-    offs secs;
-  Buffer.add_char l2buf '\n';
-  let l2 = Buffer.contents l2buf in
-  assert (String.length l2 = section_table_len);
-  let l3 = Printf.sprintf "hcrc %08x\n" (Crc32.string ~init:(Crc32.string l1) l2) in
-  let image_len =
-    List.fold_left2 (fun _ off s -> off + String.length s) hdr_len offs secs
-    + String.length trailer_magic + 4
+  bytes s_text (Packed_text.storage t.ptext);
+  bytes s_blocks (Occ.raw_blocks t.occ);
+  ints s_super (Occ.raw_super t.occ);
+  bytes s_fwd_blocks (Occ.raw_blocks t.fwd);
+  ints s_fwd_super (Occ.raw_super t.fwd);
+  bytes s_marks t.marks;
+  assert (8 * Storage.length_words t.samples = ext.(s_samples).len);
+  for j = 0 to Storage.length_words t.samples - 1 do
+    Bytes.set_int64_le b (ext.(s_samples).off + (8 * j)) (A1.get t.samples j)
+  done;
+  let pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
   in
-  let buf = Buffer.create image_len in
-  let crc = ref 0 in
-  let add s =
-    Buffer.add_string buf s;
-    crc := Crc32.string ~init:!crc s
-  in
-  add l1;
-  add l2;
-  add l3;
-  List.iter2
-    (fun off s ->
-      let cur = Buffer.length buf in
-      if off > cur then add (String.make (off - cur) '\000');
-      add s)
-    offs secs;
-  add trailer_magic;
-  Buffer.add_string buf (le32_of_int !crc);
-  assert (Buffer.length buf = image_len);
-  Buffer.contents buf
+  put l1;
+  put "sections";
+  Array.iter
+    (fun e -> put (Printf.sprintf " %012d %012d %08x" e.off e.len (crc ~pos:e.off ~len:e.len)))
+    ext;
+  put "\n";
+  put (Printf.sprintf "hcrc %08x\n" (crc ~pos:0 ~len:!pos));
+  assert (!pos = String.length l1 + section_table_len + hcrc_line_len);
+  Bytes.blit_string trailer_magic 0 b (size - 8) 4;
+  Bytes.set_int32_le b (size - 4) (Int32.of_int (crc ~pos:0 ~len:(size - 4)));
+  Bytes.unsafe_to_string b
 
 (* --- atomic, crash-safe file writing ---------------------------------- *)
 
@@ -670,9 +722,9 @@ let save ?fsync ?wrap t path = write_atomic ?fsync ?wrap (serialize t) path
 
 (* --- parsing ----------------------------------------------------------- *)
 
-(* Both readers parse the header lines through a cursor and validate the
-   geometry they describe against the file size {e before} any slice,
-   mapping or allocation, so a forged header can produce
+(* The reader parses the header lines of a byte image through a cursor
+   and validates the geometry they describe against the image size
+   {e before} any slice or allocation, so a forged header can produce
    [Truncated]/[Corrupt] but never [Out_of_memory] or [End_of_file]. *)
 
 exception Fail of Kmm_error.t
@@ -680,17 +732,26 @@ exception Fail of Kmm_error.t
 let fail e = raise (Fail e)
 let corrupt section detail = fail (Kmm_error.Corrupt (section, detail))
 
-type reader = { image : string; mutable pos : int }
+type reader = { img : Storage.t; mutable pos : int }
 
-(* Like [input_line]: up to ['\n'] (consumed) or end of image. *)
+let sub_string (img : Storage.t) pos len =
+  String.init len (fun i -> Char.chr (A1.get img (pos + i)))
+
+(* No header line is this long (line 1 is under 500 bytes, line 2 is
+   [section_table_len]), so a file with no early newline is cut here
+   and fails as a bad line instead of being copied whole. *)
+let max_header_line = 1024
+
+(* Like [input_line]: up to ['\n'] (consumed), end of image or
+   [max_header_line] bytes, whichever comes first. *)
 let take_line r =
-  let stop =
-    match String.index_from_opt r.image r.pos '\n' with
-    | Some i -> i
-    | None -> String.length r.image
-  in
-  let s = String.sub r.image r.pos (stop - r.pos) in
-  r.pos <- min (stop + 1) (String.length r.image);
+  let limit = min (Storage.length r.img) (r.pos + max_header_line) in
+  let stop = ref r.pos in
+  while !stop < limit && A1.get r.img !stop <> Char.code '\n' do
+    incr stop
+  done;
+  let s = sub_string r.img r.pos (!stop - r.pos) in
+  r.pos <- min (!stop + 1) limit;
   s
 
 let int_field what s =
@@ -718,27 +779,12 @@ let version_fields line =
       | None -> fail Kmm_error.Bad_magic)
   | _ -> fail Kmm_error.Bad_magic
 
-type header = {
-  h_n : int;
-  h_occ_rate : int;
-  h_sa_rate : int;
-  h_sentinel_row : int;
-  h_nsamples : int;
-  h_blocks_bytes : int;
-  h_super_len : int;
-  h_totals : int array;  (* BWT character counts by code, sentinel included *)
-  h_fwd_rate : int;
-  h_fwd_sentinel_row : int;
-  h_fwd_blocks_bytes : int;
-  h_fwd_super_len : int;
-}
-
 (* The header fields after the version token.  A forged or bit-flipped
    header must fail with the same friendly error as an unparsable one,
    and must never be allowed to drive a huge allocation (every derived
-   length is bounded by the exact-file-size check of [read_prologue]).
-   The character totals let the mmap reader skip the O(n) payload
-   recount; the Copy reader cross-checks them against it. *)
+   length is bounded by the exact-size check of [prologue]).  The
+   character totals let adoption skip the O(n) payload recount;
+   [recount] cross-checks them against it. *)
 let parse_header fields =
   let totals names vals = Array.of_list (1 :: List.map2 int_field names vals) in
   match fields with
@@ -783,49 +829,27 @@ let parse_header fields =
       h
   | _ -> corrupt Kmm_error.Header "wrong field count"
 
-(* Where one section lies in the file, and its stored CRC-32. *)
-type extent = { off : int; len : int; crc : int }
-
-(* Section indices in file order. *)
-let s_text = 0
-let s_blocks = 1
-let s_super = 2
-let s_fwd_blocks = 3
-let s_fwd_super = 4
-let s_marks = 5
-let s_samples = 6
-
-(* Parse and validate the section-table line (newline stripped) against
-   the header geometry: every offset must be the 8-aligned successor of
-   the previous section and every length must match the header. *)
-let parse_sections h ~hdr_len line =
+(* Parse the section-table line (newline stripped) and check it against
+   the [layout] the header implies: every offset and length must match.
+   Returns the stored CRCs. *)
+let parse_sections ext line =
   if String.length line <> section_table_len - 1 then
     corrupt Kmm_error.Header "bad section table";
   match String.split_on_char ' ' line with
   | "sections" :: rest when List.length rest = 3 * nsections ->
       let f = Array.of_list rest in
-      let ext =
+      let table =
         Array.init nsections (fun i ->
-            {
-              off = int_field "section offset" f.(3 * i);
-              len = int_field "section length" f.((3 * i) + 1);
-              crc = hex_field "section checksum" f.((3 * i) + 2);
-            })
+            ( int_field "section offset" f.(3 * i),
+              int_field "section length" f.((3 * i) + 1),
+              hex_field "section checksum" f.((3 * i) + 2) ))
       in
-      let bits = sample_bits ~n:h.h_n ~sa_rate:h.h_sa_rate in
-      let expected_lens =
-        [| (h.h_n + 3) / 4; h.h_blocks_bytes; 8 * h.h_super_len; h.h_fwd_blocks_bytes;
-           8 * h.h_fwd_super_len; (h.h_n + 8) / 8;
-           8 * sample_words ~nsamples:h.h_nsamples ~bits |]
-      in
-      let cur = ref hdr_len in
       Array.iter2
-        (fun e len ->
-          if e.off <> align8 !cur then corrupt Kmm_error.Header "section offset mismatch";
-          if e.len <> len then corrupt Kmm_error.Header "section length mismatch";
-          cur := e.off + e.len)
-        ext expected_lens;
-      ext
+        (fun (off, len, _) e ->
+          if off <> e.off then corrupt Kmm_error.Header "section offset mismatch";
+          if len <> e.len then corrupt Kmm_error.Header "section length mismatch")
+        table ext;
+      Array.map (fun (_, _, crc) -> crc) table
   | _ -> corrupt Kmm_error.Header "bad section table"
 
 let parse_hcrc_line line =
@@ -835,39 +859,46 @@ let parse_hcrc_line line =
   then hex_field "header checksum" (String.sub line 5 8)
   else corrupt Kmm_error.Header "bad header checksum line"
 
-(* The prologue both readers run: version and header (line 1), section
-   table (line 2) and header CRC (line 3), then the file size the
-   geometry implies, to the byte.  [r] covers at least the header lines
-   of a file of [size] bytes.  Returns the header and the section
-   extents in file order. *)
-let read_prologue r ~size =
+(* The prologue both modes run over the image: version and header (line
+   1), section table (line 2) and header CRC (line 3), then the image
+   size the layout implies, to the byte, and the trailer magic.
+   Returns the header, the section extents and their stored CRCs. *)
+let prologue img =
+  let r = { img; pos = 0 } in
   let h = parse_header (version_fields (take_line r)) in
   let l2 = take_line r in
   let l2_end = r.pos in
   let stored_hcrc = parse_hcrc_line (take_line r) in
-  if Crc32.sub r.image ~pos:0 ~len:l2_end <> stored_hcrc then
+  if Crc32.storage img ~pos:0 ~len:l2_end <> stored_hcrc then
     corrupt Kmm_error.Header "header checksum mismatch";
-  let ext = parse_sections h ~hdr_len:r.pos l2 in
+  let ext = layout h ~hdr_len:r.pos in
+  let crcs = parse_sections ext l2 in
+  let size = Storage.length img in
   let last = ext.(nsections - 1) in
   let expected_size = last.off + last.len + 8 in
   if size < expected_size then fail (Kmm_error.Truncated "index payload");
   if size > expected_size then
     corrupt Kmm_error.Trailer "trailing garbage after index payload";
-  (h, ext)
+  if sub_string img (size - 8) 4 <> trailer_magic then
+    corrupt Kmm_error.Trailer "bad trailer magic";
+  (h, ext, crcs)
 
-let adopt_text h data =
-  try Packed_text.of_storage data ~len:h.h_n
-  with Invalid_argument _ -> corrupt Kmm_error.Text_section "bad packed payload"
+(* The checks a Copy load runs before adopting: the whole-file CRC of
+   the trailer (which also covers the padding bytes and the stored
+   CRCs), then every section's CRC. *)
+let check_crcs img (_, ext, crcs) =
+  let size = Storage.length img in
+  if Crc32.storage img ~pos:0 ~len:(size - 4) <> get_le img (size - 4) 4 then
+    corrupt Kmm_error.Trailer "whole-file checksum mismatch";
+  Array.iteri
+    (fun i e ->
+      if Crc32.storage img ~pos:e.off ~len:e.len <> crcs.(i) then
+        corrupt section_of.(i) "checksum mismatch")
+    ext
 
-(* The two rank sides, adopted with [of_raw] (Copy: recount every
-   checkpoint) or [of_raw_trusted] (Mmap: take the header's totals). *)
-let adopt_occ adopt ~section ~rate ~len ~sentinel_row =
-  try adopt ~rate ~len ~sentinels:[| sentinel_row |]
-  with Invalid_argument msg -> corrupt section msg
-
-(* The tail both readers run once the bulk buffers are adopted: clear
-   the mark padding bits beyond row n, build the mark rank directory,
-   check the sampling shape, and assemble the index. *)
+(* The tail of adoption: clear the mark padding bits beyond row n,
+   build the mark rank directory, check the sampling shape, and
+   assemble the index. *)
 let finish h ~ptext ~occ ~fwd ~marks ~samples =
   let n = h.h_n in
   (let rows = n + 1 in
@@ -895,125 +926,125 @@ let finish h ~ptext ~occ ~fwd ~marks ~samples =
     sample_bits = sample_bits ~n ~sa_rate:h.h_sa_rate;
   }
 
-(* Copy-mode reader: full verification — header CRC, exact file size,
-   whole-file trailer CRC (which covers the alignment padding),
-   per-section CRCs, then the structural recount: both sides' Occ
-   checkpoints, the text/BWT character totals (an O(n) lane scan, no
-   reconstruction) against each other and against the header, and the
-   sample range. *)
-let read_copy image =
-  let r = { image; pos = 0 } in
-  let size = String.length image in
-  let h, ext = read_prologue r ~size in
-  (* Trailer before sections: it is the cheap whole-file check, and it
-     also covers the padding bytes no section CRC sees. *)
-  if String.sub image (size - 8) 4 <> trailer_magic then
-    corrupt Kmm_error.Trailer "bad trailer magic";
-  if Crc32.sub image ~pos:0 ~len:(size - 4) <> int_of_le32 image (size - 4) then
-    corrupt Kmm_error.Trailer "whole-file checksum mismatch";
-  let section i sec =
-    let payload = String.sub image ext.(i).off ext.(i).len in
-    if Crc32.string payload <> ext.(i).crc then corrupt sec "checksum mismatch";
-    payload
-  in
-  let text_s = section s_text Kmm_error.Text_section in
-  let blocks_s = section s_blocks Kmm_error.Rank_blocks in
-  let super_s = section s_super Kmm_error.Superblocks in
-  let fwd_blocks_s = section s_fwd_blocks Kmm_error.Forward_blocks in
-  let fwd_super_s = section s_fwd_super Kmm_error.Forward_superblocks in
-  let marks_s = section s_marks Kmm_error.Sa_marks in
-  let samples_s = section s_samples Kmm_error.Sa_samples in
-  let n = h.h_n in
-  let ptext = adopt_text h (Storage.of_string text_s) in
-  let recount blocks super ~rate ~len ~sentinels =
-    Occ.of_raw ~rate ~len ~sentinels ~blocks:(Storage.of_string blocks)
-      ~super:(ints_of_string super)
+(* The one adoption path, for both modes: every byte section becomes a
+   view into the image, both rank sides are adopted with the header's
+   totals, and [finish] assembles the index.  [samples] gives the
+   sample section as words (a second mapping of the file, or a copy of
+   a heap image).  Nothing O(n) of the payload is checked here. *)
+let adopt img (h, ext, _) ~samples =
+  let view i = A1.sub img ext.(i).off ext.(i).len in
+  let ints i = Array.init (ext.(i).len / 8) (fun j -> get_le img (ext.(i).off + (8 * j)) 8) in
+  let side ~section ~rate ~sentinel ~blocks ~super =
+    try
+      Occ.of_raw ~rate ~len:(h.h_n + 1) ~sentinel ~blocks:(view blocks) ~super:(ints super)
+        ~totals:h.h_totals
+    with Invalid_argument msg -> corrupt section msg
   in
   let occ =
-    adopt_occ (recount blocks_s super_s) ~section:Kmm_error.Rank_blocks ~rate:h.h_occ_rate
-      ~len:(n + 1) ~sentinel_row:h.h_sentinel_row
+    side ~section:Kmm_error.Rank_blocks ~rate:h.h_occ_rate ~sentinel:h.h_sentinel_row
+      ~blocks:s_blocks ~super:s_super
   in
   let fwd =
-    adopt_occ (recount fwd_blocks_s fwd_super_s) ~section:Kmm_error.Forward_blocks
-      ~rate:h.h_fwd_rate ~len:(n + 1) ~sentinel_row:h.h_fwd_sentinel_row
+    side ~section:Kmm_error.Forward_blocks ~rate:h.h_fwd_rate ~sentinel:h.h_fwd_sentinel_row
+      ~blocks:s_fwd_blocks ~super:s_fwd_super
   in
+  finish h ~ptext:(Packed_text.of_storage (view s_text) ~len:h.h_n) ~occ ~fwd
+    ~marks:(view s_marks) ~samples:(samples ext.(s_samples))
+
+(* The verification pass over an adopted index, the part of a Copy load
+   that no CRC covers: both sides' checkpoints recounted from their
+   payloads, the text's bases against the BWT's, both against the
+   header totals the index was adopted with, and every sample below
+   n. *)
+let recount t =
+  let side occ section = try Occ.recount occ with Invalid_argument msg -> corrupt section msg in
+  let counts = side t.occ Kmm_error.Rank_blocks in
+  let fwd_counts = side t.fwd Kmm_error.Forward_blocks in
   (* Lane code d of the packed text is alphabet code d+1. *)
-  let counts = Occ.counts occ in
   let text_counts = Array.make sigma 0 in
-  for i = 0 to n - 1 do
-    let k = Packed_text.unsafe_get ptext i + 1 in
+  for i = 0 to t.n - 1 do
+    let k = Packed_text.unsafe_get t.ptext i + 1 in
     text_counts.(k) <- text_counts.(k) + 1
   done;
   for c = 1 to sigma - 1 do
     if text_counts.(c) <> counts.(c) then
       corrupt Kmm_error.Text_section "text and BWT sections disagree"
   done;
-  if counts <> h.h_totals then
+  if counts <> Occ.counts t.occ then
     corrupt Kmm_error.Header "character totals disagree with payload";
-  if Occ.counts fwd <> h.h_totals then
+  if fwd_counts <> Occ.counts t.fwd then
     corrupt Kmm_error.Forward_blocks "forward totals disagree with payload";
-  let t =
-    finish h ~ptext ~occ ~fwd ~marks:(Storage.of_string marks_s)
-      ~samples:(Storage.words_of_string samples_s)
-  in
   for j = 0 to t.nsamples - 2 do
-    if t.sa_rate * sample t.samples t.sample_bits j >= n then
+    if t.sa_rate * sample t.samples t.sample_bits j >= t.n then
       corrupt Kmm_error.Sa_samples "sample out of range"
-  done;
+  done
+
+(* Copy mode over an image: every check, with the sample words copied
+   out of the image. *)
+let of_image img =
+  let p = prologue img in
+  check_crcs img p;
+  let words e =
+    let w = Storage.create_words (e.len / 8) in
+    for j = 0 to (e.len / 8) - 1 do
+      let off = e.off + (8 * j) in
+      A1.unsafe_set w j
+        (Int64.logor
+           (Int64.of_int (get_le img off 4))
+           (Int64.shift_left (Int64.of_int (get_le img (off + 4) 4)) 32))
+    done;
+    w
+  in
+  let t = adopt img p ~samples:words in
+  recount t;
   t
 
-let read_exact fd ~pos ~len ~what =
-  let b = Bytes.create len in
-  ignore (Unix.lseek fd pos Unix.SEEK_SET);
-  let got = ref 0 in
-  while !got < len do
-    let k = Unix.read fd b !got (len - !got) in
-    if k = 0 then fail (Kmm_error.Truncated what);
-    got := !got + k
-  done;
-  Bytes.unsafe_to_string b
+(* Mmap mode: the file mapped once as bytes and its samples once more
+   as words.  The header, geometry, size and trailer magic are checked
+   — so truncation and any header-byte corruption are still detected —
+   but not the payload CRCs or [recount] (that is the entire cold-start
+   win).  Geometry validation keeps every derived offset in bounds and
+   the LF walk in [position_of_row] is capped at [sa_rate] steps, so a
+   corrupted payload yields wrong answers or a clean exception — never
+   memory-unsafety, never a hang. *)
+let of_file fd =
+  let img = Storage.map_bytes fd ~pos:0 ~len:(Unix.fstat fd).Unix.st_size in
+  adopt img (prologue img) ~samples:(fun e ->
+      Storage.map_words fd ~pos:e.off ~len:(e.len / 8))
 
-(* Mmap-mode reader.  Validation model: the header lines go through the
-   same prologue as the Copy reader (CRC, ranges, geometry, exact file
-   size) and the trailer magic must be present — so truncation and any
-   header-byte corruption are still detected.  The bulk payload CRCs
-   and the O(n) structural recount are deliberately skipped (that is
-   the entire cold-start win); geometry validation keeps every derived
-   offset in bounds and the LF walk in [position_of_row] is capped at
-   [sa_rate] steps, so a corrupted payload yields wrong answers or a
-   clean exception — never memory-unsafety, never a hang.  [kmm verify]
-   re-reads the file in Copy mode for the full check. *)
-let read_mmap fd =
-  let size = (Unix.fstat fd).Unix.st_size in
-  let prefix = read_exact fd ~pos:0 ~len:(min size 1024) ~what:"index header" in
-  let h, ext = read_prologue { image = prefix; pos = 0 } ~size in
-  let trailer = read_exact fd ~pos:(size - 8) ~len:8 ~what:"trailer" in
-  if String.sub trailer 0 4 <> trailer_magic then
-    corrupt Kmm_error.Trailer "bad trailer magic";
-  let map i = Storage.map_bytes fd ~pos:ext.(i).off ~len:ext.(i).len in
-  (* Superblocks are tiny (4 ints per 64 Ki bases): read them into the
-     int array the rank kernel wants rather than keeping a mapping. *)
-  let ints i what = ints_of_string (read_exact fd ~pos:ext.(i).off ~len:ext.(i).len ~what) in
-  let trusted blocks super ~rate ~len ~sentinels =
-    Occ.of_raw_trusted ~rate ~len ~sentinels ~blocks ~super ~totals:h.h_totals
-  in
-  let ptext = adopt_text h (map s_text) in
-  let occ =
-    adopt_occ
-      (trusted (map s_blocks) (ints s_super "superblocks"))
-      ~section:Kmm_error.Rank_blocks ~rate:h.h_occ_rate ~len:(h.h_n + 1)
-      ~sentinel_row:h.h_sentinel_row
-  in
-  let fwd =
-    adopt_occ
-      (trusted (map s_fwd_blocks) (ints s_fwd_super "forward superblocks"))
-      ~section:Kmm_error.Forward_blocks ~rate:h.h_fwd_rate ~len:(h.h_n + 1)
-      ~sentinel_row:h.h_fwd_sentinel_row
-  in
-  let samples =
-    Storage.map_words fd ~pos:ext.(s_samples).off ~len:(ext.(s_samples).len / 8)
-  in
-  finish h ~ptext ~occ ~fwd ~marks:(map s_marks) ~samples
+(* Copy mode reads the file to EOF into one buffer.  The size the file
+   reports only sizes the first buffer: a file that shrinks mid-read,
+   or a proc-style file that reports size 0, is read for what it
+   holds. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let hint =
+        match Unix.fstat (Unix.descr_of_in_channel ic) with
+        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> st_size
+        | _ -> 0
+      in
+      let chunk = Bytes.create 65536 in
+      let rec go buf len =
+        match input ic chunk 0 (Bytes.length chunk) with
+        | 0 -> A1.sub buf 0 len
+        | got ->
+            let buf =
+              if len + got <= Storage.length buf then buf
+              else begin
+                let bigger = Storage.create (max (len + got) (2 * Storage.length buf)) in
+                A1.blit buf (A1.sub bigger 0 (Storage.length buf));
+                bigger
+              end
+            in
+            for i = 0 to got - 1 do
+              A1.unsafe_set buf (len + i) (Char.code (Bytes.unsafe_get chunk i))
+            done;
+            go buf (len + got)
+      in
+      go (Storage.create hint) 0)
 
 (* Failures that are properties of the file come back typed; anything
    else is a reader bug and is surfaced as such rather than masked as
@@ -1025,48 +1056,19 @@ let guard f =
   | exception ((Unix.Unix_error _ | Sys_error _) as e) -> Error (Kmm_error.Io e)
   | exception e -> Error (Kmm_error.Internal (Printexc.to_string e))
 
-let try_of_string image = guard (fun () -> read_copy image)
-
-(* Chunked read-to-EOF: never trusts [in_channel_length], so a file that
-   shrinks mid-read or a size probe confused by a proc-style file cannot
-   escape as an untyped [End_of_file], and the only failure above
-   [Sys.max_string_length] is the [Buffer] size limit ([Failure]),
-   mapped to a typed error by [try_load]. *)
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      let chunk = Bytes.create 65536 in
-      let rec go () =
-        let got = input ic chunk 0 65536 in
-        if got > 0 then begin
-          Buffer.add_subbytes buf chunk 0 got;
-          go ()
-        end
-      in
-      go ();
-      Buffer.contents buf)
-
-let try_load_copy path =
-  match read_whole_file path with
-  | image -> try_of_string image
-  | exception (Sys_error _ as e) -> Error (Kmm_error.Io e)
-  | exception End_of_file -> Error (Kmm_error.Truncated "index file")
-  | exception Failure msg -> Error (Kmm_error.Io (Failure msg))
-
-let try_load_mmap path =
-  guard (fun () ->
-      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> read_mmap fd))
+let try_of_string image = guard (fun () -> of_image (Storage.of_string image))
 
 type mode = Copy | Mmap
 
 let try_load ?(mode = Copy) path =
-  match mode with Copy -> try_load_copy path | Mmap -> try_load_mmap path
+  guard (fun () ->
+      match mode with
+      | Copy -> of_image (read_file path)
+      | Mmap ->
+          let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () -> of_file fd))
 
 let load ?mode path =
   match try_load ?mode path with

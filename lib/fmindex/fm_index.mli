@@ -161,15 +161,18 @@ val extend_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
     ⌈log2(n/sa_rate + 1)⌉ bits (18 at 4 Mbp) instead of a 64-bit word.
     At the default rates a file costs about 1.33 bytes per base.  The
     alignment and offset table exist so the bulk sections can be
-    adopted {e in place} from [Unix.map_file]: see {!mode}.  Any
-    single-byte corruption or truncation of a v5 file is detected by
-    the Copy-mode reader with a typed {!Kmm_error.t}; both readers
-    refuse a header whose forward totals differ from the character
-    totals (both BWTs permute [s$]), a forward sentinel row outside
-    [0, n] and a non-positive forward rate.  v5 is the only format read
-    or written: a file of the retired formats v1–v4 fails in both modes
-    with [Unsupported_version], and the index is rebuilt with
-    [kmm index]. *)
+    adopted {e in place} from [Unix.map_file]: see {!mode}.  One
+    layout function places the sections when writing and checks the
+    section table when reading, and one reader serves both modes: it
+    validates the header of a byte image of the file and adopts every
+    section as a view into it.  Any single-byte corruption or
+    truncation of a v5 file is detected by a Copy load with a typed
+    {!Kmm_error.t}; both modes refuse a header whose forward totals
+    differ from the character totals (both BWTs permute [s$]), a
+    forward sentinel row outside [0, n] and a non-positive forward
+    rate.  v5 is the only format read or written: a file of the retired
+    formats v1–v4 fails in both modes with [Unsupported_version], and
+    the index is rebuilt with [kmm index]. *)
 
 type sink = {
   sink_write : string -> int -> int -> unit;
@@ -183,8 +186,11 @@ type sink = {
 
 val serialize : t -> string
 (** The complete v5 file image in memory — what {!save} writes and
-    {!try_of_string} parses.  Separated from file I/O so corruption
-    sweeps and fuzzers can work on images directly. *)
+    {!try_of_string} parses.  The header, padding and sections are
+    written into one buffer of the image's length, every CRC taken in
+    place, so the image is the one thing it allocates.  Separated from
+    file I/O so corruption sweeps and fuzzers can work on images
+    directly. *)
 
 val save : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
 (** Persist the index to [path] in format v5, {b atomically}: the image
@@ -199,34 +205,45 @@ val save : ?fsync:bool -> ?wrap:(sink -> sink) -> t -> string -> unit
     written. *)
 
 val try_of_string : string -> (t, Kmm_error.t) result
-(** Parse a v5 index image with the full Copy-mode verification and
-    adopt its buffers directly (structural validation, no
-    reconstruction).  Never raises on bad input: a forged header,
-    flipped byte, truncation or trailing garbage comes back as [Error]
-    with the failing section attributed — and never as [Out_of_memory],
-    [End_of_file] or a silently wrong index.  Any version other than 5
-    is [Error (Unsupported_version v)]. *)
+(** A [Copy] load (see {!mode}) of an in-memory image: the image is
+    copied into one buffer, verified in full and adopted (structural
+    validation, no reconstruction).  Never raises on bad input: a
+    forged header, flipped byte, truncation or trailing garbage comes
+    back as [Error] with the failing section attributed — and never as
+    [Out_of_memory], [End_of_file] or a silently wrong index.  Any
+    version other than 5 is [Error (Unsupported_version v)]. *)
 
 type mode =
-  | Copy  (** read the whole file and adopt heap copies *)
-  | Mmap  (** map the file and adopt the bulk sections in place *)
+  | Copy
+      (** read the file into one buffer and verify it in full: the
+          trailer, whole-file and section CRCs before adoption, then
+          {e recount}, a pass over the adopted index that recounts both
+          sides' checkpoints, the text's bases against the BWT's and
+          the header totals, and checks every sample's range *)
+  | Mmap  (** map the file and adopt it in place, without those checks *)
+(** How {!try_load} gets the file's bytes and how much of them it
+    checks.  Both modes run one prologue over the image — header CRC,
+    geometry, exact file size, trailer magic — and one adoption path
+    that views every section in place; they differ only in the checks
+    [Copy] adds.  So truncation and header corruption are typed errors
+    in both, and a v1–v4 file fails either way with
+    [Unsupported_version]. *)
 
 val try_load : ?mode:mode -> string -> (t, Kmm_error.t) result
-(** Read and parse a file: {!try_of_string} plus an [Error (Io _)] for
-    filesystem failures.  The fd is released on every path (an mmap'd
-    index keeps its pages alive without the fd).
+(** Read and parse a file: [Error (Io _)] for filesystem failures, a
+    typed error for a file that is not a valid index.  The fd is
+    released on every path (an mmap'd index keeps its pages alive
+    without the fd).
 
-    [mode] (default [Copy]) selects the adoption strategy.  [Copy] runs
-    the full verification: header CRC, per-section CRCs, whole-file
-    trailer CRC and the structural recount.  [Mmap] validates the
-    header (CRC + geometry), the exact file size and the trailer magic —
-    so truncation and header corruption are still typed errors — but
-    trusts the bulk payloads, skipping everything O(n): cold-start
-    becomes O(header + superblocks + marks) and the OS shares the
-    mapped pages across processes.  Run [kmm verify] (or a [Copy] load)
-    when payload integrity must be proven.  Both modes run the same
-    header checks, so a v1–v4 file fails either way with
-    [Unsupported_version]. *)
+    [mode] defaults to [Copy]: the file is read to end of file into one
+    buffer outside the OCaml heap — its reported size is never trusted,
+    so a proc-style file or one that shrinks mid-read is read for what
+    it holds — verified and adopted, so nothing of the image is copied
+    onto the heap.  [Mmap] trusts the bulk payloads, skipping
+    everything O(n): cold start becomes O(header + superblocks + marks)
+    and the OS shares the mapped pages across processes.  Run
+    [kmm verify] (or a [Copy] load) when payload integrity must be
+    proven. *)
 
 val load : ?mode:mode -> string -> t
 (** Raising wrapper over {!try_load}, kept for callers that prefer

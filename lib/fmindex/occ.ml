@@ -103,9 +103,9 @@ type t = {
   stride : int;  (* bytes per block = 8 + bl/4 *)
   data : Storage.t;  (* interleaved counts + payload, heap or mmap'd *)
   super : int array;  (* absolute counts, 4 per superblock *)
-  sentinels : int array;  (* sorted BWT rows holding '$' *)
-  len : int;  (* BWT length, sentinels included *)
-  plen : int;  (* payload lanes = len - #sentinels *)
+  sentinel : int;  (* the BWT row holding '$' *)
+  len : int;  (* BWT length, sentinel included *)
+  plen : int;  (* payload lanes = len - 1 *)
   totals : int array;  (* occurrences of each of the sigma codes *)
 }
 
@@ -122,21 +122,8 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let sent_before_scan s n i =
-  let j = ref 0 in
-  while !j < n && Array.unsafe_get s !j < i do
-    incr j
-  done;
-  !j
-
-let[@inline] sent_before t i =
-  (* The sentinel table is almost always a singleton; specialise that
-     case so hot callers pay one compare, not a loop. *)
-  let s = t.sentinels in
-  match Array.length s with
-  | 1 -> if Array.unsafe_get s 0 < i then 1 else 0
-  | 0 -> 0
-  | n -> sent_before_scan s n i
+(* Sentinel rows strictly before row [i]: 0 or 1. *)
+let[@inline] sent_before t i = if t.sentinel < i then 1 else 0
 
 (* Generic in-block scan for geometries larger than the 32-lane default:
    packed lane counts of the first [rem] lanes of the payload at [pay]. *)
@@ -171,8 +158,7 @@ let rank t c i =
   else packed_rank t (c - 1) (i - sb)
 
 (* Write the four packed-lane counts of prefix [0, p) into dst.(1..4),
-   given the block decode.  Factored so rank_all and rank_all_pair share
-   the field extraction. *)
+   given the block decode. *)
 let[@inline] fields_into t dst ~off ~sb4 ~rem ~s =
   let f1 = s land 0xffff
   and f2 = (s lsr 16) land 0xffff
@@ -186,7 +172,7 @@ let[@inline] fields_into t dst ~off ~sb4 ~rem ~s =
 
 (* Unchecked single-block decode of the packed prefix [0, p): writes the
    counts of the four payload codes into dst.(1..4).  Callers have
-   already validated ranges and handled sentinels and [i = len]. *)
+   already validated ranges and handled the sentinel and [i = len]. *)
 let[@inline] decode_into t dst p =
   let b = p lsr t.bshift in
   let off = b * t.stride in
@@ -203,13 +189,6 @@ let[@inline] totals_into t dst =
   for c = 1 to sigma - 1 do
     Array.unsafe_set dst c (Array.unsafe_get t.totals c)
   done
-
-let rank_all t i dst =
-  if i < 0 || i > t.len then invalid_arg "Occ.rank_all: index out of range";
-  if Array.length dst <> sigma then invalid_arg "Occ.rank_all: bad dst size";
-  let sb = sent_before t i in
-  Array.unsafe_set dst 0 sb;
-  if i = t.len then totals_into t dst else decode_into t dst (i - sb)
 
 (* Branch-free [Bool.to_int (a = b)] for small non-negative ints: equal
    values xor to 0, whose predecessor is the only case with the top bit
@@ -316,20 +295,9 @@ let rank_pair_into_unsafe t c lo hi dst =
     end
   end
 
-(* Is BWT row [row] a sentinel row?  Allocation-free, singleton table
-   first like [sent_before]. *)
-let is_sentinel t row =
-  let s = t.sentinels in
-  match Array.length s with
-  | 1 -> Array.unsafe_get s 0 = row
-  | 0 -> false
-  | n ->
-      let j = sent_before_scan s n row in
-      j < n && Array.unsafe_get s j = row
-
 let get t row =
   if row < 0 || row >= t.len then invalid_arg "Occ.get: index out of range";
-  if is_sentinel t row then 0 else payload_code t (row - sent_before t row)
+  if row = t.sentinel then 0 else payload_code t (row - sent_before t row)
 
 (* One LF step: the row's own code is read from the payload line the
    rank decode of the same position then scans, and the answer is a
@@ -337,7 +305,7 @@ let get t row =
 let lf t c row =
   if row < 0 || row >= t.len then invalid_arg "Occ.lf: index out of range";
   let sb = sent_before t row in
-  if is_sentinel t row then c.(0) + sb
+  if row = t.sentinel then c.(0) + sb
   else begin
     let p = row - sb in
     let code = payload_code t p in
@@ -350,19 +318,10 @@ let length t = t.len
 
 let space_bytes t =
   Storage.length t.data
-  + (8 * (Array.length t.super + Array.length t.sentinels + Array.length t.totals))
+  + (8 * (Array.length t.super + 1 (* the sentinel row *) + Array.length t.totals))
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
-
-let check_sentinels sentinels len =
-  let k = Array.length sentinels in
-  for j = 0 to k - 1 do
-    let r = sentinels.(j) in
-    if r < 0 || r >= len then invalid_arg "Occ: sentinel row out of range";
-    if j > 0 && sentinels.(j - 1) >= r then
-      invalid_arg "Occ: sentinel rows must be strictly ascending"
-  done
 
 let geometry ~rate ~plen =
   let bl = quantize rate in
@@ -373,107 +332,112 @@ let geometry ~rate ~plen =
   let nsuper = ((blocks - 1) lsr sshift) + 1 in
   (bl, bshift, sshift, stride, blocks, nsuper)
 
-let of_packed ?(rate = 32) ?(sentinels = [||]) pt =
-  let plen = Packed_text.length pt in
-  let len = plen + Array.length sentinels in
-  check_sentinels sentinels len;
-  let bl, bshift, sshift, stride, blocks, nsuper = geometry ~rate ~plen in
-  let data = Storage.create (blocks * stride) in
-  let super = Array.make (nsuper * 4) 0 in
-  let payload = Packed_text.storage pt in
-  let pbytes = Storage.length payload in
+let check_sentinel sentinel len =
+  if sentinel < 0 || sentinel >= len then invalid_arg "Occ: sentinel row out of range"
+
+(* The one block-count loop, shared by [of_packed] and [recount].  It
+   walks the blocks in order with the running count of each lane code
+   before them, and either stores each superblock's and block's
+   checkpoints ([~store:true]) or checks the stored ones against the
+   payload.  Returns the totals of every code.  A block is counted
+   through the table in pieces of at most 32768 lanes, so no 16-bit
+   field of a packed sum overflows, even in a 65536-lane block of one
+   code. *)
+let sweep t ~store =
   let running = Array.make 4 0 in
-  for b = 0 to blocks - 1 do
-    let sb = b lsr sshift in
-    if b land ((1 lsl sshift) - 1) = 0 then
+  for b = 0 to t.plen lsr t.bshift do
+    let sb4 = (b lsr t.sshift) * 4 in
+    let off = b * t.stride in
+    if b land ((1 lsl t.sshift) - 1) = 0 then
       for d = 0 to 3 do
-        super.((sb * 4) + d) <- running.(d)
+        if store then t.super.(sb4 + d) <- running.(d)
+        else if t.super.(sb4 + d) <> running.(d) then
+          invalid_arg "Occ.recount: superblock counter disagrees with payload"
       done;
-    let off = b * stride in
     for d = 0 to 3 do
-      set_u16 data (off + (2 * d)) (running.(d) - super.((sb * 4) + d))
+      let v = running.(d) - t.super.(sb4 + d) in
+      if store then set_u16 t.data (off + (2 * d)) v
+      else if u16 t.data (off + (2 * d)) <> v then
+        invalid_arg "Occ.recount: block count disagrees with payload"
     done;
-    (* Copy this block's payload and count it through the table, a
-       byte at a time: a [Bigarray] blit would make two sub-array
-       proxies per block. *)
-    let src = b * (bl lsr 2) in
-    let cnt = min (bl lsr 2) (pbytes - src) in
-    if cnt > 0 then begin
-      let lanes = min bl (plen - (b * bl)) in
-      let s = ref 0 in
-      for j = 0 to cnt - 1 do
-        let byte = A1.unsafe_get payload (src + j) in
-        A1.unsafe_set data (off + 8 + j) byte;
-        s := !s + Array.unsafe_get tbl byte
-      done;
-      let s = !s in
+    let lanes = min t.bl (t.plen - (b * t.bl)) in
+    let counted = ref 0 in
+    while !counted < lanes do
+      let k = min 32768 (lanes - !counted) in
+      let s = scan_slow t.data (off + 8 + (!counted lsr 2)) k in
       let f1 = s land 0xffff
       and f2 = (s lsr 16) land 0xffff
       and f3 = (s lsr 32) land 0xffff in
-      running.(0) <- running.(0) + lanes - f1 - f2 - f3;
+      running.(0) <- running.(0) + k - f1 - f2 - f3;
       running.(1) <- running.(1) + f1;
       running.(2) <- running.(2) + f2;
-      running.(3) <- running.(3) + f3
-    end
+      running.(3) <- running.(3) + f3;
+      counted := !counted + k
+    done
   done;
-  let totals = Array.make sigma 0 in
-  totals.(0) <- Array.length sentinels;
-  for d = 0 to 3 do
-    totals.(d + 1) <- running.(d)
+  Array.init sigma (fun c -> if c = 0 then 1 else running.(c - 1))
+
+let of_packed ?(rate = 32) ~sentinel pt =
+  let plen = Packed_text.length pt in
+  let len = plen + 1 in
+  check_sentinel sentinel len;
+  let bl, bshift, sshift, stride, blocks, nsuper = geometry ~rate ~plen in
+  let data = Storage.create (blocks * stride) in
+  (* Copy each block's payload a byte at a time: a [Bigarray] blit
+     would make two sub-array proxies per block. *)
+  let payload = Packed_text.storage pt in
+  let pbytes = Storage.length payload in
+  for b = 0 to blocks - 1 do
+    let src = b * (bl lsr 2) and dst = (b * stride) + 8 in
+    for j = 0 to min (bl lsr 2) (pbytes - src) - 1 do
+      A1.unsafe_set data (dst + j) (A1.unsafe_get payload (src + j))
+    done
   done;
-  { req_rate = rate; bl; bshift; sshift; stride; data; super; sentinels; len; plen; totals }
+  let super = Array.make (nsuper * 4) 0 in
+  let t =
+    { req_rate = rate; bl; bshift; sshift; stride; data; super; sentinel; len; plen; totals = [||] }
+  in
+  { t with totals = sweep t ~store:true }
 
 let make ?(rate = 32) l =
   ignore (quantize rate);
-  let n = String.length l in
-  let nsent = ref 0 in
-  String.iter (fun c -> if c = Dna.Alphabet.sentinel then incr nsent) l;
-  let sentinels = Array.make !nsent 0 in
-  let si = ref 0 in
-  String.iteri
-    (fun i c ->
-      if c = Dna.Alphabet.sentinel then begin
-        sentinels.(!si) <- i;
-        incr si
-      end)
-    l;
-  (* Pack the non-sentinel rows in order. *)
-  let pos = ref 0 in
-  let next_non_sentinel () =
-    while !pos < n && l.[!pos] = Dna.Alphabet.sentinel do
-      incr pos
-    done;
-    let c = l.[!pos] in
-    incr pos;
-    match Packed_text.code_of_base c with
-    | Some d -> d
-    | None ->
-        invalid_arg (Printf.sprintf "Occ.make: %C is not in {$acgt}" c)
+  let sentinel =
+    match String.index_opt l Dna.Alphabet.sentinel with
+    | Some i when not (String.contains_from l (i + 1) Dna.Alphabet.sentinel) -> i
+    | _ -> invalid_arg "Occ.make: the string must hold exactly one sentinel"
   in
-  let pt = Packed_text.init (n - !nsent) (fun _ -> next_non_sentinel ()) in
-  of_packed ~rate ~sentinels pt
+  (* Pack the other rows in order. *)
+  let pt =
+    Packed_text.init (String.length l - 1) (fun i ->
+        let c = l.[if i < sentinel then i else i + 1] in
+        match Packed_text.code_of_base c with
+        | Some d -> d
+        | None -> invalid_arg (Printf.sprintf "Occ.make: %C is not in {$acgt}" c))
+  in
+  of_packed ~rate ~sentinel pt
 
 let raw_blocks t = t.data
 let raw_super t = t.super
 
-(* Shared front half of the adopting constructors: geometry validation
-   plus clearing payload padding beyond the last lane, so table scans
-   stay exact even if the file carried dirty bits.  (Mapped storage is
-   copy-on-write; the clears never reach the file.)  Returns the
-   validated geometry tuple. *)
-let adopt_checked ~who ~rate ~len ~sentinels ~data ~super =
-  if rate <= 0 then invalid_arg (who ^ ": rate must be positive");
-  if len < 0 then invalid_arg (who ^ ": negative length");
-  check_sentinels sentinels len;
-  let plen = len - Array.length sentinels in
-  if plen < 0 then invalid_arg (who ^ ": more sentinels than rows");
-  let ((bl, bshift, _, stride, blocks, nsuper) as geom) = geometry ~rate ~plen in
+(* Adoption validates the geometry and the totals, then clears payload
+   padding beyond the last lane, so table scans stay exact even if the
+   file carried dirty bits.  (Mapped storage is copy-on-write; the
+   clears never reach the file.) *)
+let of_raw ~rate ~len ~sentinel ~blocks:data ~super ~totals =
+  if rate <= 0 then invalid_arg "Occ.of_raw: rate must be positive";
+  check_sentinel sentinel len;
+  let plen = len - 1 in
+  let bl, bshift, sshift, stride, blocks, nsuper = geometry ~rate ~plen in
   if Storage.length data <> blocks * stride then
-    invalid_arg (who ^ ": block buffer size mismatch");
+    invalid_arg "Occ.of_raw: block buffer size mismatch";
   if Array.length super <> nsuper * 4 then
-    invalid_arg (who ^ ": superblock buffer size mismatch");
-  let lb = plen lsr bshift in
-  let last_off = (lb * stride) + 8 in
+    invalid_arg "Occ.of_raw: superblock buffer size mismatch";
+  if Array.length totals <> sigma then invalid_arg "Occ.of_raw: bad totals size";
+  if totals.(0) <> 1 then invalid_arg "Occ.of_raw: sentinel total is not one";
+  if Array.exists (fun c -> c < 0) totals then invalid_arg "Occ.of_raw: negative total";
+  if Array.fold_left ( + ) 0 totals <> len then
+    invalid_arg "Occ.of_raw: totals do not sum to length";
+  let last_off = ((plen lsr bshift) * stride) + 8 in
   let rem = plen land (bl - 1) in
   let full = rem lsr 2 and tail = rem land 3 in
   if tail <> 0 then
@@ -481,71 +445,6 @@ let adopt_checked ~who ~rate ~len ~sentinels ~data ~super =
   for j = full + (if tail = 0 then 0 else 1) to (bl lsr 2) - 1 do
     A1.set data (last_off + j) 0
   done;
-  geom
-
-let of_raw ~rate ~len ~sentinels ~blocks:data ~super =
-  let bl, bshift, sshift, stride, blocks, _ =
-    adopt_checked ~who:"Occ.of_raw" ~rate ~len ~sentinels ~data ~super
-  in
-  let plen = len - Array.length sentinels in
-  (* Verification pass: every stored checkpoint (superblock counters and
-     per-block relative counts) must equal a sequential recount of the
-     payload.  One table lookup per 4 lanes at memory bandwidth — no
-     suffix array, no LF walk, no index reconstruction — and any
-     count/payload disagreement anywhere in the buffers is rejected. *)
-  let running = Array.make 4 0 in
-  for b = 0 to blocks - 1 do
-    let sb4 = (b lsr sshift) * 4 in
-    let off = b * stride in
-    if b land ((1 lsl sshift) - 1) = 0 then
-      for d = 0 to 3 do
-        if super.(sb4 + d) <> running.(d) then
-          invalid_arg "Occ.of_raw: superblock counter disagrees with payload"
-      done;
-    for d = 0 to 3 do
-      if u16 data (off + (2 * d)) <> running.(d) - super.(sb4 + d) then
-        invalid_arg "Occ.of_raw: block count disagrees with payload"
-    done;
-    let lanes = min bl (plen - (b * bl)) in
-    if lanes > 0 then begin
-      let cnt = (lanes + 3) lsr 2 in
-      let s = ref 0 in
-      for j = 0 to cnt - 1 do
-        s := !s + Array.unsafe_get tbl (A1.unsafe_get data (off + 8 + j))
-      done;
-      let s = !s in
-      let f1 = s land 0xffff
-      and f2 = (s lsr 16) land 0xffff
-      and f3 = (s lsr 32) land 0xffff in
-      running.(0) <- running.(0) + lanes - f1 - f2 - f3;
-      running.(1) <- running.(1) + f1;
-      running.(2) <- running.(2) + f2;
-      running.(3) <- running.(3) + f3
-    end
-  done;
-  let totals = Array.make sigma 0 in
-  totals.(0) <- Array.length sentinels;
-  for d = 0 to 3 do
-    totals.(d + 1) <- running.(d)
-  done;
-  { req_rate = rate; bl; bshift; sshift; stride; data; super; sentinels; len; plen; totals }
-
-let of_raw_trusted ~rate ~len ~sentinels ~blocks:data ~super ~totals =
-  let bl, bshift, sshift, stride, _, _ =
-    adopt_checked ~who:"Occ.of_raw_trusted" ~rate ~len ~sentinels ~data ~super
-  in
-  let plen = len - Array.length sentinels in
-  if Array.length totals <> sigma then
-    invalid_arg "Occ.of_raw_trusted: bad totals size";
-  if totals.(0) <> Array.length sentinels then
-    invalid_arg "Occ.of_raw_trusted: sentinel total disagrees with table";
-  let sum = ref 0 in
-  Array.iter
-    (fun c ->
-      if c < 0 then invalid_arg "Occ.of_raw_trusted: negative total";
-      sum := !sum + c)
-    totals;
-  if !sum <> len then invalid_arg "Occ.of_raw_trusted: totals do not sum to length";
   {
     req_rate = rate;
     bl;
@@ -554,11 +453,13 @@ let of_raw_trusted ~rate ~len ~sentinels ~blocks:data ~super ~totals =
     stride;
     data;
     super;
-    sentinels;
+    sentinel;
     len;
     plen;
     totals = Array.copy totals;
   }
+
+let recount t = sweep t ~store:false
 
 (* ------------------------------------------------------------------ *)
 (* Seed byte-scan reference (the oracle the tests rank against)        *)

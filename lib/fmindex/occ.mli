@@ -21,8 +21,8 @@
       256-entry packed-count table (a SWAR popcount over the packed word,
       processed bytewise so the hot loop allocates nothing — OCaml boxes
       [int64], so genuine 64-bit words would cost more than they save);
-    - the sentinel ['$'] is not stored in the payload at all: its row
-      index is kept out-of-band and rank queries adjust around it.
+    - the one sentinel ['$'] is not stored in the payload at all: its
+      row index is kept out-of-band and rank queries adjust around it.
 
     The external contract is unchanged from the seed: codes are the
     {!Dna.Alphabet} codes over [$acgt] and indices are BWT positions with
@@ -32,15 +32,17 @@
 type t
 
 val make : ?rate:int -> string -> t
-(** [make l] preprocesses the BWT string [l] (over [$acgt], case folded).
-    [rate] (default 32) is the requested checkpoint spacing; must be
-    positive.  It is rounded up to a power of two in 32..65536. *)
+(** [make l] preprocesses the BWT string [l] (over [$acgt], case folded),
+    which must hold exactly one sentinel ([Invalid_argument]
+    otherwise).  [rate] (default 32) is the requested checkpoint
+    spacing; must be positive.  It is rounded up to a power of two in
+    32..65536. *)
 
-val of_packed : ?rate:int -> ?sentinels:int array -> Packed_text.t -> t
-(** [of_packed pt ~sentinels] builds the structure straight from a packed
-    payload, avoiding any byte-per-base intermediate.  [sentinels] are the
-    {e BWT row indices} (ascending, default none) that hold the sentinel;
-    the payload holds every other row in order. *)
+val of_packed : ?rate:int -> sentinel:int -> Packed_text.t -> t
+(** [of_packed pt ~sentinel] builds the structure straight from a packed
+    payload, avoiding any byte-per-base intermediate.  [sentinel] is the
+    {e BWT row index} that holds the sentinel, in [0, length pt]; the
+    payload holds every other row in order. *)
 
 val rank : t -> int -> int -> int
 (** [rank t c i] is the number of occurrences of character code [c] in
@@ -53,15 +55,12 @@ val rank_pair : t -> int -> int -> int -> int * int
     with a single block decode plus an indicator of row [lo]'s own code;
     otherwise the two decodes of a narrow interval share a cache line. *)
 
-val rank_all : t -> int -> int array -> unit
-(** [rank_all t i dst] writes [rank t c i] into [dst.(c)] for every
-    character code in one block decode.  [dst] must have length [sigma]. *)
-
 val rank_all_pair : t -> int -> int -> int array -> int array -> unit
-(** [rank_all_pair t lo hi los his] = [rank_all t lo los; rank_all t hi
-    his].  A width-1 interval costs a single block decode plus one
-    payload read; other narrow intervals pay two decodes of the same
-    cache line. *)
+(** [rank_all_pair t lo hi los his] writes [rank t c lo] into [los.(c)]
+    and [rank t c hi] into [his.(c)] for every character code; both
+    arrays must have length [sigma].  A width-1 interval costs a single
+    block decode plus one payload read; other narrow intervals pay two
+    decodes of the same cache line. *)
 
 (** {1 Unchecked entry points}
 
@@ -96,7 +95,7 @@ val rate : t -> int
 val length : t -> int
 val space_bytes : t -> int
 (** Exact heap footprint of the structure: the interleaved block buffer
-    plus superblock counters, sentinel table and totals. *)
+    plus superblock counters, sentinel row and totals. *)
 
 (** {1 Persistence hooks}
 
@@ -109,31 +108,32 @@ val raw_blocks : t -> Storage.t
 val raw_super : t -> int array
 
 val of_raw :
-  rate:int -> len:int -> sentinels:int array -> blocks:Storage.t -> super:int array -> t
-(** Re-adopt buffers read (or mapped) from an index file.  Validates the
-    geometry (buffer sizes for [len] and [rate], sorted sentinels),
-    clears payload padding lanes, and verifies every stored checkpoint
-    against one sequential table recount of the payload (a
-    memory-bandwidth scan; no reconstruction of any kind); raises
-    [Invalid_argument] on any mismatch. *)
-
-val of_raw_trusted :
   rate:int ->
   len:int ->
-  sentinels:int array ->
+  sentinel:int ->
   blocks:Storage.t ->
   super:int array ->
   totals:int array ->
   t
-(** {!of_raw} minus the O(n) checkpoint recount, for the mmap fast
-    path: geometry and sentinel validation and padding clearing still
-    happen, but the stored checkpoints are taken at face value and the
-    character [totals] (length [sigma], [totals.(0)] = sentinel count,
-    summing to [len]) come from the caller — in practice the v5 header,
-    whose own CRC has already been checked.  A corrupted payload that
-    slips past the file-level CRCs therefore yields wrong answers, not
-    crashes: every offset derived from the validated geometry stays in
-    bounds.  [kmm verify] re-runs the full {!of_raw} recount. *)
+(** Adopt buffers from an index image, heap or mmap'd, without copying
+    them.  Validates the geometry (buffer sizes for [len] and [rate],
+    the sentinel row in [0, len)) and the character [totals] (length
+    [sigma], [totals.(0) = 1], none negative, summing to [len]), and
+    clears payload padding lanes; raises [Invalid_argument] otherwise.
+    The stored checkpoints and [totals] are taken as they are — in
+    practice from the v5 header, whose own CRC has been checked — so
+    a corrupted payload yields wrong answers, not crashes: every
+    offset derived from the validated geometry stays in bounds.
+    {!recount} checks them. *)
+
+val recount : t -> int array
+(** [recount t] recounts the payload in one pass (one table lookup per
+    4 lanes, no reconstruction) and checks every stored checkpoint
+    (superblock counters and per-block counts) against it, raising
+    [Invalid_argument] at the first that disagrees.  Returns the
+    recounted totals of every code, for the caller to compare with
+    {!counts}.  {!of_packed} stores its checkpoints through the same
+    loop. *)
 
 (** {1 Differential reference} *)
 

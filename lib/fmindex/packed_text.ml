@@ -60,7 +60,6 @@ let of_string s =
 let to_string t = String.init t.len (fun i -> base_of_code (unsafe_get t i))
 
 let storage t = t.data
-let payload_string t = Storage.to_string t.data
 
 let of_storage data ~len =
   if len < 0 then invalid_arg "Packed_text.of_storage: negative length";
@@ -74,12 +73,6 @@ let of_storage data ~len =
      let keep = (1 lsl ((len land 3) * 2)) - 1 in
      A1.set data last (A1.get data last land keep));
   { data; len }
-
-let of_bytes payload ~len =
-  if len < 0 then invalid_arg "Packed_text.of_bytes: negative length";
-  if String.length payload <> nbytes len then
-    invalid_arg "Packed_text.of_bytes: payload size does not match length";
-  of_storage (Storage.of_string payload) ~len
 
 (* [lane_rev_table.(b)] is byte [b] with its four lanes in reverse
    order. *)

@@ -43,10 +43,6 @@ val storage : t -> Storage.t
 (** The underlying packed buffer, [ceil (length / 4)] bytes.  Shared,
     not copied: treat as read-only. *)
 
-val payload_string : t -> string
-(** The packed buffer copied out as a string (the on-disk section
-    payload). *)
-
 val of_storage : Storage.t -> len:int -> t
 (** [of_storage data ~len] adopts a packed buffer — heap or mmap'd —
     holding [len] lanes, without copying.  Raises [Invalid_argument] if
@@ -54,10 +50,6 @@ val of_storage : Storage.t -> len:int -> t
     the final byte are cleared in place (copy-on-write for mapped
     storage), so a file whose padding bits are dirty still yields a
     canonical value. *)
-
-val of_bytes : string -> len:int -> t
-(** [of_bytes payload ~len] copies a packed payload string into a fresh
-    heap buffer and adopts it; same contract as {!of_storage}. *)
 
 val base_of_code : int -> char
 (** [base_of_code d] is the base character of lane code [d] (0..3). *)

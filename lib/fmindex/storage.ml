@@ -26,32 +26,6 @@ let of_string s =
   done;
   a
 
-let to_string (a : t) =
-  let n = A1.dim a in
-  String.init n (fun i -> Char.unsafe_chr (A1.unsafe_get a i))
-
-let word (a : words) i = Int64.to_int (A1.unsafe_get a i)
-let set_word (a : words) i v = A1.unsafe_set a i (Int64.of_int v)
-
-let words_to_string (a : words) =
-  let n = A1.dim a in
-  let b = Bytes.create (n * 8) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le b (i * 8) (A1.get a i)
-  done;
-  Bytes.unsafe_to_string b
-
-let words_of_string s =
-  let len = String.length s in
-  if len mod 8 <> 0 then
-    invalid_arg "Storage.words_of_string: length not a multiple of 8";
-  let n = len / 8 in
-  let a = create_words n in
-  for i = 0 to n - 1 do
-    A1.set a i (String.get_int64_le s (i * 8))
-  done;
-  a
-
 let map_bytes fd ~pos ~len : t =
   if len = 0 then create 0
   else

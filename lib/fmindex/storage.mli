@@ -36,23 +36,8 @@ val length : t -> int
 val length_words : words -> int
 
 val of_string : string -> t
-(** Copy a string into a fresh heap buffer. *)
-
-val to_string : t -> string
-(** Copy the buffer out as a string. *)
-
-val word : words -> int -> int
-(** [word w i] is word [i] as an OCaml int (truncating the top bit, as
-    everywhere else in the 63-bit index arithmetic). *)
-
-val set_word : words -> int -> int -> unit
-
-val words_to_string : words -> string
-(** The words as their on-disk little-endian byte serialization. *)
-
-val words_of_string : string -> words
-(** Adopt an 8·k-byte little-endian string as a fresh heap word buffer.
-    Raises [Invalid_argument] if the length is not a multiple of 8. *)
+(** Copy a string into a fresh buffer (an in-memory index image, for
+    {!Fm_index.try_of_string}). *)
 
 val map_bytes : Unix.file_descr -> pos:int -> len:int -> t
 (** [map_bytes fd ~pos ~len] maps [len] bytes of the file at absolute

@@ -157,7 +157,7 @@ let same_occ (a : Occ.t) (b : Occ.t) =
   Occ.rate a = Occ.rate b
   && Occ.length a = Occ.length b
   && Occ.counts a = Occ.counts b
-  && Storage.to_string (Occ.raw_blocks a) = Storage.to_string (Occ.raw_blocks b)
+  && Occ.raw_blocks a = Occ.raw_blocks b
   && Occ.raw_super a = Occ.raw_super b
   && List.for_all (fun row -> Occ.get a row = Occ.get b row) (List.init (Occ.length a) Fun.id)
 
@@ -172,7 +172,7 @@ let test_forward_side_equals_rebuild () =
       let n = String.length text in
       let rev = String.init n (fun i -> text.[n - 1 - i]) in
       let packed, row, _ = Bwt.of_packed_text (Packed_text.of_string rev) in
-      let expected = Occ.of_packed ~rate:128 ~sentinels:[| row |] packed in
+      let expected = Occ.of_packed ~rate:128 ~sentinel:row packed in
       let fm = Fm_index.build text in
       check bool (Printf.sprintf "built, n = %d" n) true (same_occ expected (Fm_index.forward_occ fm));
       let image = Fm_index.serialize fm in
@@ -222,7 +222,7 @@ let test_occ_of_packed_garbage () =
   let s = Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 4 |]) 1_000_000) in
   let pt = Packed_text.of_string s in
   let before = Gc.minor_words () in
-  let occ = Occ.of_packed ~rate:32 ~sentinels:[| 17 |] pt in
+  let occ = Occ.of_packed ~rate:32 ~sentinel:17 pt in
   let words = Gc.minor_words () -. before in
   check int "length" 1_000_001 (Occ.length occ);
   if words > 4096. then Alcotest.failf "of_packed made %.0f minor words" words
@@ -312,57 +312,63 @@ let test_occ_rank_all_pair () =
   done
 
 (* [Occ.lf] against the definition, LF(row) = C[x] + rank(x, row) for
-   x the row's code, at both block geometries and with no, one and
-   several sentinel rows. *)
+   x the row's code, at both block geometries. *)
 let test_occ_get_lf () =
   let st = Random.State.make [| 37 |] in
-  let with_sentinels l rows =
-    let b = Bytes.of_string l in
-    List.iter (fun r -> Bytes.set b r '$') rows;
-    Bytes.to_string b
-  in
-  let s = Test_util.random_dna st 400 in
-  let l = Bwt.of_text s in
-  let cases =
-    [
-      ("bwt", l);
-      ("no sentinel", s);
-      ("three sentinels", with_sentinels s [ 0; 57; 399 ]);
-    ]
-  in
+  let l = Bwt.of_text (Test_util.random_dna st 400) in
   List.iter
-    (fun (name, l) ->
+    (fun rate ->
+      let occ = Occ.make ~rate l in
+      let c = Array.make Dna.Alphabet.sigma 0 in
+      String.iter
+        (fun ch ->
+          for x = Dna.Alphabet.code ch + 1 to Dna.Alphabet.sigma - 1 do
+            c.(x) <- c.(x) + 1
+          done)
+        l;
+      for row = 0 to String.length l - 1 do
+        let x = Dna.Alphabet.code l.[row] in
+        check int (Printf.sprintf "bwt rate=%d get row=%d" rate row) x (Occ.get occ row);
+        check int
+          (Printf.sprintf "bwt rate=%d lf row=%d" rate row)
+          (c.(x) + naive_rank l x row) (Occ.lf occ c row)
+      done;
       List.iter
-        (fun rate ->
-          let occ = Occ.make ~rate l in
-          let c = Array.make Dna.Alphabet.sigma 0 in
-          String.iter
-            (fun ch ->
-              for x = Dna.Alphabet.code ch + 1 to Dna.Alphabet.sigma - 1 do
-                c.(x) <- c.(x) + 1
-              done)
-            l;
-          for row = 0 to String.length l - 1 do
-            let x = Dna.Alphabet.code l.[row] in
-            check int (Printf.sprintf "%s rate=%d get row=%d" name rate row) x (Occ.get occ row);
-            check int
-              (Printf.sprintf "%s rate=%d lf row=%d" name rate row)
-              (c.(x) + naive_rank l x row) (Occ.lf occ c row)
-          done;
-          List.iter
-            (fun row ->
-              Alcotest.check_raises (Printf.sprintf "lf row=%d" row)
-                (Invalid_argument "Occ.lf: index out of range")
-                (fun () -> ignore (Occ.lf occ c row)))
-            [ -1; String.length l ])
-        [ 32; 128 ])
-    cases
+        (fun row ->
+          Alcotest.check_raises (Printf.sprintf "lf row=%d" row)
+            (Invalid_argument "Occ.lf: index out of range")
+            (fun () -> ignore (Occ.lf occ c row)))
+        [ -1; String.length l ])
+    [ 32; 128 ]
+
+(* At rate 65536 a block holds 65536 lanes, so one code filling a
+   block counts 65536, one past a 16-bit field of the packed table
+   sum: the block-count loop counts it in pieces. *)
+let test_occ_full_block_of_one_code () =
+  List.iter
+    (fun base ->
+      let text = String.make 70_000 base in
+      let fm = Fm_index.build ~occ_rate:65536 text in
+      check int (Printf.sprintf "count %c" base) 70_000 (Fm_index.count fm (String.make 1 base));
+      match Fm_index.try_of_string (Fm_index.serialize fm) with
+      | Ok fm' ->
+          check int (Printf.sprintf "reloaded count %c" base) 70_000
+            (Fm_index.count fm' (String.make 1 base))
+      | Error e -> Alcotest.failf "reload of %c^70000: %s" base (Kmm_error.to_string e))
+    [ 'a'; 'c'; 'g'; 't' ]
 
 let test_occ_validation () =
   let l = Bwt.of_text "acgt" in
   (match Occ.make ~rate:0 l with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument");
+  (* An Occ holds exactly one sentinel row. *)
+  List.iter
+    (fun s ->
+      match Occ.make s with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%S accepted" s)
+    [ "acgt"; "a$c$"; "" ];
   let occ = Occ.make l in
   (match Occ.rank occ 9 0 with
   | exception Invalid_argument _ -> ()
@@ -614,6 +620,7 @@ let () =
           Alcotest.test_case "rank_all_pair = two ranks" `Quick test_occ_rank_all_pair;
           Alcotest.test_case "get / lf kernel" `Quick test_occ_get_lf;
           Alcotest.test_case "validation" `Quick test_occ_validation;
+          Alcotest.test_case "rate 65536 block of one code" `Quick test_occ_full_block_of_one_code;
           prop_occ_matches_reference;
         ] );
       ( "fm_index",

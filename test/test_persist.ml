@@ -367,6 +367,67 @@ let test_save_writes_in_place () =
   if not (!spent < 0.01 *. image_bytes) then
     Alcotest.failf "writing a %.0f-byte image allocated %.0f bytes" image_bytes !spent
 
+(* A saved 1 Mbp index, for the heap bounds of saving and loading. *)
+let mbp_index =
+  lazy
+    (Fmindex.Fm_index.build ~parallel:false
+       (Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 5 |]) 1_000_000)))
+
+(* [Gc.allocated_bytes] of [f ()] as a multiple of [image_bytes]. *)
+let heap_ratio ~image_bytes f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, (Gc.allocated_bytes () -. before) /. float image_bytes)
+
+(* [serialize] writes the header, padding and sections into one buffer
+   of the image's length and takes every CRC in place: the image is
+   the one thing it allocates. *)
+let test_serialize_allocates_image_once () =
+  let fm = Lazy.force mbp_index in
+  let image_bytes = String.length (Fmindex.Fm_index.serialize fm) in
+  let _, ratio = heap_ratio ~image_bytes (fun () -> Fmindex.Fm_index.serialize fm) in
+  if ratio > 1.1 then
+    Alcotest.failf "serialize allocated %.2fx the %d-byte image" ratio image_bytes
+
+(* A Copy load reads the file into one buffer outside the OCaml heap
+   and adopts its sections as views: what it allocates on the heap is
+   the read chunk and the mark rank directory (n/8 bytes), not a copy
+   of the image. *)
+let test_copy_load_copies_nothing () =
+  let fm = Lazy.force mbp_index in
+  with_temp (fun path ->
+      Fmindex.Fm_index.save ~fsync:false fm path;
+      let image_bytes = (Unix.stat path).Unix.st_size in
+      match
+        heap_ratio ~image_bytes (fun () ->
+            Fmindex.Fm_index.try_load ~mode:Fmindex.Fm_index.Copy path)
+      with
+      | Ok fm', ratio ->
+          check int "length" 1_000_000 (Fmindex.Fm_index.length fm');
+          if ratio > 0.25 then
+            Alcotest.failf "copy load allocated %.2fx the %d-byte image" ratio image_bytes
+      | Error e, _ -> Alcotest.fail (Kmm_error.to_string e))
+
+(* A large file with no newline (here a sparse 32 MiB of zeros) is not
+   an index: the header reader gives up on a line after a fixed number
+   of bytes, so an Mmap load fails with [Bad_magic] without paging the
+   mapping in or copying it onto the heap. *)
+let test_mmap_newline_free_file () =
+  let image_bytes = 32 lsl 20 in
+  with_temp (fun path ->
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.ftruncate fd image_bytes);
+      match
+        heap_ratio ~image_bytes (fun () ->
+            Fmindex.Fm_index.try_load ~mode:Fmindex.Fm_index.Mmap path)
+      with
+      | Error Kmm_error.Bad_magic, ratio ->
+          if ratio > 0.001 then
+            Alcotest.failf "mmap header parse allocated %.4fx the %d-byte file" ratio
+              image_bytes
+      | Error e, _ -> Alcotest.fail ("expected Bad_magic, got " ^ Kmm_error.to_string e)
+      | Ok _, _ -> Alcotest.fail "newline-free file accepted as an index")
+
 let test_saved_file_permissions () =
   (* [write_atomic] builds the file under a 0o600 temp name; the final
      index must still be world-readable (0o644 masked by the process
@@ -638,6 +699,12 @@ let () =
           Alcotest.test_case "v4 fixture: unsupported" `Quick test_v4_fixture_unsupported;
           Alcotest.test_case "saved file is world-readable" `Quick test_saved_file_permissions;
           Alcotest.test_case "save writes the image in place" `Quick test_save_writes_in_place;
+          Alcotest.test_case "serialize allocates the image once" `Quick
+            test_serialize_allocates_image_once;
+          Alcotest.test_case "copy load copies nothing onto the heap" `Quick
+            test_copy_load_copies_nothing;
+          Alcotest.test_case "mmap of a newline-free file is typed" `Quick
+            test_mmap_newline_free_file;
           Alcotest.test_case "proc-style file read to EOF" `Quick test_load_proc_style_file;
           Alcotest.test_case "directory gives typed Io" `Quick test_load_directory_is_typed_io;
           Alcotest.test_case "missing file gives typed Io" `Quick test_load_missing_is_typed_io;
