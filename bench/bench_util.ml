@@ -80,22 +80,33 @@ let reads ?(name = main_target) ?(error_rate = 0.02) ~count ~len ~seed () =
 (* --- measurement -------------------------------------------------------- *)
 
 (* Average per-read search time of an engine over a read set. *)
-let avg_search_time ?stats idx engine ~reads:rs ~k =
+let avg_search_time idx engine ~reads:rs ~k =
   let total =
     time_unit (fun () ->
         List.iter
           (fun pattern ->
-            let r =
-              Core.Kmismatch.run idx
-                (Core.Kmismatch.Query.make ~engine ~pattern ~k ())
-            in
-            match stats with
-            | Some into ->
-                Core.Stats.merge ~into r.Core.Kmismatch.Response.stats
-            | None -> ())
+            ignore
+              (Core.Kmismatch.run idx
+                 (Core.Kmismatch.Query.make ~engine ~pattern ~k ())))
           rs)
   in
   total /. float_of_int (List.length rs)
+
+(* The engine.* counts of running every read through [engine]: one pass
+   with a fresh sink, apart from any timed pass. *)
+let engine_counts idx engine ~reads:rs ~k =
+  let obs = Obs.create () in
+  List.iter
+    (fun pattern ->
+      ignore
+        (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ~obs ~engine ~pattern ~k ())))
+    rs;
+  obs
+
+(* Algorithm A's cost measure n' (paper Table 2): every path
+   termination, derived ones included. *)
+let total_leaves obs =
+  Obs.counter_value obs "engine.leaves" + Obs.counter_value obs "engine.derived_leaves"
 
 (* The four methods of the paper's §V, in its order and naming. *)
 let paper_engines =

@@ -86,25 +86,13 @@ let table2 () =
     List.map
       (fun (k, len) ->
         let rs = reads ~name ~count:10 ~len ~seed:(100 + k) () in
-        let accumulate engine into =
-          List.iter
-            (fun pattern ->
-              let r =
-                Core.Kmismatch.run idx
-                  (Core.Kmismatch.Query.make ~engine ~pattern ~k ())
-              in
-              Core.Stats.merge ~into r.Core.Kmismatch.Response.stats)
-            rs
-        in
-        let m_stats = Core.Stats.create () in
-        accumulate Core.Kmismatch.M_tree m_stats;
-        let s_stats = Core.Stats.create () in
-        accumulate Core.Kmismatch.S_tree s_stats;
+        let m = engine_counts idx Core.Kmismatch.M_tree ~reads:rs ~k in
+        let s = engine_counts idx Core.Kmismatch.S_tree ~reads:rs ~k in
         [
           Printf.sprintf "%d/%d" k len;
-          fmt_count (Core.Stats.total_leaves m_stats);
-          fmt_count m_stats.Core.Stats.derivations;
-          fmt_count (Core.Stats.total_leaves s_stats);
+          fmt_count (total_leaves m);
+          fmt_count (Obs.counter_value m "engine.derivations");
+          fmt_count (total_leaves s);
         ])
       cells
   in
@@ -236,9 +224,7 @@ let ablation () =
      nothing stored, so nothing is derived: "S-tree + delta heuristic"
      differs from "A() full" by that alone, and "S-tree plain" also
      turns delta off (the paper's Algorithm A without its reuse). *)
-  let m_skip =
-    avg_search_time ~stats:(Core.Stats.create ()) idx Core.Kmismatch.M_tree ~reads:rs ~k
-  in
+  let m_skip = avg_search_time idx Core.Kmismatch.M_tree ~reads:rs ~k in
   let m_noskip =
     let fm = Core.Kmismatch.fm_rev idx in
     let config = { Core.M_tree.default_config with chain_skip = false } in
@@ -318,32 +304,33 @@ let deriv_stress () =
   let rows =
     List.concat_map
       (fun k ->
+        (* [f obs] searches once: timed with no sink, then counted
+           into a fresh one. *)
         let run name f =
-          let stats = Core.Stats.create () in
-          let hits, dt = time (fun () -> f stats) in
+          let hits, dt = time (fun () -> f Obs.noop) in
+          let obs = Obs.create () in
+          ignore (f obs);
+          let c counter = Obs.counter_value obs counter in
           [
             string_of_int k;
             name;
             fmt_time dt;
             string_of_int (List.length hits);
-            fmt_count stats.Core.Stats.rank_calls;
-            fmt_count stats.Core.Stats.derivations;
-            fmt_count (Core.Stats.total_leaves stats);
+            fmt_count (c "engine.rank_calls");
+            fmt_count (c "engine.derivations");
+            fmt_count (total_leaves obs);
           ]
         in
         [
-          run "BWT (S-tree)" (fun stats ->
-              let r =
-                Core.Kmismatch.run idx
-                  (Core.Kmismatch.Query.make ~engine:Core.Kmismatch.S_tree ~pattern ~k ())
-              in
-              Core.Stats.merge ~into:stats r.Core.Kmismatch.Response.stats;
-              r.hits);
-          run "A() store_width=1" (fun stats ->
-              Core.M_tree.search ~stats
+          run "BWT (S-tree)" (fun obs ->
+              (Core.Kmismatch.run idx
+                 (Core.Kmismatch.Query.make ~obs ~engine:Core.Kmismatch.S_tree ~pattern ~k ()))
+                .hits);
+          run "A() store_width=1" (fun obs ->
+              Core.M_tree.search ~obs
                 ~config:{ Core.M_tree.default_config with store_width = 1 }
                 fm ~pattern ~k);
-          run "A() default" (fun stats -> Core.M_tree.search ~stats fm ~pattern ~k);
+          run "A() default" (fun obs -> Core.M_tree.search ~obs fm ~pattern ~k);
         ])
       [ 2; 4; 6 ]
   in

@@ -10,15 +10,16 @@
    the engines' registry entries directly (no mapper, one domain).
    Every row reports per read: process CPU time, minor-heap words
    allocated, words promoted to the major heap, minor collections, and
-   the engine's node, rank-call and derivation counts.  Beside them sit
-   the CPU time and rank operations of the delta heuristic that m-tree
-   and s-tree compute first (s-tree-nodelta does not), measured in a
-   separate pass over the same reads: [Stats.rank_calls] counts the
-   engine's own extensions only.  A second table holds the bidir engine
-   (optimum search schemes, [Oss.search]) at k = 4 over the same reads,
-   with its extension, verification and located-row counts taken in a
-   separate counting pass.  CPU time is noisy on a shared host; the GC
-   and operation counts are not. *)
+   the engine's node, rank-call and derivation counts, which a second,
+   untimed pass over the same reads counts into an Obs sink.  Beside
+   them sit the CPU time and rank operations of the delta heuristic
+   that m-tree and s-tree compute first (s-tree-nodelta does not),
+   measured in a separate pass: [engine.rank_calls] counts the engine's
+   own extensions only.  A second table holds the bidir engine (optimum
+   search schemes, [Oss.search]) at k = 4 over the same reads, with its
+   extension, verification and located-row counts from the same
+   counting pass.  CPU time is noisy on a shared host; the GC and
+   operation counts are not. *)
 
 open Bench_util
 
@@ -53,50 +54,52 @@ let patterns () =
 let per x = x /. float_of_int reads_per_row
 let iper x = per (float_of_int x)
 
-(* Warm up, then time every read and its reverse complement through
-   [search stats pattern]: the leading columns every row shares, and the
-   engine's Stats.  Minor words come from [Gc.minor_words], which counts
-   to the word: [Gc.quick_stat] only adds a domain's minor heap to its
-   total when the heap is collected, so its count moves in steps of the
-   heap size (262 words per read here). *)
-let timed pats search ~k =
-  let stats = Core.Stats.create () in
-  let both stats (fwd, rc) =
-    ignore (search stats fwd);
-    ignore (search stats rc)
-  in
-  for i = 0 to warmup - 1 do
-    both None pats.(i)
-  done;
-  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () and t0 = Sys.time () in
-  for i = warmup to warmup + reads_per_row - 1 do
-    both (Some stats) pats.(i)
-  done;
-  let t1 = Sys.time () and w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
-  ( [
-      string_of_int k;
-      Printf.sprintf "%.1f" (per ((t1 -. t0) *. 1e6));
-      Printf.sprintf "%.0f" (per (w1 -. w0));
-      Printf.sprintf "%.0f" (per (g1.Gc.promoted_words -. g0.Gc.promoted_words));
-      Printf.sprintf "%.3f" (iper (g1.Gc.minor_collections - g0.Gc.minor_collections));
-      Printf.sprintf "%.0f" (iper stats.Core.Stats.nodes);
-      Printf.sprintf "%.0f" (iper stats.Core.Stats.rank_calls);
-    ],
-    stats )
-
 (* Run [f] with the taps armed, counting into [obs]. *)
 let tapped obs f =
   let was = Atomic.get Obs.taps in
   Obs.set_taps true;
   Fun.protect ~finally:(fun () -> Obs.set_taps was) (fun () -> Obs.with_ambient obs f)
 
+(* Warm up, then time every read and its reverse complement through
+   [search Obs.noop pattern]; then search them again into a fresh sink
+   with the taps armed.  Returns the leading columns every row shares
+   and that sink.  Minor words come from [Gc.minor_words], which counts
+   to the word: [Gc.quick_stat] only adds a domain's minor heap to its
+   total when the heap is collected, so its count moves in steps of the
+   heap size (262 words per read here). *)
+let timed pats search ~k =
+  let both obs (fwd, rc) =
+    ignore (search obs fwd);
+    ignore (search obs rc)
+  in
+  for i = 0 to warmup - 1 do
+    both Obs.noop pats.(i)
+  done;
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () and t0 = Sys.time () in
+  for i = warmup to warmup + reads_per_row - 1 do
+    both Obs.noop pats.(i)
+  done;
+  let t1 = Sys.time () and w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
+  let obs = Obs.create () in
+  tapped obs (fun () ->
+      for i = warmup to warmup + reads_per_row - 1 do
+        both obs pats.(i)
+      done);
+  ( [
+      string_of_int k;
+      Printf.sprintf "%.1f" (per ((t1 -. t0) *. 1e6));
+      Printf.sprintf "%.0f" (per (w1 -. w0));
+      Printf.sprintf "%.0f" (per (g1.Gc.promoted_words -. g0.Gc.promoted_words));
+      Printf.sprintf "%.3f" (iper (g1.Gc.minor_collections - g0.Gc.minor_collections));
+      Printf.sprintf "%.0f" (iper (Obs.counter_value obs "engine.nodes"));
+      Printf.sprintf "%.0f" (iper (Obs.counter_value obs "engine.rank_calls"));
+    ],
+    obs )
+
 let row idx pats engine k =
   let e = Option.get (Core.Kmismatch.Engine_registry.find engine) in
-  let search stats pattern =
-    let stats = match stats with Some s -> s | None -> Core.Stats.create () in
-    e.run idx { pattern; k; stats; obs = Obs.noop }
-  in
-  let shared, stats = timed pats search ~k in
+  let search obs pattern = e.run idx { pattern; k; obs } in
+  let shared, obs = timed pats search ~k in
   let delta_columns =
     if engine == Core.Kmismatch.S_tree_no_delta then [ "-"; "-" ]
     else begin
@@ -119,24 +122,17 @@ let row idx pats engine k =
       ]
     end
   in
-  (e.name :: shared) @ (Printf.sprintf "%.2f" (iper stats.Core.Stats.derivations) :: delta_columns)
+  (e.name :: shared)
+  @ (Printf.sprintf "%.2f" (iper (Obs.counter_value obs "engine.derivations")) :: delta_columns)
 
-(* The bidir engine at k = 4: the timed columns, then its extensions,
-   candidate verifications and located rows (LF walks) per read, counted
-   in a second pass with an Obs sink and the taps armed. *)
+(* The bidir engine at k = 4: the shared columns, then its extensions,
+   candidate verifications and located rows (LF walks) per read. *)
 let bidir_row idx pats =
   let k = 4 in
   let bidir = Core.Kmismatch.bidir idx in
-  let shared, _ =
-    timed pats (fun stats pattern -> Core.Oss.search ?stats bidir ~pattern ~k) ~k
+  let shared, obs =
+    timed pats (fun obs pattern -> Core.Oss.search ~obs bidir ~pattern ~k) ~k
   in
-  let obs = Obs.create () in
-  tapped obs (fun () ->
-      for i = warmup to warmup + reads_per_row - 1 do
-        let fwd, rc = pats.(i) in
-        ignore (Core.Oss.search ~obs bidir ~pattern:fwd ~k);
-        ignore (Core.Oss.search ~obs bidir ~pattern:rc ~k)
-      done);
   ("bidir" :: shared)
   @ [
       Printf.sprintf "%.0f" (iper (Obs.counter_value obs "bidir.extends"));

@@ -80,9 +80,11 @@ let metrics_arg =
           "Write counters and latency histograms to $(docv) in the Prometheus \
            text exposition format.")
 
-let with_obs ~trace ~metrics_out f =
+(* An active sink when something reads it ([active], a trace or a
+   metrics file); otherwise [Obs.noop]. *)
+let with_obs ?(active = false) ~trace ~metrics_out f =
   match (trace, metrics_out) with
-  | None, None -> f Obs.noop
+  | None, None when not active -> f Obs.noop
   | _ ->
       let obs = Obs.create ~trace:(trace <> None) () in
       Obs.set_taps true;
@@ -95,6 +97,12 @@ let with_obs ~trace ~metrics_out f =
 
 let pp_timings ppf timings =
   List.iter (fun (name, s) -> Format.fprintf ppf " %s=%.4fs" name s) timings
+
+(* The six engine.* counters of a query's sink, as name=value pairs. *)
+let pp_engine_counts obs ppf () =
+  List.iter
+    (fun name -> Format.fprintf ppf " %s=%d" name (Obs.counter_value obs ("engine." ^ name)))
+    [ "nodes"; "leaves"; "rank_calls"; "derivations"; "derived_leaves"; "resumes" ]
 
 (* An integer option confined to [lo .. hi]: anything else is a usage
    error (exit 124) that names the range. *)
@@ -237,7 +245,7 @@ let engine_arg =
 let search_cmd =
   let run genome index_file mmap pattern k engine verbose trace metrics_out =
     with_index ~mmap ~genome ~index_file @@ fun idx ->
-    with_obs ~trace ~metrics_out (fun obs ->
+    with_obs ~active:verbose ~trace ~metrics_out (fun obs ->
         let r =
           (* The typed channel: an empty/non-ACGT pattern or k < 0 exits
              with the Bad_input code (2) instead of an uncaught exception
@@ -252,10 +260,10 @@ let search_cmd =
         let hits = r.Core.Kmismatch.Response.hits in
         List.iter (fun (pos, d) -> Printf.printf "%d\t%d\n" pos d) hits;
         if verbose then
-          Format.eprintf "engine=%s hits=%d%a %a@."
+          Format.eprintf "engine=%s hits=%d%a%a@."
             (Core.Kmismatch.engine_name engine)
             (List.length hits) pp_timings r.Core.Kmismatch.Response.timings
-            Core.Stats.pp r.Core.Kmismatch.Response.stats);
+            (pp_engine_counts obs) ());
     `Ok ()
   in
   let pattern =

@@ -9,14 +9,13 @@ let blocks ~pattern ~k =
       List.init b (fun i -> (i * len, String.sub pattern (i * len) len))
   end
 
-let search ?stats ?ptext ~pattern ~k text =
+let search ?ptext ~pattern ~k text =
   if pattern = "" then invalid_arg "Amir.search: empty pattern";
   if k < 0 then invalid_arg "Amir.search: negative k";
   let m = String.length pattern and n = String.length text in
   (* budgets beyond m behave exactly like k = m; the clamp also keeps
      the 2k block count from overflowing for absurd budgets *)
   let k = min k m in
-  ignore (stats : Stats.t option);
   if m > n then []
   else if k = 0 then
     List.map (fun p -> (p, 0)) (Stringmatch.Kmp.find_all ~pattern ~text)

@@ -14,7 +14,6 @@ val blocks : pattern:string -> k:int -> (int * string) list
     tests.  Empty when the filter is not applicable. *)
 
 val search :
-  ?stats:Stats.t ->
   ?ptext:Fmindex.Packed_text.t ->
   pattern:string ->
   k:int ->

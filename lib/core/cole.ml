@@ -1,13 +1,13 @@
 module St = Suffix.Suffix_tree
 
-let search ?stats tree ~pattern ~k =
+let search ?(obs = Obs.noop) tree ~pattern ~k =
   if pattern = "" then invalid_arg "Cole.search: empty pattern";
   if k < 0 then invalid_arg "Cole.search: negative k";
   let m = String.length pattern in
   let k = min k m in
   (* budgets beyond m behave exactly like k = m *)
   let text = St.text tree in
-  let bump (f : Stats.t -> unit) = match stats with Some s -> f s | None -> () in
+  let nodes = ref 0 and leaves = ref 0 in
   let results = ref [] in
   let report node q =
     (* Every leaf below the locus starts an occurrence of the (mutated)
@@ -19,7 +19,7 @@ let search ?stats tree ~pattern ~k =
   let rec descend node off i q =
     Deadline.poll ();
     if i = m then begin
-      bump (fun s -> s.leaves <- s.leaves + 1);
+      incr leaves;
       report node q
     end
     else begin
@@ -31,14 +31,14 @@ let search ?stats tree ~pattern ~k =
         if c <> '$' then begin
           let q' = if c = pattern.[i] then q else q + 1 in
           if q' <= k then descend node (off + 1) (i + 1) q'
-          else bump (fun s -> s.leaves <- s.leaves + 1)
+          else incr leaves
         end
       end
       else begin
         List.iter
           (fun (c, child) ->
             if c <> '$' then begin
-              bump (fun s -> s.nodes <- s.nodes + 1);
+              incr nodes;
               descend child 0 i q
             end)
           (St.children tree node)
@@ -46,4 +46,6 @@ let search ?stats tree ~pattern ~k =
     end
   in
   descend (St.root tree) 0 0 0;
+  Obs.add obs Obs.Counter.engine_nodes !nodes;
+  Obs.add obs Obs.Counter.engine_leaves !leaves;
   List.sort Hit.compare !results

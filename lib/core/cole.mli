@@ -4,7 +4,7 @@
     package; ours sits on {!Suffix.Suffix_tree}). *)
 
 val search :
-  ?stats:Stats.t ->
+  ?obs:Obs.t ->
   Suffix.Suffix_tree.t ->
   pattern:string ->
   k:int ->
@@ -12,4 +12,6 @@ val search :
 (** [search tree ~pattern ~k] returns every [(position, distance)] with
     [distance <= k], ascending, where [tree] is the suffix tree of the
     target.  Raises [Invalid_argument] on an empty pattern or negative
-    [k]. *)
+    [k].  When the search returns, its [engine.nodes] (edges entered)
+    and [engine.leaves] (paths ended) are added to [obs] (default
+    {!Obs.noop}); a search cut by its deadline adds nothing. *)

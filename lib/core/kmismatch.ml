@@ -74,7 +74,6 @@ module Engine_registry = struct
   type run_args = {
     pattern : string;
     k : int;
-    stats : Stats.t;
     obs : Obs.t;
   }
 
@@ -173,8 +172,7 @@ let () =
   let s_tree ~use_delta =
     let config = Some { M_tree.default_config with use_delta; store_width = max_int } in
     fun t a ->
-      M_tree.search ?config ~stats:a.stats ~obs:a.obs t.fm_rev ~pattern:a.pattern
-        ~k:a.k
+      M_tree.search ?config ~obs:a.obs t.fm_rev ~pattern:a.pattern ~k:a.k
   in
   let nothing (_ : index) = () in
   let force_text t =
@@ -190,8 +188,7 @@ let () =
       prepare = nothing;
       run =
         (fun t a ->
-          M_tree.search ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
+          M_tree.search ~obs:a.obs t.fm_rev ~pattern:a.pattern ~k:a.k);
     };
   register
     {
@@ -220,7 +217,7 @@ let () =
       prepare = (fun t -> ignore (suffix_tree t));
       run =
         (fun t a ->
-          Cole.search ~stats:a.stats (suffix_tree t) ~pattern:a.pattern ~k:a.k);
+          Cole.search ~obs:a.obs (suffix_tree t) ~pattern:a.pattern ~k:a.k);
     };
   register
     {
@@ -231,8 +228,8 @@ let () =
       prepare = force_text;
       run =
         (fun t a ->
-          Amir.search ~stats:a.stats ~ptext:(packed_text t) ~pattern:a.pattern
-            ~k:a.k (text t));
+          Amir.search ~ptext:(packed_text t) ~pattern:a.pattern ~k:a.k
+            (text t));
     };
   register
     {
@@ -268,8 +265,7 @@ let () =
       prepare = (fun t -> ignore (Fmindex.Bidir.prefix_table (bidir t)));
       run =
         (fun t a ->
-          Oss.search ~stats:a.stats ~obs:a.obs (bidir t) ~pattern:a.pattern
-            ~k:a.k);
+          Oss.search ~obs:a.obs (bidir t) ~pattern:a.pattern ~k:a.k);
     }
 
 module Query = struct
@@ -289,23 +285,11 @@ end
 module Response = struct
   type t = {
     hits : (int * int) list;
-    stats : Stats.t;
     timings : (string * float) list;
   }
 
   let positions r = List.map fst r.hits
 end
-
-(* The query's [Stats] as [engine.*] counters: sums, so per-domain
-   sinks merge to exactly the sequential totals. *)
-let record_stats obs (s : Stats.t) =
-  let module C = Obs.Counter in
-  Obs.add obs C.engine_nodes s.nodes;
-  Obs.add obs C.engine_leaves s.leaves;
-  Obs.add obs C.engine_rank_calls s.rank_calls;
-  Obs.add obs C.engine_derivations s.derivations;
-  Obs.add obs C.engine_derived_leaves s.derived_leaves;
-  Obs.add obs C.engine_resumes s.resumes
 
 (* Validation is the typed half of the entry point: every reason a query
    cannot run maps to [Kmm_error.Bad_input] carrying the message [run]
@@ -337,7 +321,6 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
      the M-tree's 2k+3 merge horizon safely inside the word. *)
   let k = min q.k (String.length pattern) in
   let t1 = Obs.Clock.now_ns () in
-  let stats = Stats.create () in
   let hits =
     Obs.span obs "query"
       ~args:
@@ -353,18 +336,16 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
         if String.length pattern > length t then []
         else
           entry.Engine_registry.run t
-            { Engine_registry.pattern; k; stats; obs })
+            { Engine_registry.pattern; k; obs })
   in
   let t2 = Obs.Clock.now_ns () in
   if Obs.enabled obs then begin
-    record_stats obs stats;
     Obs.incr obs Obs.Counter.query_count;
     Obs.add obs Obs.Counter.query_hits (List.length hits)
   end;
   let s ns = float_of_int ns *. 1e-9 in
   {
     Response.hits;
-    stats;
     timings = [ ("normalize", s (t1 - t0)); ("search", s (t2 - t1)) ];
   }
 

@@ -62,11 +62,11 @@ module Engine_registry : sig
   type run_args = {
     pattern : string;  (** validated, normalized, nonempty *)
     k : int;  (** clamped to the pattern length, nonnegative *)
-    stats : Stats.t;  (** per-query counter sink *)
     obs : Obs.t;  (** per-query observability sink *)
   }
   (** What {!Kmismatch.run} hands an engine: the validated query plus
-      the per-query sinks. *)
+      the query's sink.  An engine that counts its work adds the
+      [engine.*] counters to [obs] once, when its search returns. *)
 
   type entry = {
     engine : engine;  (** the (nullary) constructor this entry answers *)
@@ -211,8 +211,6 @@ module Response : sig
     hits : (int * int) list;
         (** every [(position, distance)] with [distance <= k], ascending
             by position *)
-    stats : Stats.t;
-        (** engine counters of this query alone (fresh, not shared) *)
     timings : (string * float) list;
         (** per-phase wall-clock seconds, in execution order:
             [("normalize", _); ("search", _)] *)
@@ -252,7 +250,9 @@ val run : index -> Query.t -> Response.t
 
     When the query's [obs] sink is active, [run] records a ["query"] span
     (with engine, [k] and [m] as trace args), bumps [query.count] and
-    [query.hits], and adds the engine's {!Stats} to [engine.*].  It is
+    [query.hits]; the engine adds its own [engine.*] counts to the
+    same sink when its search returns (m-tree, s-tree, s-tree-nodelta,
+    bidir and cole count; the online engines do not).  It is
     the ambient sink while the query runs ({!Obs.with_ambient}), so the
     [fm.*] and [verify.*] taps of the query land in it too.  All of
     these are per-record sums, so per-domain sinks {!Obs.merge} to the

@@ -34,6 +34,13 @@ type arena = {
   mutable bufs : int array array;  (* rows 2d, 2d+1: los/his at depth d *)
   mutable locate_buf : int array;
   mutable busy : bool;
+  (* The search's work, added to its sink when it returns. *)
+  mutable n_nodes : int;
+  mutable n_leaves : int;
+  mutable n_rank_calls : int;
+  mutable n_derivations : int;
+  mutable n_derived_leaves : int;
+  mutable n_resumes : int;
 }
 
 (* Node states.  A [stub]'s subtree was derived from a shallower node
@@ -75,6 +82,12 @@ let fresh () =
     bufs = [||];
     locate_buf = [||];
     busy = false;
+    n_nodes = 0;
+    n_leaves = 0;
+    n_rank_calls = 0;
+    n_derivations = 0;
+    n_derived_leaves = 0;
+    n_resumes = 0;
   }
 
 let oversized a =
@@ -101,10 +114,25 @@ let acquire m =
   a.nodes <- 0;
   a.nskips <- 0;
   a.nruns <- 0;
+  a.n_nodes <- 0;
+  a.n_leaves <- 0;
+  a.n_rank_calls <- 0;
+  a.n_derivations <- 0;
+  a.n_derived_leaves <- 0;
+  a.n_resumes <- 0;
   Int_table.clear a.table;
   if Array.length a.bufs < 2 * m then
     a.bufs <- Array.init (2 * m) (fun _ -> Array.make Dna.Alphabet.sigma 0);
   a
+
+let record obs a =
+  let module C = Obs.Counter in
+  Obs.add obs C.engine_nodes a.n_nodes;
+  Obs.add obs C.engine_leaves a.n_leaves;
+  Obs.add obs C.engine_rank_calls a.n_rank_calls;
+  Obs.add obs C.engine_derivations a.n_derivations;
+  Obs.add obs C.engine_derived_leaves a.n_derived_leaves;
+  Obs.add obs C.engine_resumes a.n_resumes
 
 let double arr =
   let b = Array.make (2 * Array.length arr) 0 in
@@ -176,7 +204,7 @@ let delta_heuristic fm ~pattern ~k =
 
 (* --- Search --------------------------------------------------------- *)
 
-let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
+let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
   if pattern = "" then invalid_arg "M_tree.search: empty pattern";
   if k < 0 then invalid_arg "M_tree.search: negative k";
   String.iter
@@ -189,7 +217,6 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
      keeps [2k+3] and the R-array limit [k+2] from overflowing. *)
   let k = min k m in
   let n = Fm.length fm in
-  let bump (f : Stats.t -> unit) = match stats with Some s -> f s | None -> () in
   if m > n then []
   else begin
     (* R_ij, cached under i*(m+1)+j; the pattern's LCE structure is built
@@ -240,7 +267,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
        so a row is never reused while a caller still reads it. *)
     let los_at d = a.bufs.(2 * d) and his_at d = a.bufs.((2 * d) + 1) in
     let extend_at d lo hi =
-      bump (fun s -> s.rank_calls <- s.rank_calls + 2);
+      a.n_rank_calls <- a.n_rank_calls + 2;
       Fm.extend_all fm ~lo ~hi ~los:(los_at d) ~his:(his_at d)
     in
 
@@ -259,7 +286,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
         else table.(Array.length table - 1)
       in
       let resume code lo hi p q =
-        bump (fun s -> s.resumes <- s.resumes + 1);
+        a.n_resumes <- a.n_resumes + 1;
         if hi - lo >= store_width then visit code lo hi p q (-1)
         else explore_light lo hi p q
       in
@@ -279,14 +306,14 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
       let rec walk_children w dmiss =
         Deadline.poll ();
         if a.depth.(w) = d_star then begin
-          bump (fun s -> s.derived_leaves <- s.derived_leaves + 1);
+          a.n_derived_leaves <- a.n_derived_leaves + 1;
           report a.lo.(w) a.hi.(w) dmiss
         end
         else if a.state.(w) = stub then
           (* No stored subtree; fall back to a real search. *)
           resume_below w dmiss
         else if a.child.(w) < 0 && a.skipped.(w) < 0 then
-          bump (fun s -> s.derived_leaves <- s.derived_leaves + 1)
+          a.n_derived_leaves <- a.n_derived_leaves + 1
         else begin
           let rec kids c =
             if c >= 0 then begin
@@ -343,11 +370,11 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
             else count (idx + 1) (dmiss + 1)
           in
           let dmiss = count (lower 0 len) dmiss in
-          if dmiss < 0 then bump (fun s -> s.derived_leaves <- s.derived_leaves + 1)
+          if dmiss < 0 then a.n_derived_leaves <- a.n_derived_leaves + 1
           else if d_star <= a.depth.(last) then begin
             (* The derived path completes inside (or at the end of) the
                run; the node at that depth holds the interval. *)
-            bump (fun s -> s.derived_leaves <- s.derived_leaves + 1);
+            a.n_derived_leaves <- a.n_derived_leaves + 1;
             let u = a.runs.(run + 1 + d_star - d_first) in
             report a.lo.(u) a.hi.(u) dmiss
           end
@@ -357,7 +384,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
         let p = a.depth.(w) - i + j in
         let dmiss = if a.code.(w) = pat_code p then dmiss else dmiss + 1 in
         if dmiss > k || k - dmiss < delta.(p + 1) then
-          bump (fun s -> s.derived_leaves <- s.derived_leaves + 1)
+          a.n_derived_leaves <- a.n_derived_leaves + 1
         else walk_children w dmiss
       (* The maximal run of unary, no-skip, stored-match nodes starting at
          [w] itself (when [w] is a match node), memoised on [w]; -1 for a
@@ -388,7 +415,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
           run
         end
       in
-      bump (fun s -> s.derivations <- s.derivations + 1);
+      a.n_derivations <- a.n_derivations + 1;
       (* [depth prior < d_star] always holds here (j < m), so this walks
          the stored children/skipped branches of [prior] directly. *)
       if Obs.enabled obs then
@@ -404,9 +431,9 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
         a.sibling.(v) <- a.child.(parent);
         a.child.(parent) <- v
       end;
-      bump (fun s -> s.nodes <- s.nodes + 1);
+      a.n_nodes <- a.n_nodes + 1;
       if j = m then begin
-        bump (fun s -> s.leaves <- s.leaves + 1);
+        a.n_leaves <- a.n_leaves + 1;
         report lo hi q
       end
       else begin
@@ -455,14 +482,14 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
       a.state.(v) <- settled;
       (* A light child continues the path, so the node is not a leaf. *)
       if a.child.(v) < 0 && not !any_light then
-        bump (fun s -> s.leaves <- s.leaves + 1)
+        a.n_leaves <- a.n_leaves + 1
 
     (* Allocation-free S-tree exploration of a narrow subtree. *)
     and explore_light lo hi j q =
       Deadline.poll ();
-      bump (fun s -> s.nodes <- s.nodes + 1);
+      a.n_nodes <- a.n_nodes + 1;
       if j = m then begin
-        bump (fun s -> s.leaves <- s.leaves + 1);
+        a.n_leaves <- a.n_leaves + 1;
         report lo hi q
       end
       else begin
@@ -478,7 +505,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
             end
           end
         done;
-        if !died then bump (fun s -> s.leaves <- s.leaves + 1)
+        if !died then a.n_leaves <- a.n_leaves + 1
       end
     in
 
@@ -499,6 +526,7 @@ let search ?(config = default_config) ?stats ?(obs = Obs.noop) fm ~pattern ~k =
     in
     match Obs.span obs "mtree.explore" explore with
     | () ->
+        record obs a;
         a.busy <- false;
         List.sort Hit.compare !results
     | exception e ->

@@ -89,7 +89,6 @@ val delta_heuristic : Fmindex.Fm_index.t -> pattern:string -> k:int -> int array
 
 val search :
   ?config:config ->
-  ?stats:Stats.t ->
   ?obs:Obs.t ->
   Fmindex.Fm_index.t ->
   pattern:string ->
@@ -103,4 +102,9 @@ val search :
     [obs] (default {!Obs.noop}) records the [mtree.delta] and
     [mtree.explore] spans plus a per-derivation [mtree.derive_ns]
     histogram; with the noop sink the instrumentation costs one branch
-    per scope. *)
+    per scope.  The search counts its work in the domain's arena and
+    adds it to [obs] once, when it returns, as the six [engine.*]
+    counters ([nodes], [leaves], [rank_calls] (two per [extend_all]),
+    [derivations], [derived_leaves], [resumes]).  A search cut by its
+    deadline or by an exception adds nothing.  A root none of whose
+    children survives the budget counts no leaf. *)

@@ -11,7 +11,6 @@ type summary = {
   unique : int;
   ambiguous : int;
   skipped : (int * Kmm_error.t) list;
-  stats : Stats.t;
   timings : (string * float) list;
 }
 
@@ -105,7 +104,7 @@ let recheck ~obs rt ~pattern hits =
    index, so reads can be fanned out across domains freely.  Hits are
    re-checked on the index's own payload [rt], the reversed text, so
    re-checking reverses nothing. *)
-let map_one ~stats ~obs ~engine ~both_strands ~deadline index rt ~k read_id seq =
+let map_one ~obs ~engine ~both_strands ~deadline index rt ~k read_id seq =
   let sequence = Dna.Sequence.to_string seq in
   let search strand pattern =
     match
@@ -113,7 +112,6 @@ let map_one ~stats ~obs ~engine ~both_strands ~deadline index rt ~k read_id seq 
     with
     | Error e -> raise (Skip e)
     | Ok r ->
-        Stats.merge ~into:stats r.Kmismatch.Response.stats;
         recheck ~obs rt ~pattern r.Kmismatch.Response.hits;
         List.map
           (fun (pos, distance) -> { read_id; pos; strand; distance })
@@ -146,11 +144,9 @@ let run opts index ~reads ~k =
   Kmismatch.prepare engine index;
   let ref_len = Kmismatch.length index in
   let rt = Fmindex.Fm_index.packed_text (Kmismatch.fm_rev index) in
-  (* Per-domain counters and sinks, merged in worker-index order at the
-     end, so the reported totals match a sequential run exactly.
-     ([Obs.fork] of the noop sink is noop: observability off costs one
-     branch per read.) *)
-  let worker_stats = Array.init domains (fun _ -> Stats.create ()) in
+  (* Per-domain sinks, merged in worker-index order at the end, so the
+     reported totals match a sequential run exactly.  ([Obs.fork] of the
+     noop sink is noop: observability off costs one branch per read.) *)
   let worker_obs = Array.init domains (fun _ -> Obs.fork obs) in
   (* Slot [i] receives read [i]'s hits — or its skip reason — no matter
      which domain computed them: the merge (and therefore the skipped
@@ -160,80 +156,57 @@ let run opts index ~reads ~k =
      seq≡par guarantee holds for the surviving reads. *)
   let per_read = Array.make n [] in
   let skip_slot = Array.make n None in
-  (* [touched.(i)] distinguishes "processed, zero hits" from "never
-     reached": the pool's [cancel] skips whole chunk bodies once the
-     batch deadline expires, and the post-pass below turns every
-     untouched read into a typed [Timeout] skip. *)
-  let touched = Array.make n false in
   let expired_msg = "batch deadline expired before this read was searched" in
   let t1 = Obs.Clock.now_ns () in
   Work_pool.with_pool ~domains (fun pool ->
-      match
-        Work_pool.run
-          ~cancel:(fun () -> Deadline.expired deadline)
-          ~obs:worker_obs pool ~tasks:(Array.length bounds)
-          (fun ~worker ~task ->
-            let stats = worker_stats.(worker) in
-            let o = worker_obs.(worker) in
-            let start, len = bounds.(task) in
-            for i = start to start + len - 1 do
-              touched.(i) <- true;
-              let read_id, sequence = reads.(i) in
-              (* Coarse per-read checkpoint: a read started after expiry
-                 sheds immediately; one already in flight is cut by the
-                 engine polls through the query's own deadline. *)
-              if Deadline.expired deadline then begin
-                skip_slot.(i) <- Some (Kmm_error.Timeout expired_msg);
-                Obs.incr o Obs.Counter.map_reads_skipped
-              end
-              else
-                match validate_read ~len:ref_len sequence with
-                | Error e ->
-                    skip_slot.(i) <- Some e;
-                    Obs.incr o Obs.Counter.map_reads_skipped
-                | Ok seq -> (
-                    let map () =
-                      map_one ~stats ~obs:o ~engine ~both_strands ~deadline
-                        index rt ~k read_id seq
-                    in
-                    match
-                      if Obs.enabled o then Obs.time o "map.read" map
-                      else map ()
-                    with
-                    | hits ->
-                        per_read.(i) <- hits;
-                        if Obs.enabled o then begin
-                          Obs.incr o Obs.Counter.map_reads;
-                          (* Hit multiplicity is a function of the input
-                             alone — the histogram merges bit-for-bit
-                             across any domain count. *)
-                          Obs.record o "map.read_hits" (List.length hits)
-                        end
-                    | exception Skip e ->
-                        (* The index refused the query after validation —
-                           the read's own typed skip, not a batch abort. *)
-                        Obs.incr o Obs.Counter.map_reads_skipped;
-                        skip_slot.(i) <- Some e
-                    | exception e ->
-                        (* An engine exception on a validated read is a
-                           bug, but it still only costs this one read. *)
-                        Obs.incr o Obs.Counter.map_reads_failed;
-                        skip_slot.(i) <-
-                          Some (Kmm_error.Internal (Printexc.to_string e)))
-            done)
-      with
-      | () -> ()
-      | exception Work_pool.Cancelled ->
-          (* Chunks skipped by the cancel poll: their reads were never
-             touched and become Timeout skips below. *)
-          ());
-  for i = 0 to n - 1 do
-    if not touched.(i) then
-      skip_slot.(i) <- Some (Kmm_error.Timeout expired_msg)
-  done;
+      Work_pool.run ~obs:worker_obs pool ~tasks:(Array.length bounds)
+        (fun ~worker ~task ->
+          let o = worker_obs.(worker) in
+          let start, len = bounds.(task) in
+          for i = start to start + len - 1 do
+            let read_id, sequence = reads.(i) in
+            (* Coarse per-read checkpoint: a read started after expiry
+               sheds immediately; one already in flight is cut by the
+               engine polls through the query's own deadline. *)
+            if Deadline.expired deadline then begin
+              skip_slot.(i) <- Some (Kmm_error.Timeout expired_msg);
+              Obs.incr o Obs.Counter.map_reads_skipped
+            end
+            else
+              match validate_read ~len:ref_len sequence with
+              | Error e ->
+                  skip_slot.(i) <- Some e;
+                  Obs.incr o Obs.Counter.map_reads_skipped
+              | Ok seq -> (
+                  let map () =
+                    map_one ~obs:o ~engine ~both_strands ~deadline index rt ~k read_id seq
+                  in
+                  match
+                    if Obs.enabled o then Obs.time o "map.read" map
+                    else map ()
+                  with
+                  | hits ->
+                      per_read.(i) <- hits;
+                      if Obs.enabled o then begin
+                        Obs.incr o Obs.Counter.map_reads;
+                        (* Hit multiplicity is a function of the input
+                           alone — the histogram merges bit-for-bit
+                           across any domain count. *)
+                        Obs.record o "map.read_hits" (List.length hits)
+                      end
+                  | exception Skip e ->
+                      (* The index refused the query after validation —
+                         the read's own typed skip, not a batch abort. *)
+                      Obs.incr o Obs.Counter.map_reads_skipped;
+                      skip_slot.(i) <- Some e
+                  | exception e ->
+                      (* An engine exception on a validated read is a
+                         bug, but it still only costs this one read. *)
+                      Obs.incr o Obs.Counter.map_reads_failed;
+                      skip_slot.(i) <-
+                        Some (Kmm_error.Internal (Printexc.to_string e)))
+          done));
   let t2 = Obs.Clock.now_ns () in
-  let stats = Stats.create () in
-  Array.iter (fun s -> Stats.merge ~into:stats s) worker_stats;
   (* Worker-index order: deterministic merge of deterministic metrics. *)
   Array.iter (fun o -> Obs.merge ~into:obs o) worker_obs;
   let mapped = ref 0 and unique = ref 0 and ambiguous = ref 0 in
@@ -276,7 +249,6 @@ let run opts index ~reads ~k =
       unique = !unique;
       ambiguous = !ambiguous;
       skipped = !skipped;
-      stats;
       timings;
     } )
 

@@ -21,10 +21,6 @@ type summary = {
           oversize sequence, or an engine exception) lands here instead
           of aborting the whole batch; the surviving reads' hits are
           unaffected. *)
-  stats : Stats.t;
-      (** engine counters summed over the whole batch; per-domain
-          accumulators merged in worker order, equal to a sequential
-          run's totals *)
   timings : (string * float) list;
       (** per-phase wall-clock seconds, in execution order:
           [("prepare", _); ("search", _); ("merge", _)].  Wall-clock
@@ -57,10 +53,10 @@ type options = {
   deadline : Deadline.t;
       (** compute budget for the whole batch ({!Deadline.none}, the
           default, runs to completion).  Once it expires the batch
-          drains fast instead of aborting: reads not yet started are
-          skipped with a typed [Timeout] (whole pending chunks are
-          skipped via [Work_pool.run ?cancel]), reads in flight are cut
-          at the engines' next cooperative poll and skipped likewise,
+          drains fast instead of aborting: every read not yet started
+          is skipped with a typed [Timeout] by the worker's per-read
+          check and counted in [map.reads_skipped], reads in flight are
+          cut at the engines' next cooperative poll and skipped likewise,
           and everything finished before expiry keeps its hits — the
           summary stays fail-soft, it just attributes the unfinished
           tail to the deadline.  Which reads land on each side of the
@@ -108,7 +104,9 @@ val run :
     domain count, as do the [map.reads]/[map.reads_skipped]/
     [map.reads_failed] and [engine.*]/[fm.*] counters), plus the
     {!Work_pool} [pool.*] metrics and whole-batch [map.prepare_ns]/
-    [map.search_ns]/[map.merge_ns] phase histograms.
+    [map.search_ns]/[map.merge_ns] phase histograms.  The sink is where
+    a batch's engine counts live: the summary carries none, and with
+    {!Obs.noop} nothing is counted.
 
     {b Fail-soft:} a read the engines cannot process is recorded in
     [summary.skipped] with a typed reason and costs nothing but itself —

@@ -49,16 +49,6 @@ let kangaroo_direct =
       (fun _ c -> Some (Stringmatch.Kangaroo.search ~pattern:c.pattern ~k:c.k c.text));
   }
 
-let shift_add =
-  {
-    sub_name = "shift-add";
-    run =
-      (fun _ c ->
-        if Stringmatch.Shift_or.fits ~m:(String.length c.pattern) ~k:c.k then
-          Some (Stringmatch.Shift_or.search ~pattern:c.pattern ~text:c.text ~k:c.k)
-        else None);
-  }
-
 (* The packed FM-index core as its own subject: a forward index of the
    text answers k = 0 queries through [find_all], covering the packed
    rank kernel, the sampled-SA locate walk and pattern validation
@@ -135,7 +125,8 @@ let fm_v3_corruption =
               | Ok fm' ->
                   (* Only acceptable if the corruption was a no-op. *)
                   if
-                    Fmindex.Fm_index.text fm' <> c.text
+                    Fmindex.Packed_text.to_string (Fmindex.Fm_index.packed_text fm')
+                    <> c.text
                     || Fmindex.Fm_index.find_all fm' c.pattern <> clean_hits
                   then
                     failwith
@@ -193,7 +184,6 @@ let default_subjects () =
   List.map engine_subject (Kmismatch.all_engines ())
   @ [
       kangaroo_direct;
-      shift_add;
       packed_verify;
       fm_packed_find_all;
       bidir_find_all;

@@ -49,17 +49,15 @@ type subject = {
   sub_name : string;
   run : Kmismatch.index -> case -> (int * int) list option;
       (** [None] means "not applicable to this case" (e.g. the
-          bit-parallel matcher when the pattern does not fit the machine
-          word); the subject is then skipped, not failed.  Exceptions
+          exact-match [find_all] subject on a case with [k > 0]); the
+          subject is then skipped, not failed.  Exceptions
           escaping [run] are recorded as divergences. *)
 }
 
 val default_subjects : unit -> subject list
 (** Every engine of {!Kmismatch.all_engines} (a registry snapshot, so
-    engines registered after startup join automatically) plus two
-    index-free baselines —
-    the online Kangaroo matcher and (when [Shift_or.fits]) the
-    bit-parallel Shift-Add automaton — a [packed-verify] subject that
+    engines registered after startup join automatically) plus the
+    index-free online Kangaroo matcher, a [packed-verify] subject that
     answers every case by scanning all windows with the word-parallel
     kernel ({!Fmindex.Packed_text.hamming_le}), plus four
     packed-FM-index subjects: a forward-index [find_all] check on

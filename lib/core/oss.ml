@@ -203,9 +203,24 @@ type scratch = {
   mutable locate_buf : int array;
   hits : (int, int) Hashtbl.t;
   mutable busy : bool;
+  (* The search's work, added to its sink when it returns. *)
+  mutable nodes : int;
+  mutable leaves : int;
+  mutable extends : int;
+  mutable verifications : int;
 }
 
-let fresh () = { rows = [||]; locate_buf = [||]; hits = Hashtbl.create 64; busy = false }
+let fresh () =
+  {
+    rows = [||];
+    locate_buf = [||];
+    hits = Hashtbl.create 64;
+    busy = false;
+    nodes = 0;
+    leaves = 0;
+    extends = 0;
+    verifications = 0;
+  }
 
 (* Patterns or candidate intervals past this size leave a fresh scratch
    behind, so one outlier does not pin its memory on the domain. *)
@@ -228,13 +243,17 @@ let acquire m =
     else sc
   in
   sc.busy <- true;
+  sc.nodes <- 0;
+  sc.leaves <- 0;
+  sc.extends <- 0;
+  sc.verifications <- 0;
   Hashtbl.reset sc.hits;
   let have = Array.length sc.rows in
   if have < m then
     sc.rows <- Array.init m (fun l -> if l < have then sc.rows.(l) else Bidir.cursor ());
   sc
 
-let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
+let search ?(obs = Obs.noop) bidir ~pattern ~k =
   if pattern = "" then invalid_arg "Oss.search: empty pattern";
   if k < 0 then invalid_arg "Oss.search: negative k";
   let m = String.length pattern in
@@ -248,7 +267,6 @@ let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
   done;
   let k = min k m in
   let n = Bidir.length bidir in
-  let bump (f : Stats.t -> unit) = match stats with Some s -> f s | None -> () in
   if m > n then []
   else begin
     (* Verification runs in place on the index's own payload, the
@@ -278,7 +296,6 @@ let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
       let sc = acquire m in
       let hits = sc.hits in
       let add_hit w d = if not (Hashtbl.mem hits w) then Hashtbl.add hits w d in
-      let extends = ref 0 and verifications = ref 0 in
       (* The forward positions of the [r_hi - r_lo] occurrences of the
          matched span, whose length is [len]. *)
       let locate ~r_lo ~r_hi ~len =
@@ -290,7 +307,7 @@ let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
       (* Whole pattern matched through the index: the located forward
          positions are the window starts, [e] the exact distance. *)
       let finish ~r_lo ~r_hi e =
-        bump (fun s -> s.leaves <- s.leaves + 1);
+        sc.leaves <- sc.leaves + 1;
         let buf = locate ~r_lo ~r_hi ~len:m in
         for idx = 0 to r_hi - r_lo - 1 do
           add_hit (Array.unsafe_get buf idx) e
@@ -301,8 +318,8 @@ let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
          span's left edge, so the window starts [i] characters before
          the located occurrence. *)
       let verify ~r_lo ~r_hi i j =
-        incr verifications;
-        bump (fun s -> s.leaves <- s.leaves + 1);
+        sc.verifications <- sc.verifications + 1;
+        sc.leaves <- sc.leaves + 1;
         let buf = locate ~r_lo ~r_hi ~len:(j - i) in
         for idx = 0 to r_hi - r_lo - 1 do
           let w = Array.unsafe_get buf idx - i in
@@ -332,12 +349,11 @@ let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
           if len > 0 && len < m && f_hi - f_lo <= verify_cutoff then verify ~r_lo ~r_hi i j
           else if (if right then j = phi else i = plo) then begin
             if e >= sch.lower.(t) then enter (t + 1) f_lo f_hi r_lo r_hi e i j
-            else bump (fun s -> s.leaves <- s.leaves + 1)
+            else sc.leaves <- sc.leaves + 1
           end
           else begin
             let cur = Array.unsafe_get sc.rows len in
-            incr extends;
-            bump (fun s -> s.rank_calls <- s.rank_calls + 2);
+            sc.extends <- sc.extends + 1;
             let pc = if right then code.(j) else code.(i - 1) in
             if right then Bidir.extend_right_all bidir cur ~f_lo ~f_hi ~r_lo ~r_hi
             else Bidir.extend_left_all bidir cur ~f_lo ~f_hi ~r_lo ~r_hi;
@@ -346,7 +362,7 @@ let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
               if f_lo < f_hi then begin
                 let e' = if c = pc then e else e + 1 in
                 if e' <= sch.upper.(t) then begin
-                  bump (fun s -> s.nodes <- s.nodes + 1);
+                  sc.nodes <- sc.nodes + 1;
                   let r_lo = Bidir.r_lo cur c and r_hi = Bidir.r_hi cur c in
                   if right then step t f_lo f_hi r_lo r_hi e' i (j + 1) ~right ~plo ~phi
                   else step t f_lo f_hi r_lo r_hi e' (i - 1) j ~right ~plo ~phi
@@ -378,15 +394,20 @@ let search ?stats ?(obs = Obs.noop) bidir ~pattern ~k =
       let out =
         match explore () with
         | out ->
+            let module C = Obs.Counter in
+            Obs.add obs C.engine_nodes sc.nodes;
+            Obs.add obs C.engine_leaves sc.leaves;
+            (* One extension is one rank-all pass per side. *)
+            Obs.add obs C.engine_rank_calls (2 * sc.extends);
+            Obs.add obs C.bidir_extends sc.extends;
+            Obs.add obs C.bidir_verifications sc.verifications;
+            Obs.add obs C.bidir_searches (List.length searches);
             sc.busy <- false;
             out
         | exception e ->
             sc.busy <- false;
             raise e
       in
-      Obs.add obs Obs.Counter.bidir_extends !extends;
-      Obs.add obs Obs.Counter.bidir_verifications !verifications;
-      Obs.add obs Obs.Counter.bidir_searches (List.length searches);
       List.sort (fun (a, _) (b, _) -> compare a b) out
     end
   end

@@ -69,7 +69,6 @@ module Scheme : sig
 end
 
 val search :
-  ?stats:Stats.t ->
   ?obs:Obs.t ->
   Fmindex.Bidir.t ->
   pattern:string ->
@@ -101,6 +100,9 @@ val search :
     or negative [k].
 
     Cooperative cancellation: {!Deadline.poll} runs at every node of the
-    branching walk.  [obs] receives a [bidir.explore] span and
-    [bidir.extends] / [bidir.verifications] / [bidir.searches]
-    counters. *)
+    branching walk.  [obs] receives a [bidir.explore] span, and once,
+    when the search returns, the [bidir.extends] /
+    [bidir.verifications] / [bidir.searches] counters and the
+    [engine.nodes] / [engine.leaves] / [engine.rank_calls] ones (two
+    rank calls per extension).  A search cut by its deadline or by an
+    exception adds no counter. *)

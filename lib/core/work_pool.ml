@@ -12,7 +12,6 @@
    that is the lowest failing task of the whole job. *)
 
 exception Task_failed of { task : int; exn : exn }
-exception Cancelled
 
 let () =
   Printexc.register_printer (function
@@ -20,7 +19,6 @@ let () =
         Some
           (Printf.sprintf "Work_pool.Task_failed (task %d: %s)" task
              (Printexc.to_string exn))
-    | Cancelled -> Some "Work_pool.Cancelled"
     | _ -> None)
 
 type t = int
@@ -40,16 +38,14 @@ let with_pool ?domains f =
          max_domains);
   f n
 
-let run ?cancel ?(obs = [||]) t ~tasks body =
+let run ?(obs = [||]) t ~tasks body =
   if tasks < 0 then invalid_arg "Work_pool.run: negative task count";
   let started_ns =
     if Array.exists Obs.enabled obs then Obs.Clock.now_ns () else 0
   in
   let next = Atomic.make 0 in
-  let skipped = Atomic.make false in
   (* Pull tasks until none are left; return this worker's lowest failing
-     task.  The cancel poll sits inside the handler too, so a worker
-     always drains. *)
+     task. *)
   let work worker =
     let o = if worker < Array.length obs then obs.(worker) else Obs.noop in
     let rec loop failed =
@@ -57,9 +53,7 @@ let run ?cancel ?(obs = [||]) t ~tasks body =
       if task >= tasks then failed
       else
         match
-          if match cancel with Some c -> c () | None -> false then
-            Atomic.set skipped true
-          else if Obs.enabled o then begin
+          if Obs.enabled o then begin
             Obs.record o "pool.queue_wait_ns"
               (Obs.Clock.now_ns () - started_ns);
             Obs.incr o Obs.Counter.pool_tasks;
@@ -87,7 +81,7 @@ let run ?cancel ?(obs = [||]) t ~tasks body =
   let failures = List.filter_map Fun.id (first :: List.map Domain.join helpers) in
   match List.sort (fun (a, _) (b, _) -> compare a b) failures with
   | (task, exn) :: _ -> raise (Task_failed { task; exn })
-  | [] -> if Atomic.get skipped then raise Cancelled
+  | [] -> ()
 
 let map_array t ~f a =
   let n = Array.length a in

@@ -19,16 +19,8 @@ type t
 exception Task_failed of { task : int; exn : exn }
 (** How a task failure reaches the caller: the lowest failing task id,
     together with the exception it raised.  By the time this is raised
-    every task of the job has been executed (or skipped by [cancel])
-    and every helper domain has been joined. *)
-
-exception Cancelled
-(** The job was cut short: {!run}'s [cancel] callback returned [true]
-    before at least one task body ran, so that body (and possibly
-    later ones) was skipped.  Raised after the join, like
-    {!Task_failed}, and only when no task failed ({!Task_failed} wins).
-    Result slots of skipped tasks are untouched; the caller decides
-    what partial results mean. *)
+    every task of the job has been executed and every helper domain has
+    been joined. *)
 
 val max_domains : int
 (** The most domains one process may run at once, the calling domain
@@ -47,7 +39,6 @@ val domains : t -> int
 (** Number of domains (including the caller) jobs run on. *)
 
 val run :
-  ?cancel:(unit -> bool) ->
   ?obs:Obs.t array ->
   t ->
   tasks:int ->
@@ -58,22 +49,13 @@ val run :
     spawns [min (domains t) tasks - 1] helper domains; if the runtime
     refuses one, the workers already started take its share.  [worker]
     is a stable id in [0 .. domains t - 1] (0 is the calling domain),
-    so callers can keep per-worker accumulators (e.g. one [Stats.t] per
+    so callers can keep per-worker accumulators (e.g. one {!Obs.t} per
     domain) without locking.  If any task raises, the remaining tasks
     still run and the lowest failing task is re-raised at the caller as
     {!Task_failed}.  With [domains t = 1] the tasks run inline, in
-    order, with the same failure semantics.
-
-    [cancel] (default: never) is the cooperative cancellation point of
-    the job itself: it is polled before {e every} task body, from
-    whichever domain is about to run it, and once it returns [true]
-    that body is skipped.  Tasks already executing are not interrupted;
-    in-task cancellation is the deadline layer's job ([Deadline.poll]
-    inside the body).  If any body was skipped, {!Cancelled} is raised
-    after the join (unless a task failed: {!Task_failed} takes
-    precedence).  [cancel] must be safe to call concurrently from any
-    domain and must not raise; checking an [Atomic] flag or a
-    [Deadline] both qualify.
+    order, with the same failure semantics.  The pool never skips a
+    task: a body that should stop early checks its deadline itself (as
+    [Mapper] does per read).
 
     [obs] (default [[||]], observability off) supplies one sink per
     worker, indexed by worker id — per-domain sinks, never shared, to be

@@ -19,8 +19,9 @@
 
     The ambient slot is per-domain ([Domain.DLS]), so a domain spawned
     by [Work_pool.run] inherits nothing from its spawner: callers that
-    fan out must install the deadline inside each task (see
-    [Work_pool.run ?cancel] and [Mapper]). *)
+    fan out must install the deadline inside each task (see [Mapper],
+    which checks the batch deadline before each read and hands it to
+    each read's query). *)
 
 type t
 (** An absolute monotonic instant, or {!none}. *)

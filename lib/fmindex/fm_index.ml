@@ -22,7 +22,6 @@ module A1 = Bigarray.Array1
 type t = {
   n : int;  (* text length *)
   ptext : Packed_text.t;  (* forward text, 2-bit packed *)
-  text : string Storage.Memo.t;  (* unpacked text, built on first use *)
   occ : Occ.t;
   fwd : Occ.t;  (* rank blocks over BWT(rev text) *)
   fwd_sentinel_row : int;
@@ -144,11 +143,6 @@ let c_array_of_counts counts =
   done;
   c_array
 
-(* Memo for an index whose text string is not in hand: unpack the 2-bit
-   payload on first use. *)
-let text_memo_of_packed ptext =
-  Storage.Memo.make (fun () -> Packed_text.to_string ptext)
-
 (* The forward side: checkpoints every 128 bases (0.3125 B/base) where
    the located side keeps 32; it serves only prepend steps
    ([Bidir]'s and [longest_left_extension]'s). *)
@@ -238,7 +232,6 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) ?(parallel = true) text =
   {
     n;
     ptext;
-    text = text_memo_of_packed ptext;
     occ;
     fwd;
     fwd_sentinel_row;
@@ -254,7 +247,6 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) ?(parallel = true) text =
 
 let length t = t.n
 let forward_occ t = t.fwd
-let text t = Storage.Memo.force t.text
 let packed_text t = t.ptext
 let bwt t = String.init (Occ.length t.occ) (fun row -> Dna.Alphabet.of_code (Occ.get t.occ row))
 let whole t = (0, Occ.length t.occ)
@@ -912,7 +904,6 @@ let finish h ~ptext ~occ ~fwd ~marks ~samples =
   {
     n;
     ptext;
-    text = text_memo_of_packed ptext;
     occ;
     fwd;
     fwd_sentinel_row = h.h_fwd_sentinel_row;

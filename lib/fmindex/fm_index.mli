@@ -45,12 +45,6 @@ val forward_occ : t -> Occ.t
 val length : t -> int
 (** Length of the indexed text (sentinel excluded). *)
 
-val text : t -> string
-(** The indexed text.  The index keeps the text 2-bit packed; the
-    unpacked string is materialized on first use and cached behind a
-    domain-safe memo, so the call is O(n) once and O(1) after, from any
-    number of domains. *)
-
 val packed_text : t -> Packed_text.t
 (** The indexed text in its native 2-bit packed form — shared with the
     index (possibly an mmap'd view), never copied.  This is what the

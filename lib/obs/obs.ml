@@ -164,7 +164,7 @@ module Counter = struct
     declared := (name, unit, doc) :: !declared;
     c
 
-  (* The [Stats.t] fields of each query, through [Kmismatch]. *)
+  (* Engine work: each engine adds its search's totals when it returns. *)
   let engine_nodes = declare "engine.nodes" "nodes" "search and mismatching-tree nodes created"
   let engine_leaves = declare "engine.leaves" "leaves" "paths terminated during exploration"
   let engine_rank_calls = declare "engine.rank_calls" "calls" "FM-index extend calls the engine made"

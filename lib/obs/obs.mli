@@ -20,10 +20,10 @@
     {2 Merge semantics}
 
     [merge] adds counters, adds histogram buckets, and concatenates
-    trace events.  Counters and histograms obey the same contract as
-    [Stats.merge]: they are sums over per-record increments, so merging
-    per-domain sinks yields {e bit-for-bit} the counters and histograms
-    a sequential run recording the same values would have produced,
+    trace events.  Counters and histograms are sums over per-record
+    increments, so merging per-domain sinks yields {e bit-for-bit} the
+    counters and histograms a sequential run recording the same values
+    would have produced,
     regardless of sharding or scheduling.  (Wall-clock {e values} — span
     durations — naturally differ between runs; the determinism claim is
     about the merge, and about metrics derived from deterministic

@@ -199,19 +199,17 @@ let run_job t w j =
         Obs.record o "serve.batch_size" 1;
         let r =
           Obs.time o "pool.task" (fun () ->
-              (* A job that expires mid-search is cut by the engine
-                 polls inside [try_run]; either way the reply is a
-                 typed [Timeout] and partial work is discarded. *)
-              if Deadline.expired j.deadline then
-                Error (Kmm_error.Timeout "deadline expired while queued")
-              else
-                match
-                  Kmismatch.try_run t.index
-                    (Kmismatch.Query.make ~obs:o ~deadline:j.deadline ~engine:j.engine
-                       ~pattern:j.pattern ~k:j.k ())
-                with
-                | r -> Result.map (fun r -> r.Kmismatch.Response.hits) r
-                | exception e -> Error (Kmm_error.Internal (Printexc.to_string e)))
+              (* [try_run] answers a job that expired while queued
+                 without searching, and the engine polls cut one that
+                 expires mid-search; either way the reply is a typed
+                 [Timeout] and partial work is discarded. *)
+              match
+                Kmismatch.try_run t.index
+                  (Kmismatch.Query.make ~obs:o ~deadline:j.deadline ~engine:j.engine
+                     ~pattern:j.pattern ~k:j.k ())
+              with
+              | r -> Result.map (fun r -> r.Kmismatch.Response.hits) r
+              | exception e -> Error (Kmm_error.Internal (Printexc.to_string e)))
         in
         match r with
         | Ok hits ->

@@ -346,13 +346,16 @@ let test_cut_search_leaves_rows_usable () =
      that happens; a preempted attempt can overshoot into a finished
      search, so start over a few times before giving up. *)
   let rec cut_mid ~tries budget_ns =
-    let stats = Stats.create () in
+    (* A cut search adds no counter, so count its extensions through
+       the rank taps, which land as they happen. *)
+    let obs = Obs.create () in
     match
-      Deadline.with_ambient
-        (Deadline.of_ns (Obs.Clock.now_ns () + budget_ns))
-        (fun () -> Oss.search ~stats bd ~pattern:cut ~k:8)
+      Test_util.tapped_into obs (fun () ->
+          Deadline.with_ambient
+            (Deadline.of_ns (Obs.Clock.now_ns () + budget_ns))
+            (fun () -> Oss.search bd ~pattern:cut ~k:8))
     with
-    | exception Deadline.Expired when stats.nodes > 0 -> ()
+    | exception Deadline.Expired when Obs.counter_value obs "fm.rank_ops" > 0 -> ()
     | exception Deadline.Expired -> cut_mid ~tries (budget_ns * 3 / 2)
     | _ when tries > 1 -> cut_mid ~tries:(tries - 1) 1_000
     | _ -> Alcotest.fail "no budget cut the search mid-exploration"

@@ -3,8 +3,8 @@
 
    Three layers:
 
-   - the [Deadline] / [Work_pool ?cancel] / [Mapper] cancellation
-     machinery in isolation (no sockets, fully deterministic);
+   - the [Deadline] / [Mapper] cancellation machinery in isolation
+     (no sockets, fully deterministic);
    - a live daemon driven to its typed failure modes on purpose:
      admission-queue sheds (code 10), queued and mid-search deadline
      expiry (code 9), and recovery after each;
@@ -152,57 +152,6 @@ let deadline_ambient_poll () =
   in
   Alcotest.(check bool) "check raises immediately" true checked
 
-let pool_cancel_all () =
-  (* A cancel that is already true skips every body: no work, typed
-     [Cancelled] after the drain. *)
-  Core.Work_pool.with_pool ~domains:2 (fun pool ->
-      let ran = Atomic.make 0 in
-      match
-        Core.Work_pool.run ~cancel:(fun () -> true) pool ~tasks:16
-          (fun ~worker:_ ~task:_ -> Atomic.incr ran)
-      with
-      | () -> Alcotest.fail "expected Cancelled"
-      | exception Core.Work_pool.Cancelled ->
-          Alcotest.(check int) "no body ran" 0 (Atomic.get ran))
-
-let pool_cancel_midway () =
-  (* Sequential pool (domains = 1 runs tasks inline, in order): cancel
-     flips after 3 completions, so exactly 3 bodies run. *)
-  Core.Work_pool.with_pool ~domains:1 (fun pool ->
-      let ran = ref 0 in
-      match
-        Core.Work_pool.run
-          ~cancel:(fun () -> !ran >= 3)
-          pool ~tasks:10
-          (fun ~worker:_ ~task:_ -> incr ran)
-      with
-      | () -> Alcotest.fail "expected Cancelled"
-      | exception Core.Work_pool.Cancelled ->
-          Alcotest.(check int) "exactly 3 bodies ran" 3 !ran);
-  (* ...and a cancel that never fires leaves the job untouched. *)
-  Core.Work_pool.with_pool ~domains:2 (fun pool ->
-      let ran = Atomic.make 0 in
-      Core.Work_pool.run ~cancel:(fun () -> false) pool ~tasks:10
-        (fun ~worker:_ ~task:_ -> Atomic.incr ran);
-      Alcotest.(check int) "all bodies ran" 10 (Atomic.get ran))
-
-let pool_task_failed_wins () =
-  (* A failing task takes precedence over a cancellation observed in the
-     same job: the submitter must see the bug, not the benign cut. *)
-  Core.Work_pool.with_pool ~domains:1 (fun pool ->
-      let ran = ref 0 in
-      match
-        Core.Work_pool.run
-          ~cancel:(fun () -> !ran >= 2)
-          pool ~tasks:6
-          (fun ~worker:_ ~task ->
-            incr ran;
-            if task = 1 then failwith "boom")
-      with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception Core.Work_pool.Task_failed { task = 1; _ } -> ()
-      | exception e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e))
-
 let reads_fixture =
   lazy
     (let st = Random.State.make [| 0xfeed |] in
@@ -213,14 +162,22 @@ let reads_fixture =
 
 let mapper_expired_deadline () =
   (* A batch whose budget is already gone drains fast: every read is a
-     typed Timeout skip, no hits, nothing runs. *)
+     typed Timeout skip, counted in map.reads_skipped, no hits, nothing
+     runs. *)
   let reads = Lazy.force reads_fixture in
-  let d = Deadline.after 1e-6 in
-  Thread.delay 0.002;
+  let d = Deadline.after (-1.) in
   List.iter
     (fun domains ->
-      let opts = { Core.Mapper.default with domains; deadline = d } in
+      let obs = Obs.create () in
+      let opts = { Core.Mapper.default with domains; deadline = d; obs } in
       let hits, summary = Core.Mapper.run opts (Lazy.force index) ~reads ~k:2 in
+      Alcotest.(check int)
+        (Printf.sprintf "every skip counted (domains=%d)" domains)
+        (List.length reads)
+        (Obs.counter_value obs "map.reads_skipped");
+      Alcotest.(check int)
+        (Printf.sprintf "no read searched (domains=%d)" domains)
+        0 (Obs.counter_value obs "map.reads");
       Alcotest.(check int)
         (Printf.sprintf "no hits survive (domains=%d)" domains)
         0 (List.length hits);
@@ -718,9 +675,6 @@ let () =
         ] );
       ( "cancellation",
         [
-          Alcotest.test_case "pool cancel all" `Quick pool_cancel_all;
-          Alcotest.test_case "pool cancel midway" `Quick pool_cancel_midway;
-          Alcotest.test_case "task failure wins" `Quick pool_task_failed_wins;
           Alcotest.test_case "mapper expired deadline" `Quick
             mapper_expired_deadline;
           Alcotest.test_case "mapper without deadline unchanged" `Quick

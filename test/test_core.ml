@@ -261,11 +261,11 @@ let test_m_tree_derivations_fire () =
   (* On a repetitive genome the hash table must hit: derivations > 0. *)
   let text = String.concat "" (List.init 60 (fun _ -> "acgtagct")) in
   let idx = Kmismatch.build_index text in
-  let r =
-    Kmismatch.run idx
-      (Kmismatch.Query.make ~engine:Kmismatch.M_tree ~pattern:"acgtagctacgt" ~k:2 ())
-  in
-  check bool "derivations fired" true (r.stats.Stats.derivations > 0)
+  let obs = Obs.create () in
+  ignore
+    (Kmismatch.run idx
+       (Kmismatch.Query.make ~obs ~engine:Kmismatch.M_tree ~pattern:"acgtagctacgt" ~k:2 ()));
+  check bool "derivations fired" true (Obs.counter_value obs "engine.derivations" > 0)
 
 let test_m_tree_cheaper_than_s_tree () =
   (* The headline claim: Algorithm A spends fewer rank operations than the
@@ -275,10 +275,14 @@ let test_m_tree_cheaper_than_s_tree () =
   in
   let idx = Kmismatch.build_index text in
   let pattern = "acgtagctacgtagct" in
-  let query engine = Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern ~k:3 ()) in
-  let s = query Kmismatch.S_tree_no_delta and m = query Kmismatch.M_tree in
-  check hits "same results" s.hits m.hits;
-  let s_ranks = s.stats.Stats.rank_calls and m_ranks = m.stats.Stats.rank_calls in
+  let query engine =
+    let obs = Obs.create () in
+    let r = Kmismatch.run idx (Kmismatch.Query.make ~obs ~engine ~pattern ~k:3 ()) in
+    (r.hits, Obs.counter_value obs "engine.rank_calls")
+  in
+  let s_hits, s_ranks = query Kmismatch.S_tree_no_delta
+  and m_hits, m_ranks = query Kmismatch.M_tree in
+  check hits "same results" s_hits m_hits;
   check bool
     (Printf.sprintf "fewer rank calls (m=%d s=%d)" m_ranks s_ranks)
     true (m_ranks < s_ranks)

@@ -5,7 +5,8 @@
    a repeat-rich genome with 100 bp reads, and k >= m clamp cases, each
    under the default configuration and the store_width = 1 /
    chain_skip = false / use_delta = false variants.  For every call the
-   six [Stats.t] fields, the hit count and a digest of the hit list must
+   six [engine.*] counters the search adds to a fresh sink, the hit
+   count and a digest of the hit list must
    equal the line recorded in [fixtures/mtree_golden.txt], so a change to
    how the M-tree is stored cannot change what it explores or finds.
    [fixtures/stree_golden.txt] pins the BWT baseline engines (s-tree and
@@ -105,8 +106,8 @@ let golden_cases () =
   random @ repetitive @ fixed @ [ genome ] @ clamp
 
 (* One golden line per query of every case under every variant:
-   [variants] are [(name, search)] pairs, [search idx s ~pattern ~k]
-   counting into [s]. *)
+   [variants] are [(name, search)] pairs, [search idx obs ~pattern ~k]
+   counting into the sink [obs]. *)
 let observe variants =
   List.concat_map
     (fun (family, text, qs) ->
@@ -115,12 +116,14 @@ let observe variants =
         (fun (pattern, k) ->
           List.map
             (fun (vname, search) ->
-              let s = Stats.create () in
-              let hits = search idx s ~pattern ~k in
+              let obs = Obs.create () in
+              let hits = search idx obs ~pattern ~k in
+              let c name = Obs.counter_value obs ("engine." ^ name) in
               let flat = String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%d,%d" p d) hits) in
               Printf.sprintf "%s/%s n=%d m=%d k=%d nodes=%d leaves=%d rank_calls=%d derivations=%d derived_leaves=%d resumes=%d hits=%d %s"
-                family vname (String.length text) (String.length pattern) k s.nodes s.leaves
-                s.rank_calls s.derivations s.derived_leaves s.resumes (List.length hits)
+                family vname (String.length text) (String.length pattern) k (c "nodes")
+                (c "leaves") (c "rank_calls") (c "derivations") (c "derived_leaves")
+                (c "resumes") (List.length hits)
                 (Digest.to_hex (Digest.string flat)))
             variants)
         qs)
@@ -131,8 +134,7 @@ let mtree_variants =
   List.map
     (fun (cname, config) ->
       ( cname,
-        fun idx stats ~pattern ~k ->
-          M_tree.search ~config ~stats (Kmismatch.fm_rev idx) ~pattern ~k ))
+        fun idx obs ~pattern ~k -> M_tree.search ~config ~obs (Kmismatch.fm_rev idx) ~pattern ~k ))
     configs
 
 (* The BWT baseline engines through [Kmismatch.run]. *)
@@ -140,10 +142,8 @@ let stree_variants =
   List.map
     (fun engine ->
       ( Kmismatch.engine_name engine,
-        fun idx stats ~pattern ~k ->
-          let r = Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern ~k ()) in
-          Stats.merge ~into:stats r.stats;
-          r.hits ))
+        fun idx obs ~pattern ~k ->
+          (Kmismatch.run idx (Kmismatch.Query.make ~obs ~engine ~pattern ~k ())).hits ))
     Kmismatch.[ S_tree; S_tree_no_delta ]
 
 (* The observed lines must equal [fixtures/<file>].  With
@@ -189,10 +189,12 @@ let genome =
      let pats = Array.init 64 (fun i -> planted r text ~len:100 ~k:(i mod 3)) in
      (Kmismatch.build_index text, pats))
 
+(* The hits of one search and the engine.* counters it added to a fresh
+   sink. *)
 let run_one fm ?config pattern k =
-  let s = Stats.create () in
-  let hits = M_tree.search ?config ~stats:s fm ~pattern ~k in
-  (hits, s)
+  let obs = Obs.create () in
+  let hits = M_tree.search ?config ~obs fm ~pattern ~k in
+  (hits, Test_util.engine_counters obs)
 
 (* Steady-state searches reuse the domain's arena: they must not force a
    minor collection each (a fresh 4096-slot table per search did), nor
@@ -207,10 +209,10 @@ let test_steady_state_minor_gcs () =
   List.iter
     (fun engine ->
       let e = Option.get (Kmismatch.Engine_registry.find engine) in
-      let stats = Stats.create () and hits = ref 0 in
+      let hits = ref 0 in
       let search i =
         let pattern = pats.(i mod Array.length pats) in
-        hits := !hits + List.length (e.run idx { pattern; k = 2; stats; obs = Obs.noop })
+        hits := !hits + List.length (e.run idx { pattern; k = 2; obs = Obs.noop })
       in
       for i = 0 to 99 do
         search i
@@ -248,9 +250,10 @@ let test_arena_reset () =
   | _ -> Alcotest.fail "an expired deadline did not cut the search");
   check Alcotest.bool "same after a timeout" true (probe () = before);
   let _, big = run_one fm ~config:{ M_tree.default_config with store_width = 1 } pats.(4) 5 in
+  let nodes = List.assoc "engine.nodes" big in
   check Alcotest.bool
-    (Printf.sprintf "outlier stored %d nodes" big.nodes)
-    true (big.nodes > 16_384);
+    (Printf.sprintf "outlier stored %d nodes" nodes)
+    true (nodes > 16_384);
   check Alcotest.bool "same after an outlier" true (probe () = before)
 
 (* ------------------------------------------------------------------ *)

@@ -2,8 +2,8 @@
 
    The contract under test: [Mapper.run] with [domains = n] returns hits
    and summary byte-identical to the sequential path ([domains = 1]) for
-   every n and chunking, and merged per-domain stats equal sequential
-   stats. *)
+   every n and chunking, and the engine counters of merged per-domain
+   sinks equal the sequential ones. *)
 
 open Core
 
@@ -100,23 +100,26 @@ let genome = lazy (mk_genome ~size:10_000 ~seed:33)
 let index = lazy (Kmismatch.of_sequence (Lazy.force genome))
 
 let map ?(engine = Kmismatch.M_tree) ?(chunk_size = Mapper.default_chunk_size)
-    ~domains idx ~reads ~k =
-  Mapper.run { Mapper.default with engine; domains; chunk_size } idx ~reads ~k
+    ?(obs = Obs.noop) ~domains idx ~reads ~k =
+  Mapper.run { Mapper.default with engine; domains; chunk_size; obs } idx ~reads ~k
 
-let run_map ~domains ?chunk_size reads k =
-  map ~domains ?chunk_size (Lazy.force index) ~reads ~k
+let run_map ~domains ?chunk_size ?obs reads k =
+  map ~domains ?chunk_size ?obs (Lazy.force index) ~reads ~k
 
 let assert_equivalent ?chunk_size ~domains reads k =
-  let seq_hits, seq_summary = run_map ~domains:1 reads k in
-  let par_hits, par_summary = run_map ~domains ?chunk_size reads k in
+  let seq_obs = Obs.create () and par_obs = Obs.create () in
+  let seq_hits, seq_summary = run_map ~domains:1 ~obs:seq_obs reads k in
+  let par_hits, par_summary = run_map ~domains ?chunk_size ~obs:par_obs reads k in
   check bool "hits identical" true (seq_hits = par_hits);
   (* wall-clock timings naturally differ between runs; everything else
      in the summary must be byte-identical *)
   check bool "summary identical" true
     (Mapper.deterministic_summary seq_summary
     = Mapper.deterministic_summary par_summary);
-  check bool "merged stats identical" true
-    (seq_summary.Mapper.stats = par_summary.Mapper.stats)
+  check bool "engine counted" true
+    (reads = [] || Obs.counter_value seq_obs "engine.nodes" > 0);
+  check bool "merged engine counters identical" true
+    (Test_util.engine_counters seq_obs = Test_util.engine_counters par_obs)
 
 let test_equivalence_planted () =
   let reads = mk_reads (Lazy.force genome) ~count:40 ~len:60 ~seed:3 in
@@ -214,30 +217,25 @@ let prop_pool_map_order =
 let prop_fan_out =
   Test_util.qtest ~count:100 "fan-out contract"
     QCheck2.Gen.(
-      quad (int_range 1 4) (int_range 0 200)
-        (list_size (int_range 0 5) (int_range 0 199))
-        (opt (int_range 0 200)))
-    (fun (domains, tasks, failing, threshold) ->
+      triple (int_range 1 4) (int_range 0 200)
+        (list_size (int_range 0 5) (int_range 0 199)))
+    (fun (domains, tasks, failing) ->
       let fails task = List.mem task failing in
       let runs = Array.init tasks (fun _ -> Atomic.make 0) in
       let started = Atomic.make 0 in
       let bad_worker = Atomic.make false in
-      let cancel =
-        Option.map (fun c () -> Atomic.get started >= c) threshold
-      in
       let sinks = Array.init domains (fun _ -> Obs.create ()) in
       let outcome =
         Work_pool.with_pool ~domains (fun pool ->
             match
-              Work_pool.run ?cancel ~obs:sinks pool ~tasks (fun ~worker ~task ->
+              Work_pool.run ~obs:sinks pool ~tasks (fun ~worker ~task ->
                   Atomic.incr started;
                   Atomic.incr runs.(task);
                   if worker < 0 || worker >= domains then Atomic.set bad_worker true;
                   if fails task then failwith "boom")
             with
             | () -> `Done
-            | exception Work_pool.Task_failed { task; exn = Failure _ } -> `Failed task
-            | exception Work_pool.Cancelled -> `Cancelled)
+            | exception Work_pool.Task_failed { task; exn = Failure _ } -> `Failed task)
       in
       let ran i = Atomic.get runs.(i) = 1 in
       let ran_all = List.for_all ran (List.init tasks Fun.id) in
@@ -245,15 +243,14 @@ let prop_fan_out =
       let counted =
         Array.fold_left (fun n o -> n + Obs.counter_value o "pool.tasks") 0 sinks
       in
-      Array.for_all (fun r -> Atomic.get r <= 1) runs
-      && (threshold <> None || ran_all)
+      ran_all
+      && Array.for_all (fun r -> Atomic.get r <= 1) runs
       && (not (Atomic.get bad_worker))
       && counted = Atomic.get started
       &&
       match outcome with
       | `Failed task -> task = List.fold_left min max_int failed_run
-      | `Cancelled -> (not ran_all) && failed_run = []
-      | `Done -> ran_all && failed_run = [])
+      | `Done -> failed_run = [])
 
 (* A naive-search engine whose registry [prepare] counts its calls,
    registered in this test process only. *)

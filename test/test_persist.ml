@@ -7,6 +7,9 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
+(* The indexed text, unpacked from the index's 2-bit payload. *)
+let text_of fm = Fmindex.(Packed_text.to_string (Fm_index.packed_text fm))
+
 let with_temp f =
   let path = Filename.temp_file "kmm" ".fmi" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
@@ -23,7 +26,7 @@ let prop_fm_roundtrip =
           let fm = Fmindex.Fm_index.build text in
           Fmindex.Fm_index.save fm path;
           let fm' = Fmindex.Fm_index.load path in
-          Fmindex.Fm_index.text fm' = text
+          text_of fm' = text
           && Fmindex.Fm_index.bwt fm' = Fmindex.Fm_index.bwt fm
           && Fmindex.Fm_index.find_all fm' pattern = Fmindex.Fm_index.find_all fm pattern))
 
@@ -43,7 +46,7 @@ let test_fm_roundtrip_one_char () =
       let fm = Fmindex.Fm_index.build "a" in
       Fmindex.Fm_index.save fm path;
       let fm' = Fmindex.Fm_index.load path in
-      check string "1-char text survives" "a" (Fmindex.Fm_index.text fm');
+      check string "1-char text survives" "a" (text_of fm');
       check bool "1-char locate" true (Fmindex.Fm_index.find_all fm' "a" = [ 0 ]))
 
 let test_fm_roundtrip_rates_exceed_text () =
@@ -54,7 +57,7 @@ let test_fm_roundtrip_rates_exceed_text () =
       let fm = Fmindex.Fm_index.build ~occ_rate:1000 ~sa_rate:1000 text in
       Fmindex.Fm_index.save fm path;
       let fm' = Fmindex.Fm_index.load path in
-      check string "text" text (Fmindex.Fm_index.text fm');
+      check string "text" text (text_of fm');
       check bool "find_all agrees" true
         (Fmindex.Fm_index.find_all fm' "acgt" = Fmindex.Fm_index.find_all fm "acgt"))
 
@@ -480,7 +483,7 @@ let prop_mmap_equals_copy =
           Fmindex.Fm_index.save fm path;
           let heap = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy path in
           let mm = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Mmap path in
-          Fmindex.Fm_index.text mm = Fmindex.Fm_index.text heap
+          text_of mm = text_of heap
           && Fmindex.Fm_index.bwt mm = Fmindex.Fm_index.bwt heap
           && Fmindex.Fm_index.find_all mm pattern = Fmindex.Fm_index.find_all heap pattern
           && Fmindex.Fm_index.count mm pattern = Fmindex.Fm_index.count heap pattern))
@@ -564,7 +567,7 @@ let test_v1_fixture_resave_is_v5 () =
       List.iter
         (fun mode ->
           let fm = Fmindex.Fm_index.load ~mode path in
-          check string "text survives migration" text (Fmindex.Fm_index.text fm);
+          check string "text survives migration" text (text_of fm);
           List.iter
             (fun pat ->
               check Alcotest.(list int) ("migrated find_all " ^ pat)

@@ -1,7 +1,7 @@
 (* Cross-cutting property tests and invariants that go beyond the
    per-module suites: the Int_table substrate, the rank-correspondence
    property the paper's equation (1) relies on, locate completeness, the
-   delta heuristic's definition, and stats accounting. *)
+   delta heuristic's definition, and engine counter accounting. *)
 
 open Core
 
@@ -186,31 +186,39 @@ let prop_shift_table_periodic =
         (List.init (m - 1) (fun i -> i + 1)))
 
 (* ------------------------------------------------------------------ *)
-(* Stats accounting                                                     *)
+(* Engine counters                                                      *)
 
+(* The six engine.* counters one query adds to a fresh sink. *)
+let engine_counts idx engine ~pattern ~k =
+  let obs = Obs.create () in
+  ignore (Kmismatch.run idx (Kmismatch.Query.make ~obs ~engine ~pattern ~k ()));
+  Test_util.engine_counters obs
+
+(* Engines that reuse per-domain scratch start every search's counts
+   from zero: a query counts the same after a larger one on the same
+   domain as on its own. *)
 let test_stats_reset () =
-  let s = Stats.create () in
-  s.Stats.nodes <- 5;
-  s.Stats.derived_leaves <- 2;
-  s.Stats.leaves <- 1;
-  check int "total" 3 (Stats.total_leaves s);
-  Stats.reset s;
-  check int "reset nodes" 0 s.Stats.nodes;
-  check int "reset total" 0 (Stats.total_leaves s)
+  let idx = Kmismatch.build_index "acgtacgtacgtacgtacgtggggacgtagct" in
+  List.iter
+    (fun engine ->
+      let alone = engine_counts idx engine ~pattern:"acgta" ~k:1 in
+      ignore (engine_counts idx engine ~pattern:"acgtacgtacg" ~k:3);
+      check bool
+        (Kmismatch.engine_name engine ^ " counts start from zero")
+        true
+        (engine_counts idx engine ~pattern:"acgta" ~k:1 = alone))
+    [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Bidir; Kmismatch.Cole ]
 
 let test_stats_populated_by_engines () =
   let idx = Kmismatch.build_index "acgtacgtacgtacgtacgtgggg" in
   List.iter
     (fun engine ->
-      let { Kmismatch.Response.stats; _ } =
-        Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern:"acgta" ~k:1 ())
-      in
+      let counts = engine_counts idx engine ~pattern:"acgta" ~k:1 in
       check bool
         (Kmismatch.engine_name engine ^ " counts work")
         true
-        (stats.Stats.rank_calls > 0 || stats.Stats.nodes > 0
-        || stats.Stats.leaves > 0))
-    [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Cole ]
+        (List.exists (fun (_, v) -> v > 0) counts))
+    [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Bidir; Kmismatch.Cole ]
 
 (* ------------------------------------------------------------------ *)
 (* M-tree configuration space                                           *)

@@ -17,11 +17,19 @@ let random_dna st n =
 let run_hits idx ~engine ~pattern ~k =
   (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ~engine ~pattern ~k ())).hits
 
-(* [f ()] with the taps armed (restored after) and a fresh sink as the
-   ambient one: the result and that sink. *)
-let tapped f =
-  let obs = Obs.create () in
+(* [f ()] with the taps armed (restored after) and [obs] as the ambient
+   sink. *)
+let tapped_into obs f =
   let was = Atomic.get Obs.taps in
   Obs.set_taps true;
-  let r = Fun.protect ~finally:(fun () -> Obs.set_taps was) (fun () -> Obs.with_ambient obs f) in
+  Fun.protect ~finally:(fun () -> Obs.set_taps was) (fun () -> Obs.with_ambient obs f)
+
+(* [tapped_into] a fresh sink: the result and that sink. *)
+let tapped f =
+  let obs = Obs.create () in
+  let r = tapped_into obs f in
   (r, obs)
+
+(* The engine.* counters of a sink, by name. *)
+let engine_counters obs =
+  List.filter (fun (name, _) -> String.starts_with ~prefix:"engine." name) (Obs.counters obs)
