@@ -512,8 +512,9 @@ let fuzz_cmd =
              "Generates seeded random and adversarial (text, pattern, k) cases \
               (periodic texts, homopolymer runs, near-full-length patterns, k = 0, \
               k >= m, single-character genomes, boundary-hugging windows, huge \
-              budgets), runs every engine plus the online Kangaroo and bit-parallel \
-              Shift-Add baselines, and compares against the naive O(mn) reference. \
+              budgets), runs every engine plus the online Kangaroo baseline and the \
+              packed verification kernel, and compares against the naive O(mn) \
+              reference. \
               Any divergence is automatically shrunk to a minimal reproducer; use \
               --corpus-out to persist it for test/corpus replay.";
          ])

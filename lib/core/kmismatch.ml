@@ -30,20 +30,17 @@ type index = {
          so pairing them costs nothing at load. *)
 }
 
-(* [text] is the forward string when the caller has it in hand.  A
-   loaded index has only the 2-bit packed reverse, so its forward string
-   is unpacked from [pforward] on demand: one pass, and an mmap'd load
-   stays O(1). *)
-let make_index ?text fm_rev =
+(* The index keeps no forward string: it is unpacked from [pforward]
+   on first use, one pass, so an mmap'd load stays O(1) and a built
+   index does not hold its caller's genome. *)
+let of_fm fm_rev =
   let pforward =
     Fmindex.Storage.Memo.make (fun () ->
         Fmindex.Packed_text.rev (Fmindex.Fm_index.packed_text fm_rev))
   in
   let text =
     Fmindex.Storage.Memo.make (fun () ->
-        match text with
-        | Some s -> s
-        | None -> Fmindex.Packed_text.to_string (Fmindex.Storage.Memo.force pforward))
+        Fmindex.Packed_text.to_string (Fmindex.Storage.Memo.force pforward))
   in
   let tree =
     Fmindex.Storage.Memo.make (fun () ->
@@ -54,8 +51,7 @@ let make_index ?text fm_rev =
 (* The reverse is derived from the validated sequence, never re-parsed,
    and the FM component keeps it only 2-bit packed. *)
 let of_sequence seq =
-  let rev = Dna.Sequence.to_string (Dna.Sequence.rev seq) in
-  make_index ~text:(Dna.Sequence.to_string seq) (Fmindex.Fm_index.build rev)
+  of_fm (Fmindex.Fm_index.build (Dna.Sequence.to_string (Dna.Sequence.rev seq)))
 
 let build_index raw = of_sequence (Dna.Sequence.of_string raw)
 let text t = Fmindex.Storage.Memo.force t.text
@@ -385,8 +381,6 @@ let run t q =
   | Error e -> Kmm_error.raise_error e
 
 let save_index t path = Fmindex.Fm_index.save t.fm_rev path
-
-let of_fm fm_rev = make_index fm_rev
 
 let load_index ?mode path = of_fm (Fmindex.Fm_index.load ?mode path)
 

@@ -141,10 +141,10 @@ val of_sequence : Dna.Sequence.t -> index
     {!Fmindex.Fm_index.max_length}. *)
 
 val text : index -> string
-(** The forward target text.  For a loaded index this is unpacked from
-    {!packed_text} on first use and cached behind a domain-safe memo
-    (so an mmap'd load stays O(1) until an engine actually needs the
-    string). *)
+(** The forward target text, unpacked from {!packed_text} on first use
+    and cached behind a domain-safe memo: an mmap'd load stays O(1)
+    until an engine actually needs the string, and an index built by
+    {!of_sequence} does not keep the caller's sequence alive. *)
 
 val length : index -> int
 (** Target length, answered from the FM component without materializing

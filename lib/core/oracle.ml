@@ -138,9 +138,10 @@ let fm_v3_corruption =
   }
 
 (* The word-parallel verification kernel as its own subject: scan every
-   window of the packed forward text with [hamming_le] / [hamming],
-   covering all four lane phases, the ragged final byte and the
-   pre-packed pattern masks against the naive reference. *)
+   window of the packed forward text with [hamming ~limit:k], covering
+   all four lane phases, the ragged final byte, the early exit and the
+   pre-packed pattern masks against the naive reference.  A window
+   within the limit is scanned to the end, so its count is exact. *)
 let packed_verify =
   {
     sub_name = "packed-verify";
@@ -155,8 +156,8 @@ let packed_verify =
           let pp = Fmindex.Packed_text.Pattern.make c.pattern in
           let acc = ref [] in
           for pos = n - m downto 0 do
-            if Fmindex.Packed_text.hamming_le pt pp ~pos ~k then
-              acc := (pos, Fmindex.Packed_text.hamming ~limit:max_int pt pp ~pos) :: !acc
+            let d = Fmindex.Packed_text.hamming ~limit:k pt pp ~pos in
+            if d <= k then acc := (pos, d) :: !acc
           done;
           Some !acc
         end);

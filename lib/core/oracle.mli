@@ -11,9 +11,9 @@
       (periodic texts, homopolymer runs, [pattern] ≈ [text] length,
       [k = 0], [k >= m], single-character genomes, windows hugging the
       text boundaries, planted near-matches);
-    - a {e checker} runs every engine — plus the online Kangaroo and
-      bit-parallel Shift-Add baselines — against the naive Hamming
-      reference and reports divergences;
+    - a {e checker} runs every engine — plus the online Kangaroo
+      baseline and the packed verification kernel — against the naive
+      Hamming reference and reports divergences;
     - a {e shrinker} greedily minimizes any failing case to a smallest
       reproducer;
     - a tiny {e corpus} text format ([test/corpus/*.case]) persists
@@ -59,7 +59,7 @@ val default_subjects : unit -> subject list
     engines registered after startup join automatically) plus the
     index-free online Kangaroo matcher, a [packed-verify] subject that
     answers every case by scanning all windows with the word-parallel
-    kernel ({!Fmindex.Packed_text.hamming_le}), plus four
+    kernel ({!Fmindex.Packed_text.hamming}, limit [k]), plus four
     packed-FM-index subjects: a forward-index [find_all] check on
     [k = 0] cases, a [bidir-find-all] subject that rebuilds the
     bidirectional index from the case's raw text and runs the optimum

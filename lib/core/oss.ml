@@ -38,85 +38,16 @@ module Scheme = struct
     in
     { pi; lower; upper }
 
-  (* Precomputed tables for the budgets the CLI meets in practice,
-     materialized so a regression in the generator cannot silently
-     change the executed schemes; the completeness test enumerates every
-     distribution against exactly these literals. *)
-  let table_k1 =
-    [
-      { pi = [| 1; 2 |]; lower = [| 0; 0 |]; upper = [| 0; 1 |] };
-      { pi = [| 2; 1 |]; lower = [| 0; 1 |]; upper = [| 0; 1 |] };
-    ]
+  let family ~k = List.init (pieces ~k) (fun i -> generic ~k ~i:(i + 1))
 
-  let table_k2 =
-    [
-      { pi = [| 1; 2; 3 |]; lower = [| 0; 0; 0 |]; upper = [| 0; 2; 2 |] };
-      { pi = [| 2; 3; 1 |]; lower = [| 0; 0; 1 |]; upper = [| 0; 1; 2 |] };
-      { pi = [| 3; 2; 1 |]; lower = [| 0; 1; 2 |]; upper = [| 0; 2; 2 |] };
-    ]
-
-  let table_k3 =
-    [
-      {
-        pi = [| 1; 2; 3; 4 |];
-        lower = [| 0; 0; 0; 0 |];
-        upper = [| 0; 3; 3; 3 |];
-      };
-      {
-        pi = [| 2; 3; 4; 1 |];
-        lower = [| 0; 0; 0; 1 |];
-        upper = [| 0; 2; 2; 3 |];
-      };
-      {
-        pi = [| 3; 4; 2; 1 |];
-        lower = [| 0; 0; 1; 2 |];
-        upper = [| 0; 1; 3; 3 |];
-      };
-      {
-        pi = [| 4; 3; 2; 1 |];
-        lower = [| 0; 1; 2; 3 |];
-        upper = [| 0; 3; 3; 3 |];
-      };
-    ]
-
-  let table_k4 =
-    [
-      {
-        pi = [| 1; 2; 3; 4; 5 |];
-        lower = [| 0; 0; 0; 0; 0 |];
-        upper = [| 0; 4; 4; 4; 4 |];
-      };
-      {
-        pi = [| 2; 3; 4; 5; 1 |];
-        lower = [| 0; 0; 0; 0; 1 |];
-        upper = [| 0; 3; 3; 3; 4 |];
-      };
-      {
-        pi = [| 3; 4; 5; 2; 1 |];
-        lower = [| 0; 0; 0; 1; 2 |];
-        upper = [| 0; 2; 2; 4; 4 |];
-      };
-      {
-        pi = [| 4; 5; 3; 2; 1 |];
-        lower = [| 0; 0; 1; 2; 3 |];
-        upper = [| 0; 1; 4; 4; 4 |];
-      };
-      {
-        pi = [| 5; 4; 3; 2; 1 |];
-        lower = [| 0; 1; 2; 3; 4 |];
-        upper = [| 0; 4; 4; 4; 4 |];
-      };
-    ]
+  (* The families of budgets up to 8 are built once (about a thousand
+     words), so a search at those budgets allocates no scheme; a larger
+     budget builds its family per call. *)
+  let built = Array.init 9 (fun k -> family ~k)
 
   let for_k ~k =
-    match k with
-    | _ when k < 0 -> invalid_arg "Oss.Scheme.for_k: negative k"
-    | 0 -> [ generic ~k:0 ~i:1 ]
-    | 1 -> table_k1
-    | 2 -> table_k2
-    | 3 -> table_k3
-    | 4 -> table_k4
-    | _ -> List.init (pieces ~k) (fun i -> generic ~k ~i:(i + 1))
+    if k < 0 then invalid_arg "Oss.Scheme.for_k: negative k";
+    if k < Array.length built then built.(k) else family ~k
 
   let covers s a =
     let p = Array.length s.pi in

@@ -10,9 +10,8 @@
     branching far earlier than the paper's purely backward S-/M-tree
     walk — the win grows with [k].
 
-    {!Scheme} holds the precomputed tables (k ≤ 4) and the generic
-    pigeonhole family (any k), with checkers the test suite runs
-    exhaustively; {!search} executes a scheme set over a
+    {!Scheme} holds the generic pigeonhole family (any k), with
+    checkers the test suite runs exhaustively; {!search} executes a scheme set over a
     {!Fmindex.Bidir.t} with word-parallel verification of
     narrow-interval candidates. *)
 
@@ -27,8 +26,8 @@
     count vector [a] of a real occurrence; a scheme (set of searches) is
     {e complete} for [k] when every [a] with [Σa ≤ k] is admitted by at
     least one search.  Completeness is what makes the engine exact;
-    the tables below are verified complete by enumeration in the test
-    suite. *)
+    the family below is verified complete by enumeration in the test
+    suite for k ≤ 6. *)
 module Scheme : sig
   type search = {
     pi : int array;  (** processing order: a permutation of [1..p] *)
@@ -40,9 +39,10 @@ module Scheme : sig
   (** Number of pattern pieces used at mismatch budget [k]: [k + 1]. *)
 
   val for_k : k:int -> search list
-  (** The scheme executed at budget [k] ([k >= 0]): hand-tuned
-      precomputed tables for [k <= 4], the generic family for larger
-      budgets.  Every search starts with an exact piece ([U.(0) = 0]). *)
+  (** The scheme executed at budget [k] ([k >= 0]): the [k + 1]
+      searches [generic ~k ~i] for [i = 1 .. k + 1], in that order.
+      Every search starts with an exact piece ([U.(0) = 0]).  The lists
+      for [k <= 8] are built once and shared: read-only. *)
 
   val generic : k:int -> i:int -> search
   (** The [i]-th member ([1 <= i <= k+1]) of the generic

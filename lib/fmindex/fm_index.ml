@@ -156,10 +156,10 @@ let build_forward ptext =
    overlaps. *)
 let parallel_min = 1 lsl 16
 
-(* [f ()] and [g ()], with [g] on a helper domain when asked for; a
+(* [f ()] and [g ()], with [g] on a helper domain when [spawn]; a
    runtime that refuses the domain gets both on the caller's. *)
-let both ~parallel f g =
-  if not parallel then
+let both ~spawn f g =
+  if not spawn then
     let a = f () in
     (a, g ())
   else
@@ -207,7 +207,7 @@ let build_located ~occ_rate ~sa_rate ptext =
 
 let max_length = Suffix.Suffix_array.max_length - 1
 
-let build ?(occ_rate = 32) ?(sa_rate = 16) ?(parallel = true) text =
+let build ?(occ_rate = 32) ?(sa_rate = 16) text =
   if sa_rate <= 0 then invalid_arg "Fm_index.build: sa_rate must be positive";
   if String.length text > max_length then
     invalid_arg
@@ -221,9 +221,9 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) ?(parallel = true) text =
   let n = String.length text in
   let ptext = Packed_text.of_string text in
   (* The two sides share nothing but the packed text, so each runs its
-     own SA-IS pass, on its own domain when there are two. *)
+     own SA-IS pass, on its own domain when the text is long enough. *)
   let (occ, sentinel_row, marks, nsamples, samples), (fwd, fwd_sentinel_row) =
-    both ~parallel:(parallel && n >= parallel_min)
+    both ~spawn:(n >= parallel_min)
       (fun () -> build_located ~occ_rate ~sa_rate ptext)
       (fun () -> build_forward ptext)
   in
@@ -254,20 +254,60 @@ let whole t = (0, Occ.length t.occ)
 (* ------------------------------------------------------------------ *)
 (* Backward search                                                      *)
 
+(* The one backward-search loop, over either rank side (both BWTs
+   permute the same [s$], so the located side's C array serves the
+   forward side too).  From the whole interval it prepends
+   [codes.(stop - 1)], then [codes.(stop - 2)], ... and stops once
+   [codes.(0)] is in, at a code outside 1..sigma-1 (uncounted), or
+   after the step that empties the interval (counted, like an
+   [extend]).  It returns the index [j] of the first code left out, so
+   [stop - j] codes were prepended and [j = 0] means all of them, and
+   leaves the final interval in [iv.(0)], [iv.(1)].  The unchecked pair
+   kernel is sound here: every [c] passed to it is in 1..sigma-1 and
+   the interval stays within [0, length]; [iv] doubles as its scratch
+   (length 2), so no step allocates. *)
+let backward t occ codes ~stop iv =
+  let measured = Atomic.get Obs.taps in
+  let ops = ref 0 and blocks = ref 0 in
+  let lo = ref 0 and hi = ref (Occ.length occ) in
+  let j = ref stop and live = ref true in
+  while !live && !j > 0 do
+    let c = Array.unsafe_get codes (!j - 1) in
+    if c <= 0 || c >= sigma then live := false
+    else begin
+      if measured then begin
+        Stdlib.incr ops;
+        blocks := !blocks + decodes ~lo:!lo ~hi:!hi
+      end;
+      Occ.rank_pair_into_unsafe occ c !lo !hi iv;
+      let cc = Array.unsafe_get t.c_array c in
+      lo := cc + Array.unsafe_get iv 0;
+      hi := cc + Array.unsafe_get iv 1;
+      if !lo < !hi then decr j else live := false
+    end
+  done;
+  if measured then tap_rank !ops !blocks;
+  Array.unsafe_set iv 0 !lo;
+  Array.unsafe_set iv 1 !hi;
+  !j
+
 let extend t c (lo, hi) =
   if c <= 0 || c >= sigma then None
   else begin
+    let rows = Occ.length t.occ in
+    if lo < 0 || lo > rows || hi < 0 || hi > rows then
+      invalid_arg "Fm_index.extend: interval out of range";
     if Atomic.get Obs.taps then tap_rank 1 (decodes ~lo ~hi);
-    let r_lo, r_hi = Occ.rank_pair t.occ c lo hi in
-    let lo' = t.c_array.(c) + r_lo in
-    let hi' = t.c_array.(c) + r_hi in
+    let r = Array.make 2 0 in
+    Occ.rank_pair_into_unsafe t.occ c lo hi r;
+    let lo' = t.c_array.(c) + r.(0) in
+    let hi' = t.c_array.(c) + r.(1) in
     if lo' < hi' then Some (lo', hi') else None
   end
 
-let interval_of_char t c = extend t c (whole t)
-
 (* Character codes of a pattern, case folded; [None] when any character
-   is outside ACGT (such a pattern occurs nowhere rather than raising). *)
+   is outside ACGT (such a pattern occurs nowhere rather than raising,
+   and no step is taken). *)
 let codes_of_pattern pat =
   let m = String.length pat in
   let codes = Array.make m 0 in
@@ -283,81 +323,17 @@ let search t pat =
   match codes_of_pattern pat with
   | None -> None
   | Some codes ->
-      let m = Array.length codes in
-      if m = 0 then Some (whole t)
-      else begin
-        let rec go i iv =
-          if i < 0 then Some iv
-          else match extend t codes.(i) iv with None -> None | Some iv' -> go (i - 1) iv'
-        in
-        go (m - 1) (whole t)
-      end
+      let iv = Array.make 2 0 in
+      if backward t t.occ codes ~stop:(Array.length codes) iv = 0 then
+        Some (iv.(0), iv.(1))
+      else None
 
-(* [count] is [search] unrolled into an allocation-free loop: no interval
-   options, no per-step tuples, and the shared-decode pair kernel doing
-   the two rank queries of each step.  The unchecked kernel is sound
-   here: [codes_of_pattern] proves every [c] is in 1..sigma-1, and the
-   interval arithmetic keeps [0 <= lo <= hi <= length] invariant. *)
-let count t pat =
-  match codes_of_pattern pat with
-  | None -> 0
-  | Some codes ->
-      let m = Array.length codes in
-      if m = 0 then Occ.length t.occ
-      else begin
-        let measured = Atomic.get Obs.taps in
-        let ops = ref 0 and blocks = ref 0 in
-        let lo = ref 0 and hi = ref (Occ.length t.occ) in
-        let pr = Array.make 2 0 in
-        let i = ref (m - 1) in
-        while !i >= 0 && !lo < !hi do
-          let c = Array.unsafe_get codes !i in
-          if measured then begin
-            Stdlib.incr ops;
-            blocks := !blocks + decodes ~lo:!lo ~hi:!hi
-          end;
-          Occ.rank_pair_into_unsafe t.occ c !lo !hi pr;
-          let cc = Array.unsafe_get t.c_array c in
-          lo := cc + Array.unsafe_get pr 0;
-          hi := cc + Array.unsafe_get pr 1;
-          decr i
-        done;
-        if measured then tap_rank !ops !blocks;
-        if !hi > !lo then !hi - !lo else 0
-      end
+let count t pat = match search t pat with None -> 0 | Some (lo, hi) -> hi - lo
 
-(* [longest_left_extension] is backward search on the forward side:
-   from the whole interval it prepends [codes.(stop - 1)], then
-   [codes.(stop - 2)], ... until the interval empties or [codes.(0)] is
-   in, unrolled like [count].  Both BWTs permute the same [s$], so
-   the located side's C array serves the forward side too.  Each step
-   counts like an [extend] (the step that empties the interval counts, a
-   code outside 1..sigma-1 stops the run uncounted). *)
 let longest_left_extension t codes ~stop =
   if stop < 0 || stop > Array.length codes then
     invalid_arg "Fm_index.longest_left_extension: stop out of range";
-  let measured = Atomic.get Obs.taps in
-  let ops = ref 0 and blocks = ref 0 in
-  let lo = ref 0 and hi = ref (Occ.length t.fwd) in
-  let pr = Array.make 2 0 in
-  let j = ref stop and live = ref true in
-  while !live && !j > 0 do
-    let c = Array.unsafe_get codes (!j - 1) in
-    if c <= 0 || c >= sigma then live := false
-    else begin
-      if measured then begin
-        Stdlib.incr ops;
-        blocks := !blocks + decodes ~lo:!lo ~hi:!hi
-      end;
-      Occ.rank_pair_into_unsafe t.fwd c !lo !hi pr;
-      let cc = Array.unsafe_get t.c_array c in
-      lo := cc + Array.unsafe_get pr 0;
-      hi := cc + Array.unsafe_get pr 1;
-      if !lo < !hi then decr j else live := false
-    end
-  done;
-  if measured then tap_rank !ops !blocks;
-  stop - !j
+  stop - backward t t.fwd codes ~stop (Array.make 2 0)
 
 (* A legitimate LF walk reaches a marked row within [sa_rate] steps
    (positions decrease by one per step and every sa_rate-th is marked).

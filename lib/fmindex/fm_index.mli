@@ -10,7 +10,7 @@ type t
 type interval = int * int
 (** Half-open row range [lo, hi); nonempty iff [lo < hi]. *)
 
-val build : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> t
+val build : ?occ_rate:int -> ?sa_rate:int -> string -> t
 (** Index the DNA text [s] (lowercase [acgt]; the sentinel is appended
     internally).  [occ_rate] is the rank checkpoint spacing (default 32,
     quantized by {!Occ} to a power of two); [sa_rate] the suffix-array
@@ -20,11 +20,9 @@ val build : ?occ_rate:int -> ?sa_rate:int -> ?parallel:bool -> string -> t
     BWT([rev s]) at checkpoint rate 128, which {!Bidir} and
     {!longest_left_extension} prepend through (for the system's index
     of a reversed genome that is the BWT of the genome itself).
-    Building it is a second SA-IS pass; with [parallel] (default
-    [true]) and a text of at least 64 Ki bases the two passes run at
-    once, the second on a helper domain.  A
-    caller already running on a pool of domains passes
-    [~parallel:false] so the build spawns nothing.  The result is the
+    Building it is a second SA-IS pass; for a text of at least 64 Ki
+    bases the two passes run at once, the second on a helper domain
+    (on the caller's when the runtime refuses one).  The result is the
     same either way, byte for byte.
 
     Each pass sorts in 32-bit cells outside the OCaml heap (4 bytes per
@@ -48,7 +46,7 @@ val length : t -> int
 val packed_text : t -> Packed_text.t
 (** The indexed text in its native 2-bit packed form — shared with the
     index (possibly an mmap'd view), never copied.  This is what the
-    word-parallel verifiers ({!Packed_text.hamming_le}) run against. *)
+    word-parallel verifiers ({!Packed_text.hamming}) run against. *)
 
 val bwt : t -> string
 
@@ -58,19 +56,23 @@ val whole : t -> interval
 val extend : t -> int -> interval -> interval option
 (** [extend t c (lo, hi)] narrows the interval by prepending character code
     [c]: the result covers exactly the rows whose suffix starts with [c]
-    followed by the previous match.  [None] if the extension is empty. *)
-
-val interval_of_char : t -> int -> interval option
-(** Rows whose first character is the given code — the paper's [F_x]. *)
+    followed by the previous match.  [None] if the extension is empty or
+    [c] is outside [1 .. 4]; [extend t c (whole t)] is the paper's
+    [F_x].  Raises [Invalid_argument] if [lo] or [hi] is outside
+    [0, n+1]. *)
 
 val search : t -> string -> interval option
 (** Backward search of a pattern; [None] when absent.  Patterns are case
     folded ([ACGT] matches [acgt]); a pattern containing any character
-    outside ACGT occurs nowhere and yields [None] rather than raising. *)
+    outside ACGT occurs nowhere and yields [None] rather than raising,
+    without a rank step.  Allocation free per step, with the counts of
+    an {!extend} per step (the step that empties the interval
+    included). *)
 
 val count : t -> string -> int
-(** Number of occurrences of a pattern in the text.  Same pattern
-    normalization as {!search}: invalid patterns count 0. *)
+(** Number of occurrences of a pattern in the text: the width of
+    {!search}'s interval, 0 when it is [None], by the same steps and
+    with the same counts. *)
 
 val longest_left_extension : t -> int array -> stop:int -> int
 (** [longest_left_extension t codes ~stop] is the largest [l <= stop]
@@ -112,7 +114,8 @@ val find_all : t -> string -> int list
     When {!Obs.set_taps} has armed the taps, the query paths count into
     the calling domain's ambient sink ({!Obs.with_ambient}):
     [fm.rank_ops] (one per {!extend}/{!extend_all} call, one per
-    backward-search step of {!count} or {!longest_left_extension}, one per
+    backward-search step of {!search}, {!count} or
+    {!longest_left_extension}, one per
     LF step of a locate walk), [fm.block_decodes] (interleaved Occ
     blocks decoded: one for a width-1 interval, two otherwise, one per
     LF step), [fm.locate_walks] (rows located) and [fm.locate_steps]

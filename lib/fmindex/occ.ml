@@ -231,46 +231,14 @@ let rank_all_pair_unsafe t lo hi los his =
     if hi = t.len then totals_into t his else decode_into t his (hi - sb_hi)
   end
 
-let rank_all_pair t lo hi los his =
-  if lo < 0 || lo > t.len || hi < 0 || hi > t.len then
-    invalid_arg "Occ.rank_all_pair: index out of range";
-  if Array.length los <> sigma || Array.length his <> sigma then
-    invalid_arg "Occ.rank_all_pair: bad dst size";
-  rank_all_pair_unsafe t lo hi los his
-
-let rank_pair t c lo hi =
-  if c < 0 || c >= sigma then invalid_arg "Occ.rank_pair: bad character code";
-  if lo < 0 || lo > t.len || hi < 0 || hi > t.len then
-    invalid_arg "Occ.rank_pair: index out of range";
-  let sb_lo = sent_before t lo and sb_hi = sent_before t hi in
-  if c = 0 then (sb_lo, sb_hi)
-  else begin
-    let d = c - 1 in
-    let p_lo = lo - sb_lo in
-    if hi = lo + 1 then begin
-      (* Width-1 interval: one decode, plus an indicator of row [lo]'s
-         own code read from the payload line the decode just touched. *)
-      let r_lo = packed_rank t d p_lo in
-      let code = if sb_hi > sb_lo then 0 else payload_code t p_lo in
-      (r_lo, r_lo + eq_ind code c)
-    end
-    else begin
-      let r_lo =
-        if lo = t.len then Array.unsafe_get t.totals c else packed_rank t d p_lo
-      in
-      let r_hi =
-        if hi = t.len then Array.unsafe_get t.totals c
-        else packed_rank t d (hi - sb_hi)
-      in
-      (r_lo, r_hi)
-    end
-  end
-
-(* Same contract as [rank_pair], writing into [dst.(0)]/[dst.(1)] so a
-   caller's inner loop (Fm_index.count) allocates nothing per step.
-   Precondition (unchecked): [0 <= c < sigma], [0 <= lo, hi <= length t]
-   and [Array.length dst >= 2] — a backward-search loop keeps all three
-   invariant, so it validates once up front, not per character. *)
+(* [dst.(0)], [dst.(1)] <- [rank t c lo], [rank t c hi], so a caller's
+   inner loop (Fm_index's backward search) allocates nothing per step.
+   Width-1 intervals are answered with one decode plus an indicator of
+   row [lo]'s own code, read from the payload line the decode just
+   touched.  Precondition (unchecked): [0 <= c < sigma],
+   [0 <= lo, hi <= length t] and [Array.length dst >= 2] — a
+   backward-search loop keeps all three invariant, so it validates once
+   up front, not per character. *)
 let rank_pair_into_unsafe t c lo hi dst =
   let sb_lo = sent_before t lo and sb_hi = sent_before t hi in
   if c = 0 then begin

@@ -49,31 +49,27 @@ val rank : t -> int -> int -> int
     [l[0 .. i)].  O(block_lanes / 4) worst case, with [i = 0] and
     [i = length t] answered from precomputed totals. *)
 
-val rank_pair : t -> int -> int -> int -> int * int
-(** [rank_pair t c lo hi] is [(rank t c lo, rank t c hi)].  Width-1
-    intervals — the bulk of deep mismatching-tree traffic — are answered
-    with a single block decode plus an indicator of row [lo]'s own code;
-    otherwise the two decodes of a narrow interval share a cache line. *)
+(** {1 Pair kernels}
 
-val rank_all_pair : t -> int -> int -> int array -> int array -> unit
-(** [rank_all_pair t lo hi los his] writes [rank t c lo] into [los.(c)]
-    and [rank t c hi] into [his.(c)] for every character code; both
-    arrays must have length [sigma].  A width-1 interval costs a single
-    block decode plus one payload read; other narrow intervals pay two
-    decodes of the same cache line. *)
-
-(** {1 Unchecked entry points}
-
-    The same kernels with argument validation hoisted out: the caller
-    guarantees [0 <= lo, hi <= length t], [0 <= c < sigma] and the
-    destination sizes ([sigma] resp. [>= 2]).  {!Fm_index} validates
-    once at its own API boundary and then drives these from loops that
-    keep the preconditions invariant, so the per-step checks would be
-    pure overhead.  Violating a precondition is undefined behaviour
-    (these kernels use unchecked array access internally). *)
+    Rank at both ends of an interval in one call, without argument
+    checks: the caller guarantees [0 <= lo, hi <= length t],
+    [0 <= c < sigma] and the destination sizes ([sigma] resp. [>= 2]).
+    {!Fm_index} validates once at its own API boundary and then drives
+    these from loops that keep the preconditions invariant, so per-step
+    checks would be pure overhead.  Violating a precondition is
+    undefined behaviour (these kernels use unchecked array access
+    internally).  A width-1 interval — the bulk of deep
+    mismatching-tree traffic — costs a single block decode plus one
+    payload read; the two decodes of another narrow interval share a
+    cache line. *)
 
 val rank_all_pair_unsafe : t -> int -> int -> int array -> int array -> unit
+(** [rank_all_pair_unsafe t lo hi los his] writes [rank t c lo] into
+    [los.(c)] and [rank t c hi] into [his.(c)] for every code [c]. *)
+
 val rank_pair_into_unsafe : t -> int -> int -> int -> int array -> unit
+(** [rank_pair_into_unsafe t c lo hi dst] writes [rank t c lo] into
+    [dst.(0)] and [rank t c hi] into [dst.(1)]. *)
 
 val get : t -> int -> int
 (** [get t row] is the character code of BWT position [row] — the packed

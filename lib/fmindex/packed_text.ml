@@ -316,12 +316,3 @@ let hamming ~limit t (pp : Pattern.t) ~pos =
     tap_kernel ~words:(last + 1) ~early:false
   end;
   !acc
-
-let hamming_le t pp ~pos ~k =
-  if k < 0 then false
-  else if k >= Pattern.length pp then (
-    (* Degenerate budget: every window qualifies; still bounds-check. *)
-    if pos < 0 || pos + Pattern.length pp > t.len then
-      invalid_arg "Packed_text.hamming: window out of range";
-    true)
-  else hamming ~limit:k t pp ~pos <= k

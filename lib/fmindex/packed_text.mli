@@ -149,17 +149,10 @@ val hamming : limit:int -> t -> Pattern.t -> pos:int -> int
     nothing (an optional argument boxes a [Some] per call).  Raises
     [Invalid_argument] when the window does not fit. *)
 
-val hamming_le : t -> Pattern.t -> pos:int -> k:int -> bool
-(** [hamming_le t p ~pos ~k] is [hamming t p ~pos <= k], with the
-    early-exit limit set to [k].  [k < 0] is [false]; [k >= length p]
-    is [true].  Raises [Invalid_argument] when the window does not
-    fit. *)
-
 (** {1 Counters}
 
     When {!Obs.set_taps} has armed the taps, every kernel scan (a
-    {!hamming} call, or a {!hamming_le} call with [0 <= k < length p])
-    counts into the calling domain's ambient sink
+    {!hamming} call) counts into the calling domain's ambient sink
     ({!Obs.with_ambient}): [verify.calls] (one per scan),
     [verify.words] (28-lane words compared) and [verify.early_exits]
     (calls stopped before the last word).  Disarmed, a call pays one

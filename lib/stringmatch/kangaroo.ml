@@ -32,10 +32,10 @@ let distance_at t ~pos ~k =
    fallbacks return exactly the (position, distance) pairs the LCE path
    would — the choice is purely a cost model. *)
 
-(* Scalar fallback bound: an early-exit window scan does O(k+1) expected
-   work on unrelated windows, and even its O(m) worst case stays under
-   two kernel words of bases — cheaper than building the suffix
-   structures of pattern#text that [make] needs. *)
+(* Scalar fallback bound: an early-exit window scan ([Hamming.search])
+   does O(k+1) expected work on unrelated windows, and even its O(m)
+   worst case stays under two kernel words of bases — cheaper than
+   building the suffix structures of pattern#text that [make] needs. *)
 let scalar_fallback_max = 2 * Fmindex.Packed_text.word_lanes
 
 (* The packed kernel compares 28 bases per word op, so a full window
@@ -60,16 +60,6 @@ let scan_packed pt pattern ~k =
   for pos = n - m downto 0 do
     Deadline.poll ();
     let d = Fmindex.Packed_text.hamming ~limit:k pt pp ~pos in
-    if d <= k then acc := (pos, d) :: !acc
-  done;
-  !acc
-
-let scan_scalar ~pattern ~text ~k =
-  let m = String.length pattern and n = String.length text in
-  let acc = ref [] in
-  for pos = n - m downto 0 do
-    Deadline.poll ();
-    let d = Hamming.distance_at ~limit:k ~pattern ~text pos in
     if d <= k then acc := (pos, d) :: !acc
   done;
   !acc
@@ -101,7 +91,7 @@ let search ?ptext ~pattern ~k text =
            && packable pattern && packed_pays ~m ~k ->
         scan_packed pt pattern ~k
     | _ ->
-        if m <= scalar_fallback_max then scan_scalar ~pattern ~text ~k
+        if m <= scalar_fallback_max then Hamming.search ~pattern ~text ~k
         else scan_lce ~pattern ~text ~k
 
 let positions ~pattern ~text ~k = List.map fst (search ~pattern ~k text)

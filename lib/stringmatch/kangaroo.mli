@@ -37,6 +37,6 @@ val search :
     kernel ({!Fmindex.Packed_text.hamming}) whenever the cost model
     predicts it beats LCE preprocessing; without it, patterns short
     enough that early-exit scans beat building the suffix structures
-    fall back to scalar scans ({!Hamming.distance_at} with [?limit]). *)
+    fall back to the naive early-exit scan ({!Hamming.search}). *)
 
 val positions : pattern:string -> text:string -> k:int -> int list

@@ -5,8 +5,4 @@ val failure : string -> int array
 (** [failure p] is the border table: [f.(i)] is the length of the longest
     proper border of [p[0 .. i]]. *)
 
-val period : string -> int
-(** Smallest period of the string: [len - f.(len-1)] (the whole length for
-    an unbordered string).  Used by the Amir baseline's break detection. *)
-
 val find_all : pattern:string -> text:string -> int list

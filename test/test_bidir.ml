@@ -1,8 +1,8 @@
 (* Bidirectional index, optimum search schemes, and the engine registry.
 
-   - Scheme tables: structural validity and exhaustive completeness for
-     every k <= 4 (every mismatch distribution with sum <= k admitted by
-     some search), plus the generic pigeonhole family at k = 5, 6.
+   - Search schemes: structural validity and exhaustive completeness of
+     the generic pigeonhole family for every k <= 6 (every mismatch
+     distribution with sum <= k admitted by some search).
    - The bidirectional extension invariant (QCheck): growing a pattern
      from a random split point in a random left/right interleaving lands
      on exactly the intervals two independent unidirectional FM searches
@@ -15,7 +15,8 @@
      shorter than, equal to and longer than q.
    - build_index parses its input exactly once: the indexed text is the
      normalized input byte for byte, and the reverse component is its
-     exact mirror (regression for the double Dna.Sequence round-trip).
+     exact mirror (regression for the double Dna.Sequence round-trip);
+     of_sequence keeps no reference to the sequence it indexed.
    - Registry-derived parsing: spelling-insensitive engine_of_string,
      typed engine_of_string_err rejection listing every valid name.
    - Extending the engine enum: one register call makes a stub engine
@@ -32,7 +33,7 @@ let int = Alcotest.int
 let hits_t = Alcotest.(list (pair int int))
 
 (* ------------------------------------------------------------------ *)
-(* Scheme tables                                                       *)
+(* Search schemes                                                      *)
 
 let test_schemes_complete () =
   for k = 0 to 4 do
@@ -41,8 +42,8 @@ let test_schemes_complete () =
   done
 
 let test_generic_family () =
-  (* k >= 5 falls back to the generic family; keep the exhaustive check
-     to the sizes where enumeration stays cheap. *)
+  (* Every budget runs the generic family; keep the exhaustive check to
+     the sizes where enumeration stays cheap. *)
   List.iter
     (fun k ->
       check bool (Printf.sprintf "generic valid k=%d" k) true (Oss.Scheme.valid ~k);
@@ -400,6 +401,22 @@ let test_build_index_normalization () =
   check Alcotest.(list int) "reverse component mirrors the text" via_rev
     (naive_positions expected probe)
 
+(* The index holds no reference to the sequence it was built from: the
+   forward text is unpacked from the FM component when an engine needs
+   it. *)
+let test_of_sequence_keeps_no_text () =
+  let build () =
+    let seq = Dna.Sequence.random ~state:(Random.State.make [| 9 |]) 5_000 in
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some seq);
+    (Kmismatch.of_sequence seq, w)
+  in
+  let idx, w = build () in
+  Gc.full_major ();
+  check bool "sequence collected" false (Weak.check w 0);
+  check int "index live" 5_000 (Kmismatch.length idx);
+  check int "text unpacked on demand" 5_000 (String.length (Kmismatch.text idx))
+
 (* ------------------------------------------------------------------ *)
 (* Registry-derived parsing                                            *)
 
@@ -621,6 +638,8 @@ let () =
         [
           Alcotest.test_case "build_index normalizes once" `Quick
             test_build_index_normalization;
+          Alcotest.test_case "of_sequence keeps no text" `Quick
+            test_of_sequence_keeps_no_text;
           Alcotest.test_case "cold start builds nothing" `Quick
             test_cold_start_allocation;
           Alcotest.test_case "pairs equal across load modes" `Quick

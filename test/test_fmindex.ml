@@ -190,25 +190,33 @@ let test_forward_side_equals_rebuild () =
             (same_occ expected (Fm_index.forward_occ (Fm_index.load ~mode:Fm_index.Mmap path)))))
     texts
 
-let test_parallel_build_identical () =
-  (* Long enough that [parallel] really puts the forward pass on a
-     second domain. *)
+(* A text of at least 64 Ki bases, so the build puts the forward pass
+   on a second domain: both sides against BWTs built on their own, the
+   located side of the text and the forward side of its reversal. *)
+let test_long_build_sides () =
   let s = genome ~size:70_000 ~seed:11 in
-  check string "one domain = two domains"
-    (Fm_index.serialize (Fm_index.build ~parallel:false s))
-    (Fm_index.serialize (Fm_index.build ~parallel:true s))
+  let n = String.length s in
+  let fm = Fm_index.build s in
+  check string "located side = BWT(s)" (Bwt.of_text s) (Fm_index.bwt fm);
+  let fwd = Fm_index.forward_occ fm in
+  check string "forward side = BWT(rev s)"
+    (Bwt.of_text (String.init n (fun i -> s.[n - 1 - i])))
+    (String.init (Occ.length fwd) (fun row -> Dna.Alphabet.of_code (Occ.get fwd row)))
 
 (* The suffix sorts run in 32-bit cells outside the OCaml heap, so a
-   one-domain build of 1 Mbp allocates there only its code strings, type
-   bytes and rank tables: 11.5 bytes per base.  An [int array] suffix
-   array would add 8 bytes per base for each of the two sorts (27.5). *)
+   build allocates there only its code strings, type bytes and rank
+   tables: 11.5 bytes per base at 1 Mbp, 14.7 at 65 kbp where fixed-size
+   tables weigh more.  An [int array] suffix array would add 8 bytes per
+   base for each of the two sorts.  The text stays under the 64 Ki bases
+   from which the forward pass runs on a second domain, whose
+   allocations this domain's [Gc] counters do not see. *)
 let build_heap_bound = 16.
 
 let test_build_heap_bytes () =
-  let n = 1_000_000 in
+  let n = 65_000 in
   let s = Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 3 |]) n) in
   let before = Gc.allocated_bytes () in
-  let fm = Fm_index.build ~parallel:false s in
+  let fm = Fm_index.build s in
   let per_base = (Gc.allocated_bytes () -. before) /. float n in
   check int "length" n (Fm_index.length fm);
   if per_base > build_heap_bound then
@@ -293,7 +301,9 @@ let prop_occ_matches_reference =
       done;
       !ok)
 
-let test_occ_rank_all_pair () =
+(* Both unchecked pair kernels against [Occ.rank] at each end: every
+   code of [rank_all_pair_unsafe], and [rank_pair_into_unsafe] per code. *)
+let test_occ_pair_kernels () =
   let st = Random.State.make [| 31 |] in
   let s = Test_util.random_dna st 700 in
   let l = Bwt.of_text s in
@@ -301,13 +311,17 @@ let test_occ_rank_all_pair () =
   let len = String.length l in
   let sigma = Dna.Alphabet.sigma in
   let los = Array.make sigma 0 and his = Array.make sigma 0 in
+  let pair = Array.make 2 0 in
   for _ = 1 to 500 do
     let lo = Random.State.int st (len + 1) in
     let hi = lo + Random.State.int st (len + 1 - lo) in
-    Occ.rank_all_pair occ lo hi los his;
+    Occ.rank_all_pair_unsafe occ lo hi los his;
     for c = 0 to sigma - 1 do
       check int (Printf.sprintf "pair lo c=%d lo=%d" c lo) (Occ.rank occ c lo) los.(c);
-      check int (Printf.sprintf "pair hi c=%d hi=%d" c hi) (Occ.rank occ c hi) his.(c)
+      check int (Printf.sprintf "pair hi c=%d hi=%d" c hi) (Occ.rank occ c hi) his.(c);
+      Occ.rank_pair_into_unsafe occ c lo hi pair;
+      check int (Printf.sprintf "one code lo c=%d lo=%d" c lo) (Occ.rank occ c lo) pair.(0);
+      check int (Printf.sprintf "one code hi c=%d hi=%d" c hi) (Occ.rank occ c hi) pair.(1)
     done
   done
 
@@ -408,6 +422,46 @@ let prop_fm_equals_naive =
       Fm_index.find_all fm pattern = naive
       && Fm_index.count fm pattern = List.length naive)
 
+(* [count], the width of [search]'s interval and the naive count agree,
+   for patterns that are windows of the text, random, case folded or
+   carrying a character outside ACGT; and armed taps see the same rank
+   steps from both. *)
+let prop_count_search_taps =
+  let fm_counts f =
+    let r, obs = Test_util.tapped f in
+    (r, (Obs.counter_value obs "fm.rank_ops", Obs.counter_value obs "fm.block_decodes"))
+  in
+  Test_util.qtest ~count:300 "count = search width = naive, same taps"
+    QCheck2.Gen.(
+      pair (Test_util.dna_gen ~lo:1 ~hi:250 ()) (Test_util.dna_gen ~lo:0 ~hi:10 ())
+      >>= fun (text, random) ->
+      triple (int_range 0 3) (int_bound 1_000) (oneofl [ 'n'; '$'; '!' ]) >|= fun (how, at, bad) ->
+      let n = String.length text in
+      let window () = String.sub text (at mod n) (min (String.length random) (n - (at mod n))) in
+      let pattern =
+        match how with
+        | 0 -> random
+        | 1 -> window ()
+        | 2 -> String.uppercase_ascii (window ())
+        | _ ->
+            let w = Bytes.of_string (window () ^ "a") in
+            Bytes.set w (at mod Bytes.length w) bad;
+            Bytes.to_string w
+      in
+      (text, pattern))
+    (fun (text, pattern) ->
+      let fm = Fm_index.build text in
+      let naive =
+        if pattern = "" then String.length text + 1
+        else List.length (Stringmatch.Naive.find_all ~pattern:(String.lowercase_ascii pattern) ~text)
+      in
+      let counted, count_taps = fm_counts (fun () -> Fm_index.count fm pattern) in
+      let width, search_taps =
+        fm_counts (fun () ->
+            match Fm_index.search fm pattern with None -> 0 | Some (lo, hi) -> hi - lo)
+      in
+      counted = naive && width = naive && count_taps = search_taps)
+
 (* [extend_all] against an independent rank: C.(c) + the seed byte-scan
    rank at both ends, for every code, both taken from an independently
    built BWT.  [extend_all_agrees] probes, per [lo], each branch of the
@@ -492,7 +546,7 @@ let test_fm_extend_steps_follow_paper () =
   (* Reproduce the three-step example of §III.A for r = aca over
      s = acagaca: the interval sizes are 4, 2, 2. *)
   let fm = Fm_index.build "acagaca" in
-  let iv0 = Option.get (Fm_index.interval_of_char fm (Dna.Alphabet.code 'a')) in
+  let iv0 = Option.get (Fm_index.extend fm (Dna.Alphabet.code 'a') (Fm_index.whole fm)) in
   check int "F_a size" 4 (snd iv0 - fst iv0);
   let iv1 = Option.get (Fm_index.extend fm (Dna.Alphabet.code 'c') iv0) in
   check int "c-extension size" 2 (snd iv1 - fst iv1);
@@ -608,8 +662,7 @@ let () =
           Alcotest.test_case "golden index bytes" `Quick test_golden_index_bytes;
           Alcotest.test_case "forward side = rate-128 rebuild" `Quick
             test_forward_side_equals_rebuild;
-          Alcotest.test_case "parallel build byte-identical" `Quick
-            test_parallel_build_identical;
+          Alcotest.test_case "two-domain build = reference BWTs" `Quick test_long_build_sides;
           Alcotest.test_case "build heap bytes per base" `Quick test_build_heap_bytes;
           Alcotest.test_case "of_packed minor words" `Quick test_occ_of_packed_garbage;
         ] );
@@ -617,7 +670,7 @@ let () =
         [
           Alcotest.test_case "matches naive at all rates" `Quick test_occ_matches_naive;
           Alcotest.test_case "word and superblock boundaries" `Quick test_occ_word_boundaries;
-          Alcotest.test_case "rank_all_pair = two ranks" `Quick test_occ_rank_all_pair;
+          Alcotest.test_case "pair kernels = two ranks" `Quick test_occ_pair_kernels;
           Alcotest.test_case "get / lf kernel" `Quick test_occ_get_lf;
           Alcotest.test_case "validation" `Quick test_occ_validation;
           Alcotest.test_case "rate 65536 block of one code" `Quick test_occ_full_block_of_one_code;
@@ -639,6 +692,7 @@ let () =
           Alcotest.test_case "extend_all across superblocks" `Quick
             test_extend_all_superblocks;
           prop_fm_equals_naive;
+          prop_count_search_taps;
           prop_extend_all_matches_reference;
           prop_locate_row_matches_sa;
           prop_fm_sampling_rates;

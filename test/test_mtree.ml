@@ -328,7 +328,7 @@ let prop_delta_cost =
       let m = String.length pattern in
       List.assoc "fm.rank_ops" counts <= m && List.assoc "fm.block_decodes" counts <= 2 * m)
 
-(* Backward search on the forward side, one [Occ.rank_pair] per step,
+(* Backward search on the forward side, two [Occ.rank]s per step,
    prepending [codes.(stop - 1)], [codes.(stop - 2)], ...: the length it
    keeps live and the [fm.*] counts the unrolled scan must report. *)
 let left_run fm codes ~stop =
@@ -342,7 +342,7 @@ let left_run fm codes ~stop =
     else begin
       incr ops;
       decodes := !decodes + if hi = lo + 1 then 1 else 2;
-      let r_lo, r_hi = Fmindex.Occ.rank_pair occ c lo hi in
+      let r_lo = Fmindex.Occ.rank occ c lo and r_hi = Fmindex.Occ.rank occ c hi in
       let lo = cnt.(c) + r_lo and hi = cnt.(c) + r_hi in
       if lo < hi then go (j - 1) lo hi else j
     end

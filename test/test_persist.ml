@@ -353,7 +353,7 @@ let test_v4_fixture_unsupported () =
    image again). *)
 let test_save_writes_in_place () =
   let s = Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 5 |]) 1_000_000) in
-  let fm = Fmindex.Fm_index.build ~parallel:false s in
+  let fm = Fmindex.Fm_index.build s in
   let image_bytes = float (String.length (Fmindex.Fm_index.serialize fm)) in
   let start = ref 0. and spent = ref nan in
   let wrap (base : Fmindex.Fm_index.sink) =
@@ -373,7 +373,7 @@ let test_save_writes_in_place () =
 (* A saved 1 Mbp index, for the heap bounds of saving and loading. *)
 let mbp_index =
   lazy
-    (Fmindex.Fm_index.build ~parallel:false
+    (Fmindex.Fm_index.build
        (Dna.Sequence.to_string (Dna.Sequence.random ~state:(Random.State.make [| 5 |]) 1_000_000)))
 
 (* [Gc.allocated_bytes] of [f ()] as a multiple of [image_bytes]. *)

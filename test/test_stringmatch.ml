@@ -42,12 +42,6 @@ let test_kmp_basics () =
 let test_kmp_failure () =
   check (Alcotest.array int) "border table" [| 0; 0; 1; 2 |] (Kmp.failure "acac")
 
-let test_period () =
-  check int "acac" 2 (Kmp.period "acac");
-  check int "aaaa" 1 (Kmp.period "aaaa");
-  check int "acgt" 4 (Kmp.period "acgt");
-  check int "empty" 0 (Kmp.period "")
-
 (* ------------------------------------------------------------------ *)
 (* Aho-Corasick                                                        *)
 
@@ -150,7 +144,6 @@ let () =
          [
            Alcotest.test_case "basics" `Quick test_kmp_basics;
            Alcotest.test_case "failure table" `Quick test_kmp_failure;
-           Alcotest.test_case "period" `Quick test_period;
          ]
          @ agree_with_naive "kmp" Kmp.find_all );
        ( "aho_corasick",

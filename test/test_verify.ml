@@ -1,5 +1,5 @@
-(* Word-parallel verification kernel: Packed_text.hamming / hamming_le
-   against the scalar Hamming reference, the shared SWAR count tables,
+(* Word-parallel verification kernel: Packed_text.hamming (exact and
+   with a limit) against the scalar Hamming reference, the shared SWAR count tables,
    the byte-wise Packed_text.rev against its per-lane definition, and
    the mapper's hit re-check refuting a forged hit. *)
 
@@ -83,9 +83,9 @@ let test_word_boundaries () =
             expect got;
         List.iter
           (fun k ->
-            let le = Packed_text.hamming_le pt pp ~pos ~k in
+            let le = Packed_text.hamming ~limit:k pt pp ~pos <= k in
             if le <> (expect <= k) then
-              Alcotest.failf "hamming_le m=%d pos=%d k=%d: expected %b" m pos
+              Alcotest.failf "hamming ~limit m=%d pos=%d k=%d: expected %b" m pos
                 k (expect <= k))
           [ 0; 1; 4; expect - 1; expect; expect + 1 ]
       done)
@@ -124,14 +124,13 @@ let gen_case =
 (* [hamming ~limit:k] is what every verifier calls: its verdict must
    match the true distance's, and an accepted distance must be exact. *)
 let qcheck_equivalence =
-  Test_util.qtest ~count:2000 "hamming_le ≡ distance_at <= k" gen_case
+  Test_util.qtest ~count:2000 "hamming ~limit:k <= k ≡ distance_at <= k" gen_case
     (fun (text, pattern, pos, k) ->
       let pt = Packed_text.of_string text in
       let pp = Pattern.make pattern in
       let d = Hamming.distance_at ~pattern ~text pos in
       let capped = Packed_text.hamming ~limit:k pt pp ~pos in
       Packed_text.hamming ~limit:max_int pt pp ~pos = d
-      && Packed_text.hamming_le pt pp ~pos ~k = (d <= k)
       && (capped <= k) = (d <= k)
       && (d > k || capped = d))
 
@@ -351,11 +350,12 @@ let test_edges () =
   Alcotest.check_raises "invalid base"
     (Invalid_argument "Packed_text.Pattern.make: 'N' is not a lowercase base")
     (fun () -> ignore (Pattern.make "acgN"));
-  Alcotest.(check bool) "k < 0" false (Packed_text.hamming_le pt pp ~pos:0 ~k:(-1));
-  Alcotest.(check bool) "k >= m" true (Packed_text.hamming_le pt pp ~pos:0 ~k:4);
+  let within ~k ~pos = Packed_text.hamming ~limit:k pt pp ~pos <= k in
+  Alcotest.(check bool) "k < 0" false (within ~k:(-1) ~pos:0);
+  Alcotest.(check bool) "k >= m" true (within ~k:4 ~pos:0);
   Alcotest.check_raises "k >= m still bounds-checks"
     (Invalid_argument "Packed_text.hamming: window out of range")
-    (fun () -> ignore (Packed_text.hamming_le pt pp ~pos:7 ~k:99))
+    (fun () -> ignore (within ~k:99 ~pos:7))
 
 let test_telemetry () =
   let text = String.concat "" (List.init 10 (fun _ -> "acgtacgtacgtacgt")) in
