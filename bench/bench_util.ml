@@ -1,11 +1,13 @@
-(* Shared plumbing for the experiment harness: wall-clock timing, table
-   rendering, and cached genomes/read sets so that experiments sharing a
-   target build its index once. *)
+(* Shared plumbing for the benchmarks: monotonic timing, table
+   rendering, the cross-check of engines' answers, and cached
+   genomes/read sets so that experiments sharing a target build its
+   index once per process. *)
 
+(* Seconds on the monotonic clock, which an NTP step cannot move. *)
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let y = f () in
-  (y, Unix.gettimeofday () -. t0)
+  (y, float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9)
 
 let time_unit f = snd (time f)
 
@@ -41,6 +43,27 @@ let fmt_count n =
   if n >= 1_000_000 then Printf.sprintf "%.1fM" (float_of_int n /. 1e6)
   else if n >= 1_000 then Printf.sprintf "%.1fK" (float_of_int n /. 1e3)
   else string_of_int n
+
+(* --- cross-checks -------------------------------------------------------- *)
+
+(* [cross_check ~what ~reads answers]: [answers] pairs each engine (or
+   configuration) with its hit list for every read of [reads], in
+   order.  Every list must equal the first one's; the first divergence
+   fails the run, naming [what], the engine, the baseline and the read. *)
+let cross_check ~what ~reads = function
+  | [] -> ()
+  | (base, expected) :: rest ->
+      let expected = List.combine reads expected in
+      List.iter
+        (fun (name, got) ->
+          List.iteri
+            (fun i ((read, want), hits) ->
+              if hits <> want then
+                failwith
+                  (Printf.sprintf "%s: %s diverges from %s on read %d (%s): %d hits against %d"
+                     what name base i read (List.length hits) (List.length want)))
+            (List.combine expected got))
+        rest
 
 (* --- cached targets ---------------------------------------------------- *)
 
@@ -79,36 +102,30 @@ let reads ?(name = main_target) ?(error_rate = 0.02) ~count ~len ~seed () =
 
 (* --- measurement -------------------------------------------------------- *)
 
-(* Average per-read search time of an engine over a read set. *)
+let search ?obs idx engine ~k pattern =
+  (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ?obs ~engine ~pattern ~k ()))
+    .Core.Kmismatch.Response.hits
+
+(* Average per-read search time of an engine over a read set, and its
+   hits on every read. *)
 let avg_search_time idx engine ~reads:rs ~k =
-  let total =
-    time_unit (fun () ->
-        List.iter
-          (fun pattern ->
-            ignore
-              (Core.Kmismatch.run idx
-                 (Core.Kmismatch.Query.make ~engine ~pattern ~k ())))
-          rs)
-  in
-  total /. float_of_int (List.length rs)
+  let hits, total = time (fun () -> List.map (search idx engine ~k) rs) in
+  (total /. float_of_int (List.length rs), hits)
 
 (* The engine.* counts of running every read through [engine]: one pass
-   with a fresh sink, apart from any timed pass. *)
+   with a fresh sink, apart from any timed pass; and its hits. *)
 let engine_counts idx engine ~reads:rs ~k =
   let obs = Obs.create () in
-  List.iter
-    (fun pattern ->
-      ignore
-        (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ~obs ~engine ~pattern ~k ())))
-    rs;
-  obs
+  let hits = List.map (search ~obs idx engine ~k) rs in
+  (obs, hits)
 
 (* Algorithm A's cost measure n' (paper Table 2): every path
    termination, derived ones included. *)
 let total_leaves obs =
   Obs.counter_value obs "engine.leaves" + Obs.counter_value obs "engine.derived_leaves"
 
-(* The four methods of the paper's §V, in its order and naming. *)
+(* The four methods of the paper's §V, in its order and naming.  A
+   cross-check names them by their engine names. *)
 let paper_engines =
   [
     ("BWT", Core.Kmismatch.S_tree);

@@ -1,8 +1,30 @@
 (* One experiment per table/figure of the paper's evaluation (§V).  Every
    experiment prints the same rows/series the paper reports, on the
-   laptop-scaled synthetic stand-ins documented in DESIGN.md. *)
+   laptop-scaled synthetic stand-ins documented in DESIGN.md.  Where an
+   experiment runs several engines or M-tree configurations over the
+   same reads, their hit lists are cross-checked and a divergence fails
+   the run. *)
 
 open Bench_util
+
+(* One formatted average-time cell per paper engine over [rs], in
+   [paper_engines] order; an engine that [skip]s its label prints
+   "(skipped)".  The engines that ran are cross-checked. *)
+let paper_cells ?(skip = fun _ -> false) ~what idx ~reads:rs ~k () =
+  let runs =
+    List.map
+      (fun (label, engine) ->
+        (engine, if skip label then None else Some (avg_search_time idx engine ~reads:rs ~k)))
+      paper_engines
+  in
+  cross_check ~what ~reads:rs
+    (List.filter_map
+       (fun (engine, run) ->
+         Option.map (fun (_, hits) -> (Core.Kmismatch.engine_name engine, hits)) run)
+       runs);
+  List.map
+    (function _, Some (dt, _) -> fmt_time dt | _, None -> "(skipped)")
+    runs
 
 (* --- Table 1: characteristics of genomes -------------------------------- *)
 
@@ -86,8 +108,10 @@ let table2 () =
     List.map
       (fun (k, len) ->
         let rs = reads ~name ~count:10 ~len ~seed:(100 + k) () in
-        let m = engine_counts idx Core.Kmismatch.M_tree ~reads:rs ~k in
-        let s = engine_counts idx Core.Kmismatch.S_tree ~reads:rs ~k in
+        let m, m_hits = engine_counts idx Core.Kmismatch.M_tree ~reads:rs ~k in
+        let s, s_hits = engine_counts idx Core.Kmismatch.S_tree ~reads:rs ~k in
+        cross_check ~what:(Printf.sprintf "table2 %d/%d" k len) ~reads:rs
+          [ ("m-tree", m_hits); ("s-tree", s_hits) ];
         [
           Printf.sprintf "%d/%d" k len;
           fmt_count (total_leaves m);
@@ -118,9 +142,7 @@ let fig11a () =
     List.map
       (fun k ->
         string_of_int k
-        :: List.map
-             (fun (_, engine) -> fmt_time (avg_search_time idx engine ~reads:rs ~k))
-             paper_engines)
+        :: paper_cells ~what:(Printf.sprintf "fig11a k=%d" k) idx ~reads:rs ~k ())
       ks
   in
   table ~header:("k" :: List.map fst paper_engines) rows;
@@ -147,9 +169,7 @@ let fig11b () =
         let rs = reads ~count:10 ~len ~error_rate:(3.0 /. float_of_int len)
                    ~seed:(200 + len) () in
         string_of_int len
-        :: List.map
-             (fun (_, engine) -> fmt_time (avg_search_time idx engine ~reads:rs ~k))
-             paper_engines)
+        :: paper_cells ~what:(Printf.sprintf "fig11b len=%d" len) idx ~reads:rs ~k ())
       lens
   in
   table ~header:("read length" :: List.map fst paper_engines) rows;
@@ -166,6 +186,13 @@ let fig12 () =
   let counts = [ 10; 20; 30; 40; 50 ] in
   note "target: %s stand-in (paper sweeps 100..500 reads; scaled 1/10)" main_target;
   let all = reads ~count:50 ~len:100 ~seed:31 () in
+  (* One untimed pass over the whole read set, so that no row is timed
+     cold; its answers are the cross-check. *)
+  cross_check ~what:"fig12" ~reads:all
+    (List.map
+       (fun (_, engine) ->
+         (Core.Kmismatch.engine_name engine, List.map (search idx engine ~k) all))
+       paper_engines);
   let rows =
     List.map
       (fun count ->
@@ -174,14 +201,7 @@ let fig12 () =
         :: List.map
              (fun (_, engine) ->
                fmt_time
-                 (time_unit (fun () ->
-                      List.iter
-                        (fun pattern ->
-                          ignore
-                            (Core.Kmismatch.run idx
-                               (Core.Kmismatch.Query.make ~engine ~pattern ~k
-                                  ())))
-                        rs)))
+                 (time_unit (fun () -> List.iter (fun p -> ignore (search idx engine ~k p)) rs)))
              paper_engines)
       counts
   in
@@ -201,11 +221,9 @@ let fig13 () =
         let n = Core.Kmismatch.length idx in
         let rs = reads ~name ~count:10 ~len:(min 100 n) ~seed:41 () in
         [ name; fmt_count n ]
-        @ List.map
-            (fun (label, engine) ->
-              if label = "Cole's" && n > 300_000 then "(skipped)"
-              else fmt_time (avg_search_time idx engine ~reads:rs ~k))
-            paper_engines)
+        @ paper_cells
+            ~skip:(fun label -> label = "Cole's" && n > 300_000)
+            ~what:("fig13 " ^ name) idx ~reads:rs ~k ())
       Dna.Genome_gen.paper_table1
   in
   table ~header:([ "Genome"; "bp" ] @ List.map fst paper_engines) rows;
@@ -224,18 +242,24 @@ let ablation () =
      nothing stored, so nothing is derived: "S-tree + delta heuristic"
      differs from "A() full" by that alone, and "S-tree plain" also
      turns delta off (the paper's Algorithm A without its reuse). *)
-  let m_skip = avg_search_time idx Core.Kmismatch.M_tree ~reads:rs ~k in
-  let m_noskip =
+  let m_skip, m_hits = avg_search_time idx Core.Kmismatch.M_tree ~reads:rs ~k in
+  let m_noskip, noskip_hits =
     let fm = Core.Kmismatch.fm_rev idx in
     let config = { Core.M_tree.default_config with chain_skip = false } in
-    let total =
-      time_unit (fun () ->
-          List.iter (fun pattern -> ignore (Core.M_tree.search ~config fm ~pattern ~k)) rs)
+    let hits, total =
+      time (fun () -> List.map (fun pattern -> Core.M_tree.search ~config fm ~pattern ~k) rs)
     in
-    total /. float_of_int (List.length rs)
+    (total /. float_of_int (List.length rs), hits)
   in
-  let s_plain = avg_search_time idx Core.Kmismatch.S_tree_no_delta ~reads:rs ~k in
-  let s_delta = avg_search_time idx Core.Kmismatch.S_tree ~reads:rs ~k in
+  let s_plain, plain_hits = avg_search_time idx Core.Kmismatch.S_tree_no_delta ~reads:rs ~k in
+  let s_delta, delta_hits = avg_search_time idx Core.Kmismatch.S_tree ~reads:rs ~k in
+  cross_check ~what:"ablation" ~reads:rs
+    [
+      ("m-tree", m_hits);
+      ("m-tree chain_skip=false", noskip_hits);
+      ("s-tree", delta_hits);
+      ("s-tree-nodelta", plain_hits);
+    ];
   table
     ~header:[ "variant"; "avg time/read" ]
     [
@@ -251,28 +275,28 @@ let ablation () =
      finest representable geometry instead of the old byte-scan's 4. *)
   let text = Dna.Sequence.to_string (genome main_target) in
   let rev_text = Dna.Sequence.to_string (Dna.Sequence.rev (genome main_target)) in
-  let rows =
+  let rs' = List.filteri (fun i _ -> i < 5) rs in
+  let runs =
     List.map
       (fun rate ->
         let fm = Fmindex.Fm_index.build ~occ_rate:rate rev_text in
         let space =
           List.fold_left (fun a (_, b) -> a + b) 0 (Fmindex.Fm_index.space_report fm)
         in
-        let rs' = List.filteri (fun i _ -> i < 5) rs in
-        let dt =
-          time_unit (fun () ->
-              List.iter
-                (fun pattern ->
-                  ignore (Core.M_tree.search fm ~pattern ~k))
-                rs')
+        let hits, dt =
+          time (fun () -> List.map (fun pattern -> Core.M_tree.search fm ~pattern ~k) rs')
         in
-        [
-          string_of_int rate;
-          Printf.sprintf "%.2f B/char" (float_of_int space /. float_of_int (String.length text));
-          fmt_time (dt /. 5.0);
-        ])
+        ( (Printf.sprintf "m-tree occ rate %d" rate, hits),
+          [
+            string_of_int rate;
+            Printf.sprintf "%.2f B/char" (float_of_int space /. float_of_int (String.length text));
+            fmt_time (dt /. 5.0);
+          ] ))
       [ 32; 64; 256; 1024 ]
   in
+  cross_check ~what:"ablation rankall rate" ~reads:rs'
+    (("m-tree", List.filteri (fun i _ -> i < 5) m_hits) :: List.map fst runs);
+  let rows = List.map snd runs in
   section "Ablation: rankall checkpoint rate (space vs time)";
   table ~header:[ "occ rate"; "index size"; "avg time/read" ] rows
 
@@ -311,27 +335,30 @@ let deriv_stress () =
           let obs = Obs.create () in
           ignore (f obs);
           let c counter = Obs.counter_value obs counter in
+          ( (name, [ hits ]),
+            [
+              string_of_int k;
+              name;
+              fmt_time dt;
+              string_of_int (List.length hits);
+              fmt_count (c "engine.rank_calls");
+              fmt_count (c "engine.derivations");
+              fmt_count (total_leaves obs);
+            ] )
+        in
+        let runs =
           [
-            string_of_int k;
-            name;
-            fmt_time dt;
-            string_of_int (List.length hits);
-            fmt_count (c "engine.rank_calls");
-            fmt_count (c "engine.derivations");
-            fmt_count (total_leaves obs);
+            run "BWT (S-tree)" (fun obs -> search ~obs idx Core.Kmismatch.S_tree ~k pattern);
+            run "A() store_width=1" (fun obs ->
+                Core.M_tree.search ~obs
+                  ~config:{ Core.M_tree.default_config with store_width = 1 }
+                  fm ~pattern ~k);
+            run "A() default" (fun obs -> Core.M_tree.search ~obs fm ~pattern ~k);
           ]
         in
-        [
-          run "BWT (S-tree)" (fun obs ->
-              (Core.Kmismatch.run idx
-                 (Core.Kmismatch.Query.make ~obs ~engine:Core.Kmismatch.S_tree ~pattern ~k ()))
-                .hits);
-          run "A() store_width=1" (fun obs ->
-              Core.M_tree.search ~obs
-                ~config:{ Core.M_tree.default_config with store_width = 1 }
-                fm ~pattern ~k);
-          run "A() default" (fun obs -> Core.M_tree.search ~obs fm ~pattern ~k);
-        ])
+        cross_check ~what:(Printf.sprintf "deriv-stress k=%d" k) ~reads:[ pattern ]
+          (List.map fst runs);
+        List.map snd runs)
       [ 2; 4; 6 ]
   in
   table

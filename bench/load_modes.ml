@@ -92,7 +92,8 @@ let bench_one ~st ~reps size =
     (Bench_util.fmt_time build_s) build_rss_mb;
   let pattern = probe ~st text in
   let expected = answer idx K.M_tree pattern in
-  if answer idx K.Bidir pattern <> expected then failwith "load bench: engines disagree";
+  Bench_util.cross_check ~what:"load-modes" ~reads:[ pattern ]
+    [ ("m-tree", [ expected ]); ("bidir", [ answer idx K.Bidir pattern ]) ];
   let path = Filename.temp_file "kmm-load-bench" ".fmi" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)

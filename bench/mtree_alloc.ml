@@ -1,7 +1,7 @@
 (* mtree-alloc: what a read costs Algorithm A next to the BWT baseline,
    with and without delta, in CPU time and in garbage.
 
-     dune exec bench/main.exe mtree-alloc
+     kmm bench mtree-alloc
 
    The target is the map-mtree workload's genome (4 Mbp, 30% repeats,
    generated from the same seed as `perfbench --seed 1`) with 100 bp
@@ -19,7 +19,8 @@
    search schemes, [Oss.search]) at k = 4 over the same reads, with its
    extension, verification and located-row counts from the same
    counting pass.  CPU time is noisy on a shared host; the GC and
-   operation counts are not. *)
+   operation counts are not.  The three engines' hits at each k, from
+   their counting passes, are cross-checked. *)
 
 open Bench_util
 
@@ -60,13 +61,21 @@ let tapped obs f =
   Obs.set_taps true;
   Fun.protect ~finally:(fun () -> Obs.set_taps was) (fun () -> Obs.with_ambient obs f)
 
+(* The patterns of the measured reads, each read then its reverse
+   complement: the order of a counting pass's hits. *)
+let measured pats =
+  List.concat_map
+    (fun i -> let fwd, rc = pats.(i) in [ fwd; rc ])
+    (List.init reads_per_row (fun i -> warmup + i))
+
 (* Warm up, then time every read and its reverse complement through
    [search Obs.noop pattern]; then search them again into a fresh sink
-   with the taps armed.  Returns the leading columns every row shares
-   and that sink.  Minor words come from [Gc.minor_words], which counts
-   to the word: [Gc.quick_stat] only adds a domain's minor heap to its
-   total when the heap is collected, so its count moves in steps of the
-   heap size (262 words per read here). *)
+   with the taps armed.  Returns the leading columns every row shares,
+   that sink and the counting pass's hits, in [measured] order.  Minor
+   words come from [Gc.minor_words], which counts to the word:
+   [Gc.quick_stat] only adds a domain's minor heap to its total when the
+   heap is collected, so its count moves in steps of the heap size (262
+   words per read here). *)
 let timed pats search ~k =
   let both obs (fwd, rc) =
     ignore (search obs fwd);
@@ -81,9 +90,13 @@ let timed pats search ~k =
   done;
   let t1 = Sys.time () and w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
   let obs = Obs.create () in
+  let hits = ref [] in
   tapped obs (fun () ->
       for i = warmup to warmup + reads_per_row - 1 do
-        both obs pats.(i)
+        let fwd, rc = pats.(i) in
+        let h_fwd = search obs fwd in
+        let h_rc = search obs rc in
+        hits := h_rc :: h_fwd :: !hits
       done);
   ( [
       string_of_int k;
@@ -94,12 +107,13 @@ let timed pats search ~k =
       Printf.sprintf "%.0f" (iper (Obs.counter_value obs "engine.nodes"));
       Printf.sprintf "%.0f" (iper (Obs.counter_value obs "engine.rank_calls"));
     ],
-    obs )
+    obs,
+    List.rev !hits )
 
 let row idx pats engine k =
   let e = Option.get (Core.Kmismatch.Engine_registry.find engine) in
   let search obs pattern = e.run idx { pattern; k; obs } in
-  let shared, obs = timed pats search ~k in
+  let shared, obs, hits = timed pats search ~k in
   let delta_columns =
     if engine == Core.Kmismatch.S_tree_no_delta then [ "-"; "-" ]
     else begin
@@ -122,15 +136,16 @@ let row idx pats engine k =
       ]
     end
   in
-  (e.name :: shared)
-  @ (Printf.sprintf "%.2f" (iper (Obs.counter_value obs "engine.derivations")) :: delta_columns)
+  ( (e.name :: shared)
+    @ (Printf.sprintf "%.2f" (iper (Obs.counter_value obs "engine.derivations")) :: delta_columns),
+    (e.name, hits) )
 
 (* The bidir engine at k = 4: the shared columns, then its extensions,
    candidate verifications and located rows (LF walks) per read. *)
 let bidir_row idx pats =
   let k = 4 in
   let bidir = Core.Kmismatch.bidir idx in
-  let shared, obs =
+  let shared, obs, _ =
     timed pats (fun obs pattern -> Core.Oss.search ~obs bidir ~pattern ~k) ~k
   in
   ("bidir" :: shared)
@@ -150,9 +165,12 @@ let run () =
   let rows =
     List.concat_map
       (fun k ->
-        List.map
-          (fun e -> row idx pats e k)
-          Core.Kmismatch.[ M_tree; S_tree; S_tree_no_delta ])
+        let runs =
+          List.map (fun e -> row idx pats e k) Core.Kmismatch.[ M_tree; S_tree; S_tree_no_delta ]
+        in
+        cross_check ~what:(Printf.sprintf "mtree-alloc k=%d" k) ~reads:(measured pats)
+          (List.map snd runs);
+        List.map fst runs)
       [ 2; 3 ]
   in
   table

@@ -10,7 +10,7 @@
      serve      long-running query daemon on a Unix socket
      client     query a running kmm serve daemon
      fuzz       differential-fuzz all engines against the naive oracle
-     bench      micro-benchmarks (shared dispatch table with bench/main.exe)
+     bench      the paper's experiments and the machine-readable benchmarks
      bwt        print the BWT of a text (demonstration)                 *)
 
 open Cmdliner
@@ -522,41 +522,53 @@ let fuzz_cmd =
 
 (* --- bench ----------------------------------------------------------- *)
 
-(* One dispatch table — [Bench_registry.all] — is shared with the
-   bench/main.exe harness, and the "available:" text is derived from it,
-   so the two entry points cannot drift apart again. *)
+(* One dispatch table, [Bench_registry.all], with the "available:" text
+   derived from it.  Every name is resolved before any benchmark runs,
+   so a typo at the end of a list costs no run; the benchmarks then run
+   in order in this process and share [Bench_util]'s genome and index
+   caches. *)
 let bench_cmd =
-  let run which out size seed smoke trace metrics_out =
-    match Bench_registry.find which with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown benchmark %S (available: %s)" which
-              (Bench_registry.available ()) )
-    | Some entry -> (
-        let f =
-          if smoke then entry.Bench_registry.smoke
-          else Some entry.Bench_registry.run
-        in
-        match f with
-        | None ->
-            `Error
-              ( false,
-                Printf.sprintf "%s has no --smoke mode (available for: %s)"
-                  which
-                  (String.concat ", " (Bench_registry.smoke_names ())) )
-        | Some f ->
-            with_obs ~trace ~metrics_out (fun obs ->
-                f { Bench_registry.obs; out; size; seed });
-            `Ok ())
+  let run names out size seed smoke trace metrics_out =
+    let resolve which =
+      match Bench_registry.find which with
+      | None ->
+          Error
+            (Printf.sprintf "unknown benchmark %S (available: %s)" which
+               (Bench_registry.available ()))
+      | Some entry -> (
+          match
+            if smoke then entry.Bench_registry.smoke
+            else Some entry.Bench_registry.run
+          with
+          | None ->
+              Error
+                (Printf.sprintf "%s has no --smoke mode (available for: %s)"
+                   which
+                   (String.concat ", " (Bench_registry.smoke_names ())))
+          | Some f -> Ok f)
+    in
+    let rec resolve_all acc = function
+      | [] -> Ok (List.rev acc)
+      | which :: rest -> (
+          match resolve which with
+          | Error m -> Error m
+          | Ok f -> resolve_all (f :: acc) rest)
+    in
+    match resolve_all [] names with
+    | Error m -> `Error (false, m)
+    | Ok fs ->
+        with_obs ~trace ~metrics_out (fun obs ->
+            List.iter (fun f -> f { Bench_registry.obs; out; size; seed }) fs);
+        `Ok ()
   in
-  let which =
+  let names =
     Arg.(
-      required
-      & pos 0 (some string) None
+      non_empty
+      & pos_all string []
       & info [] ~docv:"BENCH"
           ~doc:
-            (Printf.sprintf "Benchmark to run (%s)." (Bench_registry.available ())))
+            (Printf.sprintf "Benchmarks to run, in order (%s)."
+               (Bench_registry.available ())))
   in
   let out =
     Arg.(
@@ -586,14 +598,18 @@ let bench_cmd =
                (String.concat ", " (Bench_registry.smoke_names ()))))
   in
   Cmd.v
-    (Cmd.info "bench" ~doc:"Micro-benchmarks with machine-readable logs"
+    (Cmd.info "bench" ~doc:"The paper's experiments and machine-readable benchmarks"
        ~man:
          ([
             `S Manpage.s_description;
             `P
-              "Benchmarks with machine-readable JSON logs, each cross-checking \
-               its answers so a speedup can never hide a wrong result.  The \
-               same dispatch table drives the bench/main.exe harness.";
+              "Runs the named benchmarks in order, in one process.  Every \
+               benchmark that runs several engines or configurations over the \
+               same reads cross-checks their answers, so a speedup can never \
+               hide a wrong result: a divergence fails the run and names the \
+               engine and the read.  The paper's experiments print tables on \
+               fixed workloads (--out, --size and --seed do not apply to them); \
+               the other benchmarks append JSON records.";
           ]
          @ List.map
              (fun e ->
@@ -602,7 +618,7 @@ let bench_cmd =
              Bench_registry.all))
     Term.(
       ret
-        (const run $ which $ out $ size $ seed $ smoke $ trace_arg
+        (const run $ names $ out $ size $ seed $ smoke $ trace_arg
        $ metrics_arg))
 
 (* --- serve ----------------------------------------------------------- *)

@@ -55,8 +55,12 @@ type index
 module Engine_registry : sig
   type caps = {
     scales : bool;
-        (** cheap enough per query to join large-text benchmark
-            campaigns (excludes the O(mn)/O(kn)-per-window references) *)
+        (** answers from what the index file holds, with no per-index
+            build and no O(n) scan per query.  It gates two things: the
+            engines [kmm serve] accepts ([Kmm_server.Protocol]) and
+            the large-text tier of [kmm bench engines].  Cole's suffix
+            tree and the online references (amir, kangaroo, naive) are
+            [false]. *)
   }
 
   type run_args = {

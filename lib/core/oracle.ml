@@ -96,9 +96,9 @@ let fm_save_roundtrip =
    [Engine_error] divergence with the offending plan in the message.
    Runs on [k = 0] cases only (the hit list doubles as the reference
    check); other budgets are skipped, not failed. *)
-let fm_v3_corruption =
+let fm_image_corruption =
   {
-    sub_name = "fm-v3-corruption";
+    sub_name = "fm-image-corruption";
     run =
       (fun _ c ->
         if c.k <> 0 then None
@@ -189,7 +189,7 @@ let default_subjects () =
       fm_packed_find_all;
       bidir_find_all;
       fm_save_roundtrip;
-      fm_v3_corruption;
+      fm_image_corruption;
     ]
 
 (* ------------------------------------------------------------------ *)

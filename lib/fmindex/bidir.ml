@@ -15,15 +15,6 @@ type t = {
   prefix : int array Storage.Memo.t;  (* built on first use, see below *)
 }
 
-let c_array_of_counts counts =
-  let c = Array.make sigma 0 in
-  let sum = ref 0 in
-  for i = 0 to sigma - 1 do
-    c.(i) <- !sum;
-    sum := !sum + counts.(i)
-  done;
-  c
-
 (* q = min 8 (floor (log4 n) - 3): at least 64 expected occurrences
    per q-mer, at most 4^8 entries. *)
 let prefix_depth n =
@@ -136,7 +127,7 @@ let make fm_rev =
     {
       n;
       occ_f;
-      c_f = c_array_of_counts (Occ.counts occ_f);
+      c_f = Occ.c_array_of_counts (Occ.counts occ_f);
       fm_rev;
       q = prefix_depth n;
       prefix = Storage.Memo.make (fun () -> [||]);

@@ -134,15 +134,6 @@ let set_sample (w : Storage.words) bits j v =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-let c_array_of_counts counts =
-  let c_array = Array.make sigma 0 in
-  let sum = ref 0 in
-  for c = 0 to sigma - 1 do
-    c_array.(c) <- !sum;
-    sum := !sum + counts.(c)
-  done;
-  c_array
-
 (* The forward side: checkpoints every 128 bases (0.3125 B/base) where
    the located side keeps 32; it serves only prepend steps
    ([Bidir]'s and [longest_left_extension]'s). *)
@@ -235,7 +226,7 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) text =
     occ;
     fwd;
     fwd_sentinel_row;
-    c_array = c_array_of_counts (Occ.counts occ);
+    c_array = Occ.c_array_of_counts (Occ.counts occ);
     sa_rate;
     sentinel_row;
     marks;
@@ -883,7 +874,7 @@ let finish h ~ptext ~occ ~fwd ~marks ~samples =
     occ;
     fwd;
     fwd_sentinel_row = h.h_fwd_sentinel_row;
-    c_array = c_array_of_counts h.h_totals;
+    c_array = Occ.c_array_of_counts h.h_totals;
     sa_rate = h.h_sa_rate;
     sentinel_row = h.h_sentinel_row;
     marks;

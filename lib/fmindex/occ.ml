@@ -281,6 +281,16 @@ let lf t c row =
   end
 
 let counts t = Array.copy t.totals
+
+let c_array_of_counts counts =
+  let c = Array.make sigma 0 in
+  let sum = ref 0 in
+  for i = 0 to sigma - 1 do
+    c.(i) <- !sum;
+    sum := !sum + counts.(i)
+  done;
+  c
+
 let rate t = t.req_rate
 let length t = t.len
 

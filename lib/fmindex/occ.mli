@@ -85,6 +85,10 @@ val counts : t -> int array
 (** Total occurrences of every character code in the whole BWT (a fresh
     array of length [sigma]); [C]-array construction reads this. *)
 
+val c_array_of_counts : int array -> int array
+(** The [C] array of per-code totals (length [sigma]): entry [c] is
+    the number of characters with a code below [c]. *)
+
 val rate : t -> int
 (** The {e requested} checkpoint rate (persisted in index headers). *)
 

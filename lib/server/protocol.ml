@@ -317,6 +317,29 @@ let default_engine = Core.Kmismatch.Bidir
 
 let bad fmt = Printf.ksprintf (fun m -> Kmm_error.Bad_input m) fmt
 
+module Registry = Core.Kmismatch.Engine_registry
+
+(* The daemon serves the engines that answer from what the index file
+   holds: [caps.scales] marks exactly those. *)
+let servable () = List.filter (fun e -> e.Registry.caps.Registry.scales) (Registry.all ())
+
+let servable_engines () = List.map (fun e -> e.Registry.engine) (servable ())
+
+(* A query frame's engine: one registry lookup, whose entry's [caps]
+   decide whether the daemon serves it. *)
+let resolve_engine name =
+  let refuse m =
+    Error
+      (bad "%s (servable: %s)" m
+         (String.concat ", " (List.map (fun e -> e.Registry.name) (servable ()))))
+  in
+  match Registry.find_name name with
+  | Some e when e.Registry.caps.Registry.scales -> Ok e.Registry.engine
+  | Some e ->
+      refuse
+        (Printf.sprintf "engine %s is not served: it needs state the index file does not hold"
+           e.Registry.name)
+  | None -> refuse (Printf.sprintf "unknown engine %S" name)
 
 let parse_request ~limits line =
   if String.length line > limits.max_frame then
@@ -398,11 +421,9 @@ let parse_request ~limits line =
                                       };
                                 }
                           | Some (Json.String name) -> (
-                              (* Typed rejection straight from the
-                                 registry: the message lists every
-                                 valid name, and [-]/[_] spellings are
-                                 both accepted. *)
-                              match Core.Kmismatch.engine_of_string_err name with
+                              (* [-]/[_] spellings are both accepted;
+                                 a rejection lists the servable names. *)
+                              match resolve_engine name with
                               | Ok engine ->
                                   Ok
                                     {

@@ -23,8 +23,12 @@
     v}
 
     [pattern] is required for queries; [k] defaults to [0]; [engine]
-    defaults to ["bidir"] and accepts every name of
-    {!Core.Kmismatch.all_engines}.  [deadline] (optional) is the query's
+    defaults to ["bidir"] and accepts the names of
+    {!servable_engines}: the registered engines whose [caps.scales]
+    holds, which answer from what the index file holds.  Any other
+    registered engine (cole's suffix tree, the online scans) is refused
+    with [Bad_input] before it could build per-index state inside a
+    request.  [deadline] (optional) is the query's
     compute budget in {e relative} seconds — relative so client and
     server clocks never need to agree; the server anchors it to its own
     monotonic clock the moment the frame is admitted, and the budget
@@ -116,11 +120,16 @@ type request = { id : Json.t;  (** [Null] when absent *) body : body }
 val default_engine : Core.Kmismatch.engine
 (** The engine of a query frame without an [engine] field: [Bidir]. *)
 
+val servable_engines : unit -> Core.Kmismatch.engine list
+(** The engines a query frame may name, in registration order: those
+    whose registry entry has [caps.scales]. *)
+
 val parse_request :
   limits:limits -> string -> (request, Json.t * Kmm_error.t) result
 (** Parse and admit one frame.  Every failure is typed — malformed JSON,
-    a non-object, a missing or mistyped field, an unknown [cmd] or
-    [engine], a pattern longer than [max_pattern], [k > max_k], or a
+    a non-object, a missing or mistyped field, an unknown [cmd], an
+    unknown or unservable [engine] (the message names the servable
+    ones), a pattern longer than [max_pattern], [k > max_k], or a
     frame longer than [max_frame] all map to [Kmm_error.Bad_input] —
     paired with the request [id] when one could be recovered ([Null]
     otherwise), so the server can echo it on the rejection.  Validation

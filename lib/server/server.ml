@@ -398,7 +398,7 @@ let info_fields t =
       Json.List
         (List.map
            (fun e -> Json.String (Kmismatch.engine_name e))
-           (Kmismatch.all_engines ())) );
+           (servable_engines ())) );
     ("limits", limits_to_json t.cfg.limits);
   ]
 

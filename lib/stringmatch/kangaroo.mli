@@ -3,7 +3,9 @@
     positions with O(1) longest-common-extension queries.
 
     This is the strongest *online* baseline class the paper compares
-    against, and the verification engine inside the Amir baseline. *)
+    against; the [kangaroo] engine runs it over every window of the
+    text.  (The Amir baseline verifies its candidates with
+    {!Fmindex.Packed_text.hamming} instead.) *)
 
 type t
 

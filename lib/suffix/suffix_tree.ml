@@ -120,12 +120,7 @@ let build input =
 
 let text t = t.s
 let root t = t.root_node
-let is_leaf _t node = Hashtbl.length node.children = 0
-
-let suffix_index _t node =
-  if node.suffix_index < 0 then
-    invalid_arg "Suffix_tree.suffix_index: internal node";
-  node.suffix_index
+let is_leaf node = Hashtbl.length node.children = 0
 
 let edge t node =
   if node == t.root_node then (0, 0) else (node.start, node.last - node.start + 1)
@@ -136,10 +131,10 @@ let children _t node =
 
 let find_child _t node c = Hashtbl.find_opt node.children c
 
-let leaves_below t node =
+let leaves_below _t node =
   let acc = ref [] in
   let rec go u =
-    if is_leaf t u then acc := u.suffix_index :: !acc
+    if is_leaf u then acc := u.suffix_index :: !acc
     else Hashtbl.iter (fun _ v -> go v) u.children
   in
   go node;

@@ -16,11 +16,6 @@ val text : t -> string
 (** The indexed text including the final sentinel. *)
 
 val root : t -> node
-val is_leaf : t -> node -> bool
-
-val suffix_index : t -> node -> int
-(** Starting position of the suffix ending at this leaf.  Raises
-    [Invalid_argument] on internal nodes. *)
 
 val edge : t -> node -> int * int
 (** [(start, len)] of the edge label leading *into* the node; the label is

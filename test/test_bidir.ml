@@ -615,7 +615,7 @@ let () =
     [
       ( "schemes",
         [
-          Alcotest.test_case "tables complete k<=4" `Quick test_schemes_complete;
+          Alcotest.test_case "scheme valid and complete k<=4" `Quick test_schemes_complete;
           Alcotest.test_case "generic family k=5,6" `Slow test_generic_family;
           Alcotest.test_case "exact first piece" `Quick test_scheme_exact_start;
         ] );

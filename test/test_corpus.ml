@@ -110,7 +110,7 @@ let () =
         ] );
       ( "mapper",
         [
-          Alcotest.test_case "corpus target = mono target" `Quick
+          Alcotest.test_case "loaded target maps as built" `Quick
             test_mapper_target_equivalence;
         ] );
     ]

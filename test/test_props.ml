@@ -197,7 +197,7 @@ let engine_counts idx engine ~pattern ~k =
 (* Engines that reuse per-domain scratch start every search's counts
    from zero: a query counts the same after a larger one on the same
    domain as on its own. *)
-let test_stats_reset () =
+let test_counts_start_at_zero () =
   let idx = Kmismatch.build_index "acgtacgtacgtacgtacgtggggacgtagct" in
   List.iter
     (fun engine ->
@@ -209,7 +209,7 @@ let test_stats_reset () =
         (engine_counts idx engine ~pattern:"acgta" ~k:1 = alone))
     [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Bidir; Kmismatch.Cole ]
 
-let test_stats_populated_by_engines () =
+let test_engines_count_work () =
   let idx = Kmismatch.build_index "acgtacgtacgtacgtacgtgggg" in
   List.iter
     (fun engine ->
@@ -354,10 +354,10 @@ let () =
       ("bwt_invariants", [ prop_rank_correspondence; prop_locate_whole ]);
       ("delta", [ prop_delta ]);
       ("mismatch_array", [ prop_shift_table_naive; prop_shift_table_periodic ]);
-      ( "stats",
+      ( "engine_counts",
         [
-          Alcotest.test_case "reset" `Quick test_stats_reset;
-          Alcotest.test_case "populated" `Quick test_stats_populated_by_engines;
+          Alcotest.test_case "each query counts from zero" `Quick test_counts_start_at_zero;
+          Alcotest.test_case "every engine counts its work" `Quick test_engines_count_work;
         ] );
       ( "m_tree_configs",
         [ prop_m_tree_all_configs; prop_m_tree_repetitive_configs ] );

@@ -146,7 +146,7 @@ let test_every_truncation_rejected () =
     [ (7, 5); (32, 16) ]
 
 let prop_truncation_rejected =
-  Test_util.qtest ~count:60 "random prefix of random index rejected (v2+v3)"
+  Test_util.qtest ~count:60 "random prefix of random index rejected"
     QCheck2.Gen.(
       tup3 (Test_util.dna_gen ~lo:1 ~hi:260 ()) (int_range 0 1_000_000) bool)
     (fun (text, cut, fine) ->
@@ -521,15 +521,15 @@ let () =
     [
       ( "detection",
         [
-          Alcotest.test_case "v3 exhaustive byte sweep" `Quick test_byte_sweep;
-          Alcotest.test_case "v3 exhaustive bit sweep" `Quick test_bit_sweep;
+          Alcotest.test_case "every byte flip rejected" `Quick test_byte_sweep;
+          Alcotest.test_case "every bit flip rejected" `Quick test_bit_sweep;
           Alcotest.test_case "typed constructors" `Quick test_error_messages_typed;
         ] );
       ( "truncation",
         [
           Alcotest.test_case "v4 mmap header sweep + prefixes" `Quick
             test_mmap_header_sweep;
-          Alcotest.test_case "every prefix rejected (v2+v3)" `Quick
+          Alcotest.test_case "every prefix rejected" `Quick
             test_every_truncation_rejected;
           prop_truncation_rejected;
         ] );

@@ -51,7 +51,8 @@ let sequential_answers () =
     queries
 
 (* Each daemon test gets its own socket under a temp dir. *)
-let with_server ?(limits = P.default_limits) ?(domains = 2) ?send_timeout f =
+let with_server ?(limits = P.default_limits) ?(domains = 2) ?send_timeout
+    ?(index = Lazy.force index) f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kmm-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
@@ -59,7 +60,7 @@ let with_server ?(limits = P.default_limits) ?(domains = 2) ?send_timeout f =
   let base = S.default_config ~socket_path:path in
   let send_timeout = Option.value send_timeout ~default:base.send_timeout in
   let cfg = { base with domains; limits; send_timeout } in
-  let t = S.start cfg (Lazy.force index) in
+  let t = S.start cfg index in
   Fun.protect ~finally:(fun () -> S.stop t) (fun () -> f t path)
 
 let rpc_exn c frame =
@@ -239,7 +240,7 @@ let frame_gen =
   let open QCheck2.Gen in
   let* pattern = Test_util.dna_gen ~hi:30 () in
   let* k = int_range (-1) 5 in
-  let* engine = oneofl (K.all_engines ()) in
+  let* engine = oneofl (P.servable_engines ()) in
   let* deadline = opt (float_range 0.001 5.) in
   let* id = scalar_gen in
   oneofl
@@ -664,7 +665,7 @@ let () =
       K.Engine_registry.engine = Raises;
       name = "raises-test";
       doc = "test double: raises on every query";
-      caps = { scales = false };
+      caps = { scales = true };
       prepare = ignore;
       run = (fun _ _ -> failwith "engine bug");
     }
@@ -708,6 +709,49 @@ let server_engine_exception_isolated () =
       done;
       Alcotest.(check bool) "drained and stopped" true (Atomic.get stopped);
       Thread.join stopper)
+
+(* The daemon refuses an engine whose state is not in the index file
+   with a typed Bad_input before the engine runs.  Cole's suffix tree
+   would cost ~480 B/base, so the heap top not moving shows it was never
+   built; [info] lists only the servable engines. *)
+let server_refuses_unservable_engine () =
+  let st = Random.State.make [| 0xc01e |] in
+  let idx = K.build_index (random_text ~st 200_000) in
+  with_server ~domains:1 ~index:idx (fun _t path ->
+      let c = S.Client.connect path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      let servable = List.map K.engine_name (P.servable_engines ()) in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " servable") true (List.mem name servable))
+        [ "bidir"; "m-tree"; "s-tree"; "s-tree-nodelta" ];
+      (match S.Client.command c "info" with
+      | Ok (P.Ok_obj { fields; _ }) ->
+          Alcotest.(check (list string)) "info lists the servable engines" servable
+            (match List.assoc_opt "engines" fields with
+            | Some (J.List names) ->
+                List.map (function J.String n -> n | _ -> "?") names
+            | _ -> [])
+      | _ -> Alcotest.fail "info");
+      let top () = (Gc.quick_stat ()).Gc.top_heap_words in
+      let top0 = top () in
+      List.iter
+        (fun engine ->
+          match S.Client.query c ~engine ~pattern:(String.make 40 'a') ~k:2 () with
+          | Ok (P.Error_reply { code = 2; message; _ }) ->
+              Alcotest.(check bool) "refusal names bidir" true
+                (let needle = "bidir" in
+                 let n = String.length message and l = String.length needle in
+                 let rec scan i =
+                   i + l <= n && (String.sub message i l = needle || scan (i + 1))
+                 in
+                 scan 0)
+          | _ -> Alcotest.failf "%s: expected a code-2 refusal" (K.engine_name engine))
+        K.[ Cole; Amir; Kangaroo; Naive ];
+      Alcotest.(check int) "heap top unchanged" top0 (top ());
+      match S.Client.query c ~engine:K.M_tree ~pattern:(String.make 40 'a') ~k:2 () with
+      | Ok (P.Hits _) -> ()
+      | _ -> Alcotest.fail "a servable engine still answers")
 
 (* --- pipelining ----------------------------------------------------------- *)
 
@@ -852,7 +896,7 @@ let () =
       K.Engine_registry.engine = Gated;
       name = "gated-test";
       doc = "test double: blocks until the test opens its gate";
-      caps = { scales = false };
+      caps = { scales = true };
       prepare = ignore;
       run =
         (fun _ _ ->
@@ -944,6 +988,8 @@ let () =
             server_metrics_add_up;
           Alcotest.test_case "engine exception costs one answer" `Quick
             server_engine_exception_isolated;
+          Alcotest.test_case "unservable engine refused" `Quick
+            server_refuses_unservable_engine;
         ] );
       ( "pipelining",
         [

@@ -55,13 +55,13 @@ if [ -e "$tmp/kmm.sock" ]; then
 fi
 expect_usage_error search -k 1 acgt
 
-# The retired kernel suites (their numbers are perfbench's fm.* and
-# verify.* rows) are unknown benchmarks; the error lists the suites
-# that remain.
-for retired in rank-locate verify; do
+# The retired suites (the kernel suites, whose numbers are perfbench's
+# fm.* and verify.* rows, and the micro suite) are unknown benchmarks;
+# the error lists the registry, paper experiments first.
+for retired in rank-locate verify micro; do
   expect_usage_error bench "$retired"
-  if ! tr -s ' \n' ' ' <"$tmp/err" | grep -q '(available: load-modes, engines, serve)'; then
-    echo "usage_errors: kmm bench $retired does not list the remaining suites:" >&2
+  if ! tr -s ' \n' ' ' <"$tmp/err" | grep -q '(available: table1, index-size, table2, fig11a, fig11b, fig12, fig13, ablation, deriv-stress, mtree-alloc, load-modes, engines, serve)'; then
+    echo "usage_errors: kmm bench $retired does not list the registry:" >&2
     cat "$tmp/err" >&2
     exit 1
   fi
@@ -70,9 +70,24 @@ done
 # The serve bench is its overload round alone: no sweep flags.
 expect_usage_error bench serve --connections 2
 
+kmm_abs=$(realpath "$kmm")
+
+# Every name is checked before any benchmark runs: an unknown name after
+# a valid one prints no table and writes no record.
+(cd "$tmp" && "$kmm_abs" bench table1 nosuch >"$tmp/out" 2>"$tmp/err")
+code=$?
+if [ "$code" -ne 124 ]; then
+  echo "usage_errors: kmm bench table1 nosuch exited $code, expected 124" >&2
+  exit 1
+fi
+if [ -s "$tmp/out" ] || ls "$tmp"/BENCH_*.json >/dev/null 2>&1; then
+  echo "usage_errors: kmm bench table1 nosuch ran table1:" >&2
+  cat "$tmp/out" >&2
+  exit 1
+fi
+
 # --smoke is refused, with no record written, where a bench has no
 # smoke mode.
-kmm_abs=$(realpath "$kmm")
 (cd "$tmp" && kmm=$kmm_abs && expect_usage_error bench load-modes --smoke) || exit 1
 if ls "$tmp"/BENCH_*.json >/dev/null 2>&1; then
   echo "usage_errors: a refused --smoke wrote a record" >&2
