@@ -49,7 +49,8 @@ let fmt_count n =
 (* [cross_check ~what ~reads answers]: [answers] pairs each engine (or
    configuration) with its hit list for every read of [reads], in
    order.  Every list must equal the first one's; the first divergence
-   fails the run, naming [what], the engine, the baseline and the read. *)
+   raises [Kmm_error.Error (Internal _)] naming [what], the engine, the
+   baseline and the read. *)
 let cross_check ~what ~reads = function
   | [] -> ()
   | (base, expected) :: rest ->
@@ -59,9 +60,10 @@ let cross_check ~what ~reads = function
           List.iteri
             (fun i ((read, want), hits) ->
               if hits <> want then
-                failwith
-                  (Printf.sprintf "%s: %s diverges from %s on read %d (%s): %d hits against %d"
-                     what name base i read (List.length hits) (List.length want)))
+                Kmm_error.raise_error
+                  (Internal
+                     (Printf.sprintf "%s: %s diverges from %s on read %d (%s): %d hits against %d"
+                        what name base i read (List.length hits) (List.length want))))
             (List.combine expected got))
         rest
 

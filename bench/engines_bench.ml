@@ -146,13 +146,6 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_engines.json") ?size ?(seed = 42) () =
            Bench_util.fmt_count r.hits;
          ])
        rows);
-  List.iter
-    (fun r ->
-      Obs.record obs
-        (Printf.sprintf "bench.engines.%s.%s.m%d.k%d.us_per_read" r.tier
-           r.engine r.len r.k)
-        (int_of_float (r.avg_s *. 1e6)))
-    rows;
   let json =
     Printf.sprintf
       "{\"bench\":\"engines\",\"meta\":%s,\"seed\":%d,\"results\":[%s]}"

@@ -62,9 +62,8 @@ let cold ~reps ~expected ~path ~pattern mode engine =
     let hits, dt =
       Bench_util.time (fun () -> answer (K.load_index ~mode path) engine pattern)
     in
-    if hits <> expected then
-      failwith
-        (Printf.sprintf "load bench: %s answer diverges from the heap index" (K.engine_name engine));
+    Bench_util.cross_check ~what:"load-modes cold start" ~reads:[ pattern ]
+      [ ("the heap index", [ expected ]); (K.engine_name engine, [ hits ]) ];
     best := min !best dt;
     rss := max !rss (float_of_int (status_kb "VmHWM" - base) /. 1024.)
   done;
@@ -141,15 +140,6 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
              ])
            r.cells)
        rows);
-  List.iter
-    (fun r ->
-      List.iter
-        (fun ((mode, engine), c) ->
-          Obs.record obs
-            (Printf.sprintf "bench.load.%d.%s_%s_first_us" r.size mode engine)
-            (int_of_float (c.first_s *. 1e6)))
-        r.cells)
-    rows;
   let json =
     Printf.sprintf "{\"bench\":\"load_modes\",\"meta\":%s,\"seed\":%d,\"k\":%d,\"results\":[%s]}"
       (Bench_meta.to_json ()) seed k

@@ -108,10 +108,10 @@ let drive ~path ~queries ~reference =
               i := !i + c
             done)
   in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init c (fun j -> Thread.create (client j) ()) in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall =
+    Bench_util.time_unit (fun () ->
+        List.iter Thread.join (List.init c (fun j -> Thread.create (client j) ())))
+  in
   (match Atomic.get failure with
   | Some m -> failwith ("serve bench: " ^ m)
   | None -> ());
@@ -194,9 +194,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_serve.json") ?(size = 200_000)
     (100. *. float_of_int r.shed /. float_of_int (max 1 answered))
     r.shed answered r.p99_us;
   if not r.identical then
-    failwith "serve bench: accepted hits diverge under overload";
-  Obs.record obs "bench.serve.overload.shed" r.shed;
-  Obs.record obs "bench.serve.overload.p99_us" (int_of_float r.p99_us);
+    Kmm_error.raise_error (Internal "serve bench: accepted hits diverge under overload");
   let json =
     Printf.sprintf
       "{\"bench\":\"serve\",\"meta\":%s,\"size\":%d,\"seed\":%d,\"queries\":%d,\
@@ -215,7 +213,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_serve.json") ?(size = 200_000)
 let smoke ?(size = 20_000) ?(seed = 11) ?(queries = 80) () =
   let r = overload ~size ~seed ~queries in
   if not r.identical then
-    failwith "serve smoke: accepted hits diverge from a sequential run";
+    Kmm_error.raise_error (Internal "serve smoke: accepted hits diverge from a sequential run");
   let counted = r.accepted + r.shed + r.timeouts + r.dropped in
   if counted <> queries then
     failwith

@@ -95,9 +95,6 @@ let with_obs ?(active = false) ~trace ~metrics_out f =
       in
       Fun.protect ~finally:finish (fun () -> f obs)
 
-let pp_timings ppf timings =
-  List.iter (fun (name, s) -> Format.fprintf ppf " %s=%.4fs" name s) timings
-
 (* The six engine.* counters of a query's sink, as name=value pairs. *)
 let pp_engine_counts obs ppf () =
   List.iter
@@ -260,9 +257,11 @@ let search_cmd =
         let hits = r.Core.Kmismatch.Response.hits in
         List.iter (fun (pos, d) -> Printf.printf "%d\t%d\n" pos d) hits;
         if verbose then
-          Format.eprintf "engine=%s hits=%d%a%a@."
+          Format.eprintf "engine=%s hits=%d search=%.4fs%a@."
             (Core.Kmismatch.engine_name engine)
-            (List.length hits) pp_timings r.Core.Kmismatch.Response.timings
+            (List.length hits)
+            (Option.fold ~none:0. ~some:(fun h -> float_of_int (Obs.Histogram.sum h) *. 1e-9)
+               (Obs.histogram obs "query_ns"))
             (pp_engine_counts obs) ());
     `Ok ()
   in
@@ -302,13 +301,13 @@ let map_cmd =
         print_string (Core.Mapper.to_tsv hits);
         Format.eprintf
           "mapped %d/%d reads (%d unique, %d ambiguous, %d skipped; k=%d, \
-           engine=%s, jobs=%d;%a)@."
+           engine=%s, jobs=%d)@."
           summary.Core.Mapper.mapped summary.Core.Mapper.total
           summary.Core.Mapper.unique summary.Core.Mapper.ambiguous
           (List.length summary.Core.Mapper.skipped)
           k
           (Core.Kmismatch.engine_name engine)
-          jobs pp_timings summary.Core.Mapper.timings;
+          jobs;
         (* Fail-soft: bad reads are reported, not fatal. *)
         List.iter
           (fun (id, e) ->
@@ -448,9 +447,7 @@ let fuzz_cmd =
         Some (fun i -> if i mod 500 = 0 then Format.eprintf "... %d iterations@." i)
       else None
     in
-    let t0 = Unix.gettimeofday () in
-    let report = O.fuzz ?progress ~seed ~iters ~max_text () in
-    let dt = Unix.gettimeofday () -. t0 in
+    let report, dt = Bench_util.time (fun () -> O.fuzz ?progress ~seed ~iters ~max_text ()) in
     if verbose then
       List.iter
         (fun (cls, n) -> Format.eprintf "  class %-12s %d case(s)@." cls n)
@@ -556,10 +553,14 @@ let bench_cmd =
     in
     match resolve_all [] names with
     | Error m -> `Error (false, m)
-    | Ok fs ->
-        with_obs ~trace ~metrics_out (fun obs ->
-            List.iter (fun f -> f { Bench_registry.obs; out; size; seed }) fs);
-        `Ok ()
+    | Ok fs -> (
+        (* A cross-check divergence is a typed [Internal] error: exit 8. *)
+        match
+          with_obs ~trace ~metrics_out (fun obs ->
+              List.iter (fun f -> f { Bench_registry.obs; out; size; seed }) fs)
+        with
+        | () -> `Ok ()
+        | exception Kmm_error.Error e -> fail_typed e)
   in
   let names =
     Arg.(
@@ -773,10 +774,9 @@ let client_cmd =
       | _ -> ""
     in
     if ping then begin
-      let t0 = Unix.gettimeofday () in
-      match rpc (fun conn -> C.command conn "ping") with
-      | P.Ok_obj _ ->
-          Printf.printf "pong (%.2f ms)\n" ((Unix.gettimeofday () -. t0) *. 1e3);
+      match Bench_util.time (fun () -> rpc (fun conn -> C.command conn "ping")) with
+      | P.Ok_obj _, dt ->
+          Printf.printf "pong (%.2f ms)\n" (dt *. 1e3);
           `Ok ()
       | _ -> `Error (false, "unexpected reply")
     end

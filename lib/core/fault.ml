@@ -167,7 +167,7 @@ module Socket = struct
      tests, which must not depend on the server library's own client
      (that would test the client with the client). *)
   let recv_line ?(timeout = 10.) c =
-    let deadline = Unix.gettimeofday () +. timeout in
+    let deadline = Obs.Clock.now_ns () + int_of_float (timeout *. 1e9) in
     let rec extract () =
       match String.index_opt (Buffer.contents c.buf) '\n' with
       | Some i ->
@@ -179,7 +179,7 @@ module Socket = struct
           Some line
       | None -> fill ()
     and fill () =
-      let remaining = deadline -. Unix.gettimeofday () in
+      let remaining = float_of_int (deadline - Obs.Clock.now_ns ()) *. 1e-9 in
       if remaining <= 0. then None
       else
         match Unix.select [ c.fd ] [] [] remaining with

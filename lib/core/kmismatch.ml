@@ -279,10 +279,7 @@ module Query = struct
 end
 
 module Response = struct
-  type t = {
-    hits : (int * int) list;
-    timings : (string * float) list;
-  }
+  type t = { hits : (int * int) list }
 
   let positions r = List.map fst r.hits
 end
@@ -308,7 +305,7 @@ let validate (q : Query.t) =
             (Kmm_error.Bad_input
                "Kmismatch.run: engine is not registered"))
 
-let run_validated t (q : Query.t) ~obs ~t0 ~pattern
+let run_validated t (q : Query.t) ~obs ~pattern
     ~(entry : Engine_registry.entry) =
   (* Degenerate budgets are uniform across engines: a window holds at
      most m mismatches, so k >= m answers every window position at its
@@ -316,15 +313,12 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
      callers) makes that explicit and keeps k-derived arithmetic such as
      the M-tree's 2k+3 merge horizon safely inside the word. *)
   let k = min q.k (String.length pattern) in
-  let t1 = Obs.Clock.now_ns () in
+  let args =
+    if not (Obs.tracing obs) then None
+    else Some [ ("engine", entry.name); ("k", string_of_int k); ("m", string_of_int (String.length pattern)) ]
+  in
   let hits =
-    Obs.span obs "query"
-      ~args:
-        [
-          ("engine", entry.Engine_registry.name);
-          ("k", string_of_int k);
-          ("m", string_of_int (String.length pattern));
-        ]
+    Obs.time ?args obs Obs.Hist.query_ns
       (fun () ->
         (* A pattern longer than the text can match nowhere.  Guard once
            for every engine: the tree/BWT engines are not written for
@@ -334,19 +328,13 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
           entry.Engine_registry.run t
             { Engine_registry.pattern; k; obs })
   in
-  let t2 = Obs.Clock.now_ns () in
   if Obs.enabled obs then begin
     Obs.incr obs Obs.Counter.query_count;
     Obs.add obs Obs.Counter.query_hits (List.length hits)
   end;
-  let s ns = float_of_int ns *. 1e-9 in
-  {
-    Response.hits;
-    timings = [ ("normalize", s (t1 - t0)); ("search", s (t2 - t1)) ];
-  }
+  { Response.hits }
 
 let try_run t (q : Query.t) =
-  let t0 = Obs.Clock.now_ns () in
   match validate q with
   | Error e -> Error e
   | Ok (pattern, entry) ->
@@ -365,7 +353,7 @@ let try_run t (q : Query.t) =
         match
           Obs.with_ambient q.obs (fun () ->
               Deadline.with_ambient q.deadline (fun () ->
-                  run_validated t q ~obs:q.obs ~t0 ~pattern ~entry))
+                  run_validated t q ~obs:q.obs ~pattern ~entry))
         with
         | r -> Ok r
         | exception Deadline.Expired ->

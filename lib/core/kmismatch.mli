@@ -178,8 +178,8 @@ val bidir : index -> Fmindex.Bidir.t
 
     The primary entry point is {!run}: a {!Query.t} names the engine,
     pattern, budget and (optionally) an observability sink; the
-    {!Response.t} carries the hits together with the engine counters and
-    per-phase wall-clock timings of exactly that query. *)
+    {!Response.t} carries the hits, and the sink the query's time and
+    engine counters. *)
 
 module Query : sig
   type t = {
@@ -187,9 +187,9 @@ module Query : sig
     pattern : string;  (** raw pattern; normalized (case) by {!run} *)
     k : int;  (** mismatch budget; clamped to [length pattern] *)
     obs : Obs.t;
-        (** sink receiving the [query] span, the engine-internal spans
-            and the query's counters ({!run}); {!Obs.noop} disables all
-            of it *)
+        (** sink receiving the [query_ns] histogram, the engine-internal
+            histograms and spans, and the query's counters ({!run});
+            {!Obs.noop} disables all of it *)
     deadline : Deadline.t;
         (** the query's compute budget as an absolute monotonic instant;
             {!Deadline.none} (the default) runs to completion.  Enforced
@@ -215,9 +215,6 @@ module Response : sig
     hits : (int * int) list;
         (** every [(position, distance)] with [distance <= k], ascending
             by position *)
-    timings : (string * float) list;
-        (** per-phase wall-clock seconds, in execution order:
-            [("normalize", _); ("search", _)] *)
   }
 
   val positions : t -> int list
@@ -252,8 +249,9 @@ val run : index -> Query.t -> Response.t
     is returned at its true distance), and the budget is clamped there
     internally, so even [k = max_int] is safe.
 
-    When the query's [obs] sink is active, [run] records a ["query"] span
-    (with engine, [k] and [m] as trace args), bumps [query.count] and
+    When the query's [obs] sink is active, [run] records the search's
+    duration into [query_ns] (on a tracing sink also a ["query"] span
+    with engine, [k] and [m] as its args), bumps [query.count] and
     [query.hits]; the engine adds its own [engine.*] counts to the
     same sink when its search returns (m-tree, s-tree, s-tree-nodelta,
     bidir and cole count; the online engines do not).  It is
@@ -263,8 +261,8 @@ val run : index -> Query.t -> Response.t
     sequential totals. *)
 
 val save_index : index -> string -> unit
-(** Persist the index (its FM component; ~n/4 bytes).  The suffix tree is
-    rebuilt lazily on demand after {!load_index}. *)
+(** Persist the index (its FM component; about 1.33 bytes per base).
+    The suffix tree is rebuilt lazily on demand after {!load_index}. *)
 
 val load_index : ?mode:Fmindex.Fm_index.mode -> string -> index
 (** Reload an index written by {!save_index}.  Raises [Failure] on

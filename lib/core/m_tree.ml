@@ -243,7 +243,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
        r[i ..]; sound for pruning under *any* alignment at position i. *)
     let delta =
       if config.use_delta then
-        Obs.span obs "mtree.delta" (fun () -> delta_heuristic fm ~pattern ~k)
+        Obs.time obs Obs.Hist.mtree_delta_ns (fun () -> delta_heuristic fm ~pattern ~k)
       else Array.make (m + 2) 0
     in
     let pat_codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
@@ -419,7 +419,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
       (* [depth prior < d_star] always holds here (j < m), so this walks
          the stored children/skipped branches of [prior] directly. *)
       if Obs.enabled obs then
-        Obs.time obs "mtree.derive" (fun () -> walk_children prior dmiss)
+        Obs.time obs Obs.Hist.mtree_derive_ns (fun () -> walk_children prior dmiss)
       else walk_children prior dmiss
 
     (* --- Exploration ------------------------------------------------- *)
@@ -524,7 +524,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
         end
       done
     in
-    match Obs.span obs "mtree.explore" explore with
+    match Obs.time obs Obs.Hist.mtree_explore_ns explore with
     | () ->
         record obs a;
         a.busy <- false;

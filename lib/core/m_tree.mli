@@ -99,10 +99,11 @@ val search :
     the target.  Raises [Invalid_argument] on an empty pattern, a pattern
     with characters outside lowercase [acgt], or negative [k].
 
-    [obs] (default {!Obs.noop}) records the [mtree.delta] and
-    [mtree.explore] spans plus a per-derivation [mtree.derive_ns]
-    histogram; with the noop sink the instrumentation costs one branch
-    per scope.  The search counts its work in the domain's arena and
+    [obs] (default {!Obs.noop}) records the [mtree.delta_ns] and
+    [mtree.explore_ns] histograms (and on a tracing sink their
+    [mtree.delta] and [mtree.explore] spans) plus a per-derivation
+    [mtree.derive_ns]; with the noop sink the instrumentation costs one
+    branch per scope.  The search counts its work in the domain's arena and
     adds it to [obs] once, when it returns, as the six [engine.*]
     counters ([nodes], [leaves], [rank_calls] (two per [extend_all]),
     [derivations], [derived_leaves], [resumes]).  A search cut by its

@@ -11,10 +11,9 @@ type summary = {
   unique : int;
   ambiguous : int;
   skipped : (int * Kmm_error.t) list;
-  timings : (string * float) list;
 }
 
-let deterministic_summary s = { s with timings = [] }
+let deterministic_summary s = s
 
 let default_chunk_size = 16
 
@@ -140,7 +139,7 @@ let run opts index ~reads ~k =
   let domains = max 1 (min domains (Array.length bounds)) in
   (* Force shared derived state (suffix tree, unpacked text) before the
      fan-out so workers don't serialize on its first use — on one domain
-     too, so that the "prepare" phase, not "search", carries its cost. *)
+     too, so that map.prepare_ns, not map.search_ns, carries its cost. *)
   Kmismatch.prepare engine index;
   let ref_len = Kmismatch.length index in
   let rt = Fmindex.Fm_index.packed_text (Kmismatch.fm_rev index) in
@@ -181,10 +180,7 @@ let run opts index ~reads ~k =
                   let map () =
                     map_one ~obs:o ~engine ~both_strands ~deadline index rt ~k read_id seq
                   in
-                  match
-                    if Obs.enabled o then Obs.time o "map.read" map
-                    else map ()
-                  with
+                  match Obs.time o Obs.Hist.map_read_ns map with
                   | hits ->
                       per_read.(i) <- hits;
                       if Obs.enabled o then begin
@@ -192,7 +188,7 @@ let run opts index ~reads ~k =
                         (* Hit multiplicity is a function of the input
                            alone — the histogram merges bit-for-bit
                            across any domain count. *)
-                        Obs.record o "map.read_hits" (List.length hits)
+                        Obs.record o Obs.Hist.map_read_hits (List.length hits)
                       end
                   | exception Skip e ->
                       (* The index refused the query after validation —
@@ -233,15 +229,9 @@ let run opts index ~reads ~k =
       (List.concat (Array.to_list per_read))
   in
   let t3 = Obs.Clock.now_ns () in
-  let s ns = float_of_int ns *. 1e-9 in
-  let timings =
-    [ ("prepare", s (t1 - t0)); ("search", s (t2 - t1)); ("merge", s (t3 - t2)) ]
-  in
-  if Obs.enabled obs then begin
-    Obs.record obs "map.prepare_ns" (t1 - t0);
-    Obs.record obs "map.search_ns" (t2 - t1);
-    Obs.record obs "map.merge_ns" (t3 - t2)
-  end;
+  Obs.record obs Obs.Hist.map_prepare_ns (t1 - t0);
+  Obs.record obs Obs.Hist.map_search_ns (t2 - t1);
+  Obs.record obs Obs.Hist.map_merge_ns (t3 - t2);
   ( hits,
     {
       total = n;
@@ -249,7 +239,6 @@ let run opts index ~reads ~k =
       unique = !unique;
       ambiguous = !ambiguous;
       skipped = !skipped;
-      timings;
     } )
 
 let best_hits hits =

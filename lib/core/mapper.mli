@@ -21,17 +21,11 @@ type summary = {
           oversize sequence, or an engine exception) lands here instead
           of aborting the whole batch; the surviving reads' hits are
           unaffected. *)
-  timings : (string * float) list;
-      (** per-phase wall-clock seconds, in execution order:
-          [("prepare", _); ("search", _); ("merge", _)].  Wall-clock
-          values vary between runs — strip them with
-          {!deterministic_summary} before byte-identity comparisons. *)
 }
 
 val deterministic_summary : summary -> summary
-(** The summary with its (nondeterministic) [timings] dropped; every
-    remaining field is identical across all [domains]/[chunk_size]
-    combinations, so this is the form the seq≡par tests compare. *)
+(** The identity: every field of a summary is identical across all
+    [domains]/[chunk_size] combinations. *)
 
 val default_chunk_size : int
 (** Reads per pool task when sharding a batch (currently 16): small
@@ -80,7 +74,7 @@ val run :
     coordinate system.  Hits are sorted by read id, then position.
     Before the fan-out the engine's registry [prepare] forces the
     derived state it reads (suffix tree, unpacked text, prefix table),
-    so the ["prepare"] timing carries that cost on every domain count.
+    so the [map.prepare_ns] phase carries that cost on every domain count.
 
     {b Re-check:} every engine hit [(pos, d)] of an [m] bp read is
     re-checked with the word-parallel kernel
@@ -91,7 +85,7 @@ val run :
     [domains] fans the batch out over that many OCaml domains
     ({!Work_pool.run}) in [chunk_size]-read chunks.  The FM-index is
     immutable, so workers share it without copying.  {b Determinism guarantee:} hits
-    and {!deterministic_summary} are byte-identical for every
+    and the summary are byte-identical for every
     [domains]/[chunk_size] combination — each read's hits land in a slot
     indexed by read position and the merge never depends on scheduling;
     [domains = 1] {e is} the sequential path (no domain is spawned).

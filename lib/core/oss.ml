@@ -319,7 +319,7 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
         else enter 0 0 rows 0 rows 0 p0 p0
       in
       let explore () =
-        Obs.span obs "bidir.explore" (fun () -> List.iter run_search searches);
+        Obs.time obs Obs.Hist.bidir_explore_ns (fun () -> List.iter run_search searches);
         Hashtbl.fold (fun w d acc -> (w, d) :: acc) hits []
       in
       let out =

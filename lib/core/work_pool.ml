@@ -54,10 +54,10 @@ let run ?(obs = [||]) t ~tasks body =
       else
         match
           if Obs.enabled o then begin
-            Obs.record o "pool.queue_wait_ns"
+            Obs.record o Obs.Hist.pool_queue_wait_ns
               (Obs.Clock.now_ns () - started_ns);
             Obs.incr o Obs.Counter.pool_tasks;
-            Obs.time o "pool.task" (fun () -> body ~worker ~task)
+            Obs.time o Obs.Hist.pool_task_ns (fun () -> body ~worker ~task)
           end
           else body ~worker ~task
         with

@@ -1,7 +1,8 @@
-(* Zero-dependency observability: monotonic spans, log-bucketed mergeable
-   histograms, declared counters, Chrome-trace and Prometheus exporters.
-   See obs.mli for the contracts; DESIGN.md documents the metric schema
-   shared by the engines, the mapper, the work pool and the CLI. *)
+(* Zero-dependency observability: monotonic timers, log-bucketed mergeable
+   histograms, declared counters and histograms, Chrome-trace and
+   Prometheus exporters.  See obs.mli for the contracts; DESIGN.md
+   documents the metric schema shared by the engines, the mapper, the
+   work pool and the CLI. *)
 
 module Clock = struct
   external now_ns : unit -> int = "kmm_obs_now_ns" [@@noalloc]
@@ -35,13 +36,6 @@ module Histogram = struct
 
   let create () =
     { counts = Array.make nbuckets 0; total = 0; sum = 0; vmin = max_int; vmax = -1 }
-
-  let clear t =
-    Array.fill t.counts 0 nbuckets 0;
-    t.total <- 0;
-    t.sum <- 0;
-    t.vmin <- max_int;
-    t.vmax <- -1
 
   (* Position of the highest set bit of [v >= 1] (0-based). *)
   let msb v =
@@ -222,19 +216,64 @@ module Counter = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Histograms                                                           *)
+
+module Hist = struct
+  (* A histogram is its slot in an active sink's array, declared here
+     once like the counters: DESIGN.md's histogram table is checked
+     against this list.  [span] names the trace event {!time} emits for
+     the scope on a tracing sink. *)
+  type t = int
+
+  type spec = { name : string; unit : string; doc : string; span : string option }
+
+  let declared = ref [] (* newest first *)
+
+  let declare ?span name unit doc =
+    let h = List.length !declared in
+    declared := { name; unit; doc; span } :: !declared;
+    h
+
+  let query_ns = declare ~span:"query" "query_ns" "ns" "one Kmismatch query, validation excluded"
+  let mtree_delta_ns = declare ~span:"mtree.delta" "mtree.delta_ns" "ns" "the delta heuristic of one m-tree or s-tree search"
+  let mtree_explore_ns = declare ~span:"mtree.explore" "mtree.explore_ns" "ns" "the exploration of one m-tree or s-tree search"
+  let mtree_derive_ns = declare "mtree.derive_ns" "ns" "one subtree derivation"
+  let bidir_explore_ns = declare ~span:"bidir.explore" "bidir.explore_ns" "ns" "the search-scheme searches of one Oss search"
+  let pool_queue_wait_ns = declare "pool.queue_wait_ns" "ns" "a task's wait until a worker pulled it"
+  let pool_task_ns = declare "pool.task_ns" "ns" "one task a worker ran"
+  let map_read_ns = declare "map.read_ns" "ns" "one read mapped, both strands"
+  let map_read_hits = declare "map.read_hits" "hits" "hits of one mapped read"
+  let map_prepare_ns = declare "map.prepare_ns" "ns" "a batch's prepare phase"
+  let map_search_ns = declare "map.search_ns" "ns" "a batch's search phase"
+  let map_merge_ns = declare "map.merge_ns" "ns" "a batch's merge phase"
+  let serve_request_ns = declare "serve.request_ns" "ns" "admission to the reply handed to the write"
+  let serve_batch_size = declare "serve.batch_size" "queries" "queries per worker pull"
+
+  let specs = Array.of_list (List.rev !declared)
+  let count = Array.length specs
+  let all = List.init count Fun.id
+  let name h = specs.(h).name
+  let unit h = specs.(h).unit
+  let doc h = specs.(h).doc
+  let span h = specs.(h).span
+  let by_name = List.sort (fun a b -> String.compare (name a) (name b)) all
+  let of_name n = List.find_opt (fun h -> name h = n) all
+end
+
+(* ------------------------------------------------------------------ *)
 (* Sink                                                                 *)
 
 type event = {
   ev_name : string;
   ev_tid : int;
   ev_ts : int; (* monotonic ns *)
-  ev_dur : int; (* ns; -1 for an instant event *)
+  ev_dur : int; (* ns *)
   ev_args : (string * string) list;
 }
 
 type state = {
   counts : int array; (* indexed by [Counter.t] *)
-  hists : (string, Histogram.t) Hashtbl.t;
+  hists : Histogram.t option array; (* indexed by [Hist.t]; allocated on first record *)
   trace : bool;
   mutable events : event list; (* newest first *)
   mutable nevents : int;
@@ -250,7 +289,7 @@ let create ?(trace = false) () =
   Active
     {
       counts = Array.make Counter.count 0;
-      hists = Hashtbl.create 32;
+      hists = Array.make Hist.count None;
       trace;
       events = [];
       nevents = 0;
@@ -299,28 +338,31 @@ let tap c n = if Atomic.get taps then add (Domain.DLS.get ambient) c n
 
 (* --- histograms ----------------------------------------------------- *)
 
-let hist_cell s name =
-  match Hashtbl.find_opt s.hists name with
-  | Some h -> h
+let hist_cell s h =
+  match s.hists.(h) with
+  | Some x -> x
   | None ->
-      let h = Histogram.create () in
-      Hashtbl.add s.hists name h;
-      h
+      let x = Histogram.create () in
+      s.hists.(h) <- Some x;
+      x
 
-let record t name v =
-  match t with Noop -> () | Active s -> Histogram.record (hist_cell s name) v
+let record t h v =
+  match t with Noop -> () | Active s -> Histogram.record (hist_cell s h) v
 
 let histogram t name =
-  match t with Noop -> None | Active s -> Hashtbl.find_opt s.hists name
+  match (t, Hist.of_name name) with
+  | Active s, Some h -> s.hists.(h)
+  | _ -> None
 
 let histograms t =
   match t with
   | Noop -> []
   | Active s ->
-      Hashtbl.fold (fun name h acc -> (name, h) :: acc) s.hists []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      List.filter_map
+        (fun h -> Option.map (fun x -> (Hist.name h, x)) s.hists.(h))
+        Hist.by_name
 
-(* --- spans and events ------------------------------------------------ *)
+(* --- spans ----------------------------------------------------------- *)
 
 let push_event s ev =
   if s.nevents < max_trace_events then begin
@@ -329,48 +371,26 @@ let push_event s ev =
   end
   else bump s Counter.trace_dropped 1
 
-let event ?(args = []) t name =
-  match t with
-  | Noop -> ()
-  | Active s ->
-      if s.trace then
-        push_event s
-          {
-            ev_name = name;
-            ev_tid = (Domain.self () :> int);
-            ev_ts = Clock.now_ns ();
-            ev_dur = -1;
-            ev_args = args;
-          }
+let emit s name args t0 t1 =
+  push_event s
+    { ev_name = name; ev_tid = (Domain.self () :> int); ev_ts = t0; ev_dur = t1 - t0; ev_args = args }
 
-let time t name f =
+let time ?(args = []) t h f =
   match t with
   | Noop -> f ()
   | Active s ->
       let t0 = Clock.now_ns () in
-      Fun.protect
-        ~finally:(fun () -> Histogram.record (hist_cell s (name ^ "_ns")) (Clock.now_ns () - t0))
-        f
+      Fun.protect f ~finally:(fun () ->
+          let t1 = Clock.now_ns () in
+          Histogram.record (hist_cell s h) (t1 - t0);
+          if s.trace then Option.iter (fun name -> emit s name args t0 t1) (Hist.span h))
 
 let span ?(args = []) t name f =
   match t with
-  | Noop -> f ()
-  | Active s ->
+  | Active s when s.trace ->
       let t0 = Clock.now_ns () in
-      Fun.protect
-        ~finally:(fun () ->
-          let t1 = Clock.now_ns () in
-          Histogram.record (hist_cell s (name ^ "_ns")) (t1 - t0);
-          if s.trace then
-            push_event s
-              {
-                ev_name = name;
-                ev_tid = (Domain.self () :> int);
-                ev_ts = t0;
-                ev_dur = t1 - t0;
-                ev_args = args;
-              })
-        f
+      Fun.protect f ~finally:(fun () -> emit s name args t0 (Clock.now_ns ()))
+  | _ -> f ()
 
 (* --- merge ----------------------------------------------------------- *)
 
@@ -379,8 +399,8 @@ let merge ~into src =
   | Noop, _ | _, Noop -> ()
   | Active dst, Active s ->
       Array.iteri (fun c n -> bump dst c n) s.counts;
-      Hashtbl.iter
-        (fun name h -> Histogram.merge ~into:(hist_cell dst name) h)
+      Array.iteri
+        (fun h -> Option.iter (fun x -> Histogram.merge ~into:(hist_cell dst h) x))
         s.hists;
       if dst.trace then
         (* Newest-first lists concatenate src after dst; the exporter
@@ -440,21 +460,14 @@ let to_chrome_trace ?(process_name = "kmm") t =
       in
       List.iter
         (fun ev ->
-          let ts_us = float_of_int (ev.ev_ts - t0) /. 1e3 in
-          if ev.ev_dur < 0 then
-            emit
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"kmm\",\"ph\":\"i\",\"s\":\"t\",\
-                  \"ts\":%.3f,\"pid\":1,\"tid\":%d%s}"
-                 (json_escape ev.ev_name) ts_us ev.ev_tid (args_json ev.ev_args))
-          else
-            emit
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"kmm\",\"ph\":\"X\",\"ts\":%.3f,\
-                  \"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
-                 (json_escape ev.ev_name) ts_us
-                 (float_of_int ev.ev_dur /. 1e3)
-                 ev.ev_tid (args_json ev.ev_args)))
+          emit
+            (Printf.sprintf
+               "{\"name\":\"%s\",\"cat\":\"kmm\",\"ph\":\"X\",\"ts\":%.3f,\
+                \"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
+               (json_escape ev.ev_name)
+               (float_of_int (ev.ev_ts - t0) /. 1e3)
+               (float_of_int ev.ev_dur /. 1e3)
+               ev.ev_tid (args_json ev.ev_args)))
         events);
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf

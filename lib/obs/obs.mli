@@ -1,6 +1,6 @@
-(** Zero-dependency observability: monotonic span timers, log-bucketed
-    mergeable latency histograms, declared counters, and two exporters
-    (Chrome trace events for [about://tracing]/Perfetto, and a
+(** Zero-dependency observability: monotonic timers, log-bucketed
+    mergeable histograms, declared counters and histograms, and two
+    exporters (Chrome trace events for [about://tracing]/Perfetto, and a
     Prometheus-style text exposition).
 
     {2 Sinks}
@@ -10,8 +10,8 @@
     pattern match returning immediately, so fully-instrumented code with
     observability disabled stays within a <2% overhead budget (measured
     in EXPERIMENTS.md) — or an {e active} sink created by {!create},
-    holding one slot per declared {!Counter}, named histograms, and
-    (optionally) a trace event buffer.
+    holding one slot per declared {!Counter} and {!Hist} (a histogram
+    is allocated on its first record), and (optionally) a trace buffer.
 
     Sinks are single-domain: each worker owns its own ({!fork}), and the
     owner {!merge}s them after the domains join — or, for workers that
@@ -24,13 +24,13 @@
     increments, so merging per-domain sinks yields {e bit-for-bit} the
     counters and histograms a sequential run recording the same values
     would have produced,
-    regardless of sharding or scheduling.  (Wall-clock {e values} — span
-    durations — naturally differ between runs; the determinism claim is
+    regardless of sharding or scheduling.  (Wall-clock {e values} — the
+    [_ns] durations — naturally differ between runs; the determinism claim is
     about the merge, and about metrics derived from deterministic
     quantities.) *)
 
-(** The monotonic clock behind every span ([CLOCK_MONOTONIC]; immune to
-    NTP steps of the wall clock). *)
+(** The monotonic clock behind every duration ([CLOCK_MONOTONIC]; immune
+    to NTP steps of the wall clock). *)
 module Clock : sig
   val now_ns : unit -> int
   (** Nanoseconds from an arbitrary fixed origin; never decreases.
@@ -86,9 +86,6 @@ module Histogram : sig
   val equal : t -> t -> bool
   (** Structural equality of contents (buckets, count, sum, min, max) —
       the bit-for-bit check the sharded-merge tests rely on. *)
-
-  val clear : t -> unit
-  (** Reset to empty in place. *)
 
   val buckets : t -> (int * int * int) list
   (** Non-empty buckets in ascending value order, as
@@ -152,6 +149,39 @@ module Counter : sig
   val doc : t -> string
 end
 
+(** The histogram schema: every histogram any layer records, declared
+    once with its name, unit and doc, like {!Counter}.  A name ending in
+    [_ns] holds monotonic durations. *)
+module Hist : sig
+  type t
+
+  val query_ns : t
+  val mtree_delta_ns : t
+  val mtree_explore_ns : t
+  val mtree_derive_ns : t
+  val bidir_explore_ns : t
+  val pool_queue_wait_ns : t
+  val pool_task_ns : t
+  val map_read_ns : t
+  val map_read_hits : t
+  val map_prepare_ns : t
+  val map_search_ns : t
+  val map_merge_ns : t
+  val serve_request_ns : t
+  val serve_batch_size : t
+
+  val all : t list
+  (** Every histogram, in declaration order. *)
+
+  val name : t -> string
+  val unit : t -> string
+  val doc : t -> string
+
+  val span : t -> string option
+  (** The span {!time} emits on a tracing sink (["query"] for
+      {!query_ns}); [None] for a scope too frequent to trace. *)
+end
+
 type t
 (** A sink: {!noop} or an active recorder.  Not thread-safe; use one
     sink per domain and {!merge}. *)
@@ -161,9 +191,9 @@ val noop : t
     pattern match; [span noop name f] is [f ()]. *)
 
 val create : ?trace:bool -> unit -> t
-(** A fresh active sink.  With [trace] (default [false]) spans and
-    {!event}s are also buffered as Chrome trace events (capped at one
-    million; overflow increments the [obs.trace_dropped] counter). *)
+(** A fresh active sink.  With [trace] (default [false]) spans are also
+    buffered as Chrome trace events (capped at one million; overflow
+    increments the [obs.trace_dropped] counter). *)
 
 val enabled : t -> bool
 (** [false] exactly for {!noop} — the guard for any instrumentation
@@ -226,32 +256,30 @@ val tap : Counter.t -> int -> unit
 
 (** {1 Histograms} *)
 
-val record : t -> string -> int -> unit
-(** Record a value into the named histogram, creating it on first use. *)
+val record : t -> Hist.t -> int -> unit
+(** Record a value into the histogram. *)
+
+val time : ?args:(string * string) list -> t -> Hist.t -> (unit -> 'a) -> 'a
+(** [time t h f] runs [f] and records its monotonic duration into [h],
+    even if [f] raises.  When {!tracing} and [h] declares a
+    {!Hist.span}, it also buffers a Chrome complete event of that name
+    with the current domain as [tid] and [args] as its argument map.
+    On {!noop} this is exactly [f ()]. *)
 
 val histogram : t -> string -> Histogram.t option
-(** Look up a histogram by name. *)
+(** The histogram with this {!Hist.name}, if anything was recorded into
+    it ([None] on {!noop}). *)
 
 val histograms : t -> (string * Histogram.t) list
-(** All histograms, sorted by name. *)
+(** Every histogram recorded into, sorted by name. *)
 
-(** {1 Spans and events} *)
+(** {1 Spans} *)
 
 val span : ?args:(string * string) list -> t -> string -> (unit -> 'a) -> 'a
-(** [span t name f] runs [f], records its monotonic duration into the
-    histogram [name ^ "_ns"], and — when {!tracing} — buffers a Chrome
-    complete event named [name] with the current domain as [tid] and
-    [args] as its argument map.  Duration is recorded even if [f]
-    raises.  On {!noop} this is exactly [f ()]. *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Like {!span} but histogram-only (never buffers a trace event) — for
-    scopes frequent enough that per-call trace events would swamp the
-    buffer, e.g. per-derivation timings. *)
-
-val event : ?args:(string * string) list -> t -> string -> unit
-(** Buffer an instant trace event (no duration).  No-op unless
-    {!tracing}. *)
+(** [span t name f] runs [f] and, when {!tracing}, buffers a Chrome
+    complete event named [name] (with [args]) for it, even if [f]
+    raises; it records no histogram.  On a sink that does not trace
+    this is exactly [f ()]. *)
 
 (** {1 Merging} *)
 
@@ -271,8 +299,8 @@ val to_chrome_trace : ?process_name:string -> t -> string
     an empty sink. *)
 
 val to_prometheus : ?prefix:string -> t -> string
-(** Every declared counter (zeros included) and every histogram in the
-    Prometheus text exposition format
+(** Every declared counter (zeros included) and every histogram recorded
+    into, in the Prometheus text exposition format
     (version 0.0.4): [# TYPE] comments, [<prefix>_<name>] with
     non-metric characters mapped to [_], histogram [_bucket{le="..."}]
     cumulative series plus [_sum] and [_count].  Output order is sorted

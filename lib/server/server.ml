@@ -193,12 +193,12 @@ let run_job t w j =
   let result =
     Mutex.protect w.wm (fun () ->
         let o = w.wsink in
-        Obs.record o "pool.queue_wait_ns" (Obs.Clock.now_ns () - j.slot.admitted_ns);
+        Obs.record o Obs.Hist.pool_queue_wait_ns (Obs.Clock.now_ns () - j.slot.admitted_ns);
         Obs.incr o C.pool_tasks;
         Obs.incr o C.serve_queries;
-        Obs.record o "serve.batch_size" 1;
+        Obs.record o Obs.Hist.serve_batch_size 1;
         let r =
-          Obs.time o "pool.task" (fun () ->
+          Obs.time o Obs.Hist.pool_task_ns (fun () ->
               (* [try_run] answers a job that expired while queued
                  without searching, and the engine polls cut one that
                  expires mid-search; either way the reply is a typed
@@ -529,7 +529,7 @@ let flush t l c ~writable =
     | Some { reply = Some reply; timed; admitted_ns } ->
         ignore (Queue.pop c.slots);
         append c reply;
-        if timed then Obs.record t.sink "serve.request_ns" (l.now - admitted_ns);
+        if timed then Obs.record t.sink Obs.Hist.serve_request_ns (l.now - admitted_ns);
         move true
     | _ -> appended
   in

@@ -88,12 +88,13 @@
     [serve.queries], [serve.rejected], [serve.shed], [serve.timeouts],
     [serve.errors], [serve.truncated], [serve.hits], and the loop's
     [serve.io_wakeups] (returns from [select]) and [serve.io_busy_ns]
-    (time spent outside [select]).  Histograms: [serve.request_ns]
-    (admission to the reply handed to the write), [serve.batch_size]
-    (queries per worker pull: always 1), the worker loop's
-    [pool.tasks] counter, [pool.queue_wait_ns] (admission to the pull)
-    and [pool.task_ns] histograms, plus per-query
-    [query_ns]/[engine.*] metrics and the [fm.*]/[verify.*] taps,
+    (time spent outside [select]); the worker loop bumps [pool.tasks].
+    Histograms ({!Obs.Hist}): [serve.request_ns] (admission to the
+    reply handed to the write), [serve.batch_size] (queries per worker
+    pull: always 1), and the worker loop's [pool.queue_wait_ns]
+    (admission to the pull) and [pool.task_ns].  Per query, the
+    [query_ns] histogram, the engine's histograms and [engine.*]
+    counters, and the [fm.*]/[verify.*] taps,
     armed from {!start} to {!stop}.  The whole sink is exported
     live over the wire by the [metrics] command in Prometheus text
     format. *)

@@ -441,15 +441,15 @@ let test_engine_spellings () =
     ];
   check bool "unknown rejected" true (Kmismatch.engine_of_string "warp" = None)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let test_engine_of_string_err () =
   match Kmismatch.engine_of_string_err "warp" with
   | Ok _ -> Alcotest.fail "unknown engine accepted"
   | Error (Kmm_error.Bad_input msg) ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
       List.iter
         (fun name ->
           check bool (Printf.sprintf "message lists %S" name) true
@@ -610,6 +610,21 @@ let test_pairs_across_load_modes () =
 
 let test_engines_bench_smoke () = Engines_bench.smoke ()
 
+(* A divergence is a typed [Internal] error naming the engine, the
+   baseline and the read index. *)
+let test_cross_check_divergence () =
+  let answers =
+    [ ("m-tree", [ [ (3, 0) ]; [ (5, 1) ] ]); ("bidir", [ [ (3, 0) ]; [] ]) ]
+  in
+  match Bench_util.cross_check ~what:"probe" ~reads:[ "acgt"; "ttga" ] answers with
+  | () -> Alcotest.fail "divergence not reported"
+  | exception Kmm_error.Error (Kmm_error.Internal msg) ->
+      List.iter
+        (fun part ->
+          check bool (Printf.sprintf "%S names %S" msg part) true
+            (contains msg part))
+        [ "bidir"; "m-tree"; "read 1" ]
+
 let () =
   Alcotest.run "bidir"
     [
@@ -658,5 +673,7 @@ let () =
         [
           Alcotest.test_case "engines bench cross-check smoke" `Quick
             test_engines_bench_smoke;
+          Alcotest.test_case "cross-check divergence is Internal" `Quick
+            test_cross_check_divergence;
         ] );
     ]

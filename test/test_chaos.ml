@@ -200,12 +200,7 @@ let mapper_no_deadline_unchanged () =
      byte-identity untouched — the taps-off path really is off. *)
   let reads = Lazy.force reads_fixture in
   let run domains =
-    let hits, summary =
-      Core.Mapper.run
-        { Core.Mapper.default with domains }
-        (Lazy.force index) ~reads ~k:2
-    in
-    (hits, Core.Mapper.deterministic_summary summary)
+    Core.Mapper.run { Core.Mapper.default with domains } (Lazy.force index) ~reads ~k:2
   in
   let h1, s1 = run 1 and h3, s3 = run 3 in
   Alcotest.(check bool) "hits byte-identical" true (h1 = h3);

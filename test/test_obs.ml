@@ -194,28 +194,32 @@ let prop_histogram_sharded_merge =
 (* Sink: counters, fork/merge, span semantics                           *)
 
 module C = Obs.Counter
+module H = Obs.Hist
 
 let test_sink_counters_and_merge () =
   let a = Obs.create () in
   Obs.incr a C.engine_nodes;
   Obs.add a C.engine_nodes 4;
   Obs.add a C.query_hits 10;
-  Obs.record a "h" 5;
+  Obs.record a H.map_read_hits 5;
   let b = Obs.fork a in
   check bool "fork is active" true (Obs.enabled b);
   Obs.add b C.engine_nodes 2;
-  Obs.record b "h" 7;
+  Obs.record b H.map_read_hits 7;
+  Obs.record b H.serve_batch_size 1;
   Obs.merge ~into:a b;
   check int "merged counter" 7 (Obs.counter_value a "engine.nodes");
   check int "untouched counter" 10 (Obs.counter_value a "query.hits");
   check int "absent counter" 0 (Obs.counter_value a "zzz");
   check int "every declared counter exported" (List.length C.all)
     (List.length (Obs.counters a));
-  (match Obs.histogram a "h" with
+  (match Obs.histogram a "map.read_hits" with
   | None -> Alcotest.fail "histogram lost in merge"
   | Some h ->
       check int "merged histogram count" 2 (Obs.Histogram.count h);
       check int "merged histogram sum" 12 (Obs.Histogram.sum h));
+  check bool "a histogram only the source recorded is merged" true
+    (List.map fst (Obs.histograms a) = [ "map.read_hits"; "serve.batch_size" ]);
   (* counters export sorted by name *)
   check bool "sorted export" true
     (List.map fst (Obs.counters a) = List.sort compare (List.map fst (Obs.counters a)))
@@ -224,25 +228,30 @@ let test_noop_is_inert () =
   check bool "noop disabled" false (Obs.enabled Obs.noop);
   check bool "noop fork is noop" false (Obs.enabled (Obs.fork Obs.noop));
   Obs.incr Obs.noop C.engine_nodes;
-  Obs.record Obs.noop "h" 3;
+  Obs.record Obs.noop H.map_read_hits 3;
   check int "noop counter stays 0" 0 (Obs.counter_value Obs.noop "engine.nodes");
-  check bool "noop histogram absent" true (Obs.histogram Obs.noop "h" = None);
+  check bool "noop histogram absent" true (Obs.histogram Obs.noop "map.read_hits" = None);
   check int "span on noop is f ()" 41 (Obs.span Obs.noop "s" (fun () -> 41));
+  check int "time on noop is f ()" 41 (Obs.time Obs.noop H.query_ns (fun () -> 41));
   check bool "noop trace still valid JSON" true
     (json_valid (Obs.to_chrome_trace Obs.noop))
 
 let test_span_records_duration () =
   let t = Obs.create () in
-  let x = Obs.span t "work" (fun () -> 7) in
-  check int "span returns" 7 x;
-  (match Obs.histogram t "work_ns" with
-  | None -> Alcotest.fail "span did not record a histogram"
+  let x = Obs.time t H.pool_task_ns (fun () -> 7) in
+  check int "time returns" 7 x;
+  (match Obs.histogram t "pool.task_ns" with
+  | None -> Alcotest.fail "time did not record a histogram"
   | Some h -> check int "one duration" 1 (Obs.Histogram.count h));
   (* duration lands even when the scope raises *)
-  (try Obs.span t "work" (fun () -> failwith "boom") with Failure _ -> ());
-  match Obs.histogram t "work_ns" with
+  (try Obs.time t H.pool_task_ns (fun () -> failwith "boom") with Failure _ -> ());
+  (match Obs.histogram t "pool.task_ns" with
   | None -> Alcotest.fail "histogram vanished"
-  | Some h -> check int "raise still recorded" 2 (Obs.Histogram.count h)
+  | Some h -> check int "raise still recorded" 2 (Obs.Histogram.count h));
+  (* a free-form span is trace-only *)
+  check int "span returns" 5 (Obs.span t "work" (fun () -> 5));
+  check bool "span records no histogram" true
+    (List.map fst (Obs.histograms t) = [ "pool.task_ns" ])
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                            *)
@@ -254,7 +263,10 @@ let test_chrome_trace_valid () =
     ~args:[ ("engine", "m-tree"); ("quote", "a\"b\\c") ]
     t "beta"
     (fun () -> ());
-  Obs.event t "gamma";
+  (* a declared histogram emits the span it names, with its args; one
+     that names none emits nothing *)
+  Obs.time ~args:[ ("k", "2") ] t H.query_ns (fun () -> ());
+  Obs.time t H.mtree_derive_ns (fun () -> ());
   let js = Obs.to_chrome_trace ~process_name:"kmm-test" t in
   check bool "trace is valid JSON" true (json_valid js);
   let contains needle =
@@ -263,15 +275,17 @@ let test_chrome_trace_valid () =
     go 0
   in
   check bool "events present" true
-    (contains "\"alpha\"" && contains "\"beta\"" && contains "\"gamma\""
+    (contains "\"alpha\"" && contains "\"beta\"" && contains "\"query\""
+    && contains "\"args\":{\"k\":\"2\"}"
     && contains "kmm-test"
-    && contains "a\\\"b\\\\c")
+    && contains "a\\\"b\\\\c");
+  check bool "no span from a histogram that names none" false (contains "derive")
 
 let test_prometheus_format () =
   let t = Obs.create () in
   Obs.add t C.engine_nodes 3;
-  Obs.record t "map.read_ns" 100;
-  Obs.record t "map.read_ns" 100_000;
+  Obs.record t H.map_read_ns 100;
+  Obs.record t H.map_read_ns 100_000;
   let text = Obs.to_prometheus t in
   check bool "ends with newline" true
     (String.length text > 0 && text.[String.length text - 1] = '\n');
@@ -313,10 +327,10 @@ let test_prometheus_format () =
   check int "+Inf bucket equals count" 2 (List.nth buckets (List.length buckets - 1));
   (* custom prefix + name sanitization *)
   let t2 = Obs.create () in
-  Obs.record t2 "weird-name with spaces!" 1;
-  let text2 = Obs.to_prometheus ~prefix:"x" t2 in
+  Obs.record t2 H.map_read_hits 1;
+  let text2 = Obs.to_prometheus ~prefix:"weird-prefix with spaces!" t2 in
   check bool "sanitized name" true
-    (List.mem "x_weird_name_with_spaces__count 1" (String.split_on_char '\n' text2))
+    (List.mem "weird_prefix_with_spaces__map_read_hits_count 1" (String.split_on_char '\n' text2))
 
 (* ------------------------------------------------------------------ *)
 (* Query/Response, wrappers, and end-to-end determinism                 *)
@@ -340,10 +354,9 @@ let test_query_response () =
   check bool "positions accessor" true
     (Kmismatch.Response.positions r = List.map fst r.Kmismatch.Response.hits);
   check bool "engine.nodes counted" true (Obs.counter_value obs "engine.nodes" > 0);
-  check bool "timings has both phases" true
-    (List.map fst r.Kmismatch.Response.timings = [ "normalize"; "search" ]);
   check int "query.count counter" 1 (Obs.counter_value obs "query.count");
-  check bool "query span histogram" true (Obs.histogram obs "query_ns" <> None);
+  check bool "one query_ns duration" true
+    (Option.map Obs.Histogram.count (Obs.histogram obs "query_ns") = Some 1);
   (* invalid inputs keep raising through run *)
   (match
      Kmismatch.run idx
@@ -367,11 +380,12 @@ let test_mapper_metrics_deterministic () =
   let reads = List.init 30 (fun i -> (i, String.sub text (i * 100) 25)) in
   let observe engine domains =
     let obs = Obs.create () in
-    let _, summary =
-      Mapper.run { Mapper.default with engine; domains; chunk_size = 3; obs } idx ~reads ~k:1
-    in
-    check bool "phase timings present" true
-      (List.map fst summary.Mapper.timings = [ "prepare"; "search"; "merge" ]);
+    let _ = Mapper.run { Mapper.default with engine; domains; chunk_size = 3; obs } idx ~reads ~k:1 in
+    List.iter
+      (fun phase ->
+        check bool (phase ^ " recorded once") true
+          (Option.map Obs.Histogram.count (Obs.histogram obs phase) = Some 1))
+      [ "map.prepare_ns"; "map.search_ns"; "map.merge_ns" ];
     let deterministic_counters =
       (* pool.tasks counts per-domain pulls and is scheduling-
          independent too, but keep the check focused on the
@@ -487,13 +501,13 @@ let test_ambient_survives_cut_queries () =
     (2 * Obs.counter_value one "fm.rank_ops")
     (Obs.counter_value outer "fm.rank_ops")
 
-(* DESIGN.md's counter table lists exactly the declared counters, each
-   with its unit and doc: the rows between the header and the first
+(* A DESIGN.md table lists exactly the declared metrics of its kind,
+   each with its unit and doc: the rows between the header and the first
    line that is not a table row. *)
-let test_design_counter_table () =
+let check_design_table ~header declared =
   let lines = In_channel.with_open_text "../DESIGN.md" In_channel.input_all |> String.split_on_char '\n' in
   let rec rows = function
-    | "| counter | unit | doc |" :: _ :: rest ->
+    | l :: _ :: rest when l = header ->
         List.filter_map
           (fun l ->
             match List.map String.trim (String.split_on_char '|' l) with
@@ -502,13 +516,12 @@ let test_design_counter_table () =
             | _ -> None)
           (List.filter (fun l -> String.starts_with ~prefix:"|" l) (take_rows rest))
     | _ :: rest -> rows rest
-    | [] -> Alcotest.fail "DESIGN.md has no counter table"
+    | [] -> Alcotest.fail ("DESIGN.md has no table " ^ header)
   and take_rows = function
     | l :: rest when String.starts_with ~prefix:"|" l -> l :: take_rows rest
     | _ -> []
   in
   let documented = rows lines in
-  let declared = List.map (fun c -> (C.name c, C.unit c, C.doc c)) C.all in
   List.iter
     (fun ((name, _, _) as d) ->
       check bool (Printf.sprintf "%s: declared as documented" name) true (List.mem d declared))
@@ -554,6 +567,12 @@ let () =
           Alcotest.test_case "ambient sink survives cut queries" `Quick
             test_ambient_survives_cut_queries;
           Alcotest.test_case "DESIGN.md counter table = declarations" `Quick
-            test_design_counter_table;
+            (fun () ->
+              check_design_table ~header:"| counter | unit | doc |"
+                (List.map (fun c -> (C.name c, C.unit c, C.doc c)) C.all));
+          Alcotest.test_case "DESIGN.md histogram table = declarations" `Quick
+            (fun () ->
+              check_design_table ~header:"| histogram | unit | doc |"
+                (List.map (fun h -> (H.name h, H.unit h, H.doc h)) H.all));
         ] );
     ]

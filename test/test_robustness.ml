@@ -435,7 +435,6 @@ let test_mapper_fail_soft_deterministic () =
         if i mod 5 = 2 then (i, "nnn")
         else (i, planted ((i * 131) mod 2_000) 30))
   in
-  let det (hits, summary) = (hits, Mapper.deterministic_summary summary) in
   let base = Mapper.run Mapper.default idx ~reads ~k:1 in
   List.iter
     (fun (domains, chunk_size) ->
@@ -445,7 +444,7 @@ let test_mapper_fail_soft_deterministic () =
       check bool
         (Printf.sprintf "domains=%d chunk=%d identical" domains chunk_size)
         true
-        (det got = det base))
+        (got = base))
     [ (1, 1); (2, 3); (3, 1); (4, 7); (4, 64) ];
   let _, summary = base in
   check int "skipped count" 5 (List.length summary.Mapper.skipped)
