@@ -18,8 +18,8 @@
    own extensions only.  A second table holds the bidir engine (optimum
    search schemes, [Oss.search]) at k = 4 over the same reads, with its
    extension, verification and located-row counts from the same
-   counting pass.  CPU time is noisy on a shared host; the GC and
-   operation counts are not.  The three engines' hits at each k, from
+   counting pass.  CPU time is noisy on a shared host (the table's
+   closing note says how much); the GC and operation counts are not.  The three engines' hits at each k, from
    their counting passes, are cross-checked. *)
 
 open Bench_util
@@ -183,4 +183,8 @@ let run () =
       [ "engine"; "k"; "cpu us/read"; "minor words"; "promoted words"; "minor GCs";
         "nodes"; "rank calls"; "extends"; "verifications"; "located rows" ]
     [ bidir_row idx pats ];
-  note "all columns but k are per read (two searches: the read and its reverse complement)"
+  note "all columns but k are per read (two searches: the read and its reverse complement)";
+  note "cpu columns: one row spans 93-129 us/read between runs of one build (shared 2-vCPU host),";
+  note
+    "so they cannot resolve a 15%% change; only the count and GC columns back a claim, unless a \
+     control run sits beside the pairs"

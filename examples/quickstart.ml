@@ -41,24 +41,16 @@ let () =
         pattern d)
     (search Core.Kmismatch.M_tree)
 
-(* The literal mismatching tree of the paper's Fig. 7: collapsed <-, 0>
-   match runs with <char, position> mismatch nodes, and the per-path
-   mismatch arrays B_l of Fig. 3. *)
+(* The paper's mismatching tree (Fig. 7) as the engine explores it: n'
+   counts the tree's paths, the two occurrences plus the two paths cut
+   on their third mismatch, whether explored or derived. *)
 let () =
   let index = Core.Kmismatch.build_index "acagaca" in
-  let tree =
-    Core.Mismatch_tree.build (Core.Kmismatch.fm_rev index) ~pattern:"tcaca" ~k:2
-  in
-  Format.printf "@.mismatching tree (paper Fig. 7):@.%a@." Core.Mismatch_tree.pp
-    tree.Core.Mismatch_tree.root;
-  List.iter
-    (fun p ->
-      Format.printf "B = [%s]%s@."
-        (String.concat "; "
-           (List.map string_of_int p.Core.Mismatch_tree.mismatches))
-        (if p.Core.Mismatch_tree.complete then
-           Printf.sprintf " -> occurrence(s) at %s"
-             (String.concat ", "
-                (List.map string_of_int p.Core.Mismatch_tree.occurrences))
-         else " (dead path)"))
-    tree.Core.Mismatch_tree.paths
+  let obs = Obs.create () in
+  ignore
+    (Core.Kmismatch.run index
+       (Core.Kmismatch.Query.make ~obs ~engine:Core.Kmismatch.M_tree ~pattern:"tcaca" ~k:2 ()));
+  let count = Obs.counter_value obs in
+  Printf.printf "\nm-tree: n' = %d paths, %d nodes, %d derivations\n"
+    (count "engine.leaves" + count "engine.derived_leaves")
+    (count "engine.nodes") (count "engine.derivations")

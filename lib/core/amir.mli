@@ -7,7 +7,9 @@
     than [k] times are discarded and the survivors are verified with the
     word-parallel kernel ({!Fmindex.Packed_text.hamming}, limit [k]).  When the pattern is too short to cut into [2k] useful
     blocks, every position is verified directly (Amir's algorithm also
-    special-cases such patterns).  See DESIGN.md for the fidelity notes. *)
+    special-cases such patterns).  Every pass over the text (the [k = 0]
+    KMP scan, the block marking, verification) polls {!Deadline.poll}.
+    See DESIGN.md for the fidelity notes. *)
 
 val blocks : pattern:string -> k:int -> (int * string) list
 (** The [(offset, block)] decomposition used for filtering; exposed for

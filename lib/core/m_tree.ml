@@ -214,7 +214,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
     pattern;
   let m = String.length pattern in
   (* k >= m is the same query as k = m (see Kmismatch); the clamp also
-     keeps [2k+3] and the R-array limit [k+2] from overflowing. *)
+     keeps the R_ij limit [2k+3] from overflowing. *)
   let k = min k m in
   let n = Fm.length fm in
   if m > n then []
@@ -222,7 +222,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
     (* R_ij, cached under i*(m+1)+j; the pattern's LCE structure is built
        by the first derivation, so searches without one never pay for it. *)
     let rij_limit = (2 * k) + 3 in
-    let rij_state = lazy (Mismatch_array.build pattern ~k, Hashtbl.create 16) in
+    let rij_state = lazy (Mismatch_array.build pattern, Hashtbl.create 16) in
     let rij ~i ~j =
       let mi, cache = Lazy.force rij_state in
       let key = (i * (m + 1)) + j in

@@ -64,10 +64,11 @@ let fm_packed_find_all =
           Some (List.map (fun p -> (p, 0)) (Fmindex.Fm_index.find_all fm c.pattern)));
   }
 
-(* Persistence under fuzz: the index is saved (format v5),
-   reloaded and queried through the fastest engine; any disagreement
-   between the adopted buffers and a freshly built index shows up as a
-   divergence. *)
+(* Persistence under fuzz: the index is saved (format v5), reloaded by
+   Copy and by Mmap, and queried through m-tree and bidir on each
+   reload; the four answers must agree, so a disagreement between the
+   adopted buffers and a freshly built index, or between the two load
+   modes, shows up as a divergence. *)
 let fm_save_roundtrip =
   {
     sub_name = "fm-save-roundtrip";
@@ -78,12 +79,25 @@ let fm_save_roundtrip =
           ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
           (fun () ->
             Kmismatch.save_index idx path;
-            let idx' = Kmismatch.load_index path in
-            let q =
-              Kmismatch.Query.make ~engine:Kmismatch.M_tree ~pattern:c.pattern
-                ~k:c.k ()
+            let answers =
+              List.concat_map
+                (fun (mode_name, mode) ->
+                  let idx' = Kmismatch.load_index ~mode path in
+                  List.map
+                    (fun engine ->
+                      let q = Kmismatch.Query.make ~engine ~pattern:c.pattern ~k:c.k () in
+                      ( Printf.sprintf "%s/%s" mode_name (Kmismatch.engine_name engine),
+                        (Kmismatch.run idx' q).hits ))
+                    [ Kmismatch.M_tree; Kmismatch.Bidir ])
+                [ ("copy", Fmindex.Fm_index.Copy); ("mmap", Fmindex.Fm_index.Mmap) ]
             in
-            Some (Kmismatch.run idx' q).hits));
+            let first_name, first = List.hd answers in
+            List.iter
+              (fun (name, hits) ->
+                if hits <> first then
+                  failwith (Printf.sprintf "%s disagrees with %s" name first_name))
+              answers;
+            Some first));
   }
 
 (* Format-v5 self-verification under fuzz: serialize a forward index of

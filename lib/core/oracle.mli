@@ -64,8 +64,9 @@ val default_subjects : unit -> subject list
     [k = 0] cases, a [bidir-find-all] subject that rebuilds the
     bidirectional index from the case's raw text and runs the optimum
     search schemes executor ({!Oss.search}) on every budget, a
-    save/load roundtrip (current on-disk format)
-    queried through the M-tree engine, and an [fm-image-corruption]
+    save/load roundtrip (current on-disk format, reloaded by Copy and
+    by Mmap, each queried through m-tree and bidir; the four answers
+    must agree), and an [fm-image-corruption]
     subject that serializes the index and verifies that each of a
     pseudo-random battery of image corruptions (bit flips, truncations,
     ENOSPC prefixes) is either rejected with a typed error or decodes

@@ -210,6 +210,7 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
          can partition the pattern into k + 1 nonempty pieces. *)
       let out = ref [] in
       for w = n - m downto 0 do
+        Deadline.poll ();
         out := (w, Packed_text.hamming ~limit:max_int rtext rpp ~pos:(n - w - m)) :: !out
       done;
       !out

@@ -100,7 +100,7 @@ val search :
     or negative [k].
 
     Cooperative cancellation: {!Deadline.poll} runs at every node of the
-    branching walk.  [obs] receives a [bidir.explore_ns] duration (and
+    branching walk and at every window of the [k >= m] scan.  [obs] receives a [bidir.explore_ns] duration (and
     on a tracing sink a [bidir.explore] span), and once,
     when the search returns, the [bidir.extends] /
     [bidir.verifications] / [bidir.searches] counters and the

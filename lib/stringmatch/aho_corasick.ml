@@ -71,6 +71,7 @@ let scan t text ~f =
   let state = ref t.root in
   String.iteri
     (fun i c ->
+      Deadline.poll ();
       state := step t !state c;
       List.iter
         (fun (pattern, len) -> f ~pattern ~pos:(i - len + 1))

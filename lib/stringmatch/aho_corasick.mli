@@ -11,7 +11,7 @@ val build : string array -> t
 val scan : t -> string -> f:(pattern:int -> pos:int -> unit) -> unit
 (** Run the automaton over [text], calling [f] for every occurrence:
     [pattern] is the index into the build array, [pos] the 0-based start of
-    the occurrence. *)
+    the occurrence.  Polls {!Deadline.poll} once per text character. *)
 
 val find_all : t -> string -> (int * int) list
 (** All [(pattern, pos)] occurrences, in scan order. *)

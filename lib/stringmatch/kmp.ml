@@ -19,6 +19,7 @@ let find_all ~pattern ~text =
     let acc = ref [] in
     let k = ref 0 in
     for i = 0 to n - 1 do
+      Deadline.poll ();
       while !k > 0 && pattern.[!k] <> text.[i] do
         k := f.(!k - 1)
       done;

@@ -6,3 +6,5 @@ val failure : string -> int array
     proper border of [p[0 .. i]]. *)
 
 val find_all : pattern:string -> text:string -> int list
+(** Every start of [pattern] in [text], ascending.  Polls
+    {!Deadline.poll} once per text character. *)

@@ -152,6 +152,29 @@ let deadline_ambient_poll () =
   in
   Alcotest.(check bool) "check raises immediately" true checked
 
+(* Every registered engine polls inside its whole-text loops: with the
+   ambient deadline already spent, a k >= m query (every window is a
+   hit) and a k = 0 query must both raise [Expired] rather than answer.
+   [prepare] runs first, outside the deadline, so only the search
+   itself is under test. *)
+let every_engine_polls () =
+  let idx = K.build_index (String.sub text 0 20_000) in
+  let pattern = "acgt" in
+  List.iter
+    (fun (e : K.Engine_registry.entry) ->
+      e.prepare idx;
+      List.iter
+        (fun k ->
+          let args = { K.Engine_registry.pattern; k; obs = Obs.noop } in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at k = %d raises Expired" e.name k)
+            true
+            (match Deadline.with_ambient (Deadline.after 0.) (fun () -> e.run idx args) with
+            | _ -> false
+            | exception Deadline.Expired -> true))
+        [ String.length pattern; 0 ])
+    (K.Engine_registry.all ())
+
 let reads_fixture =
   lazy
     (let st = Random.State.make [| 0xfeed |] in
@@ -667,6 +690,7 @@ let () =
           Alcotest.test_case "basics" `Quick deadline_basics;
           Alcotest.test_case "ambient poll" `Quick deadline_ambient_poll;
           Alcotest.test_case "query deadline direct" `Quick query_deadline_direct;
+          Alcotest.test_case "every engine's text loop polls" `Quick every_engine_polls;
         ] );
       ( "cancellation",
         [

@@ -11,21 +11,23 @@ let hits = Alcotest.(list (pair int int))
 let test_r_tables_paper_example () =
   (* Fig. 4: r = tcacg.  R_1 = mismatches of tcac vs cacg = every
      position; R_2 = tca vs acg = {1, 3}; R_3 = tc vs cg = {1, 2};
-     R_4 = t vs g = {1}. *)
-  let t = Mismatch_array.build "tcacg" ~k:3 in
-  check (Alcotest.array int) "R1" [| 1; 2; 3; 4 |] (Mismatch_array.shift_table t 1);
-  check (Alcotest.array int) "R2" [| 1; 3 |] (Mismatch_array.shift_table t 2);
-  check (Alcotest.array int) "R3" [| 1; 2 |] (Mismatch_array.shift_table t 3);
-  check (Alcotest.array int) "R4" [| 1 |] (Mismatch_array.shift_table t 4);
-  check (Alcotest.array int) "R0 empty" [||] (Mismatch_array.shift_table t 0)
+     R_4 = t vs g = {1}.  R_i is R_0i. *)
+  let t = Mismatch_array.build "tcacg" in
+  let r i = Mismatch_array.pairwise_lce t ~i:0 ~j:i ~limit:5 in
+  check (Alcotest.array int) "R1" [| 1; 2; 3; 4 |] (r 1);
+  check (Alcotest.array int) "R2" [| 1; 3 |] (r 2);
+  check (Alcotest.array int) "R3" [| 1; 2 |] (r 3);
+  check (Alcotest.array int) "R4" [| 1 |] (r 4);
+  check (Alcotest.array int) "R0 empty" [||] (r 0)
 
 let test_r_tables_limit () =
-  (* Tables hold at most k+2 entries. *)
-  let t = Mismatch_array.build "tttttttttt" ~k:1 in
-  (* shift 1 over aaaa... all-equal: no mismatches at all. *)
-  check (Alcotest.array int) "periodic: none" [||] (Mismatch_array.shift_table t 1);
-  let t2 = Mismatch_array.build "tgtgtgtgtg" ~k:1 in
-  check int "capped at k+2" 3 (Array.length (Mismatch_array.shift_table t2 1))
+  (* An array holds at most [limit] entries. *)
+  let t = Mismatch_array.build "tttttttttt" in
+  check (Alcotest.array int) "periodic: none" [||]
+    (Mismatch_array.pairwise_lce t ~i:0 ~j:1 ~limit:3);
+  let t2 = Mismatch_array.build "tgtgtgtgtg" in
+  check int "capped at the limit" 3
+    (Array.length (Mismatch_array.pairwise_lce t2 ~i:0 ~j:1 ~limit:3))
 
 let naive_shift r i ~limit =
   let m = String.length r in
@@ -35,69 +37,20 @@ let prop_r_tables =
   Test_util.qtest ~count:300 "R_i = naive shift mismatches"
     QCheck2.Gen.(pair (Test_util.dna_gen ~lo:2 ~hi:80 ()) (int_range 0 5))
     (fun (r, k) ->
-      let t = Mismatch_array.build r ~k in
+      let t = Mismatch_array.build r in
       let ok = ref true in
       for i = 1 to String.length r - 1 do
-        if Mismatch_array.shift_table t i <> naive_shift r i ~limit:(k + 2) then
-          ok := false
+        if Mismatch_array.pairwise_lce t ~i:0 ~j:i ~limit:(k + 2) <> naive_shift r i ~limit:(k + 2)
+        then ok := false
       done;
       !ok)
 
-let test_merge_paper_example () =
-  (* §IV.B: A1 = R_1 = [1;2;3;4], A2 = R_3... the paper merges
-     A1 = [1;2;3;4], A2 = [1;3] with beta = cacg, gamma = acg (overlap 3),
-     yielding the mismatches of beta vs gamma over the joint coordinates.
-     Here we check merge on the two full arrays exactly as printed:
-     result [1;2;3;4] capped to the overlap handled by the caller. *)
-  let beta x = "cacg".[x - 1] and gamma x = "acgg".[x - 1] in
-  let merged =
-    Mismatch_array.merge ~a1:[| 1; 2; 3; 4 |] ~a2:[| 1; 3 |] ~beta ~gamma ~limit:10
-  in
-  check (Alcotest.array int) "merge" [| 1; 2; 3; 4 |] merged
-
-let test_merge_cancellation () =
-  (* A position in both arrays where beta and gamma agree must vanish. *)
-  let beta x = "aa".[x - 1] and gamma x = "aa".[x - 1] in
-  let merged = Mismatch_array.merge ~a1:[| 1; 2 |] ~a2:[| 1; 2 |] ~beta ~gamma ~limit:10 in
-  check (Alcotest.array int) "cancel" [||] merged
-
-let prop_merge =
-  (* alpha, beta, gamma random of equal length: merging the full mismatch
-     arrays of (alpha,beta) and (alpha,gamma) gives those of (beta,gamma). *)
-  Test_util.qtest ~count:400 "merge correctness"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:1 ~hi:60 ()) (Test_util.dna_gen ~lo:1 ~hi:60 ())
-        (Test_util.dna_gen ~lo:1 ~hi:60 ()))
-    (fun (a, b, c) ->
-      let n = min (String.length a) (min (String.length b) (String.length c)) in
-      let a = String.sub a 0 n and b = String.sub b 0 n and c = String.sub c 0 n in
-      let full x y = Mismatch_array.naive_pairwise x y ~limit:n in
-      let beta x = b.[x - 1] and gamma x = c.[x - 1] in
-      Mismatch_array.merge ~a1:(full a b) ~a2:(full a c) ~beta ~gamma ~limit:n
-      = full b c)
-
-let prop_derive_rij =
-  (* derive (the paper's R_ij via merge of truncated tables, plus our exact
-     completion) must equal the direct computation. *)
-  Test_util.qtest ~count:400 "derive = pairwise"
-    QCheck2.Gen.(tup3 (Test_util.dna_gen ~lo:3 ~hi:60 ()) (int_range 0 4) (pair small_nat small_nat))
-    (fun (r, k, (i0, j0)) ->
-      let m = String.length r in
-      let i = i0 mod (m - 1) in
-      let j = i + 1 + (j0 mod (m - 1 - i)) in
-      let t = Mismatch_array.build r ~k in
-      Mismatch_array.derive t ~i ~j
-      = Mismatch_array.pairwise_lce t ~i ~j ~limit:(k + 2))
-
 let test_mismatch_array_validation () =
-  (match Mismatch_array.build "" ~k:1 with
+  (match Mismatch_array.build "" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty pattern");
-  (match Mismatch_array.build "acg" ~k:(-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative k");
-  let t = Mismatch_array.build "acg" ~k:1 in
-  match Mismatch_array.shift_table t 5 with
+  let t = Mismatch_array.build "acg" in
+  match Mismatch_array.pairwise_lce t ~i:0 ~j:5 ~limit:1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "shift out of range"
 
@@ -359,12 +312,8 @@ let () =
         [
           Alcotest.test_case "paper R tables" `Quick test_r_tables_paper_example;
           Alcotest.test_case "table limits" `Quick test_r_tables_limit;
-          Alcotest.test_case "merge paper example" `Quick test_merge_paper_example;
-          Alcotest.test_case "merge cancellation" `Quick test_merge_cancellation;
           Alcotest.test_case "validation" `Quick test_mismatch_array_validation;
           prop_r_tables;
-          prop_merge;
-          prop_derive_rij;
         ] );
       ( "paper_examples",
         [

@@ -1,7 +1,8 @@
 (* Cross-cutting property tests and invariants that go beyond the
    per-module suites: the Int_table substrate, the rank-correspondence
    property the paper's equation (1) relies on, locate completeness, the
-   delta heuristic's definition, and engine counter accounting. *)
+   delta heuristic's definition, the engine's R_ij, engine counter
+   accounting, and the paper's worked example on the engine. *)
 
 open Core
 
@@ -142,48 +143,36 @@ let prop_delta =
       = Array.map (fun d -> min d (k + 1)) (naive_delta text pattern))
 
 (* ------------------------------------------------------------------ *)
-(* Mismatch arrays: R_i tables vs the pairwise definition               *)
+(* The engine's R_ij vs the pairwise definition                         *)
 
-let prop_shift_table_naive =
-  (* R_i is defined as the first k+2 positions where r[1 .. m-i] and
-     r[i+1 .. m] disagree (paper SS:IV.B); check every shift of every
-     generated pattern against the naive pairwise scan.  Note that
-     [build] clamps k to m internally, but the overlap at shift i has
-     length m-i <= m-1 < m+2, so the clamp can never truncate a table
-     that the unclamped limit would have kept. *)
-  Test_util.qtest ~count:300 "shift_table = naive_pairwise"
-    QCheck2.Gen.(pair (Test_util.dna_gen ~lo:1 ~hi:60 ()) (int_range 0 6))
-    (fun (r, k) ->
-      let t = Mismatch_array.build r ~k in
-      let m = String.length r in
-      Mismatch_array.shift_table t 0 = [||]
-      && List.for_all
-           (fun i ->
-             Mismatch_array.shift_table t i
-             = Mismatch_array.naive_pairwise
-                 (String.sub r 0 (m - i))
-                 (String.sub r i (m - i))
-                 ~limit:(k + 2))
-           (List.init (m - 1) (fun i -> i + 1)))
+(* R_ij at the paper's k+2 and at the engine's 2k+3 entries, for a
+   shift pair 0 <= i < j < m drawn from [(i0, j0)]. *)
+let rij_matches_naive r k (i0, j0) =
+  let m = String.length r in
+  let i = i0 mod (m - 1) in
+  let j = i + 1 + (j0 mod (m - 1 - i)) in
+  let t = Mismatch_array.build r in
+  let ov = m - j in
+  List.for_all
+    (fun limit ->
+      Mismatch_array.pairwise_lce t ~i ~j ~limit
+      = Mismatch_array.naive_pairwise (String.sub r i ov) (String.sub r j ov) ~limit)
+    [ k + 2; (2 * k) + 3 ]
 
-let prop_shift_table_periodic =
-  (* Highly periodic patterns are where R_i tables saturate their k+2
-     limit; stress those shapes specifically. *)
-  Test_util.qtest ~count:200 "shift_table = naive_pairwise (periodic)"
+let prop_rij_naive =
+  Test_util.qtest ~count:400 "pairwise_lce = naive_pairwise"
     QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:1 ~hi:4 ()) (int_range 2 20) (int_range 0 4))
-    (fun (unit_str, reps, k) ->
-      let r = String.concat "" (List.init reps (fun _ -> unit_str)) in
-      let t = Mismatch_array.build r ~k in
-      let m = String.length r in
-      List.for_all
-        (fun i ->
-          Mismatch_array.shift_table t i
-          = Mismatch_array.naive_pairwise
-              (String.sub r 0 (m - i))
-              (String.sub r i (m - i))
-              ~limit:(k + 2))
-        (List.init (m - 1) (fun i -> i + 1)))
+      tup3 (Test_util.dna_gen ~lo:2 ~hi:60 ()) (int_range 0 6) (pair small_nat small_nat))
+    (fun (r, k, ij) -> rij_matches_naive r k ij)
+
+let prop_rij_periodic =
+  (* Highly periodic patterns are where R_ij saturates its limit. *)
+  Test_util.qtest ~count:300 "pairwise_lce = naive_pairwise (periodic)"
+    QCheck2.Gen.(
+      tup4 (Test_util.dna_gen ~lo:1 ~hi:4 ()) (int_range 2 20) (int_range 0 4)
+        (pair small_nat small_nat))
+    (fun (unit_str, reps, k, ij) ->
+      rij_matches_naive (String.concat "" (List.init reps (fun _ -> unit_str))) k ij)
 
 (* ------------------------------------------------------------------ *)
 (* Engine counters                                                      *)
@@ -252,94 +241,42 @@ let prop_m_tree_repetitive_configs =
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 (* ------------------------------------------------------------------ *)
-(* The literal mismatching tree (paper Fig. 3 / Fig. 7)                 *)
+(* The paper's worked example on the engine (SS:IV.A, Fig. 7)           *)
 
-let paper_tree () =
-  let idx = Kmismatch.build_index "acagaca" in
-  Mismatch_tree.build (Kmismatch.fm_rev idx) ~pattern:"tcaca" ~k:2
+(* r = tcaca against s = acagaca with k = 2, under the default config
+   and the paper-pure one (every node stored, no chain skip, no delta). *)
+let paper_configs =
+  [
+    ("default", M_tree.default_config);
+    ("paper", { M_tree.store_width = 1; chain_skip = false; use_delta = false });
+  ]
 
-let test_mtree_paper_paths () =
-  (* SS:IV.A: B1 = [1, 4], B2 = [1, 2], B3 = B4 = [1, 2, 3]. *)
-  let t = paper_tree () in
-  let complete =
-    List.filter_map
-      (fun p -> if p.Mismatch_tree.complete then Some p.Mismatch_tree.mismatches else None)
-      t.Mismatch_tree.paths
-  in
-  let dead =
-    List.filter_map
-      (fun p -> if p.Mismatch_tree.complete then None else Some p.Mismatch_tree.mismatches)
-      t.Mismatch_tree.paths
-  in
-  check
-    Alcotest.(list (list int))
-    "complete B arrays"
-    [ [ 1; 2 ]; [ 1; 4 ] ]
-    (List.sort compare complete);
-  check
-    Alcotest.(list (list int))
-    "dead B arrays"
-    [ [ 1; 2; 3 ]; [ 1; 2; 3 ] ]
-    (List.sort compare dead);
-  check int "n' = 4 leaves" 4 (Mismatch_tree.leaves t)
+let paper_search config =
+  let obs = Obs.create () in
+  let fm = Kmismatch.fm_rev (Kmismatch.build_index "acagaca") in
+  let hits = M_tree.search ~config ~obs fm ~pattern:"tcaca" ~k:2 in
+  (hits, obs)
 
 let test_mtree_paper_occurrences () =
-  let t = paper_tree () in
-  let occ =
-    List.concat_map (fun p -> p.Mismatch_tree.occurrences) t.Mismatch_tree.paths
-  in
-  check Alcotest.(list int) "occurrences 0 and 2" [ 0; 2 ] (List.sort compare occ)
+  List.iter
+    (fun (name, config) ->
+      check
+        Alcotest.(list (pair int int))
+        (name ^ ": occurrences 0 and 2")
+        [ (0, 2); (2, 2) ]
+        (fst (paper_search config)))
+    paper_configs
 
-let rec mtree_no_match_match parent node =
-  (* Definition 4 invariant: a <-, 0> node is never the child of another
-     <-, 0> node (maximal match runs are collapsed). *)
-  (match (parent, node.Mismatch_tree.label) with
-  | Some `Match, `Match -> false
-  | _ ->
-      List.for_all
-        (mtree_no_match_match (Some node.Mismatch_tree.label))
-        node.Mismatch_tree.children)
-
-let prop_mtree_invariants =
-  Test_util.qtest ~count:200 "mismatch tree invariants"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:5 ~hi:150 ()) (Test_util.dna_gen ~lo:1 ~hi:12 ())
-        (int_range 0 3))
-    (fun (text, pattern, k) ->
-      let idx = Kmismatch.build_index text in
-      let t = Mismatch_tree.build (Kmismatch.fm_rev idx) ~pattern ~k in
-      (* 1. no adjacent collapsed match nodes *)
-      mtree_no_match_match None t.Mismatch_tree.root
-      (* 2. complete paths carry <= k mismatches, dead ones <= k+1 *)
-      && List.for_all
-           (fun p ->
-             List.length p.Mismatch_tree.mismatches
-             <= (if p.Mismatch_tree.complete then k else k + 1)
-             (* mismatch positions strictly increasing, in [1, m] *)
-             && List.sort_uniq compare p.Mismatch_tree.mismatches
-                = p.Mismatch_tree.mismatches
-             && List.for_all
-                  (fun x -> 1 <= x && x <= String.length pattern)
-                  p.Mismatch_tree.mismatches)
-           t.Mismatch_tree.paths)
-
-let prop_mtree_occurrences_match_engines =
-  Test_util.qtest ~count:200 "mismatch tree occurrences = engine results"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:5 ~hi:150 ()) (Test_util.dna_gen ~lo:1 ~hi:12 ())
-        (int_range 0 3))
-    (fun (text, pattern, k) ->
-      let idx = Kmismatch.build_index text in
-      let t = Mismatch_tree.build (Kmismatch.fm_rev idx) ~pattern ~k in
-      let occ =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun pos -> (pos, List.length p.Mismatch_tree.mismatches))
-              p.Mismatch_tree.occurrences)
-          (List.filter (fun p -> p.Mismatch_tree.complete) t.Mismatch_tree.paths)
-      in
-      List.sort compare occ = Stringmatch.Hamming.search ~pattern ~text ~k)
+let test_mtree_paper_leaves () =
+  (* The paper's n' = 4 paths of Fig. 7 (B1 .. B4): two occurrences and
+     two paths cut on their third mismatch, whether explored or derived. *)
+  List.iter
+    (fun (name, config) ->
+      let obs = snd (paper_search config) in
+      check int (name ^ ": n' = 4") 4
+        (Obs.counter_value obs "engine.leaves"
+        + Obs.counter_value obs "engine.derived_leaves"))
+    paper_configs
 
 let () =
   Alcotest.run "props"
@@ -353,7 +290,7 @@ let () =
         ] );
       ("bwt_invariants", [ prop_rank_correspondence; prop_locate_whole ]);
       ("delta", [ prop_delta ]);
-      ("mismatch_array", [ prop_shift_table_naive; prop_shift_table_periodic ]);
+      ("mismatch_array", [ prop_rij_naive; prop_rij_periodic ]);
       ( "engine_counts",
         [
           Alcotest.test_case "each query counts from zero" `Quick test_counts_start_at_zero;
@@ -363,10 +300,8 @@ let () =
         [ prop_m_tree_all_configs; prop_m_tree_repetitive_configs ] );
       ( "mismatch_tree",
         [
-          Alcotest.test_case "paper B arrays" `Quick test_mtree_paper_paths;
           Alcotest.test_case "paper occurrences" `Quick test_mtree_paper_occurrences;
-          prop_mtree_invariants;
-          prop_mtree_occurrences_match_engines;
+          Alcotest.test_case "paper n' = 4 leaves" `Quick test_mtree_paper_leaves;
         ] );
     ]
 

@@ -526,7 +526,7 @@ let () =
         ] );
       ( "truncation",
         [
-          Alcotest.test_case "v4 mmap header sweep + prefixes" `Quick
+          Alcotest.test_case "v5 mmap header sweep + prefixes" `Quick
             test_mmap_header_sweep;
           Alcotest.test_case "every prefix rejected" `Quick
             test_every_truncation_rejected;
