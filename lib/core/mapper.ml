@@ -127,6 +127,19 @@ let map_one ~obs ~engine ~both_strands ~deadline index rt ~k read_id seq =
   in
   fwd @ rev
 
+(* Output order: read id, then position, then strand, with [`Reverse]
+   before [`Forward]: polymorphic [compare]'s order of the two
+   constructors, kept so that [kmm map] output stays byte-identical.
+   Typed fields allocate nothing per comparison. *)
+let strand_rank = function `Reverse -> 0 | `Forward -> 1
+
+let compare_hits a b =
+  let c = Int.compare a.read_id b.read_id in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.pos b.pos in
+    if c <> 0 then c else Int.compare (strand_rank a.strand) (strand_rank b.strand)
+
 let run opts index ~reads ~k =
   let { engine; both_strands; domains; chunk_size; obs; deadline } = opts in
   if domains < 1 then invalid_arg "Mapper.run: domains must be >= 1";
@@ -223,11 +236,7 @@ let run opts index ~reads ~k =
     | Some e -> skipped := (fst reads.(i), e) :: !skipped
     | None -> ()
   done;
-  let hits =
-    List.sort
-      (fun a b -> compare (a.read_id, a.pos, a.strand) (b.read_id, b.pos, b.strand))
-      (List.concat (Array.to_list per_read))
-  in
+  let hits = List.sort compare_hits (List.concat (Array.to_list per_read)) in
   let t3 = Obs.Clock.now_ns () in
   Obs.record obs Obs.Hist.map_prepare_ns (t1 - t0);
   Obs.record obs Obs.Hist.map_search_ns (t2 - t1);

@@ -88,11 +88,11 @@ val run :
     and the summary are byte-identical for every
     [domains]/[chunk_size] combination — each read's hits land in a slot
     indexed by read position and the merge never depends on scheduling;
-    [domains = 1] {e is} the sequential path (no domain is spawned).
+    [domains = 1] {e is} the sequential path (no helper domain is woken).
 
     {b Observability:} when [obs] is active, every worker records into
     its own {!Obs.fork} of the sink, merged back in worker-index order
-    after the fan-out joins.  Per read: a [map.read_ns] latency histogram
+    after the fan-out finishes.  Per read: a [map.read_ns] latency histogram
     entry, a [map.read_hits] histogram entry (hit multiplicity — a
     function of the input alone, so it merges bit-for-bit across any
     domain count, as do the [map.reads]/[map.reads_skipped]/

@@ -17,8 +17,8 @@
       {!poll_stride} polls (fuel counting), bounding both the overhead
       and the detection latency (stride × per-poll work).
 
-    The ambient slot is per-domain ([Domain.DLS]), so a domain spawned
-    by [Work_pool.run] inherits nothing from its spawner: callers that
+    The ambient slot is per-domain ([Domain.DLS]), so a helper domain
+    of [Work_pool.run] does not see its caller's: callers that
     fan out must install the deadline inside each task (see [Mapper],
     which checks the batch deadline before each read and hands it to
     each read's query). *)

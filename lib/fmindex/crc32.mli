@@ -18,3 +18,9 @@ val storage : Storage.t -> pos:int -> len:int -> int
 (** {!sub} of a byte buffer — a heap copy of an index image or the
     mapped file itself.
     @raise Invalid_argument on an out-of-range slice. *)
+
+val combine : int -> int -> int -> int
+(** [combine (string a) (string b) (String.length b) = string (a ^ b)]:
+    the CRC of a concatenation from the CRCs of its parts, without the
+    bytes (zlib's [crc32_combine]), in O(log len) steps.
+    @raise Invalid_argument if the length is negative. *)

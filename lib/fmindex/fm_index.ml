@@ -532,6 +532,22 @@ let get_le (img : Storage.t) off n =
   done;
   !v
 
+(* The trailer's CRC, of the image's first [size - 4] bytes, from the
+   sections' CRCs [crcs] (as computed from the bytes, never as stored)
+   and [crc] (the CRC of an image span) over only what no section
+   covers: the header lines, the zero padding before each section and
+   the trailer magic.  No section byte is hashed twice. *)
+let whole_crc ~crc ext crcs ~size =
+  let acc = ref (crc ~pos:0 ~len:ext.(0).off) in
+  Array.iteri
+    (fun i e ->
+      let gap = e.off + e.len in
+      let next = if i + 1 < nsections then ext.(i + 1).off else size - 4 in
+      acc := Crc32.combine !acc crcs.(i) e.len;
+      acc := Crc32.combine !acc (crc ~pos:gap ~len:(next - gap)) (next - gap))
+    ext;
+  !acc
+
 (* --- serialization ---------------------------------------------------- *)
 
 let header_of t =
@@ -598,16 +614,15 @@ let serialize t =
     Bytes.blit_string s 0 b !pos (String.length s);
     pos := !pos + String.length s
   in
+  let crcs = Array.map (fun e -> crc ~pos:e.off ~len:e.len) ext in
   put l1;
   put "sections";
-  Array.iter
-    (fun e -> put (Printf.sprintf " %012d %012d %08x" e.off e.len (crc ~pos:e.off ~len:e.len)))
-    ext;
+  Array.iter2 (fun e c -> put (Printf.sprintf " %012d %012d %08x" e.off e.len c)) ext crcs;
   put "\n";
   put (Printf.sprintf "hcrc %08x\n" (crc ~pos:0 ~len:!pos));
   assert (!pos = String.length l1 + section_table_len + hcrc_line_len);
   Bytes.blit_string trailer_magic 0 b (size - 8) 4;
-  Bytes.set_int32_le b (size - 4) (Int32.of_int (crc ~pos:0 ~len:(size - 4)));
+  Bytes.set_int32_le b (size - 4) (Int32.of_int (whole_crc ~crc ext crcs ~size));
   Bytes.unsafe_to_string b
 
 (* --- atomic, crash-safe file writing ---------------------------------- *)
@@ -844,16 +859,15 @@ let prologue img =
 
 (* The checks a Copy load runs before adopting: the whole-file CRC of
    the trailer (which also covers the padding bytes and the stored
-   CRCs), then every section's CRC. *)
+   CRCs), then every section's CRC.  One pass over the payload: the
+   whole-file CRC is combined from the sections' computed CRCs. *)
 let check_crcs img (_, ext, crcs) =
   let size = Storage.length img in
-  if Crc32.storage img ~pos:0 ~len:(size - 4) <> get_le img (size - 4) 4 then
+  let crc ~pos ~len = Crc32.storage img ~pos ~len in
+  let computed = Array.map (fun e -> crc ~pos:e.off ~len:e.len) ext in
+  if whole_crc ~crc ext computed ~size <> get_le img (size - 4) 4 then
     corrupt Kmm_error.Trailer "whole-file checksum mismatch";
-  Array.iteri
-    (fun i e ->
-      if Crc32.storage img ~pos:e.off ~len:e.len <> crcs.(i) then
-        corrupt section_of.(i) "checksum mismatch")
-    ext
+  Array.iteri (fun i c -> if c <> crcs.(i) then corrupt section_of.(i) "checksum mismatch") computed
 
 (* The tail of adoption: clear the mark padding bits beyond row n,
    build the mark rank directory, check the sampling shape, and

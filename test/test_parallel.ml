@@ -57,6 +57,103 @@ let test_pool_exception_propagates () =
       let out = Work_pool.map_array pool ~f:succ [| 1; 2; 3 |] in
       check bool "pool alive after error" true (out = [| 2; 3; 4 |]))
 
+(* One job of [domains pool] tasks in which every task waits until all
+   of them have started, so each worker takes exactly one; returns the
+   domain each worker ran on ([None] for a worker that ran no task).
+   [then_] runs in each task after the wait.  The wait gives up after
+   [spins] relaxations, so a pool that runs the job inline on its caller
+   fails the caller's check instead of hanging. *)
+let one_task_per_worker ?(then_ = fun ~worker:_ -> ()) pool =
+  let width = Work_pool.domains pool in
+  let arrived = Atomic.make 0 and where = Array.make width None in
+  let spins = 100_000_000 in
+  Work_pool.run pool ~tasks:width (fun ~worker ~task:_ ->
+      Atomic.incr arrived;
+      let n = ref 0 in
+      while Atomic.get arrived < width && !n < spins do
+        incr n;
+        Domain.cpu_relax ()
+      done;
+      where.(worker) <- Some (Domain.self () :> int);
+      then_ ~worker);
+  where
+
+let check_every_worker_ran where =
+  Array.iteri
+    (fun w d -> check bool (Printf.sprintf "worker %d ran a task" w) true (Option.is_some d))
+    where;
+  check bool "workers on distinct domains" true
+    (List.length (List.sort_uniq compare (Array.to_list where)) = Array.length where)
+
+(* Helper domains are parked between runs, not spawned per run: worker
+   [w] runs on the same domain in two runs, even from two pools. *)
+let test_pool_helpers_persist () =
+  let first = Work_pool.with_pool ~domains:3 one_task_per_worker in
+  let second = Work_pool.with_pool ~domains:3 one_task_per_worker in
+  check_every_worker_ran first;
+  check bool "worker 0 is the caller" true (first.(0) = Some (Domain.self () :> int));
+  check bool "same domain per worker" true (first = second)
+
+(* A run from inside a task finds the helpers taken and runs inline on
+   the task's own domain, as worker 0, with correct results. *)
+let test_pool_nested_run_inline () =
+  Work_pool.with_pool ~domains:3 (fun pool ->
+      let tasks = 8 in
+      let outer = Array.make tasks [||] and inline = Array.make tasks false in
+      Work_pool.run pool ~tasks (fun ~worker:_ ~task ->
+          let self = Domain.self () and on_caller = ref true in
+          Work_pool.run pool ~tasks:5 (fun ~worker ~task:_ ->
+              if worker <> 0 || Domain.self () <> self then on_caller := false);
+          inline.(task) <- !on_caller;
+          outer.(task) <- Work_pool.map_array pool ~f:(fun x -> x * task) [| 1; 2; 3 |]);
+      Array.iteri
+        (fun task r ->
+          check bool "inner results" true (r = [| task; 2 * task; 3 * task |]);
+          check bool "inner run inline" true inline.(task))
+        outer)
+
+(* Two systhreads run jobs at once: the second finds the helpers taken
+   by the first (whose task 0 waits until the second is done) and runs
+   inline; both get complete, correct results. *)
+let test_pool_concurrent_callers () =
+  let a_started = Atomic.make false and b_done = Atomic.make false in
+  let job f = Work_pool.with_pool ~domains:3 (fun pool -> Work_pool.map_array pool ~f (Array.init 50 Fun.id)) in
+  let a = ref [||] in
+  let thread_a =
+    Thread.create
+      (fun () ->
+        a :=
+          job (fun x ->
+              if x = 0 then begin
+                Atomic.set a_started true;
+                while not (Atomic.get b_done) do
+                  Thread.yield ()
+                done
+              end;
+              x * x))
+      ()
+  in
+  while not (Atomic.get a_started) do
+    Thread.yield ()
+  done;
+  let b = job succ in
+  Atomic.set b_done true;
+  Thread.join thread_a;
+  check bool "first job" true (!a = Array.init 50 (fun x -> x * x));
+  check bool "second job" true (b = Array.init 50 succ)
+
+(* A helper whose task raised parks again and takes the next job. *)
+let test_pool_helper_survives_failure () =
+  Work_pool.with_pool ~domains:3 (fun pool ->
+      let before = one_task_per_worker pool in
+      (match one_task_per_worker pool ~then_:(fun ~worker -> if worker > 0 then failwith "helper") with
+      | _ -> Alcotest.fail "helper failure swallowed"
+      | exception Work_pool.Task_failed { exn = Failure msg; _ } ->
+          check Alcotest.string "helper's exception" "helper" msg);
+      let after = one_task_per_worker pool in
+      check_every_worker_ran after;
+      check bool "same helpers" true (before = after))
+
 let test_pool_invalid_args () =
   List.iter
     (fun domains ->
@@ -171,6 +268,44 @@ let test_pattern_longer_than_text () =
   let hits, summary = map ~domains:2 idx ~reads:[ (0, "acgtacgtacgt") ] ~k:2 in
   check int "mapper long read no hits" 0 (List.length hits);
   check int "unmapped" 0 summary.Mapper.mapped
+
+(* A read whose reverse complement lands on the same site: [site] is its
+   own reverse complement, and the read is [site] with its first base
+   changed, so both strands hit [site]'s position at distance 1.  The
+   output orders hits by read id, position, then strand with [`Reverse]
+   first, the order polymorphic [compare] gives the (read_id, pos,
+   strand) triple. *)
+let test_hit_order () =
+  let state = Random.State.make [| 17 |] in
+  let half = Dna.Sequence.random ~state 12 in
+  let site = Dna.Sequence.to_string half ^ Dna.Sequence.to_string (Dna.Sequence.revcomp half) in
+  let flank n = Dna.Sequence.to_string (Dna.Sequence.random ~state n) in
+  let left = flank 300 in
+  let genome = left ^ site ^ flank 300 in
+  let idx = Kmismatch.build_index genome in
+  let read =
+    String.mapi (fun i c -> if i > 0 then c else if c = 'a' then 'c' else 'a') site
+  in
+  let reads = List.init 6 (fun i -> (i, if i mod 2 = 0 then read else String.sub genome (97 * i) 30)) in
+  List.iter
+    (fun (engine, domains) ->
+      let hits, _ = map ~engine ~domains ~chunk_size:1 idx ~reads ~k:2 in
+      let polymorphic =
+        List.stable_sort
+          (fun (a : Mapper.hit) (b : Mapper.hit) ->
+            compare (a.read_id, a.pos, a.strand) (b.read_id, b.pos, b.strand))
+          hits
+      in
+      check bool "sorted as (read_id, pos, strand)" true (hits = polymorphic);
+      let at_site =
+        List.filter_map
+          (fun (h : Mapper.hit) ->
+            if h.read_id = 0 && h.pos = String.length left then Some (h.strand, h.distance) else None)
+          hits
+      in
+      check bool "both strands at the site, reverse first" true
+        (at_site = [ (`Reverse, 1); (`Forward, 1) ]))
+    [ (Kmismatch.Bidir, 1); (Kmismatch.Bidir, 2); (Kmismatch.M_tree, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Property: sequential ≡ parallel on randomized genomes and reads      *)
@@ -295,6 +430,10 @@ let () =
           Alcotest.test_case "chunks" `Quick test_chunks;
           prop_pool_map_order;
           prop_fan_out;
+          Alcotest.test_case "helpers persist across runs" `Quick test_pool_helpers_persist;
+          Alcotest.test_case "nested run is inline" `Quick test_pool_nested_run_inline;
+          Alcotest.test_case "concurrent callers" `Quick test_pool_concurrent_callers;
+          Alcotest.test_case "helper survives Task_failed" `Quick test_pool_helper_survives_failure;
         ] );
       ( "mapper_parallel",
         [
@@ -306,5 +445,6 @@ let () =
           Alcotest.test_case "pattern > text" `Quick test_pattern_longer_than_text;
           Alcotest.test_case "prepare runs on one domain" `Quick test_prepare_always_runs;
           prop_seq_equals_par;
+          Alcotest.test_case "hit order" `Quick test_hit_order;
         ] );
     ]

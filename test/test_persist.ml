@@ -229,6 +229,14 @@ let test_v5_truncated_sections () =
    its section CRCs, header CRC and whole-file CRC are recomputed, so
    only the check on the forged value itself can refuse it. *)
 
+(* The law the loader's one-pass whole-file check rests on. *)
+let prop_crc_combine =
+  Test_util.qtest ~count:300 "crc combine (a, b) = crc (a ^ b)"
+    QCheck2.Gen.(pair (string_size (int_range 0 64)) (string_size (int_range 0 3000)))
+    (fun (a, b) ->
+      let open Fmindex.Crc32 in
+      combine (string a) (string b) (String.length b) = string (a ^ b))
+
 let error_t = Alcotest.testable Kmm_error.pp Kmm_error.equal
 
 (* [image] with every checksum recomputed from its bytes.  The three
@@ -723,6 +731,7 @@ let () =
           prop_fm_roundtrip;
           prop_fm_roundtrip_rates;
           prop_kmismatch_index_roundtrip;
+          prop_crc_combine;
         ] );
       ( "mapper",
         [
