@@ -149,7 +149,10 @@ let generate_cmd =
         seed;
       }
     in
-    let genome = Dna.Genome_gen.generate profile in
+    let genome =
+      try Dna.Genome_gen.generate profile
+      with Invalid_argument msg -> fail_typed (Kmm_error.Bad_input msg)
+    in
     let record = { Dna.Fasta.name = rec_name; seq = genome } in
     (match out with
     | None -> print_string (Dna.Fasta.to_string [ record ])
@@ -185,7 +188,10 @@ let simulate_cmd =
   let run genome count len error_rate both seed out =
     let g = read_genome genome in
     let cfg = { Dna.Read_sim.count; len; error_rate; both_strands = both; seed } in
-    let reads = Dna.Read_sim.simulate cfg g in
+    let reads =
+      try Dna.Read_sim.simulate cfg g
+      with Invalid_argument msg -> fail_typed (Kmm_error.Bad_input msg)
+    in
     let records =
       List.map
         (fun r ->
@@ -509,8 +515,8 @@ let fuzz_cmd =
              "Generates seeded random and adversarial (text, pattern, k) cases \
               (periodic texts, homopolymer runs, near-full-length patterns, k = 0, \
               k >= m, single-character genomes, boundary-hugging windows, huge \
-              budgets), runs every engine plus the online Kangaroo baseline and the \
-              packed verification kernel, and compares against the naive O(mn) \
+              budgets), runs every engine plus the packed verification kernel and \
+              the FM-index subjects, and compares against the naive O(mn) \
               reference. \
               Any divergence is automatically shrunk to a minimal reproducer; use \
               --corpus-out to persist it for test/corpus replay.";

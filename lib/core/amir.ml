@@ -23,21 +23,22 @@ let search ~ptext ~pattern ~k text =
     List.map (fun p -> (p, 0)) (Stringmatch.Kmp.find_all ~pattern ~text)
   else begin
     (* Window verification, word-parallel on the packed text: O(k) on
-       the overwhelmingly common quick rejections. *)
+       the overwhelmingly common quick rejections.  Windows are verified
+       in place, right to left, so the hits come out ascending. *)
     let pp = Fmindex.Packed_text.Pattern.make pattern in
-    let verify candidates =
-      List.filter_map
-        (fun pos ->
-          Deadline.poll ();
-          let d = Fmindex.Packed_text.hamming ~limit:k ptext pp ~pos in
-          if d <= k then Some (pos, d) else None)
-        candidates
+    let hits = ref [] in
+    let verify pos =
+      Deadline.poll ();
+      let d = Fmindex.Packed_text.hamming ~limit:k ptext pp ~pos in
+      if d <= k then hits := (pos, d) :: !hits
     in
-    match blocks ~pattern ~k with
+    (match blocks ~pattern ~k with
     | [] ->
         (* Pattern too short for 2k blocks: verify every position (Amir's
            algorithm also special-cases such patterns). *)
-        verify (List.init (n - m + 1) (fun i -> i))
+        for pos = n - m downto 0 do
+          verify pos
+        done
     | bs ->
         let offsets = Array.of_list (List.map fst bs) in
         let ac = Stringmatch.Aho_corasick.build (Array.of_list (List.map snd bs)) in
@@ -47,10 +48,8 @@ let search ~ptext ~pattern ~k text =
             if candidate >= 0 && candidate <= n - m then
               marks.(candidate) <- marks.(candidate) + 1);
         (* 2k blocks and <= k mismatches leave >= k intact blocks. *)
-        let threshold = k in
-        let candidates = ref [] in
         for pos = n - m downto 0 do
-          if marks.(pos) >= threshold then candidates := pos :: !candidates
-        done;
-        verify !candidates
+          if marks.(pos) >= k then verify pos
+        done);
+    !hits
   end

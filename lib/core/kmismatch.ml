@@ -6,7 +6,6 @@ type engine +=
   | S_tree_no_delta
   | Cole
   | Amir
-  | Kangaroo
   | Naive
   | Bidir
 
@@ -21,9 +20,9 @@ type index = {
   fm_rev : Fmindex.Fm_index.t;
   tree : Suffix.Suffix_tree.t Fmindex.Storage.Memo.t;
   pforward : Fmindex.Packed_text.t Fmindex.Storage.Memo.t;
-      (* forward text, 2-bit packed: what the online engines' verifiers
-         run against.  Derived by reversing the FM component's packed
-         payload — n/4 bytes, never the unpacked string. *)
+      (* forward text, 2-bit packed: what Amir's verifier runs against.
+         Derived by reversing the FM component's packed payload — n/4
+         bytes, never the unpacked string. *)
   bidir : Fmindex.Bidir.t;
       (* [fm_rev] paired with the forward rank side it carries.  That
          side is built with the index and persisted in it (format v5),
@@ -171,10 +170,6 @@ let () =
       M_tree.search ?config ~obs:a.obs t.fm_rev ~pattern:a.pattern ~k:a.k
   in
   let nothing (_ : index) = () in
-  let force_text t =
-    ignore (text t);
-    ignore (packed_text t)
-  in
   register
     {
       engine = M_tree;
@@ -221,23 +216,14 @@ let () =
       name = "amir";
       doc = "online mark-and-verify (ref. [2])";
       caps = { scales = false };
-      prepare = force_text;
+      prepare =
+        (fun t ->
+          ignore (text t);
+          ignore (packed_text t));
       run =
         (fun t a ->
           Amir.search ~ptext:(packed_text t) ~pattern:a.pattern ~k:a.k
             (text t));
-    };
-  register
-    {
-      engine = Kangaroo;
-      name = "kangaroo";
-      doc = "online O(kn) Landau-Vishkin kangaroo jumps";
-      caps = { scales = false };
-      prepare = force_text;
-      run =
-        (fun t a ->
-          Stringmatch.Kangaroo.search ~ptext:(packed_text t)
-            ~pattern:a.pattern ~k:a.k (text t));
     };
   register
     {

@@ -13,7 +13,6 @@
       at [max_int]);
     - [Cole]: suffix-tree brute force (ref. [14]);
     - [Amir]: online mark-and-verify (ref. [2]);
-    - [Kangaroo]: online O(kn) Landau-Vishkin;
     - [Naive]: online O(mn) scanning;
     - [Bidir]: bidirectional FM-index executing optimum search schemes
       (Kianfar & Pockrandt; see {!Oss}) — the state of the art at
@@ -35,7 +34,6 @@ type engine +=
   | S_tree_no_delta
   | Cole
   | Amir
-  | Kangaroo
   | Naive
   | Bidir
       (** The built-in engines, pre-registered in declaration order. *)
@@ -59,7 +57,7 @@ module Engine_registry : sig
             build and no O(n) scan per query.  It gates two things: the
             engines [kmm serve] accepts ([Kmm_server.Protocol]) and
             the large-text tier of [kmm bench engines].  Cole's suffix
-            tree and the online references (amir, kangaroo, naive) are
+            tree and the online references (amir, naive) are
             [false]. *)
   }
 
@@ -161,10 +159,10 @@ val suffix_tree : index -> Suffix.Suffix_tree.t
     memo). *)
 
 val packed_text : index -> Fmindex.Packed_text.t
-(** The forward text 2-bit packed — what the online engines' verifiers
-    ([Amir], [Kangaroo]) run against.  Derived on first use by reversing
-    the FM component's packed payload (n/4 bytes, no string round-trip)
-    and cached behind a domain-safe memo.  [Bidir] and the mapper's hit
+(** The forward text 2-bit packed — what [Amir]'s verifier runs
+    against.  Derived on first use by reversing the FM component's
+    packed payload (n/4 bytes, no string round-trip) and cached behind
+    a domain-safe memo.  [Bidir] and the mapper's hit
     re-check never force it: they verify in place on the FM component's
     own payload, the reversed text. *)
 

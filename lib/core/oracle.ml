@@ -42,13 +42,6 @@ let engine_subject e =
         Some (Kmismatch.run idx q).hits);
   }
 
-let kangaroo_direct =
-  {
-    sub_name = "kangaroo-direct";
-    run =
-      (fun _ c -> Some (Stringmatch.Kangaroo.search ~pattern:c.pattern ~k:c.k c.text));
-  }
-
 (* The packed FM-index core as its own subject: a forward index of the
    text answers k = 0 queries through [find_all], covering the packed
    rank kernel, the sampled-SA locate walk and pattern validation
@@ -198,7 +191,6 @@ let bidir_find_all =
 let default_subjects () =
   List.map engine_subject (Kmismatch.all_engines ())
   @ [
-      kangaroo_direct;
       packed_verify;
       fm_packed_find_all;
       bidir_find_all;

@@ -6,8 +6,6 @@ let make s =
   let h = Lcp.of_suffix_array s sa in
   { s; rank; rmq = Rmq.make h }
 
-let text t = t.s
-
 let lce t i j =
   let n = String.length t.s in
   if i < 0 || j < 0 || i > n || j > n then
@@ -19,14 +17,3 @@ let lce t i j =
     let lo = min ri rj and hi = max ri rj in
     Rmq.min_in t.rmq (lo + 1) hi
   end
-
-type pair = { base : t; off_b : int }
-
-let make_pair a b =
-  let sep = '\001' in
-  if String.contains a sep || String.contains b sep then
-    invalid_arg "Lce.make_pair: strings must not contain '\\001'";
-  let concat = a ^ String.make 1 sep ^ b in
-  { base = make concat; off_b = String.length a + 1 }
-
-let lce_pair p i j = lce p.base i (p.off_b + j)

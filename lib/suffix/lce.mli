@@ -1,27 +1,15 @@
 (** Constant-time longest-common-extension queries.
 
     Built from a suffix array, its LCP array (Kasai) and a sparse-table RMQ.
-    This is the O(1)-per-jump primitive behind the "kangaroo" method of
-    Landau-Vishkin / Galil-Giancarlo, and behind the paper's R-table
-    construction. *)
+    This is the O(1)-per-jump primitive behind the paper's R-table
+    construction ([Core.Mismatch_array], the [R_ij] mismatch arrays of
+    Algorithm A). *)
 
 type t
 
 val make : string -> t
 (** Preprocess one string for same-string LCE queries. *)
 
-val text : t -> string
-
 val lce : t -> int -> int -> int
 (** [lce t i j] is the length of the longest common prefix of the suffixes
     starting at [i] and [j].  Out-of-range indices (== length) yield 0. *)
-
-type pair
-
-val make_pair : string -> string -> pair
-(** Preprocess two strings [a] and [b] for cross-string queries.  The
-    strings must not contain the byte ['\001'] (our DNA alphabet never
-    does). *)
-
-val lce_pair : pair -> int -> int -> int
-(** [lce_pair p i j] is the LCE of [a[i ..]] versus [b[j ..]]. *)

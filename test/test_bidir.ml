@@ -437,7 +437,7 @@ let test_engine_spellings () =
       ("s-tree-nodelta", Kmismatch.S_tree_no_delta);
       ("s_tree_no_delta", Kmismatch.S_tree_no_delta);
       ("S-Tree-No-Delta", Kmismatch.S_tree_no_delta);
-      ("KANGAROO", Kmismatch.Kangaroo);
+      ("AMIR", Kmismatch.Amir);
     ];
   check bool "unknown rejected" true (Kmismatch.engine_of_string "warp" = None)
 

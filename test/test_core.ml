@@ -272,6 +272,27 @@ let test_amir_blocks () =
   (* Too short for useful blocks: fall back. *)
   check int "fallback" 0 (List.length (Amir.blocks ~pattern:"acg" ~k:2))
 
+(* A pattern too short for 2k blocks (m < 4k) verifies every window in
+   place: the search's garbage is its hit list and O(m) set-up, so it
+   grows with the hits, not with the n windows scanned.  Clock-free:
+   [Gc.minor_words] counts allocation exactly. *)
+let test_amir_short_pattern_garbage () =
+  let text = Test_util.random_dna (Random.State.make [| 5 |]) 1_000_000 in
+  let ptext = Fmindex.Packed_text.of_string text in
+  let pattern = "acgtacgtacgt" and k = 4 in
+  check int "no blocks" 0 (List.length (Amir.blocks ~pattern ~k));
+  let w0 = Gc.minor_words () in
+  let found = Amir.search ~ptext ~pattern ~k text in
+  let words = Gc.minor_words () -. w0 in
+  let nhits = List.length found in
+  check bool "some hits" true (nhits > 0);
+  check hits "hits = naive" (Stringmatch.Hamming.search ~pattern ~text ~k) found;
+  (* a hit is one pair and one cons cell: 6 words *)
+  let bound = float_of_int ((6 * nhits) + 4096) in
+  if words > bound then
+    Alcotest.failf "%.0f minor words for %d hits over %d windows (bound %.0f)"
+      words nhits (String.length text - String.length pattern + 1) bound
+
 (* ------------------------------------------------------------------ *)
 (* Read-mapping integration                                            *)
 
@@ -337,7 +358,12 @@ let () =
           Alcotest.test_case "fewer rank calls" `Quick test_m_tree_cheaper_than_s_tree;
           test_s_tree_delta_soundness;
         ] );
-      ("amir", [ Alcotest.test_case "blocks" `Quick test_amir_blocks ]);
+      ( "amir",
+        [
+          Alcotest.test_case "blocks" `Quick test_amir_blocks;
+          Alcotest.test_case "short-pattern garbage grows with hits" `Quick
+            test_amir_short_pattern_garbage;
+        ] );
       ( "integration",
         [ Alcotest.test_case "read mapping end to end" `Quick test_read_mapping_end_to_end ] );
     ]

@@ -66,7 +66,7 @@ let test_loaded_equals_built () =
     (fun (name, mode) ->
       with_loaded mode (fun c ->
           assert_same_answers c name
-            ~engines:[ Kmismatch.M_tree; Kmismatch.Kangaroo; Kmismatch.Bidir ]))
+            ~engines:[ Kmismatch.M_tree; Kmismatch.Amir; Kmismatch.Bidir ]))
     [ ("copy", Fmindex.Fm_index.Copy); ("mmap", Fmindex.Fm_index.Mmap) ]
 
 let test_pattern_longer_than_corpus () =

@@ -244,7 +244,7 @@ let test_equivalence_other_engines () =
         (Kmismatch.engine_name engine ^ " par = seq")
         true
         ((sh, ss) = (ph, ps)))
-    [ Kmismatch.S_tree; Kmismatch.Kangaroo; Kmismatch.Cole ]
+    [ Kmismatch.S_tree; Kmismatch.Amir; Kmismatch.Cole ]
 
 let test_invalid_args () =
   (match run_map ~domains:0 [] 1 with

@@ -747,7 +747,7 @@ let server_refuses_unservable_engine () =
                  in
                  scan 0)
           | _ -> Alcotest.failf "%s: expected a code-2 refusal" (K.engine_name engine))
-        K.[ Cole; Amir; Kangaroo; Naive ];
+        K.[ Cole; Amir; Naive ];
       Alcotest.(check int) "heap top unchanged" top0 (top ());
       match S.Client.query c ~engine:K.M_tree ~pattern:(String.make 40 'a') ~k:2 () with
       | Ok (P.Hits _) -> ()

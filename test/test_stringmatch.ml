@@ -84,9 +84,7 @@ let prop_ac_equals_naive =
       got = expect)
 
 (* ------------------------------------------------------------------ *)
-(* k-mismatch: naive Hamming and kangaroo                              *)
-
-let naive_pairs ~pattern ~text ~k = Hamming.search ~pattern ~text ~k
+(* k-mismatch: naive Hamming                                           *)
 
 let test_hamming_paper_example () =
   (* Paper §I: r = aaaaacaaac occurs at (1-based) position 3 of
@@ -107,35 +105,10 @@ let test_hamming_k_ge_m_matches_everywhere () =
   let text = "acgtacgt" and pattern = "ttt" in
   check int "k >= m" 6 (List.length (Hamming.positions ~pattern ~text ~k:3))
 
-let test_kangaroo_mismatch_positions () =
-  let t = Kangaroo.make ~pattern:"aaca" ~text:"atcaaaca" in
-  check int_list "offsets at 0" [ 1 ] (Kangaroo.mismatches_at t ~pos:0 ~limit:10);
-  check int_list "offsets at 4" [] (Kangaroo.mismatches_at t ~pos:4 ~limit:10);
-  check int_list "offsets at 1" [ 0; 1; 2 ] (Kangaroo.mismatches_at t ~pos:1 ~limit:10);
-  check int_list "limit respected" [ 0; 1 ] (Kangaroo.mismatches_at t ~pos:1 ~limit:2)
-
-let prop_kangaroo_equals_hamming =
-  Test_util.qtest ~count:300 "kangaroo = naive hamming"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:1 ~hi:250 ()) (Test_util.dna_gen ~lo:1 ~hi:12 ())
-        (int_range 0 6))
-    (fun (text, pattern, k) ->
-      String.length pattern > String.length text
-      || Kangaroo.search ~pattern ~k text = naive_pairs ~pattern ~text ~k)
-
-let test_kangaroo_bounds () =
-  let t = Kangaroo.make ~pattern:"acg" ~text:"acgtacgt" in
-  match Kangaroo.mismatches_at t ~pos:6 ~limit:5 with
+let test_hamming_negative_k_rejected () =
+  match Hamming.search ~pattern:"a" ~text:"aa" ~k:(-1) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-let test_negative_k_rejected () =
-  (match Hamming.search ~pattern:"a" ~text:"aa" ~k:(-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "hamming should reject");
-  match Kangaroo.search ~pattern:"a" ~k:(-1) "aa" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "kangaroo should reject"
+  | _ -> Alcotest.fail "hamming should reject"
 
 let () =
   Alcotest.run "stringmatch"
@@ -158,12 +131,6 @@ let () =
            Alcotest.test_case "paper example" `Quick test_hamming_paper_example;
            Alcotest.test_case "k=0 is exact" `Quick test_hamming_k0_is_exact;
            Alcotest.test_case "k >= m" `Quick test_hamming_k_ge_m_matches_everywhere;
-         ] );
-       ( "kangaroo",
-         [
-           Alcotest.test_case "mismatch positions" `Quick test_kangaroo_mismatch_positions;
-           Alcotest.test_case "window bounds" `Quick test_kangaroo_bounds;
-           Alcotest.test_case "negative k" `Quick test_negative_k_rejected;
-           prop_kangaroo_equals_hamming;
+           Alcotest.test_case "negative k" `Quick test_hamming_negative_k_rejected;
          ] );
      ])

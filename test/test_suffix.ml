@@ -170,24 +170,6 @@ let prop_lce =
       let t = Lce.make s in
       Lce.lce t i j = Lcp.naive_lcp s i j)
 
-let prop_lce_pair =
-  Test_util.qtest ~count:200 "cross-string LCE = naive"
-    QCheck2.Gen.(
-      tup4 (Test_util.dna_gen ~lo:1 ~hi:100 ()) (Test_util.dna_gen ~lo:1 ~hi:100 ())
-        small_nat small_nat)
-    (fun (a, b, i, j) ->
-      let i = i mod String.length a and j = j mod String.length b in
-      let p = Lce.make_pair a b in
-      let naive =
-        let rec go d =
-          if i + d < String.length a && j + d < String.length b && a.[i + d] = b.[j + d]
-          then go (d + 1)
-          else d
-        in
-        go 0
-      in
-      Lce.lce_pair p i j = naive)
-
 let test_lce_self () =
   let t = Lce.make "acgtacgt" in
   check int "full self" 8 (Lce.lce t 0 0);
@@ -313,7 +295,6 @@ let () =
         [
           Alcotest.test_case "self" `Quick test_lce_self;
           prop_lce;
-          prop_lce_pair;
         ] );
       ( "suffix_tree",
         [
