@@ -515,8 +515,9 @@ let fuzz_cmd =
              "Generates seeded random and adversarial (text, pattern, k) cases \
               (periodic texts, homopolymer runs, near-full-length patterns, k = 0, \
               k >= m, single-character genomes, boundary-hugging windows, huge \
-              budgets), runs every engine plus the packed verification kernel and \
-              the FM-index subjects, and compares against the naive O(mn) \
+              budgets), runs every engine plus the packed verification kernel, \
+              the FM-index subjects and batch mapping of both strands, and compares \
+              against the naive O(mn) \
               reference. \
               Any divergence is automatically shrunk to a minimal reproducer; use \
               --corpus-out to persist it for test/corpus replay.";

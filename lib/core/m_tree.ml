@@ -204,6 +204,17 @@ let delta_heuristic fm ~pattern ~k =
 
 (* --- Search --------------------------------------------------------- *)
 
+(* When a single-row path leaves the index for the text.  Locating its
+   row costs up to sa_rate LF steps, sa_rate / 2 on average (16 and 8 at
+   the default rate), each about the cost of one row step, while a text
+   step is one packed read.  A path that has lasted the average locate
+   cost is most likely an occurrence, and with a full sa_rate of
+   pattern left it repays even the longest locate.  On map-mtree's reads
+   (k = 2, 100 bp, 4 Mbp) 4/12 and 8/16 measured the same, 2/8 and
+   16/16 slower. *)
+let text_after = 8
+let text_left = 16
+
 let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
   if pattern = "" then invalid_arg "M_tree.search: empty pattern";
   if k < 0 then invalid_arg "M_tree.search: negative k";
@@ -248,6 +259,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
     in
     let pat_codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
     let pat_code d = Array.unsafe_get pat_codes (d - 1) in
+    let text = Fm.packed_text fm in
     (* Nothing below raises before the exploration's handler releases the
        arena again. *)
     let a = acquire m in
@@ -492,6 +504,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
         a.n_leaves <- a.n_leaves + 1;
         report lo hi q
       end
+      else if hi = lo + 1 then follow_row lo j q 0
       else begin
         extend_at j lo hi;
         let los = los_at j and his = his_at j in
@@ -506,6 +519,57 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
           end
         done;
         if !died then a.n_leaves <- a.n_leaves + 1
+      end
+
+    (* The counted node at depth [j < m] whose interval is the one row
+       [row], [steps] single-row steps below the node that narrowed to
+       it.  Its only possible child is the row's own BWT character at
+       the row's LF row; the sentinel row has none.  A path that lasts
+       is located once and finished in the text. *)
+    and follow_row row j q steps =
+      if steps >= text_after && m - j >= text_left then follow_text (Fm.locate_row fm row) j q
+      else begin
+        a.n_rank_calls <- a.n_rank_calls + 2;
+        let step = Fm.extend_row fm row in
+        if step < 0 then a.n_leaves <- a.n_leaves + 1
+        else begin
+          let c = step land 7 in
+          let q' = if c = pat_code (j + 1) then q else q + 1 in
+          if q' <= k && k - q' >= delta.(j + 2) then begin
+            Deadline.poll ();
+            a.n_nodes <- a.n_nodes + 1;
+            let row' = step lsr 3 in
+            if j + 1 = m then begin
+              a.n_leaves <- a.n_leaves + 1;
+              report row' (row' + 1) q'
+            end
+            else follow_row row' (j + 1) q' (steps + 1)
+          end
+          else a.n_leaves <- a.n_leaves + 1
+        end
+      end
+
+    (* [follow_row] past the switch: the counted node at depth [j < m]
+       is the suffix of the indexed text at [p], so its child is the
+       text's character at [p - 1]; at [p = 0] its row is the
+       sentinel's.  The same budget and delta tests as a row step, with
+       the hit's position from [p]. *)
+    and follow_text p j q =
+      a.n_rank_calls <- a.n_rank_calls + 2;
+      if p = 0 then a.n_leaves <- a.n_leaves + 1
+      else begin
+        let c = Fmindex.Packed_text.unsafe_get text (p - 1) + 1 in
+        let q' = if c = pat_code (j + 1) then q else q + 1 in
+        if q' <= k && k - q' >= delta.(j + 2) then begin
+          Deadline.poll ();
+          a.n_nodes <- a.n_nodes + 1;
+          if j + 1 = m then begin
+            a.n_leaves <- a.n_leaves + 1;
+            results := (n - (p - 1) - m, q') :: !results
+          end
+          else follow_text (p - 1) (j + 1) q'
+        end
+        else a.n_leaves <- a.n_leaves + 1
       end
     in
 

@@ -58,7 +58,19 @@ type config = {
           derivations through them stay exact.  Set 1 to materialize
           everything (the paper's literal structure); [max_int] stores
           nothing, so nothing is derived and the search is the BWT
-          baseline of ref. [34] (the [S_tree] engines of {!Kmismatch}). *)
+          baseline of ref. [34] (the [S_tree] engines of {!Kmismatch}).
+
+          The storage-free recursion follows a single-row interval one
+          row at a time ({!Fmindex.Fm_index.extend_row}: the row's own
+          BWT character is its only child).  A row that survives 8 such
+          steps with at least 16 pattern characters left is located once
+          and its path finished character by character against the
+          index's packed text (the reversed target), with the same
+          budget and delta tests.  The tree explored and every
+          [engine.*] counter are those of one [extend_all] per node;
+          only the [fm.*] taps see the cheaper kernel work.  With
+          [store_width = 1] every node is stored and no path takes
+          either step. *)
 }
 
 val default_config : config
@@ -105,7 +117,8 @@ val search :
     [mtree.derive_ns]; with the noop sink the instrumentation costs one
     branch per scope.  The search counts its work in the domain's arena and
     adds it to [obs] once, when it returns, as the six [engine.*]
-    counters ([nodes], [leaves], [rank_calls] (two per [extend_all]),
+    counters ([nodes], [leaves], [rank_calls] (two per extended node,
+    whether the step ran [extend_all], a single-row step or a text step),
     [derivations], [derived_leaves], [resumes]).  A search cut by its
     deadline or by an exception adds nothing.  A root none of whose
     children survives the budget counts no leaf. *)

@@ -188,6 +188,69 @@ let bidir_find_all =
         Some (Oss.search bd ~pattern:c.pattern ~k:c.k));
   }
 
+(* Batch mapping under fuzz: [Mapper.run] maps the pattern and its
+   reverse complement as two reads, one per pool task, with m-tree and
+   bidir on one and on two domains.  Every read's forward hits must be
+   the naive scan of the text for it and its reverse hits the scan for
+   its reverse complement, except that a read equal to its own reverse
+   complement is reported once, on the forward strand.  A read longer
+   than the text must be skipped as bad input, and no other read may be
+   skipped.  The answer is read 0's forward hits from the first run. *)
+let mapper =
+  let scan c pattern = Stringmatch.Hamming.search ~pattern ~text:c.text ~k:c.k in
+  {
+    sub_name = "mapper";
+    run =
+      (fun idx c ->
+        let rc = Dna.Sequence.(to_string (revcomp (of_string c.pattern))) in
+        let reads = [ (0, c.pattern); (1, rc) ] in
+        let too_long = String.length c.pattern > String.length c.text in
+        let fwd = scan c c.pattern and rev = scan c rc in
+        let expected read strand =
+          match (read, strand) with
+          | _, `Reverse when rc = c.pattern -> []
+          | 0, `Forward | 1, `Reverse -> fwd
+          | _ -> rev
+        in
+        let answers =
+          List.map
+            (fun (engine, domains) ->
+              let what =
+                Printf.sprintf "%s on %d domain(s)" (Kmismatch.engine_name engine) domains
+              in
+              let hits, summary =
+                Mapper.run
+                  { Mapper.default with engine; domains; chunk_size = 1 }
+                  idx ~reads ~k:c.k
+              in
+              (match summary.Mapper.skipped with
+              | [] when not too_long -> ()
+              | [ (0, Kmm_error.Bad_input _); (1, Kmm_error.Bad_input _) ] when too_long -> ()
+              | skipped ->
+                  failwith
+                    (Printf.sprintf "%s skipped reads [%s]" what
+                       (String.concat "; " (List.map (fun (id, _) -> string_of_int id) skipped))));
+              let got read strand =
+                List.filter_map
+                  (fun h ->
+                    if h.Mapper.read_id = read && h.Mapper.strand = strand then
+                      Some (h.Mapper.pos, h.Mapper.distance)
+                    else None)
+                  hits
+              in
+              List.iter
+                (fun (read, strand) ->
+                  if got read strand <> expected read strand then
+                    failwith
+                      (Printf.sprintf "%s: read %d's %s hits differ from the naive scan" what read
+                         (match strand with `Forward -> "forward" | `Reverse -> "reverse")))
+                [ (0, `Forward); (0, `Reverse); (1, `Forward); (1, `Reverse) ];
+              got 0 `Forward)
+            Kmismatch.[ (M_tree, 1); (M_tree, 2); (Bidir, 1); (Bidir, 2) ]
+        in
+        Some (List.hd answers));
+  }
+
 let default_subjects () =
   List.map engine_subject (Kmismatch.all_engines ())
   @ [
@@ -196,6 +259,7 @@ let default_subjects () =
       bidir_find_all;
       fm_save_roundtrip;
       fm_image_corruption;
+      mapper;
     ]
 
 (* ------------------------------------------------------------------ *)

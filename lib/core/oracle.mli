@@ -70,7 +70,13 @@ val default_subjects : unit -> subject list
     subject that serializes the index and verifies that each of a
     pseudo-random battery of image corruptions (bit flips, truncations,
     ENOSPC prefixes) is either rejected with a typed error or decodes
-    to identical contents. *)
+    to identical contents, plus a [mapper] subject: {!Mapper.run} maps
+    the pattern and its reverse complement as two reads with m-tree and
+    bidir, on one and on two domains, and every read's hits on each
+    strand must equal the naive scan of the text for it or for its
+    reverse complement (a read equal to its own reverse complement is
+    reported once; a read longer than the text is skipped as bad
+    input). *)
 
 (** {1 Checking} *)
 

@@ -405,6 +405,14 @@ let extend_all t ~lo ~hi ~los ~his =
     Array.unsafe_set his c (base + Array.unsafe_get his c)
   done
 
+(* The width-1 case of [extend_all], counted like it: one rank, one
+   block decode. *)
+let extend_row t row =
+  if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.extend_row: row out of range";
+  if Atomic.get Obs.taps then tap_rank 1 1;
+  if row = t.sentinel_row then -1
+  else (Occ.lf t.occ t.c_array row lsl 3) lor Occ.get t.occ row
+
 (* --- persistence ----------------------------------------------------- *)
 
 (* Format v5, the only format: three ASCII header lines

@@ -113,7 +113,7 @@ val find_all : t -> string -> int list
 
     When {!Obs.set_taps} has armed the taps, the query paths count into
     the calling domain's ambient sink ({!Obs.with_ambient}):
-    [fm.rank_ops] (one per {!extend}/{!extend_all} call, one per
+    [fm.rank_ops] (one per {!extend}/{!extend_all}/{!extend_row} call, one per
     backward-search step of {!search}, {!count} or
     {!longest_left_extension}, one per
     LF step of a locate walk), [fm.block_decodes] (interleaved Occ
@@ -143,6 +143,16 @@ val extend_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
     must have length 5 (the alphabet size).  Costs two block scans
     instead of eight, and allocates nothing: the bounds are passed
     unboxed, not as an {!interval}. *)
+
+val extend_row : t -> int -> int
+(** [extend_row t row] is {!extend_all} of the single-row interval
+    [(row, row + 1)].  That interval has at most one nonempty child: the
+    row's own BWT code [c] (1..4) at its LF row [r], returned as
+    [(r lsl 3) lor c].  The sentinel row has none and gives [-1].  It
+    reads the code and [r] with one block decode, counts as one
+    [fm.rank_ops] and one [fm.block_decodes] like the width-1
+    {!extend_all}, and allocates nothing.  Raises [Invalid_argument] if
+    [row] is outside [0, length t]. *)
 
 (** {1 Persistence}
 

@@ -161,7 +161,8 @@ module Counter = struct
   (* Engine work: each engine adds its search's totals when it returns. *)
   let engine_nodes = declare "engine.nodes" "nodes" "search and mismatching-tree nodes created"
   let engine_leaves = declare "engine.leaves" "leaves" "paths terminated during exploration"
-  let engine_rank_calls = declare "engine.rank_calls" "calls" "FM-index extend calls the engine made"
+  let engine_rank_calls = declare "engine.rank_calls" "calls"
+    "extension steps, two per extended node however they are served (fm.* counts the kernel work)"
   let engine_derivations = declare "engine.derivations" "subtrees" "subtrees derived instead of explored"
   let engine_derived_leaves = declare "engine.derived_leaves" "leaves" "path terminations inside derivations"
   let engine_resumes = declare "engine.resumes" "searches" "real searches resumed inside derivations"

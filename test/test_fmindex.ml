@@ -515,6 +515,49 @@ let test_extend_all_superblocks () =
     if not (agrees lo) then Alcotest.failf "extend_all diverges at lo=%d" lo
   done
 
+(* [extend_row] is the width-1 [extend_all] at every row, the
+   sentinel's included: the one nonempty child by a code in 1..4 packed
+   as [(lo lsl 3) lor c], or -1 when there is none, for one rank and
+   one block decode.  The texts are short units pasted between random
+   runs, so many rows share long contexts; the checkpoint rate varies
+   so rows fall at every block offset. *)
+let prop_extend_row_matches_extend_all =
+  Test_util.qtest ~count:150 "extend_row = extend_all's only child"
+    QCheck2.Gen.(
+      quad (Test_util.dna_gen ~lo:1 ~hi:8 ()) (int_range 1 30)
+        (Test_util.dna_gen ~hi:40 ()) (oneofl [ 32; 64; 128 ]))
+    (fun (unit_, copies, noise, occ_rate) ->
+      let text =
+        String.concat ""
+          (List.init copies (fun i -> if i mod 4 = 3 then noise else unit_))
+      in
+      let fm = Fm_index.build ~occ_rate text in
+      let sigma = Dna.Alphabet.sigma in
+      let los = Array.make sigma 0 and his = Array.make sigma 0 in
+      List.for_all
+        (fun row ->
+          Fm_index.extend_all fm ~lo:row ~hi:(row + 1) ~los ~his;
+          let children = List.filter (fun c -> los.(c) < his.(c)) [ 1; 2; 3; 4 ] in
+          let expected =
+            match children with
+            | [] -> -1
+            | [ c ] when his.(c) = los.(c) + 1 -> (los.(c) lsl 3) lor c
+            | _ -> -2
+          in
+          let got, obs = Test_util.tapped (fun () -> Fm_index.extend_row fm row) in
+          (got = expected
+          && Obs.counter_value obs "fm.rank_ops" = 1
+          && Obs.counter_value obs "fm.block_decodes" = 1)
+          || QCheck2.Test.fail_reportf "row %d of %S: extend_row %d, extend_all %d" row text got
+               expected)
+        (List.init (String.length text + 1) Fun.id)
+      && List.for_all
+           (fun row ->
+             match Fm_index.extend_row fm row with
+             | exception Invalid_argument _ -> true
+             | _ -> false)
+           [ -1; String.length text + 1 ])
+
 (* Every row, the sentinel's included, resolves to its suffix-array
    entry, whatever the sampling rate. *)
 let prop_locate_row_matches_sa =
@@ -696,5 +739,6 @@ let () =
           prop_extend_all_matches_reference;
           prop_locate_row_matches_sa;
           prop_fm_sampling_rates;
+          prop_extend_row_matches_extend_all;
         ] );
     ]

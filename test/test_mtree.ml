@@ -257,6 +257,183 @@ let test_arena_reset () =
   check Alcotest.bool "same after an outlier" true (probe () = before)
 
 (* ------------------------------------------------------------------ *)
+(* Single-row paths                                                     *)
+
+(* The s-tree stores nothing, so every width-1 interval it meets takes
+   the single-row step and, past the switch point, the text walk.  An
+   m-tree with store_width = 1 stores every node and never takes either,
+   and [reference_stree] is the S-tree by its definition, one
+   [extend_all] per node.  All three must explore the same tree. *)
+let stree_config use_delta = { M_tree.default_config with store_width = max_int; use_delta }
+let width1_config use_delta = { M_tree.default_config with store_width = 1; use_delta }
+
+(* The S-tree of ref. [34] with one [extend_all] per extended node (two
+   rank calls), every child that the budget and delta leave alive
+   counted as a node, and a node at depth m, or one with no child
+   alive, as a leaf; a root with no child alive is not one.  Its hits
+   are [(position, distance)] from the located rows at depth m. *)
+let reference_stree fm ~pattern ~k ~use_delta =
+  let module Fm = Fmindex.Fm_index in
+  let m = String.length pattern and n = Fm.length fm in
+  let k = min k m in
+  let delta =
+    if use_delta then M_tree.delta_heuristic fm ~pattern ~k else Array.make (m + 2) 0
+  in
+  let nodes = ref 0 and leaves = ref 0 and rank_calls = ref 0 and hits = ref [] in
+  let rec node lo hi j q =
+    if j = m then begin
+      incr leaves;
+      List.iter (fun p -> hits := (n - p - m, q) :: !hits) (Fm.locate fm (lo, hi))
+    end
+    else begin
+      let los = Array.make 5 0 and his = Array.make 5 0 in
+      rank_calls := !rank_calls + 2;
+      Fm.extend_all fm ~lo ~hi ~los ~his;
+      let alive = ref false in
+      for c = 1 to 4 do
+        if los.(c) < his.(c) then begin
+          let q' = if c = Dna.Alphabet.code pattern.[j] then q else q + 1 in
+          if q' <= k && k - q' >= delta.(j + 2) then begin
+            alive := true;
+            incr nodes;
+            node los.(c) his.(c) (j + 1) q'
+          end
+        end
+      done;
+      if j > 0 && not !alive then incr leaves
+    end
+  in
+  if m <= n then begin
+    let lo, hi = Fm.whole fm in
+    node lo hi 0 0
+  end;
+  ( List.sort compare !hits,
+    [
+      ("engine.leaves", !leaves);
+      ("engine.nodes", !nodes);
+      ("engine.rank_calls", !rank_calls);
+    ] )
+
+(* A search's hits and its nodes, leaves, rank calls and derivations,
+   with the taps armed so [fm.locate_walks] shows whether it located a
+   row. *)
+let explore fm config ~pattern ~k =
+  let obs = Obs.create () in
+  let hits = Test_util.tapped_into obs (fun () -> M_tree.search ~config ~obs fm ~pattern ~k) in
+  let c name = Obs.counter_value obs name in
+  ( hits,
+    List.map (fun name -> (name, c name)) [ "engine.leaves"; "engine.nodes"; "engine.rank_calls" ],
+    c "engine.derivations",
+    c "fm.locate_walks" )
+
+let show_counts counts =
+  String.concat " " (List.map (fun (name, v) -> Printf.sprintf "%s=%d" name v) counts)
+
+(* One case: the s-tree's hits and counts equal the reference's and
+   the naive scan's, and the width-1 m-tree's too when it derived
+   nothing.  Returns whether the m-tree was compared and the s-tree's
+   located rows. *)
+let agree ~what text ~pattern ~k ~use_delta =
+  let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+  let naive = Stringmatch.Hamming.search ~pattern ~text ~k in
+  let ref_hits, ref_counts = reference_stree fm ~pattern ~k ~use_delta in
+  let s_hits, s_counts, s_derivations, s_walks = explore fm (stree_config use_delta) ~pattern ~k in
+  let m_hits, m_counts, m_derivations, _ = explore fm (width1_config use_delta) ~pattern ~k in
+  let fail fmt = Alcotest.failf ("%s (m=%d k=%d delta=%b): " ^^ fmt) what (String.length pattern) k use_delta in
+  if ref_hits <> naive then fail "reference explorer hits differ from the naive scan";
+  if s_hits <> naive then fail "s-tree hits differ from the naive scan";
+  if m_hits <> naive then fail "width-1 m-tree hits differ from the naive scan";
+  if s_derivations <> 0 then fail "the s-tree derived";
+  if s_counts <> ref_counts then
+    fail "s-tree %s, reference %s" (show_counts s_counts) (show_counts ref_counts);
+  if m_derivations = 0 && m_counts <> s_counts then
+    fail "width-1 m-tree %s, s-tree %s" (show_counts m_counts) (show_counts s_counts);
+  (m_derivations = 0, s_walks)
+
+(* Random and repeat-rich texts, planted and random patterns long enough
+   to pass the switch point, budgets 0 to 5, delta on and off. *)
+let test_single_row_random () =
+  let r = { s = 36 } in
+  let compared = ref 0 and cases = 300 in
+  for i = 1 to cases do
+    let size = between r 100 3000 in
+    let text = if i mod 2 = 0 then dna r size else repeat_rich r ~size ~unit:(between r 20 200) in
+    let k = below r 6 in
+    let len = min size (between r 1 120) in
+    let pattern = if below r 4 = 0 then dna r len else planted r text ~len ~k:(k + 1) in
+    let compared_m, _ = agree ~what:(Printf.sprintf "case %d" i) text ~pattern ~k ~use_delta:(i mod 3 <> 0) in
+    if compared_m then incr compared
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "width-1 m-tree compared on %d of %d cases (>= 100)" !compared cases)
+    true (!compared >= 100)
+
+(* The text walk's edges: a path that runs off the start of the
+   reversed text, a hit that ends at the last base of s, and k >= m,
+   where every window matches and every path survives. *)
+let test_single_row_edges () =
+  let r = { s = 361 } in
+  let text = dna r 2_000 in
+  let n = String.length text in
+  (* The pattern overhangs the end of s: its first 40 bases are the
+     text's last 40, so its path is unique long before it runs out of
+     text, and nothing is found.  Delta would prune the path at the root
+     (the random tail is absent from s), so it is off; with delta a
+     two-base tail still explores. *)
+  let tail = String.sub text (n - 40) 40 in
+  let compared = ref 0 in
+  List.iter
+    (fun (pattern, k, use_delta) ->
+      let m_compared, walks = agree ~what:"overhang" text ~pattern ~k ~use_delta in
+      if m_compared then incr compared;
+      if not use_delta then
+        check Alcotest.bool "overhang: the s-tree located a row" true (walks > 0))
+    [ (tail ^ dna r 20, 0, false); (tail ^ dna r 20, 2, false); (tail ^ dna r 2, 2, true) ];
+  (* A hit ending at the last base of s, exact and with substitutions. *)
+  let last = String.sub text (n - 60) 60 in
+  let last' = String.mapi (fun i c -> if i = 30 then (if c = 'a' then 'c' else 'a') else c) last in
+  List.iter
+    (fun (pattern, k) ->
+      let m_compared, walks = agree ~what:"last base" text ~pattern ~k ~use_delta:true in
+      if m_compared then incr compared;
+      check Alcotest.bool "last base: the s-tree located a row" true (walks > 0);
+      check Alcotest.bool "last base: hit at n - m" true
+        (List.mem_assoc (n - 60) (Stringmatch.Hamming.search ~pattern ~text ~k)))
+    [ (last, 0); (last', 1); (last', 3) ];
+  (* Where the m-tree derived, the reference explorer was the oracle. *)
+  check Alcotest.bool (Printf.sprintf "width-1 m-tree compared on %d of 6" !compared) true
+    (!compared >= 2);
+  (* k >= m on a short text: the width-1 m-tree derives here, so the
+     reference explorer is the oracle. *)
+  let short = dna r 150 in
+  List.iter
+    (fun (len, k) ->
+      ignore (agree ~what:"k >= m" short ~pattern:(planted r short ~len ~k:2) ~k ~use_delta:true);
+      ignore (agree ~what:"k >= m" short ~pattern:(dna r len) ~k ~use_delta:false))
+    [ (40, 40); (40, 100); (30, 31) ]
+
+(* A unique 5 kbp pattern: once one poll has spent its clock read on an
+   expired deadline, the next read is [Deadline.poll_stride] polls
+   later.  The s-tree takes about a dozen nodes to narrow to the row and
+   a few more row steps before the walk, so that read falls inside the
+   text walk, which must raise. *)
+let test_text_walk_polls () =
+  let r = { s = 5_000 } in
+  let text = dna r 20_000 in
+  let pattern = String.sub text 7_000 5_000 in
+  let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+  let config = stree_config true in
+  check Alcotest.(list (pair int int)) "found" [ (7_000, 0) ]
+    (M_tree.search ~config fm ~pattern ~k:0);
+  match
+    Deadline.with_ambient (Deadline.after 0.) (fun () ->
+        (try Deadline.poll () with Deadline.Expired -> ());
+        M_tree.search ~config fm ~pattern ~k:0)
+  with
+  | exception Deadline.Expired -> ()
+  | _ -> Alcotest.fail "an expired deadline did not cut the text walk"
+
+(* ------------------------------------------------------------------ *)
 (* The delta kernel                                                     *)
 
 (* [f ()] and the [fm.*] counts it spent. *)
@@ -432,6 +609,13 @@ let () =
           Alcotest.test_case "steady state forces no minor GCs" `Quick
             test_steady_state_minor_gcs;
           Alcotest.test_case "timeouts and outliers leave no trace" `Quick test_arena_reset;
+        ] );
+      ( "single-row paths",
+        [
+          Alcotest.test_case "s-tree = width-1 m-tree = reference, random" `Quick
+            test_single_row_random;
+          Alcotest.test_case "overhang, last base, k >= m" `Quick test_single_row_edges;
+          Alcotest.test_case "text walk polls the deadline" `Quick test_text_walk_polls;
         ] );
       ( "delta",
         [
