@@ -610,7 +610,9 @@ let () =
             test_steady_state_minor_gcs;
           Alcotest.test_case "timeouts and outliers leave no trace" `Quick test_arena_reset;
         ] );
-      ( "single-row paths",
+      (* Single-row paths.  Group names stay short: Alcotest sizes its name
+         column by the longest one and truncates the test names after it. *)
+      ( "rows",
         [
           Alcotest.test_case "s-tree = width-1 m-tree = reference, random" `Quick
             test_single_row_random;
