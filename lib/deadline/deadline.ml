@@ -12,6 +12,8 @@ let of_ns ns = ns
 
 let is_none d = d = max_int
 
+let earlier (a : t) b = if a <= b then a else b
+
 let expired d = (not (is_none d)) && Obs.Clock.now_ns () >= d
 
 let remaining_ns d = if is_none d then max_int else d - Obs.Clock.now_ns ()

@@ -39,6 +39,9 @@ val of_ns : int -> t
 
 val is_none : t -> bool
 
+val earlier : t -> t -> t
+(** The instant that comes first ({!none} comes last). *)
+
 val expired : t -> bool
 (** Has the instant passed?  Reads the clock (unless [is_none]). *)
 

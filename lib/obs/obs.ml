@@ -104,14 +104,29 @@ module Histogram = struct
       if hi > t.vmax then t.vmax else hi
     end
 
+  (* Every non-empty bucket lies between those of [vmin] and [vmax], so
+     [merge] and [clear] walk only that range: a histogram holding one
+     value costs one bucket, not 1888. *)
   let merge ~into src =
-    for i = 0 to nbuckets - 1 do
-      into.counts.(i) <- into.counts.(i) + src.counts.(i)
-    done;
-    into.total <- into.total + src.total;
-    into.sum <- into.sum + src.sum;
-    if src.vmin < into.vmin then into.vmin <- src.vmin;
-    if src.vmax > into.vmax then into.vmax <- src.vmax
+    if src.total > 0 then begin
+      for i = bucket_of src.vmin to bucket_of src.vmax do
+        into.counts.(i) <- into.counts.(i) + src.counts.(i)
+      done;
+      into.total <- into.total + src.total;
+      into.sum <- into.sum + src.sum;
+      if src.vmin < into.vmin then into.vmin <- src.vmin;
+      if src.vmax > into.vmax then into.vmax <- src.vmax
+    end
+
+  let clear t =
+    if t.total > 0 then begin
+      let lo = bucket_of t.vmin in
+      Array.fill t.counts lo (bucket_of t.vmax - lo + 1) 0;
+      t.total <- 0;
+      t.sum <- 0;
+      t.vmin <- max_int;
+      t.vmax <- -1
+    end
 
   let copy t =
     {
@@ -190,11 +205,13 @@ module Counter = struct
   let serve_requests = declare "serve.requests" "frames" "well-formed request frames"
   let serve_rejected = declare "serve.rejected" "frames" "frames rejected before admission"
   let serve_shed = declare "serve.shed" "queries" "queries refused at admission (queue full or draining)"
-  let serve_queries = declare "serve.queries" "queries" "queries a worker ran"
+  let serve_queries = declare "serve.queries" "queries" "queries answered, on a worker or on the loop"
   let serve_hits = declare "serve.hits" "hits" "hits found for those queries"
   let serve_truncated = declare "serve.truncated" "queries" "replies cut to max_hits"
   let serve_timeouts = declare "serve.timeouts" "queries" "queries answered Timeout"
   let serve_errors = declare "serve.errors" "queries" "queries answered with another error"
+  let serve_inline = declare "serve.inline" "queries" "queries the event loop answered itself"
+  let serve_inline_cut = declare "serve.inline_cut" "queries" "lone queries cut at the loop's budget and handed to the pool"
   let serve_connections = declare "serve.connections" "connections" "connections accepted"
   let serve_conns_refused = declare "serve.conns_refused" "connections" "connections refused (descriptor beyond the select limit)"
   let serve_accept_errors = declare "serve.accept_errors" "errors" "accept failures that paused the listener"
@@ -401,12 +418,22 @@ let merge ~into src =
   | Active dst, Active s ->
       Array.iteri (fun c n -> bump dst c n) s.counts;
       Array.iteri
-        (fun h -> Option.iter (fun x -> Histogram.merge ~into:(hist_cell dst h) x))
+        (fun h ->
+          Option.iter (fun x ->
+              if Histogram.count x > 0 then Histogram.merge ~into:(hist_cell dst h) x))
         s.hists;
       if dst.trace then
         (* Newest-first lists concatenate src after dst; the exporter
            sorts by timestamp, so ordering here is immaterial. *)
         List.iter (fun ev -> push_event dst ev) s.events
+
+let reset = function
+  | Noop -> ()
+  | Active s ->
+      Array.fill s.counts 0 Counter.count 0;
+      Array.iter (Option.iter Histogram.clear) s.hists;
+      s.events <- [];
+      s.nevents <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                            *)

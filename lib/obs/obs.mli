@@ -78,7 +78,9 @@ module Histogram : sig
 
   val merge : into:t -> t -> unit
   (** Element-wise bucket addition; also sums [count]/[sum] and tightens
-      min/max.  Merging shards equals recording sequentially. *)
+      min/max.  Merging shards equals recording sequentially.  It walks
+      only the buckets between the source's minimum and maximum, so
+      merging a histogram of few, close values is cheap. *)
 
   val copy : t -> t
   (** An independent copy. *)
@@ -128,6 +130,8 @@ module Counter : sig
   val serve_truncated : t
   val serve_timeouts : t
   val serve_errors : t
+  val serve_inline : t
+  val serve_inline_cut : t
   val serve_connections : t
   val serve_conns_refused : t
   val serve_accept_errors : t
@@ -288,6 +292,14 @@ val merge : into:t -> t -> unit
     and append its trace events (subject to the destination's cap).
     No-op if either side is {!noop}.  See the module preamble for the
     exactness contract. *)
+
+val reset : t -> unit
+(** Zero every counter and histogram of the sink and drop its buffered
+    trace events, keeping the histograms it allocated (empty): what a
+    long-lived scratch sink needs between uses, so that recording into
+    it, {!merge}-ing the result and resetting it allocates nothing.
+    [merge] skips empty histograms, so a reset sink merges like a fresh
+    one.  A no-op on {!noop}. *)
 
 (** {1 Exporters} *)
 

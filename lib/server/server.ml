@@ -3,7 +3,8 @@
      event loop        -- one thread on the caller's domain: a select
                           loop over the listener, every connection and
                           a self-pipe; reads frames, admits them, and
-                          writes each connection's replies in frame order
+                          writes each connection's replies in frame
+                          order; answers a lone query itself (below)
      [domains] workers -- one OCaml domain each: pull one admitted query
                           off the queue, run it, encode its reply and
                           hand it back to the loop
@@ -12,11 +13,23 @@
                           running queries, off the loop
      caller            -- start/stop (or the [serve] signal loop)
 
+   The loop's one bounded duty beyond I/O: a round that admits exactly
+   one query, with the queue empty, every worker idle and no stop
+   requested, runs that query on the loop instead of waking a worker
+   (only on an engine whose [caps.polls] promises that a budget cuts
+   it).  Its budget is [inline_ns] on top of its own deadline; a search
+   still running then is discarded and queued like any other query, so
+   the loop stalls for at most [inline_ns] plus one poll stride.  Inline
+   searches use the caller domain's ambient deadline and sink slots and
+   its engine scratch, so no other thread may search on that domain
+   while the daemon runs: the scrapes and [serve]'s signal loop never
+   do.
+
    Workers never touch a socket, so a stalled reader can never hold a
-   query domain; the loop never runs a search, so a search never holds
-   up a read or a reply.  Locks, never nested: [qm] (admission queue),
-   [dm] (completion list), one [wm] per worker (its sink).  The server
-   sink and every connection belong to the loop alone. *)
+   query domain.  Locks, never nested: [qm] (admission queue), [dm]
+   (completion list), one [wm] per worker (its sink).  The server sink,
+   the loop's scratch sink and every connection belong to the loop
+   alone. *)
 
 module Kmismatch = Core.Kmismatch
 module C = Obs.Counter
@@ -58,6 +71,16 @@ let accept_backoff_ns = 50_000_000
 (* The longest [select]: how late the loop may notice a [request_stop]
    that came without a wake (a signal handler's). *)
 let tick_ns = 100_000_000
+
+(* The budget of a lone query the loop answers itself.  Queued, a query
+   pays two cross-domain hand-offs (serve-short, 2-vCPU host, means over
+   5000 one-at-a-time queries): 7.2 us from admission to a parked
+   worker's pull, and about 7.4 us from its reply back through the
+   self-pipe to the loop's write, against 6.5-9 us of search.  A search
+   the budget cuts has lost at most this much before it is queued; it
+   is also the longest the loop leaves every other connection waiting,
+   plus one poll stride. *)
+let inline_ns = 50_000
 
 (* Frames one connection may have in flight: read, not yet answered on
    the wire.  Past it the loop leaves that connection's input unread
@@ -134,6 +157,8 @@ type t = {
   wake_w : Unix.file_descr;
   wake_pending : bool Atomic.t;
   scrapes : int Atomic.t;  (* [metrics] replies still being built off the loop *)
+  busy : int Atomic.t;  (* workers running a job; raised under [qm] *)
+  mutable loop_exited : bool;  (* under [qm]: workers leave once it is set and the queue is empty *)
   sink : Obs.t;
   stop_ns : int Atomic.t;  (* monotonic instant of the stop request; 0 = none *)
   stopped : bool Atomic.t;
@@ -184,63 +209,72 @@ let post t slot reply timed =
   Mutex.unlock t.dm;
   if Atomic.compare_and_set t.wake_pending false true then wake t
 
-(* Answer one job on worker [w] and encode the reply.  Total: a budget
-   that expired in the queue, a validation failure and an engine
-   exception all become this job's reply, so every admitted query is
-   answered and the worker domain never dies. *)
-let run_job t w j =
+(* Answer job [j], recording into [o], and encode its reply: the frame
+   and whether it is a hits reply.  The search runs under the earlier of
+   the query's deadline and [cut].  Total: a budget that expired in the
+   queue, a validation failure and an engine exception all become this
+   job's reply, so every admitted query is answered and no domain dies.
+   Only a search that [cut] stopped before the query's own deadline
+   passed comes back unanswered, as [None]: never under
+   [Deadline.none]. *)
+let answer t o j ~cut =
   let max_hits = t.cfg.limits.max_hits in
-  let result =
-    Mutex.protect w.wm (fun () ->
-        let o = w.wsink in
-        Obs.record o Obs.Hist.pool_queue_wait_ns (Obs.Clock.now_ns () - j.slot.admitted_ns);
-        Obs.incr o C.pool_tasks;
-        Obs.incr o C.serve_queries;
-        Obs.record o Obs.Hist.serve_batch_size 1;
-        let r =
-          Obs.time o Obs.Hist.pool_task_ns (fun () ->
-              (* [try_run] answers a job that expired while queued
-                 without searching, and the engine polls cut one that
-                 expires mid-search; either way the reply is a typed
-                 [Timeout] and partial work is discarded. *)
-              match
-                Kmismatch.try_run t.index
-                  (Kmismatch.Query.make ~obs:o ~deadline:j.deadline ~engine:j.engine
-                     ~pattern:j.pattern ~k:j.k ())
-              with
-              | r -> Result.map (fun r -> r.Kmismatch.Response.hits) r
-              | exception e -> Error (Kmm_error.Internal (Printexc.to_string e)))
-        in
-        match r with
-        | Ok hits ->
-            let count = List.length hits in
-            Obs.add o C.serve_hits count;
-            if count > max_hits then Obs.incr o C.serve_truncated;
-            Ok (hits, count > max_hits)
-        | Error e ->
-            Obs.incr o (match e with Kmm_error.Timeout _ -> C.serve_timeouts | _ -> C.serve_errors);
-            Error e)
+  let r =
+    (* [try_run] answers a job that expired while queued without
+       searching, and the engine polls cut one that expires mid-search;
+       either way the reply is a typed [Timeout] and partial work is
+       discarded. *)
+    match
+      Kmismatch.try_run t.index
+        (Kmismatch.Query.make ~obs:o ~deadline:(Deadline.earlier j.deadline cut)
+           ~engine:j.engine ~pattern:j.pattern ~k:j.k ())
+    with
+    | r -> Result.map (fun r -> r.Kmismatch.Response.hits) r
+    | exception e -> Error (Kmm_error.Internal (Printexc.to_string e))
   in
-  match result with
-  | Ok (hits, truncated) ->
+  match r with
+  | Error (Kmm_error.Timeout _) when not (Deadline.expired j.deadline) -> None
+  | Ok hits ->
+      Obs.incr o C.serve_queries;
+      let count = List.length hits in
+      Obs.add o C.serve_hits count;
+      let truncated = count > max_hits in
+      if truncated then Obs.incr o C.serve_truncated;
       let hits = if truncated then take max_hits hits else hits in
-      post t j.slot (Protocol.ok_hits_response ~id:j.id ~truncated hits) true
-  | Error e -> post t j.slot (Protocol.error_response ~id:j.id e) false
+      Some (Protocol.ok_hits_response ~id:j.id ~truncated hits, true)
+  | Error e ->
+      Obs.incr o C.serve_queries;
+      Obs.incr o (match e with Kmm_error.Timeout _ -> C.serve_timeouts | _ -> C.serve_errors);
+      Some (Protocol.error_response ~id:j.id e, false)
 
-(* Pull admitted jobs one at a time until a stop was requested and the
-   queue is empty: everything admitted is answered before the exit. *)
+(* Answer one job on worker [w]. *)
+let run_job t w j =
+  Mutex.protect w.wm (fun () ->
+      let o = w.wsink in
+      Obs.record o Obs.Hist.pool_queue_wait_ns (Obs.Clock.now_ns () - j.slot.admitted_ns);
+      Obs.incr o C.pool_tasks;
+      Obs.record o Obs.Hist.serve_batch_size 1;
+      Obs.time o Obs.Hist.pool_task_ns (fun () -> answer t o j ~cut:Deadline.none))
+
+(* Pull admitted jobs one at a time until the loop has exited and the
+   queue is empty: everything admitted, or queued by the loop after a
+   cut, is answered before the exit.  A worker counts as busy until its
+   reply is ready, so the client's next query may find the pool idle. *)
 let worker_loop t w =
   let rec loop () =
     Mutex.lock t.qm;
-    while Queue.is_empty t.queue && not (stopping t) do
+    while Queue.is_empty t.queue && not t.loop_exited do
       Condition.wait t.qcv t.qm
     done;
     let next = Queue.take_opt t.queue in
+    if Option.is_some next then Atomic.incr t.busy;
     Mutex.unlock t.qm;
     match next with
     | None -> ()
     | Some j ->
-        run_job t w j;
+        let reply = run_job t w j in
+        Atomic.decr t.busy;
+        Option.iter (fun (reply, timed) -> post t j.slot reply timed) reply;
         loop ()
   in
   loop ()
@@ -386,6 +420,7 @@ type loop = {
   mutable drain_end : int;  (* [max_int] until a stop is seen *)
   mutable admitted : job list;  (* parsed this round, newest first *)
   mutable now : int;
+  scratch : Obs.t;  (* a lone query's attempt on the loop, merged into the server sink once answered *)
 }
 
 let info_fields t =
@@ -408,36 +443,75 @@ let reject t c ~id e =
   Obs.incr t.sink C.serve_rejected;
   immediate c (Protocol.error_response ~id e)
 
-(* Queue this round's queries under one lock.  Admission refuses —
-   typed, before any work — when a stop was requested (the queue is
-   guaranteed to drain, so anything admitted is guaranteed an answer)
-   or when the queue is at [max_queue] (shed, so a burst beyond capacity
-   costs the excess an immediate reply instead of unbounded memory and
-   queue latency).  Both are [Overloaded]: retryable with backoff. *)
+(* Whether the loop answers this round's [jobs] itself: exactly one
+   query, on an engine that polls, with the queue empty, every worker
+   idle and no stop requested.  Under [qm]. *)
+let lone t jobs =
+  match jobs with
+  | [ j ] when Queue.is_empty t.queue && Atomic.get t.busy = 0 && not (stopping t) -> (
+      match Kmismatch.Engine_registry.find j.engine with
+      | Some e -> e.caps.polls
+      | None -> false)
+  | _ -> false
+
+(* Answer a lone query on the loop under [inline_ns].  One the budget
+   cuts is queued with its own deadline, and its attempt leaves nothing
+   in the server sink. *)
+let answer_inline t l j =
+  let cut = Deadline.of_ns (Obs.Clock.now_ns () + inline_ns) in
+  let reply = answer t l.scratch j ~cut in
+  (match reply with
+  | Some (reply, timed) ->
+      Obs.merge ~into:t.sink l.scratch;
+      Obs.incr t.sink C.serve_inline;
+      j.slot.reply <- Some reply;
+      j.slot.timed <- timed
+  | None ->
+      Obs.incr t.sink C.serve_inline_cut;
+      (* The queue was empty and only the loop adds to it, so there is
+         room; the workers serve until the loop has exited. *)
+      Mutex.protect t.qm (fun () ->
+          Queue.add j t.queue;
+          Condition.signal t.qcv));
+  Obs.reset l.scratch
+
+(* Queue this round's queries under one lock, or answer a lone one on
+   the loop.  Admission refuses — typed, before any work — when a stop
+   was requested (the queue is guaranteed to drain, so anything admitted
+   is guaranteed an answer) or when the queue is at [max_queue] (shed,
+   so a burst beyond capacity costs the excess an immediate reply
+   instead of unbounded memory and queue latency).  Both are
+   [Overloaded]: retryable with backoff. *)
 let admit t l =
   if l.admitted <> [] then begin
     let jobs = List.rev l.admitted in
     l.admitted <- [];
     Mutex.lock t.qm;
-    let refused =
-      List.filter_map
-        (fun j ->
-          if stopping t then Some (j, "server is shutting down (draining)")
-          else if Queue.length t.queue >= t.cfg.max_queue then
-            Some (j, Printf.sprintf "admission queue full (max_queue = %d)" t.cfg.max_queue)
-          else begin
-            Queue.add j t.queue;
-            Condition.signal t.qcv;
-            None
-          end)
-        jobs
-    in
-    Mutex.unlock t.qm;
-    List.iter
-      (fun (j, why) ->
-        Obs.incr t.sink C.serve_shed;
-        j.slot.reply <- Some (Protocol.error_response ~id:j.id (Kmm_error.Overloaded why)))
-      refused
+    if lone t jobs then begin
+      Mutex.unlock t.qm;
+      answer_inline t l (List.hd jobs)
+    end
+    else begin
+      let refused =
+        List.filter_map
+          (fun j ->
+            if stopping t then Some (j, "server is shutting down (draining)")
+            else if Queue.length t.queue >= t.cfg.max_queue then
+              Some (j, Printf.sprintf "admission queue full (max_queue = %d)" t.cfg.max_queue)
+            else begin
+              Queue.add j t.queue;
+              Condition.signal t.qcv;
+              None
+            end)
+          jobs
+      in
+      Mutex.unlock t.qm;
+      List.iter
+        (fun (j, why) ->
+          Obs.incr t.sink C.serve_shed;
+          j.slot.reply <- Some (Protocol.error_response ~id:j.id (Kmm_error.Overloaded why)))
+        refused
+    end
   end
 
 (* Finish a [metrics] reply off the loop: each worker's sink is merged
@@ -688,6 +762,7 @@ let event_loop t =
       drain_end = max_int;
       admitted = [];
       now = Obs.Clock.now_ns ();
+      scratch = Obs.create ~trace:t.cfg.trace ();
     }
   in
   let pipe_buf = Bytes.create 64 in
@@ -810,6 +885,8 @@ let start cfg index =
       wake_w;
       wake_pending = Atomic.make false;
       scrapes = Atomic.make 0;
+      busy = Atomic.make 0;
+      loop_exited = false;
       sink = Obs.create ~trace:cfg.trace ();
       stop_ns = Atomic.make 0;
       stopped = Atomic.make false;
@@ -827,13 +904,14 @@ let start cfg index =
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
     request_stop t;
-    (* Wake idle workers so they can observe the stop and drain, and the
-       loop so it opens the drain window now. *)
-    Mutex.lock t.qm;
-    Condition.broadcast t.qcv;
-    Mutex.unlock t.qm;
+    (* Wake the loop so it opens the drain window now.  The workers
+       serve until it has exited, since a lone query it cut may still
+       reach the queue; then they drain the queue and leave. *)
     wake t;
     Option.iter Thread.join t.loop;
+    Mutex.protect t.qm (fun () ->
+        t.loop_exited <- true;
+        Condition.broadcast t.qcv);
     Array.iter Domain.join t.worker_domains;
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     (try Unix.close t.wake_w with Unix.Unix_error _ -> ());

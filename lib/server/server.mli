@@ -12,8 +12,27 @@
     admission queue.  [domains] worker domains each pull one query at a
     time straight off the queue, run it, encode its reply and hand the
     reply back to the loop, which writes each connection's replies in
-    frame order, several at once in one write.  A running search never
-    holds up a read or a reply, and a worker never touches a socket.
+    frame order, several at once in one write.  A worker never touches
+    a socket.
+
+    The loop has one bounded duty beyond I/O.  When a round admits
+    exactly one query, the queue is empty, no worker is running a query
+    and no stop was requested, the loop answers that query itself,
+    through the same code the workers run, and saves the two
+    cross-domain hand-offs (a parked worker's wake-up, and the reply's
+    trip back through the self-pipe).  It does so only for an engine
+    whose registry entry declares [caps.polls], and under a budget of
+    50 µs on top of the query's own deadline.  A search still running
+    then is cut by its own polls, its partial work and counts are
+    discarded, and it is queued with its own deadline like any other
+    query.  So the loop holds up other connections for at most 50 µs
+    plus one {!Deadline.poll_stride}, and a burst, a busy pool or a
+    draining daemon takes the queue as before.  Inline searches run on
+    the domain that called {!start}, with that domain's ambient
+    deadline and sink slots and its engines' per-domain scratch: no
+    other thread may run a search on that domain while the daemon runs.
+    The daemon's own other threads (the [metrics] scrapes and {!serve}'s
+    signal loop) never do.
     Results come back {!Core.Kmismatch.Response}-shaped; every failure —
     malformed frame, limit violation, invalid pattern, even an engine
     bug — is answered as a typed {!Kmm_error} frame in that frame's
@@ -65,9 +84,11 @@
       are answered with typed [Overloaded] refusals ("shutting down"), and once the window has
       passed each connection closes at a frame boundary as soon as the
       replies it is owed are written.  Worker domains are joined once
-      the queue is empty, and the socket file is unlinked.
+      the loop has exited and the queue is empty, and the socket file
+      is unlinked.
     - An engine exception answers its own query with a typed [Internal]
-      frame; the worker domain that ran it keeps serving.
+      frame; the worker domain (or the loop) that ran it keeps
+      serving.
     - A connection that ends mid-frame (truncated frame) is answered
       with a typed rejection if the peer can still read, then closed.
 
@@ -76,7 +97,9 @@
     The server owns always-active {!Obs} sinks: the event loop's own and
     one per worker domain behind its own mutex, all alive as long as the
     server.  A worker records each query into its own sink; nothing is
-    merged on the query path.  Readers — the [metrics] command and the
+    merged on a worker's query path.  The loop records a lone query into
+    a scratch sink of its own and merges it into its sink once the query
+    is answered, so an attempt it cuts leaves no trace.  Readers — the [metrics] command and the
     {!serve} exit taps — merge them all into a fresh sink.  A
     worker's sink can be read only between its queries, so the
     [metrics] command copies the loop's sink and leaves the workers'
@@ -85,10 +108,13 @@
     Counters: [serve.connections], [serve.disconnects],
     [serve.conns_dropped], [serve.conns_stalled], [serve.conns_failed],
     [serve.conns_refused], [serve.accept_errors], [serve.requests],
-    [serve.queries], [serve.rejected], [serve.shed], [serve.timeouts],
-    [serve.errors], [serve.truncated], [serve.hits], and the loop's
-    [serve.io_wakeups] (returns from [select]) and [serve.io_busy_ns]
-    (time spent outside [select]); the worker loop bumps [pool.tasks].
+    [serve.queries] (answered on a worker or on the loop),
+    [serve.rejected], [serve.shed], [serve.timeouts], [serve.errors],
+    [serve.truncated], [serve.hits], [serve.inline] (queries the loop
+    answered), [serve.inline_cut] (lone queries cut at the loop's budget
+    and queued), and the loop's [serve.io_wakeups] (returns from
+    [select]) and [serve.io_busy_ns] (time spent outside [select], inline
+    searches included); the worker loop bumps [pool.tasks].
     Histograms ({!Obs.Hist}): [serve.request_ns] (admission to the
     reply handed to the write), [serve.batch_size] (queries per worker
     pull: always 1), and the worker loop's [pool.queue_wait_ns]

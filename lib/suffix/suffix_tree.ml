@@ -104,11 +104,15 @@ let build input =
           end
     done
   in
+  (* One poll per phase and per finalized node: an offline query that
+     forces the build can be cut by its deadline like its search. *)
   for i = 0 to n - 1 do
+    Deadline.poll ();
     extend i
   done;
   (* Freeze leaf ends and assign suffix indices by depth-first traversal. *)
   let rec finalize node depth =
+    Deadline.poll ();
     if node.last = global_end then node.last <- n - 1;
     let len = if node == root then 0 else node.last - node.start + 1 in
     let depth = depth + len in

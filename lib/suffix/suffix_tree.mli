@@ -10,7 +10,9 @@ type node
 
 val build : string -> t
 (** Build the suffix tree of [s ^ "$"] in O(n) amortized time.  The input
-    must not contain ['$']. *)
+    must not contain ['$'].  The build polls the ambient deadline once
+    per phase and per node ({!Deadline.poll}), so it raises
+    {!Deadline.Expired} once that deadline has passed. *)
 
 val text : t -> string
 (** The indexed text including the final sentinel. *)

@@ -152,28 +152,60 @@ let deadline_ambient_poll () =
   in
   Alcotest.(check bool) "check raises immediately" true checked
 
-(* Every registered engine polls inside its whole-text loops: with the
-   ambient deadline already spent, a k >= m query (every window is a
-   hit) and a k = 0 query must both raise [Expired] rather than answer.
-   [prepare] runs first, outside the deadline, so only the search
-   itself is under test. *)
+(* Every registered engine that declares [caps.polls] polls inside its
+   whole-text loops: with the ambient deadline already spent, a k >= m
+   query (every window is a hit) and a k = 0 query must both raise
+   [Expired] rather than answer.  [prepare] runs first, outside the
+   deadline, so only the search itself is under test. *)
 let every_engine_polls () =
   let idx = K.build_index (String.sub text 0 20_000) in
   let pattern = "acgt" in
   List.iter
     (fun (e : K.Engine_registry.entry) ->
-      e.prepare idx;
-      List.iter
-        (fun k ->
-          let args = { K.Engine_registry.pattern; k; obs = Obs.noop } in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s at k = %d raises Expired" e.name k)
-            true
-            (match Deadline.with_ambient (Deadline.after 0.) (fun () -> e.run idx args) with
-            | _ -> false
-            | exception Deadline.Expired -> true))
-        [ String.length pattern; 0 ])
+      if e.caps.polls then begin
+        e.prepare idx;
+        List.iter
+          (fun k ->
+            let args = { K.Engine_registry.pattern; k; obs = Obs.noop } in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s at k = %d raises Expired" e.name k)
+              true
+              (match Deadline.with_ambient (Deadline.after 0.) (fun () -> e.run idx args) with
+              | _ -> false
+              | exception Deadline.Expired -> true))
+          [ String.length pattern; 0 ]
+      end)
     (K.Engine_registry.all ())
+
+(* Cole's suffix tree is built by the first cole query on an index.  The
+   build polls, so a spent budget cuts it, and the cut leaves the memo
+   to the next query, which answers as the naive scan does. *)
+let cold_cole_build_cut () =
+  let sub = String.sub text 0 20_000 in
+  let spent f =
+    match Deadline.with_ambient (Deadline.after 0.) f with
+    | _ -> false
+    | exception Deadline.Expired -> true
+  in
+  Alcotest.(check bool) "Suffix_tree.build raises Expired" true
+    (spent (fun () -> Suffix.Suffix_tree.build sub));
+  let idx = K.build_index sub in
+  let pattern = String.sub sub 4321 24 and k = 2 in
+  let query ?deadline engine =
+    K.try_run idx (K.Query.make ?deadline ~engine ~pattern ~k ())
+    |> Result.map (fun r -> r.K.Response.hits)
+  in
+  (match query ~deadline:(Deadline.after 0.) K.Cole with
+  | Error (Kmm_error.Timeout _) -> ()
+  | _ -> Alcotest.fail "cold cole query under a spent deadline: expected Timeout");
+  let cole = Option.get (K.Engine_registry.find K.Cole) in
+  Alcotest.(check bool) "cold cole run raises Expired" true
+    (spent (fun () -> cole.run idx { K.Engine_registry.pattern; k; obs = Obs.noop }));
+  match (query K.Cole, query K.Naive) with
+  | Ok hits, Ok naive ->
+      Alcotest.(check bool) "hits found" true (hits <> []);
+      Alcotest.(check (list (pair int int))) "cole = naive after the cut" naive hits
+  | _ -> Alcotest.fail "queries without a deadline failed"
 
 let reads_fixture =
   lazy
@@ -691,6 +723,7 @@ let () =
           Alcotest.test_case "ambient poll" `Quick deadline_ambient_poll;
           Alcotest.test_case "query deadline direct" `Quick query_deadline_direct;
           Alcotest.test_case "every engine's text loop polls" `Quick every_engine_polls;
+          Alcotest.test_case "cold cole build is cut" `Quick cold_cole_build_cut;
         ] );
       ( "cancellation",
         [

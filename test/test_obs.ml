@@ -224,6 +224,26 @@ let test_sink_counters_and_merge () =
   check bool "sorted export" true
     (List.map fst (Obs.counters a) = List.sort compare (List.map fst (Obs.counters a)))
 
+(* A scratch sink reset between uses merges exactly what it recorded
+   since, as a fresh sink would. *)
+let prop_reset_is_fresh =
+  let values = QCheck2.Gen.(list_size (int_bound 40) (pair bool (int_bound 10_000_000))) in
+  Test_util.qtest ~count:200 "reset, record, merge = fresh sink" (QCheck2.Gen.pair values values)
+    (fun (before, after) ->
+      let record s =
+        List.iter (fun (first, v) ->
+            Obs.record s (if first then H.map_read_hits else H.query_ns) v;
+            Obs.add s C.engine_nodes v)
+      in
+      let scratch = Obs.create () in
+      record scratch before;
+      Obs.reset scratch;
+      record scratch after;
+      let via = Obs.create () and direct = Obs.create () in
+      Obs.merge ~into:via scratch;
+      record direct after;
+      Obs.to_prometheus via = Obs.to_prometheus direct)
+
 let test_noop_is_inert () =
   check bool "noop disabled" false (Obs.enabled Obs.noop);
   check bool "noop fork is noop" false (Obs.enabled (Obs.fork Obs.noop));
@@ -460,7 +480,7 @@ let () =
       Kmismatch.Engine_registry.engine = Cut_test;
       name = "cut-test";
       doc = "test double: FM work, then expires or raises";
-      caps = { scales = false };
+      caps = { scales = false; polls = true };
       prepare = ignore;
       run =
         (fun idx _ ->
@@ -547,6 +567,7 @@ let () =
         [
           Alcotest.test_case "counters and merge" `Quick
             test_sink_counters_and_merge;
+          prop_reset_is_fresh;
           Alcotest.test_case "noop is inert" `Quick test_noop_is_inert;
           Alcotest.test_case "span records duration" `Quick
             test_span_records_duration;

@@ -638,7 +638,12 @@ let server_metrics_add_up () =
       (fun name ->
         Alcotest.(check (option int)) (Printf.sprintf "%s %s" where name) (Some (n + 1))
           (prom_value text name))
-      [ "serve_queries"; "pool_tasks"; "query_ns_count" ];
+      [ "serve_queries"; "query_ns_count" ];
+    (* Each query ran once: on a worker, or on the loop, which queues a
+       lone query its budget cuts (pulled, so counted in pool_tasks). *)
+    let value name = Option.value ~default:0 (prom_value text name) in
+    Alcotest.(check int) (where ^ " pool_tasks + serve_inline") (n + 1)
+      (value "pool_tasks" + value "serve_inline");
     List.iter
       (fun name ->
         Alcotest.(check bool) (Printf.sprintf "%s %s > 0" where name) true
@@ -665,7 +670,7 @@ let () =
       K.Engine_registry.engine = Raises;
       name = "raises-test";
       doc = "test double: raises on every query";
-      caps = { scales = true };
+      caps = { scales = true; polls = true };
       prepare = ignore;
       run = (fun _ _ -> failwith "engine bug");
     }
@@ -687,6 +692,16 @@ let server_engine_exception_isolated () =
   in
   let internal = Kmm_error.exit_code (Kmm_error.Internal "") in
   with_server (fun t path ->
+      (* Alone on an idle daemon, a raising query is answered on the
+         event loop, which keeps serving. *)
+      (let c = S.Client.connect ~timeout:30. path in
+       Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+       (match S.Client.query c ~engine:Raises ~pattern:"acgt" ~k:0 () with
+       | Ok (P.Error_reply { code; _ }) when code = internal -> ()
+       | _ -> Alcotest.fail "lone raising query: expected an Internal frame");
+       let text = live_metrics c in
+       Alcotest.(check (option int)) "answered on the loop" (Some 1) (prom_value text "serve_inline");
+       Alcotest.(check (option int)) "counted as an error" (Some 1) (prom_value text "serve_errors"));
       let n = Array.length qarr and clients = 3 in
       run_clients ~clients path (fun ci c ->
           let i = ref ci in
@@ -907,7 +922,9 @@ let () =
       K.Engine_registry.engine = Gated;
       name = "gated-test";
       doc = "test double: blocks until the test opens its gate";
-      caps = { scales = true };
+      (* It never polls, so the loop must never try it: on the loop it
+         would hold every connection until the gate opens. *)
+      caps = { scales = true; polls = false };
       prepare = ignore;
       run =
         (fun _ _ ->
@@ -960,6 +977,168 @@ let server_metrics_beside_busy_worker () =
           | _ -> Alcotest.fail "metrics reply has no text")
       | _ -> Alcotest.fail "metrics not answered")
 
+(* --- lone queries on the event loop ------------------------------------- *)
+
+let server_lone_query_inline () =
+  (* An idle daemon answers a lone query on its event loop: no worker
+     pulls it. *)
+  let pattern, k = List.nth queries 3 in
+  let expected = sequential_hits ~pattern ~k in
+  with_server (fun _t path ->
+      let c = S.Client.connect ~timeout:30. path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      (* The loop runs on this domain: start it on an empty minor heap,
+         so no collection lands inside the query's 50 us budget. *)
+      Gc.minor ();
+      (match S.Client.query c ~pattern ~k () with
+      | Ok (P.Hits { hits; _ }) ->
+          Alcotest.(check string) "hits = sequential" expected (P.render_hits hits)
+      | _ -> Alcotest.fail "lone query not answered");
+      let text = live_metrics c in
+      List.iter
+        (fun (name, want) ->
+          Alcotest.(check (option int)) name (Some want) (prom_value text name))
+        [ ("serve_inline", 1); ("serve_inline_cut", 0); ("serve_queries", 1); ("pool_tasks", 0) ])
+
+(* An engine that spins on [Deadline.poll] until the test opens its gate
+   (or 10 s pass), noting the domain of every run; registered in this
+   test process only.  Its answer is the naive one. *)
+type K.engine += Spins
+
+let spin_domains = Atomic.make []
+let spin_open = Atomic.make false
+
+let () =
+  K.Engine_registry.register
+    {
+      K.Engine_registry.engine = Spins;
+      name = "spins-test";
+      doc = "test double: polls until the test opens its gate";
+      caps = { scales = true; polls = true };
+      prepare = ignore;
+      run =
+        (fun idx a ->
+          let rec note () =
+            let l = Atomic.get spin_domains in
+            if not (Atomic.compare_and_set spin_domains l ((Domain.self () :> int) :: l)) then note ()
+          in
+          note ();
+          let t0 = Unix.gettimeofday () in
+          while (not (Atomic.get spin_open)) && Unix.gettimeofday () -. t0 < 10. do
+            Deadline.poll ();
+            Domain.cpu_relax ()
+          done;
+          Stringmatch.Hamming.search ~pattern:a.K.Engine_registry.pattern ~text:(K.text idx)
+            ~k:a.K.Engine_registry.k);
+    }
+
+let server_cut_query_handed_to_pool () =
+  (* A lone query that outlives the loop's budget is cut there by its
+     own polls and finished by a worker, and the loop serves a ping
+     meanwhile: the loop's stall is bounded by the budget, not by the
+     search. *)
+  Atomic.set spin_domains [];
+  Atomic.set spin_open false;
+  let pattern, k = List.nth queries 4 in
+  let expected = sequential_hits ~pattern ~k in
+  let loop_domain = (Domain.self () :> int) in
+  with_server ~domains:1 (fun _t path ->
+      let c = S.Client.connect ~timeout:30. path in
+      let pinger = S.Client.connect ~timeout:30. path in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set spin_open true;
+          List.iter S.Client.close [ c; pinger ])
+      @@ fun () ->
+      S.Client.send_line c (P.query_request ~id:(J.Int 1) ~engine:Spins ~pattern ~k ());
+      (* Wait for the second run: the worker's. *)
+      let t0 = Unix.gettimeofday () in
+      while List.length (Atomic.get spin_domains) < 2 && Unix.gettimeofday () -. t0 < 10. do
+        Thread.delay 0.001
+      done;
+      (match List.rev (Atomic.get spin_domains) with
+      | [ first; second ] ->
+          Alcotest.(check int) "first run on the loop's domain" loop_domain first;
+          Alcotest.(check bool) "second run on a worker domain" true (second <> loop_domain)
+      | l -> Alcotest.failf "%d runs of the spinning engine" (List.length l));
+      (match S.Client.command pinger "ping" with
+      | Ok (P.Ok_obj { fields; _ }) when List.mem_assoc "pong" fields -> ()
+      | _ -> Alcotest.fail "ping not answered");
+      Alcotest.(check bool) "ping answered while the worker spins" false (Atomic.get spin_open);
+      Atomic.set spin_open true;
+      (match Option.map P.parse_reply (S.Client.recv_line c) with
+      | Some (Ok (P.Hits { id = J.Int 1; hits; _ })) ->
+          Alcotest.(check string) "hits = sequential" expected (P.render_hits hits)
+      | _ -> Alcotest.fail "cut query not answered");
+      let text = live_metrics pinger in
+      List.iter
+        (fun (name, want) ->
+          Alcotest.(check (option int)) name (Some want) (prom_value text name))
+        [
+          ("serve_inline_cut", 1);
+          ("serve_inline", 0);
+          ("serve_queries", 1);
+          ("pool_tasks", 1);
+          ("query_ns_count", 1);
+          ("serve_timeouts", 0);
+        ])
+
+(* Random texts and queries through one daemon per case, one at a time
+   (the loop answers them) and in pipelined bursts of 8 (the workers
+   do), every reply against [Hamming.search].  The references are
+   computed before the daemon starts: [Hamming.search] polls the
+   ambient deadline, which inline searches set on this domain. *)
+let daemon_case_gen =
+  let open QCheck2.Gen in
+  let* text = Test_util.dna_gen ~lo:40 ~hi:1500 () in
+  let query =
+    let* len = int_range 4 24 in
+    let* planted = bool in
+    let* pattern =
+      if planted && len <= String.length text then
+        let* pos = int_bound (String.length text - len) in
+        let* edits = list_size (int_bound 2) (pair (int_bound (len - 1)) Test_util.dna_gen_char) in
+        pure
+          (String.mapi
+             (fun i c -> match List.assoc_opt i edits with Some e -> e | None -> c)
+             (String.sub text pos len))
+      else Test_util.dna_gen ~lo:len ~hi:len ()
+    in
+    let* k = int_bound 2 in
+    let* engine = oneofl K.[ Bidir; M_tree; S_tree; S_tree_no_delta ] in
+    pure (pattern, k, engine)
+  in
+  pair (pure text) (list_repeat 16 query)
+
+let prop_daemon_matches_naive =
+  Test_util.qtest ~count:20 "daemon = Hamming.search, both paths" daemon_case_gen
+    (fun (text, qs) ->
+      let expected =
+        List.map (fun (pattern, k, _) -> Stringmatch.Hamming.search ~pattern ~text ~k) qs
+      in
+      let frames = List.mapi (fun i (pattern, k, engine) -> P.query_request ~id:(J.Int i) ~engine ~pattern ~k ()) qs in
+      with_server ~index:(K.build_index text) (fun _t path ->
+          let c = S.Client.connect ~timeout:30. path in
+          Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+          let reply i =
+            match Option.map P.parse_reply (S.Client.recv_line c) with
+            | Some (Ok (P.Hits { id = J.Int i'; hits; truncated = false })) when i' = i -> hits
+            | _ -> failwith (Printf.sprintf "reply %d: not its hits" i)
+          in
+          let alone = List.mapi (fun i f -> S.Client.send_line c f; reply i) frames in
+          let rec bursts i = function
+            | [] -> []
+            | fs ->
+                let burst = List.filteri (fun j _ -> j < 8) fs in
+                S.Client.send_line c (String.concat "\n" burst);
+                let got = List.mapi (fun j _ -> reply (i + j)) burst in
+                got @ bursts (i + 8) (List.filteri (fun j _ -> j >= 8) fs)
+          in
+          let pooled = bursts 0 frames in
+          let text = live_metrics c in
+          let value name = Option.value ~default:0 (prom_value text name) in
+          alone = expected && pooled = expected && value "serve_inline" > 0 && value "pool_tasks" > 0))
+
 (* The serve-bench smoke: a tiny overload round, raising if an accepted
    reply diverges from a sequential run or an offered query goes
    unaccounted. *)
@@ -1010,6 +1189,13 @@ let () =
           Alcotest.test_case "query before shutdown answered" `Quick server_query_then_shutdown;
           Alcotest.test_case "metrics beside a busy worker" `Quick
             server_metrics_beside_busy_worker;
+        ] );
+      ( "inline",
+        [
+          Alcotest.test_case "lone query answered on the loop" `Quick server_lone_query_inline;
+          Alcotest.test_case "cut query finished by a worker" `Quick
+            server_cut_query_handed_to_pool;
+          prop_daemon_matches_naive;
         ] );
       ("bench", [ Alcotest.test_case "serve bench smoke" `Quick bench_smoke ]);
     ]
