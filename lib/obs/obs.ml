@@ -257,15 +257,15 @@ module Hist = struct
   let mtree_explore_ns = declare ~span:"mtree.explore" "mtree.explore_ns" "ns" "the exploration of one m-tree or s-tree search"
   let mtree_derive_ns = declare "mtree.derive_ns" "ns" "one subtree derivation"
   let bidir_explore_ns = declare ~span:"bidir.explore" "bidir.explore_ns" "ns" "the search-scheme searches of one Oss search"
-  let pool_queue_wait_ns = declare "pool.queue_wait_ns" "ns" "a task's wait until a worker pulled it"
-  let pool_task_ns = declare "pool.task_ns" "ns" "one task a worker ran"
+  let pool_queue_wait_ns = declare "pool.queue_wait_ns" "ns" "a task's wait until a worker (or the serve loop) started it"
+  let pool_task_ns = declare "pool.task_ns" "ns" "one task a worker (or the serve loop) ran"
   let map_read_ns = declare "map.read_ns" "ns" "one read mapped, both strands"
   let map_read_hits = declare "map.read_hits" "hits" "hits of one mapped read"
   let map_prepare_ns = declare "map.prepare_ns" "ns" "a batch's prepare phase"
   let map_search_ns = declare "map.search_ns" "ns" "a batch's search phase"
   let map_merge_ns = declare "map.merge_ns" "ns" "a batch's merge phase"
   let serve_request_ns = declare "serve.request_ns" "ns" "admission to the reply handed to the write"
-  let serve_batch_size = declare "serve.batch_size" "queries" "queries per worker pull"
+  let serve_batch_size = declare "serve.batch_size" "queries" "queries per hand-off to a worker or the serve loop"
 
   let specs = Array.of_list (List.rev !declared)
   let count = Array.length specs

@@ -247,14 +247,18 @@ let answer t o j ~cut =
       Obs.incr o (match e with Kmm_error.Timeout _ -> C.serve_timeouts | _ -> C.serve_errors);
       Some (Protocol.error_response ~id:j.id e, false)
 
+(* Dispatch [j] into sink [o]: its wait since admission, a hand-off of
+   one query, and its run.  Workers and the loop alike. *)
+let dispatch t o j ~cut =
+  Obs.record o Obs.Hist.pool_queue_wait_ns (Obs.Clock.now_ns () - j.slot.admitted_ns);
+  Obs.record o Obs.Hist.serve_batch_size 1;
+  Obs.time o Obs.Hist.pool_task_ns (fun () -> answer t o j ~cut)
+
 (* Answer one job on worker [w]. *)
 let run_job t w j =
   Mutex.protect w.wm (fun () ->
-      let o = w.wsink in
-      Obs.record o Obs.Hist.pool_queue_wait_ns (Obs.Clock.now_ns () - j.slot.admitted_ns);
-      Obs.incr o C.pool_tasks;
-      Obs.record o Obs.Hist.serve_batch_size 1;
-      Obs.time o Obs.Hist.pool_task_ns (fun () -> answer t o j ~cut:Deadline.none))
+      Obs.incr w.wsink C.pool_tasks;
+      dispatch t w.wsink j ~cut:Deadline.none)
 
 (* Pull admitted jobs one at a time until the loop has exited and the
    queue is empty: everything admitted, or queued by the loop after a
@@ -459,7 +463,7 @@ let lone t jobs =
    in the server sink. *)
 let answer_inline t l j =
   let cut = Deadline.of_ns (Obs.Clock.now_ns () + inline_ns) in
-  let reply = answer t l.scratch j ~cut in
+  let reply = dispatch t l.scratch j ~cut in
   (match reply with
   | Some (reply, timed) ->
       Obs.merge ~into:t.sink l.scratch;

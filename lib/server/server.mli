@@ -116,9 +116,10 @@
     [select]) and [serve.io_busy_ns] (time spent outside [select], inline
     searches included); the worker loop bumps [pool.tasks].
     Histograms ({!Obs.Hist}): [serve.request_ns] (admission to the
-    reply handed to the write), [serve.batch_size] (queries per worker
-    pull: always 1), and the worker loop's [pool.queue_wait_ns]
-    (admission to the pull) and [pool.task_ns].  Per query, the
+    reply handed to the write), and, once per answered query on a
+    worker or on the loop, [serve.batch_size] (queries per hand-off:
+    always 1), [pool.queue_wait_ns] (admission to the pull or the
+    loop's start) and [pool.task_ns] (the run).  Per query, the
     [query_ns] histogram, the engine's histograms and [engine.*]
     counters, and the [fm.*]/[verify.*] taps,
     armed from {!start} to {!stop}.  The whole sink is exported

@@ -998,7 +998,16 @@ let server_lone_query_inline () =
       List.iter
         (fun (name, want) ->
           Alcotest.(check (option int)) name (Some want) (prom_value text name))
-        [ ("serve_inline", 1); ("serve_inline_cut", 0); ("serve_queries", 1); ("pool_tasks", 0) ])
+        [
+          ("serve_inline", 1);
+          ("serve_inline_cut", 0);
+          ("serve_queries", 1);
+          ("pool_tasks", 0);
+          (* The loop's answer is a dispatch too, so the layer view sees it. *)
+          ("serve_batch_size_count", 1);
+          ("pool_queue_wait_ns_count", 1);
+          ("pool_task_ns_count", 1);
+        ])
 
 (* An engine that spins on [Deadline.poll] until the test opens its gate
    (or 10 s pass), noting the domain of every run; registered in this
@@ -1081,6 +1090,10 @@ let server_cut_query_handed_to_pool () =
           ("pool_tasks", 1);
           ("query_ns_count", 1);
           ("serve_timeouts", 0);
+          (* The worker's run only: the cut attempt left no sample. *)
+          ("serve_batch_size_count", 1);
+          ("pool_queue_wait_ns_count", 1);
+          ("pool_task_ns_count", 1);
         ])
 
 (* Random texts and queries through one daemon per case, one at a time
