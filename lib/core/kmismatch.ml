@@ -64,7 +64,7 @@ let bidir t = t.bidir
 (* The engine registry                                                  *)
 
 module Engine_registry = struct
-  type caps = { scales : bool; polls : bool }
+  type caps = { scales : bool }
 
   type run_args = {
     pattern : string;
@@ -175,7 +175,7 @@ let () =
       engine = M_tree;
       name = "m-tree";
       doc = "the paper's Algorithm A: BWT search with mismatching-tree reuse";
-      caps = { scales = true; polls = true };
+      caps = { scales = true };
       prepare = nothing;
       run =
         (fun t a ->
@@ -186,7 +186,7 @@ let () =
       engine = S_tree;
       name = "s-tree";
       doc = "the BWT baseline of ref. [34] with the delta heuristic";
-      caps = { scales = true; polls = true };
+      caps = { scales = true };
       prepare = nothing;
       run = s_tree ~use_delta:true;
     };
@@ -195,7 +195,7 @@ let () =
       engine = S_tree_no_delta;
       name = "s-tree-nodelta";
       doc = "the BWT baseline without the delta heuristic";
-      caps = { scales = true; polls = true };
+      caps = { scales = true };
       prepare = nothing;
       run = s_tree ~use_delta:false;
     };
@@ -204,7 +204,7 @@ let () =
       engine = Cole;
       name = "cole";
       doc = "suffix-tree brute force (ref. [14])";
-      caps = { scales = false; polls = true };
+      caps = { scales = false };
       prepare = (fun t -> ignore (suffix_tree t));
       run =
         (fun t a ->
@@ -215,7 +215,7 @@ let () =
       engine = Amir;
       name = "amir";
       doc = "online mark-and-verify (ref. [2])";
-      caps = { scales = false; polls = true };
+      caps = { scales = false };
       prepare =
         (fun t ->
           ignore (text t);
@@ -230,7 +230,7 @@ let () =
       engine = Naive;
       name = "naive";
       doc = "online O(mn) scanning reference";
-      caps = { scales = false; polls = true };
+      caps = { scales = false };
       prepare = (fun t -> ignore (text t));
       run =
         (fun t a ->
@@ -243,7 +243,7 @@ let () =
       doc =
         "bidirectional FM-index executing optimum search schemes (Kianfar & \
          Pockrandt)";
-      caps = { scales = true; polls = true };
+      caps = { scales = true };
       prepare = (fun t -> ignore (Fmindex.Bidir.prefix_table (bidir t)));
       run =
         (fun t a ->

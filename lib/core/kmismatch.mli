@@ -59,14 +59,6 @@ module Engine_registry : sig
             the large-text tier of [kmm bench engines].  Cole's suffix
             tree and the online references (amir, naive) are
             [false]. *)
-    polls : bool;
-        (** every hot loop polls {!Deadline.poll}, so a budget cuts it
-            within one poll stride.  [kmm serve]'s event loop tries a
-            lone query itself, under a short budget, only on an engine
-            that declares it: one that never polls would hold the loop
-            for its whole search.  Every built-in engine is [true];
-            Cole's one-time suffix-tree build polls too (the one-pass
-            text unpacking amir and naive force does not). *)
   }
 
   type run_args = {

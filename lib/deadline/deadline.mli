@@ -39,9 +39,6 @@ val of_ns : int -> t
 
 val is_none : t -> bool
 
-val earlier : t -> t -> t
-(** The instant that comes first ({!none} comes last). *)
-
 val expired : t -> bool
 (** Has the instant passed?  Reads the clock (unless [is_none]). *)
 
@@ -62,6 +59,16 @@ val with_ambient : t -> (unit -> 'a) -> 'a
     domain's ambient deadline, restoring the previous one on exit
     (normal or exceptional), so nesting composes.  Installing {!none}
     explicitly shields [f] from an outer deadline. *)
+
+val with_budget : ns:int -> renew:(unit -> bool) -> (unit -> 'a) -> 'a
+(** [with_budget ~ns ~renew f] runs [f] under a budget of [ns]
+    nanoseconds on top of the ambient deadline.  A {!poll} or {!check}
+    that finds the budget spent asks [renew ()]: [true] grants [ns]
+    more, [false] raises {!Expired}.  The budget never outlasts the
+    ambient deadline, and {!ambient} does not report it.  [kmm serve]'s
+    event loop runs a lone query under one, renewed while the loop has
+    nothing else to do.  [renew] runs inside the poll, so it must not
+    raise and should be cheap; it is asked at most once per [ns]. *)
 
 val ambient : unit -> t
 (** The currently installed deadline ({!none} outside {!with_ambient}).

@@ -211,7 +211,7 @@ module Counter = struct
   let serve_timeouts = declare "serve.timeouts" "queries" "queries answered Timeout"
   let serve_errors = declare "serve.errors" "queries" "queries answered with another error"
   let serve_inline = declare "serve.inline" "queries" "queries the event loop answered itself"
-  let serve_inline_cut = declare "serve.inline_cut" "queries" "lone queries cut at the loop's budget and handed to the pool"
+  let serve_inline_cut = declare "serve.inline_cut" "queries" "lone queries the loop cut for other work and handed to the pool"
   let serve_connections = declare "serve.connections" "connections" "connections accepted"
   let serve_conns_refused = declare "serve.conns_refused" "connections" "connections refused (descriptor beyond the select limit)"
   let serve_accept_errors = declare "serve.accept_errors" "errors" "accept failures that paused the listener"

@@ -14,16 +14,18 @@
      caller            -- start/stop (or the [serve] signal loop)
 
    The loop's one bounded duty beyond I/O: a round that admits exactly
-   one query, with the queue empty, every worker idle and no stop
-   requested, runs that query on the loop instead of waking a worker
-   (only on an engine whose [caps.polls] promises that a budget cuts
-   it).  Its budget is [inline_ns] on top of its own deadline; a search
-   still running then is discarded and queued like any other query, so
-   the loop stalls for at most [inline_ns] plus one poll stride.  Inline
-   searches use the caller domain's ambient deadline and sink slots and
-   its engine scratch, so no other thread may search on that domain
-   while the daemon runs: the scrapes and [serve]'s signal loop never
-   do.
+   one query, from a connection on a streak of [solo_streak] queries,
+   with the queue empty, every worker idle and no stop requested, runs
+   that query on the loop instead of waking a worker (every registered
+   engine polls its deadline; test_chaos checks it).  It runs under a
+   budget of [inline_ns], renewed while the loop has nothing else to
+   do; once a descriptor it watches is ready, a timer is due or a stop
+   is requested, the search is discarded and queued like any other
+   query, so the loop answers others at most [inline_ns] plus one poll
+   stride late.  Inline searches use the caller domain's ambient
+   deadline and sink slots and its engine scratch, so no other thread
+   may search on that domain while the daemon runs: the scrapes and
+   [serve]'s signal loop never do.
 
    Workers never touch a socket, so a stalled reader can never hold a
    query domain.  Locks, never nested: [qm] (admission queue), [dm]
@@ -72,15 +74,24 @@ let accept_backoff_ns = 50_000_000
    that came without a wake (a signal handler's). *)
 let tick_ns = 100_000_000
 
-(* The budget of a lone query the loop answers itself.  Queued, a query
-   pays two cross-domain hand-offs (serve-short, 2-vCPU host, means over
-   5000 one-at-a-time queries): 7.2 us from admission to a parked
-   worker's pull, and about 7.4 us from its reply back through the
-   self-pipe to the loop's write, against 6.5-9 us of search.  A search
-   the budget cuts has lost at most this much before it is queued; it
-   is also the longest the loop leaves every other connection waiting,
-   plus one poll stride. *)
+(* The budget of a lone query the loop answers itself, renewed while
+   nothing else waits.  Queued, a query pays two cross-domain hand-offs
+   (serve-short, 2-vCPU host, means over 5000 one-at-a-time queries):
+   7.2 us from admission to a parked worker's pull, and about 7.4 us
+   from its reply back through the self-pipe to the loop's write,
+   against 6.5-9 us of search.  It is the longest the loop leaves other
+   connections waiting, plus one poll stride, and how often a long
+   inline search pays one zero-timeout [select]. *)
 let inline_ns = 50_000
+
+(* How many queries in a row a connection must have sent, with no other
+   connection's query in between, before the loop answers one itself.
+   A query the loop's budget cuts loses its search: that happens when a
+   second client's query arrives mid-search, and the streak keeps the
+   loop off clients that interleave.  Two clients sending 0.3 ms
+   queries one at a time (2-vCPU host) lost ~3% of their queries to cuts
+   at a streak of one. *)
+let solo_streak = 3
 
 (* Frames one connection may have in flight: read, not yet answered on
    the wire.  Past it the loop leaves that connection's input unread
@@ -111,6 +122,7 @@ type job = {
   k : int;
   engine : Kmismatch.engine;
   deadline : Deadline.t;  (* anchored at admission: the budget covers queue wait too *)
+  solo : bool;  (* its connection sent the last [solo_streak] queries read *)
 }
 
 (* A worker domain's own sink, recorded into by that domain alone, one
@@ -210,14 +222,13 @@ let post t slot reply timed =
   if Atomic.compare_and_set t.wake_pending false true then wake t
 
 (* Answer job [j], recording into [o], and encode its reply: the frame
-   and whether it is a hits reply.  The search runs under the earlier of
-   the query's deadline and [cut].  Total: a budget that expired in the
+   and whether it is a hits reply.  Total: a budget that expired in the
    queue, a validation failure and an engine exception all become this
    job's reply, so every admitted query is answered and no domain dies.
-   Only a search that [cut] stopped before the query's own deadline
-   passed comes back unanswered, as [None]: never under
-   [Deadline.none]. *)
-let answer t o j ~cut =
+   Only a search that the loop's budget ({!Deadline.with_budget}) cut
+   before the query's own deadline passed comes back unanswered, as
+   [None]: never on a worker. *)
+let answer t o j =
   let max_hits = t.cfg.limits.max_hits in
   let r =
     (* [try_run] answers a job that expired while queued without
@@ -226,7 +237,7 @@ let answer t o j ~cut =
        discarded. *)
     match
       Kmismatch.try_run t.index
-        (Kmismatch.Query.make ~obs:o ~deadline:(Deadline.earlier j.deadline cut)
+        (Kmismatch.Query.make ~obs:o ~deadline:j.deadline
            ~engine:j.engine ~pattern:j.pattern ~k:j.k ())
     with
     | r -> Result.map (fun r -> r.Kmismatch.Response.hits) r
@@ -249,16 +260,16 @@ let answer t o j ~cut =
 
 (* Dispatch [j] into sink [o]: its wait since admission, a hand-off of
    one query, and its run.  Workers and the loop alike. *)
-let dispatch t o j ~cut =
+let dispatch t o j =
   Obs.record o Obs.Hist.pool_queue_wait_ns (Obs.Clock.now_ns () - j.slot.admitted_ns);
   Obs.record o Obs.Hist.serve_batch_size 1;
-  Obs.time o Obs.Hist.pool_task_ns (fun () -> answer t o j ~cut)
+  Obs.time o Obs.Hist.pool_task_ns (fun () -> answer t o j)
 
 (* Answer one job on worker [w]. *)
 let run_job t w j =
   Mutex.protect w.wm (fun () ->
       Obs.incr w.wsink C.pool_tasks;
-      dispatch t w.wsink j ~cut:Deadline.none)
+      dispatch t w.wsink j)
 
 (* Pull admitted jobs one at a time until the loop has exited and the
    queue is empty: everything admitted, or queued by the loop after a
@@ -424,6 +435,8 @@ type loop = {
   mutable drain_end : int;  (* [max_int] until a stop is seen *)
   mutable admitted : job list;  (* parsed this round, newest first *)
   mutable now : int;
+  mutable sender : conn option;  (* the connection the latest query came from *)
+  mutable streak : int;  (* queries read in a row from [sender] *)
   scratch : Obs.t;  (* a lone query's attempt on the loop, merged into the server sink once answered *)
 }
 
@@ -447,23 +460,60 @@ let reject t c ~id e =
   Obs.incr t.sink C.serve_rejected;
   immediate c (Protocol.error_response ~id e)
 
+(* Whether the loop parses [c]'s next frame: not while the socket
+   refuses its replies (backpressure), nor past [max_in_flight] — except
+   during the drain, where every frame is answered at once. *)
+let can_take t c =
+  (not (pending_output c)) && (stopping t || Queue.length c.slots < max_in_flight)
+
+(* What the loop waits for: the descriptors it reads and writes, and the
+   earliest instant one of its timers is due ([max_int] when none is). *)
+let watch t l =
+  let drain_over = l.now >= l.drain_end in
+  let rd = ref [ t.wake_r ] and wr = ref [] and due = ref max_int in
+  if l.listening then
+    if l.now >= l.accept_at then rd := t.listen_fd :: !rd else due := min !due l.accept_at;
+  if stopping t && not drain_over then due := min !due l.drain_end;
+  Hashtbl.iter
+    (fun _ c ->
+      if pending_output c then begin
+        wr := c.fd :: !wr;
+        due := min !due c.stall_at
+      end
+      else if can_take t c then begin
+        if not (c.eof || drain_over) then rd := c.fd :: !rd;
+        (* Frames already buffered: no waiting. *)
+        if c.scanned < c.ilen then due := l.now
+      end)
+    l.conns;
+  (!rd, !wr, !due)
+
 (* Whether the loop answers this round's [jobs] itself: exactly one
-   query, on an engine that polls, with the queue empty, every worker
-   idle and no stop requested.  Under [qm]. *)
+   query, from a connection on a streak of [solo_streak], with the queue
+   empty, every worker idle and no stop requested.  Under [qm]. *)
 let lone t jobs =
   match jobs with
-  | [ j ] when Queue.is_empty t.queue && Atomic.get t.busy = 0 && not (stopping t) -> (
-      match Kmismatch.Engine_registry.find j.engine with
-      | Some e -> e.caps.polls
-      | None -> false)
+  | [ j ] -> j.solo && Queue.is_empty t.queue && Atomic.get t.busy = 0 && not (stopping t)
   | _ -> false
 
-(* Answer a lone query on the loop under [inline_ns].  One the budget
-   cuts is queued with its own deadline, and its attempt leaves nothing
-   in the server sink. *)
+(* Answer a lone query on the loop, under a budget of [inline_ns] that
+   is renewed while the loop has nothing else to do: no stop, no timer
+   due and no descriptor it watches ready.  Once it has, the search is
+   cut within [inline_ns] plus one poll stride, and the query is queued
+   with its own deadline; the attempt leaves nothing in the server
+   sink. *)
 let answer_inline t l j =
-  let cut = Deadline.of_ns (Obs.Clock.now_ns () + inline_ns) in
-  let reply = dispatch t l.scratch j ~cut in
+  let rd, wr, due = watch t l in
+  let renew () =
+    (not (stopping t))
+    && Obs.Clock.now_ns () < due
+    &&
+    match Unix.select rd wr [] 0. with
+    | [], [], _ -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> false
+  in
+  let reply = Deadline.with_budget ~ns:inline_ns ~renew (fun () -> dispatch t l.scratch j) in
   (match reply with
   | Some (reply, timed) ->
       Obs.merge ~into:t.sink l.scratch;
@@ -568,13 +618,10 @@ let handle_frame t l c line =
           let deadline = match deadline with None -> Deadline.none | Some s -> Deadline.after s in
           let slot = { admitted_ns = Obs.Clock.now_ns (); reply = None; timed = false } in
           Queue.add slot c.slots;
-          l.admitted <- { slot; id; pattern; k; engine; deadline } :: l.admitted)
-
-(* Whether the loop parses [c]'s next frame: not while the socket
-   refuses its replies (backpressure), nor past [max_in_flight] — except
-   during the drain, where every frame is answered at once. *)
-let can_take t c =
-  (not (pending_output c)) && (stopping t || Queue.length c.slots < max_in_flight)
+          l.streak <- (match l.sender with Some s when s == c -> l.streak + 1 | _ -> 1);
+          l.sender <- Some c;
+          let solo = l.streak >= solo_streak in
+          l.admitted <- { slot; id; pattern; k; engine; deadline; solo } :: l.admitted)
 
 let take_frames t l c =
   let max_frame = t.cfg.limits.max_frame in
@@ -682,26 +729,10 @@ let close_listener t l =
 (* One round: wait for readiness, then take completions, accept, read,
    parse and admit, write, and retire finished connections. *)
 let round t l pipe_buf =
-  let conns = Hashtbl.fold (fun _ c acc -> c :: acc) l.conns [] in
-  let drain_over = l.now >= l.drain_end in
-  let rd = ref [ t.wake_r ] and wr = ref [] and next = ref (l.now + tick_ns) in
-  if l.listening then
-    if l.now >= l.accept_at then rd := t.listen_fd :: !rd else next := min !next l.accept_at;
-  if stopping t && not drain_over then next := min !next l.drain_end;
-  List.iter
-    (fun c ->
-      if pending_output c then begin
-        wr := c.fd :: !wr;
-        next := min !next c.stall_at
-      end
-      else if can_take t c then begin
-        if not (c.eof || drain_over) then rd := c.fd :: !rd;
-        (* Frames already buffered: no waiting. *)
-        if c.scanned < c.ilen then next := l.now
-      end)
-    conns;
+  let rd, wr, due = watch t l in
+  let next = min due (l.now + tick_ns) in
   let readable, writable =
-    match Unix.select !rd !wr [] (float_of_int (max 0 (!next - l.now)) /. 1e9) with
+    match Unix.select rd wr [] (float_of_int (max 0 (next - l.now)) /. 1e9) with
     | r, w, _ -> (r, w)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
   in
@@ -766,6 +797,8 @@ let event_loop t =
       drain_end = max_int;
       admitted = [];
       now = Obs.Clock.now_ns ();
+      sender = None;
+      streak = 0;
       scratch = Obs.create ~trace:t.cfg.trace ();
     }
   in

@@ -16,18 +16,23 @@
     a socket.
 
     The loop has one bounded duty beyond I/O.  When a round admits
-    exactly one query, the queue is empty, no worker is running a query
-    and no stop was requested, the loop answers that query itself,
+    exactly one query, from a connection that has sent the last
+    {!solo_streak} queries the daemon read, the queue is empty, no
+    worker is running a query and no stop was requested, the loop
+    answers that query itself,
     through the same code the workers run, and saves the two
     cross-domain hand-offs (a parked worker's wake-up, and the reply's
-    trip back through the self-pipe).  It does so only for an engine
-    whose registry entry declares [caps.polls], and under a budget of
-    50 µs on top of the query's own deadline.  A search still running
-    then is cut by its own polls, its partial work and counts are
-    discarded, and it is queued with its own deadline like any other
-    query.  So the loop holds up other connections for at most 50 µs
-    plus one {!Deadline.poll_stride}, and a burst, a busy pool or a
-    draining daemon takes the queue as before.  Inline searches run on
+    trip back through the self-pipe).  It runs the search under a
+    budget of 50 µs ({!Deadline.with_budget}; every registered engine
+    polls its deadline in its hot loops), renewed while the loop has
+    nothing else to do: no descriptor it watches ready, no timer due
+    and no stop requested.  Once it has, the search is cut by its own
+    polls, its partial work and counts are discarded, and it is queued
+    with its own deadline like any other query.  So the loop answers
+    other connections at most 50 µs plus one {!Deadline.poll_stride}
+    late, a lone client's long query costs no extra hand-off, and a
+    burst, a busy pool, interleaving clients or a draining daemon take
+    the queue as before.  Inline searches run on
     the domain that called {!start}, with that domain's ambient
     deadline and sink slots and its engines' per-domain scratch: no
     other thread may run a search on that domain while the daemon runs.
@@ -111,8 +116,8 @@
     [serve.queries] (answered on a worker or on the loop),
     [serve.rejected], [serve.shed], [serve.timeouts], [serve.errors],
     [serve.truncated], [serve.hits], [serve.inline] (queries the loop
-    answered), [serve.inline_cut] (lone queries cut at the loop's budget
-    and queued), and the loop's [serve.io_wakeups] (returns from
+    answered), [serve.inline_cut] (lone queries the loop cut for other
+    work and queued), and the loop's [serve.io_wakeups] (returns from
     [select]) and [serve.io_busy_ns] (time spent outside [select], inline
     searches included); the worker loop bumps [pool.tasks].
     Histograms ({!Obs.Hist}): [serve.request_ns] (admission to the
@@ -155,6 +160,11 @@ val max_socket_path : int
     108 including the NUL).  A longer path is refused by {!start} as
     [Kmm_error.Error (Bad_input _)] naming the limit, instead of
     surfacing as a raw [Unix_error] from [bind]. *)
+
+val solo_streak : int
+(** How many queries in a row (3) a connection must have sent, with no
+    other connection's query in between, before the event loop answers
+    its lone query itself. *)
 
 val start : config -> Core.Kmismatch.index -> t
 (** Run the registry [prepare] of {!Protocol.default_engine} on the

@@ -152,29 +152,66 @@ let deadline_ambient_poll () =
   in
   Alcotest.(check bool) "check raises immediately" true checked
 
-(* Every registered engine that declares [caps.polls] polls inside its
-   whole-text loops: with the ambient deadline already spent, a k >= m
-   query (every window is a hit) and a k = 0 query must both raise
-   [Expired] rather than answer.  [prepare] runs first, outside the
-   deadline, so only the search itself is under test. *)
+(* A budget is renewed each time it runs out while [renew] grants it,
+   raises once [renew] declines, never outlasts the ambient deadline,
+   and is not reported as one. *)
+let deadline_budget () =
+  let spin () =
+    match
+      while true do
+        Deadline.poll ()
+      done
+    with
+    | () -> false
+    | exception Deadline.Expired -> true
+  in
+  let asked = ref 0 and grant = ref true in
+  let renew () =
+    incr asked;
+    !grant
+  in
+  let renewed =
+    Deadline.with_budget ~ns:100_000 ~renew (fun () ->
+        Alcotest.(check bool) "no ambient deadline" true (Deadline.is_none (Deadline.ambient ()));
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < 0.005 do
+          Deadline.poll ()
+        done;
+        let renewed = !asked in
+        grant := false;
+        Alcotest.(check bool) "declined budget raises" true (spin ());
+        renewed)
+  in
+  Alcotest.(check bool) "renewed while granted" true (renewed > 0);
+  for _ = 1 to 10 * Deadline.poll_stride do
+    Deadline.poll () (* the budget is gone: must never raise *)
+  done;
+  Alcotest.(check bool) "a granted budget stops at the ambient deadline" true
+    (Deadline.with_budget ~ns:100_000
+       ~renew:(fun () -> true)
+       (fun () -> Deadline.with_ambient (Deadline.after 0.001) spin))
+
+(* Every registered engine polls inside its whole-text loops: with the
+   ambient deadline already spent, a k >= m query (every window is a
+   hit) and a k = 0 query must both raise [Expired] rather than answer.
+   [prepare] runs first, outside the deadline, so only the search
+   itself is under test. *)
 let every_engine_polls () =
   let idx = K.build_index (String.sub text 0 20_000) in
   let pattern = "acgt" in
   List.iter
     (fun (e : K.Engine_registry.entry) ->
-      if e.caps.polls then begin
-        e.prepare idx;
-        List.iter
-          (fun k ->
-            let args = { K.Engine_registry.pattern; k; obs = Obs.noop } in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s at k = %d raises Expired" e.name k)
-              true
-              (match Deadline.with_ambient (Deadline.after 0.) (fun () -> e.run idx args) with
-              | _ -> false
-              | exception Deadline.Expired -> true))
-          [ String.length pattern; 0 ]
-      end)
+      e.prepare idx;
+      List.iter
+        (fun k ->
+          let args = { K.Engine_registry.pattern; k; obs = Obs.noop } in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at k = %d raises Expired" e.name k)
+            true
+            (match Deadline.with_ambient (Deadline.after 0.) (fun () -> e.run idx args) with
+            | _ -> false
+            | exception Deadline.Expired -> true))
+        [ String.length pattern; 0 ])
     (K.Engine_registry.all ())
 
 (* Cole's suffix tree is built by the first cole query on an index.  The
@@ -396,6 +433,13 @@ let server_deadline_expires_in_queue () =
 let server_deadline_expires_mid_search () =
   (* An idle daemon, so the probe starts immediately: its 20 ms budget
      dies inside the engine's polls, and the wire answer is code 9. *)
+  (* The reference is computed before the daemon starts: a lone query
+     runs on the daemon's event loop, on this domain. *)
+  let expected =
+    P.render_hits
+      (K.run (Lazy.force index) (K.Query.make ~engine:K.M_tree ~pattern:"acgtacgt" ~k:2 ()))
+        .K.Response.hits
+  in
   retry_once "mid-search expiry over the wire" (fun () ->
       with_server ~domains:2 (fun _t path ->
           let c = S.Client.connect path in
@@ -415,12 +459,6 @@ let server_deadline_expires_mid_search () =
               Alcotest.(check bool) "timeout metric recorded" true
                 (server_metric c "serve_timeouts" >= 1);
               (* a deadline generous enough never distorts the answer *)
-              let expected =
-                P.render_hits
-                  (K.run (Lazy.force index)
-                     (K.Query.make ~engine:K.M_tree ~pattern:"acgtacgt" ~k:2 ()))
-                    .K.Response.hits
-              in
               match S.Client.query c ~deadline:30. ~pattern:"acgtacgt" ~k:2 () with
               | Ok (P.Hits { hits; _ }) ->
                   Alcotest.(check string) "identical under generous deadline"
@@ -432,13 +470,12 @@ let server_deadline_expires_mid_search () =
 let dribbled_frame_still_answered () =
   (* A frame fed 3 bytes at a time must parse and answer exactly like a
      well-formed client's. *)
+  let expected =
+    P.render_hits
+      (K.run (Lazy.force index) (K.Query.make ~engine:K.M_tree ~pattern:"acgtacgt" ~k:2 ()))
+        .K.Response.hits
+  in
   with_server (fun _t path ->
-      let expected =
-        P.render_hits
-          (K.run (Lazy.force index)
-             (K.Query.make ~engine:K.M_tree ~pattern:"acgtacgt" ~k:2 ()))
-            .K.Response.hits
-      in
       let c = F.Socket.connect path in
       Fun.protect
         ~finally:(fun () -> F.Socket.close c)
@@ -722,6 +759,7 @@ let () =
           Alcotest.test_case "basics" `Quick deadline_basics;
           Alcotest.test_case "ambient poll" `Quick deadline_ambient_poll;
           Alcotest.test_case "query deadline direct" `Quick query_deadline_direct;
+          Alcotest.test_case "renewable budget" `Quick deadline_budget;
           Alcotest.test_case "every engine's text loop polls" `Quick every_engine_polls;
           Alcotest.test_case "cold cole build is cut" `Quick cold_cole_build_cut;
         ] );

@@ -480,7 +480,7 @@ let () =
       Kmismatch.Engine_registry.engine = Cut_test;
       name = "cut-test";
       doc = "test double: FM work, then expires or raises";
-      caps = { scales = false; polls = true };
+      caps = { scales = false };
       prepare = ignore;
       run =
         (fun idx _ ->

@@ -393,7 +393,7 @@ let () =
       Kmismatch.Engine_registry.engine = Counting_prepare;
       name = "counting-prepare-test";
       doc = "test double: naive search, counted prepare";
-      caps = { scales = false; polls = true };
+      caps = { scales = false };
       prepare = (fun _ -> Atomic.incr prepare_calls);
       run =
         (fun t a ->

@@ -296,6 +296,11 @@ let prop_hits_reply_roundtrip =
 (* --- live daemon ---------------------------------------------------- *)
 
 let server_roundtrip () =
+  let pattern, k = List.nth queries 0 in
+  let expected =
+    P.render_hits
+      (K.run (Lazy.force index) (K.Query.make ~engine:K.M_tree ~pattern ~k ())).K.Response.hits
+  in
   with_server (fun _t path ->
       let c = S.Client.connect path in
       Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
@@ -309,11 +314,6 @@ let server_roundtrip () =
             | Some (J.Int n) -> n = String.length text
             | _ -> false)
       | _ -> Alcotest.fail "info");
-      let pattern, k = List.nth queries 0 in
-      let expected =
-        P.render_hits
-          (K.run (Lazy.force index) (K.Query.make ~engine:K.M_tree ~pattern ~k ())).K.Response.hits
-      in
       match S.Client.query c ~pattern ~k () with
       | Ok (P.Hits { hits; truncated = false; _ }) ->
           Alcotest.(check string) "wire hits = sequential" expected (P.render_hits hits)
@@ -387,6 +387,11 @@ let server_resync_and_truncated () =
       | _ -> Alcotest.fail "daemon must keep serving after dirty disconnects")
 
 let server_client_killed_mid_response () =
+  let pattern, k = List.nth queries 1 in
+  let expected =
+    P.render_hits
+      (K.run (Lazy.force index) (K.Query.make ~engine:K.M_tree ~pattern ~k ())).K.Response.hits
+  in
   with_server (fun t path ->
       (* Fire a wide query and slam the connection without reading the
          answer: the write side sees EPIPE/ECONNRESET, which must stay a
@@ -401,11 +406,6 @@ let server_client_killed_mid_response () =
       Alcotest.(check bool) "daemon not stopping" false (S.stopping t);
       let c = S.Client.connect path in
       Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
-      let pattern, k = List.nth queries 1 in
-      let expected =
-        P.render_hits
-          (K.run (Lazy.force index) (K.Query.make ~engine:K.M_tree ~pattern ~k ())).K.Response.hits
-      in
       match S.Client.query c ~pattern ~k () with
       | Ok (P.Hits { hits; _ }) ->
           Alcotest.(check string) "daemon still answers correctly" expected
@@ -670,7 +670,7 @@ let () =
       K.Engine_registry.engine = Raises;
       name = "raises-test";
       doc = "test double: raises on every query";
-      caps = { scales = true; polls = true };
+      caps = { scales = true };
       prepare = ignore;
       run = (fun _ _ -> failwith "engine bug");
     }
@@ -692,16 +692,19 @@ let server_engine_exception_isolated () =
   in
   let internal = Kmm_error.exit_code (Kmm_error.Internal "") in
   with_server (fun t path ->
-      (* Alone on an idle daemon, a raising query is answered on the
-         event loop, which keeps serving. *)
+      (* One client alone on an idle daemon: its third raising query
+         in a row is answered on the event loop, which keeps serving. *)
       (let c = S.Client.connect ~timeout:30. path in
        Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
-       (match S.Client.query c ~engine:Raises ~pattern:"acgt" ~k:0 () with
-       | Ok (P.Error_reply { code; _ }) when code = internal -> ()
-       | _ -> Alcotest.fail "lone raising query: expected an Internal frame");
+       for _ = 1 to S.solo_streak do
+         match S.Client.query c ~engine:Raises ~pattern:"acgt" ~k:0 () with
+         | Ok (P.Error_reply { code; _ }) when code = internal -> ()
+         | _ -> Alcotest.fail "lone raising query: expected an Internal frame"
+       done;
        let text = live_metrics c in
-       Alcotest.(check (option int)) "answered on the loop" (Some 1) (prom_value text "serve_inline");
-       Alcotest.(check (option int)) "counted as an error" (Some 1) (prom_value text "serve_errors"));
+       List.iter
+         (fun (name, want) -> Alcotest.(check (option int)) name (Some want) (prom_value text name))
+         [ ("serve_inline", 1); ("pool_tasks", S.solo_streak - 1); ("serve_errors", S.solo_streak) ]);
       let n = Array.length qarr and clients = 3 in
       run_clients ~clients path (fun ci c ->
           let i = ref ci in
@@ -789,39 +792,39 @@ let sequential_hits ~pattern ~k =
 let slow_pattern = String.concat "" (List.init 10 (fun _ -> "acgt"))
 let slow_k = 16
 
-type expect = Hits_of of string * int | Pong | Code of int
+type expect = Hits_of of string | Pong | Code of int
 
 let server_pipelined_frames () =
   (* One write carries every kind of frame.  The replies must come back
      in frame order, each with its own id and code, and every hit list
-     must equal a sequential run. *)
+     must equal a sequential run, computed before the daemon starts. *)
   let limits = { P.default_limits with max_frame = 512 } in
+  let q = Array.of_list queries in
+  let query id (pattern, k) =
+    (P.query_request ~id:(J.Int id) ~engine:K.M_tree ~pattern ~k (),
+     Some (J.Int id, Hits_of (sequential_hits ~pattern ~k)))
+  in
+  let ping id = (P.command_request ~id:(J.Int id) "ping", Some (J.Int id, Pong)) in
+  let error line id code = (line, Some (id, Code code)) in
+  let frames =
+    [
+      query 0 q.(0);
+      query 1 q.(1);
+      ("", None) (* an empty line gets no reply *);
+      ping 2;
+      error "][ nope" J.Null 2;
+      error {|{"cmd":"evict","id":4}|} (J.Int 4) 2;
+      query 5 q.(2);
+      error (P.query_request ~id:(J.Int 6) ~pattern:(String.make 600 'a') ~k:0 ()) J.Null 2;
+      query 7 q.(3);
+      query 8 (slow_pattern, slow_k);
+      error (P.query_request ~id:(J.Int 9) ~deadline:0.005 ~pattern:"acgtacgt" ~k:1 ()) (J.Int 9) 9;
+      ping 10;
+    ]
+    @ List.init 9 (fun j -> query (11 + j) q.(4 + j))
+  in
+  let wire = List.map fst frames and expected = List.filter_map snd frames in
   with_server ~limits ~domains:1 (fun _t path ->
-      let q = Array.of_list queries in
-      let query id (pattern, k) =
-        (P.query_request ~id:(J.Int id) ~engine:K.M_tree ~pattern ~k (),
-         Some (J.Int id, Hits_of (pattern, k)))
-      in
-      let ping id = (P.command_request ~id:(J.Int id) "ping", Some (J.Int id, Pong)) in
-      let error line id code = (line, Some (id, Code code)) in
-      let frames =
-        [
-          query 0 q.(0);
-          query 1 q.(1);
-          ("", None) (* an empty line gets no reply *);
-          ping 2;
-          error "][ nope" J.Null 2;
-          error {|{"cmd":"evict","id":4}|} (J.Int 4) 2;
-          query 5 q.(2);
-          error (P.query_request ~id:(J.Int 6) ~pattern:(String.make 600 'a') ~k:0 ()) J.Null 2;
-          query 7 q.(3);
-          query 8 (slow_pattern, slow_k);
-          error (P.query_request ~id:(J.Int 9) ~deadline:0.005 ~pattern:"acgtacgt" ~k:1 ()) (J.Int 9) 9;
-          ping 10;
-        ]
-        @ List.init 9 (fun j -> query (11 + j) q.(4 + j))
-      in
-      let wire = List.map fst frames and expected = List.filter_map snd frames in
       let c = S.Client.connect ~timeout:30. path in
       Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
       S.Client.send_line c (String.concat "\n" wire);
@@ -834,10 +837,9 @@ let server_pipelined_frames () =
           in
           let where = Printf.sprintf "reply %d (id %s)" n (J.to_string id) in
           match (P.parse_reply line, e) with
-          | Ok (P.Hits { id = id'; hits; truncated = false }), Hits_of (pattern, k) ->
+          | Ok (P.Hits { id = id'; hits; truncated = false }), Hits_of want ->
               Alcotest.(check string) (where ^ " id") (J.to_string id) (J.to_string id');
-              Alcotest.(check string) (where ^ " hits = sequential") (sequential_hits ~pattern ~k)
-                (P.render_hits hits)
+              Alcotest.(check string) (where ^ " hits = sequential") want (P.render_hits hits)
           | Ok (P.Ok_obj { id = id'; fields }), Pong ->
               Alcotest.(check string) (where ^ " id") (J.to_string id) (J.to_string id');
               Alcotest.(check bool) (where ^ " pong") true (List.mem_assoc "pong" fields)
@@ -852,6 +854,8 @@ let server_pipelined_stall_dropped () =
      KB per reply) and never reads.  Its output cannot drain, so it is
      dropped as stalled within the send budget, while a second client
      is served throughout. *)
+  let pattern, k = List.nth queries 5 in
+  let expected = sequential_hits ~pattern ~k in
   with_server ~send_timeout:0.5 (fun t path ->
       let stalled = Core.Fault.Socket.connect path in
       Fun.protect ~finally:(fun () -> Core.Fault.Socket.close stalled) @@ fun () ->
@@ -860,8 +864,6 @@ let server_pipelined_stall_dropped () =
            (List.init 16 (fun i -> P.query_request ~id:(J.Int i) ~pattern:"acgt" ~k:3 () ^ "\n")));
       let c = S.Client.connect ~timeout:30. path in
       Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
-      let pattern, k = List.nth queries 5 in
-      let expected = sequential_hits ~pattern ~k in
       let serve_one () =
         match S.Client.query c ~pattern ~k () with
         | Ok (P.Hits { hits; _ }) ->
@@ -882,8 +884,9 @@ let server_pipelined_stall_dropped () =
 let server_query_then_shutdown () =
   (* A query pipelined before [shutdown] in one write was sent before the
      stop, so it is answered; only frames after the stop are refused. *)
+  let pattern, k = List.nth queries 7 in
+  let expected = sequential_hits ~pattern ~k in
   with_server (fun t path ->
-      let pattern, k = List.nth queries 7 in
       let c = S.Client.connect ~timeout:30. path in
       Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
       S.Client.send_line c
@@ -896,8 +899,7 @@ let server_query_then_shutdown () =
       let next () = Option.map P.parse_reply (S.Client.recv_line c) in
       (match next () with
       | Some (Ok (P.Hits { id = J.Int 1; hits; _ })) ->
-          Alcotest.(check string) "query before the stop answered" (sequential_hits ~pattern ~k)
-            (P.render_hits hits)
+          Alcotest.(check string) "query before the stop answered" expected (P.render_hits hits)
       | _ -> Alcotest.fail "query before shutdown not answered with hits");
       (match next () with
       | Some (Ok (P.Ok_obj { id = J.Int 2; fields })) ->
@@ -909,11 +911,23 @@ let server_query_then_shutdown () =
       | _ -> Alcotest.fail "query after shutdown not refused");
       Alcotest.(check bool) "daemon stopping" true (S.stopping t))
 
-(* An engine that blocks until the test opens its gate (or 10 s pass),
-   registered in this test process only. *)
+(* Put [c] on a streak one short of [S.solo_streak] with queries the
+   workers answer, so its next lone query runs on the loop. *)
+let warm_streak c =
+  for _ = 2 to S.solo_streak do
+    match S.Client.query c ~pattern:"acgtacgt" ~k:0 () with
+    | Ok (P.Hits _) -> ()
+    | _ -> Alcotest.fail "warm-up query not answered"
+  done
+
+(* An engine that spins on [Deadline.poll] until the test opens its
+   gate (or 10 s pass), noting the domain of every run; registered in
+   this test process only.  Its answer is the naive one.  Alone on an
+   idle daemon it runs on the event loop until other input reaches the
+   loop, which cuts it there and queues it for a worker. *)
 type K.engine += Gated
 
-let gate_entered = Atomic.make false
+let gate_runs = Atomic.make []
 let gate_open = Atomic.make false
 
 let () =
@@ -921,28 +935,48 @@ let () =
     {
       K.Engine_registry.engine = Gated;
       name = "gated-test";
-      doc = "test double: blocks until the test opens its gate";
-      (* It never polls, so the loop must never try it: on the loop it
-         would hold every connection until the gate opens. *)
-      caps = { scales = true; polls = false };
+      doc = "test double: polls until the test opens its gate";
+      caps = { scales = true };
       prepare = ignore;
       run =
-        (fun _ _ ->
-          Atomic.set gate_entered true;
+        (fun idx a ->
+          let rec note () =
+            let l = Atomic.get gate_runs in
+            if not (Atomic.compare_and_set gate_runs l ((Domain.self () :> int) :: l)) then note ()
+          in
+          note ();
           let t0 = Unix.gettimeofday () in
           while (not (Atomic.get gate_open)) && Unix.gettimeofday () -. t0 < 10. do
-            Thread.delay 0.002
+            Deadline.poll ();
+            Domain.cpu_relax ()
           done;
-          []);
+          Stringmatch.Hamming.search ~pattern:a.K.Engine_registry.pattern ~text:(K.text idx)
+            ~k:a.K.Engine_registry.k);
     }
+
+let close_gate () =
+  Atomic.set gate_runs [];
+  Atomic.set gate_open false
+
+(* The event loop runs on the domain that started the daemon: this one. *)
+let loop_domain = (Domain.self () :> int)
+
+(* The domains the gated engine has run on, oldest first, once [n] runs
+   have started (or 10 s passed). *)
+let gated_runs n =
+  let t0 = Unix.gettimeofday () in
+  while List.length (Atomic.get gate_runs) < n && Unix.gettimeofday () -. t0 < 10. do
+    Thread.delay 0.001
+  done;
+  List.rev (Atomic.get gate_runs)
 
 let server_metrics_beside_busy_worker () =
   (* With the only worker domain inside a query, a [metrics] request on
      one connection must not hold up a [ping] on another: the ping is
      answered while the query is still running, and the metrics reply
-     follows once it finishes. *)
-  Atomic.set gate_entered false;
-  Atomic.set gate_open false;
+     follows once it finishes.  The gated query starts on the loop; a
+     first ping cuts it there, and the worker runs it. *)
+  close_gate ();
   with_server ~domains:1 (fun _t path ->
       let busy = S.Client.connect ~timeout:30. path in
       let scraper = S.Client.connect ~timeout:30. path in
@@ -952,129 +986,111 @@ let server_metrics_beside_busy_worker () =
           Atomic.set gate_open true;
           List.iter S.Client.close [ busy; scraper; pinger ])
       @@ fun () ->
+      let ping what =
+        match S.Client.command pinger "ping" with
+        | Ok (P.Ok_obj { fields; _ }) when List.mem_assoc "pong" fields -> ()
+        | _ -> Alcotest.fail (what ^ ": ping not answered")
+      in
+      warm_streak busy;
       S.Client.send_line busy (P.query_request ~id:(J.Int 1) ~engine:Gated ~pattern:"acgt" ~k:0 ());
-      let t0 = Unix.gettimeofday () in
-      while (not (Atomic.get gate_entered)) && Unix.gettimeofday () -. t0 < 5. do
-        Thread.delay 0.002
-      done;
-      Alcotest.(check bool) "gated query running" true (Atomic.get gate_entered);
+      Alcotest.(check int) "gated query started" 1 (List.length (gated_runs 1));
+      ping "beside the loop's search";
+      (match gated_runs 2 with
+      | [ _; worker ] -> Alcotest.(check bool) "gated query on the worker" true (worker <> loop_domain)
+      | _ -> Alcotest.fail "gated query not handed to the worker");
       S.Client.send_line scraper (P.command_request ~id:(J.Int 2) "metrics");
       Thread.delay 0.05;
-      (match S.Client.command pinger "ping" with
-      | Ok (P.Ok_obj { fields; _ }) when List.mem_assoc "pong" fields -> ()
-      | _ -> Alcotest.fail "ping not answered");
+      ping "beside the scrape";
       Alcotest.(check bool) "ping answered while the query runs" false (Atomic.get gate_open);
       Atomic.set gate_open true;
       (match Option.map P.parse_reply (S.Client.recv_line busy) with
-      | Some (Ok (P.Hits { id = J.Int 1; hits = []; _ })) -> ()
+      | Some (Ok (P.Hits { id = J.Int 1; _ })) -> ()
       | _ -> Alcotest.fail "gated query not answered");
       match Option.map P.parse_reply (S.Client.recv_line scraper) with
       | Some (Ok (P.Ok_obj { id = J.Int 2; fields })) -> (
           match List.assoc_opt "metrics" fields with
           | Some (J.String text) ->
               Alcotest.(check bool) "metrics count the running query" true
-                (prom_value text "serve_queries" = Some 1)
+                (prom_value text "serve_queries" = Some S.solo_streak)
           | _ -> Alcotest.fail "metrics reply has no text")
       | _ -> Alcotest.fail "metrics not answered")
 
 (* --- lone queries on the event loop ------------------------------------- *)
 
 let server_lone_query_inline () =
-  (* An idle daemon answers a lone query on its event loop: no worker
-     pulls it. *)
-  let pattern, k = List.nth queries 3 in
-  let expected = sequential_hits ~pattern ~k in
+  (* One client sending queries one at a time to an idle daemon: once it
+     has sent [S.solo_streak] in a row, the event loop answers them
+     itself and no worker pulls them.  Nothing else reaches the loop
+     meanwhile, so its budget is renewed until each search ends.  A
+     query from a second connection breaks the streak. *)
+  let qs = List.filteri (fun i _ -> i >= 3 && i < 3 + S.solo_streak + 2) queries in
+  let expected = List.map (fun (pattern, k) -> sequential_hits ~pattern ~k) qs in
   with_server (fun _t path ->
       let c = S.Client.connect ~timeout:30. path in
-      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
-      (* The loop runs on this domain: start it on an empty minor heap,
-         so no collection lands inside the query's 50 us budget. *)
-      Gc.minor ();
-      (match S.Client.query c ~pattern ~k () with
-      | Ok (P.Hits { hits; _ }) ->
-          Alcotest.(check string) "hits = sequential" expected (P.render_hits hits)
-      | _ -> Alcotest.fail "lone query not answered");
-      let text = live_metrics c in
+      let other = S.Client.connect ~timeout:30. path in
+      Fun.protect ~finally:(fun () -> List.iter S.Client.close [ c; other ]) @@ fun () ->
+      let ask c (pattern, k) want =
+        match S.Client.query c ~pattern ~k () with
+        | Ok (P.Hits { hits; _ }) -> Alcotest.(check string) "hits = sequential" want (P.render_hits hits)
+        | _ -> Alcotest.fail "lone query not answered"
+      in
+      let counts names =
+        let text = live_metrics c in
+        List.map (fun name -> Option.value ~default:0 (prom_value text name)) names
+      in
+      let stream = List.combine qs expected in
+      List.iteri (fun i (q, want) -> if i <= S.solo_streak then ask c q want) stream;
+      Alcotest.(check (list int)) "inline, cut, pool"
+        [ 2; 0; S.solo_streak - 1 ]
+        (counts [ "serve_inline"; "serve_inline_cut"; "pool_tasks" ]);
       List.iter
-        (fun (name, want) ->
-          Alcotest.(check (option int)) name (Some want) (prom_value text name))
+        (fun name -> Alcotest.(check (option int)) name (Some (S.solo_streak + 1)) (prom_value (live_metrics c) name))
         [
-          ("serve_inline", 1);
-          ("serve_inline_cut", 0);
-          ("serve_queries", 1);
-          ("pool_tasks", 0);
-          (* The loop's answer is a dispatch too, so the layer view sees it. *)
-          ("serve_batch_size_count", 1);
-          ("pool_queue_wait_ns_count", 1);
-          ("pool_task_ns_count", 1);
-        ])
-
-(* An engine that spins on [Deadline.poll] until the test opens its gate
-   (or 10 s pass), noting the domain of every run; registered in this
-   test process only.  Its answer is the naive one. *)
-type K.engine += Spins
-
-let spin_domains = Atomic.make []
-let spin_open = Atomic.make false
-
-let () =
-  K.Engine_registry.register
-    {
-      K.Engine_registry.engine = Spins;
-      name = "spins-test";
-      doc = "test double: polls until the test opens its gate";
-      caps = { scales = true; polls = true };
-      prepare = ignore;
-      run =
-        (fun idx a ->
-          let rec note () =
-            let l = Atomic.get spin_domains in
-            if not (Atomic.compare_and_set spin_domains l ((Domain.self () :> int) :: l)) then note ()
-          in
-          note ();
-          let t0 = Unix.gettimeofday () in
-          while (not (Atomic.get spin_open)) && Unix.gettimeofday () -. t0 < 10. do
-            Deadline.poll ();
-            Domain.cpu_relax ()
-          done;
-          Stringmatch.Hamming.search ~pattern:a.K.Engine_registry.pattern ~text:(K.text idx)
-            ~k:a.K.Engine_registry.k);
-    }
+          "serve_queries";
+          (* The loop's answers are dispatches too, so the layer view sees them. *)
+          "serve_batch_size_count";
+          "pool_queue_wait_ns_count";
+          "pool_task_ns_count";
+        ];
+      let q, want = List.nth stream (S.solo_streak + 1) in
+      ask other q want;
+      ask c q want;
+      Alcotest.(check (list int)) "after another connection's query: the pool"
+        [ 2; S.solo_streak + 1 ]
+        (counts [ "serve_inline"; "pool_tasks" ]))
 
 let server_cut_query_handed_to_pool () =
-  (* A lone query that outlives the loop's budget is cut there by its
-     own polls and finished by a worker, and the loop serves a ping
-     meanwhile: the loop's stall is bounded by the budget, not by the
-     search. *)
-  Atomic.set spin_domains [];
-  Atomic.set spin_open false;
+  (* A lone query runs on the loop for as long as nothing else arrives.
+     A ping on another connection cuts it there: the ping is answered
+     while the search still runs, so the loop's stall is bounded by its
+     budget, not by the search, and a worker finishes the query. *)
+  close_gate ();
   let pattern, k = List.nth queries 4 in
   let expected = sequential_hits ~pattern ~k in
-  let loop_domain = (Domain.self () :> int) in
   with_server ~domains:1 (fun _t path ->
       let c = S.Client.connect ~timeout:30. path in
       let pinger = S.Client.connect ~timeout:30. path in
       Fun.protect
         ~finally:(fun () ->
-          Atomic.set spin_open true;
+          Atomic.set gate_open true;
           List.iter S.Client.close [ c; pinger ])
       @@ fun () ->
-      S.Client.send_line c (P.query_request ~id:(J.Int 1) ~engine:Spins ~pattern ~k ());
-      (* Wait for the second run: the worker's. *)
-      let t0 = Unix.gettimeofday () in
-      while List.length (Atomic.get spin_domains) < 2 && Unix.gettimeofday () -. t0 < 10. do
-        Thread.delay 0.001
-      done;
-      (match List.rev (Atomic.get spin_domains) with
-      | [ first; second ] ->
-          Alcotest.(check int) "first run on the loop's domain" loop_domain first;
-          Alcotest.(check bool) "second run on a worker domain" true (second <> loop_domain)
-      | l -> Alcotest.failf "%d runs of the spinning engine" (List.length l));
+      warm_streak c;
+      S.Client.send_line c (P.query_request ~id:(J.Int 1) ~engine:Gated ~pattern ~k ());
+      Alcotest.(check (list int)) "started on the loop" [ loop_domain ] (gated_runs 1);
+      (* Many budgets later, still there: an idle loop renews it. *)
+      Thread.delay 0.02;
+      Alcotest.(check (list int)) "still on the loop" [ loop_domain ] (List.rev (Atomic.get gate_runs));
       (match S.Client.command pinger "ping" with
       | Ok (P.Ok_obj { fields; _ }) when List.mem_assoc "pong" fields -> ()
       | _ -> Alcotest.fail "ping not answered");
-      Alcotest.(check bool) "ping answered while the worker spins" false (Atomic.get spin_open);
-      Atomic.set spin_open true;
+      Alcotest.(check bool) "ping answered while the search runs" false (Atomic.get gate_open);
+      (match gated_runs 2 with
+      | [ first; second ] ->
+          Alcotest.(check int) "first run on the loop" loop_domain first;
+          Alcotest.(check bool) "second run on a worker" true (second <> loop_domain)
+      | l -> Alcotest.failf "%d runs of the gated engine" (List.length l));
+      Atomic.set gate_open true;
       (match Option.map P.parse_reply (S.Client.recv_line c) with
       | Some (Ok (P.Hits { id = J.Int 1; hits; _ })) ->
           Alcotest.(check string) "hits = sequential" expected (P.render_hits hits)
@@ -1086,14 +1102,14 @@ let server_cut_query_handed_to_pool () =
         [
           ("serve_inline_cut", 1);
           ("serve_inline", 0);
-          ("serve_queries", 1);
-          ("pool_tasks", 1);
-          ("query_ns_count", 1);
+          ("serve_queries", S.solo_streak);
+          ("pool_tasks", S.solo_streak);
+          ("query_ns_count", S.solo_streak);
           ("serve_timeouts", 0);
-          (* The worker's run only: the cut attempt left no sample. *)
-          ("serve_batch_size_count", 1);
-          ("pool_queue_wait_ns_count", 1);
-          ("pool_task_ns_count", 1);
+          (* The workers' runs only: the cut attempt left no sample. *)
+          ("serve_batch_size_count", S.solo_streak);
+          ("pool_queue_wait_ns_count", S.solo_streak);
+          ("pool_task_ns_count", S.solo_streak);
         ])
 
 (* Random texts and queries through one daemon per case, one at a time
