@@ -243,7 +243,7 @@ let engine_arg =
     Printf.sprintf "Search engine; one of %s (dashes and underscores both accepted)."
       (String.concat ", " (Core.Kmismatch.engine_names ()))
   in
-  Arg.(value & opt engine_conv Core.Kmismatch.Bidir & info [ "engine" ] ~doc)
+  Arg.(value & opt engine_conv Core.Kmismatch.default_engine & info [ "engine" ] ~doc)
 
 let search_cmd =
   let run genome index_file mmap pattern k engine verbose trace metrics_out =

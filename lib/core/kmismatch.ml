@@ -9,6 +9,8 @@ type engine +=
   | Naive
   | Bidir
 
+let default_engine = Bidir
+
 (* The forward text and the suffix tree are derived views: the FM-index
    of the reversed text is the only component persisted, and an index
    loaded by mmap should not pay O(n) materialization up front.  All

@@ -38,6 +38,11 @@ type engine +=
   | Bidir
       (** The built-in engines, pre-registered in declaration order. *)
 
+val default_engine : engine
+(** The engine used when none is named: [Bidir].  [kmm]'s [--engine],
+    {!Mapper.default}, a daemon query frame without an [engine] field
+    and the engine a daemon prepares at start all take it. *)
+
 type index
 
 (** {1 The engine registry}

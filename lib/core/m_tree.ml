@@ -230,17 +230,17 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
   let n = Fm.length fm in
   if m > n then []
   else begin
-    (* R_ij, cached under i*(m+1)+j; the pattern's LCE structure is built
-       by the first derivation, so searches without one never pay for it. *)
+    (* R_ij, cached under i*(m+1)+j; the cache is made by the first
+       derivation, so searches without one never pay for it. *)
     let rij_limit = (2 * k) + 3 in
-    let rij_state = lazy (Mismatch_array.build pattern, Hashtbl.create 16) in
+    let rij_cache = lazy (Hashtbl.create 16) in
     let rij ~i ~j =
-      let mi, cache = Lazy.force rij_state in
+      let cache = Lazy.force rij_cache in
       let key = (i * (m + 1)) + j in
       match Hashtbl.find_opt cache key with
       | Some t -> t
       | None ->
-          let t = Mismatch_array.pairwise_lce mi ~i ~j ~limit:rij_limit in
+          let t = Mismatch_array.rij pattern ~i ~j ~limit:rij_limit in
           Hashtbl.add cache key t;
           t
     in

@@ -33,8 +33,9 @@
     not meant to re-enter {!search} on the same domain, and nothing in
     this library does; if one does (a nested call, or two systhreads of
     one domain searching at once), the inner search runs in a private
-    arena that is not kept.  The pattern's LCE structure for [R_ij] is
-    built by the first derivation only. *)
+    arena that is not kept.  Each [R_ij] is computed by comparing the
+    two shifted pattern suffixes when a derivation first needs it, and
+    cached for the rest of the search. *)
 
 type config = {
   chain_skip : bool;

@@ -28,7 +28,7 @@ type options = {
 
 let default =
   {
-    engine = Kmismatch.Bidir;
+    engine = Kmismatch.default_engine;
     both_strands = true;
     domains = 1;
     chunk_size = default_chunk_size;

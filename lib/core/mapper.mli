@@ -35,7 +35,7 @@ val default_chunk_size : int
 (** {1 Options and the primary entry point} *)
 
 type options = {
-  engine : Kmismatch.engine;  (** search engine; [Bidir] in {!default} *)
+  engine : Kmismatch.engine;  (** search engine; {!Kmismatch.default_engine} in {!default} *)
   both_strands : bool;
       (** also search the reverse complement (default true) *)
   domains : int;
@@ -59,8 +59,9 @@ type options = {
 }
 
 val default : options
-(** [{ engine = Bidir; both_strands = true; domains = 1; chunk_size =
-    default_chunk_size; obs = Obs.noop; deadline = Deadline.none }] —
+(** [{ engine = Kmismatch.default_engine; both_strands = true;
+    domains = 1; chunk_size = default_chunk_size; obs = Obs.noop;
+    deadline = Deadline.none }] —
     override fields with [{ default with ... }]. *)
 
 val run :

@@ -1,23 +1,20 @@
-type t = { m : int; lce : Suffix.Lce.t }
-
-let build r =
-  if r = "" then invalid_arg "Mismatch_array.build: empty pattern";
-  { m = String.length r; lce = Suffix.Lce.make r }
-
-let pairwise_lce t ~i ~j ~limit =
-  let m = t.m in
+let rij r ~i ~j ~limit =
+  let m = String.length r in
   if i < 0 || j < 0 || i >= m || j >= m then
-    invalid_arg "Mismatch_array.pairwise_lce: shift out of range";
+    invalid_arg "Mismatch_array.rij: shift out of range";
   let ov = m - max i j in
-  (* Each jump lands on the next mismatch x (1-based, x <= ov). *)
-  let rec go x acc count =
-    if count >= limit || x > ov then List.rev acc
-    else begin
-      let mis = x + Suffix.Lce.lce t.lce (i + x - 1) (j + x - 1) in
-      if mis > ov then List.rev acc else go (mis + 1) (mis :: acc) (count + 1)
+  let found = Array.make (max 0 (min limit ov)) 0 in
+  (* Compare the overlap left to right; x is 1-based within it. *)
+  let rec go x count =
+    if count = Array.length found || x > ov then count
+    else if String.unsafe_get r (i + x - 1) <> String.unsafe_get r (j + x - 1) then begin
+      found.(count) <- x;
+      go (x + 1) (count + 1)
     end
+    else go (x + 1) count
   in
-  Array.of_list (go 1 [] 0)
+  let count = go 1 0 in
+  if count = Array.length found then found else Array.sub found 0 count
 
 let naive_pairwise a b ~limit =
   if String.length a <> String.length b then

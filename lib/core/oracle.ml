@@ -170,24 +170,6 @@ let packed_verify =
         end);
   }
 
-(* The bidirectional engine over an FM-index rebuilt from the case's
-   raw text (rather than the shared index): covers the forward side
-   [Fm_index.build] derives for [Bidir.make] over arbitrary fuzz texts
-   plus the full scheme executor, diffed against naive like every other
-   subject. *)
-let bidir_find_all =
-  {
-    sub_name = "bidir-find-all";
-    run =
-      (fun _ c ->
-        let rev =
-          String.init (String.length c.text) (fun i ->
-              c.text.[String.length c.text - 1 - i])
-        in
-        let bd = Fmindex.Bidir.make (Fmindex.Fm_index.build rev) in
-        Some (Oss.search bd ~pattern:c.pattern ~k:c.k));
-  }
-
 (* Batch mapping under fuzz: [Mapper.run] maps the pattern and its
    reverse complement as two reads, one per pool task, with m-tree and
    bidir on one and on two domains.  Every read's forward hits must be
@@ -256,7 +238,6 @@ let default_subjects () =
   @ [
       packed_verify;
       fm_packed_find_all;
-      bidir_find_all;
       fm_save_roundtrip;
       fm_image_corruption;
       mapper;

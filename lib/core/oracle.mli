@@ -59,15 +59,12 @@ val default_subjects : unit -> subject list
     engines registered after startup join automatically) plus a
     [packed-verify] subject that answers every case by scanning all
     windows with the word-parallel kernel
-    ({!Fmindex.Packed_text.hamming}, limit [k]), plus four
+    ({!Fmindex.Packed_text.hamming}, limit [k]), plus three
     packed-FM-index subjects: a forward-index [find_all] check on
-    [k = 0] cases, a [bidir-find-all] subject that rebuilds the
-    bidirectional index from the case's raw text and runs the optimum
-    search schemes executor ({!Oss.search}) on every budget, a
-    save/load roundtrip (current on-disk format, reloaded by Copy and
-    by Mmap, each queried through m-tree and bidir; the four answers
-    must agree), and an [fm-image-corruption]
-    subject that serializes the index and verifies that each of a
+    [k = 0] cases, a save/load roundtrip (current on-disk format,
+    reloaded by Copy and by Mmap, each queried through m-tree and bidir;
+    the four answers must agree), and an [fm-image-corruption] subject
+    that serializes the index and verifies that each of a
     pseudo-random battery of image corruptions (bit flips, truncations,
     ENOSPC prefixes) is either rejected with a typed error or decodes
     to identical contents, plus a [mapper] subject: {!Mapper.run} maps

@@ -75,4 +75,3 @@ let complement c =
   if v <> '\000' then v else not_a_base "complement" c
 
 let bases = [| 'a'; 'c'; 'g'; 't' |]
-let base_codes = [| 1; 2; 3; 4 |]

@@ -36,6 +36,3 @@ val complement : char -> char
 
 val bases : char array
 (** The four bases in alphabetical order, [| 'a'; 'c'; 'g'; 't' |]. *)
-
-val base_codes : int array
-(** Codes of the four bases, [| 1; 2; 3; 4 |]. *)

@@ -313,8 +313,6 @@ type body =
 
 type request = { id : Json.t; body : body }
 
-let default_engine = Core.Kmismatch.Bidir
-
 let bad fmt = Printf.ksprintf (fun m -> Kmm_error.Bad_input m) fmt
 
 module Registry = Core.Kmismatch.Engine_registry
@@ -416,7 +414,7 @@ let parse_request ~limits line =
                                       {
                                         pattern;
                                         k;
-                                        engine = default_engine;
+                                        engine = Core.Kmismatch.default_engine;
                                         deadline;
                                       };
                                 }

@@ -23,9 +23,10 @@
     v}
 
     [pattern] is required for queries; [k] defaults to [0]; [engine]
-    defaults to ["bidir"] and accepts the names of
-    {!servable_engines}: the registered engines whose [caps.scales]
-    holds, which answer from what the index file holds.  Any other
+    defaults to {!Core.Kmismatch.default_engine} (["bidir"]) and
+    accepts the names of {!servable_engines}: the registered engines
+    whose [caps.scales] holds, which answer from what the index file
+    holds.  Any other
     registered engine (cole's suffix tree, the online scans) is refused
     with [Bad_input] before it could build per-index state inside a
     request.  [deadline] (optional) is the query's
@@ -116,9 +117,6 @@ type body =
   | Shutdown
 
 type request = { id : Json.t;  (** [Null] when absent *) body : body }
-
-val default_engine : Core.Kmismatch.engine
-(** The engine of a query frame without an [engine] field: [Bidir]. *)
 
 val servable_engines : unit -> Core.Kmismatch.engine list
 (** The engines a query frame may name, in registration order: those

@@ -41,7 +41,6 @@ type config = {
   socket_path : string;
   domains : int;
   max_queue : int;
-  backlog : int;
   limits : Protocol.limits;
   send_timeout : float;
   trace : bool;
@@ -54,7 +53,6 @@ let default_config ~socket_path =
     domains =
       min (Core.Work_pool.max_domains - 1) (Core.Work_pool.default_domains ());
     max_queue = 1024;
-    backlog = 64;
     limits = Protocol.default_limits;
     send_timeout = 10.0;
     trace = false;
@@ -98,6 +96,10 @@ let solo_streak = 3
    until replies drain, which bounds the reply memory one pipelining
    client can pin. *)
 let max_in_flight = 64
+
+(* The listening socket's [listen] backlog: connections the kernel
+   holds for the loop's next [accept]. *)
+let backlog = 64
 
 (* Connection buffers start at [buf_size]; a read wants at least
    [min_read] free bytes; a buffer grown past [shrink_above] is replaced
@@ -875,7 +877,7 @@ let start cfg index =
             max_socket_path));
   (* Build what the default engine builds once (bidir's prefix table)
      before the daemon accepts, so no first query pays for it. *)
-  Kmismatch.prepare Protocol.default_engine index;
+  Kmismatch.prepare Kmismatch.default_engine index;
   (* A disconnecting client must never kill the daemon: writes to a dead
      peer report EPIPE instead of raising the default-fatal SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -884,7 +886,7 @@ let start cfg index =
   let wake_r, wake_w =
     match
       Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-      Unix.listen listen_fd cfg.backlog;
+      Unix.listen listen_fd backlog;
       Unix.set_nonblock listen_fd;
       let r, w = Unix.pipe ~cloexec:true () in
       Unix.set_nonblock r;

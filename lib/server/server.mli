@@ -137,7 +137,6 @@ type config = {
   max_queue : int;
       (** bound on the admission queue; beyond it queries shed with a
           typed [Overloaded] reply *)
-  backlog : int;  (** [listen] backlog *)
   limits : Protocol.limits;  (** per-request admission limits *)
   send_timeout : float;
       (** whole-response send budget in seconds; a client that fails to
@@ -149,7 +148,7 @@ type config = {
 val default_config : socket_path:string -> config
 (** [domains = Core.Work_pool.default_domains ()] (at most
     [Core.Work_pool.max_domains - 1]),
-    [max_queue = 1024], [backlog = 64],
+    [max_queue = 1024],
     [limits = Protocol.default_limits], [send_timeout = 10.0],
     [trace = false], [log = ignore]. *)
 
@@ -167,7 +166,7 @@ val solo_streak : int
     its lone query itself. *)
 
 val start : config -> Core.Kmismatch.index -> t
-(** Run the registry [prepare] of {!Protocol.default_engine} on the
+(** Run the registry [prepare] of {!Core.Kmismatch.default_engine} on the
     index (bidir's prefix table), so no query pays for that one-off
     build; then bind the socket and spawn the event loop and the worker
     domains.  Returns once the daemon is accepting.  If the socket path is already bound by a

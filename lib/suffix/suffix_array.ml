@@ -241,11 +241,6 @@ let build_naive s =
   Array.sort (fun a b -> compare (suffix a) (suffix b)) sa;
   sa
 
-let rank_of sa =
-  let rank = Array.make (Array.length sa) 0 in
-  Array.iteri (fun i p -> rank.(p) <- i) sa;
-  rank
-
 let is_valid s sa =
   let n = String.length s in
   Array.length sa = n

@@ -40,8 +40,5 @@ val build_doubling : string -> int array
 val build_naive : string -> int array
 (** O(n^2 log n) sort of explicit suffixes; only for tiny test inputs. *)
 
-val rank_of : int array -> int array
-(** [rank_of sa] is the inverse permutation: [rank.(sa.(i)) = i]. *)
-
 val is_valid : string -> int array -> bool
 (** Full validity check (permutation + sortedness); for tests. *)

@@ -12,8 +12,7 @@ let test_r_tables_paper_example () =
   (* Fig. 4: r = tcacg.  R_1 = mismatches of tcac vs cacg = every
      position; R_2 = tca vs acg = {1, 3}; R_3 = tc vs cg = {1, 2};
      R_4 = t vs g = {1}.  R_i is R_0i. *)
-  let t = Mismatch_array.build "tcacg" in
-  let r i = Mismatch_array.pairwise_lce t ~i:0 ~j:i ~limit:5 in
+  let r i = Mismatch_array.rij "tcacg" ~i:0 ~j:i ~limit:5 in
   check (Alcotest.array int) "R1" [| 1; 2; 3; 4 |] (r 1);
   check (Alcotest.array int) "R2" [| 1; 3 |] (r 2);
   check (Alcotest.array int) "R3" [| 1; 2 |] (r 3);
@@ -22,12 +21,10 @@ let test_r_tables_paper_example () =
 
 let test_r_tables_limit () =
   (* An array holds at most [limit] entries. *)
-  let t = Mismatch_array.build "tttttttttt" in
   check (Alcotest.array int) "periodic: none" [||]
-    (Mismatch_array.pairwise_lce t ~i:0 ~j:1 ~limit:3);
-  let t2 = Mismatch_array.build "tgtgtgtgtg" in
+    (Mismatch_array.rij "tttttttttt" ~i:0 ~j:1 ~limit:3);
   check int "capped at the limit" 3
-    (Array.length (Mismatch_array.pairwise_lce t2 ~i:0 ~j:1 ~limit:3))
+    (Array.length (Mismatch_array.rij "tgtgtgtgtg" ~i:0 ~j:1 ~limit:3))
 
 let naive_shift r i ~limit =
   let m = String.length r in
@@ -37,20 +34,15 @@ let prop_r_tables =
   Test_util.qtest ~count:300 "R_i = naive shift mismatches"
     QCheck2.Gen.(pair (Test_util.dna_gen ~lo:2 ~hi:80 ()) (int_range 0 5))
     (fun (r, k) ->
-      let t = Mismatch_array.build r in
       let ok = ref true in
       for i = 1 to String.length r - 1 do
-        if Mismatch_array.pairwise_lce t ~i:0 ~j:i ~limit:(k + 2) <> naive_shift r i ~limit:(k + 2)
+        if Mismatch_array.rij r ~i:0 ~j:i ~limit:(k + 2) <> naive_shift r i ~limit:(k + 2)
         then ok := false
       done;
       !ok)
 
 let test_mismatch_array_validation () =
-  (match Mismatch_array.build "" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty pattern");
-  let t = Mismatch_array.build "acg" in
-  match Mismatch_array.pairwise_lce t ~i:0 ~j:5 ~limit:1 with
+  match Mismatch_array.rij "acg" ~i:0 ~j:5 ~limit:1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "shift out of range"
 

@@ -521,27 +521,33 @@ let test_ambient_survives_cut_queries () =
     (2 * Obs.counter_value one "fm.rank_ops")
     (Obs.counter_value outer "fm.rank_ops")
 
-(* A DESIGN.md table lists exactly the declared metrics of its kind,
-   each with its unit and doc: the rows between the header and the first
-   line that is not a table row. *)
-let check_design_table ~header declared =
+(* The rows of the DESIGN.md table under [header], split into trimmed
+   cells: the lines after its separator up to the first that is not a
+   table row. *)
+let design_table ~header =
   let lines = In_channel.with_open_text "../DESIGN.md" In_channel.input_all |> String.split_on_char '\n' in
   let rec rows = function
-    | l :: _ :: rest when l = header ->
-        List.filter_map
-          (fun l ->
-            match List.map String.trim (String.split_on_char '|' l) with
-            | [ ""; name; unit; doc; "" ] when String.length name > 2 ->
-                Some (String.sub name 1 (String.length name - 2), unit, doc)
-            | _ -> None)
-          (List.filter (fun l -> String.starts_with ~prefix:"|" l) (take_rows rest))
+    | l :: _ :: rest when l = header -> take_rows rest
     | _ :: rest -> rows rest
     | [] -> Alcotest.fail ("DESIGN.md has no table " ^ header)
   and take_rows = function
-    | l :: rest when String.starts_with ~prefix:"|" l -> l :: take_rows rest
+    | l :: rest when String.starts_with ~prefix:"|" l ->
+        List.map String.trim (String.split_on_char '|' l) :: take_rows rest
     | _ -> []
   in
-  let documented = rows lines in
+  rows lines
+
+(* A DESIGN.md table lists exactly the declared metrics of its kind,
+   each with its unit and doc. *)
+let check_design_table ~header declared =
+  let documented =
+    List.filter_map
+      (function
+        | [ ""; name; unit; doc; "" ] when String.length name > 2 ->
+            Some (String.sub name 1 (String.length name - 2), unit, doc)
+        | _ -> None)
+      (design_table ~header)
+  in
   List.iter
     (fun ((name, _, _) as d) ->
       check bool (Printf.sprintf "%s: declared as documented" name) true (List.mem d declared))
@@ -550,6 +556,60 @@ let check_design_table ~header declared =
     (fun ((name, _, _) as d) ->
       check bool (Printf.sprintf "%s: documented as declared" name) true (List.mem d documented))
     declared
+
+(* Every module DESIGN.md §2's inventory names in its Modules column has
+   a source file in the repository.  A module is a backquoted name that
+   starts with a capital, outside parentheses (those hold details such
+   as [Occ.Reference] or the stdlib's [Atomic]); a dotted name counts
+   as its first component. *)
+let check_design_inventory () =
+  let rec sources dir =
+    Array.fold_left
+      (fun acc e ->
+        let path = Filename.concat dir e in
+        if e.[0] = '.' || e.[0] = '_' then acc
+        else if Sys.is_directory path then sources path @ acc
+        else if Filename.check_suffix e ".ml" then e :: acc
+        else acc)
+      [] (Sys.readdir dir)
+  in
+  let files = sources ".." in
+  let top_level cell =
+    let b = Buffer.create (String.length cell) and depth = ref 0 in
+    String.iter
+      (function
+        | '(' -> incr depth
+        | ')' -> decr depth
+        | c -> if !depth = 0 then Buffer.add_char b c)
+      cell;
+    Buffer.contents b
+  in
+  let is_ident_char = function
+    | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  let modules =
+    List.concat_map
+      (function
+        | [ ""; _; _; cell; "" ] ->
+            List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' (top_level cell))
+            |> List.filter_map (fun code ->
+                   match String.split_on_char '.' code with
+                   | (m :: _) when m <> "" && m.[0] >= 'A' && m.[0] <= 'Z'
+                                   && String.for_all is_ident_char m ->
+                       Some m
+                   | _ -> None)
+        | _ -> [])
+      (design_table ~header:"| Subsystem | Library | Modules |")
+  in
+  check bool "the inventory names modules" true (List.length modules > 10);
+  List.iter
+    (fun m ->
+      check bool
+        (Printf.sprintf "%s: has a source file" m)
+        true
+        (List.mem (String.uncapitalize_ascii m ^ ".ml") files))
+    modules
 
 let () =
   Alcotest.run "obs"
@@ -595,5 +655,7 @@ let () =
             (fun () ->
               check_design_table ~header:"| histogram | unit | doc |"
                 (List.map (fun h -> (H.name h, H.unit h, H.doc h)) H.all));
+          Alcotest.test_case "DESIGN.md inventory modules have sources" `Quick
+            check_design_inventory;
         ] );
     ]

@@ -151,23 +151,22 @@ let rij_matches_naive r k (i0, j0) =
   let m = String.length r in
   let i = i0 mod (m - 1) in
   let j = i + 1 + (j0 mod (m - 1 - i)) in
-  let t = Mismatch_array.build r in
   let ov = m - j in
   List.for_all
     (fun limit ->
-      Mismatch_array.pairwise_lce t ~i ~j ~limit
+      Mismatch_array.rij r ~i ~j ~limit
       = Mismatch_array.naive_pairwise (String.sub r i ov) (String.sub r j ov) ~limit)
     [ k + 2; (2 * k) + 3 ]
 
 let prop_rij_naive =
-  Test_util.qtest ~count:400 "pairwise_lce = naive_pairwise"
+  Test_util.qtest ~count:400 "rij = naive_pairwise"
     QCheck2.Gen.(
       tup3 (Test_util.dna_gen ~lo:2 ~hi:60 ()) (int_range 0 6) (pair small_nat small_nat))
     (fun (r, k, ij) -> rij_matches_naive r k ij)
 
 let prop_rij_periodic =
   (* Highly periodic patterns are where R_ij saturates its limit. *)
-  Test_util.qtest ~count:300 "pairwise_lce = naive_pairwise (periodic)"
+  Test_util.qtest ~count:300 "rij = naive_pairwise (periodic)"
     QCheck2.Gen.(
       tup4 (Test_util.dna_gen ~lo:1 ~hi:4 ()) (int_range 2 20) (int_range 0 4)
         (pair small_nat small_nat))

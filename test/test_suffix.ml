@@ -106,76 +106,6 @@ let test_sais_codes () =
       ("sigma > 256", "\001\000", 257);
     ]
 
-let test_rank_of () =
-  let sa = Suffix_array.build "acagaca" in
-  let rank = Suffix_array.rank_of sa in
-  Array.iteri (fun i p -> check int "inverse" i rank.(p)) sa
-
-(* ------------------------------------------------------------------ *)
-(* LCP                                                                 *)
-
-let naive_lcp_array s sa =
-  Array.mapi
-    (fun i _ -> if i = 0 then 0 else Lcp.naive_lcp s sa.(i - 1) sa.(i))
-    sa
-
-let prop_kasai =
-  Test_util.qtest ~count:300 "Kasai = naive" (Test_util.dna_gen ~hi:300 ())
-    (fun s ->
-      let sa = Suffix_array.build s in
-      Lcp.of_suffix_array s sa = naive_lcp_array s sa)
-
-let test_lcp_repetitive () =
-  let s = "aaaaacaaaac" in
-  let sa = Suffix_array.build s in
-  check int_array "repetitive lcp" (naive_lcp_array s sa) (Lcp.of_suffix_array s sa)
-
-(* ------------------------------------------------------------------ *)
-(* RMQ                                                                 *)
-
-let test_rmq_exhaustive () =
-  let st = Random.State.make [| 5 |] in
-  for _ = 1 to 20 do
-    let n = 1 + Random.State.int st 60 in
-    let a = Array.init n (fun _ -> Random.State.int st 100) in
-    let t = Rmq.make a in
-    for i = 0 to n - 1 do
-      for j = i to n - 1 do
-        let expect = Array.fold_left min max_int (Array.sub a i (j - i + 1)) in
-        check int "range min" expect (Rmq.min_in t i j)
-      done
-    done
-  done
-
-let test_rmq_bad_range () =
-  let t = Rmq.make [| 1; 2; 3 |] in
-  let expect_invalid f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  expect_invalid (fun () -> Rmq.min_in t 2 1);
-  expect_invalid (fun () -> Rmq.min_in t 0 3);
-  expect_invalid (fun () -> Rmq.min_in t (-1) 0)
-
-(* ------------------------------------------------------------------ *)
-(* LCE                                                                 *)
-
-let prop_lce =
-  Test_util.qtest ~count:200 "LCE = naive"
-    QCheck2.Gen.(pair (Test_util.dna_gen ~lo:1 ~hi:150 ()) (pair small_nat small_nat))
-    (fun (s, (i, j)) ->
-      let n = String.length s in
-      let i = i mod n and j = j mod n in
-      let t = Lce.make s in
-      Lce.lce t i j = Lcp.naive_lcp s i j)
-
-let test_lce_self () =
-  let t = Lce.make "acgtacgt" in
-  check int "full self" 8 (Lce.lce t 0 0);
-  check int "shifted by period" 4 (Lce.lce t 0 4);
-  check int "no common" 0 (Lce.lce t 0 1)
-
 (* ------------------------------------------------------------------ *)
 (* Suffix tree                                                         *)
 
@@ -274,27 +204,11 @@ let () =
           Alcotest.test_case "valid on corpus" `Quick test_sa_valid_on_corpus;
           Alcotest.test_case "periodic strings" `Quick test_sa_periodic;
           Alcotest.test_case "large random" `Slow test_sa_large_random;
-          Alcotest.test_case "rank_of inverse" `Quick test_rank_of;
           prop_sais_equals_doubling;
           prop_sais_valid;
           prop_sais_bytes_equals_doubling;
           Alcotest.test_case "all byte values" `Quick test_sa_all_byte_values;
           Alcotest.test_case "code-string entry" `Quick test_sais_codes;
-        ] );
-      ( "lcp",
-        [
-          Alcotest.test_case "repetitive" `Quick test_lcp_repetitive;
-          prop_kasai;
-        ] );
-      ( "rmq",
-        [
-          Alcotest.test_case "exhaustive small" `Quick test_rmq_exhaustive;
-          Alcotest.test_case "bad ranges" `Quick test_rmq_bad_range;
-        ] );
-      ( "lce",
-        [
-          Alcotest.test_case "self" `Quick test_lce_self;
-          prop_lce;
         ] );
       ( "suffix_tree",
         [
