@@ -293,6 +293,281 @@ let prop_hits_reply_roundtrip =
           id' = id && hits' = hits && t' = truncated
       | _ -> false)
 
+(* --- encoder bytes and the readers' field logic ------------------------ *)
+
+(* Every encoder on frames that reach its corners: absent and present
+   optional fields, a float deadline, escapes in ids and messages,
+   extreme integers.  [fixtures/wire_frames.txt] holds one
+   "name<TAB>frame" line per case, recorded from the tree-printing
+   codec this one replaced; the encoders must still write exactly
+   those bytes. *)
+let wire_cases =
+  let escaped = J.String "a\"b\\c/d\ne\rf\tg\x01\x1fh\x7f\xc3\xa9" in
+  let q = P.query_request and hits = P.ok_hits_response in
+  [
+    ("query", fun () -> q ~pattern:"acgtacgt" ~k:2 ());
+    ("query id", fun () -> q ~id:(J.Int 7) ~pattern:"acgt" ~k:0 ());
+    ("query id escaped", fun () -> q ~id:escaped ~pattern:"ACGTN" ~k:1 ());
+    ("query id list", fun () -> q ~id:(J.List [ J.Int 1; J.Obj [ ("x", J.Null) ] ]) ~pattern:"a" ~k:3 ());
+    ("query engine", fun () -> q ~engine:K.M_tree ~pattern:"acgt" ~k:1 ());
+    ("query engine bidir", fun () -> q ~id:(J.Int 0) ~engine:K.Bidir ~pattern:"acgt" ~k:1 ());
+    ("query deadline", fun () -> q ~deadline:0.25 ~pattern:"acgt" ~k:1 ());
+    ("query deadline integral", fun () -> q ~deadline:3. ~pattern:"acgt" ~k:1 ());
+    ("query deadline tiny", fun () -> q ~deadline:1e-7 ~pattern:"acgt" ~k:1 ());
+    ("query deadline huge", fun () -> q ~deadline:1e300 ~pattern:"acgt" ~k:1 ());
+    ("query deadline inf", fun () -> q ~deadline:infinity ~pattern:"acgt" ~k:1 ());
+    ( "query all",
+      fun () -> q ~id:(J.String "q-1") ~engine:K.S_tree_no_delta ~deadline:0.1 ~pattern:"acgt" ~k:2 () );
+    ("query k extremes", fun () -> q ~id:(J.Int min_int) ~pattern:"" ~k:max_int ());
+    ("query k negative", fun () -> q ~id:(J.Float 2.5) ~pattern:"acgt" ~k:(-1) ());
+    ("query id bool", fun () -> q ~id:(J.Bool false) ~pattern:"acgt" ~k:(-10) ());
+    ("query escaped pattern", fun () -> q ~pattern:"ac\"gt\\\n" ~k:0 ());
+    ("command ping", fun () -> P.command_request "ping");
+    ("command id", fun () -> P.command_request ~id:(J.Int 42) "metrics");
+    ("command escaped", fun () -> P.command_request ~id:escaped "sh\"ut\tdown");
+    ("hits empty", fun () -> hits ~id:J.Null ~truncated:false []);
+    ("hits empty truncated", fun () -> hits ~id:(J.Int 3) ~truncated:true []);
+    ("hits", fun () -> hits ~id:(J.Int 9) ~truncated:false [ (12, 0); (40, 2); (77, 1) ]);
+    ("hits truncated", fun () -> hits ~id:(J.Int 9) ~truncated:true [ (0, 0); (1, 1) ]);
+    ( "hits extremes",
+      fun () ->
+        hits ~id:(J.Int (-1)) ~truncated:false
+          [ (max_int, 0); (min_int, max_int); (-1, -9); (-10, 10); (1_000_000, 99) ] );
+    ("hits id escaped", fun () -> hits ~id:escaped ~truncated:true [ (5, 1) ]);
+    ("hits id float", fun () -> hits ~id:(J.Float (-0.5)) ~truncated:false [ (5, 1) ]);
+    ("hits many", fun () -> hits ~id:(J.Int 1) ~truncated:false (List.init 40 (fun i -> (i * 977, i mod 4))));
+    ("error", fun () -> P.error_response ~id:J.Null (Kmm_error.Bad_input "nope"));
+    ( "error escaped",
+      fun () -> P.error_response ~id:escaped (Kmm_error.Bad_input "say \"hi\"\n\tand \\ \x02") );
+    ("error timeout", fun () -> P.error_response ~id:(J.Int 11) (Kmm_error.Timeout "deadline 0.5s expired"));
+    ("error overloaded", fun () -> P.error_response ~id:(J.Int 12) (Kmm_error.Overloaded "queue full"));
+    ("error internal", fun () -> P.error_response ~id:(J.String "x") (Kmm_error.Internal "boom"));
+    ("obj empty", fun () -> P.ok_obj_response ~id:J.Null []);
+    ("obj pong", fun () -> P.ok_obj_response ~id:(J.Int 4) [ ("pong", J.Bool true) ]);
+    ( "obj metrics",
+      fun () -> P.ok_obj_response ~id:J.Null [ ("metrics", J.String "# TYPE a counter\na 1\nb{le=\"2\"} 3\n") ] );
+    ( "obj nested",
+      fun () ->
+        P.ok_obj_response ~id:escaped
+          [
+            ("version", J.Int 1);
+            ("ratio", J.Float 0.1);
+            ("whole", J.Float 2.);
+            ("nan", J.Float nan);
+            ("engines", J.List [ J.String "bidir"; J.String "m-tree" ]);
+            ("limits", P.limits_to_json P.default_limits);
+            ("k\"ey", J.Null);
+          ] );
+  ]
+
+let wire_fixture () =
+  let ic = open_in_bin "fixtures/wire_frames.txt" in
+  let recorded =
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    In_channel.input_all ic |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun line ->
+           let tab = String.index line '\t' in
+           (String.sub line 0 tab, String.sub line (tab + 1) (String.length line - tab - 1)))
+  in
+  Alcotest.(check (list string)) "cases" (List.map fst wire_cases) (List.map fst recorded);
+  List.iter2
+    (fun (name, frame) (_, want) -> Alcotest.(check string) name want (frame ()))
+    wire_cases recorded
+
+(* The readers' field logic as the codec had it when every frame was
+   first parsed into a [Json.t] and its members looked up with
+   [Json.member]: the direct readers must agree with it on every frame,
+   valid or not — the same request or reply, or the same error with the
+   same id and message. *)
+let reference_parse_request ~limits line =
+  let bad fmt = Printf.ksprintf (fun m -> Kmm_error.Bad_input m) fmt in
+  if String.length line > limits.P.max_frame then
+    Error
+      (J.Null, bad "frame of %d bytes exceeds max_frame %d" (String.length line) limits.max_frame)
+  else
+    match J.of_string line with
+    | Error m -> Error (J.Null, bad "malformed request: %s" m)
+    | Ok (J.Obj _ as obj) -> (
+        let id = Option.value ~default:J.Null (J.member "id" obj) in
+        let reject e = Error (id, e) in
+        let field name = J.member name obj in
+        match field "cmd" with
+        | Some (J.String "ping") -> Ok { P.id; body = P.Ping }
+        | Some (J.String "metrics") -> Ok { id; body = P.Metrics }
+        | Some (J.String "info") -> Ok { id; body = P.Info }
+        | Some (J.String "shutdown") -> Ok { id; body = P.Shutdown }
+        | None | Some (J.String "query") -> (
+            match field "pattern" with
+            | None -> reject (bad "missing \"pattern\"")
+            | Some (J.String pattern) when String.length pattern > limits.max_pattern ->
+                reject
+                  (bad "pattern of %d bp exceeds max_pattern %d" (String.length pattern)
+                     limits.max_pattern)
+            | Some (J.String pattern) -> (
+                match field "k" with
+                | Some (J.Int _) | None -> (
+                    let k = match field "k" with Some (J.Int k) -> k | _ -> 0 in
+                    if k > limits.max_k then reject (bad "k=%d exceeds max_k %d" k limits.max_k)
+                    else
+                      let deadline =
+                        match field "deadline" with
+                        | None -> Ok None
+                        | Some (J.Int s) when s > 0 -> Ok (Some (float_of_int s))
+                        | Some (J.Float s) when s > 0. && Float.is_finite s -> Ok (Some s)
+                        | Some (J.Int _ | J.Float _) -> Error (bad "\"deadline\" must be positive")
+                        | Some _ -> Error (bad "\"deadline\" must be a number of seconds")
+                      in
+                      match (deadline, field "engine") with
+                      | Error e, _ -> reject e
+                      | Ok deadline, None ->
+                          Ok { id; body = P.Query { pattern; k; engine = K.default_engine; deadline } }
+                      | Ok deadline, Some (J.String name) -> (
+                          let module R = K.Engine_registry in
+                          let refuse m =
+                            reject
+                              (bad "%s (servable: %s)" m
+                                 (String.concat ", "
+                                    (List.filter_map
+                                       (fun e -> if e.R.caps.R.scales then Some e.R.name else None)
+                                       (R.all ()))))
+                          in
+                          match R.find_name name with
+                          | Some e when e.R.caps.R.scales ->
+                              Ok { id; body = P.Query { pattern; k; engine = e.R.engine; deadline } }
+                          | Some e ->
+                              refuse
+                                (Printf.sprintf
+                                   "engine %s is not served: it needs state the index file does not hold"
+                                   e.R.name)
+                          | None -> refuse (Printf.sprintf "unknown engine %S" name))
+                      | Ok _, Some _ -> reject (bad "\"engine\" must be a string"))
+                | Some _ -> reject (bad "\"k\" must be an integer"))
+            | Some _ -> reject (bad "\"pattern\" must be a string"))
+        | Some (J.String other) ->
+            reject
+              (bad "unknown cmd %S (expected one of: query, ping, metrics, info, shutdown)" other)
+        | Some _ -> reject (bad "\"cmd\" must be a string"))
+    | Ok _ -> Error (J.Null, bad "request must be a JSON object")
+
+let reference_parse_reply line =
+  match J.of_string line with
+  | Error m -> Error (Printf.sprintf "malformed reply: %s" m)
+  | Ok (J.Obj fields as obj) -> (
+      let id = Option.value ~default:J.Null (J.member "id" obj) in
+      match J.member "status" obj with
+      | Some (J.String "error") ->
+          let code = match J.member "code" obj with Some (J.Int c) -> c | _ -> 8 in
+          let message =
+            match J.member "error" obj with Some (J.String m) -> m | _ -> "unknown error"
+          in
+          Ok (P.Error_reply { id; code; message })
+      | Some (J.String "ok") -> (
+          match J.member "hits" obj with
+          | Some (J.List items) -> (
+              let truncated =
+                match J.member "truncated" obj with Some (J.Bool b) -> b | _ -> false
+              in
+              match
+                List.map (function J.List [ J.Int p; J.Int d ] -> (p, d) | _ -> raise Exit) items
+              with
+              | hits -> Ok (P.Hits { id; hits; truncated })
+              | exception Exit -> Error "malformed hit entry in reply")
+          | Some _ -> Error "\"hits\" must be a list"
+          | None ->
+              Ok
+                (P.Ok_obj
+                   { id; fields = List.filter (fun (k, _) -> k <> "status" && k <> "id") fields }))
+      | _ -> Error "reply carries no \"status\"")
+  | Ok _ -> Error "reply is not a JSON object"
+
+let same_request a b =
+  match (a, b) with
+  | Ok { P.id; body }, Ok { P.id = id'; body = body' } -> (
+      J.equal id id'
+      &&
+      match (body, body') with
+      | P.Query q, P.Query q' ->
+          q.pattern = q'.pattern && q.k = q'.k && q.engine == q'.engine && q.deadline = q'.deadline
+      | b, b' -> b = b')
+  | Error (id, e), Error (id', e') -> J.equal id id' && Kmm_error.to_string e = Kmm_error.to_string e'
+  | _ -> false
+
+let same_reply a b =
+  match (a, b) with
+  | Ok (P.Hits h), Ok (P.Hits h') -> J.equal h.id h'.id && h.hits = h'.hits && h.truncated = h'.truncated
+  | Ok (P.Ok_obj o), Ok (P.Ok_obj o') -> J.equal o.id o'.id && J.equal (J.Obj o.fields) (J.Obj o'.fields)
+  | Ok (P.Error_reply e), Ok (P.Error_reply e') ->
+      J.equal e.id e'.id && e.code = e'.code && e.message = e'.message
+  | Error m, Error m' -> m = m'
+  | _ -> false
+
+(* Reply frames of every shape, and objects assembled from the members
+   both readers look for, in any order, repeated, of any JSON type. *)
+let reply_gen =
+  let open QCheck2.Gen in
+  let* id = scalar_gen in
+  let* truncated = bool in
+  let* hits = list_size (int_bound 6) (pair int small_signed_int) in
+  oneofl
+    [
+      P.ok_hits_response ~id ~truncated hits;
+      P.error_response ~id (Kmm_error.Bad_input "bad \"x\"");
+      P.error_response ~id (Kmm_error.Overloaded "full");
+      P.ok_obj_response ~id [ ("pong", J.Bool true) ];
+      P.ok_obj_response ~id [ ("version", J.Int 1); ("engines", J.List [ J.String "bidir" ]) ];
+    ]
+
+let member_frame_gen =
+  let open QCheck2.Gen in
+  let key =
+    oneofl
+      [ "id"; "cmd"; "pattern"; "k"; "engine"; "deadline"; "status"; "code"; "error";
+        "truncated"; "hits"; "count"; "note"; "pat\\u0074ern"; "" ]
+  in
+  let text =
+    oneofl
+      [ "query"; "ping"; "metrics"; "info"; "shutdown"; "evict"; "ok"; "error"; "acgt";
+        "bidir"; "m-tree"; "m_tree"; "cole"; "warp"; "S-TREE"; "a\\\"b"; "\\u00e9" ]
+    >|= fun s -> "\"" ^ s ^ "\""
+  in
+  let number =
+    oneofl
+      [ "0"; "1"; "3"; "-1"; "64"; "65"; "0.25"; "-0.5"; "1e2"; "1E-3"; "2.0"; "007"; "-0";
+        "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+        "-4611686018427387905"; "1e999"; "99999999999999999999" ]
+  in
+  let hit = map2 (Printf.sprintf "[%s,%s]") number number in
+  let value =
+    frequency
+      [
+        (3, text);
+        (3, number);
+        (1, oneofl [ "true"; "false"; "null"; "[]"; "{}"; "[1]"; "[1,2,3]"; "[[1,2],3]"; "{\"a\":[]}" ]);
+        (2, list_size (int_bound 4) hit >|= fun l -> "[" ^ String.concat "," l ^ "]");
+        (1, list_size (int_bound 3) (oneof [ hit; text; number ]) >|= fun l -> "[" ^ String.concat ", " l ^ "]");
+      ]
+  in
+  let member = map2 (fun k v -> Printf.sprintf "\"%s\" : %s" k v) key value in
+  list_size (int_bound 7) member >|= fun ms -> " {" ^ String.concat "," ms ^ "} "
+
+(* Edits drawn from all bytes and from JSON's own punctuation. *)
+let edits_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 4)
+      (triple (int_bound 2) (int_bound 200)
+         (oneof [ char; oneofl [ '{'; '}'; '['; ']'; ','; ':'; '"'; '\\'; '-'; '.'; 'e'; '0'; '9'; ' '; 't'; 'n' ] ])))
+
+let prop_readers_match_reference =
+  Test_util.qtest ~count:3000 "parse_request, parse_reply = tree-based reference"
+    QCheck2.Gen.(pair (oneof [ frame_gen; reply_gen; member_frame_gen ]) edits_gen)
+    (fun (frame, edits) ->
+      let frame = mutate_frame frame edits in
+      List.for_all
+        (fun limits -> same_request (P.parse_request ~limits frame) (reference_parse_request ~limits frame))
+        [ P.default_limits; tight ]
+      && same_reply (P.parse_reply frame) (reference_parse_reply frame))
+
 (* --- live daemon ---------------------------------------------------- *)
 
 let server_roundtrip () =
@@ -1186,6 +1461,8 @@ let () =
           prop_parse_request_bytes;
           prop_parse_request_mutated;
           prop_hits_reply_roundtrip;
+          Alcotest.test_case "encoders = recorded frames" `Quick wire_fixture;
+          prop_readers_match_reference;
         ] );
       ( "daemon",
         [
