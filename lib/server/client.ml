@@ -70,10 +70,16 @@ module Line_reader = struct
               t.eof <- true;
               Eof
           | n ->
-              for i = 0 to n - 1 do
-                let c = Bytes.get t.buf i in
-                if c = '\n' then push_line t else Buffer.add_char t.acc c
-              done;
+              (* Copy the read's runs between newlines whole. *)
+              let rec split from =
+                match Bytes.index_from_opt t.buf from '\n' with
+                | Some i when i < n ->
+                    Buffer.add_subbytes t.acc t.buf from (i - from);
+                    push_line t;
+                    split (i + 1)
+                | _ -> Buffer.add_subbytes t.acc t.buf from (n - from)
+              in
+              split 0;
               next t
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
               Timeout

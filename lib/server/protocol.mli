@@ -54,9 +54,12 @@
 
 (** A minimal JSON value, parser and printer — just enough for the wire
     protocol, so the repo stays dependency-free.  Integers are kept
-    exact ([Int]); anything with a fraction or exponent parses as
-    [Float].  The parser enforces a nesting-depth bound (stack safety on
-    adversarial frames) and rejects trailing garbage. *)
+    exact ([Int]); anything with a fraction or exponent, or an integer
+    beyond [int], parses as [Float].  The parser enforces a
+    nesting-depth bound (stack safety on adversarial frames) and rejects
+    trailing garbage.  It runs on the same scanner as {!parse_request}
+    and {!parse_reply}, so those reject exactly the frames [of_string]
+    rejects, with the same message. *)
 module Json : sig
   type t =
     | Null
@@ -133,7 +136,13 @@ val parse_request :
     otherwise), so the server can echo it on the rejection.  Validation
     the engines already own (empty pattern, non-ACGT bases, negative
     [k]) is deliberately {e not} duplicated here: those flow through
-    {!Core.Kmismatch.try_run}'s typed channel. *)
+    {!Core.Kmismatch.try_run}'s typed channel.
+
+    The frame's members are read straight into the request, with no
+    intermediate tree (one is built only for [id]); the first occurrence
+    of a repeated key is the one read, and the whole frame is scanned
+    before any member is judged, so a syntax error anywhere in it is the
+    error reported. *)
 
 (** {1 Encoding} *)
 
@@ -166,6 +175,13 @@ type reply =
   | Error_reply of { id : Json.t; code : int; message : string }
 
 val parse_reply : string -> (reply, string) result
+(** Read one reply frame (client side).  Its members go straight into
+    the reply: [hits] into the pair list, with no intermediate tree;
+    a tree is built only for [id] and for the fields of an [Ok_obj].
+    As in {!parse_request}, the first occurrence of a repeated key is
+    the one read.  A frame that is not JSON, not an object, has no
+    [status], or has a [hits] that is not a list of integer pairs is an
+    [Error] naming what failed. *)
 
 val render_hits : (int * int) list -> string
 (** Canonical ["pos:dist pos:dist ..."] rendering — the form the

@@ -557,11 +557,12 @@ let check_design_table ~header declared =
       check bool (Printf.sprintf "%s: documented as declared" name) true (List.mem d documented))
     declared
 
-(* Every module DESIGN.md §2's inventory names in its Modules column has
-   a source file in the repository.  A module is a backquoted name that
-   starts with a capital, outside parentheses (those hold details such
-   as [Occ.Reference] or the stdlib's [Atomic]); a dotted name counts
-   as its first component. *)
+(* DESIGN.md §2's inventory and the sources agree both ways: every
+   module its Modules column names has a source file in the repository,
+   and every library module ([lib/*/*.ml]) is named there.  A module is
+   a backquoted name that starts with a capital, outside parentheses
+   (those hold details such as [Occ.Reference] or the stdlib's
+   [Atomic]); a dotted name counts as its first component. *)
 let check_design_inventory () =
   let rec sources dir =
     Array.fold_left
@@ -609,7 +610,21 @@ let check_design_inventory () =
         (Printf.sprintf "%s: has a source file" m)
         true
         (List.mem (String.uncapitalize_ascii m ^ ".ml") files))
-    modules
+    modules;
+  let library_modules =
+    Array.to_list (Sys.readdir "../lib")
+    |> List.concat_map (fun dir ->
+           let dir = Filename.concat "../lib" dir in
+           if Sys.is_directory dir then
+             List.filter (fun e -> Filename.check_suffix e ".ml") (Array.to_list (Sys.readdir dir))
+           else [])
+  in
+  check bool "lib holds modules" true (List.length library_modules > 10);
+  List.iter
+    (fun file ->
+      let m = String.capitalize_ascii (Filename.chop_suffix file ".ml") in
+      check bool (Printf.sprintf "%s: named in the inventory" m) true (List.mem m modules))
+    library_modules
 
 let () =
   Alcotest.run "obs"

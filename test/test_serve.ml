@@ -101,6 +101,32 @@ let json_roundtrip () =
   | Ok (J.String s) -> Alcotest.(check string) "unicode escape" "a\xc3\xa9A" s
   | _ -> Alcotest.fail "unicode escape did not parse")
 
+(* Integers stay exact within [int]; a fraction, an exponent or an
+   integer beyond [int] reads as a float; leading zeros are accepted. *)
+let json_numbers () =
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check bool) text true
+        (match J.of_string text with Ok v -> J.equal v want | Error _ -> false))
+    [
+      ("0", J.Int 0);
+      ("-0", J.Int 0);
+      ("007", J.Int 7);
+      ("4611686018427387903", J.Int max_int);
+      ("-4611686018427387904", J.Int min_int);
+      ("4611686018427387904", J.Float 4611686018427387904.);
+      ("-4611686018427387905", J.Float (-4611686018427387905.));
+      ("99999999999999999999", J.Float 1e20);
+      ("2.0", J.Float 2.);
+      ("-0.5e1", J.Float (-5.));
+      ("1E+2", J.Float 100.);
+      ("1e999", J.Float infinity);
+    ];
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("reject " ^ text) true (Result.is_error (J.of_string text)))
+    [ "-"; "1."; ".5"; "1e"; "1e+"; "+1"; "--1"; "0x10"; "1_000" ]
+
 let json_rejects () =
   let bad =
     [
@@ -520,43 +546,74 @@ let reply_gen =
 
 let member_frame_gen =
   let open QCheck2.Gen in
-  let key =
-    oneofl
-      [ "id"; "cmd"; "pattern"; "k"; "engine"; "deadline"; "status"; "code"; "error";
-        "truncated"; "hits"; "count"; "note"; "pat\\u0074ern"; "" ]
-  in
+  let quoted l = oneofl l >|= fun s -> "\"" ^ s ^ "\"" in
   let text =
-    oneofl
+    quoted
       [ "query"; "ping"; "metrics"; "info"; "shutdown"; "evict"; "ok"; "error"; "acgt";
-        "bidir"; "m-tree"; "m_tree"; "cole"; "warp"; "S-TREE"; "a\\\"b"; "\\u00e9" ]
-    >|= fun s -> "\"" ^ s ^ "\""
+        "bidir"; "m-tree"; "m_tree"; "cole"; "warp"; "S-TREE"; "a\\\"b"; "\\u00e9"; "p\\u0069ng" ]
   in
   let number =
     oneofl
       [ "0"; "1"; "3"; "-1"; "64"; "65"; "0.25"; "-0.5"; "1e2"; "1E-3"; "2.0"; "007"; "-0";
         "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
-        "-4611686018427387905"; "1e999"; "99999999999999999999" ]
+        "-4611686018427387905"; "1e999"; "-1e999"; "99999999999999999999" ]
   in
   let hit = map2 (Printf.sprintf "[%s,%s]") number number in
-  let value =
+  let list_of l = l >|= fun l -> "[" ^ String.concat ", " l ^ "]" in
+  let any =
     frequency
       [
         (3, text);
         (3, number);
-        (1, oneofl [ "true"; "false"; "null"; "[]"; "{}"; "[1]"; "[1,2,3]"; "[[1,2],3]"; "{\"a\":[]}" ]);
-        (2, list_size (int_bound 4) hit >|= fun l -> "[" ^ String.concat "," l ^ "]");
-        (1, list_size (int_bound 3) (oneof [ hit; text; number ]) >|= fun l -> "[" ^ String.concat ", " l ^ "]");
+        (1, oneofl [ "true"; "false"; "null"; "[]"; "{}"; "[1]"; "[1,2,3]"; "[[1,2],3]"; "{\"a\":[]}"; "[[[]]]" ]);
+        (2, list_of (list_size (int_bound 4) hit));
+        (1, list_of (list_size (int_bound 3) (oneof [ hit; text; number ])));
       ]
   in
-  let member = map2 (fun k v -> Printf.sprintf "\"%s\" : %s" k v) key value in
-  list_size (int_bound 7) member >|= fun ms -> " {" ^ String.concat "," ms ^ "} "
+  (* Mostly the JSON type a reader wants under that key. *)
+  let typed = function
+    | "cmd" -> quoted [ "query"; "ping"; "metrics"; "info"; "shutdown"; "evict" ]
+    | "pattern" | "pat\\u0074ern" -> quoted [ "acgt"; "acgtacgtacgtacgtacgtacgt"; "" ]
+    | "engine" -> quoted [ "bidir"; "m-tree"; "s_tree"; "cole"; "warp" ]
+    | "status" -> quoted [ "ok"; "error"; "fine" ]
+    | "error" -> text
+    | "truncated" -> oneofl [ "true"; "false" ]
+    | "hits" ->
+        list_of
+          (list_size (int_bound 4)
+             (frequency
+                [ (6, hit); (1, oneofl [ "[1,2,3]"; "[1]"; "[]"; "[1,[2]]"; "[[1,2]]"; "[1, 2 ,[]]" ]); (1, any) ]))
+    | _ -> number
+  in
+  let member =
+    let* key =
+      oneofl
+        [ "id"; "cmd"; "pattern"; "k"; "engine"; "deadline"; "status"; "code"; "error";
+          "truncated"; "hits"; "count"; "note"; "pat\\u0074ern"; "" ]
+    in
+    let* value = frequency [ (3, typed key); (1, any) ] in
+    pure (Printf.sprintf "\"%s\" : %s" key value)
+  in
+  (* A member that makes the frame a query or a reply, somewhere. *)
+  let* lead =
+    oneofl [ []; [ {|"pattern":"acgt"|} ]; [ {|"status":"ok"|} ]; [ {|"status":"error"|} ] ]
+  in
+  let* ms = list_size (int_bound 6) member in
+  shuffle_l (lead @ ms) >|= fun ms -> " {" ^ String.concat "," ms ^ "} "
 
-(* Edits drawn from all bytes and from JSON's own punctuation. *)
+(* Edits drawn from all bytes and from JSON's own punctuation; half the
+   frames go unedited. *)
 let edits_gen =
   QCheck2.Gen.(
-    list_size (int_range 0 4)
-      (triple (int_bound 2) (int_bound 200)
-         (oneof [ char; oneofl [ '{'; '}'; '['; ']'; ','; ':'; '"'; '\\'; '-'; '.'; 'e'; '0'; '9'; ' '; 't'; 'n' ] ])))
+    frequency
+      [
+        (1, pure []);
+        ( 1,
+          list_size (int_range 1 4)
+            (triple (int_bound 2) (int_bound 200)
+               (oneof
+                  [ char; oneofl [ '{'; '}'; '['; ']'; ','; ':'; '"'; '\\'; '-'; '.'; 'e'; '0'; '9'; ' '; 't'; 'n' ] ])) );
+      ])
 
 let prop_readers_match_reference =
   Test_util.qtest ~count:3000 "parse_request, parse_reply = tree-based reference"
@@ -567,6 +624,42 @@ let prop_readers_match_reference =
         (fun limits -> same_request (P.parse_request ~limits frame) (reference_parse_request ~limits frame))
         [ P.default_limits; tight ]
       && same_reply (P.parse_reply frame) (reference_parse_reply frame))
+
+(* The client's reader against a peer that writes raw bytes: frames
+   split across reads, several in one read, a CRLF ending, an empty
+   line, a frame longer than the reader's 8 KiB buffer, and EOF. *)
+let client_line_reader () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kmm-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
+  in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let c = S.Client.connect path in
+  Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+  let peer, _ = Unix.accept listener in
+  let send s = ignore (Unix.write_substring peer s 0 (String.length s)) in
+  let expect want = Alcotest.(check (option string)) "line" want (S.Client.recv_line c) in
+  let long = String.init 20_000 (fun i -> "acgt".[i mod 4]) in
+  send "one\r\ntw";
+  expect (Some "one");
+  send "o\nthree\n\nfour\r";
+  expect (Some "two");
+  expect (Some "three");
+  expect (Some "");
+  send ("\n" ^ long ^ "\nlast");
+  expect (Some "four");
+  expect (Some long);
+  send "\r\n";
+  Unix.close peer;
+  expect (Some "last");
+  expect None
 
 (* --- live daemon ---------------------------------------------------- *)
 
@@ -1455,6 +1548,7 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
           Alcotest.test_case "json rejects" `Quick json_rejects;
+          Alcotest.test_case "json numbers" `Quick json_numbers;
           Alcotest.test_case "request frames" `Quick parse_request_frames;
           Alcotest.test_case "reply roundtrip" `Quick reply_roundtrip;
           prop_json_roundtrip;
@@ -1462,6 +1556,7 @@ let () =
           prop_parse_request_mutated;
           prop_hits_reply_roundtrip;
           Alcotest.test_case "encoders = recorded frames" `Quick wire_fixture;
+          Alcotest.test_case "client splits replies at newlines" `Quick client_line_reader;
           prop_readers_match_reference;
         ] );
       ( "daemon",
