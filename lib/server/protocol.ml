@@ -183,8 +183,8 @@ module Json = struct
     done;
     !v
 
-  (* The rest of a string whose bytes from [start] to the cursor, an
-     escape, are plain. *)
+  (* A string that holds an escape: its bytes from [start] up to the
+     cursor, which is at the first backslash, are plain. *)
   let escaped_string c start =
     let buf = Buffer.create (c.pos - start + 16) in
     Buffer.add_substring buf c.s start (c.pos - start);
