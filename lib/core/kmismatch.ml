@@ -85,28 +85,37 @@ module Engine_registry = struct
 
   (* Registration order is presentation order everywhere (CLI help,
      oracle subjects, benches), so the table is an append-only list.
-     Each entry is stored with its name's lookup key, computed once. *)
-  let table : (string * entry) list ref = ref []
+     Each entry is stored with its [Some], so a lookup allocates
+     nothing. *)
+  type slot = { entry : entry; found : entry option }
 
-  (* Names are compared with separators stripped and case folded, so
-     "s-tree-nodelta", "s_tree_no_delta" and "STreeNoDelta" coincide.
-     The daemon normalizes every query frame's engine name, hence the
-     plain loop. *)
-  let normalize name =
-    let b = Buffer.create (String.length name) in
-    String.iter
-      (fun c -> if c <> '-' && c <> '_' then Buffer.add_char b (Char.lowercase_ascii c))
-      name;
-    Buffer.contents b
+  let table : slot list ref = ref []
 
-  (* Nullary extension constructors are singletons, so engine values
-     compare by physical equality. *)
-  let find eng =
-    List.find_map (fun (_, e) -> if e.engine == eng then Some e else None) !table
+  (* Entries by engine value.  Nullary extension constructors are
+     singletons that hash and compare by their identity, so naming an
+     engine is one hashed probe, not a walk.  Registration replaces the
+     table with an extended copy, so a reader never sees one mid-resize. *)
+  let by_engine : (engine, entry option) Hashtbl.t ref = ref (Hashtbl.create 16)
 
-  let find_name name =
-    let key = normalize name in
-    List.find_map (fun (k, e) -> if String.equal k key then Some e else None) !table
+  (* Names coincide with separators skipped and ASCII case folded, so
+     "s-tree-nodelta", "s_tree_no_delta" and "STreeNoDelta" do.  The
+     daemon resolves every query frame's engine name, so the two names
+     are compared in place, nothing normalized. *)
+  let rec same_name a b i j =
+    let sep s k = k < String.length s && (s.[k] = '-' || s.[k] = '_') in
+    if sep a i then same_name a b (i + 1) j
+    else if sep b j then same_name a b i (j + 1)
+    else if i = String.length a || j = String.length b then
+      i = String.length a && j = String.length b
+    else
+      Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[j] && same_name a b (i + 1) (j + 1)
+
+  let rec find_slot name = function
+    | [] -> None
+    | s :: rest -> if same_name s.entry.name name 0 0 then s.found else find_slot name rest
+
+  let find eng = try Hashtbl.find !by_engine eng with Not_found -> None
+  let find_name name = find_slot name !table
 
   let register e =
     if e.name = "" then invalid_arg "Engine_registry.register: empty name";
@@ -124,10 +133,14 @@ module Engine_registry = struct
              "Engine_registry.register: engine already registered as %S"
              clash.name)
     | None -> ());
-    table := !table @ [ (normalize e.name, e) ]
+    let found = Some e in
+    let engines = Hashtbl.copy !by_engine in
+    Hashtbl.replace engines e.engine found;
+    by_engine := engines;
+    table := !table @ [ { entry = e; found } ]
 
-  let all () = List.map snd !table
-  let names () = List.map (fun (_, e) -> e.name) !table
+  let all () = List.map (fun s -> s.entry) !table
+  let names () = List.map (fun s -> s.entry.name) !table
 end
 
 let all_engines () =

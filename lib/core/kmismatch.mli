@@ -100,8 +100,9 @@ module Engine_registry : sig
 
   val find : engine -> entry option
   val find_name : string -> entry option
-  (** Lookup by engine value / by name ([-]/[_]-insensitive, case
-      folded). *)
+  (** Lookup by engine value (one hashed probe) / by name
+      ([-]/[_]-insensitive, case folded, compared in place).  Neither
+      allocates. *)
 
   val names : unit -> string list
 end

@@ -128,11 +128,16 @@ let verify_cutoff = 2
    receives the children of a match of length [l]: down the recursion
    the matched span only grows, so a row is never overwritten while a
    caller still reads its children, and a cut search leaves nothing a
-   later one depends on. *)
+   later one depends on.  The call's candidates wait in [cand_rows] /
+   [cand_tags] until its last search: [cand_rows.(c)] is a reverse-side
+   row, and [cand_tags.(c)] the right edge [j] of the matched span for a
+   candidate to verify, or [-1 - e] for a whole-pattern match at exact
+   distance [e]. *)
 type scratch = {
   mutable rows : Bidir.cursor array;
-  mutable locate_buf : int array;
-  hits : (int, int) Hashtbl.t;
+  mutable cand_rows : int array;
+  mutable cand_tags : int array;
+  mutable cands : int;
   mutable busy : bool;
   (* The search's work, added to its sink when it returns. *)
   mutable nodes : int;
@@ -141,11 +146,16 @@ type scratch = {
   mutable verifications : int;
 }
 
+(* Candidate buffers start past the minor heap's largest block, so
+   neither they nor their growth count as a search's minor words. *)
+let initial_cands = 512
+
 let fresh () =
   {
     rows = [||];
-    locate_buf = [||];
-    hits = Hashtbl.create 64;
+    cand_rows = Array.make initial_cands 0;
+    cand_tags = Array.make initial_cands 0;
+    cands = 0;
     busy = false;
     nodes = 0;
     leaves = 0;
@@ -153,7 +163,7 @@ let fresh () =
     verifications = 0;
   }
 
-(* Patterns or candidate intervals past this size leave a fresh scratch
+(* Patterns or candidate sets past this size leave a fresh scratch
    behind, so one outlier does not pin its memory on the domain. *)
 let retained = 1 lsl 12
 
@@ -166,7 +176,7 @@ let acquire m =
   let sc = Domain.DLS.get scratch_key in
   let sc =
     if sc.busy then fresh ()
-    else if Array.length sc.rows > retained || Array.length sc.locate_buf > retained then begin
+    else if Array.length sc.rows > retained || Array.length sc.cand_rows > retained then begin
       let sc = fresh () in
       Domain.DLS.set scratch_key sc;
       sc
@@ -178,11 +188,27 @@ let acquire m =
   sc.leaves <- 0;
   sc.extends <- 0;
   sc.verifications <- 0;
-  Hashtbl.reset sc.hits;
+  sc.cands <- 0;
   let have = Array.length sc.rows in
   if have < m then
     sc.rows <- Array.init m (fun l -> if l < have then sc.rows.(l) else Bidir.cursor ());
   sc
+
+(* Record the rows [r_lo, r_hi) as candidates with one tag. *)
+let push sc ~r_lo ~r_hi tag =
+  let need = sc.cands + r_hi - r_lo in
+  if need > Array.length sc.cand_rows then begin
+    let cap = max need (2 * Array.length sc.cand_rows) in
+    let grow a = Array.append (Array.sub a 0 sc.cands) (Array.make (cap - sc.cands) 0) in
+    sc.cand_rows <- grow sc.cand_rows;
+    sc.cand_tags <- grow sc.cand_tags
+  end;
+  for row = r_lo to r_hi - 1 do
+    let c = sc.cands + row - r_lo in
+    Array.unsafe_set sc.cand_rows c row;
+    Array.unsafe_set sc.cand_tags c tag
+  done;
+  sc.cands <- need
 
 let search ?(obs = Obs.noop) bidir ~pattern ~k =
   if pattern = "" then invalid_arg "Oss.search: empty pattern";
@@ -192,7 +218,7 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
   let code = Array.make m 0 in
   for i = 0 to m - 1 do
     let c = String.unsafe_get pattern i in
-    if not (Dna.Alphabet.is_base c && Dna.Alphabet.normalize c = c) then
+    if Dna.Alphabet.lower_base c <> c || c = '\000' then
       invalid_arg "Oss.search: pattern must be lowercase acgt";
     Array.unsafe_set code i (Dna.Alphabet.code c)
   done;
@@ -226,40 +252,19 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
       let q = Bidir.prefix_len bidir in
       let prefix = Bidir.prefix_table bidir in
       let sc = acquire m in
-      let hits = sc.hits in
-      let add_hit w d = if not (Hashtbl.mem hits w) then Hashtbl.add hits w d in
-      (* The forward positions of the [r_hi - r_lo] occurrences of the
-         matched span, whose length is [len]. *)
-      let locate ~r_lo ~r_hi ~len =
-        let cnt = r_hi - r_lo in
-        if Array.length sc.locate_buf < cnt then sc.locate_buf <- Array.make cnt 0;
-        Bidir.locate_into bidir ~r_lo ~r_hi ~len sc.locate_buf;
-        sc.locate_buf
-      in
-      (* Whole pattern matched through the index: the located forward
-         positions are the window starts, [e] the exact distance. *)
+      (* Whole pattern matched through the index: each row of the
+         interval is a hit at exact distance [e]. *)
       let finish ~r_lo ~r_hi e =
         sc.leaves <- sc.leaves + 1;
-        let buf = locate ~r_lo ~r_hi ~len:m in
-        for idx = 0 to r_hi - r_lo - 1 do
-          add_hit (Array.unsafe_get buf idx) e
-        done
+        push sc ~r_lo ~r_hi (-1 - e)
       in
-      (* Narrow interval mid-search: leave the index, verify the full
-         window word-parallel.  [i] is the pattern offset of the matched
-         span's left edge, so the window starts [i] characters before
-         the located occurrence. *)
-      let verify ~r_lo ~r_hi i j =
+      (* Narrow interval mid-search: leave the index; each row's full
+         window is verified word-parallel once every search has run.
+         [j] is the pattern offset of the matched span's right edge. *)
+      let verify ~r_lo ~r_hi j =
         sc.verifications <- sc.verifications + 1;
         sc.leaves <- sc.leaves + 1;
-        let buf = locate ~r_lo ~r_hi ~len:(j - i) in
-        for idx = 0 to r_hi - r_lo - 1 do
-          let w = Array.unsafe_get buf idx - i in
-          if w >= 0 && w + m <= n then begin
-            let d = Packed_text.hamming ~limit:k rtext rpp ~pos:(n - w - m) in
-            if d <= k then add_hit w d
-          end
-        done
+        push sc ~r_lo ~r_hi j
       in
       let run_search (sch : Scheme.search) =
         (* [enter t f_lo f_hi r_lo r_hi e i j]: pieces of order positions
@@ -278,7 +283,7 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
         and step t f_lo f_hi r_lo r_hi e i j ~right ~plo ~phi =
           Deadline.poll ();
           let len = j - i in
-          if len > 0 && len < m && f_hi - f_lo <= verify_cutoff then verify ~r_lo ~r_hi i j
+          if len > 0 && len < m && f_hi - f_lo <= verify_cutoff then verify ~r_lo ~r_hi j
           else if (if right then j = phi else i = plo) then begin
             if e >= sch.lower.(t) then enter (t + 1) f_lo f_hi r_lo r_hi e i j
             else sc.leaves <- sc.leaves + 1
@@ -319,9 +324,51 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
         end
         else enter 0 0 rows 0 rows 0 p0 p0
       in
+      (* Every candidate at once: one lockstep walk locates all rows,
+         which gives the reverse-side position [p] of the span ending at
+         [j], so the window starts at [w = n - p - j]; then the kernel
+         verifies each window that fits.  A hit is kept as the key
+         [w * (k + 1) + d] (below 2^60 for any text the index holds),
+         written over the positions already read, so one sort orders
+         the hits by window and a window reached twice is adjacent to
+         itself: all its distances agree. *)
+      let resolve () =
+        let cands = sc.cands and pos = sc.cand_rows and tags = sc.cand_tags in
+        Fmindex.Fm_index.locate_rows (Bidir.fm_rev bidir) pos ~len:cands;
+        let hits = ref 0 in
+        for c = 0 to cands - 1 do
+          Deadline.poll ();
+          let tag = Array.unsafe_get tags c in
+          let p = Array.unsafe_get pos c in
+          let w = n - p - (if tag < 0 then m else tag) in
+          let d =
+            if tag < 0 then -1 - tag
+            else if w >= 0 && w + m <= n then
+              Packed_text.hamming ~limit:k rtext rpp ~pos:(n - w - m)
+            else k + 1
+          in
+          if d <= k then begin
+            Array.unsafe_set pos !hits ((w * (k + 1)) + d);
+            incr hits
+          end
+        done;
+        let keys = Array.sub pos 0 !hits in
+        Array.sort Int.compare keys;
+        let out = ref [] and last = ref (-1) in
+        for h = Array.length keys - 1 downto 0 do
+          let key = Array.unsafe_get keys h in
+          let w = key / (k + 1) in
+          if w <> !last then begin
+            out := (w, key - (w * (k + 1))) :: !out;
+            last := w
+          end
+        done;
+        !out
+      in
       let explore () =
-        Obs.time obs Obs.Hist.bidir_explore_ns (fun () -> List.iter run_search searches);
-        Hashtbl.fold (fun w d acc -> (w, d) :: acc) hits []
+        Obs.time obs Obs.Hist.bidir_explore_ns (fun () ->
+            List.iter run_search searches;
+            resolve ())
       in
       let out =
         match explore () with
@@ -340,6 +387,6 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
             sc.busy <- false;
             raise e
       in
-      List.sort (fun (a, _) (b, _) -> compare a b) out
+      out
     end
   end

@@ -64,7 +64,8 @@ let of_code k =
   | 4 -> 't'
   | _ -> invalid_arg (Printf.sprintf "Alphabet.of_code: %d out of range" k)
 
-let is_base c = lookup lower c <> '\000'
+let lower_base c = lookup lower c
+let is_base c = lower_base c <> '\000'
 
 let normalize c =
   let v = lookup lower c in

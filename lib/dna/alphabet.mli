@@ -27,6 +27,11 @@ val of_code : int -> char
 val is_base : char -> bool
 (** [is_base c] is true iff [c] is one of [acgt] (either case). *)
 
+val lower_base : char -> char
+(** [lower_base c] is the lowercase form of a base ([acgt], either
+    case) and ['\000'] for any other character: one table load, no
+    exception. *)
+
 val normalize : char -> char
 (** Lowercase a base; raises [Invalid_argument] for non-bases other than the
     sentinel. *)

@@ -1,16 +1,33 @@
 type t = string
 
+let[@inline never] invalid c i =
+  invalid_arg (Printf.sprintf "Sequence.of_string: invalid character %C at %d" c i)
+
+(* One table scan; a string that is already lowercase ACGT is its own
+   sequence, so only input that needs case folding is copied, from its
+   first character to fold on. *)
 let of_string s =
   let n = String.length s in
-  let buf = Bytes.create n in
-  for i = 0 to n - 1 do
-    let c = String.unsafe_get s i in
-    if not (Alphabet.is_base c) then
-      invalid_arg
-        (Printf.sprintf "Sequence.of_string: invalid character %C at %d" c i);
-    Bytes.unsafe_set buf i (Alphabet.normalize c)
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get s !i in
+    Alphabet.lower_base c = c && c <> '\000'
+  do
+    incr i
   done;
-  Bytes.unsafe_to_string buf
+  if !i = n then s
+  else begin
+    let buf = Bytes.of_string s in
+    for j = !i to n - 1 do
+      let c = String.unsafe_get s j in
+      let v = Alphabet.lower_base c in
+      if v = '\000' then invalid c j;
+      Bytes.unsafe_set buf j v
+    done;
+    Bytes.unsafe_to_string buf
+  end
 
 let of_string_opt s = try Some (of_string s) with Invalid_argument _ -> None
 let to_string t = t

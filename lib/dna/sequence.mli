@@ -7,8 +7,10 @@ type t
 (** A validated DNA sequence. *)
 
 val of_string : string -> t
-(** [of_string s] validates and normalizes [s].  Raises [Invalid_argument]
-    if [s] contains a character outside [acgtACGT]. *)
+(** [of_string s] validates and normalizes [s]: one table scan, which
+    returns [s] itself when it is already lowercase [acgt] and a
+    case-folded copy otherwise.  Raises [Invalid_argument] if [s]
+    contains a character outside [acgtACGT]. *)
 
 val of_string_opt : string -> t option
 

@@ -141,12 +141,3 @@ let fm_rev t = t.fm_rev
 let prefix_len t = t.q
 let prefix_table t = Storage.Memo.force t.prefix
 let prefix_table_built t = Storage.Memo.is_forced t.prefix
-
-let locate_into t ~r_lo ~r_hi ~len dst =
-  if r_lo < 0 || r_hi > t.n + 1 || r_lo > r_hi then invalid_arg "Bidir.locate_into: bad interval";
-  if Array.length dst < r_hi - r_lo then invalid_arg "Bidir.locate_into: buffer too small";
-  for i = 0 to r_hi - r_lo - 1 do
-    (* Row [r_lo + i] locates where rev α starts in rev s; flip to where
-       α starts in s. *)
-    dst.(i) <- t.n - Fm_index.locate_row t.fm_rev (r_lo + i) - len
-  done

@@ -112,12 +112,3 @@ val prefix_table : t -> int array
 val prefix_table_built : t -> bool
 (** Whether {!prefix_table} has been built: a daemon builds it before
     it accepts its first query. *)
-
-val locate_into : t -> r_lo:int -> r_hi:int -> len:int -> int array -> unit
-(** [locate_into t ~r_lo ~r_hi ~len dst] writes the {e forward} text
-    position of each occurrence of the length-[len] match whose reverse
-    interval is [[r_lo, r_hi)]: [dst.(i)] is the start of α in [s] for
-    row [r_lo + i], unsorted.  Resolved through the reverse side's
-    sampled SA ([pos = n - p_rev - len]), allocating nothing.  Raises
-    [Invalid_argument] if the interval is out of range or [dst] is
-    shorter than its width. *)

@@ -8,7 +8,7 @@ module A1 = Bigarray.Array1
    materialized on demand behind a domain-safe memo, the sentinel row is
    tracked out-of-band, and suffix-array samples are a marked-row
    bitvector with a rank directory plus a bit-packed sample array —
-   [position_of_row] allocates nothing.  Every bulk buffer is a
+   a locate walk allocates nothing.  Every bulk buffer is a
    [Storage.t]/[Storage.words], so a loaded index is a set of views
    over one image of its file — a buffer the file was read into (Copy
    mode) or the file mapped (Mmap mode) — and the query paths cannot
@@ -334,34 +334,81 @@ let longest_left_extension t codes ~stop =
 let walk_overrun () =
   failwith "Fm_index.locate: LF walk exceeded the sample rate (corrupt index?)"
 
-let position_of_row t row =
-  let row = ref row and steps = ref 0 in
-  while not (mark_test t.marks !row) do
-    if !steps >= t.sa_rate then walk_overrun ();
-    row := Occ.lf t.occ t.c_array !row;
-    Stdlib.incr steps
-  done;
+(* The pieces of every LF walk, single-row or lockstep.  [lf_step]
+   moves an unmarked row that has taken [steps] steps one step on;
+   [resolve] is the position of a marked row reached after [steps]
+   steps; [tap_walks] counts [rows] walks of [steps] steps in all, each
+   step one rank over the block holding its row. *)
+let[@inline] lf_step t row ~steps =
+  if steps >= t.sa_rate then walk_overrun ();
+  Occ.lf t.occ t.c_array row
+
+let[@inline] resolve t row ~steps =
+  if row = 0 then t.n + steps
+  else (t.sa_rate * sample t.samples t.sample_bits (mark_rank t row - 1)) + steps
+
+let tap_walks rows steps =
   if Atomic.get Obs.taps then begin
-    Obs.tap C.fm_locate_walks 1;
-    Obs.tap C.fm_locate_steps !steps;
-    (* Each LF step is one rank over the block holding its row. *)
-    tap_rank !steps !steps
-  end;
-  let row = !row in
-  if row = 0 then t.n + !steps
-  else (t.sa_rate * sample t.samples t.sample_bits (mark_rank t row - 1)) + !steps
+    Obs.tap C.fm_locate_walks rows;
+    Obs.tap C.fm_locate_steps steps;
+    tap_rank steps steps
+  end
 
 let locate_row t row =
   if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.locate_row: row out of range";
-  position_of_row t row
+  let row = ref row and steps = ref 0 in
+  while not (mark_test t.marks !row) do
+    row := lf_step t !row ~steps:!steps;
+    Stdlib.incr steps
+  done;
+  tap_walks 1 !steps;
+  resolve t !row ~steps:!steps
+
+(* The lockstep walk: every round advances each unresolved row of
+   [rows.(0 .. len - 1)] by one LF step, so the rows' rank-block misses
+   are independent loads that overlap rather than a chain of them.  A
+   row found marked in round [r] has taken [r] steps.  Resolved slots
+   hold [-1 - position] until the walk ends, so it needs no scratch. *)
+let walk t rows len =
+  let pending = ref len and round = ref 0 and steps = ref 0 in
+  while !pending > 0 do
+    let r = !round in
+    for i = 0 to len - 1 do
+      let row = Array.unsafe_get rows i in
+      if row >= 0 then
+        if mark_test t.marks row then begin
+          Array.unsafe_set rows i (-1 - resolve t row ~steps:r);
+          decr pending
+        end
+        else begin
+          Array.unsafe_set rows i (lf_step t row ~steps:r);
+          Stdlib.incr steps
+        end
+    done;
+    round := r + 1
+  done;
+  for i = 0 to len - 1 do
+    Array.unsafe_set rows i (-1 - Array.unsafe_get rows i)
+  done;
+  tap_walks len !steps
+
+let locate_rows t rows ~len =
+  if len < 0 || len > Array.length rows then invalid_arg "Fm_index.locate_rows: bad length";
+  let nrows = Occ.length t.occ in
+  for i = 0 to len - 1 do
+    let row = Array.unsafe_get rows i in
+    if row < 0 || row >= nrows then invalid_arg "Fm_index.locate_rows: row out of range"
+  done;
+  walk t rows len
 
 let locate_into t (lo, hi) dst =
   let rows = Occ.length t.occ in
   if lo < 0 || hi > rows || lo > hi then invalid_arg "Fm_index.locate_into: bad interval";
   if Array.length dst < hi - lo then invalid_arg "Fm_index.locate_into: buffer too small";
-  for row = lo to hi - 1 do
-    Array.unsafe_set dst (row - lo) (position_of_row t row)
-  done
+  for i = 0 to hi - lo - 1 do
+    Array.unsafe_set dst i (lo + i)
+  done;
+  walk t dst (hi - lo)
 
 let locate t (lo, hi) =
   if hi <= lo then []
@@ -984,7 +1031,7 @@ let of_image img =
    — so truncation and any header-byte corruption are still detected —
    but not the payload CRCs or [recount] (that is the entire cold-start
    win).  Geometry validation keeps every derived offset in bounds and
-   the LF walk in [position_of_row] is capped at [sa_rate] steps, so a
+   every LF walk ([lf_step]) is capped at [sa_rate] steps, so a
    corrupted payload yields wrong answers or a clean exception — never
    memory-unsafety, never a hang. *)
 let of_file fd =

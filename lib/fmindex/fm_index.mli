@@ -99,9 +99,19 @@ val locate_row : t -> int -> int
     nothing.  Raises [Invalid_argument] if [row] is outside
     [0, length t]. *)
 
+val locate_rows : t -> int array -> len:int -> unit
+(** [locate_rows t rows ~len] replaces each row [rows.(i)], [i < len],
+    with its text position (what {!locate_row} gives it), without
+    allocating.  The rows walk their LF chains in lockstep, one step
+    per round for every row not yet at a sampled row, so the walks'
+    cache misses overlap.  Rows may repeat and come in any order.
+    Raises [Invalid_argument] unless [0 <= len <= Array.length rows]
+    and every row is in [0, length t]. *)
+
 val locate_into : t -> interval -> int array -> unit
 (** [locate_into t (lo, hi) dst] writes the position of row [lo + i] into
-    [dst.(i)] for [i < hi - lo], unsorted and without allocating — the
+    [dst.(i)] for [i < hi - lo], unsorted and without allocating: the
+    lockstep walk of {!locate_rows} over the interval's rows, and the
     batched primitive under {!locate}.  Raises [Invalid_argument] if the
     interval is out of range or [dst] is shorter than [hi - lo]. *)
 

@@ -148,10 +148,12 @@ end
 let word_bytes = 7
 let word_lanes = 4 * word_bytes
 
-(* A pattern pre-packed at all four lane phases.  Phase [p] stores the
+(* A pattern packed at the four lane phases.  Phase [p] stores the
    pattern shifted up by [p] lanes, so comparing against text position
    [pos] (phase [pos land 3]) reduces to whole-byte XORs starting at
    text byte [pos lsr 2] — no cross-byte bit shuffling at query time.
+   Packing keeps only the phase-0 words; each phase is derived from
+   them on its first use, since a query verifies one or two windows.
    [masks] zero out the [p] leading padding lanes of the first word and
    the trailing padding lanes of the last, so there is no separate
    scalar tail: ragged edges are masked lanes (XOR result 0 = match),
@@ -163,10 +165,21 @@ module Pattern = struct
     last_bytes : int;  (* payload bytes covered by the final word, 1..7 *)
   }
 
-  type t = { m : int; phases : phase array }
+  (* [phases] holds the phases built so far, [unbuilt] elsewhere.  A
+     phase is an immutable record published by one atomic write of an
+     extended copy of the array, so a pattern shared by two domains
+     never shows a phase half built.  Two domains racing may both build
+     a phase, or one may publish over the other's: that costs a
+     rebuild, never a wrong phase. *)
+  type t = { m : int; w0 : int array; phases : phase array Atomic.t }
+
+  let unbuilt = { words = [||]; masks = [||]; last_bytes = 0 }
+
+  (* Shared by every fresh pattern; never written, since [build]
+     publishes a copy. *)
+  let none_built = Array.make 4 unbuilt
 
   let length t = t.m
-  let phase t p = t.phases.(p)
 
   let word_bits = 2 * word_lanes
   let word_mask = (1 lsl word_bits) - 1
@@ -223,7 +236,22 @@ module Pattern = struct
       end
       else shift := !shift + 2
     done;
-    { m; phases = Array.init 4 (shifted w0 m) }
+    { m; w0; phases = Atomic.make none_built }
+
+  let[@inline never] build t p =
+    let ph = shifted t.w0 t.m p in
+    let built = Array.copy (Atomic.get t.phases) in
+    built.(p) <- ph;
+    Atomic.set t.phases built;
+    ph
+
+  let[@inline] phase_of t p =
+    let ph = Array.unsafe_get (Atomic.get t.phases) p in
+    if ph == unbuilt then build t p else ph
+
+  let phase t p =
+    if p < 0 || p > 3 then invalid_arg "Packed_text.Pattern.phase: phase out of range";
+    phase_of t p
 
   let make s = pack ~rev:false s
   let make_rev s = pack ~rev:true s
@@ -291,7 +319,7 @@ let hamming ~limit t (pp : Pattern.t) ~pos =
   let m = pp.Pattern.m in
   if pos < 0 || pos + m > t.len then
     invalid_arg "Packed_text.hamming: window out of range";
-  let ph = Array.unsafe_get pp.Pattern.phases (pos land 3) in
+  let ph = Pattern.phase_of pp (pos land 3) in
   let b0 = pos lsr 2 in
   let words = ph.Pattern.words and masks = ph.Pattern.masks in
   let last = Array.length words - 1 in

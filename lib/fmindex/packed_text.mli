@@ -96,10 +96,12 @@ val word_lanes : int
 
 type packed := t
 
-(** A pattern pre-packed at all four lane phases.  Phase [p] stores the
+(** A pattern packed at the four lane phases.  Phase [p] stores the
     pattern shifted up by [p] lanes with first/last-word padding masks,
     so verifying against text position [pos] reduces to whole-byte
-    loads starting at byte [pos / 4] — alignment-free and mmap-safe. *)
+    loads starting at byte [pos / 4] — alignment-free and mmap-safe.
+    A phase is built on its first use; a pattern may be shared by
+    domains. *)
 module Pattern : sig
   type t
 
@@ -134,9 +136,10 @@ module Pattern : sig
 
   val phase : t -> int -> phase
   (** [phase t p] ([p] in 0..3) is the packing compared against text
-      positions [pos] with [pos mod 4 = p].  {!make} fills phase 0 in
-      one pass over the pattern and derives phases 1..3 from its words
-      by 2-bit shifts.  Read-only. *)
+      positions [pos] with [pos mod 4 = p].  {!make} packs the
+      pattern's words in one pass; phase [p] is derived from them by
+      2-bit shifts on its first use (here or by {!hamming}).
+      Read-only.  Raises [Invalid_argument] unless [p] is in 0..3. *)
 end
 
 val hamming : limit:int -> t -> Pattern.t -> pos:int -> int

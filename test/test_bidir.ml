@@ -131,9 +131,13 @@ let prop_bidir_matches_unidirectional =
         && expected_fwd = Some (!f_lo, !f_hi)
         && expected_rev = Some (!r_lo, !r_hi)
         &&
+        (* Row [r_lo + i] locates where rev α starts in rev s; α starts
+           [n - p - m] into s. *)
         let dst = Array.make (!f_hi - !f_lo) 0 in
-        B.locate_into bd ~r_lo:!r_lo ~r_hi:!r_hi ~len:m dst;
-        List.sort compare (Array.to_list dst) = naive_positions text pattern)
+        Fmindex.Fm_index.locate_into fm_rev (!r_lo, !r_hi) dst;
+        let n = String.length text in
+        List.sort compare (Array.to_list (Array.map (fun p -> n - p - m) dst))
+        = naive_positions text pattern)
 
 (* ------------------------------------------------------------------ *)
 (* Oss.search vs the naive reference                                   *)
@@ -441,6 +445,31 @@ let test_engine_spellings () =
     ];
   check bool "unknown rejected" true (Kmismatch.engine_of_string "warp" = None)
 
+(* The daemon resolves every query frame's engine name: the lookup
+   compares in place against each entry's name and allocates nothing,
+   found or not. *)
+let test_find_name_allocation () =
+  let spellings =
+    [ "bidir"; "m-tree"; "M_TREE"; "S-Tree-No-Delta"; "s_tree_no_delta"; "-"; ""; "warp";
+      "bidirx"; "s-tre" ]
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let idle = words (fun () -> ()) in
+  List.iter
+    (fun s ->
+      let spent =
+        words (fun () ->
+            for _ = 1 to 100 do
+              ignore (Sys.opaque_identity (Kmismatch.Engine_registry.find_name s))
+            done)
+      in
+      check (Alcotest.float 0.) (Printf.sprintf "minor words for %S" s) idle spent)
+    spellings
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -664,6 +693,8 @@ let () =
         [
           Alcotest.test_case "spelling-insensitive names" `Quick
             test_engine_spellings;
+          Alcotest.test_case "find_name allocates nothing" `Quick
+            test_find_name_allocation;
           Alcotest.test_case "typed unknown-engine error" `Quick
             test_engine_of_string_err;
           Alcotest.test_case "stub engine: one registration" `Quick

@@ -98,6 +98,29 @@ let test_sequence_rejects () =
   check bool "reject N" true (Sequence.of_string_opt "acgnt" = None);
   check bool "reject $" true (Sequence.of_string_opt "ac$t" = None)
 
+(* A string that is already lowercase ACGT comes back as itself; one
+   that needs folding comes back as a normalized copy; a bad character
+   is reported at its offset, as before. *)
+let test_sequence_no_copy () =
+  let s = String.concat "" [ "acgt"; "tgca" ] in
+  check bool "normalized input returned as is" true
+    (Sequence.to_string (Sequence.of_string s) == s);
+  let mixed = "acgTaCgt" in
+  let got = Sequence.to_string (Sequence.of_string mixed) in
+  check string "mixed case copied and folded" "acgtacgt" got;
+  check string "input untouched" "acgTaCgt" mixed;
+  check bool "a copy" false (got == mixed);
+  List.iter
+    (fun (input, msg) ->
+      match Sequence.of_string input with
+      | _ -> Alcotest.failf "%S accepted" input
+      | exception Invalid_argument m -> check string input msg m)
+    [
+      ("acgnt", "Sequence.of_string: invalid character 'n' at 3");
+      ("ACGT$", "Sequence.of_string: invalid character '$' at 4");
+      ("Acg t", "Sequence.of_string: invalid character ' ' at 3");
+    ]
+
 let test_revcomp () =
   let s = Sequence.of_string "aaccggtt" in
   check string "revcomp" "aaccggtt" (Sequence.to_string (Sequence.revcomp s));
@@ -339,6 +362,7 @@ let () =
         [
           Alcotest.test_case "normalizes" `Quick test_sequence_normalizes;
           Alcotest.test_case "rejects bad chars" `Quick test_sequence_rejects;
+          Alcotest.test_case "copies only to fold" `Quick test_sequence_no_copy;
           Alcotest.test_case "revcomp" `Quick test_revcomp;
           Alcotest.test_case "hamming" `Quick test_hamming;
           prop_revcomp_involution;

@@ -575,6 +575,46 @@ let prop_locate_row_matches_sa =
           Fm_index.locate_row fm row = sa.(row) && one.(0) = sa.(row))
         (List.init (Array.length sa) Fun.id))
 
+(* The lockstep walk resolves every row of an arbitrary row set, row 0,
+   the [$] row and repeated rows included, to what [locate_row] gives
+   it alone; [locate_into] over an interval stays that walk over the
+   interval's rows.  Sets of 0, 1 and up to 3(n + 1) rows, at a dense
+   and a sparse sampling rate. *)
+let prop_locate_rows_lockstep =
+  Test_util.qtest ~count:200 "locate_rows = locate_row"
+    QCheck2.Gen.(
+      triple (Test_util.dna_gen ~lo:1 ~hi:300 ()) (oneofl [ 3; 32 ]) (pair (int_bound 2) int))
+    (fun (text, sa_rate, (size, seed)) ->
+      let fm = Fm_index.build ~sa_rate text in
+      let rows = String.length text + 1 in
+      let st = Random.State.make [| seed |] in
+      let sa =
+        Array.append [| String.length text |] (Suffix.Suffix_array.build_doubling text)
+      in
+      let dollar = ref 0 in
+      Array.iteri (fun row p -> if p = 0 then dollar := row) sa;
+      let len = match size with 0 -> 0 | 1 -> 1 | _ -> 2 + Random.State.int st (3 * rows) in
+      let set =
+        Array.init len (fun i ->
+            match i with
+            | 0 when size = 1 -> Random.State.int st rows
+            | 0 -> 0
+            | 1 -> !dollar
+            | _ when i mod 5 = 0 -> 0
+            | _ -> Random.State.int st rows)
+      in
+      let want = Array.map (Fm_index.locate_row fm) set in
+      (* Slack past [len] must stay untouched. *)
+      let got = Array.append set [| -7 |] in
+      Fm_index.locate_rows fm got ~len;
+      let lo = Random.State.int st rows in
+      let hi = lo + Random.State.int st (rows - lo + 1) in
+      let buf = Array.make (hi - lo) (-1) in
+      Fm_index.locate_into fm (lo, hi) buf;
+      Array.sub got 0 len = want
+      && got.(len) = -7
+      && Array.for_all2 ( = ) buf (Array.init (hi - lo) (fun i -> sa.(lo + i))))
+
 let prop_fm_sampling_rates =
   Test_util.qtest ~count:100 "locate independent of sa_rate"
     QCheck2.Gen.(pair (Test_util.dna_gen ~lo:4 ~hi:150 ()) (Test_util.dna_gen ~lo:1 ~hi:4 ()))
@@ -738,6 +778,7 @@ let () =
           prop_count_search_taps;
           prop_extend_all_matches_reference;
           prop_locate_row_matches_sa;
+          prop_locate_rows_lockstep;
           prop_fm_sampling_rates;
           prop_extend_row_matches_extend_all;
         ] );

@@ -232,6 +232,40 @@ let qcheck_make_rev =
       let got = Pattern.make_rev s and want = Pattern.make (reverse_string s) in
       List.for_all (fun p -> Pattern.phase got p = Pattern.phase want p) [ 0; 1; 2; 3 ])
 
+(* Phases are packed on a pattern's first use at that phase: a fresh
+   pattern, forward or reversed, visits the four phases in a random
+   order (each window start [pos] uses phase [pos land 3]), and every
+   window's distance is the naive count, whichever phase came first. *)
+let qcheck_phases_on_demand =
+  Test_util.qtest ~count:300 "on-demand phases = naive count"
+    QCheck2.Gen.(
+      Test_util.dna_gen ~lo:4 ~hi:240 ()
+      >>= fun text ->
+      int_range 1 (min 90 (String.length text - 3))
+      >>= fun m ->
+      pair (Test_util.dna_gen ~lo:m ~hi:m ()) int >|= fun (pattern, seed) ->
+      (text, pattern, seed))
+    (fun (text, pattern, seed) ->
+      let m = String.length pattern and n = String.length text in
+      let pt = Packed_text.of_string text in
+      let st = Random.State.make [| seed |] in
+      let starts = Array.init (n - m + 1) Fun.id in
+      for i = Array.length starts - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = starts.(i) in
+        starts.(i) <- starts.(j);
+        starts.(j) <- x
+      done;
+      let agrees pp pattern =
+        Array.for_all
+          (fun pos ->
+            Packed_text.hamming ~limit:max_int pt pp ~pos
+            = Hamming.distance_at ~pattern ~text pos)
+          starts
+      in
+      agrees (Pattern.make pattern) pattern
+      && agrees (Pattern.make_rev pattern) (reverse_string pattern))
+
 (* ------------------------------------------------------------------ *)
 (* The mapper's hit re-check                                           *)
 
@@ -394,6 +428,7 @@ let () =
           qcheck_rev;
           Alcotest.test_case "rev = per-lane definition" `Quick test_rev_per_lane;
           qcheck_make_rev;
+          qcheck_phases_on_demand;
         ] );
       ( "recheck",
         [
