@@ -10,7 +10,10 @@
    equal the line recorded in [fixtures/mtree_golden.txt], so a change to
    how the M-tree is stored cannot change what it explores or finds.
    [fixtures/stree_golden.txt] pins the BWT baseline engines (s-tree and
-   s-tree-nodelta, through [Kmismatch.run]) on the same queries.
+   s-tree-nodelta, through [Kmismatch.run]) on the same queries, and
+   [fixtures/bidir_golden.txt] the bidir engine ([Oss.search]): its
+   extensions, verifications and located rows, the LF steps locating
+   them took, and its hits.
 
    The generator is self-contained (no [Random]), so the recorded lines
    depend only on the engine. *)
@@ -107,8 +110,9 @@ let golden_cases () =
 
 (* One golden line per query of every case under every variant:
    [variants] are [(name, search)] pairs, [search idx obs ~pattern ~k]
-   counting into the sink [obs]. *)
-let observe variants =
+   counting into the sink [obs]; [counts obs] renders the counters a
+   line pins. *)
+let observe ~counts variants =
   List.concat_map
     (fun (family, text, qs) ->
       let idx = Kmismatch.build_index text in
@@ -118,16 +122,27 @@ let observe variants =
             (fun (vname, search) ->
               let obs = Obs.create () in
               let hits = search idx obs ~pattern ~k in
-              let c name = Obs.counter_value obs ("engine." ^ name) in
               let flat = String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%d,%d" p d) hits) in
-              Printf.sprintf "%s/%s n=%d m=%d k=%d nodes=%d leaves=%d rank_calls=%d derivations=%d derived_leaves=%d resumes=%d hits=%d %s"
-                family vname (String.length text) (String.length pattern) k (c "nodes")
-                (c "leaves") (c "rank_calls") (c "derivations") (c "derived_leaves")
-                (c "resumes") (List.length hits)
+              Printf.sprintf "%s/%s n=%d m=%d k=%d %s hits=%d %s" family vname (String.length text)
+                (String.length pattern) k (counts obs) (List.length hits)
                 (Digest.to_hex (Digest.string flat)))
             variants)
         qs)
     (golden_cases ())
+
+(* [name=value] fields for the named counters of a sink. *)
+let fields names obs =
+  String.concat " "
+    (List.map
+       (fun (field, counter) -> Printf.sprintf "%s=%d" field (Obs.counter_value obs counter))
+       names)
+
+(* The six [engine.*] counters of the tree engines. *)
+let engine_fields =
+  fields
+    (List.map
+       (fun f -> (f, "engine." ^ f))
+       [ "nodes"; "leaves"; "rank_calls"; "derivations"; "derived_leaves"; "resumes" ])
 
 (* [M_tree.search] under each config. *)
 let mtree_variants =
@@ -146,11 +161,30 @@ let stree_variants =
           (Kmismatch.run idx (Kmismatch.Query.make ~obs ~engine ~pattern ~k ())).hits ))
     Kmismatch.[ S_tree; S_tree_no_delta ]
 
+(* [Oss.search] with the taps armed: where it leaves the index (its
+   extensions and verifications) and what the hand-off costs the
+   locate walk. *)
+let bidir_fields =
+  fields
+    [
+      ("extends", "bidir.extends");
+      ("verifications", "bidir.verifications");
+      ("locate_walks", "fm.locate_walks");
+      ("locate_steps", "fm.locate_steps");
+    ]
+
+let bidir_variants =
+  [
+    ( "bidir",
+      fun idx obs ~pattern ~k ->
+        Test_util.tapped_into obs (fun () -> Oss.search ~obs (Kmismatch.bidir idx) ~pattern ~k) );
+  ]
+
 (* The observed lines must equal [fixtures/<file>].  With
    KMM_RECORD_GOLDEN set to a directory, they are written to <dir>/<file>
    instead: how a fixture is recorded. *)
-let golden file variants () =
-  let got = observe variants in
+let golden file ~counts variants () =
+  let got = observe ~counts variants in
   match Sys.getenv_opt "KMM_RECORD_GOLDEN" with
   | Some dir ->
       Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
@@ -598,9 +632,11 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "stats and hits match the recorded exploration" `Quick
-            (golden "mtree_golden.txt" mtree_variants);
+            (golden "mtree_golden.txt" ~counts:engine_fields mtree_variants);
           Alcotest.test_case "s-tree stats and hits match the recorded exploration" `Quick
-            (golden "stree_golden.txt" stree_variants);
+            (golden "stree_golden.txt" ~counts:engine_fields stree_variants);
+          Alcotest.test_case "bidir counts and hits match the recorded hand-offs" `Quick
+            (golden "bidir_golden.txt" ~counts:bidir_fields bidir_variants);
           Alcotest.test_case "golden set fires derivations" `Quick
             test_golden_covers_derivations;
         ] );
