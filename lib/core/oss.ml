@@ -116,13 +116,38 @@ end
 (* ------------------------------------------------------------------ *)
 (* Executor                                                            *)
 
-(* Candidate-verification cutoff: once an interval pair narrows to this
-   many rows, locating the candidates and running the word-parallel
-   Hamming kernel over the whole window beats continued 4-way
-   branching — two SA walks plus ceil(m/28) word ops versus up to
-   4 * (remaining characters) rank passes (the Giaquinta et al. packed
-   cost model). *)
-let verify_cutoff = 2
+(* The hand-off from the index to the text.  A match of span
+   0 < len < m whose forward interval holds at most [handoff_width]
+   rows leaves the index (its rows are located and each full window
+   goes to the word-parallel Hamming kernel, the Giaquinta et al.
+   packed cost model) as soon as its piece ends, or the search may
+   still spend a mismatch in the piece (e < U(t)), or the span has
+   grown by [confirm] characters since the interval first fitted.
+   Otherwise it extends: while e = U(t) every further character of the
+   piece is forced, so at most one child lives.
+
+   The prices, at 4 Mbp with sa_rate 16: a located row costs about 7.5
+   LF steps (a mark test and an Occ block decode each) plus a kernel
+   call, while extending an interval of <= 8 rows costs one or two
+   block decodes per side.  A chance match survives each forced
+   character with probability about 1/4, so [confirm] forced
+   extensions kill nearly every chance match before it is located:
+   an exact opening piece narrows to a few rows after log4 n ~ 11 of
+   its characters, and those rows used to be located at once.
+   Outside a forced stretch an interval of 3-8 rows would branch up to
+   four ways per character, while the lockstep walk overlaps its rows'
+   misses, so it hands off at once.  On 1000 100 bp reads (both
+   strands) at k = 4, 8 rows with 3 forced characters located 8.7 rows
+   per read in 65 LF steps and 167 block decodes, against 14.4, 108
+   and 231 at 2 rows and no confirmation; 8 rows without confirmation
+   located 40.6 (EXPERIMENTS.md "Pricing the hand-off").
+
+   Dropping a row whose forced character mismatches drops only a
+   window this search does not admit; completeness puts every
+   occurrence on the path of a search whose upper bounds it never
+   exceeds, and that search either finishes it or verifies it. *)
+let handoff_width = 8
+let confirm = 3
 
 (* Per-domain scratch, reused from search to search.  Row [l] of [rows]
    receives the children of a match of length [l]: down the recursion
@@ -278,13 +303,21 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
           else begin
             let idx = sch.pi.(t) - 1 in
             let plo = bounds.(idx) and phi = bounds.(idx + 1) in
-            step t f_lo f_hi r_lo r_hi e i j ~right:(plo >= j) ~plo ~phi
+            step t f_lo f_hi r_lo r_hi e i j ~fit:(-1) ~right:(plo >= j) ~plo ~phi
           end
-        and step t f_lo f_hi r_lo r_hi e i j ~right ~plo ~phi =
+        (* [fit] is the span length at which the interval first held at
+           most [handoff_width] rows, or -1 while it holds more. *)
+        and step t f_lo f_hi r_lo r_hi e i j ~fit ~right ~plo ~phi =
           Deadline.poll ();
           let len = j - i in
-          if len > 0 && len < m && f_hi - f_lo <= verify_cutoff then verify ~r_lo ~r_hi j
-          else if (if right then j = phi else i = plo) then begin
+          let narrow = f_hi - f_lo <= handoff_width in
+          let fit = if narrow && fit < 0 then len else fit in
+          let ends = if right then j = phi else i = plo in
+          if
+            len > 0 && len < m && narrow
+            && (ends || e < sch.upper.(t) || len - fit >= confirm)
+          then verify ~r_lo ~r_hi j
+          else if ends then begin
             if e >= sch.lower.(t) then enter (t + 1) f_lo f_hi r_lo r_hi e i j
             else sc.leaves <- sc.leaves + 1
           end
@@ -301,8 +334,8 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
                 if e' <= sch.upper.(t) then begin
                   sc.nodes <- sc.nodes + 1;
                   let r_lo = Bidir.r_lo cur c and r_hi = Bidir.r_hi cur c in
-                  if right then step t f_lo f_hi r_lo r_hi e' i (j + 1) ~right ~plo ~phi
-                  else step t f_lo f_hi r_lo r_hi e' (i - 1) j ~right ~plo ~phi
+                  if right then step t f_lo f_hi r_lo r_hi e' i (j + 1) ~fit ~right ~plo ~phi
+                  else step t f_lo f_hi r_lo r_hi e' (i - 1) j ~fit ~right ~plo ~phi
                 end
               end
             done
@@ -320,7 +353,8 @@ let search ?(obs = Obs.noop) bidir ~pattern ~k =
           let slot = 3 * !key in
           let f_lo = prefix.(slot) and r_lo = prefix.(slot + 1) and width = prefix.(slot + 2) in
           if width > 0 then
-            step 0 f_lo (f_lo + width) r_lo (r_lo + width) 0 p0 (p0 + q) ~right:true ~plo:p0 ~phi
+            step 0 f_lo (f_lo + width) r_lo (r_lo + width) 0 p0 (p0 + q) ~fit:(-1) ~right:true ~plo:p0
+              ~phi
         end
         else enter 0 0 rows 0 rows 0 p0 p0
       in
