@@ -357,6 +357,7 @@ let try_run t (q : Query.t) =
                   run_validated t q ~obs:q.obs ~pattern ~entry))
         with
         | r -> Ok r
+        | exception Kmm_error.Error e -> Error e
         | exception Deadline.Expired ->
             Error
               (Kmm_error.Timeout

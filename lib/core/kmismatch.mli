@@ -241,7 +241,11 @@ val try_run : index -> Query.t -> (Response.t, Kmm_error.t) result
     cooperative {!Deadline.poll} checkpoints, within
     {!Deadline.poll_stride} hot-loop iterations) comes back as
     [Error (Timeout _)] with the partial hit set discarded — a timed-out
-    query never returns a truncated answer. *)
+    query never returns a truncated answer.
+
+    A typed failure of the index under the search, such as the
+    [Corrupt (Sa_marks, _)] of an LF walk that overruns its sample rate
+    on an index adopted by [Mmap], comes back as that [Error]. *)
 
 val run : index -> Query.t -> Response.t
 (** Execute one query.  The pattern is normalized (case); raises

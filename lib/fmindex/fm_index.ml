@@ -330,9 +330,11 @@ let longest_left_extension t codes ~stop =
    (positions decrease by one per step and every sa_rate-th is marked).
    A corrupted Occ payload — reachable only through an mmap'd load,
    which skips the payload CRCs — could otherwise cycle through
-   unmarked rows forever; the bound turns that hang into an exception. *)
+   unmarked rows forever, and a cleared mark sends a walk past its
+   sampled row; the bound turns either into the typed error a corrupt
+   marks section is. *)
 let walk_overrun () =
-  failwith "Fm_index.locate: LF walk exceeded the sample rate (corrupt index?)"
+  Kmm_error.(raise_error (Corrupt (Sa_marks, "LF walk exceeded the sample rate")))
 
 (* The pieces of every LF walk, single-row or lockstep.  [lf_step]
    moves an unmarked row that has taken [steps] steps one step on;

@@ -113,7 +113,13 @@ val locate_into : t -> interval -> int array -> unit
     [dst.(i)] for [i < hi - lo], unsorted and without allocating: the
     lockstep walk of {!locate_rows} over the interval's rows, and the
     batched primitive under {!locate}.  Raises [Invalid_argument] if the
-    interval is out of range or [dst] is shorter than [hi - lo]. *)
+    interval is out of range or [dst] is shorter than [hi - lo].
+
+    Every LF walk ({!locate}, {!locate_row}, {!locate_rows},
+    {!locate_into}) reaches a sampled row within [sa_rate] steps on an
+    intact index.  One that does not, which only an index adopted by
+    [Mmap] with a corrupt marks or rank payload can make, raises
+    [Kmm_error.Error (Corrupt (Sa_marks, _))]. *)
 
 val find_all : t -> string -> int list
 (** [search] then [locate]; sorted positions of the pattern.  Invalid
