@@ -17,8 +17,10 @@
    measured in a separate pass: [engine.rank_calls] counts the engine's
    own extensions only.  A second table holds the bidir engine (optimum
    search schemes, [Oss.search]) at k = 4 over the same reads, with its
-   extension, verification and located-row counts from the same
-   counting pass.  CPU time is noisy on a shared host (the table's
+   extension, verification and located-row counts, the LF steps that
+   located those rows and the Occ blocks decoded for both, from the
+   same counting pass: block decodes are the one count that prices
+   both sides of its hand-off from the index to the text.  CPU time is noisy on a shared host (the table's
    closing note says how much); the GC and operation counts are not.  The three engines' hits at each k, from
    their counting passes, are cross-checked. *)
 
@@ -141,7 +143,8 @@ let row idx pats engine k =
     (e.name, hits) )
 
 (* The bidir engine at k = 4: the shared columns, then its extensions,
-   candidate verifications and located rows (LF walks) per read. *)
+   candidate verifications, located rows (LF walks), the LF steps of
+   those walks and the Occ blocks decoded per read. *)
 let bidir_row idx pats =
   let k = 4 in
   let bidir = Core.Kmismatch.bidir idx in
@@ -153,6 +156,8 @@ let bidir_row idx pats =
       Printf.sprintf "%.0f" (iper (Obs.counter_value obs "bidir.extends"));
       Printf.sprintf "%.1f" (iper (Obs.counter_value obs "bidir.verifications"));
       Printf.sprintf "%.1f" (iper (Obs.counter_value obs "fm.locate_walks"));
+      Printf.sprintf "%.1f" (iper (Obs.counter_value obs "fm.locate_steps"));
+      Printf.sprintf "%.1f" (iper (Obs.counter_value obs "fm.block_decodes"));
     ]
 
 let run () =
@@ -181,7 +186,8 @@ let run () =
   table
     ~header:
       [ "engine"; "k"; "cpu us/read"; "minor words"; "promoted words"; "minor GCs";
-        "nodes"; "rank calls"; "extends"; "verifications"; "located rows" ]
+        "nodes"; "rank calls"; "extends"; "verifications"; "located rows"; "locate steps";
+        "block decodes" ]
     [ bidir_row idx pats ];
   note "all columns but k are per read (two searches: the read and its reverse complement)";
   note "cpu columns: one row spans 93-129 us/read between runs of one build (shared 2-vCPU host),";
