@@ -106,6 +106,10 @@ type gen_class =
   | Zero_k  (** exact matching, [k = 0] *)
   | Big_k  (** degenerate budget, [k >= m]: every window matches *)
   | Single_char  (** single-character genome and/or pattern *)
+  | Repeats
+      (** near-identical (1-3% diverged) copies of one to three units;
+          a 30-150 bp pattern cut from one copy with up to [k + 1]
+          substitutions, [k] up to 6 *)
 
 val all_classes : gen_class list
 val class_name : gen_class -> string
