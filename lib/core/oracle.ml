@@ -424,20 +424,22 @@ let gen_in_class st cls ~max_text =
   | Repeats ->
       (* Copies of one to three units, 30-150 bp each (shorter when
          two copies would not fit), each copy 1-3% diverged and
-         followed by a short random spacer.  The pattern is cut from
+         followed by a short random spacer that may be cut at the
+         end.  The pattern is cut from
          one copy with up to k + 1 substitutions, so the other copies
          are near matches: the 3-8 row intervals and forced
          confirmations of bidir's hand-off. *)
       let hi = max 1 (min 150 (mt / 2)) in
       let lo = min 30 hi in
-      let units = Array.init (1 + Random.State.int st 3) (fun _ ->
-          rand_dna st (lo + Random.State.int st (hi - lo + 1)))
+      let units =
+        Array.init (1 + Random.State.int st 3) (fun _ ->
+            rand_dna st (lo + Random.State.int st (hi - lo + 1)))
       in
       let buf = Buffer.create mt and copies = ref [] in
       let rec add () =
         let u = units.(Random.State.int st (Array.length units)) in
         let len = String.length u in
-        if !copies = [] || Buffer.length buf + len <= mt then begin
+        if Buffer.length buf + len <= mt then begin
           copies := (Buffer.length buf, len) :: !copies;
           let pct = 1 + Random.State.int st 3 in
           Buffer.add_string buf (mutate st u (((len * pct) + 50) / 100));
@@ -450,11 +452,11 @@ let gen_in_class st cls ~max_text =
       let text = String.sub text 0 (min mt (String.length text)) in
       let copies = Array.of_list !copies in
       let start, len = copies.(Random.State.int st (Array.length copies)) in
-      let len = min len (String.length text - start) in
       let m = min len 30 + Random.State.int st (len - min len 30 + 1) in
       let k = Random.State.int st 7 in
-      { text; pattern = planted_at st text (start + Random.State.int st (len - m + 1)) m
-          (Random.State.int st (k + 2)); k }
+      let muts = Random.State.int st (k + 2) in
+      let pos = start + Random.State.int st (len - m + 1) in
+      { text; pattern = planted_at st text pos m muts; k }
 
 let generate ?(classes = all_classes) ?(max_text = 160) st =
   if classes = [] then invalid_arg "Oracle.generate: empty class list";

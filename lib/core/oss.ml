@@ -136,11 +136,11 @@ end
    its characters, and those rows used to be located at once.
    Outside a forced stretch an interval of 3-8 rows would branch up to
    four ways per character, while the lockstep walk overlaps its rows'
-   misses, so it hands off at once.  On 1000 100 bp reads (both
-   strands) at k = 4, 8 rows with 3 forced characters located 8.7 rows
-   per read in 65 LF steps and 167 block decodes, against 14.4, 108
-   and 231 at 2 rows and no confirmation; 8 rows without confirmation
-   located 40.6 (EXPERIMENTS.md "Pricing the hand-off").
+   misses, so it hands off at once.  Per read of `kmm bench
+   mtree-alloc`'s bidir row (k = 4), 8 rows with 3 forced characters
+   locate 8.8 rows in 65.7 LF steps and decode 168 blocks, against
+   14.5, 108.6 and 233 at 2 rows with no confirmation; 8 rows without
+   confirmation locate 40.7 (EXPERIMENTS.md "Pricing the hand-off").
 
    Dropping a row whose forced character mismatches drops only a
    window this search does not admit; completeness puts every
