@@ -26,30 +26,12 @@ let timestamp_utc () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-(* Minimal JSON string escaping: the fields are short identifiers, but a
-   hostname is still attacker^W admin-controlled input. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json () =
   Printf.sprintf
     "{\"git_rev\":\"%s\",\"ocaml\":\"%s\",\"hostname\":\"%s\",\
      \"timestamp_utc\":\"%s\",\"domains\":%d}"
-    (json_escape (git_rev ()))
-    (json_escape Sys.ocaml_version)
-    (json_escape (hostname ()))
+    (Obs.json_escape (git_rev ()))
+    (Obs.json_escape Sys.ocaml_version)
+    (Obs.json_escape (hostname ()))
     (timestamp_utc ())
     (Domain.recommended_domain_count ())

@@ -24,6 +24,13 @@ let fail_typed ?path e =
     (Kmm_error.to_string e);
   exit (Kmm_error.exit_code e)
 
+(* An engine that raises on a validated query points at the index: an
+   --mmap load trusts its payload, so a corrupt rank count can send a
+   search out of range.  A typed [Internal] (exit 8), not cmdliner's
+   125. *)
+let fail_engine e =
+  fail_typed (Kmm_error.Internal (Printexc.to_string e ^ "; run `kmm verify` on the index"))
+
 (* Every command that takes a genome reads its first FASTA record. *)
 let read_genome path =
   match Dna.Fasta.try_read_file path with
@@ -114,6 +121,18 @@ let int_in ?(hi = max_int) lo =
     | _ -> Error (`Msg (Printf.sprintf "%S is not an integer %s" s range))
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
+(* A duration in seconds, in (0, one day]: nan, infinities and anything
+   outside are usage errors that name the range, so every budget turns
+   into a finite number of nanoseconds. *)
+let seconds =
+  let hi = 86_400. in
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. && x <= hi -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a number of seconds in (0, %g]" s hi))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_float)
 
 let genome_arg =
   Cmdliner.Arg.(
@@ -259,6 +278,7 @@ let search_cmd =
           with
           | Ok r -> r
           | Error e -> fail_typed e
+          | exception e -> fail_engine e
         in
         let hits = r.Core.Kmismatch.Response.hits in
         List.iter (fun (pos, d) -> Printf.printf "%d\t%d\n" pos d) hits;
@@ -302,7 +322,14 @@ let map_cmd =
         let options =
           { Core.Mapper.default with engine; both_strands; domains = jobs; obs }
         in
-        let hits, summary = Core.Mapper.run options idx ~reads:inputs ~k in
+        let hits, summary =
+          (* A failing read is skipped; what fails here is the engine's
+             preparation (bidir's prefix table) on a corrupt index. *)
+          match Core.Mapper.run options idx ~reads:inputs ~k with
+          | r -> r
+          | exception Kmm_error.Error e -> fail_typed e
+          | exception e -> fail_engine e
+        in
         let hits = if best then Core.Mapper.best_hits hits else hits in
         print_string (Core.Mapper.to_tsv hits);
         Format.eprintf
@@ -487,9 +514,13 @@ let fuzz_cmd =
     else `Error (false, "engines diverge from the naive oracle (see above)")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed (runs are reproducible).") in
-  let iters = Arg.(value & opt int 2000 & info [ "iters" ] ~doc:"Number of generated cases.") in
+  let iters =
+    Arg.(value & opt (int_in 1) 2000 & info [ "iters" ] ~doc:"Number of generated cases.")
+  in
   let max_text =
-    Arg.(value & opt int 160 & info [ "max-text" ] ~docv:"N" ~doc:"Maximum generated text length.")
+    Arg.(
+      value & opt (int_in 1) 160
+      & info [ "max-text" ] ~docv:"N" ~doc:"Maximum generated text length.")
   in
   let replay =
     Arg.(
@@ -590,9 +621,11 @@ let bench_cmd =
   let size =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_in 1000)) None
       & info [ "size" ] ~docv:"N"
-          ~doc:"Text length in bp (default: the benchmark's own).")
+          ~doc:
+            "Text length in bp, at least 1000 (the load benchmark cuts \
+             100 bp probes from it; default: the benchmark's own).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let smoke =
@@ -674,7 +707,7 @@ let serve_cmd =
   in
   let max_queue =
     Arg.(
-      value & opt int 1024
+      value & opt (int_in 1) 1024
       & info [ "max-queue" ] ~docv:"N"
           ~doc:
             "Bound on the admission queue; beyond it queries are shed \
@@ -683,7 +716,7 @@ let serve_cmd =
   in
   let send_timeout =
     Arg.(
-      value & opt float 10.0
+      value & opt seconds 10.0
       & info [ "send-timeout" ] ~docv:"SEC"
           ~doc:
             "Whole-response send budget: a client that stops reading and \
@@ -693,23 +726,23 @@ let serve_cmd =
   let d = Kmm_server.Protocol.default_limits in
   let max_pattern =
     Arg.(
-      value & opt int d.Kmm_server.Protocol.max_pattern
+      value & opt (int_in 1) d.Kmm_server.Protocol.max_pattern
       & info [ "max-pattern" ] ~docv:"N" ~doc:"Reject patterns longer than $(docv) bp.")
   in
   let max_k =
     Arg.(
-      value & opt int d.Kmm_server.Protocol.max_k
+      value & opt (int_in 0) d.Kmm_server.Protocol.max_k
       & info [ "max-k" ] ~docv:"N" ~doc:"Reject mismatch budgets above $(docv).")
   in
   let max_hits =
     Arg.(
-      value & opt int d.Kmm_server.Protocol.max_hits
+      value & opt (int_in 1) d.Kmm_server.Protocol.max_hits
       & info [ "max-hits" ] ~docv:"N"
           ~doc:"Truncate responses to $(docv) hits (flagged in the response).")
   in
   let max_frame =
     Arg.(
-      value & opt int d.Kmm_server.Protocol.max_frame
+      value & opt (int_in 1) d.Kmm_server.Protocol.max_frame
       & info [ "max-frame" ] ~docv:"N" ~doc:"Reject request lines longer than $(docv) bytes.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No log lines on stderr.") in
@@ -847,7 +880,7 @@ let client_cmd =
   let timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "timeout" ] ~docv:"SEC"
           ~doc:
             "Client-side I/O budget in seconds: bounds the connect and each \
@@ -856,7 +889,7 @@ let client_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 0
+      value & opt (int_in 0) 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry the whole request (reconnect included) up to $(docv) extra \
@@ -867,7 +900,7 @@ let client_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "deadline" ] ~docv:"SEC"
           ~doc:
             "Server-side compute budget in relative seconds (the wire \

@@ -134,6 +134,11 @@ let record obs a =
   Obs.add obs C.engine_derived_leaves a.n_derived_leaves;
   Obs.add obs C.engine_resumes a.n_resumes
 
+(* The arena's locate buffer, grown to hold at least [len] rows. *)
+let locate_buf a len =
+  if Array.length a.locate_buf < len then a.locate_buf <- Array.make len 0;
+  a.locate_buf
+
 let double arr =
   let b = Array.make (2 * Array.length arr) 0 in
   Array.blit arr 0 b 0 (Array.length arr);
@@ -266,8 +271,7 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
     let results = ref [] in
     let report lo hi q =
       let cnt = hi - lo in
-      if Array.length a.locate_buf < cnt then a.locate_buf <- Array.make cnt 0;
-      let buf = a.locate_buf in
+      let buf = locate_buf a cnt in
       Fm.locate_into fm (lo, hi) buf;
       for i = 0 to cnt - 1 do
         results := (n - Array.unsafe_get buf i - m, q) :: !results
@@ -527,7 +531,12 @@ let search ?(config = default_config) ?(obs = Obs.noop) fm ~pattern ~k =
        the row's LF row; the sentinel row has none.  A path that lasts
        is located once and finished in the text. *)
     and follow_row row j q steps =
-      if steps >= text_after && m - j >= text_left then follow_text (Fm.locate_row fm row) j q
+      if steps >= text_after && m - j >= text_left then begin
+        let buf = locate_buf a 1 in
+        buf.(0) <- row;
+        Fm.locate_rows fm buf ~len:1;
+        follow_text buf.(0) j q
+      end
       else begin
         a.n_rank_calls <- a.n_rank_calls + 2;
         let step = Fm.extend_row fm row in

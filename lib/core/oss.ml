@@ -138,8 +138,9 @@ end
    four ways per character, while the lockstep walk overlaps its rows'
    misses, so it hands off at once.  Per read of `kmm bench
    mtree-alloc`'s bidir row (k = 4), 8 rows with 3 forced characters
-   locate 8.8 rows in 65.7 LF steps and decode 168 blocks, against
-   14.5, 108.6 and 233 at 2 rows with no confirmation; 8 rows without
+   locate 8.8 rows in 65.7 LF steps and decode 169 blocks, against
+   14.5, 108.6 and 233 (prepends uncounted) at 2 rows with no
+   confirmation; 8 rows without
    confirmation locate 40.7 (EXPERIMENTS.md "Pricing the hand-off").
 
    Dropping a row whose forced character mismatches drops only a

@@ -1,6 +1,6 @@
 (* Bidirectional FM-index: the forward rank side an FM-index of rev s
-   carries (an Occ over BWT(s)), synchronized with that index itself.
-   See bidir.mli for the interval-pair invariant; DESIGN.md
+   carries (rank blocks over BWT(s)), synchronized with that index
+   itself.  See bidir.mli for the interval-pair invariant; DESIGN.md
    "Bidirectional index and optimum search schemes" for the
    derivation. *)
 
@@ -8,9 +8,7 @@ let sigma = Dna.Alphabet.sigma
 
 type t = {
   n : int;
-  occ_f : Occ.t;  (* rank structure over BWT(s); no SA samples *)
-  c_f : int array;  (* c_f.(c) = # characters with code < c in BWT(s) *)
-  fm_rev : Fm_index.t;  (* shared index of rev s: ranks + sampled SA *)
+  fm_rev : Fm_index.t;  (* shared index of rev s: both rank sides + sampled SA *)
   q : int;  (* prefix table depth; 0 = no table *)
   prefix : int array Storage.Memo.t;  (* built on first use, see below *)
 }
@@ -54,43 +52,36 @@ let check_pair t ~f_lo ~f_hi ~r_lo ~r_hi =
      || r_hi - r_lo <> f_hi - f_lo
   then invalid_arg "Bidir.extend_*_all: interval pair out of range"
 
-(* Prepend: a backward step over BWT(s) gives, for every code [b], the
-   rank pair whose difference cnt(b) counts the occurrences of b·α.
-   Those same counts re-partition the reverse interval, because within
-   it rows sort by the character following rev α — i.e. the character
-   preceding α in s — in code order with the sentinel first (rev α at
-   the very end of rev s ⇔ α is a prefix of s, and '$' is smallest).
-   So the reverse child of base c starts after the sentinel block and
-   every smaller base's block. *)
-let extend_left_all t cur ~f_lo ~f_hi ~r_lo ~r_hi =
-  check_pair t ~f_lo ~f_hi ~r_lo ~r_hi;
-  Occ.rank_all_pair_unsafe t.occ_f f_lo f_hi cur.cf_lo cur.cf_hi;
-  (* cf_* hold raw ranks here; cnt must be read before the C offset is
-     folded in. *)
-  let acc = ref (r_lo + (cur.cf_hi.(0) - cur.cf_lo.(0))) in
+(* One extension step fills one side's children (full intervals, whose
+   widths are the occurrence counts of each extension of α) and
+   re-partitions the other side's interval, starting at [base], by
+   those counts.  Within that interval rows sort by the character that
+   extends α on the far side, in code order with the sentinel first:
+   for a prepend, the reverse rows of rev α sort by the character
+   following rev α in rev s, i.e. the one preceding α in s, and '$'
+   (rev α at the very end of rev s ⇔ α a prefix of s) is smallest.  So
+   the child of base c starts after the sentinel block and every
+   smaller base's block; an append is the mirror image. *)
+let repartition ~base los his dst_lo dst_hi =
+  let acc = ref (base + (his.(0) - los.(0))) in
   for c = 1 to sigma - 1 do
-    let cnt = cur.cf_hi.(c) - cur.cf_lo.(c) in
-    cur.cr_lo.(c) <- !acc;
-    cur.cr_hi.(c) <- !acc + cnt;
-    acc := !acc + cnt;
-    let base = t.c_f.(c) in
-    cur.cf_lo.(c) <- base + cur.cf_lo.(c);
-    cur.cf_hi.(c) <- base + cur.cf_hi.(c)
+    let cnt = his.(c) - los.(c) in
+    dst_lo.(c) <- !acc;
+    dst_hi.(c) <- !acc + cnt;
+    acc := !acc + cnt
   done
 
-(* Append is the mirror image through BWT(rev s); the shared
-   [Fm_index.extend_all] already returns full (C-offset) intervals, and
-   the forward interval re-partitions from the same counts. *)
+(* Prepend: a backward step over BWT(s), the forward side. *)
+let extend_left_all t cur ~f_lo ~f_hi ~r_lo ~r_hi =
+  check_pair t ~f_lo ~f_hi ~r_lo ~r_hi;
+  Fm_index.extend_forward_all t.fm_rev ~lo:f_lo ~hi:f_hi ~los:cur.cf_lo ~his:cur.cf_hi;
+  repartition ~base:r_lo cur.cf_lo cur.cf_hi cur.cr_lo cur.cr_hi
+
+(* Append: a backward step over BWT(rev s), the located side. *)
 let extend_right_all t cur ~f_lo ~f_hi ~r_lo ~r_hi =
   check_pair t ~f_lo ~f_hi ~r_lo ~r_hi;
   Fm_index.extend_all t.fm_rev ~lo:r_lo ~hi:r_hi ~los:cur.cr_lo ~his:cur.cr_hi;
-  let acc = ref (f_lo + (cur.cr_hi.(0) - cur.cr_lo.(0))) in
-  for c = 1 to sigma - 1 do
-    let cnt = cur.cr_hi.(c) - cur.cr_lo.(c) in
-    cur.cf_lo.(c) <- !acc;
-    cur.cf_hi.(c) <- !acc + cnt;
-    acc := !acc + cnt
-  done
+  repartition ~base:f_lo cur.cr_lo cur.cr_hi cur.cf_lo cur.cf_hi
 
 (* The prefix table: one depth-q walk of [extend_right_all] from the
    empty match, recording each q-mer's pair at slot 3·key.  A q-mer that
@@ -121,17 +112,9 @@ let build_prefix t =
   table
 
 let make fm_rev =
-  let occ_f = Fm_index.forward_occ fm_rev in
   let n = Fm_index.length fm_rev in
   let unseeded =
-    {
-      n;
-      occ_f;
-      c_f = Occ.c_array_of_counts (Occ.counts occ_f);
-      fm_rev;
-      q = prefix_depth n;
-      prefix = Storage.Memo.make (fun () -> [||]);
-    }
+    { n; fm_rev; q = prefix_depth n; prefix = Storage.Memo.make (fun () -> [||]) }
   in
   (* The build only extends, which never reads the table. *)
   { unseeded with prefix = Storage.Memo.make (fun () -> build_prefix unseeded) }

@@ -32,8 +32,9 @@
     candidate occurrences are located through the existing sampled-SA
     walk.  The forward side is that index's {!Fm_index.forward_occ}
     (rank blocks over [BWT(s)], built at index time and persisted with
-    it) plus its C array: it never locates, so it carries no SA
-    samples. *)
+    it): it never locates, so it carries no SA samples.  Both
+    directions extend through {!Fm_index}'s one extension kernel, so
+    every extension is counted in its [fm.*] taps. *)
 
 type t
 
@@ -70,8 +71,10 @@ val cursor : unit -> cursor
 val extend_left_all :
   t -> cursor -> f_lo:int -> f_hi:int -> r_lo:int -> r_hi:int -> unit
 (** Fill the cursor with the children of prepending each base to α
-    (one rank-all pair over [BWT(s)]).  Raises [Invalid_argument] if the
-    pair is out of range or its sides differ in width. *)
+    (one rank-all pair over [BWT(s)], through
+    {!Fm_index.extend_forward_all} — its taps count these).  Raises
+    [Invalid_argument] if the pair is out of range or its sides differ
+    in width. *)
 
 val extend_right_all :
   t -> cursor -> f_lo:int -> f_hi:int -> r_lo:int -> r_hi:int -> unit

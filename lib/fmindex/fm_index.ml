@@ -55,10 +55,6 @@ let tap_rank ops decodes =
   Obs.tap C.fm_rank_ops ops;
   Obs.tap C.fm_block_decodes decodes
 
-(* The pair kernel decodes one block for a width-1 interval, two
-   otherwise. *)
-let[@inline] decodes ~lo ~hi = if hi = lo + 1 then 1 else 2
-
 (* ------------------------------------------------------------------ *)
 (* Marked-row bitvector                                                 *)
 
@@ -243,58 +239,89 @@ let bwt t = String.init (Occ.length t.occ) (fun row -> Dna.Alphabet.of_code (Occ
 let whole t = (0, Occ.length t.occ)
 
 (* ------------------------------------------------------------------ *)
+(* The extension kernel                                                 *)
+
+(* Every extension in the system, over either rank side: the rank-all
+   pair at [lo] and [hi], offset by the C array (both BWTs permute the
+   same [s$], so the located side's serves the forward side too), and
+   its count, [count_extend]: one rank op, and one block decode for a
+   width-1 interval, two otherwise.  Unchecked: the caller guarantees
+   [0 <= lo <= hi <= n + 1] and that [los] and [his] have length
+   [sigma].  [extend_row] is the kernel's single-row form. *)
+let[@inline] count_extend ~lo ~hi =
+  if Atomic.get Obs.taps then tap_rank 1 (if hi = lo + 1 then 1 else 2)
+
+let[@inline] extend_unsafe t occ ~lo ~hi los his =
+  count_extend ~lo ~hi;
+  Occ.rank_all_pair_unsafe occ t.c_array lo hi los his
+
+(* The checked entry to the kernel: one boundary check per call.
+   Engines call it millions of times per read with intervals they
+   derived from [whole] and earlier extensions, so the in-range
+   invariant holds and per-step revalidation would be pure overhead. *)
+let[@inline] extend_checked name t occ ~lo ~hi ~los ~his =
+  if lo < 0 || hi < lo || hi > Occ.length occ then invalid_arg (name ^ ": interval out of range");
+  if Array.length los <> sigma || Array.length his <> sigma then
+    invalid_arg (name ^ ": bad dst size");
+  extend_unsafe t occ ~lo ~hi los his
+
+let extend_all t ~lo ~hi ~los ~his =
+  extend_checked "Fm_index.extend_all" t t.occ ~lo ~hi ~los ~his
+
+let extend_forward_all t ~lo ~hi ~los ~his =
+  extend_checked "Fm_index.extend_forward_all" t t.fwd ~lo ~hi ~los ~his
+
+(* The kernel on the single-row interval, whose only child is the row's
+   own code at its LF row: one block decode, counted like the width-1
+   [extend_all]. *)
+let extend_row t row =
+  if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.extend_row: row out of range";
+  count_extend ~lo:row ~hi:(row + 1);
+  if row = t.sentinel_row then -1
+  else (Occ.lf t.occ t.c_array row lsl 3) lor Occ.get t.occ row
+
+(* ------------------------------------------------------------------ *)
 (* Backward search                                                      *)
 
-(* The one backward-search loop, over either rank side (both BWTs
-   permute the same [s$], so the located side's C array serves the
-   forward side too).  From the whole interval it prepends
-   [codes.(stop - 1)], then [codes.(stop - 2)], ... and stops once
-   [codes.(0)] is in, at a code outside 1..sigma-1 (uncounted), or
-   after the step that empties the interval (counted, like an
-   [extend]).  It returns the index [j] of the first code left out, so
-   [stop - j] codes were prepended and [j = 0] means all of them, and
-   leaves the final interval in [iv.(0)], [iv.(1)].  The unchecked pair
-   kernel is sound here: every [c] passed to it is in 1..sigma-1 and
-   the interval stays within [0, length]; [iv] doubles as its scratch
-   (length 2), so no step allocates. *)
-let backward t occ codes ~stop iv =
-  let measured = Atomic.get Obs.taps in
-  let ops = ref 0 and blocks = ref 0 in
+(* The kernel's destination rows for a backward search, one pair per
+   domain, so no search allocates them.  The loop calls out to nothing,
+   so only another thread of the same domain can find them busy; it
+   works in a private pair. *)
+type scratch = { los : int array; his : int array; mutable busy : bool }
+
+let scratch () = { los = Array.make sigma 0; his = Array.make sigma 0; busy = false }
+let scratch_key = Domain.DLS.new_key scratch
+
+let acquire () =
+  let s = Domain.DLS.get scratch_key in
+  let s = if s.busy then scratch () else s in
+  s.busy <- true;
+  s
+
+(* The one backward-search loop, over either rank side, one kernel call
+   per step.  From the whole interval it prepends [codes.(stop - 1)],
+   then [codes.(stop - 2)], ... and stops once [codes.(0)] is in, at a
+   code outside 1..sigma-1 (uncounted), or after the step that empties
+   the interval (counted, like any extension).  It returns the index
+   [j] of the first code left out, so [stop - j] codes were prepended
+   and [j = 0] means all of them, and leaves the final interval in
+   [s.los.(0)], [s.his.(0)] (the sentinel's slot, never a child). *)
+let backward t occ codes ~stop s =
   let lo = ref 0 and hi = ref (Occ.length occ) in
   let j = ref stop and live = ref true in
   while !live && !j > 0 do
     let c = Array.unsafe_get codes (!j - 1) in
     if c <= 0 || c >= sigma then live := false
     else begin
-      if measured then begin
-        Stdlib.incr ops;
-        blocks := !blocks + decodes ~lo:!lo ~hi:!hi
-      end;
-      Occ.rank_pair_into_unsafe occ c !lo !hi iv;
-      let cc = Array.unsafe_get t.c_array c in
-      lo := cc + Array.unsafe_get iv 0;
-      hi := cc + Array.unsafe_get iv 1;
+      extend_unsafe t occ ~lo:!lo ~hi:!hi s.los s.his;
+      lo := Array.unsafe_get s.los c;
+      hi := Array.unsafe_get s.his c;
       if !lo < !hi then decr j else live := false
     end
   done;
-  if measured then tap_rank !ops !blocks;
-  Array.unsafe_set iv 0 !lo;
-  Array.unsafe_set iv 1 !hi;
+  Array.unsafe_set s.los 0 !lo;
+  Array.unsafe_set s.his 0 !hi;
   !j
-
-let extend t c (lo, hi) =
-  if c <= 0 || c >= sigma then None
-  else begin
-    let rows = Occ.length t.occ in
-    if lo < 0 || lo > rows || hi < 0 || hi > rows then
-      invalid_arg "Fm_index.extend: interval out of range";
-    if Atomic.get Obs.taps then tap_rank 1 (decodes ~lo ~hi);
-    let r = Array.make 2 0 in
-    Occ.rank_pair_into_unsafe t.occ c lo hi r;
-    let lo' = t.c_array.(c) + r.(0) in
-    let hi' = t.c_array.(c) + r.(1) in
-    if lo' < hi' then Some (lo', hi') else None
-  end
 
 (* Character codes of a pattern, case folded; [None] when any character
    is outside ACGT (such a pattern occurs nowhere rather than raising,
@@ -314,17 +341,23 @@ let search t pat =
   match codes_of_pattern pat with
   | None -> None
   | Some codes ->
-      let iv = Array.make 2 0 in
-      if backward t t.occ codes ~stop:(Array.length codes) iv = 0 then
-        Some (iv.(0), iv.(1))
-      else None
+      let s = acquire () in
+      let iv =
+        if backward t t.occ codes ~stop:(Array.length codes) s = 0 then Some (s.los.(0), s.his.(0))
+        else None
+      in
+      s.busy <- false;
+      iv
 
 let count t pat = match search t pat with None -> 0 | Some (lo, hi) -> hi - lo
 
 let longest_left_extension t codes ~stop =
   if stop < 0 || stop > Array.length codes then
     invalid_arg "Fm_index.longest_left_extension: stop out of range";
-  stop - backward t t.fwd codes ~stop (Array.make 2 0)
+  let s = acquire () in
+  let j = backward t t.fwd codes ~stop s in
+  s.busy <- false;
+  stop - j
 
 (* A legitimate LF walk reaches a marked row within [sa_rate] steps
    (positions decrease by one per step and every sa_rate-th is marked).
@@ -336,11 +369,11 @@ let longest_left_extension t codes ~stop =
 let walk_overrun () =
   Kmm_error.(raise_error (Corrupt (Sa_marks, "LF walk exceeded the sample rate")))
 
-(* The pieces of every LF walk, single-row or lockstep.  [lf_step]
-   moves an unmarked row that has taken [steps] steps one step on;
-   [resolve] is the position of a marked row reached after [steps]
-   steps; [tap_walks] counts [rows] walks of [steps] steps in all, each
-   step one rank over the block holding its row. *)
+(* The pieces of the LF walk.  [lf_step] moves an unmarked row that
+   has taken [steps] steps one step on; [resolve] is the position of a
+   marked row reached after [steps] steps; [tap_walks] counts [rows]
+   walks of [steps] steps in all, each step one rank over the block
+   holding its row. *)
 let[@inline] lf_step t row ~steps =
   if steps >= t.sa_rate then walk_overrun ();
   Occ.lf t.occ t.c_array row
@@ -355,16 +388,6 @@ let tap_walks rows steps =
     Obs.tap C.fm_locate_steps steps;
     tap_rank steps steps
   end
-
-let locate_row t row =
-  if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.locate_row: row out of range";
-  let row = ref row and steps = ref 0 in
-  while not (mark_test t.marks !row) do
-    row := lf_step t !row ~steps:!steps;
-    Stdlib.incr steps
-  done;
-  tap_walks 1 !steps;
-  resolve t !row ~steps:!steps
 
 (* The lockstep walk: every round advances each unresolved row of
    [rows.(0 .. len - 1)] by one LF step, so the rows' rank-block misses
@@ -436,31 +459,6 @@ let space_report t =
     ("c array", 8 * sigma);
     ("packed text (2 bit/base)", Storage.length (Packed_text.storage t.ptext));
   ]
-
-let extend_all t ~lo ~hi ~los ~his =
-  (* One boundary check here, then the unchecked pair kernel: engines
-     call this millions of times per read with intervals they derived
-     from [whole]/previous extensions, so the in-range invariant holds
-     and per-call revalidation inside [Occ] would be pure overhead. *)
-  if lo < 0 || hi < lo || hi > Occ.length t.occ then
-    invalid_arg "Fm_index.extend_all: interval out of range";
-  if Array.length los <> sigma || Array.length his <> sigma then
-    invalid_arg "Fm_index.extend_all: bad dst size";
-  if Atomic.get Obs.taps then tap_rank 1 (decodes ~lo ~hi);
-  Occ.rank_all_pair_unsafe t.occ lo hi los his;
-  for c = 0 to sigma - 1 do
-    let base = Array.unsafe_get t.c_array c in
-    Array.unsafe_set los c (base + Array.unsafe_get los c);
-    Array.unsafe_set his c (base + Array.unsafe_get his c)
-  done
-
-(* The width-1 case of [extend_all], counted like it: one rank, one
-   block decode. *)
-let extend_row t row =
-  if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.extend_row: row out of range";
-  if Atomic.get Obs.taps then tap_rank 1 1;
-  if row = t.sentinel_row then -1
-  else (Occ.lf t.occ t.c_array row lsl 3) lor Occ.get t.occ row
 
 (* --- persistence ----------------------------------------------------- *)
 

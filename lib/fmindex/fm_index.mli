@@ -3,7 +3,15 @@
     Rows of the conceptual Burrows-Wheeler matrix of [s ^ "$"] are numbered
     [0 .. n], and an interval is a half-open row range [(lo, hi)].  Backward
     search extends a matched string one character *to the left*; this is the
-    paper's [search(z, L_v)] primitive. *)
+    paper's [search(z, L_v)] primitive.
+
+    Every extension in the system, on either rank side, is one call of
+    one kernel: a rank-all pair ({!Occ.rank_all_pair_unsafe}) at both
+    ends of the interval, offset by the C array, counted once.
+    {!extend_all} and {!extend_forward_all} are its checked entries,
+    {!extend_row} its single-row form, and {!search}, {!count} and
+    {!longest_left_extension} call it once per step.  Every locate is
+    one lockstep LF walk ({!locate_rows}). *)
 
 type t
 
@@ -38,7 +46,9 @@ val max_length : int
 val forward_occ : t -> Occ.t
 (** The forward side: rank blocks over BWT([rev s]) with its sentinel
     row, built at index time and adopted by both loaders like the rest
-    of the index.  Rank-only: no SA samples are kept for it. *)
+    of the index.  Rank-only: no SA samples are kept for it; queries
+    reach it through {!extend_forward_all} and
+    {!longest_left_extension}. *)
 
 val length : t -> int
 (** Length of the indexed text (sentinel excluded). *)
@@ -53,21 +63,13 @@ val bwt : t -> string
 val whole : t -> interval
 (** The interval of every row, [(0, n+1)]. *)
 
-val extend : t -> int -> interval -> interval option
-(** [extend t c (lo, hi)] narrows the interval by prepending character code
-    [c]: the result covers exactly the rows whose suffix starts with [c]
-    followed by the previous match.  [None] if the extension is empty or
-    [c] is outside [1 .. 4]; [extend t c (whole t)] is the paper's
-    [F_x].  Raises [Invalid_argument] if [lo] or [hi] is outside
-    [0, n+1]. *)
-
 val search : t -> string -> interval option
 (** Backward search of a pattern; [None] when absent.  Patterns are case
     folded ([ACGT] matches [acgt]); a pattern containing any character
     outside ACGT occurs nowhere and yields [None] rather than raising,
-    without a rank step.  Allocation free per step, with the counts of
-    an {!extend} per step (the step that empties the interval
-    included). *)
+    without a rank step.  One {!extend_all} per step, counted like
+    one (the step that empties the interval included); a step
+    allocates nothing. *)
 
 val count : t -> string -> int
 (** Number of occurrences of a pattern in the text: the width of
@@ -84,27 +86,22 @@ val longest_left_extension : t -> int array -> stop:int -> int
     reversed text this is the length of the longest suffix of
     [codes.(0 .. stop - 1)] occurring in the forward text, and when
     [l < stop] the window [codes.(stop - l - 1 .. stop - 1)] is the
-    shortest one ending at [stop - 1] that does not occur.  Allocation
-    free per step, with the counts of an {!extend} per step: the step
-    that empties the interval counts, a code outside [1 .. 4] does not.
-    Raises [Invalid_argument] unless [0 <= stop <= Array.length codes]. *)
+    shortest one ending at [stop - 1] that does not occur.  One
+    {!extend_forward_all} per step, counted like one: the step that
+    empties the interval counts, a code outside [1 .. 4] does not.  It
+    allocates nothing.  Raises [Invalid_argument] unless
+    [0 <= stop <= Array.length codes]. *)
 
 val locate : t -> interval -> int list
 (** Sorted 0-based starting positions of the suffixes in the interval.
     Rows are resolved through the sampled suffix array by LF-walking. *)
 
-val locate_row : t -> int -> int
-(** [locate_row t row] is the text position of the suffix at BWT row
-    [row], by an LF walk to the nearest sampled row; it allocates
-    nothing.  Raises [Invalid_argument] if [row] is outside
-    [0, length t]. *)
-
 val locate_rows : t -> int array -> len:int -> unit
 (** [locate_rows t rows ~len] replaces each row [rows.(i)], [i < len],
-    with its text position (what {!locate_row} gives it), without
-    allocating.  The rows walk their LF chains in lockstep, one step
-    per round for every row not yet at a sampled row, so the walks'
-    cache misses overlap.  Rows may repeat and come in any order.
+    with the text position of its suffix, without allocating: each row
+    LF-walks to the nearest sampled row.  The rows walk in lockstep, one
+    step per round for every row not yet at a sampled row, so the walks'
+    cache misses overlap; a single row ([len = 1]) is the plain walk.  Rows may repeat and come in any order.
     Raises [Invalid_argument] unless [0 <= len <= Array.length rows]
     and every row is in [0, length t]. *)
 
@@ -115,8 +112,7 @@ val locate_into : t -> interval -> int array -> unit
     batched primitive under {!locate}.  Raises [Invalid_argument] if the
     interval is out of range or [dst] is shorter than [hi - lo].
 
-    Every LF walk ({!locate}, {!locate_row}, {!locate_rows},
-    {!locate_into}) reaches a sampled row within [sa_rate] steps on an
+    Every LF walk ({!locate}, {!locate_rows}, {!locate_into}) reaches a sampled row within [sa_rate] steps on an
     intact index.  One that does not, which only an index adopted by
     [Mmap] with a corrupt marks or rank payload can make, raises
     [Kmm_error.Error (Corrupt (Sa_marks, _))]. *)
@@ -129,12 +125,12 @@ val find_all : t -> string -> int list
 
     When {!Obs.set_taps} has armed the taps, the query paths count into
     the calling domain's ambient sink ({!Obs.with_ambient}):
-    [fm.rank_ops] (one per {!extend}/{!extend_all}/{!extend_row} call, one per
+    [fm.rank_ops] (one per call of the extension kernel — each
+    {!extend_all}, {!extend_forward_all} and {!extend_row} call and each
     backward-search step of {!search}, {!count} or
-    {!longest_left_extension}, one per
-    LF step of a locate walk), [fm.block_decodes] (interleaved Occ
-    blocks decoded: one for a width-1 interval, two otherwise, one per
-    LF step), [fm.locate_walks] (rows located) and [fm.locate_steps]
+    {!longest_left_extension} — and one per LF step of a locate walk),
+    [fm.block_decodes] (interleaved Occ blocks decoded: one for a
+    width-1 interval, two otherwise, one per LF step), [fm.locate_walks] (rows located) and [fm.locate_steps]
     (LF steps across them).  Disarmed, each entry point pays one load
     and a branch. *)
 
@@ -153,12 +149,18 @@ val space_report : t -> (string * int) list
     {!text} is a cache, not an owned component, and is not listed.) *)
 
 val extend_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
-(** One-pass variant of {!extend} for every character code at once:
-    afterwards the extension of the interval [[lo, hi)] by code [c] is
-    [(los.(c), his.(c))], nonempty iff [los.(c) < his.(c)].  Both arrays
-    must have length 5 (the alphabet size).  Costs two block scans
-    instead of eight, and allocates nothing: the bounds are passed
-    unboxed, not as an {!interval}. *)
+(** Prepend every character code at once: afterwards the extension of
+    the interval [[lo, hi)] by code [c] — the rows whose suffix starts
+    with [c] followed by the previous match — is [(los.(c), his.(c))],
+    nonempty iff [los.(c) < his.(c)]; from {!whole} it is the paper's
+    [F_c].  Both arrays must have length 5 (the alphabet size).  Costs
+    two block scans, and allocates nothing: the bounds are passed
+    unboxed, not as an {!interval}.  Raises [Invalid_argument] if the
+    interval is not within [0, n+1] or an array has another length. *)
+
+val extend_forward_all : t -> lo:int -> hi:int -> los:int array -> his:int array -> unit
+(** {!extend_all} on the forward side ({!forward_occ}): the same kernel,
+    C array and counts over BWT([rev s]), for {!Bidir}'s prepends. *)
 
 val extend_row : t -> int -> int
 (** [extend_row t row] is {!extend_all} of the single-row interval

@@ -157,23 +157,27 @@ let rank t c i =
   else if i = t.len then Array.unsafe_get t.totals c
   else packed_rank t (c - 1) (i - sb)
 
-(* Write the four packed-lane counts of prefix [0, p) into dst.(1..4),
-   given the block decode. *)
-let[@inline] fields_into t dst ~off ~sb4 ~rem ~s =
+(* Write base.(c) plus the count of payload code c in prefix [0, p)
+   into dst.(c), c = 1..4, given the block decode. *)
+let[@inline] fields_into t base dst ~off ~sb4 ~rem ~s =
   let f1 = s land 0xffff
   and f2 = (s lsr 16) land 0xffff
   and f3 = (s lsr 32) land 0xffff in
   let data = t.data and super = t.super in
   Array.unsafe_set dst 1
-    (Array.unsafe_get super sb4 + u16 data off + rem - f1 - f2 - f3);
-  Array.unsafe_set dst 2 (Array.unsafe_get super (sb4 + 1) + u16 data (off + 2) + f1);
-  Array.unsafe_set dst 3 (Array.unsafe_get super (sb4 + 2) + u16 data (off + 4) + f2);
-  Array.unsafe_set dst 4 (Array.unsafe_get super (sb4 + 3) + u16 data (off + 6) + f3)
+    (Array.unsafe_get base 1 + Array.unsafe_get super sb4 + u16 data off + rem - f1 - f2 - f3);
+  Array.unsafe_set dst 2
+    (Array.unsafe_get base 2 + Array.unsafe_get super (sb4 + 1) + u16 data (off + 2) + f1);
+  Array.unsafe_set dst 3
+    (Array.unsafe_get base 3 + Array.unsafe_get super (sb4 + 2) + u16 data (off + 4) + f2);
+  Array.unsafe_set dst 4
+    (Array.unsafe_get base 4 + Array.unsafe_get super (sb4 + 3) + u16 data (off + 6) + f3)
 
-(* Unchecked single-block decode of the packed prefix [0, p): writes the
-   counts of the four payload codes into dst.(1..4).  Callers have
-   already validated ranges and handled the sentinel and [i = len]. *)
-let[@inline] decode_into t dst p =
+(* Unchecked single-block decode of the packed prefix [0, p): writes
+   base.(c) plus the count of each payload code c into dst.(1..4).
+   Callers have already validated ranges and handled the sentinel and
+   [i = len]. *)
+let[@inline] decode_into t base dst p =
   let b = p lsr t.bshift in
   let off = b * t.stride in
   let sb4 = (b lsr t.sshift) * 4 in
@@ -183,11 +187,11 @@ let[@inline] decode_into t dst p =
     else if rem = 0 then 0
     else scan_slow t.data (off + 8) rem
   in
-  fields_into t dst ~off ~sb4 ~rem ~s
+  fields_into t base dst ~off ~sb4 ~rem ~s
 
-let[@inline] totals_into t dst =
+let[@inline] totals_into t base dst =
   for c = 1 to sigma - 1 do
-    Array.unsafe_set dst c (Array.unsafe_get t.totals c)
+    Array.unsafe_set dst c (Array.unsafe_get base c + Array.unsafe_get t.totals c)
   done
 
 (* Branch-free [Bool.to_int (a = b)] for small non-negative ints: equal
@@ -205,19 +209,20 @@ let[@inline] payload_code t p =
   in
   ((byte lsr ((p land 3) * 2)) land 3) + 1
 
-(* Precondition (unchecked): [0 <= lo, hi <= length t] and both [dst]
-   arrays have length [sigma].  [Fm_index] enforces this at its own
-   boundary once per call instead of paying the checks per rank step. *)
-let rank_all_pair_unsafe t lo hi los his =
+(* Precondition (unchecked): [0 <= lo, hi <= length t] and [base],
+   [los] and [his] have length [sigma].  [Fm_index] enforces this at
+   its own boundary once per call instead of paying the checks per rank
+   step. *)
+let rank_all_pair_unsafe t base lo hi los his =
   let sb_lo = sent_before t lo and sb_hi = sent_before t hi in
-  Array.unsafe_set los 0 sb_lo;
-  Array.unsafe_set his 0 sb_hi;
+  Array.unsafe_set los 0 (Array.unsafe_get base 0 + sb_lo);
+  Array.unsafe_set his 0 (Array.unsafe_get base 0 + sb_hi);
   let p_lo = lo - sb_lo in
   if hi = lo + 1 then begin
     (* Width-1 interval — the bulk of deep mismatching-tree traffic.
        Decode [lo] once; [rank c (lo+1)] is that plus an indicator of the
        single row's own code, read from the already-hot payload line. *)
-    decode_into t los p_lo;
+    decode_into t base los p_lo;
     let code = if sb_hi > sb_lo then 0 else payload_code t p_lo in
     Array.unsafe_set his 1 (Array.unsafe_get los 1 + eq_ind code 1);
     Array.unsafe_set his 2 (Array.unsafe_get los 2 + eq_ind code 2);
@@ -227,40 +232,8 @@ let rank_all_pair_unsafe t lo hi los his =
   else begin
     (* Two independent decodes; when the endpoints share a block the
        second one hits the cache line the first just pulled in. *)
-    if lo = t.len then totals_into t los else decode_into t los p_lo;
-    if hi = t.len then totals_into t his else decode_into t his (hi - sb_hi)
-  end
-
-(* [dst.(0)], [dst.(1)] <- [rank t c lo], [rank t c hi], so a caller's
-   inner loop (Fm_index's backward search) allocates nothing per step.
-   Width-1 intervals are answered with one decode plus an indicator of
-   row [lo]'s own code, read from the payload line the decode just
-   touched.  Precondition (unchecked): [0 <= c < sigma],
-   [0 <= lo, hi <= length t] and [Array.length dst >= 2] — a
-   backward-search loop keeps all three invariant, so it validates once
-   up front, not per character. *)
-let rank_pair_into_unsafe t c lo hi dst =
-  let sb_lo = sent_before t lo and sb_hi = sent_before t hi in
-  if c = 0 then begin
-    Array.unsafe_set dst 0 sb_lo;
-    Array.unsafe_set dst 1 sb_hi
-  end
-  else begin
-    let d = c - 1 in
-    let p_lo = lo - sb_lo in
-    if hi = lo + 1 then begin
-      let r_lo = packed_rank t d p_lo in
-      let code = if sb_hi > sb_lo then 0 else payload_code t p_lo in
-      Array.unsafe_set dst 0 r_lo;
-      Array.unsafe_set dst 1 (r_lo + eq_ind code c)
-    end
-    else begin
-      Array.unsafe_set dst 0
-        (if lo = t.len then Array.unsafe_get t.totals c else packed_rank t d p_lo);
-      Array.unsafe_set dst 1
-        (if hi = t.len then Array.unsafe_get t.totals c
-         else packed_rank t d (hi - sb_hi))
-    end
+    if lo = t.len then totals_into t base los else decode_into t base los p_lo;
+    if hi = t.len then totals_into t base his else decode_into t base his (hi - sb_hi)
   end
 
 let get t row =

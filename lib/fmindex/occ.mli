@@ -49,27 +49,27 @@ val rank : t -> int -> int -> int
     [l[0 .. i)].  O(block_lanes / 4) worst case, with [i = 0] and
     [i = length t] answered from precomputed totals. *)
 
-(** {1 Pair kernels}
+(** {1 Pair kernel}
 
-    Rank at both ends of an interval in one call, without argument
-    checks: the caller guarantees [0 <= lo, hi <= length t],
-    [0 <= c < sigma] and the destination sizes ([sigma] resp. [>= 2]).
-    {!Fm_index} validates once at its own API boundary and then drives
-    these from loops that keep the preconditions invariant, so per-step
-    checks would be pure overhead.  Violating a precondition is
-    undefined behaviour (these kernels use unchecked array access
-    internally).  A width-1 interval — the bulk of deep
-    mismatching-tree traffic — costs a single block decode plus one
-    payload read; the two decodes of another narrow interval share a
-    cache line. *)
+    Rank at both ends of an interval in one call, for every code at
+    once, without argument checks: the caller guarantees
+    [0 <= lo, hi <= length t] and [base] and destinations of length
+    [sigma].
+    {!Fm_index}'s extension kernel, the one caller, validates once at
+    its own API boundary and then drives this from loops that keep the
+    preconditions invariant, so per-step checks would be pure
+    overhead.  Violating a precondition is undefined behaviour (the
+    kernel uses unchecked array access internally).  A width-1
+    interval — the bulk of deep mismatching-tree traffic — costs a
+    single block decode plus one payload read; the two decodes of
+    another narrow interval share a cache line. *)
 
-val rank_all_pair_unsafe : t -> int -> int -> int array -> int array -> unit
-(** [rank_all_pair_unsafe t lo hi los his] writes [rank t c lo] into
-    [los.(c)] and [rank t c hi] into [his.(c)] for every code [c]. *)
-
-val rank_pair_into_unsafe : t -> int -> int -> int -> int array -> unit
-(** [rank_pair_into_unsafe t c lo hi dst] writes [rank t c lo] into
-    [dst.(0)] and [rank t c hi] into [dst.(1)]. *)
+val rank_all_pair_unsafe : t -> int array -> int -> int -> int array -> int array -> unit
+(** [rank_all_pair_unsafe t base lo hi los his] writes
+    [base.(c) + rank t c lo] into [los.(c)] and [base.(c) + rank t c hi]
+    into [his.(c)] for every code [c]: with the C array as [base], the
+    child intervals of an FM-index extension, offset as they are
+    stored. *)
 
 val get : t -> int -> int
 (** [get t row] is the character code of BWT position [row] — the packed

@@ -303,6 +303,12 @@ val reset : t -> unit
 
 (** {1 Exporters} *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quote, backslash
+    and control characters escaped, every other byte as it is.  The
+    exporters below and the benchmark records' metadata write strings
+    through it. *)
+
 val to_chrome_trace : ?process_name:string -> t -> string
 (** The buffered trace as Chrome trace-event JSON: a top-level array,
     one event object per line, loadable in [about://tracing] and

@@ -2,6 +2,7 @@
    print a pattern whose locate walks run past their sample rate on it.
 
      corrupt_marks.exe OUT.fmi
+     corrupt_marks.exe --super OUT.fmi
 
    The index is of a seeded 4000 bp random text.  The pattern is the
    40 bp window at the middle of the text.  On the located side (the
@@ -12,10 +13,17 @@
    load by Mmap checks neither the marks' CRC nor their positions, so
    it adopts the file, and any walk from the window's rows takes more
    than sa_rate steps.  A load by copy refuses the file by its
-   checksum. *)
+   checksum.
+
+   With [--super] the marks stay intact and the located side's one
+   superblock counter of code c gains n instead: every rank of c that
+   is not the total moves n rows up, so the c-child of an interval
+   inside the index leaves [0, n + 1], and the next extension of that
+   child is refused as out of range.  Mmap adopts that file too. *)
 
 let () =
-  let out = Sys.argv.(1) in
+  let super = Array.length Sys.argv > 2 && Sys.argv.(1) = "--super" in
+  let out = Sys.argv.(Array.length Sys.argv - 1) in
   let st = Random.State.make [| 41 |] in
   let text = String.init 4000 (fun _ -> "acgt".[Random.State.int st 4]) in
   let n = String.length text and m = 40 in
@@ -27,9 +35,16 @@ let () =
     let at = start i 0 in
     String.split_on_char ' ' (Bytes.sub_string image at (Bytes.index_from image at '\n' - at))
   in
-  (* Header field 4 is sa_rate; the marks are the sixth section. *)
+  (* Header field 4 is sa_rate; the superblocks are the third
+     section, the marks the sixth. *)
   let sa_rate = int_of_string (List.nth (line 0) 4) in
-  let marks = int_of_string (List.nth (line 1) (1 + (3 * 5))) in
+  let section i = int_of_string (List.nth (line 1) (1 + (3 * i))) in
+  let marks = section 5 in
+  if super then begin
+    (* Four little-endian int64 counters per superblock, a c g t. *)
+    let at = section 2 + 8 in
+    Bytes.set_int64_le image at (Int64.add (Bytes.get_int64_le image at) (Int64.of_int n))
+  end;
   let bit row = (marks + (row lsr 3), 1 lsl (row land 7)) in
   let marked row =
     let at, b = bit row in
@@ -40,11 +55,12 @@ let () =
     Bytes.set image at (Char.chr (Char.code (Bytes.get image at) lxor b))
   in
   let lo = n - w - m - sa_rate and hi = n - w in
-  let pos = Array.init (n + 1) (Fmindex.Fm_index.locate_row fm) in
+  let pos = Array.make (n + 1) 0 in
+  Fmindex.Fm_index.locate_into fm (0, n + 1) pos;
   let cleared = ref 0 in
   Array.iteri
     (fun row p ->
-      if row > 0 && marked row && lo <= p && p <= hi then begin
+      if (not super) && row > 0 && marked row && lo <= p && p <= hi then begin
         flip row;
         incr cleared
       end)

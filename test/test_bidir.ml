@@ -10,6 +10,8 @@
    - The prefix table: every entry equals a q-step extend_right_all
      walk (empty entries included) on random and homopolymer texts, and
      q follows the text length.
+   - Every extension is counted: over Oss searches that prepend, the
+     rank ops less the locate steps equal bidir.extends.
    - The Bidir engine agrees with the naive scan on random cases, on
      texts long enough to carry a prefix table, with opening pieces
      shorter than, equal to and longer than q.
@@ -336,6 +338,23 @@ let test_search_allocation () =
      exploration, or it proves nothing about per-step garbage. *)
   let lo = List.fold_left min max_int !extends and hi = List.fold_left max 0 !extends in
   check bool (Printf.sprintf "extensions per search range over %d..%d" lo hi) true (hi >= 4 * lo)
+
+(* Every extension reaches the rank taps, prepends included: over Oss
+   searches whose later searches prepend (k >= 1), each of
+   [bidir.extends] is one rank op, and the only other rank ops are the
+   LF steps of the locate walks. *)
+let test_every_extension_counted () =
+  let _, bd, pats = Lazy.force scratch_case in
+  for k = 1 to 4 do
+    let obs = Obs.create () in
+    Test_util.tapped_into obs (fun () ->
+        Array.iter (fun pattern -> ignore (Oss.search ~obs bd ~pattern ~k)) pats);
+    let v = Obs.counter_value obs in
+    check int
+      (Printf.sprintf "k=%d: fm.rank_ops - fm.locate_steps = bidir.extends" k)
+      (v "bidir.extends")
+      (v "fm.rank_ops" - v "fm.locate_steps")
+  done
 
 (* A search cut by its deadline part-way through the exploration leaves
    the domain's rows usable: the next searches are exact and reuse them
@@ -677,6 +696,7 @@ let () =
           Alcotest.test_case "no garbage per extension" `Quick test_search_allocation;
           Alcotest.test_case "cut search leaves rows usable" `Quick
             test_cut_search_leaves_rows_usable;
+          Alcotest.test_case "every extension counted" `Quick test_every_extension_counted;
         ] );
       ( "index",
         [

@@ -301,8 +301,8 @@ let prop_occ_matches_reference =
       done;
       !ok)
 
-(* Both unchecked pair kernels against [Occ.rank] at each end: every
-   code of [rank_all_pair_unsafe], and [rank_pair_into_unsafe] per code. *)
+(* The unchecked pair kernel against [Occ.rank] at each end, every
+   code, offset by a base per code. *)
 let test_occ_pair_kernels () =
   let st = Random.State.make [| 31 |] in
   let s = Test_util.random_dna st 700 in
@@ -311,17 +311,14 @@ let test_occ_pair_kernels () =
   let len = String.length l in
   let sigma = Dna.Alphabet.sigma in
   let los = Array.make sigma 0 and his = Array.make sigma 0 in
-  let pair = Array.make 2 0 in
+  let base = Array.init sigma (fun c -> 1000 * c) in
   for _ = 1 to 500 do
     let lo = Random.State.int st (len + 1) in
     let hi = lo + Random.State.int st (len + 1 - lo) in
-    Occ.rank_all_pair_unsafe occ lo hi los his;
+    Occ.rank_all_pair_unsafe occ base lo hi los his;
     for c = 0 to sigma - 1 do
-      check int (Printf.sprintf "pair lo c=%d lo=%d" c lo) (Occ.rank occ c lo) los.(c);
-      check int (Printf.sprintf "pair hi c=%d hi=%d" c hi) (Occ.rank occ c hi) his.(c);
-      Occ.rank_pair_into_unsafe occ c lo hi pair;
-      check int (Printf.sprintf "one code lo c=%d lo=%d" c lo) (Occ.rank occ c lo) pair.(0);
-      check int (Printf.sprintf "one code hi c=%d hi=%d" c hi) (Occ.rank occ c hi) pair.(1)
+      check int (Printf.sprintf "pair lo c=%d lo=%d" c lo) (base.(c) + Occ.rank occ c lo) los.(c);
+      check int (Printf.sprintf "pair hi c=%d hi=%d" c hi) (base.(c) + Occ.rank occ c hi) his.(c)
     done
   done
 
@@ -558,8 +555,9 @@ let prop_extend_row_matches_extend_all =
              | _ -> false)
            [ -1; String.length text + 1 ])
 
-(* Every row, the sentinel's included, resolves to its suffix-array
-   entry, whatever the sampling rate. *)
+(* Every row, the sentinel's included, resolves alone (a one-row
+   [locate_into]) to its suffix-array entry, whatever the sampling
+   rate. *)
 let prop_locate_row_matches_sa =
   Test_util.qtest ~count:150 "locate_row = suffix array"
     QCheck2.Gen.(pair (Test_util.dna_gen ~hi:300 ()) (int_range 1 40))
@@ -572,13 +570,13 @@ let prop_locate_row_matches_sa =
       List.for_all
         (fun row ->
           Fm_index.locate_into fm (row, row + 1) one;
-          Fm_index.locate_row fm row = sa.(row) && one.(0) = sa.(row))
+          one.(0) = sa.(row))
         (List.init (Array.length sa) Fun.id))
 
 (* The lockstep walk resolves every row of an arbitrary row set, row 0,
-   the [$] row and repeated rows included, to what [locate_row] gives
-   it alone; [locate_into] over an interval stays that walk over the
-   interval's rows.  Sets of 0, 1 and up to 3(n + 1) rows, at a dense
+   the [$] row and repeated rows included, to its suffix-array entry;
+   [locate_into] over an interval stays that walk over the interval's
+   rows.  Sets of 0, 1 and up to 3(n + 1) rows, at a dense
    and a sparse sampling rate. *)
 let prop_locate_rows_lockstep =
   Test_util.qtest ~count:200 "locate_rows = locate_row"
@@ -603,7 +601,7 @@ let prop_locate_rows_lockstep =
             | _ when i mod 5 = 0 -> 0
             | _ -> Random.State.int st rows)
       in
-      let want = Array.map (Fm_index.locate_row fm) set in
+      let want = Array.map (fun row -> sa.(row)) set in
       (* Slack past [len] must stay untouched. *)
       let got = Array.append set [| -7 |] in
       Fm_index.locate_rows fm got ~len;
@@ -629,11 +627,17 @@ let test_fm_extend_steps_follow_paper () =
   (* Reproduce the three-step example of §III.A for r = aca over
      s = acagaca: the interval sizes are 4, 2, 2. *)
   let fm = Fm_index.build "acagaca" in
-  let iv0 = Option.get (Fm_index.extend fm (Dna.Alphabet.code 'a') (Fm_index.whole fm)) in
+  let los = Array.make Dna.Alphabet.sigma 0 and his = Array.make Dna.Alphabet.sigma 0 in
+  let step ch (lo, hi) =
+    let c = Dna.Alphabet.code ch in
+    Fm_index.extend_all fm ~lo ~hi ~los ~his;
+    (los.(c), his.(c))
+  in
+  let iv0 = step 'a' (Fm_index.whole fm) in
   check int "F_a size" 4 (snd iv0 - fst iv0);
-  let iv1 = Option.get (Fm_index.extend fm (Dna.Alphabet.code 'c') iv0) in
+  let iv1 = step 'c' iv0 in
   check int "c-extension size" 2 (snd iv1 - fst iv1);
-  let iv2 = Option.get (Fm_index.extend fm (Dna.Alphabet.code 'a') iv1) in
+  let iv2 = step 'a' iv1 in
   check int "a-extension size" 2 (snd iv2 - fst iv2)
 
 let test_fm_empty_text () =

@@ -475,16 +475,18 @@ let measure f =
   let r, obs = Test_util.tapped f in
   (r, List.filter (fun (name, _) -> String.starts_with ~prefix:"fm." name) (Obs.counters obs))
 
-(* One [Fm.extend] per step along [codes] from [pos], until the interval
-   empties or [stop] is reached: a window's longest present prefix,
-   through the located side. *)
+(* One [Fm.extend_all] per step along [codes] from [pos], until the
+   interval empties or [stop] is reached: a window's longest present
+   prefix, through the located side. *)
 let extend_run fm codes ~pos ~stop =
-  let rec go j iv =
+  let los = Array.make Dna.Alphabet.sigma 0 and his = Array.make Dna.Alphabet.sigma 0 in
+  let rec go j (lo, hi) =
     if j >= stop then j
-    else
-      match Fmindex.Fm_index.extend fm codes.(j) iv with
-      | None -> j
-      | Some iv' -> go (j + 1) iv'
+    else begin
+      Fmindex.Fm_index.extend_all fm ~lo ~hi ~los ~his;
+      let c = codes.(j) in
+      if los.(c) < his.(c) then go (j + 1) (los.(c), his.(c)) else j
+    end
   in
   go pos (Fmindex.Fm_index.whole fm) - pos
 

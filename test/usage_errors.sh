@@ -76,6 +76,41 @@ if [ -e "$tmp/kmm.sock" ]; then
 fi
 expect_usage_error search -k 1 acgt
 
+# Every numeric option is range-checked when it is parsed: a usage
+# error that names the range, never Server.start's Invalid_argument
+# (125), a send budget that overflows to 0 ns, or a value taken
+# silently.
+expect_range_error() {
+  expect_usage_error "$@"
+  if ! grep -q "is not an integer\|is not a number of seconds" "$tmp/err"; then
+    echo "usage_errors: kmm $* does not name the range:" >&2
+    cat "$tmp/err" >&2
+    exit 1
+  fi
+}
+serve_args=(--genome g.fa --socket "$tmp/kmm.sock")
+expect_range_error serve --max-queue 0 "${serve_args[@]}"
+for t in 0 nan 1e10 inf -1 86401; do
+  expect_range_error serve --send-timeout="$t" "${serve_args[@]}"
+done
+expect_range_error serve --max-pattern=-1 "${serve_args[@]}"
+expect_range_error serve --max-pattern 0 "${serve_args[@]}"
+expect_range_error serve --max-k=-3 "${serve_args[@]}"
+expect_range_error serve --max-hits=-1 "${serve_args[@]}"
+expect_range_error serve --max-frame=-5 "${serve_args[@]}"
+if [ -e "$tmp/kmm.sock" ]; then
+  echo "usage_errors: refused serve left its socket file behind" >&2
+  exit 1
+fi
+expect_range_error bench --size=-5 load-modes
+expect_range_error bench --size 50 load-modes
+expect_range_error fuzz --iters=-1
+expect_range_error fuzz --iters 0
+expect_range_error fuzz --max-text 0
+expect_range_error client --retries=-1 --ping
+expect_range_error client --timeout 0 --ping
+expect_range_error client --deadline nan -k 1 acgt
+
 # The retired suites (the kernel suites, whose numbers are perfbench's
 # fm.* and verify.* rows, and the micro suite) are unknown benchmarks;
 # the error lists the registry, paper experiments first.
