@@ -19,8 +19,14 @@ let search ~ptext ~pattern ~k text =
      the 2k block count from overflowing for absurd budgets *)
   let k = min k m in
   if m > n then []
-  else if k = 0 then
-    List.map (fun p -> (p, 0)) (Stringmatch.Kmp.find_all ~pattern ~text)
+  else if k = 0 then begin
+    (* Exact occurrences: the block filter's automaton over the one
+       pattern; it reports them by end, so the starts ascend. *)
+    let hits = ref [] in
+    Stringmatch.Aho_corasick.scan (Stringmatch.Aho_corasick.build [| pattern |]) text
+      ~f:(fun ~pattern:_ ~pos -> hits := (pos, 0) :: !hits);
+    List.rev !hits
+  end
   else begin
     (* Window verification, word-parallel on the packed text: O(k) on
        the overwhelmingly common quick rejections.  Windows are verified

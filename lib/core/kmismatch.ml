@@ -372,7 +372,11 @@ let run t q =
 
 let save_index t path = Fmindex.Fm_index.save t.fm_rev path
 
-let load_index ?mode path = of_fm (Fmindex.Fm_index.load ?mode path)
-
 let try_load_index ?mode path =
   Result.map of_fm (Fmindex.Fm_index.try_load ?mode path)
+
+let load_index ?mode path =
+  match try_load_index ?mode path with
+  | Ok t -> t
+  | Error (Kmm_error.Io e) -> raise e
+  | Error e -> failwith (path ^ ": " ^ Kmm_error.to_string e)

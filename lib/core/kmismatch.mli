@@ -273,10 +273,13 @@ val save_index : index -> string -> unit
     The suffix tree is rebuilt lazily on demand after {!load_index}. *)
 
 val load_index : ?mode:Fmindex.Fm_index.mode -> string -> index
-(** Reload an index written by {!save_index}.  Raises [Failure] on
-    invalid files.  [mode] (default [Copy]) is forwarded to
-    {!Fmindex.Fm_index.load}: [Mmap] adopts the bulk sections in place
-    for O(1) cold start. *)
+(** Reload an index written by {!save_index}: {!try_load_index} with
+    its error raised, [Failure] with a descriptive message for a file
+    that is not a valid index and the original exception
+    ([Sys_error]/[Unix_error]) for one that cannot be read at all.
+    [mode] (default [Copy]) is forwarded to
+    {!Fmindex.Fm_index.try_load}: [Mmap] adopts the bulk sections in
+    place for O(1) cold start. *)
 
 val try_load_index :
   ?mode:Fmindex.Fm_index.mode -> string -> (index, Kmm_error.t) result

@@ -33,7 +33,7 @@
     walk.  The forward side is that index's {!Fm_index.forward_occ}
     (rank blocks over [BWT(s)], built at index time and persisted with
     it): it never locates, so it carries no SA samples.  Both
-    directions extend through {!Fm_index}'s one extension kernel, so
+    directions extend through {!Fm_index}'s rank-all pair kernel, so
     every extension is counted in its [fm.*] taps. *)
 
 type t

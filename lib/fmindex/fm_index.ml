@@ -239,31 +239,26 @@ let bwt t = String.init (Occ.length t.occ) (fun row -> Dna.Alphabet.of_code (Occ
 let whole t = (0, Occ.length t.occ)
 
 (* ------------------------------------------------------------------ *)
-(* The extension kernel                                                 *)
+(* Extensions                                                           *)
 
-(* Every extension in the system, over either rank side: the rank-all
-   pair at [lo] and [hi], offset by the C array (both BWTs permute the
-   same [s$], so the located side's serves the forward side too), and
-   its count, [count_extend]: one rank op, and one block decode for a
-   width-1 interval, two otherwise.  Unchecked: the caller guarantees
-   [0 <= lo <= hi <= n + 1] and that [los] and [his] have length
-   [sigma].  [extend_row] is the kernel's single-row form. *)
+(* Every extension that branches on all four codes, over either rank
+   side: the rank-all pair at [lo] and [hi], offset by the C array
+   (both BWTs permute the same [s$], so the located side's serves the
+   forward side too), after one boundary check per call.  Engines call
+   it millions of times per read with intervals they derived from
+   [whole] and earlier extensions, so per-step revalidation inside the
+   pair kernel would be pure overhead.  [count_extend] is the count of
+   any extension, along one code or all four: one rank op, and one
+   block decode for a width-1 interval, two otherwise. *)
 let[@inline] count_extend ~lo ~hi =
   if Atomic.get Obs.taps then tap_rank 1 (if hi = lo + 1 then 1 else 2)
 
-let[@inline] extend_unsafe t occ ~lo ~hi los his =
-  count_extend ~lo ~hi;
-  Occ.rank_all_pair_unsafe occ t.c_array lo hi los his
-
-(* The checked entry to the kernel: one boundary check per call.
-   Engines call it millions of times per read with intervals they
-   derived from [whole] and earlier extensions, so the in-range
-   invariant holds and per-step revalidation would be pure overhead. *)
 let[@inline] extend_checked name t occ ~lo ~hi ~los ~his =
   if lo < 0 || hi < lo || hi > Occ.length occ then invalid_arg (name ^ ": interval out of range");
   if Array.length los <> sigma || Array.length his <> sigma then
     invalid_arg (name ^ ": bad dst size");
-  extend_unsafe t occ ~lo ~hi los his
+  count_extend ~lo ~hi;
+  Occ.rank_all_pair_unsafe occ t.c_array lo hi los his
 
 let extend_all t ~lo ~hi ~los ~his =
   extend_checked "Fm_index.extend_all" t t.occ ~lo ~hi ~los ~his
@@ -271,9 +266,8 @@ let extend_all t ~lo ~hi ~los ~his =
 let extend_forward_all t ~lo ~hi ~los ~his =
   extend_checked "Fm_index.extend_forward_all" t t.fwd ~lo ~hi ~los ~his
 
-(* The kernel on the single-row interval, whose only child is the row's
-   own code at its LF row: one block decode, counted like the width-1
-   [extend_all]. *)
+(* A step along one code: the row's own code at its LF row, one block
+   decode, counted like the width-1 [extend_all]. *)
 let extend_row t row =
   if row < 0 || row >= Occ.length t.occ then invalid_arg "Fm_index.extend_row: row out of range";
   count_extend ~lo:row ~hi:(row + 1);
@@ -283,45 +277,38 @@ let extend_row t row =
 (* ------------------------------------------------------------------ *)
 (* Backward search                                                      *)
 
-(* The kernel's destination rows for a backward search, one pair per
-   domain, so no search allocates them.  The loop calls out to nothing,
-   so only another thread of the same domain can find them busy; it
-   works in a private pair. *)
-type scratch = { los : int array; his : int array; mutable busy : bool }
-
-let scratch () = { los = Array.make sigma 0; his = Array.make sigma 0; busy = false }
-let scratch_key = Domain.DLS.new_key scratch
-
-let acquire () =
-  let s = Domain.DLS.get scratch_key in
-  let s = if s.busy then scratch () else s in
-  s.busy <- true;
-  s
-
-(* The one backward-search loop, over either rank side, one kernel call
-   per step.  From the whole interval it prepends [codes.(stop - 1)],
-   then [codes.(stop - 2)], ... and stops once [codes.(0)] is in, at a
-   code outside 1..sigma-1 (uncounted), or after the step that empties
-   the interval (counted, like any extension).  It returns the index
-   [j] of the first code left out, so [stop - j] codes were prepended
-   and [j = 0] means all of them, and leaves the final interval in
-   [s.los.(0)], [s.his.(0)] (the sentinel's slot, never a child). *)
-let backward t occ codes ~stop s =
+(* The one backward-search loop, over either rank side.  Each step
+   prepends one code, so it takes Occ's checked one-code rank of that
+   code at both ends, offset by the C array; a width-1 interval ranks
+   [lo] only and adds its row's own code, one block decode, as the
+   pair kernel does.  From the whole interval it prepends
+   [codes.(stop - 1)], then [codes.(stop - 2)], ... and stops once
+   [codes.(0)] is in, at a code outside 1..sigma-1 (uncounted), or after
+   the step that empties the interval (counted, like any extension).
+   It returns [finish j lo hi], where [j] is the index of the first code
+   left out ([stop - j] codes were prepended, [j = 0] means all of
+   them) and [lo, hi) the final interval.  The callers' [finish] is
+   closed, so nothing is allocated. *)
+let backward t occ codes ~stop finish =
   let lo = ref 0 and hi = ref (Occ.length occ) in
   let j = ref stop and live = ref true in
   while !live && !j > 0 do
     let c = Array.unsafe_get codes (!j - 1) in
     if c <= 0 || c >= sigma then live := false
     else begin
-      extend_unsafe t occ ~lo:!lo ~hi:!hi s.los s.his;
-      lo := Array.unsafe_get s.los c;
-      hi := Array.unsafe_get s.his c;
-      if !lo < !hi then decr j else live := false
+      count_extend ~lo:!lo ~hi:!hi;
+      let base = Array.unsafe_get t.c_array c in
+      let lo' = base + Occ.rank occ c !lo in
+      let hi' =
+        if !hi = !lo + 1 then lo' + Bool.to_int (Occ.get occ !lo = c)
+        else base + Occ.rank occ c !hi
+      in
+      lo := lo';
+      hi := hi';
+      if lo' < hi' then decr j else live := false
     end
   done;
-  Array.unsafe_set s.los 0 !lo;
-  Array.unsafe_set s.his 0 !hi;
-  !j
+  finish !j !lo !hi
 
 (* Character codes of a pattern, case folded; [None] when any character
    is outside ACGT (such a pattern occurs nowhere rather than raising,
@@ -341,23 +328,15 @@ let search t pat =
   match codes_of_pattern pat with
   | None -> None
   | Some codes ->
-      let s = acquire () in
-      let iv =
-        if backward t t.occ codes ~stop:(Array.length codes) s = 0 then Some (s.los.(0), s.his.(0))
-        else None
-      in
-      s.busy <- false;
-      iv
+      backward t t.occ codes ~stop:(Array.length codes) (fun j lo hi ->
+          if j = 0 then Some (lo, hi) else None)
 
 let count t pat = match search t pat with None -> 0 | Some (lo, hi) -> hi - lo
 
 let longest_left_extension t codes ~stop =
   if stop < 0 || stop > Array.length codes then
     invalid_arg "Fm_index.longest_left_extension: stop out of range";
-  let s = acquire () in
-  let j = backward t t.fwd codes ~stop s in
-  s.busy <- false;
-  stop - j
+  stop - backward t t.fwd codes ~stop (fun j _ _ -> j)
 
 (* A legitimate LF walk reaches a marked row within [sa_rate] steps
    (positions decrease by one per step and every sa_rate-th is marked).
@@ -1096,9 +1075,3 @@ let try_load ?(mode = Copy) path =
           Fun.protect
             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () -> of_file fd))
-
-let load ?mode path =
-  match try_load ?mode path with
-  | Ok t -> t
-  | Error (Kmm_error.Io e) -> raise e
-  | Error e -> failwith (path ^ ": " ^ Kmm_error.to_string e)

@@ -5,13 +5,16 @@
     search extends a matched string one character *to the left*; this is the
     paper's [search(z, L_v)] primitive.
 
-    Every extension in the system, on either rank side, is one call of
-    one kernel: a rank-all pair ({!Occ.rank_all_pair_unsafe}) at both
-    ends of the interval, offset by the C array, counted once.
-    {!extend_all} and {!extend_forward_all} are its checked entries,
-    {!extend_row} its single-row form, and {!search}, {!count} and
-    {!longest_left_extension} call it once per step.  Every locate is
-    one lockstep LF walk ({!locate_rows}). *)
+    Extensions use one of two rank primitives, on either rank side, and
+    both are counted alike.  A step that branches on all four codes is
+    the rank-all pair kernel ({!Occ.rank_all_pair_unsafe}) at both ends
+    of the interval, offset by the C array: {!extend_all} and
+    {!extend_forward_all} are its checked entries.  A step along one
+    code is {!Occ}'s checked one-code rank: {!search}, {!count} and
+    {!longest_left_extension} take {!Occ.rank} of the prepended code at
+    both ends, and {!extend_row} and the LF walk take {!Occ.lf} of a
+    row's own code.  Every locate is one lockstep LF walk
+    ({!locate_rows}). *)
 
 type t
 
@@ -67,9 +70,11 @@ val search : t -> string -> interval option
 (** Backward search of a pattern; [None] when absent.  Patterns are case
     folded ([ACGT] matches [acgt]); a pattern containing any character
     outside ACGT occurs nowhere and yields [None] rather than raising,
-    without a rank step.  One {!extend_all} per step, counted like
-    one (the step that empties the interval included); a step
-    allocates nothing. *)
+    without a rank step.  Each step ranks the prepended code at both
+    ends ({!Occ.rank}; a width-1 interval ranks its low end and reads
+    its row's code, one block decode), counted like one {!extend_all}
+    (the step that empties the interval included); a step allocates
+    nothing. *)
 
 val count : t -> string -> int
 (** Number of occurrences of a pattern in the text: the width of
@@ -86,11 +91,14 @@ val longest_left_extension : t -> int array -> stop:int -> int
     reversed text this is the length of the longest suffix of
     [codes.(0 .. stop - 1)] occurring in the forward text, and when
     [l < stop] the window [codes.(stop - l - 1 .. stop - 1)] is the
-    shortest one ending at [stop - 1] that does not occur.  One
-    {!extend_forward_all} per step, counted like one: the step that
-    empties the interval counts, a code outside [1 .. 4] does not.  It
-    allocates nothing.  Raises [Invalid_argument] unless
-    [0 <= stop <= Array.length codes]. *)
+    shortest one ending at [stop - 1] that does not occur.  Each step
+    ranks the prepended code at both ends, like {!search}, and is
+    counted like one {!extend_forward_all}: the step that empties the
+    interval counts, a code outside [1 .. 4] does not.  It allocates
+    nothing.  Raises [Invalid_argument] unless
+    [0 <= stop <= Array.length codes], and, through {!Occ.rank}, when
+    a step leaves the forward side's rows, which only a corrupt forward
+    side adopted by [Mmap] can make. *)
 
 val locate : t -> interval -> int list
 (** Sorted 0-based starting positions of the suffixes in the interval.
@@ -125,8 +133,8 @@ val find_all : t -> string -> int list
 
     When {!Obs.set_taps} has armed the taps, the query paths count into
     the calling domain's ambient sink ({!Obs.with_ambient}):
-    [fm.rank_ops] (one per call of the extension kernel — each
-    {!extend_all}, {!extend_forward_all} and {!extend_row} call and each
+    [fm.rank_ops] (one per extension — each {!extend_all},
+    {!extend_forward_all} and {!extend_row} call and each
     backward-search step of {!search}, {!count} or
     {!longest_left_extension} — and one per LF step of a locate walk),
     [fm.block_decodes] (interleaved Occ blocks decoded: one for a
@@ -269,9 +277,3 @@ val try_load : ?mode:mode -> string -> (t, Kmm_error.t) result
     and the OS shares the mapped pages across processes.  Run
     [kmm verify] (or a [Copy] load) when payload integrity must be
     proven. *)
-
-val load : ?mode:mode -> string -> t
-(** Raising wrapper over {!try_load}, kept for callers that prefer
-    exceptions: raises [Failure] with a descriptive message on a file
-    that is not a valid index, and re-raises the original exception
-    ([Sys_error]/[Unix_error]) when the file cannot be read at all. *)

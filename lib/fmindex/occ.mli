@@ -46,8 +46,15 @@ val of_packed : ?rate:int -> sentinel:int -> Packed_text.t -> t
 
 val rank : t -> int -> int -> int
 (** [rank t c i] is the number of occurrences of character code [c] in
-    [l[0 .. i)].  O(block_lanes / 4) worst case, with [i = 0] and
-    [i = length t] answered from precomputed totals. *)
+    [l[0 .. i)].  One block decode, O(block_lanes / 4) worst case, with
+    [i = length t] answered from precomputed totals.  Checked: raises
+    [Invalid_argument] unless [0 <= c < sigma] and
+    [0 <= i <= length t], so a rank step from an out-of-range interval
+    (which only a corrupt index adopted by [Mmap] can produce) raises
+    instead of reading outside the blocks.  It is the one-code rank of
+    every backward search: {!Fm_index.search}, {!Fm_index.count} and
+    {!Fm_index.longest_left_extension} (δ's scan on the forward side)
+    take it at both ends of each step. *)
 
 (** {1 Pair kernel}
 
@@ -55,7 +62,7 @@ val rank : t -> int -> int -> int
     once, without argument checks: the caller guarantees
     [0 <= lo, hi <= length t] and [base] and destinations of length
     [sigma].
-    {!Fm_index}'s extension kernel, the one caller, validates once at
+    {!Fm_index}'s four-code extension, the one caller, validates once at
     its own API boundary and then drives this from loops that keep the
     preconditions invariant, so per-step checks would be pure
     overhead.  Violating a precondition is undefined behaviour (the
@@ -78,8 +85,8 @@ val get : t -> int -> int
 val lf : t -> int array -> int -> int
 (** [lf t c row] is [c.(x) + rank t x row] for [x = get t row]: the LF
     mapping of [row] given the C array [c] (length [sigma]).  One block
-    decode, and it allocates nothing, so locate walks can call it per
-    step.  Raises [Invalid_argument] if [row] is outside [0, length t). *)
+    decode, and it allocates nothing, so locate walks and
+    {!Fm_index.extend_row} can call it per step.  Raises [Invalid_argument] if [row] is outside [0, length t). *)
 
 val counts : t -> int array
 (** Total occurrences of every character code in the whole BWT (a fresh

@@ -3,6 +3,7 @@
 
      corrupt_marks.exe OUT.fmi
      corrupt_marks.exe --super OUT.fmi
+     corrupt_marks.exe --forward OUT.fmi
 
    The index is of a seeded 4000 bp random text.  The pattern is the
    40 bp window at the middle of the text.  On the located side (the
@@ -19,10 +20,16 @@
    superblock counter of code c gains n instead: every rank of c that
    is not the total moves n rows up, so the c-child of an interval
    inside the index leaves [0, n + 1], and the next extension of that
-   child is refused as out of range.  Mmap adopts that file too. *)
+   child is refused as out of range.  Mmap adopts that file too.
+
+   With [--forward] the same counter of the forward side (the rank
+   side delta scans, and bidir's prepends) gains n instead, so delta's
+   scan leaves [0, n + 1] on the forward side and its next rank is
+   refused as out of range. *)
 
 let () =
-  let super = Array.length Sys.argv > 2 && Sys.argv.(1) = "--super" in
+  let raised = if Array.length Sys.argv > 2 then Sys.argv.(1) else "" in
+  let super = raised = "--super" || raised = "--forward" in
   let out = Sys.argv.(Array.length Sys.argv - 1) in
   let st = Random.State.make [| 41 |] in
   let text = String.init 4000 (fun _ -> "acgt".[Random.State.int st 4]) in
@@ -35,14 +42,14 @@ let () =
     let at = start i 0 in
     String.split_on_char ' ' (Bytes.sub_string image at (Bytes.index_from image at '\n' - at))
   in
-  (* Header field 4 is sa_rate; the superblocks are the third
-     section, the marks the sixth. *)
+  (* Header field 4 is sa_rate; the superblocks are the third section
+     (the forward side's the fifth), the marks the sixth. *)
   let sa_rate = int_of_string (List.nth (line 0) 4) in
   let section i = int_of_string (List.nth (line 1) (1 + (3 * i))) in
   let marks = section 5 in
   if super then begin
     (* Four little-endian int64 counters per superblock, a c g t. *)
-    let at = section 2 + 8 in
+    let at = section (if raised = "--forward" then 4 else 2) + 8 in
     Bytes.set_int64_le image at (Int64.add (Bytes.get_int64_le image at) (Int64.of_int n))
   end;
   let bit row = (marks + (row lsr 3), 1 lsl (row land 7)) in

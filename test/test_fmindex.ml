@@ -187,7 +187,7 @@ let test_forward_side_equals_rebuild () =
         (fun () ->
           Out_channel.with_open_bin path (fun oc -> output_string oc image);
           check bool (Printf.sprintf "mmap-loaded, n = %d" n) true
-            (same_occ expected (Fm_index.forward_occ (Fm_index.load ~mode:Fm_index.Mmap path)))))
+            (same_occ expected (Fm_index.forward_occ (Test_util.load_fm ~mode:Fm_index.Mmap path)))))
     texts
 
 (* A text of at least 64 Ki bases, so the build puts the forward pass

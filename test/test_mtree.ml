@@ -616,9 +616,37 @@ let test_delta_reloaded () =
       let built = deltas fm in
       List.iter
         (fun (name, mode) ->
-          let loaded = Fmindex.Fm_index.load ~mode path in
+          let loaded = Test_util.load_fm ~mode path in
           check Alcotest.bool (name ^ " load = built") true (deltas loaded = built))
         [ ("copy", Fmindex.Fm_index.Copy); ("mmap", Fmindex.Fm_index.Mmap) ])
+
+(* Delta's scan allocates nothing: a few thousand calls over live and
+   absent windows make no minor word beyond the measurement's own. *)
+let test_delta_no_garbage () =
+  let r = { s = 31 } in
+  let text = dna r 20_000 in
+  let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+  let cases =
+    Array.init 64 (fun i ->
+        let p = if i mod 2 = 0 then planted r text ~len:(between r 20 100) ~k:(i mod 4) else dna r 60 in
+        Array.init (String.length p) (fun j -> Dna.Alphabet.code p.[j]))
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let idle = words (fun () -> ()) in
+  let spent =
+    words (fun () ->
+        for i = 0 to 4095 do
+          let codes = cases.(i land 63) in
+          ignore
+            (Sys.opaque_identity
+               (Fmindex.Fm_index.longest_left_extension fm codes ~stop:(Array.length codes)))
+        done)
+  in
+  check (Alcotest.float 0.) "minor words" idle spent
 
 (* A pattern character outside acgt: '$' has code 0, absent from every
    window, so it costs one absent window and no rank step. *)
@@ -664,5 +692,6 @@ let () =
           prop_longest_left_extension;
           Alcotest.test_case "reloaded index (copy, mmap) = built" `Quick test_delta_reloaded;
           Alcotest.test_case "non-acgt pattern character" `Quick test_delta_non_acgt;
+          Alcotest.test_case "scan allocates nothing" `Quick test_delta_no_garbage;
         ] );
     ]

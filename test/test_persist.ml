@@ -25,7 +25,7 @@ let prop_fm_roundtrip =
       with_temp (fun path ->
           let fm = Fmindex.Fm_index.build text in
           Fmindex.Fm_index.save fm path;
-          let fm' = Fmindex.Fm_index.load path in
+          let fm' = Test_util.load_fm path in
           text_of fm' = text
           && Fmindex.Fm_index.bwt fm' = Fmindex.Fm_index.bwt fm
           && Fmindex.Fm_index.find_all fm' pattern = Fmindex.Fm_index.find_all fm pattern))
@@ -37,7 +37,7 @@ let prop_fm_roundtrip_rates =
       with_temp (fun path ->
           let fm = Fmindex.Fm_index.build ~occ_rate:7 ~sa_rate:5 text in
           Fmindex.Fm_index.save fm path;
-          let fm' = Fmindex.Fm_index.load path in
+          let fm' = Test_util.load_fm path in
           let probe = String.sub text 0 (min 4 (String.length text)) in
           Fmindex.Fm_index.find_all fm' probe = Fmindex.Fm_index.find_all fm probe))
 
@@ -45,7 +45,7 @@ let test_fm_roundtrip_one_char () =
   with_temp (fun path ->
       let fm = Fmindex.Fm_index.build "a" in
       Fmindex.Fm_index.save fm path;
-      let fm' = Fmindex.Fm_index.load path in
+      let fm' = Test_util.load_fm path in
       check string "1-char text survives" "a" (text_of fm');
       check bool "1-char locate" true (Fmindex.Fm_index.find_all fm' "a" = [ 0 ]))
 
@@ -56,14 +56,15 @@ let test_fm_roundtrip_rates_exceed_text () =
       let text = "acgtacgt" in
       let fm = Fmindex.Fm_index.build ~occ_rate:1000 ~sa_rate:1000 text in
       Fmindex.Fm_index.save fm path;
-      let fm' = Fmindex.Fm_index.load path in
+      let fm' = Test_util.load_fm path in
       check string "text" text (text_of fm');
       check bool "find_all agrees" true
         (Fmindex.Fm_index.find_all fm' "acgt" = Fmindex.Fm_index.find_all fm "acgt"))
 
 let expect_load_failure ?mode ~containing path =
-  match Fmindex.Fm_index.load ?mode path with
-  | exception Failure msg ->
+  match Fmindex.Fm_index.try_load ?mode path with
+  | Error e ->
+      let msg = Kmm_error.to_string e in
       check bool
         (Printf.sprintf "message %S mentions %S" msg containing)
         true
@@ -135,9 +136,9 @@ let test_fm_load_garbage () =
       let oc = open_out path in
       output_string oc "definitely not an index\nxxxx";
       close_out oc;
-      match Fmindex.Fm_index.load path with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "garbage accepted")
+      match Fmindex.Fm_index.try_load path with
+      | Error (Kmm_error.Io _) | Ok _ -> Alcotest.fail "garbage accepted"
+      | Error _ -> ())
 
 let test_fm_load_truncated () =
   with_temp (fun path ->
@@ -147,9 +148,9 @@ let test_fm_load_truncated () =
       let oc = open_out_bin path in
       output_string oc (String.sub content 0 (String.length content - 3));
       close_out oc;
-      match Fmindex.Fm_index.load path with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "truncated file accepted")
+      match Fmindex.Fm_index.try_load path with
+      | Error (Kmm_error.Io _) | Ok _ -> Alcotest.fail "truncated file accepted"
+      | Error _ -> ())
 
 let test_index_file_size () =
   (* Format v5 serializes the index's own buffers — packed text (n/4),
@@ -194,9 +195,10 @@ let test_v5_section_corruption () =
         let oc = open_out_bin path in
         output_bytes oc b;
         close_out oc;
-        match Fmindex.Fm_index.load path with
-        | exception Failure _ -> ()
-        | _ -> Alcotest.fail (Printf.sprintf "corruption at byte %d accepted" off)
+        match Fmindex.Fm_index.try_load path with
+        | Error (Kmm_error.Io _) | Ok _ ->
+            Alcotest.fail (Printf.sprintf "corruption at byte %d accepted" off)
+        | Error _ -> ()
       in
       (* A byte of the section-offset table: caught by the header CRC. *)
       corrupt_at header_len;
@@ -218,9 +220,10 @@ let test_v5_truncated_sections () =
             let oc = open_out_bin path in
             output_string oc (String.sub content 0 keep);
             close_out oc;
-            match Fmindex.Fm_index.load path with
-            | exception Failure _ -> ()
-            | _ -> Alcotest.fail (Printf.sprintf "truncation to %d bytes accepted" keep)
+            match Fmindex.Fm_index.try_load path with
+            | Error (Kmm_error.Io _) | Ok _ ->
+                Alcotest.fail (Printf.sprintf "truncation to %d bytes accepted" keep)
+            | Error _ -> ()
           end)
         [ 0; 10; 40; 100; 200; 400; 600; 800; n - 1 ])
 
@@ -489,8 +492,8 @@ let prop_mmap_equals_copy =
       with_temp (fun path ->
           let fm = Fmindex.Fm_index.build text in
           Fmindex.Fm_index.save fm path;
-          let heap = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy path in
-          let mm = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Mmap path in
+          let heap = Test_util.load_fm ~mode:Fmindex.Fm_index.Copy path in
+          let mm = Test_util.load_fm ~mode:Fmindex.Fm_index.Mmap path in
           text_of mm = text_of heap
           && Fmindex.Fm_index.bwt mm = Fmindex.Fm_index.bwt heap
           && Fmindex.Fm_index.find_all mm pattern = Fmindex.Fm_index.find_all heap pattern
@@ -574,7 +577,7 @@ let test_v1_fixture_resave_is_v5 () =
       let fresh = Fmindex.Fm_index.build text in
       List.iter
         (fun mode ->
-          let fm = Fmindex.Fm_index.load ~mode path in
+          let fm = Test_util.load_fm ~mode path in
           check string "text survives migration" text (text_of fm);
           List.iter
             (fun pat ->

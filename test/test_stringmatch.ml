@@ -5,43 +5,6 @@ let int = Alcotest.int
 let int_list = Alcotest.(list int)
 let bool = Alcotest.bool
 
-let gen_text_pattern =
-  QCheck2.Gen.(pair (Test_util.dna_gen ~hi:300 ()) (Test_util.dna_gen ~lo:1 ~hi:8 ()))
-
-(* Sometimes plant the pattern so matches are likely. *)
-let gen_planted =
-  QCheck2.Gen.(
-    pair (Test_util.dna_gen ~lo:20 ~hi:300 ()) (pair (Test_util.dna_gen ~lo:1 ~hi:8 ()) small_nat)
-    >|= fun (text, (pat, pos)) ->
-    let pos = pos mod max 1 (String.length text - String.length pat + 1) in
-    let planted =
-      String.sub text 0 pos ^ pat
-      ^ String.sub text (pos + String.length pat)
-          (String.length text - pos - String.length pat)
-    in
-    (planted, pat))
-
-(* ------------------------------------------------------------------ *)
-(* Exact matchers against the naive oracle                             *)
-
-let agree_with_naive name finder =
-  [
-    Test_util.qtest ~count:300 (name ^ " = naive (random)") gen_text_pattern
-      (fun (text, pattern) ->
-        finder ~pattern ~text = Naive.find_all ~pattern ~text);
-    Test_util.qtest ~count:300 (name ^ " = naive (planted)") gen_planted
-      (fun (text, pattern) ->
-        finder ~pattern ~text = Naive.find_all ~pattern ~text);
-  ]
-
-let test_kmp_basics () =
-  check int_list "overlapping" [ 0; 1; 2 ] (Kmp.find_all ~pattern:"aa" ~text:"aaaa");
-  check int_list "none" [] (Kmp.find_all ~pattern:"gg" ~text:"acacac");
-  check int_list "at ends" [ 0; 4 ] (Kmp.find_all ~pattern:"ac" ~text:"acgtac")
-
-let test_kmp_failure () =
-  check (Alcotest.array int) "border table" [| 0; 0; 1; 2 |] (Kmp.failure "acac")
-
 (* ------------------------------------------------------------------ *)
 (* Aho-Corasick                                                        *)
 
@@ -113,12 +76,6 @@ let test_hamming_negative_k_rejected () =
 let () =
   Alcotest.run "stringmatch"
     ([
-       ( "kmp",
-         [
-           Alcotest.test_case "basics" `Quick test_kmp_basics;
-           Alcotest.test_case "failure table" `Quick test_kmp_failure;
-         ]
-         @ agree_with_naive "kmp" Kmp.find_all );
        ( "aho_corasick",
          [
            Alcotest.test_case "multi pattern" `Quick test_ac_multi;

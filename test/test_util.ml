@@ -13,6 +13,13 @@ let qtest ?(count = 200) name gen prop =
 let random_dna st n =
   String.init n (fun _ -> [| 'a'; 'c'; 'g'; 't' |].(Random.State.int st 4))
 
+(* An index file that must load: the index, or the test fails with
+   the typed error. *)
+let load_fm ?mode path =
+  match Fmindex.Fm_index.try_load ?mode path with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "%s: %s" path (Kmm_error.to_string e)
+
 (* The hits of one query through [Kmismatch.run]. *)
 let run_hits idx ~engine ~pattern ~k =
   (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ~engine ~pattern ~k ())).hits
