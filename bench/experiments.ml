@@ -150,7 +150,9 @@ let fig11a () =
   note "comparable with a small-k/large-k crossover.  At 1/1000 scale the";
   note "delta-pruned trees are ~10^4 smaller and pair repetitions are rare, so";
   note "A() tracks BWT within a small constant instead of beating it; the";
-  note "deriv-stress experiment isolates the regime where derivations do fire"
+  note "deriv-stress experiment isolates the regime where derivations do fire.";
+  note "Amir's costs one pass over the packed text per read at every k, so it";
+  note "overtakes a tree method only where that method's trees outgrow the pass"
 
 (* --- Fig 11(b): average time vs read length ------------------------------ *)
 
@@ -175,7 +177,8 @@ let fig11b () =
   table ~header:("read length" :: List.map fst paper_engines) rows;
   note "paper Fig 11b: only BWT and Cole's are sensitive to read length;";
   note "Amir's and A() stay nearly flat (ours: A() inherits BWT's mild growth";
-  note "at this scale, Amir's per-read cost is dominated by the O(n) scan)"
+  note "at this scale; Amir's per-read cost is one pass over the packed text,";
+  note "whatever the read length)"
 
 (* --- Fig 12: total time vs number of reads ------------------------------- *)
 

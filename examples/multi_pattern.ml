@@ -42,7 +42,8 @@ let () =
   let motifs = [| "tataaa"; "caat"; "gggcgg" |] in
   let ac = Stringmatch.Aho_corasick.build motifs in
   let counts = Array.make (Array.length motifs) 0 in
-  Stringmatch.Aho_corasick.scan ac text ~f:(fun ~pattern ~pos:_ ->
+  Stringmatch.Aho_corasick.scan ac (Core.Kmismatch.packed_text index)
+    ~f:(fun ~pattern ~pos:_ ->
       counts.(pattern) <- counts.(pattern) + 1);
   print_endline "\nmotif counts (Aho-Corasick, one pass):";
   Array.iteri (fun i m -> Printf.printf "  %-8s %d\n" m counts.(i)) motifs

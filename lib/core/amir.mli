@@ -1,16 +1,19 @@
-(** Amir-style k-mismatch baseline (paper ref. [2]): mark-and-verify.
+(** Amir-style k-mismatch baseline (paper ref. [2]): mark-and-verify in
+    one pass over the forward 2-bit packed text.
 
-    The pattern is cut into [2k] blocks ("breaks"); every exact occurrence
-    of a block in the text (found with one Aho-Corasick pass) marks the
-    implied candidate start; a window with at most [k] mismatches must
-    exact-match at least [k] of the [2k] blocks, so candidates marked fewer
-    than [k] times are discarded and the survivors are verified with the
-    word-parallel kernel ({!Fmindex.Packed_text.hamming}, limit [k]).  When the pattern is too short to cut into [2k] useful
-    blocks, every position is verified directly (Amir's algorithm also
-    special-cases such patterns).  At [k = 0] the same automaton, built
-    over the whole pattern, reports the exact occurrences.  Every pass
-    over the text (the automaton scan, verification) polls
-    {!Deadline.poll}.
+    The pattern is cut into [b] blocks ("breaks"): [2k] of them, or the
+    whole pattern as one block at [k = 0].  A window with at most [k]
+    mismatches exact-matches at least [b - k] blocks, so one scan of a
+    dense Aho-Corasick automaton over the blocks
+    ({!Stringmatch.Aho_corasick}) marks each occurrence's implied window
+    in a ring of window counts (at most [2m] slots, never [n]), and a
+    window is verified with the word-parallel kernel
+    ({!Fmindex.Packed_text.hamming}, limit [k]) as soon as the scan has
+    passed its last block, if it is marked [b - k] times or more.  When
+    the pattern is too short for blocks of two or more characters, every
+    window is verified directly (Amir's algorithm also special-cases
+    such patterns).  The scan polls {!Deadline.poll} once per 1024 text
+    characters, the direct verification once per window.
     See DESIGN.md for the fidelity notes. *)
 
 val blocks : pattern:string -> k:int -> (int * string) list
@@ -18,13 +21,9 @@ val blocks : pattern:string -> k:int -> (int * string) list
     tests.  Empty when the filter is not applicable. *)
 
 val search :
-  ptext:Fmindex.Packed_text.t ->
-  pattern:string ->
-  k:int ->
-  string ->
-  (int * int) list
-(** [search ~ptext ~pattern ~k text] returns all [(position, distance)]
-    with [distance <= k], ascending.  [ptext] is the packed form of
-    [text], which the candidates are verified against.  Raises
-    [Invalid_argument] on an empty pattern, a negative [k], or a
-    [ptext] whose length differs from [text]'s. *)
+  ptext:Fmindex.Packed_text.t -> pattern:string -> k:int -> (int * int) list
+(** [search ~ptext ~pattern ~k] returns all [(position, distance)] with
+    [distance <= k] of [pattern] in the packed text, ascending.  Its
+    allocation is linear in the pattern length plus the hits, whatever
+    the text length.  Raises [Invalid_argument] on an empty pattern, a
+    negative [k] or a pattern outside lowercase [acgt]. *)

@@ -22,7 +22,7 @@ type index = {
   fm_rev : Fmindex.Fm_index.t;
   tree : Suffix.Suffix_tree.t Fmindex.Storage.Memo.t;
   pforward : Fmindex.Packed_text.t Fmindex.Storage.Memo.t;
-      (* forward text, 2-bit packed: what Amir's verifier runs against.
+      (* forward text, 2-bit packed: what Amir's scan and verifier read.
          Derived by reversing the FM component's packed payload — n/4
          bytes, never the unpacked string. *)
   bidir : Fmindex.Bidir.t;
@@ -231,14 +231,9 @@ let () =
       name = "amir";
       doc = "online mark-and-verify (ref. [2])";
       caps = { scales = false };
-      prepare =
-        (fun t ->
-          ignore (text t);
-          ignore (packed_text t));
+      prepare = (fun t -> ignore (packed_text t));
       run =
-        (fun t a ->
-          Amir.search ~ptext:(packed_text t) ~pattern:a.pattern ~k:a.k
-            (text t));
+        (fun t a -> Amir.search ~ptext:(packed_text t) ~pattern:a.pattern ~k:a.k);
     };
   register
     {

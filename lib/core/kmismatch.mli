@@ -165,7 +165,7 @@ val suffix_tree : index -> Suffix.Suffix_tree.t
     memo). *)
 
 val packed_text : index -> Fmindex.Packed_text.t
-(** The forward text 2-bit packed — what [Amir]'s verifier runs
+(** The forward text 2-bit packed — what [Amir] scans and verifies
     against.  Derived on first use by reversing the FM component's
     packed payload (n/4 bytes, no string round-trip) and cached behind
     a domain-safe memo.  [Bidir] and the mapper's hit

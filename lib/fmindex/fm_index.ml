@@ -414,19 +414,16 @@ let locate_into t (lo, hi) dst =
   done;
   walk t dst (hi - lo)
 
-let locate t (lo, hi) =
-  if hi <= lo then []
-  else begin
-    let buf = Array.make (hi - lo) 0 in
-    locate_into t (lo, hi) buf;
-    Array.sort Int.compare buf;
-    (* Distinct rows resolve to distinct suffix positions, so no dedup
-       pass is needed. *)
-    Array.to_list buf
-  end
-
 let find_all t pat =
-  match search t pat with None -> [] | Some iv -> locate t iv
+  match search t pat with
+  | None -> []
+  | Some (lo, hi) ->
+      let buf = Array.make (hi - lo) 0 in
+      locate_into t (lo, hi) buf;
+      Array.sort Int.compare buf;
+      (* Distinct rows resolve to distinct suffix positions, so no dedup
+         pass is needed. *)
+      Array.to_list buf
 
 let space_report t =
   [

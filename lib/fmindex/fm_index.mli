@@ -25,7 +25,7 @@ val build : ?occ_rate:int -> ?sa_rate:int -> string -> t
 (** Index the DNA text [s] (lowercase [acgt]; the sentinel is appended
     internally).  [occ_rate] is the rank checkpoint spacing (default 32,
     quantized by {!Occ} to a power of two); [sa_rate] the suffix-array
-    sampling rate for {!locate} (default 16).
+    sampling rate for the locate walks (default 16).
 
     The index also carries the {e forward side}: the rank blocks of
     BWT([rev s]) at checkpoint rate 128, which {!Bidir} and
@@ -100,10 +100,6 @@ val longest_left_extension : t -> int array -> stop:int -> int
     a step leaves the forward side's rows, which only a corrupt forward
     side adopted by [Mmap] can make. *)
 
-val locate : t -> interval -> int list
-(** Sorted 0-based starting positions of the suffixes in the interval.
-    Rows are resolved through the sampled suffix array by LF-walking. *)
-
 val locate_rows : t -> int array -> len:int -> unit
 (** [locate_rows t rows ~len] replaces each row [rows.(i)], [i < len],
     with the text position of its suffix, without allocating: each row
@@ -117,16 +113,16 @@ val locate_into : t -> interval -> int array -> unit
 (** [locate_into t (lo, hi) dst] writes the position of row [lo + i] into
     [dst.(i)] for [i < hi - lo], unsorted and without allocating: the
     lockstep walk of {!locate_rows} over the interval's rows, and the
-    batched primitive under {!locate}.  Raises [Invalid_argument] if the
+    batched primitive under {!find_all}.  Raises [Invalid_argument] if the
     interval is out of range or [dst] is shorter than [hi - lo].
 
-    Every LF walk ({!locate}, {!locate_rows}, {!locate_into}) reaches a sampled row within [sa_rate] steps on an
+    Every LF walk ({!locate_rows}, {!locate_into}, {!find_all}) reaches a sampled row within [sa_rate] steps on an
     intact index.  One that does not, which only an index adopted by
     [Mmap] with a corrupt marks or rank payload can make, raises
     [Kmm_error.Error (Corrupt (Sa_marks, _))]. *)
 
 val find_all : t -> string -> int list
-(** [search] then [locate]; sorted positions of the pattern.  Invalid
+(** [search] then {!locate_into}; sorted positions of the pattern.  Invalid
     patterns (outside ACGT after case folding) yield []. *)
 
 (** {1 Counters}

@@ -1,84 +1,76 @@
-type node = {
-  id : int;
-  children : (char, node) Hashtbl.t;
-  mutable fail : node option;  (* None only before BFS / at the root *)
-  mutable out : (int * int) list;  (* (pattern index, pattern length) *)
-}
+(* A dense automaton over the four lane codes.  State 0 is the root;
+   [delta.(4 s + c)] is the state after reading code [c] in state [s],
+   with the failure links already folded in, so a text character costs
+   one load.  [outs.(s)] lists the patterns ending in state [s], those
+   of its failure chain included. *)
+type t = { delta : int array; outs : int array array; lens : int array }
 
-type t = { root : node; n_states : int }
+let code c =
+  match Fmindex.Packed_text.code_of_base c with
+  | Some d -> d
+  | None -> invalid_arg (Printf.sprintf "Aho_corasick.build: %C is not a base" c)
 
 let build patterns =
-  Array.iter
-    (fun p -> if p = "" then invalid_arg "Aho_corasick.build: empty pattern")
-    patterns;
-  let next_id = ref 0 in
-  let new_node () =
-    let node =
-      { id = !next_id; children = Hashtbl.create 4; fail = None; out = [] }
-    in
-    incr next_id;
-    node
+  (* The trie has at most one state per pattern character, plus the
+     root; -1 marks an edge the breadth-first pass below fills in. *)
+  let cap =
+    Array.fold_left
+      (fun acc p ->
+        if p = "" then invalid_arg "Aho_corasick.build: empty pattern";
+        acc + String.length p)
+      1 patterns
   in
-  let root = new_node () in
+  let delta = Array.make (4 * cap) (-1) and ends = Array.make cap [] and n = ref 1 in
   Array.iteri
-    (fun idx p ->
-      let node = ref root in
-      String.iter
-        (fun c ->
-          match Hashtbl.find_opt !node.children c with
-          | Some child -> node := child
-          | None ->
-              let child = new_node () in
-              Hashtbl.replace !node.children c child;
-              node := child)
-        p;
-      !node.out <- (idx, String.length p) :: !node.out)
+    (fun j p ->
+      let s =
+        String.fold_left
+          (fun s c ->
+            let e = (4 * s) + code c in
+            if delta.(e) < 0 then begin
+              delta.(e) <- !n;
+              incr n
+            end;
+            delta.(e))
+          0 p
+      in
+      ends.(s) <- j :: ends.(s))
     patterns;
-  (* Breadth-first failure links; outputs are merged down the links. *)
-  let queue = Queue.create () in
-  Hashtbl.iter
-    (fun _c child ->
-      child.fail <- Some root;
-      Queue.add child queue)
-    root.children;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Hashtbl.iter
-      (fun c child ->
-        let rec resolve f =
-          match Hashtbl.find_opt f.children c with
-          | Some s -> s
-          | None -> ( match f.fail with None -> f | Some f' -> resolve f')
-        in
-        let target = resolve (Option.get u.fail) in
-        let target = if target == child then root else target in
-        child.fail <- Some target;
-        child.out <- child.out @ target.out;
-        Queue.add child queue)
-      u.children
+  let n = !n in
+  (* Breadth first, a state's failure target is complete before the
+     state is visited: a missing edge takes the failure target's, and
+     the outputs are the state's own followed by its failure target's.
+     [order] doubles as the queue. *)
+  let fail = Array.make n 0 and order = Array.make n 0 and tail = ref 1 in
+  for head = 0 to n - 1 do
+    let s = order.(head) in
+    if s > 0 then ends.(s) <- ends.(s) @ ends.(fail.(s));
+    for c = 0 to 3 do
+      let e = (4 * s) + c and f = if s = 0 then 0 else delta.((4 * fail.(s)) + c) in
+      if delta.(e) < 0 then delta.(e) <- f
+      else begin
+        fail.(delta.(e)) <- f;
+        order.(!tail) <- delta.(e);
+        incr tail
+      end
+    done
   done;
-  { root; n_states = !next_id }
+  (* the slots past state n - 1 are never reached *)
+  { delta; outs = Array.map Array.of_list ends; lens = Array.map String.length patterns }
 
-let step t node c =
-  let rec go u =
-    match Hashtbl.find_opt u.children c with
-    | Some v -> v
-    | None -> ( match u.fail with None -> t.root | Some f -> go f)
-  in
-  go node
+(* Text characters between two deadline polls. *)
+let poll_chunk = 1024
 
-let scan t text ~f =
-  let state = ref t.root in
-  String.iteri
-    (fun i c ->
-      Deadline.poll ();
-      state := step t !state c;
-      List.iter
-        (fun (pattern, len) -> f ~pattern ~pos:(i - len + 1))
-        !state.out)
-    text
-
-let find_all t text =
-  let acc = ref [] in
-  scan t text ~f:(fun ~pattern ~pos -> acc := (pattern, pos) :: !acc);
-  List.rev !acc
+let scan t ptext ~f =
+  let n = Fmindex.Packed_text.length ptext in
+  let s = ref 0 in
+  for chunk = 0 to (n - 1) / poll_chunk do
+    Deadline.poll ();
+    for p = chunk * poll_chunk to min n ((chunk + 1) * poll_chunk) - 1 do
+      s := t.delta.((!s lsl 2) lor Fmindex.Packed_text.unsafe_get ptext p);
+      let o = t.outs.(!s) in
+      for x = 0 to Array.length o - 1 do
+        f ~pattern:o.(x) ~pos:(p - t.lens.(o.(x)) + 1)
+      done
+    done
+  done

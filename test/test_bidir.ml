@@ -419,7 +419,7 @@ let test_build_index_normalization () =
         List.sort compare
           (List.map
              (fun p -> n - p - m)
-             (Fmindex.Fm_index.locate (Kmismatch.fm_rev idx) iv))
+             (Test_util.locate (Kmismatch.fm_rev idx) iv))
   in
   check Alcotest.(list int) "reverse component mirrors the text" via_rev
     (naive_positions expected probe)

@@ -274,7 +274,7 @@ let test_amir_short_pattern_garbage () =
   let pattern = "acgtacgtacgt" and k = 4 in
   check int "no blocks" 0 (List.length (Amir.blocks ~pattern ~k));
   let w0 = Gc.minor_words () in
-  let found = Amir.search ~ptext ~pattern ~k text in
+  let found = Amir.search ~ptext ~pattern ~k in
   let words = Gc.minor_words () -. w0 in
   let nhits = List.length found in
   check bool "some hits" true (nhits > 0);
@@ -284,6 +284,103 @@ let test_amir_short_pattern_garbage () =
   if words > bound then
     Alcotest.failf "%.0f minor words for %d hits over %d windows (bound %.0f)"
       words nhits (String.length text - String.length pattern + 1) bound
+
+(* A text of [n] bases with repeats: random runs, near-copies of
+   earlier stretches (a substitution per ~50 bases) and short tandem
+   runs, so blocks occur many times and windows collect several marks. *)
+let repeat_text st n =
+  let b = Buffer.create n in
+  let base () = "acgt".[Random.State.int st 4] in
+  while Buffer.length b < n do
+    let len = min (n - Buffer.length b) (1 + Random.State.int st 200) in
+    let have = Buffer.length b in
+    match Random.State.int st 3 with
+    | 0 when have > 0 ->
+        let src = Random.State.int st have in
+        for i = 0 to len - 1 do
+          let c = Buffer.nth b (src + (i mod (have - src))) in
+          Buffer.add_char b (if Random.State.int st 50 = 0 then base () else c)
+        done
+    | 1 ->
+        let unit = String.init (1 + Random.State.int st 4) (fun _ -> base ()) in
+        for i = 0 to len - 1 do
+          Buffer.add_char b unit.[i mod String.length unit]
+        done
+    | _ -> for _ = 1 to len do Buffer.add_char b (base ()) done
+  done;
+  Buffer.contents b
+
+(* [Amir.search] answers exactly as the naive scan, on every path: the
+   block filter (k = 0 included), the scan-all fallback of patterns too
+   short for blocks (m < 4k), k >= m, m = n, and windows at 0 and
+   n - m.  Patterns are cut from the text with up to k + 1 planted
+   substitutions. *)
+let prop_amir_equals_hamming =
+  Test_util.qtest ~count:300 "search = hamming"
+    QCheck2.Gen.(
+      tup4 (int_range 1 3000) (int_range 0 4) (int_range 0 4) (int_bound 1_000_000))
+    (fun (n, k, where, seed) ->
+      let st = Random.State.make [| seed |] in
+      let text = repeat_text st n in
+      let m =
+        match where with
+        | 2 -> n
+        | _ when Random.State.bool st -> 1 + Random.State.int st (min n 12)
+        | _ -> 1 + Random.State.int st (min n 120)
+      in
+      let start =
+        match where with
+        | 0 | 2 -> 0
+        | 1 -> n - m
+        | _ -> Random.State.int st (n - m + 1)
+      in
+      let pattern = Bytes.of_string (String.sub text start m) in
+      for _ = 1 to Random.State.int st (k + 2) do
+        Bytes.set pattern (Random.State.int st m) "acgt".[Random.State.int st 4]
+      done;
+      let pattern = Bytes.to_string pattern in
+      Amir.search ~ptext:(Fmindex.Packed_text.of_string text) ~pattern ~k
+      = Stringmatch.Hamming.search ~pattern ~text ~k)
+
+(* Words allocated so far, minor and direct major alike: minor + major
+   - promoted.  The minor part is [Gc.minor_words], which is exact;
+   [Gc.counters]' own minor field misses the live minor heap on
+   OCaml 5. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* The block filter's allocation is its automaton, its ring of window
+   counts and the packed pattern (linear in m) plus the hit list, not
+   the text: an n-slot mark array would be 1M words here. *)
+let test_amir_filter_allocation () =
+  let n = 1_000_000 in
+  let st = Random.State.make [| 9 |] in
+  let text = Bytes.of_string (Test_util.random_dna st n) in
+  let ptext_of pattern =
+    (* three planted copies, so the hit list is not empty *)
+    List.iter
+      (fun pos -> Bytes.blit_string pattern 0 text pos (String.length pattern))
+      [ 1_000; 500_000; n - String.length pattern ];
+    Fmindex.Packed_text.of_string (Bytes.to_string text)
+  in
+  List.iter
+    (fun (m, k) ->
+      let pattern = Test_util.random_dna st m in
+      let ptext = ptext_of pattern in
+      check bool "filtered" true (Amir.blocks ~pattern ~k <> []);
+      let w0 = allocated_words () in
+      let found = Amir.search ~ptext ~pattern ~k in
+      let words = allocated_words () -. w0 in
+      let nhits = List.length found in
+      check bool "planted copies found" true (nhits >= 3);
+      (* a hit is one pair and one cons cell, twice over for the
+         ascending list: 9 words *)
+      let bound = float_of_int ((32 * m) + (9 * nhits) + 1024) in
+      if words > bound then
+        Alcotest.failf "m = %d, k = %d: %.0f words for %d hits (bound %.0f)" m k
+          words nhits bound)
+    [ (40, 0); (40, 2); (100, 2); (100, 4); (1000, 3) ]
 
 (* ------------------------------------------------------------------ *)
 (* Read-mapping integration                                            *)
@@ -355,6 +452,9 @@ let () =
           Alcotest.test_case "blocks" `Quick test_amir_blocks;
           Alcotest.test_case "short-pattern garbage grows with hits" `Quick
             test_amir_short_pattern_garbage;
+          prop_amir_equals_hamming;
+          Alcotest.test_case "filter allocation is O(m + hits)" `Quick
+            test_amir_filter_allocation;
         ] );
       ( "integration",
         [ Alcotest.test_case "read mapping end to end" `Quick test_read_mapping_end_to_end ] );

@@ -317,7 +317,7 @@ let reference_stree fm ~pattern ~k ~use_delta =
   let rec node lo hi j q =
     if j = m then begin
       incr leaves;
-      List.iter (fun p -> hits := (n - p - m, q) :: !hits) (Fm.locate fm (lo, hi))
+      List.iter (fun p -> hits := (n - p - m, q) :: !hits) (Test_util.locate fm (lo, hi))
     end
     else begin
       let los = Array.make 5 0 and his = Array.make 5 0 in

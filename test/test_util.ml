@@ -20,6 +20,14 @@ let load_fm ?mode path =
   | Ok t -> t
   | Error e -> Alcotest.failf "%s: %s" path (Kmm_error.to_string e)
 
+(* The sorted text positions of an interval's rows, through
+   [locate_into]. *)
+let locate fm (lo, hi) =
+  let buf = Array.make (hi - lo) 0 in
+  Fmindex.Fm_index.locate_into fm (lo, hi) buf;
+  Array.sort Int.compare buf;
+  Array.to_list buf
+
 (* The hits of one query through [Kmismatch.run]. *)
 let run_hits idx ~engine ~pattern ~k =
   (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ~engine ~pattern ~k ())).hits
