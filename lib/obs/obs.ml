@@ -220,7 +220,9 @@ module Counter = struct
   let serve_conns_failed = declare "serve.conns_failed" "connections" "connections closed after an unexpected exception"
   let serve_conns_stalled = declare "serve.conns_stalled" "connections" "connections closed for not reading their replies"
   let serve_io_wakeups = declare "serve.io_wakeups" "wakeups" "event-loop rounds"
-  let serve_io_busy_ns = declare "serve.io_busy_ns" "ns" "event-loop time spent outside select"
+  let serve_io_busy_ns = declare "serve.io_busy_ns" "ns" "event-loop time spent outside select and polls"
+  let serve_poll_ns = declare "serve.poll_ns" "ns" "event-loop time spent polling after replies"
+  let serve_poll_hits = declare "serve.poll_hits" "polls" "polls that ended on a ready descriptor before the window ran out"
   let trace_dropped = declare "obs.trace_dropped" "events" "trace events dropped beyond the buffer cap"
 
   let specs = Array.of_list (List.rev !declared)

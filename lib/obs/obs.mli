@@ -141,6 +141,8 @@ module Counter : sig
   val serve_conns_stalled : t
   val serve_io_wakeups : t
   val serve_io_busy_ns : t
+  val serve_poll_ns : t
+  val serve_poll_hits : t
 
   val all : t list
   (** Every counter, in declaration order ([obs.trace_dropped], which

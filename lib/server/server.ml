@@ -27,6 +27,15 @@
    may search on that domain while the daemon runs: the scrapes and
    [serve]'s signal loop never do.
 
+   The loop's other duty is a poll: after a round that wrote a reply,
+   with every worker idle and the queue empty, it polls its descriptors
+   with zero-timeout [select]s for up to [poll_ns] instead of going to
+   sleep, so a one-at-a-time client's next frame does not pay the
+   sleeping [select]'s wake-up.  It polls only while the last gap it
+   measured, from a reply to the next readable connection, was shorter
+   than the window: a client that pauses longer costs one window, on
+   its first pause.
+
    Workers never touch a socket, so a stalled reader can never hold a
    query domain.  Locks, never nested: [qm] (admission queue), [dm]
    (completion list), one [wm] per worker (its sink).  The server sink,
@@ -81,6 +90,16 @@ let tick_ns = 100_000_000
    connections waiting, plus one poll stride, and how often a long
    inline search pays one zero-timeout [select]. *)
 let inline_ns = 50_000
+
+(* How long the loop polls after a reply instead of sleeping in
+   [select].  A [select] that has gone to sleep costs 3-6 us to wake on
+   a 2-vCPU host whose idle vCPUs halt (no cpuidle states): a Unix
+   socketpair probe with 3 us of server work per message read a
+   round-trip p50 of 15.6 us with both sides blocking, 13.1 us with the
+   server polling and 7.2 us with both polling.  A one-at-a-time client's next frame follows its
+   reply within 5-20 us (serve-short), well inside the window; one that
+   pauses longer is not polled after its first pause ([should_poll]). *)
+let poll_ns = 50_000
 
 (* How many queries in a row a connection must have sent, with no other
    connection's query in between, before the loop answers one itself.
@@ -439,8 +458,13 @@ type loop = {
   mutable now : int;
   mutable sender : conn option;  (* the connection the latest query came from *)
   mutable streak : int;  (* queries read in a row from [sender] *)
+  mutable replied : int;  (* when the latest reply was written; [no_reply] once a connection was readable since *)
+  mutable gap : int;  (* the last gap measured from a reply to the next readable connection *)
   scratch : Obs.t;  (* a lone query's attempt on the loop, merged into the server sink once answered *)
 }
+
+(* [replied]'s value while no reply awaits the next readable connection. *)
+let no_reply = min_int
 
 let info_fields t =
   let open Protocol in
@@ -649,7 +673,8 @@ let take_frames t l c =
   go ()
 
 (* Move the ready replies at the head of [c]'s queue to its output, in
-   frame order, and write them with one call. *)
+   frame order, and write them with one call.  Whether it appended a
+   reply. *)
 let flush t l c ~writable =
   let rec move appended =
     match Queue.peek_opt c.slots with
@@ -660,8 +685,10 @@ let flush t l c ~writable =
         move true
     | _ -> appended
   in
-  if (move false || writable) && pending_output c then
-    write_out ~send_timeout_ns:l.send_timeout_ns ~now:l.now c
+  let appended = move false in
+  if (appended || writable) && pending_output c then
+    write_out ~send_timeout_ns:l.send_timeout_ns ~now:l.now c;
+  appended
 
 let close_conn t l c counter =
   c.closed <- true;
@@ -728,19 +755,72 @@ let close_listener t l =
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end
 
-(* One round: wait for readiness, then take completions, accept, read,
-   parse and admit, write, and retire finished connections. *)
+(* Whether the loop polls at [now] rather than sleeping in [select]:
+   a reply was written at [replied] less than [poll_ns] ago, the last
+   gap from a reply to a readable connection was shorter than that, no
+   worker is busy, the queue is empty, no stop was requested and no
+   timer is due ([next] is the earliest one, the tick included). *)
+let should_poll ~gap ~busy ~queue_empty ~stopping ~replied ~next ~now =
+  gap < poll_ns && busy = 0 && queue_empty && (not stopping) && now < next
+  && now < replied + poll_ns
+
+(* Poll the round's descriptors with zero-timeout [select]s while
+   [should_poll] holds: [Some] the ready ones, or [None] if it ended
+   without any or never started.  The queue is locked only once the
+   rest of the rule holds; only the loop adds to it, so it stays empty
+   while the loop polls.  Each turn yields the domain to
+   a thread waiting for it (a scrape, the signal loop): a syscall alone
+   hands it over only if that thread wins the race for it.  The rule is
+   checked at the instant read before each [select], so a [select] that
+   had to wait for the domain past the window gets one more look. *)
+let poll t l rd wr ~next =
+  let keep now =
+    should_poll ~gap:l.gap ~busy:(Atomic.get t.busy) ~queue_empty:true ~stopping:(stopping t)
+      ~replied:l.replied ~next ~now
+  in
+  let start = Obs.Clock.now_ns () in
+  if not (keep start && Mutex.protect t.qm (fun () -> Queue.is_empty t.queue)) then None
+  else begin
+    let rec go now =
+      match Unix.select rd wr [] 0. with
+      | [], [], _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) ->
+          if keep now then begin
+            Thread.yield ();
+            go (Obs.Clock.now_ns ())
+          end
+          else None
+      | r, w, _ ->
+          Obs.incr t.sink C.serve_poll_hits;
+          Some (r, w)
+    in
+    let ready = go start in
+    l.now <- Obs.Clock.now_ns ();
+    Obs.add t.sink C.serve_poll_ns (l.now - start);
+    ready
+  end
+
+(* One round: poll or wait for readiness, then take completions, accept,
+   read, parse and admit, write, and retire finished connections. *)
 let round t l pipe_buf =
   let rd, wr, due = watch t l in
   let next = min due (l.now + tick_ns) in
   let readable, writable =
-    match Unix.select rd wr [] (float_of_int (max 0 (next - l.now)) /. 1e9) with
-    | r, w, _ -> (r, w)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+    match poll t l rd wr ~next with
+    | Some ready -> ready
+    | None -> (
+        (* A stop the poll saw opens the drain now, not at the tick. *)
+        let wait = if stopping t && l.drain_end = max_int then 0 else max 0 (next - l.now) in
+        match Unix.select rd wr [] (float_of_int wait /. 1e9) with
+        | r, w, _ -> (r, w)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], []))
   in
   let woke = Obs.Clock.now_ns () in
   l.now <- woke;
   Obs.incr t.sink C.serve_io_wakeups;
+  if l.replied <> no_reply && List.exists (fun fd -> Hashtbl.mem l.conns fd) readable then begin
+    l.gap <- woke - l.replied;
+    l.replied <- no_reply
+  end;
   if List.mem t.wake_r readable then begin
     (try ignore (Unix.read t.wake_r pipe_buf 0 (Bytes.length pipe_buf)) with Unix.Unix_error _ -> ());
     Atomic.set t.wake_pending false;
@@ -765,8 +845,12 @@ let round t l pipe_buf =
   List.iter (fun c -> guard t l c (fun () -> take_frames t l c)) conns;
   admit t l;
   l.now <- Obs.Clock.now_ns ();
+  (* The reply instant is read before the writes: a loop delayed after
+     them must not shorten the gap it measures next. *)
+  let flushed_at = l.now and replied = ref false in
   List.iter
-    (fun c -> guard t l c (fun () -> flush t l c ~writable:(List.mem c.fd writable)))
+    (fun c ->
+      guard t l c (fun () -> if flush t l c ~writable:(List.mem c.fd writable) then replied := true))
     conns;
   let drain_over = l.now >= l.drain_end in
   List.iter
@@ -781,6 +865,7 @@ let round t l pipe_buf =
         then close_conn t l c None)
     conns;
   l.now <- Obs.Clock.now_ns ();
+  if !replied then l.replied <- flushed_at;
   Obs.add t.sink C.serve_io_busy_ns (l.now - woke)
 
 (* Run rounds until a stop was seen and every connection is closed.  A
@@ -801,6 +886,8 @@ let event_loop t =
       now = Obs.Clock.now_ns ();
       sender = None;
       streak = 0;
+      replied = no_reply;
+      gap = 0;
       scratch = Obs.create ~trace:t.cfg.trace ();
     }
   in

@@ -38,6 +38,18 @@
     other thread may run a search on that domain while the daemon runs.
     The daemon's own other threads (the [metrics] scrapes and {!serve}'s
     signal loop) never do.
+
+    After a round that wrote a reply, while every worker is idle and
+    the queue is empty, the loop polls its descriptors with
+    zero-timeout [select]s for up to {!poll_ns} instead of going to
+    sleep: a [select] that has gone to sleep costs several microseconds
+    to wake, which a one-at-a-time client would pay on every query.
+    The poll ends at the first ready descriptor, a stop request, a due
+    timer or a busy worker.  It runs only while the last gap the loop
+    measured from a reply to the next readable connection was shorter
+    than {!poll_ns} ({!should_poll}), so a client that pauses longer
+    costs one window of polling on its first pause and none after,
+    while a client that keeps sending costs up to one core.
     Results come back {!Core.Kmismatch.Response}-shaped; every failure —
     malformed frame, limit violation, invalid pattern, even an engine
     bug — is answered as a typed {!Kmm_error} frame in that frame's
@@ -117,9 +129,12 @@
     [serve.rejected], [serve.shed], [serve.timeouts], [serve.errors],
     [serve.truncated], [serve.hits], [serve.inline] (queries the loop
     answered), [serve.inline_cut] (lone queries the loop cut for other
-    work and queued), and the loop's [serve.io_wakeups] (returns from
-    [select]) and [serve.io_busy_ns] (time spent outside [select], inline
-    searches included); the worker loop bumps [pool.tasks].
+    work and queued), and the loop's [serve.io_wakeups] (rounds: returns
+    from [select] or from a poll), [serve.io_busy_ns] (time spent
+    outside [select] and polls, inline searches included),
+    [serve.poll_ns] (time spent polling after replies) and
+    [serve.poll_hits] (polls that ended on a ready descriptor before
+    the window ran out); the worker loop bumps [pool.tasks].
     Histograms ({!Obs.Hist}): [serve.request_ns] (admission to the
     reply handed to the write), and, once per answered query on a
     worker or on the loop, [serve.batch_size] (queries per hand-off:
@@ -164,6 +179,28 @@ val solo_streak : int
 (** How many queries in a row (3) a connection must have sent, with no
     other connection's query in between, before the event loop answers
     its lone query itself. *)
+
+val poll_ns : int
+(** How long (50 µs) the event loop polls after a reply before it goes
+    to sleep in [select]. *)
+
+val should_poll :
+  gap:int ->
+  busy:int ->
+  queue_empty:bool ->
+  stopping:bool ->
+  replied:int ->
+  next:int ->
+  now:int ->
+  bool
+(** The event loop's poll rule, checked before each zero-timeout
+    [select]: whether it polls at instant [now] (monotonic ns).  True
+    exactly when the last measured [gap] from a reply to the next
+    readable connection is below {!poll_ns}, [busy] (workers running a
+    query) is 0, the admission queue is empty, no stop was requested,
+    [now] is before [next] (the earliest timer of the loop, its tick
+    included) and less than {!poll_ns} has passed since the reply
+    written at [replied]. *)
 
 val start : config -> Core.Kmismatch.index -> t
 (** Run the registry [prepare] of {!Core.Kmismatch.default_engine} on the

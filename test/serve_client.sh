@@ -2,7 +2,8 @@
 # `kmm client` against a live `kmm serve`: a query over the socket must
 # print exactly what `kmm search` prints for it (default engine and
 # m-tree, a pattern with one hit and one with many), `--ping` answers
-# pong, `--info` reports the index length, an engine the daemon does not
+# pong, `--info` reports the index length, `--metrics` exports the event
+# loop's poll counters, an engine the daemon does not
 # serve exits with code 2, and `--shutdown` drains the daemon, which
 # then exits and removes its socket.
 # Usage: serve_client.sh KMM_EXE
@@ -65,6 +66,12 @@ client --ping >"$tmp/out" || die "--ping exited $?"
 grep -q '^pong' "$tmp/out" || die "--ping printed: $(cat "$tmp/out")"
 client --info >"$tmp/out" || die "--info exited $?"
 grep -q '"length":20000' "$tmp/out" || die "--info printed: $(cat "$tmp/out")"
+
+# The event loop's poll counters are exported once queries were answered.
+client --metrics >"$tmp/out" || die "--metrics exited $?"
+for name in kmm_serve_poll_ns kmm_serve_poll_hits; do
+  grep -Eq "^$name [0-9]" "$tmp/out" || die "--metrics does not export $name"
+done
 
 client --engine cole -k 1 "$long" >"$tmp/out" 2>"$tmp/err"
 code=$?

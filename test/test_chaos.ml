@@ -341,6 +341,68 @@ let query_deadline_direct () =
 
 (* --- live daemon: typed overload and timeout frames ------------------- *)
 
+(* One client sending queries one at a time keeps the loop polling
+   after each reply; [request_stop] is what a signal handler calls (an
+   atomic store, no wake), made by this thread on the loop's domain,
+   which it gets when a poll or a sleeping [select] hands it over.  The
+   drain still answers every query admitted before the stop with its
+   hits, refuses the later ones with code 10 and closes the connection
+   once its 250 ms window has passed; [stop] then returns at once. *)
+let server_stop_during_poll () =
+  let pattern = String.sub text 5_000 24 and k = 1 in
+  let expected =
+    (K.run (Lazy.force index) (K.Query.make ~engine:K.Bidir ~pattern ~k ())).K.Response.hits
+  in
+  with_server (fun t path ->
+      let c = S.Client.connect ~timeout:10. path in
+      let probe = S.Client.connect ~timeout:10. path in
+      Fun.protect ~finally:(fun () -> List.iter S.Client.close [ c; probe ]) @@ fun () ->
+      let replies = ref [] and count = Atomic.make 0 in
+      let client =
+        Thread.create
+          (fun () ->
+            let rec go i =
+              match
+                S.Client.send_line c (P.query_request ~id:(J.Int i) ~pattern ~k ());
+                S.Client.recv_line c
+              with
+              | Some line ->
+                  replies := P.parse_reply line :: !replies;
+                  Atomic.incr count;
+                  go (i + 1)
+              | None | (exception _) -> ()
+            in
+            go 0)
+          ()
+      in
+      let t0 = Unix.gettimeofday () in
+      while Atomic.get count < 200 && Unix.gettimeofday () -. t0 < 10. do
+        Thread.delay 0.001
+      done;
+      Alcotest.(check bool) "the loop polled" true (server_metric probe "serve_poll_ns" > 0);
+      let asked = Unix.gettimeofday () in
+      S.request_stop t;
+      Thread.join client;
+      let closed = Unix.gettimeofday () -. asked in
+      S.stop t;
+      let stopped = Unix.gettimeofday () -. asked in
+      let rec split i = function
+        | Ok (P.Hits { id = J.Int id; hits; _ }) :: rest when id = i ->
+            Alcotest.(check bool) "admitted query answered with its hits" true (hits = expected);
+            split (i + 1) rest
+        | rest -> (i, rest)
+      in
+      let answered, refused = split 0 (List.rev !replies) in
+      Alcotest.(check bool) "answered before the stop" true (answered >= 200);
+      List.iteri
+        (fun j r ->
+          match r with
+          | Ok (P.Error_reply { id = J.Int id; code = 10; _ }) when id = answered + j -> ()
+          | _ -> Alcotest.fail "after the last answer: only code-10 refusals, in frame order")
+        refused;
+      Alcotest.(check bool) (Printf.sprintf "closed %.3f s after the stop" closed) true (closed < 2.);
+      Alcotest.(check bool) (Printf.sprintf "stopped %.3f s after the stop" stopped) true (stopped < 2.))
+
 let server_sheds_when_full () =
   (* Capacity one-at-a-time (1 worker domain) with a single queue
      slot, offered 8 concurrent ~130 ms queries: the excess must come
@@ -777,6 +839,7 @@ let () =
             server_deadline_expires_in_queue;
           Alcotest.test_case "deadline expires mid-search" `Quick
             server_deadline_expires_mid_search;
+          Alcotest.test_case "stop during a poll" `Quick server_stop_during_poll;
         ] );
       ( "socket faults",
         [

@@ -1480,6 +1480,99 @@ let server_cut_query_handed_to_pool () =
           ("pool_task_ns_count", S.solo_streak);
         ])
 
+(* --- polling after replies --------------------------------------------- *)
+
+let poll_rule () =
+  (* Each row changes one input of a case that polls: a reply 10 us ago,
+     a gap inside the window, an idle pool, no stop and no timer due. *)
+  let now = 1_000_000_000 and w = S.poll_ns in
+  let poll ?(gap = w / 5) ?(busy = 0) ?(queue_empty = true) ?(stopping = false)
+      ?(replied = now - 10_000) ?(next = max_int) () =
+    S.should_poll ~gap ~busy ~queue_empty ~stopping ~replied ~next ~now
+  in
+  List.iter
+    (fun (name, want, got) -> Alcotest.(check bool) name want got)
+    [
+      ("a quick client on an idle daemon", true, poll ());
+      ("no gap measured yet", true, poll ~gap:0 ());
+      ("gap just inside the window", true, poll ~gap:(w - 1) ());
+      ("gap as long as the window", false, poll ~gap:w ());
+      ("a client that paused", false, poll ~gap:5_000_000 ());
+      ("a worker busy", false, poll ~busy:1 ());
+      ("two workers busy", false, poll ~busy:2 ());
+      ("queries queued", false, poll ~queue_empty:false ());
+      ("stop requested", false, poll ~stopping:true ());
+      ("timer due now", false, poll ~next:now ());
+      ("timer overdue", false, poll ~next:(now - 1) ());
+      ("timer due next", true, poll ~next:(now + 1) ());
+      ("window just open", true, poll ~replied:(now - w + 1) ());
+      ("window run out", false, poll ~replied:(now - w) ());
+      ("no reply since the last frame", false, poll ~replied:min_int ());
+    ]
+
+let poll_counts c =
+  let text = live_metrics c in
+  let value name = Option.value ~default:(-1) (prom_value text name) in
+  (value "serve_poll_ns", value "serve_poll_hits")
+
+let server_paused_client_polled_once () =
+  (* A client that pauses 5 ms before each of its frames: 20 queries
+     and two [metrics] reads.  The first reply is polled for, since no
+     gap has been measured yet, and that poll runs out; every later
+     reply follows a measured 5 ms gap, so the loop sleeps at once and
+     the poll counters stand still. *)
+  let qs = List.filteri (fun i _ -> i < 20) queries in
+  let expected = List.map (fun (pattern, k) -> sequential_hits ~pattern ~k) qs in
+  with_server (fun _t path ->
+      let c = S.Client.connect ~timeout:30. path in
+      Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+      let paused f =
+        let r = f () in
+        Thread.delay 0.005;
+        r
+      in
+      let first = ref (0, 0) in
+      List.iteri
+        (fun i ((pattern, k), want) ->
+          (match paused (fun () -> S.Client.query c ~pattern ~k ()) with
+          | Ok (P.Hits { hits; _ }) -> Alcotest.(check string) "hits = sequential" want (P.render_hits hits)
+          | _ -> Alcotest.fail "query not answered");
+          if i = 0 then first := paused (fun () -> poll_counts c))
+        (List.combine qs expected);
+      let ns, hits = !first in
+      Alcotest.(check bool) "the first reply polled" true (ns > 0);
+      Alcotest.(check int) "that poll ran out" 0 hits;
+      Alcotest.(check (pair int int)) "no poll after the pause" !first (poll_counts c))
+
+let server_completion_ends_poll () =
+  (* A scrape's reply comes back through the completion list and the
+     self-pipe, like a worker's.  A ping and a [metrics] in one write
+     to a fresh daemon: the ping's reply is its first, so the loop
+     polls after it, and a scrape that finishes within that window
+     readies the pipe during the poll, which ends there, and the round
+     writes the [metrics] reply.  The client then pauses, so the next
+     poll runs out and only the pipe's hit is counted.  The scrape runs
+     on a thread of its own, which the kernel may not schedule within
+     the window on a loaded host, so a fresh daemon tries again, up to
+     30 times; every attempt's replies must come back in order. *)
+  let attempt () =
+    with_server (fun _t path ->
+        let c = S.Client.connect ~timeout:30. path in
+        Fun.protect ~finally:(fun () -> S.Client.close c) @@ fun () ->
+        S.Client.send_line c
+          (P.command_request ~id:(J.Int 1) "ping" ^ "\n" ^ P.command_request ~id:(J.Int 2) "metrics");
+        (match Option.map P.parse_reply (S.Client.recv_line c) with
+        | Some (Ok (P.Ok_obj { id = J.Int 1; fields })) when List.mem_assoc "pong" fields -> ()
+        | _ -> Alcotest.fail "ping not answered first");
+        (match Option.map P.parse_reply (S.Client.recv_line c) with
+        | Some (Ok (P.Ok_obj { id = J.Int 2; fields })) when List.mem_assoc "metrics" fields -> ()
+        | _ -> Alcotest.fail "metrics not answered second");
+        Thread.delay 0.005;
+        snd (poll_counts c))
+  in
+  let rec go n = n < 30 && (attempt () = 1 || go (n + 1)) in
+  Alcotest.(check bool) "a poll ended on the completion" true (go 0)
+
 (* Random texts and queries through one daemon per case, one at a time
    (the loop answers them) and in pipelined bursts of 8 (the workers
    do), every reply against [Hamming.search].  The references are
@@ -1597,6 +1690,12 @@ let () =
           Alcotest.test_case "cut query finished by a worker" `Quick
             server_cut_query_handed_to_pool;
           prop_daemon_matches_naive;
+        ] );
+      ( "poll",
+        [
+          Alcotest.test_case "poll rule" `Quick poll_rule;
+          Alcotest.test_case "paused client polled once" `Quick server_paused_client_polled_once;
+          Alcotest.test_case "completion ends a poll" `Quick server_completion_ends_poll;
         ] );
       ("bench", [ Alcotest.test_case "serve bench smoke" `Quick bench_smoke ]);
     ]
