@@ -110,7 +110,7 @@ let search ?obs idx engine ~k pattern =
 
 (* Average per-read search time of an engine over a read set, and its
    hits on every read.  The engine's first-use derivations on the index
-   (Amir's forward packed text, Cole's suffix tree, ...) are built
+   (Cole's suffix tree, naive's unpacked text, ...) are built
    before the clock starts, so no cell of a table times them. *)
 let avg_search_time idx engine ~reads:rs ~k =
   Core.Kmismatch.prepare engine idx;

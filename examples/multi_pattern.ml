@@ -38,11 +38,15 @@ let () =
       ("acgtacgtacgtacgtacgt", 4);
     ];
 
-  (* 3. Multi-string exact search in a single pass (Aho-Corasick). *)
+  (* 3. Multi-string exact search in a single pass (Aho-Corasick) over
+     the index's 2-bit payload.  The payload is the reversed text, so
+     the scan looks for the reversed motifs. *)
   let motifs = [| "tataaa"; "caat"; "gggcgg" |] in
-  let ac = Stringmatch.Aho_corasick.build motifs in
+  let reverse s = String.init (String.length s) (fun i -> s.[String.length s - 1 - i]) in
+  let ac = Stringmatch.Aho_corasick.build (Array.map reverse motifs) in
   let counts = Array.make (Array.length motifs) 0 in
-  Stringmatch.Aho_corasick.scan ac (Core.Kmismatch.packed_text index)
+  Stringmatch.Aho_corasick.scan ac
+    (Fmindex.Fm_index.packed_text (Core.Kmismatch.fm_rev index))
     ~f:(fun ~pattern ~pos:_ ->
       counts.(pattern) <- counts.(pattern) + 1);
   print_endline "\nmotif counts (Aho-Corasick, one pass):";

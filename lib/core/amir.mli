@@ -1,5 +1,7 @@
 (** Amir-style k-mismatch baseline (paper ref. [2]): mark-and-verify in
-    one pass over the forward 2-bit packed text.
+    one pass over a 2-bit packed text.  The registry's [amir] engine
+    passes the index's payload, the reversed text, with the reversed
+    pattern, and maps each window back ([Kmismatch]).
 
     The pattern is cut into [b] blocks ("breaks"): [2k] of them, or the
     whole pattern as one block at [k = 0].  A window with at most [k]

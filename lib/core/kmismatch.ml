@@ -21,33 +21,28 @@ type index = {
   text : string Fmindex.Storage.Memo.t;
   fm_rev : Fmindex.Fm_index.t;
   tree : Suffix.Suffix_tree.t Fmindex.Storage.Memo.t;
-  pforward : Fmindex.Packed_text.t Fmindex.Storage.Memo.t;
-      (* forward text, 2-bit packed: what Amir's scan and verifier read.
-         Derived by reversing the FM component's packed payload — n/4
-         bytes, never the unpacked string. *)
   bidir : Fmindex.Bidir.t;
       (* [fm_rev] paired with the forward rank side it carries.  That
          side is built with the index and persisted in it (format v5),
          so pairing them costs nothing at load. *)
 }
 
-(* The index keeps no forward string: it is unpacked from [pforward]
-   on first use, one pass, so an mmap'd load stays O(1) and a built
-   index does not hold its caller's genome. *)
+(* The FM component's payload, the reversed text, is the index's only
+   text: the forward string is unpacked from it back to front on first
+   use, so an mmap'd load stays O(1) and a built index does not hold
+   its caller's genome. *)
 let of_fm fm_rev =
-  let pforward =
-    Fmindex.Storage.Memo.make (fun () ->
-        Fmindex.Packed_text.rev (Fmindex.Fm_index.packed_text fm_rev))
-  in
   let text =
     Fmindex.Storage.Memo.make (fun () ->
-        Fmindex.Packed_text.to_string (Fmindex.Storage.Memo.force pforward))
+        let p = Fmindex.Fm_index.packed_text fm_rev in
+        let n = Fmindex.Packed_text.length p in
+        String.init n (fun i -> Fmindex.Packed_text.(base_of_code (unsafe_get p (n - 1 - i)))))
   in
   let tree =
     Fmindex.Storage.Memo.make (fun () ->
         Suffix.Suffix_tree.build (Fmindex.Storage.Memo.force text))
   in
-  { text; fm_rev; tree; pforward; bidir = Fmindex.Bidir.make fm_rev }
+  { text; fm_rev; tree; bidir = Fmindex.Bidir.make fm_rev }
 
 (* The reverse is derived from the validated sequence, never re-parsed,
    and the FM component keeps it only 2-bit packed. *)
@@ -59,7 +54,12 @@ let text t = Fmindex.Storage.Memo.force t.text
 let length t = Fmindex.Fm_index.length t.fm_rev
 let fm_rev t = t.fm_rev
 let suffix_tree t = Fmindex.Storage.Memo.force t.tree
-let packed_text t = Fmindex.Storage.Memo.force t.pforward
+
+let packed_text t =
+  let p = Fmindex.Fm_index.packed_text t.fm_rev in
+  let n = Fmindex.Packed_text.length p in
+  Fmindex.Packed_text.init n (fun i -> Fmindex.Packed_text.unsafe_get p (n - 1 - i))
+
 let bidir t = t.bidir
 
 (* ------------------------------------------------------------------ *)
@@ -231,9 +231,17 @@ let () =
       name = "amir";
       doc = "online mark-and-verify (ref. [2])";
       caps = { scales = false };
-      prepare = (fun t -> ignore (packed_text t));
+      prepare = nothing;
       run =
-        (fun t a -> Amir.search ~ptext:(packed_text t) ~pattern:a.pattern ~k:a.k);
+        (* The payload holds the text reversed, so the filter scans it
+           for the reversed pattern: payload window w is text window
+           n - w - m, and reversing the list keeps the hits ascending. *)
+        (fun t a ->
+          let m = String.length a.pattern and n = length t in
+          let pattern = String.init m (fun i -> a.pattern.[m - 1 - i]) in
+          List.rev_map
+            (fun (w, d) -> (n - w - m, d))
+            (Amir.search ~ptext:(Fmindex.Fm_index.packed_text t.fm_rev) ~pattern ~k:a.k));
     };
   register
     {

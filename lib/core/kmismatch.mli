@@ -149,10 +149,12 @@ val of_sequence : Dna.Sequence.t -> index
     {!Fmindex.Fm_index.max_length}. *)
 
 val text : index -> string
-(** The forward target text, unpacked from {!packed_text} on first use
-    and cached behind a domain-safe memo: an mmap'd load stays O(1)
-    until an engine actually needs the string, and an index built by
-    {!of_sequence} does not keep the caller's sequence alive. *)
+(** The forward target text, unpacked on first use from the FM
+    component's 2-bit payload (the reversed text), back to front in one
+    pass, and cached behind a domain-safe memo: an mmap'd load stays
+    O(1) until an engine actually needs the string, and an index built
+    by {!of_sequence} does not keep the caller's sequence alive.  Only
+    [Naive] and [Cole]'s suffix tree force it. *)
 
 val length : index -> int
 (** Target length, answered from the FM component without materializing
@@ -165,12 +167,12 @@ val suffix_tree : index -> Suffix.Suffix_tree.t
     memo). *)
 
 val packed_text : index -> Fmindex.Packed_text.t
-(** The forward text 2-bit packed — what [Amir] scans and verifies
-    against.  Derived on first use by reversing the FM component's
-    packed payload (n/4 bytes, no string round-trip) and cached behind
-    a domain-safe memo.  [Bidir] and the mapper's hit
-    re-check never force it: they verify in place on the FM component's
-    own payload, the reversed text. *)
+(** A fresh forward copy of the text, 2-bit packed, built lane by lane
+    from the FM component's payload on every call (no memo).  The index
+    keeps no forward packed text: [Amir], [Bidir] and the mapper's hit
+    re-check all read the payload, the reversed text, in place.  Nothing
+    in the library, the CLI, the benches or the examples calls this;
+    it stays for the layer timings of the performance harness. *)
 
 val bidir : index -> Fmindex.Bidir.t
 (** The bidirectional index: the forward rank side the FM component

@@ -145,26 +145,29 @@ let fm_image_corruption =
   }
 
 (* The word-parallel verification kernel as its own subject: scan every
-   window of the packed forward text with [hamming ~limit:k], covering
-   all four lane phases, the ragged final byte, the early exit and the
-   pre-packed pattern masks against the naive reference.  A window
-   within the limit is scanned to the end, so its count is exact. *)
+   window of the index's payload (the reversed text) with
+   [hamming ~limit:k] against the reversed pattern, as Oss and the
+   mapper's re-check do, covering all four lane phases, the ragged
+   final byte, the early exit and the pre-packed pattern masks against
+   the naive reference.  Text window w is payload window n - m - w.  A
+   window within the limit is scanned to the end, so its count is
+   exact. *)
 let packed_verify =
   {
     sub_name = "packed-verify";
     run =
       (fun idx c ->
         let m = String.length c.pattern in
-        let pt = Kmismatch.packed_text idx in
+        let pt = Fmindex.Fm_index.packed_text (Kmismatch.fm_rev idx) in
         let n = Fmindex.Packed_text.length pt in
         if m > n then Some []
         else begin
           let k = min c.k m in
-          let pp = Fmindex.Packed_text.Pattern.make c.pattern in
+          let pp = Fmindex.Packed_text.Pattern.make_rev c.pattern in
           let acc = ref [] in
-          for pos = n - m downto 0 do
-            let d = Fmindex.Packed_text.hamming ~limit:k pt pp ~pos in
-            if d <= k then acc := (pos, d) :: !acc
+          for w = n - m downto 0 do
+            let d = Fmindex.Packed_text.hamming ~limit:k pt pp ~pos:(n - m - w) in
+            if d <= k then acc := (w, d) :: !acc
           done;
           Some !acc
         end);

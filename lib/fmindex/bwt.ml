@@ -16,12 +16,14 @@ let of_text s = of_suffix_array s (Suffix.Suffix_array.build s)
    (j < sentinel_row ? j : j+1)-th BWT character.  Row r's suffix starts
    at sa.{r} (row 0 is the sentinel suffix, sa.{0} = n), so its
    L-character is the code before it, and the row of position 0 is where
-   the sentinel sits in L. *)
-let of_packed_text ptext =
+   the sentinel sits in L.  [reversed] sorts the text's reverse: its
+   codes are read back to front, with no reversed copy. *)
+let of_packed_text ?(reversed = false) ptext =
   let n = Packed_text.length ptext in
   let codes = Bytes.create (n + 1) in
   for i = 0 to n - 1 do
-    Bytes.unsafe_set codes i (Char.unsafe_chr (Packed_text.unsafe_get ptext i + 1))
+    let lane = Packed_text.unsafe_get ptext (if reversed then n - 1 - i else i) in
+    Bytes.unsafe_set codes i (Char.unsafe_chr (lane + 1))
   done;
   Bytes.unsafe_set codes n '\000';
   let sa = Suffix.Suffix_array.sais_codes codes ~sigma:Dna.Alphabet.sigma in

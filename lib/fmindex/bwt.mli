@@ -10,14 +10,17 @@ val of_text : string -> string
 val of_suffix_array : string -> int array -> string
 (** Same, given a precomputed suffix array of [s] (without sentinel). *)
 
-val of_packed_text : Packed_text.t -> Packed_text.t * int * Suffix.Suffix_array.cells
+val of_packed_text :
+  ?reversed:bool -> Packed_text.t -> Packed_text.t * int * Suffix.Suffix_array.cells
 (** [of_packed_text ptext] builds BWT(s ^ "$") of the 2-bit text [s]
     straight from its lanes, through one SA-IS pass over the codes
-    (sentinel 0, bases 1..4), without an unpacked string.  It returns
-    the packed BWT with its sentinel removed, the sentinel's row index
-    (the form the packed FM-index core consumes), and the row-indexed
-    suffix array in 32-bit cells: [sa.{r}] is the text position of row
-    [r]'s suffix, [sa.{0} = n].  Raises [Invalid_argument] when [s] has
+    (sentinel 0, bases 1..4), without an unpacked string.
+    [~reversed:true] (default [false]) takes [s] to be [ptext] read back
+    to front, with no reversed copy; the suffix array then indexes that
+    reverse.  It returns the packed BWT with its sentinel removed, the
+    sentinel's row index (the form the packed FM-index core consumes),
+    and the row-indexed suffix array in 32-bit cells: [sa.{r}] is the
+    text position of row [r]'s suffix, [sa.{0} = n].  Raises [Invalid_argument] when [s] has
     {!Suffix.Suffix_array.max_length} bases or more. *)
 
 val inverse : string -> string

@@ -130,13 +130,14 @@ let set_sample (w : Storage.words) bits j v =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-(* The forward side: checkpoints every 128 bases (0.3125 B/base) where
-   the located side keeps 32; it serves only prepend steps
-   ([Bidir]'s and [longest_left_extension]'s). *)
+(* The forward side: the BWT of the packed text read back to front,
+   with checkpoints every 128 bases (0.3125 B/base) where the located
+   side keeps 32; it serves only prepend steps ([Bidir]'s and
+   [longest_left_extension]'s). *)
 let forward_rate = 128
 
 let build_forward ptext =
-  let packed, sentinel_row, _ = Bwt.of_packed_text (Packed_text.rev ptext) in
+  let packed, sentinel_row, _ = Bwt.of_packed_text ~reversed:true ptext in
   (Occ.of_packed ~rate:forward_rate ~sentinel:sentinel_row packed, sentinel_row)
 
 (* Below this length a second domain costs more than the pass it

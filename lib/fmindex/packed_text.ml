@@ -74,32 +74,6 @@ let of_storage data ~len =
      A1.set data last (A1.get data last land keep));
   { data; len }
 
-(* [lane_rev_table.(b)] is byte [b] with its four lanes in reverse
-   order. *)
-let lane_rev_table =
-  Array.init 256 (fun b ->
-      ((b land 3) lsl 6) lor (((b lsr 2) land 3) lsl 4) lor (((b lsr 4) land 3) lsl 2)
-      lor (b lsr 6))
-
-(* Reversing the bytes in order and the lanes of each byte through the
-   table reverses the text padded to whole bytes, so its [pad] padding
-   lanes come first; shifting every byte down by [pad] lanes (pulling
-   the low lanes of the next byte into the top) drops them, and leaves
-   the final byte's padding zero. *)
-let rev t =
-  let n = t.len in
-  let nb = nbytes n in
-  let data = Storage.create nb in
-  let sh = 2 * ((4 - (n land 3)) land 3) in
-  let src j = Array.unsafe_get lane_rev_table (A1.unsafe_get t.data (nb - 1 - j)) in
-  let cur = ref (if nb > 0 then src 0 else 0) in
-  for j = 0 to nb - 1 do
-    let next = if j + 1 < nb then src (j + 1) else 0 in
-    A1.unsafe_set data j ((!cur lsr sh) lor ((next lsl (8 - sh)) land 0xff));
-    cur := next
-  done;
-  { data; len = n }
-
 (* ------------------------------------------------------------------ *)
 (* SWAR count tables                                                    *)
 

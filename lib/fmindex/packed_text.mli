@@ -57,12 +57,6 @@ val base_of_code : int -> char
 val code_of_base : char -> int option
 (** Lane code of a base character; [None] for non-ACGT (case folded). *)
 
-val rev : t -> t
-(** [rev t] is a fresh packed text holding the lanes of [t] in reverse
-    order — e.g. the forward genome recovered from an index built over
-    the reversed text, without materializing either as a string.  One
-    table lookup and one shift per byte, not per lane. *)
-
 (** {1 SWAR count tables}
 
     Shared 256-entry per-byte lookup tables for byte- and word-parallel

@@ -852,6 +852,9 @@ let round t l pipe_buf =
     (fun c ->
       guard t l c (fun () -> if flush t l c ~writable:(List.mem c.fd writable) then replied := true))
     conns;
+  (* One instant after the writes serves the close pass and the next
+     [watch], so a drain window cannot end between them unseen. *)
+  l.now <- Obs.Clock.now_ns ();
   let drain_over = l.now >= l.drain_end in
   List.iter
     (fun c ->
@@ -864,7 +867,6 @@ let round t l pipe_buf =
           && ((c.eof && c.ipos = c.ilen) || (drain_over && c.scanned = c.ilen))
         then close_conn t l c None)
     conns;
-  l.now <- Obs.Clock.now_ns ();
   if !replied then l.replied <- flushed_at;
   Obs.add t.sink C.serve_io_busy_ns (l.now - woke)
 

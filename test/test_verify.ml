@@ -1,7 +1,6 @@
 (* Word-parallel verification kernel: Packed_text.hamming (exact and
    with a limit) against the scalar Hamming reference, the shared SWAR count tables,
-   the byte-wise Packed_text.rev against its per-lane definition, and
-   the mapper's hit re-check refuting a forged hit. *)
+   and the mapper's hit re-check refuting a forged hit. *)
 
 module Packed_text = Fmindex.Packed_text
 module Pattern = Packed_text.Pattern
@@ -199,31 +198,10 @@ let qcheck_phases =
           Pattern.phase made p = want && Pattern.phase of_codes p = want)
         [ 0; 1; 2; 3 ])
 
-let qcheck_rev =
-  Test_util.qtest ~count:500 "rev reverses"
-    (Test_util.dna_gen ~lo:0 ~hi:200 ())
-    (fun s ->
-      Packed_text.to_string (Packed_text.rev (Packed_text.of_string s))
-      = reverse_string s)
-
 (* The packed bytes of a text, padding lanes included. *)
 let payload pt =
   let data = Packed_text.storage pt in
   String.init (Fmindex.Storage.length data) (fun i -> Char.chr (Bigarray.Array1.get data i))
-
-(* The table-driven rev equals lane [n - 1 - i] at lane [i], byte for
-   byte (padding lanes included), at every n mod 4 phase and n = 0. *)
-let test_rev_per_lane () =
-  let st = Random.State.make [| 13 |] in
-  for n = 0 to 67 do
-    let t = Packed_text.init n (fun _ -> Random.State.int st 4) in
-    let want = Packed_text.init n (fun i -> Packed_text.get t (n - 1 - i)) in
-    let got = Packed_text.rev t in
-    Alcotest.(check int) (Printf.sprintf "n=%d length" n) n (Packed_text.length got);
-    Alcotest.(check string)
-      (Printf.sprintf "n=%d bytes" n)
-      (payload want) (payload got)
-  done
 
 let qcheck_make_rev =
   Test_util.qtest ~count:300 "make_rev = make of the reversal"
@@ -425,8 +403,6 @@ let () =
           qcheck_limit;
           qcheck_of_packed;
           qcheck_phases;
-          qcheck_rev;
-          Alcotest.test_case "rev = per-lane definition" `Quick test_rev_per_lane;
           qcheck_make_rev;
           qcheck_phases_on_demand;
         ] );
